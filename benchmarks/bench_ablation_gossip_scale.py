@@ -5,18 +5,19 @@ component state, N^2 comparisons are required for N application
 components. ... We believe that the prototype state-exchange protocol we
 implemented for SC98 can be substantially optimized."
 
-Three generations of the state-exchange protocol are implemented, and
-this bench draws the whole curve — each design measured at the job it
-does, state exchange, as the synchronized population doubles:
+This bench draws the whole curve across three generations of the
+state-exchange protocol — each design measured at the job it does, state
+exchange, as the synchronized population doubles. The product ships only
+the third; the first two are rebuilt here as ``GossipServer`` subclasses:
 
-1. **SC98 pairwise** (``pairwise_compare=True``): every incoming record
+1. **SC98 pairwise** (:class:`PairwiseGossip`): every incoming record
    is compared against every other component's last-seen state —
    quadratic comparison growth;
-2. **freshest-record full sync** (``sync_mode="full"``): one freshest
+2. **freshest-record full sync** (:class:`FullSyncGossip`): one freshest
    record per type, and pool members ship their whole freshest map to a
    random peer each round — the receiving side pays one comparison per
    record per round, linear in registered state;
-3. **digest/delta anti-entropy** (``sync_mode="digest"``, DESIGN §15):
+3. **digest/delta anti-entropy** (the product server, DESIGN §15):
    converged peers exchange root hashes and only diverged records are
    compared — comparison cost follows the *write rate* (divergence), not
    the population.
@@ -28,8 +29,11 @@ churn of the fixed set of chatty writers, not by N).
 
 import numpy as np
 
-from repro.core.component import Component
-from repro.core.gossip import ComparatorRegistry, GossipAgent, GossipServer, StateStore
+from repro.core.component import Component, Send, SetTimer
+from repro.core.gossip import (GOS_SYNC, ComparatorRegistry, GossipAgent,
+                               GossipServer, StateRecord, StateStore)
+from repro.core.gossip.server import T_SYNC
+from repro.core.linguafranca.messages import Message
 from repro.core.simdriver import SimDriver
 from repro.simgrid.engine import Environment
 from repro.simgrid.host import Host, HostSpec
@@ -71,16 +75,52 @@ class ChattyWorker(Component):
         return []
 
 
+class PairwiseGossip(GossipServer):
+    """SC98-prototype behavior: compare a polled component's records
+    against every other component's last-seen records, pairwise."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.component_state = {}  # contact -> {mtype: last-seen record}
+
+    def _on_state(self, message, now):
+        mine = self.component_state.setdefault(message.sender, {})
+        for body in message.body.get("records", []):
+            rec = StateRecord.from_body(body)
+            for other, theirs in self.component_state.items():
+                other_rec = theirs.get(rec.mtype)
+                if other != message.sender and other_rec is not None:
+                    self.stats.comparisons += 1
+                    self.comparators.compare(rec, other_rec)
+            mine[rec.mtype] = rec
+        return super()._on_state(message, now)
+
+
+class FullSyncGossip(GossipServer):
+    """Pre-§15 sync round: every freshest record to one random peer."""
+
+    def on_timer(self, key, now):
+        if key != T_SYNC:
+            return super().on_timer(key, now)
+        effects = [SetTimer(T_SYNC, self.sync_period)]
+        peers = [p for p in self.pool_members() if p != self.contact]
+        if self.freshest and peers:
+            peer = peers[int(self.runtime.random() * len(peers)) % len(peers)]
+            records = [self.freshest[t].to_body() for t in sorted(self.freshest)]
+            effects.insert(0, Send(peer, Message(
+                mtype=GOS_SYNC, sender=self.contact, body={"records": records})))
+        return effects
+
+
 def run_pool(n_components: int, pairwise: bool, seed: int = 9) -> int:
     env = Environment()
     streams = RngStreams(seed=seed)
     net = Network(env, streams, jitter=0.1)
     gh = Host(env, HostSpec(name="gos0"), streams)
     net.add_host(gh)
-    gossip = GossipServer("gos0", ["gos0/gossip"],
-                          comparators=ComparatorRegistry(),
-                          poll_period=30.0, sync_period=1e9,
-                          pairwise_compare=pairwise)
+    cls = PairwiseGossip if pairwise else GossipServer
+    gossip = cls("gos0", ["gos0/gossip"], comparators=ComparatorRegistry(),
+                 poll_period=30.0, sync_period=1e9)
     SimDriver(env, net, gh, "gossip", gossip, streams).start()
     for i in range(n_components):
         h = Host(env, HostSpec(name=f"w{i}"), streams)
@@ -91,7 +131,7 @@ def run_pool(n_components: int, pairwise: bool, seed: int = 9) -> int:
     return gossip.stats.comparisons
 
 
-def run_sync_pool(n_components: int, sync_mode: str, seed: int = 9) -> int:
+def run_sync_pool(n_components: int, cls: type, seed: int = 9) -> int:
     """Pool-plane cost: two Gossips synchronize N registered state types
     (one per worker); a fixed handful of workers keep writing, the rest
     are quiet after one initial write. Returns the comparator invocations
@@ -104,10 +144,8 @@ def run_sync_pool(n_components: int, sync_mode: str, seed: int = 9) -> int:
     for g in range(2):
         gh = Host(env, HostSpec(name=f"gos{g}"), streams)
         net.add_host(gh)
-        gossip = GossipServer(f"gos{g}", well_known,
-                              comparators=ComparatorRegistry(),
-                              poll_period=30.0, sync_period=10.0,
-                              sync_mode=sync_mode)
+        gossip = cls(f"gos{g}", well_known, comparators=ComparatorRegistry(),
+                     poll_period=30.0, sync_period=10.0)
         SimDriver(env, net, gh, "gossip", gossip, streams).start()
         gossips.append(gossip)
     chatty = 4
@@ -130,8 +168,8 @@ def test_gossip_comparison_scaling(benchmark, artifact_dir):
     ns = [4, 8, 16, 32]
     pairwise = [run_pool(n, pairwise=True) for n in ns]
     optimized = [run_pool(n, pairwise=False) for n in ns]
-    full_sync = [run_sync_pool(n, sync_mode="full") for n in ns]
-    digest = [run_sync_pool(n, sync_mode="digest") for n in ns]
+    full_sync = [run_sync_pool(n, FullSyncGossip) for n in ns]
+    digest = [run_sync_pool(n, GossipServer) for n in ns]
     benchmark.pedantic(lambda: run_pool(16, pairwise=False),
                        rounds=1, iterations=1)
 

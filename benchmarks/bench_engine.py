@@ -22,7 +22,6 @@ from workloads import (
     N_TIMEOUT_EVENTS,
     run_message_pingpong,
     run_timeout_storm,
-    run_windowed_storm,
 )
 
 N_EVENTS = int(os.environ.get("REPRO_BENCH_EVENTS", N_TIMEOUT_EVENTS))
@@ -51,24 +50,6 @@ def test_engine_event_throughput(benchmark, artifact_dir):
     save_artifact(artifact_dir, "engine_throughput.txt", "\n".join(lines))
     assert events_per_sec > 10_000  # sanity floor, generous for any machine
     _maybe_enforce_baseline("timeout_storm", events_per_sec)
-
-
-def test_windowed_run_throughput(benchmark, artifact_dir):
-    """The parallel-DES row: the same timer storm through
-    ``run_windowed`` (lookahead windows + a barrier per edge). The
-    windowing skeleton must cost nearly nothing — it is pure
-    checkpointing, ordering stays byte-identical to a plain run."""
-    benchmark.pedantic(run_windowed_storm, args=(N_EVENTS,),
-                       rounds=ROUNDS, iterations=1, warmup_rounds=1)
-    events_per_sec = N_EVENTS / benchmark.stats["median"]
-    lines = [
-        "Windowed (parallel-DES skeleton) throughput on this machine:",
-        f"  windowed timer events : {events_per_sec:,.0f} events/s median "
-        f"({N_EVENTS:,} events x {ROUNDS} rounds, one barrier per window)",
-    ]
-    save_artifact(artifact_dir, "windowed_throughput.txt", "\n".join(lines))
-    assert events_per_sec > 10_000
-    _maybe_enforce_baseline("windowed_storm", events_per_sec)
 
 
 def test_message_roundtrip_throughput(benchmark, artifact_dir):

@@ -14,17 +14,15 @@ Exercises the digest/delta anti-entropy sync plane (DESIGN §15) on
   (the epidemic-spread claim: O(log pool)), per-node sync bytes per
   round (the flat-cost claim: O(divergence), not O(pool) or O(state)),
   and delivered messages per wall-second;
-* **state-size** cells — per-node bytes/round for the digest plane vs
-  the pre-§15 full-state plane as the registered state grows; full-state
-  sync pays O(state) every round, the digest plane does not;
+* **state-size** cells — per-node bytes/round for the digest plane as
+  the registered state grows; a converged pool must not pay O(state);
 * a **determinism** cell — the 64-host scenario runs twice with the same
   seed and must produce byte-identical state exports.
 
 The gate (``--check``) asserts the acceptance floors: convergence within
 ``1.5*log2(N) + 4`` rounds at every size, per-node bytes/round at 1,024
-hosts within 1.5x of the 64-host cell, full-state bytes growing at least
-3x over the state sweep while digest bytes stay within 1.5x, and the
-same-seed exports identical.
+hosts within 1.5x of the 64-host cell, digest bytes staying within 1.5x
+over the state sweep, and the same-seed exports identical.
 """
 
 from __future__ import annotations
@@ -47,8 +45,7 @@ GOSSIP_JSON = HERE.parent / "BENCH_gossip.json"
 CONVERGENCE_ROUNDS_FACTOR = 1.5  # rounds <= factor * log2(N) + slack
 CONVERGENCE_ROUNDS_SLACK = 4.0
 BYTES_FLAT_RATIO = 1.5  # per-node bytes/round, largest pool vs smallest
-FULL_STATE_GROWTH_FLOOR = 3.0  # old path must grow with state...
-DIGEST_STATE_RATIO = 1.5  # ...while the digest path stays flat
+DIGEST_STATE_RATIO = 1.5  # bytes/node/round, largest state vs smallest
 
 
 def _convergence_cell(n_hosts: int, seed: int = 11,
@@ -82,21 +79,18 @@ def _convergence_cell(n_hosts: int, seed: int = 11,
     }
 
 
-def _steady_bytes(n_hosts: int, n_records: int, sync_mode: str,
+def _steady_bytes(n_hosts: int, n_records: int,
                   horizon: float = 120.0, seed: int = 11) -> float:
     """Per-node sync-plane bytes per round over a converged steady run."""
     from repro.experiments.bigpool import build_pool
 
     pool = build_pool(n_hosts=n_hosts, n_sites=max(n_hosts // 8, 2),
-                      n_records=n_records, sync_mode=sync_mode, seed=seed)
+                      n_records=n_records, seed=seed)
     pool.run(until=horizon)
     servers = pool.servers
     n = len(servers)
     spent = sum(g.stats.bytes_sent for g in servers)
-    if sync_mode == "digest":
-        rounds = sum(g.stats.digest_rounds for g in servers) / n
-    else:
-        rounds = sum(g.stats.syncs_sent for g in servers) / n
+    rounds = sum(g.stats.digest_rounds for g in servers) / n
     return spent / n / max(rounds, 1.0)
 
 
@@ -106,9 +100,7 @@ def _state_size_cell(n_hosts: int, n_records: int) -> dict:
         "n_hosts": n_hosts,
         "n_records": n_records,
         "digest_bytes_per_node_round": round(
-            _steady_bytes(n_hosts, n_records, "digest"), 1),
-        "full_bytes_per_node_round": round(
-            _steady_bytes(n_hosts, n_records, "full"), 1),
+            _steady_bytes(n_hosts, n_records), 1),
     }
 
 
@@ -156,15 +148,8 @@ def _check(report: dict) -> list[str]:
     state = [row for row in report["cells"] if row["cell"] == "state-size"]
     if len(state) >= 2:
         lo, hi = state[0], state[-1]
-        full_growth = (hi["full_bytes_per_node_round"]
-                       / max(lo["full_bytes_per_node_round"], 1e-9))
         digest_growth = (hi["digest_bytes_per_node_round"]
                          / max(lo["digest_bytes_per_node_round"], 1e-9))
-        if full_growth < FULL_STATE_GROWTH_FLOOR:
-            failures.append(
-                f"full-state bytes grew only {full_growth:.2f}x over the "
-                f"state sweep (expected O(state), >= "
-                f"{FULL_STATE_GROWTH_FLOOR}x)")
         if digest_growth > DIGEST_STATE_RATIO:
             failures.append(
                 f"digest bytes grew {digest_growth:.2f}x over the state "
@@ -202,8 +187,7 @@ def main(argv: list[str] | None = None) -> int:
         row = _state_size_cell(state_pool, n_records)
         cells.append(row)
         print(f"state-size {n_records:>4} records: "
-              f"digest={row['digest_bytes_per_node_round']} "
-              f"full={row['full_bytes_per_node_round']} bytes/node/round")
+              f"digest={row['digest_bytes_per_node_round']} bytes/node/round")
     det = _determinism_cell()
     cells.append(det)
     print(f"determinism: identical={det['identical']} "
@@ -215,7 +199,6 @@ def main(argv: list[str] | None = None) -> int:
             "convergence_rounds": f"<= {CONVERGENCE_ROUNDS_FACTOR}*log2(N)"
                                   f" + {CONVERGENCE_ROUNDS_SLACK}",
             "bytes_flat_ratio": BYTES_FLAT_RATIO,
-            "full_state_growth_floor": FULL_STATE_GROWTH_FLOOR,
             "digest_state_ratio": DIGEST_STATE_RATIO,
         },
         "cells": cells,

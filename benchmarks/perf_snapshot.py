@@ -38,8 +38,6 @@ import workloads  # noqa: E402
 WORKLOADS = {
     "timeout_storm": (workloads.run_timeout_storm, "events/s",
                       workloads.N_TIMEOUT_EVENTS, "engine"),
-    "windowed_storm": (workloads.run_windowed_storm, "events/s",
-                       workloads.N_TIMEOUT_EVENTS, "engine"),
     "message_pingpong": (workloads.run_message_pingpong, "roundtrips/s",
                          workloads.N_ROUNDTRIPS, "engine"),
     "tabu_search": (workloads.run_tabu_search, "moves/s",

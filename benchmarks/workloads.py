@@ -38,41 +38,6 @@ def run_timeout_storm(n_events: int = N_TIMEOUT_EVENTS) -> int:
     return n_events
 
 
-def run_windowed_storm(n_events: int = N_TIMEOUT_EVENTS,
-                       window: float = 50.0) -> int:
-    """The timer storm through ``run_windowed`` — the parallel-DES
-    synchronization skeleton: lookahead-sized windows with a barrier
-    call at every edge. Measures what the windowing machinery costs on
-    top of a plain run (ordering is byte-identical by contract).
-
-    On a tree that predates ``run_windowed`` (perf_snapshot
-    ``--before-tree``) this degrades to the plain run — the comparison
-    is then exactly the windowing overhead.
-    """
-    from repro.simgrid.engine import Environment
-
-    env = Environment()
-
-    def ticker(env, period):
-        while True:
-            yield env.timeout(period)
-
-    for i in range(20):
-        env.process(ticker(env, 1.0 + i * 0.01))
-    until = n_events / 20
-    barriers = [0]
-
-    def barrier(edge):
-        barriers[0] += 1
-
-    if hasattr(env, "run_windowed"):
-        env.run_windowed(until=until, window=window, barrier=barrier)
-        assert barriers[0] >= until / window
-    else:  # pragma: no cover - only under --before-tree
-        env.run(until=until)
-    return n_events
-
-
 def run_message_pingpong(n: int = N_ROUNDTRIPS) -> int:
     """Full request/response cycles through network, endpoint and codec."""
     from repro.core.linguafranca.endpoint import SimEndpoint

@@ -34,14 +34,12 @@ previously public name (the flat-module compatibility contract, frozen
 by ``tests/api/test_surface.py``); resolution is lazy, so pulling one
 ``core`` name does not import the live or control planes. Anything
 *not* listed in :func:`surface` is an internal detail that may move
-between releases — reaching it through ``repro.api`` earns a
-``DeprecationWarning`` pointing at the layer that exports it.
+between releases and is not reachable through ``repro.api``.
 """
 
 from __future__ import annotations
 
 import importlib
-import warnings
 
 #: The public contract, by layer. ``repro info --api`` dumps exactly
 #: this structure and the golden-surface test freezes it; adding a name
@@ -169,19 +167,6 @@ def __getattr__(name: str):
         module = importlib.import_module(f".{name}", __name__)
         globals()[name] = module
         return module
-    if not name.startswith("_"):
-        # Moved internals: resolvable, but not part of the contract.
-        for layer in _LAYERS:
-            module = importlib.import_module(f".{layer}", __name__)
-            if hasattr(module, name):
-                warnings.warn(
-                    f"repro.api.{name} is not part of the public api "
-                    f"surface; import it from repro.api.{layer} (or its "
-                    f"home module) instead",
-                    DeprecationWarning, stacklevel=2)
-                value = getattr(module, name)
-                globals()[name] = value
-                return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

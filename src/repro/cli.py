@@ -80,7 +80,6 @@ def _cmd_sc98(args: argparse.Namespace) -> int:
         n=args.n,
         engine=args.engine,
         compute_pool=args.compute_pool,
-        parallel_des=args.parallel_des,
         max_steps_per_advance=args.max_steps_per_advance,
     )
     world = build_sc98(cfg)
@@ -88,8 +87,6 @@ def _cmd_sc98(args: argparse.Namespace) -> int:
     if cfg.engine == "real":
         lane_desc = (f", engine real, "
                      f"{'pool=' + str(cfg.compute_pool) if cfg.compute_pool else 'inline lane'}")
-    if cfg.parallel_des:
-        lane_desc += ", windowed parallel DES"
     print(f"running SC98 scenario (scale {args.scale}, seed {args.seed}"
           f"{lane_desc}) ...")
     t0 = time.time()
@@ -371,11 +368,8 @@ def _cmd_pool(args: argparse.Namespace) -> int:
                                       gossip_rollup, inject_write,
                                       run_until_converged)
 
-    config_kw = dict(n_hosts=args.hosts, n_sites=args.sites,
-                     n_records=args.records, seed=args.seed)
-    if args.window:
-        config_kw["window"] = args.window
-    pool = build_pool(**config_kw)
+    pool = build_pool(n_hosts=args.hosts, n_sites=args.sites,
+                      n_records=args.records, seed=args.seed)
     if args.churn:
         churn_plan(pool.config).install(pool.env, pool.network)
     pool.run(until=args.warm)
@@ -665,10 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compute-pool", type=int, default=0, metavar="N",
                    help="offload real-engine kernels to N pool workers "
                         "(0 = inline lane; results are bit-identical)")
-    p.add_argument("--parallel-des", action="store_true",
-                   help="conservative parallel DES: site-partitioned "
-                        "windowed execution with compute-lane barriers "
-                        "(byte-identical outcomes to the serial run)")
     p.add_argument("--max-steps-per-advance", type=int, default=2000,
                    help="real-engine step cap per advance (smoke runs)")
     p.add_argument("--figures", action="store_true",
@@ -752,8 +742,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sim seconds to run before injecting the write")
     p.add_argument("--deadline", type=float, default=2000.0, metavar="S",
                    help="sim-time budget for convergence")
-    p.add_argument("--window", type=float, default=0.0, metavar="S",
-                   help="use the windowed parallel engine with this window")
     p.add_argument("--churn", action="store_true",
                    help="install the deterministic churn plan "
                         "(crashes + a healed partition)")

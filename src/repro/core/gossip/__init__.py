@@ -10,7 +10,6 @@ from .digest import (
     plan_exchange,
 )
 from .server import (
-    GOS_DELCOMP,
     GOS_DELTA,
     GOS_DIGEST,
     GOS_NEWCOMP,
@@ -44,7 +43,6 @@ __all__ = [
     "plan_exchange",
     "GossipServer",
     "GossipStats",
-    "GOS_DELCOMP",
     "GOS_DELTA",
     "GOS_DIGEST",
     "GOS_NEWCOMP",

@@ -34,7 +34,7 @@ pool-side synchronization here is that optimization, a three-phase
 
 Converged peers therefore exchange two tiny messages per round — bytes
 are O(divergence), not O(registered state) — and evictions ride digests
-as TTL'd tombstones instead of an O(pool) ``GOS_DELCOMP`` broadcast.
+as TTL'd tombstones instead of an O(pool) eviction broadcast.
 Failure detection is SWIM-style (:mod:`.swim`): missed digest-acks make a
 peer *suspect* (never instantly dead), suspicion piggybacks on digests,
 refutations with bumped incarnations clear it, and only an expired
@@ -70,7 +70,6 @@ __all__ = [
     "GOS_DIGEST",
     "GOS_DELTA",
     "GOS_NEWCOMP",
-    "GOS_DELCOMP",
 ]
 
 GOS_REG = "GOS_REG"
@@ -82,7 +81,6 @@ GOS_SYNC = "GOS_SYNC"
 GOS_DIGEST = "GOS_DIGEST"
 GOS_DELTA = "GOS_DELTA"
 GOS_NEWCOMP = "GOS_NEWCOMP"
-GOS_DELCOMP = "GOS_DELCOMP"
 
 T_POLL = "gos:poll"
 T_SYNC = "gos:sync"
@@ -96,6 +94,8 @@ class GossipStats:
     records_adopted: int = 0
     comparisons: int = 0
     evictions: int = 0
+    #: Never incremented by the digest plane; kept because the recorded
+    #: ``bigpool.export_state`` totals name it.
     syncs_sent: int = 0
     # -- digest/delta anti-entropy (DESIGN §15) -----------------------------
     digest_rounds: int = 0
@@ -103,8 +103,8 @@ class GossipStats:
     digest_acks: int = 0
     deltas_sent: int = 0
     delta_records: int = 0
-    #: Comparator invocations spent on the sync plane (full-state syncs
-    #: pay one per record per merge; digest rounds pay O(divergence)).
+    #: Comparator invocations spent on the sync plane (digest rounds pay
+    #: O(divergence)).
     sync_comparisons: int = 0
     #: Actual sync-plane bytes put on the wire by this member.
     bytes_sent: int = 0
@@ -149,8 +149,6 @@ class GossipServer(Component):
         dynamic_timeouts: bool = True,
         token_period: float = 10.0,
         token_timeout: float = 35.0,
-        pairwise_compare: bool = False,
-        sync_mode: str = "digest",
         fanout: int = 2,
         shard_size: int = 32,
         intershard_period: int = 2,
@@ -169,18 +167,6 @@ class GossipServer(Component):
         self.dynamic_timeouts = dynamic_timeouts
         self._token_period = token_period
         self._token_timeout = token_timeout
-        #: Ablation A4 switch: True replays the SC98 prototype's O(N^2)
-        #: pairwise state comparison (§2.3: "each Gossip does a pair-wise
-        #: comparison of application component state"); False (default) is
-        #: the optimized freshest-record design the paper anticipated.
-        self.pairwise_compare = pairwise_compare
-        #: Pool sync flavor: "digest" = three-phase anti-entropy (DESIGN
-        #: §15, the default); "full" = the pre-digest design that shipped
-        #: every freshest record to one random peer per round (kept for
-        #: the ablation curve).
-        if sync_mode not in ("digest", "full"):
-            raise ValueError(f"unknown sync_mode {sync_mode!r}")
-        self.sync_mode = sync_mode
         self.fanout = max(int(fanout), 1)
         self.shard_size = max(int(shard_size), 2)
         self.intershard_period = max(int(intershard_period), 1)
@@ -193,8 +179,6 @@ class GossipServer(Component):
         self.freshest: dict[str, StateRecord] = {}
         #: Incremental digest over ``freshest`` (kept current by ``_adopt``).
         self.digest = StateDigest()
-        #: Last state seen per component (pairwise mode only).
-        self.component_state: dict[str, dict[str, StateRecord]] = {}
         self.forecasts = ForecastRegistry()
         self.timer = EventTimer(self.forecasts)
         # Both flavors prebuilt so the ablation A1 switch (the mutable
@@ -322,7 +306,6 @@ class GossipServer(Component):
             GOS_DIGEST: self._on_digest,
             GOS_DELTA: self._on_delta,
             GOS_NEWCOMP: self._on_newcomp,
-            GOS_DELCOMP: self._on_delcomp,
         }.get(message.mtype)
         if handler is None:
             return []
@@ -413,13 +396,6 @@ class GossipServer(Component):
             existing.types |= types
             existing.last_seen = max(existing.last_seen, stamp)
 
-    def _on_delcomp(self, message: Message, now: float) -> list[Effect]:
-        # Legacy eviction broadcast (pre-§15 wire compat): treat as a
-        # tombstone from the sender's clock.
-        self._apply_tombstone(message.body.get("contact"),
-                              float(message.body.get("ts", now)), now)
-        return []
-
     # -- state plane (polls / component pushes) --------------------------------
     def _on_state(self, message: Message, now: float) -> list[Effect]:
         contact = message.sender
@@ -435,19 +411,6 @@ class GossipServer(Component):
         tag = event_tag(contact, GOS_POLL)
         self.timer.end(tag, now)
         remote = self._merge_records(message.body.get("records", []))
-        if self.pairwise_compare:
-            # SC98-prototype behavior: compare this component's records
-            # against every other component's last-seen records, pairwise.
-            mine = self.component_state.setdefault(contact, {})
-            for mtype, rec in remote.items():
-                for other, theirs in self.component_state.items():
-                    if other == contact:
-                        continue
-                    other_rec = theirs.get(mtype)
-                    if other_rec is not None:
-                        self.stats.comparisons += 1
-                        self.comparators.compare(rec, other_rec)
-                mine[mtype] = rec
         # Push fresh state for every *registered* type the component holds a
         # stale copy of — or no copy at all (it may never have written one).
         stale_types: list[str] = []
@@ -528,9 +491,7 @@ class GossipServer(Component):
         if key == T_POLL:
             return self._poll_round(now) + [SetTimer(T_POLL, self.poll_period)]
         if key == T_SYNC:
-            round_fn = (self._sync_round if self.sync_mode == "digest"
-                        else self._sync_round_full)
-            return round_fn(now) + [SetTimer(T_SYNC, self.sync_period)]
+            return self._sync_round(now) + [SetTimer(T_SYNC, self.sync_period)]
         return []
 
     def timeout_policy(self) -> TimeoutPolicy:
@@ -680,7 +641,7 @@ class GossipServer(Component):
                 continue
             self._note_registration(contact, types, stamp)
 
-    def _apply_tombstone(self, contact: Optional[str], stamp: float,
+    def _apply_tombstone(self, contact: str, stamp: float,
                          now: float) -> None:
         if not contact:
             return
@@ -787,23 +748,6 @@ class GossipServer(Component):
                 "gossip.digest_rounds", component=self.name)
         self._rounds_counter.inc()
         return effects
-
-    def _sync_round_full(self, now: float) -> list[Effect]:
-        """Pre-§15 sync: every freshest record to one random peer."""
-        self._round += 1
-        if not self.freshest:
-            return []
-        peers = [p for p in self.pool_members() if p != self.contact]
-        if not peers:
-            return []
-        assert self.runtime is not None
-        peer = peers[int(self.runtime.random() * len(peers)) % len(peers)]
-        self.stats.syncs_sent += 1
-        records = [self.freshest[t].to_body() for t in sorted(self.freshest)]
-        message = Message(mtype=GOS_SYNC, sender=self.contact,
-                          body={"records": records})
-        self._account_send(message)
-        return [Send(peer, message)]
 
     def _on_digest(self, message: Message, now: float) -> list[Effect]:
         peer = message.sender

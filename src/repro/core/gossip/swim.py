@@ -1,7 +1,7 @@
 """SWIM-style suspicion: the Gossip pool's membership failure detector.
 
 The SC98 prototype treated silence as death: a component that missed its
-poll deadline was evicted and a ``GOS_DELCOMP`` was broadcast to the whole
+poll deadline was evicted and the eviction was broadcast to the whole
 pool. At a thousand nodes that is both too eager (one congested link
 kills a healthy node pool-wide) and too chatty (O(pool) messages per
 eviction). This module replaces it with the SWIM pattern the gossip

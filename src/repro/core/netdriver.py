@@ -35,7 +35,6 @@ from .linguafranca.messages import Message
 from .linguafranca.tcp import (
     AsyncSender,
     EventLoop,
-    TcpClient,
     TcpServer,
     TransportError,
 )
@@ -79,14 +78,9 @@ class NetDriver:
         log_sink=None,
         seed: Optional[int] = None,
         timeout_policy: Optional[TimeoutPolicy] = None,
-        send_timeout: Optional[float] = None,
         telemetry: Optional[Telemetry] = None,
         speed: float = 0.0,
     ) -> None:
-        if send_timeout is not None:
-            raise TypeError(
-                "NetDriver(send_timeout=...) was removed; pass "
-                "timeout_policy=TimeoutPolicy.static(value) instead")
         self.component = component
         #: One selector shared by the listening socket, every accepted
         #: connection, and every outbound connection.
@@ -98,9 +92,6 @@ class NetDriver:
         self.timeout_policy = timeout_policy or TimeoutPolicy.forecast(default=2.0)
         self.sender = AsyncSender(self.loop, sender=self.contact,
                                   observer=self._observe_send)
-        #: Blocking client kept for request/response side channels
-        #: (probes, tools); the driver's own sends never touch it.
-        self.client = TcpClient(sender=self.contact)
         self.log_sink = log_sink
         self.tracker: Optional[ReliableSendTracker] = None
         self._rng = random.Random(seed)
@@ -145,9 +136,8 @@ class NetDriver:
 
     @property
     def reconnects(self) -> int:
-        """Transparent outbound reconnects (async sender + blocking
-        client side channel combined)."""
-        return self.sender.reconnects + self.client.reconnects
+        """Transparent outbound reconnects of the async sender."""
+        return self.sender.reconnects
 
     # -- effects ------------------------------------------------------------
     def _apply(self, effects: list[Effect]) -> None:
@@ -445,5 +435,4 @@ class NetDriver:
         self._flush_outbound()
         self.sender.close()
         self.server.close()
-        self.client.close()
         self.loop.close()

@@ -15,7 +15,7 @@ from typing import Callable, Generator, Optional
 
 from ..simgrid.engine import Environment, Interrupt, Process
 from ..simgrid.host import Host
-from ..simgrid.network import Address, Network
+from ..simgrid.network import Address, AddressError, Network
 from .component import CancelTimer, Component, Effect, LogLine, Send, SetTimer, Stop
 from .linguafranca.endpoint import SimEndpoint
 from .policy import ReliableSendTracker, TimeoutPolicy
@@ -92,6 +92,8 @@ class SimDriver:
         self._timers: dict[str, float] = {}
         self._stopped = False
         self.handler_errors = 0
+        #: Sends dropped for a malformed destination (NetDriver's twin).
+        self.send_errors = 0
         self.stop_reason: Optional[str] = None
         self.process: Optional[Process] = None
         # Worlds thread one shared Telemetry through every driver —
@@ -134,6 +136,13 @@ class SimDriver:
         tracer = self.telemetry.tracer
         for eff in effects:
             if isinstance(eff, Send):
+                try:
+                    dst = Address.parse(eff.dst)
+                except AddressError:
+                    # A contact some peer made up (hostile registration):
+                    # a metered drop, never a crash of the driver loop.
+                    self.send_errors += 1
+                    continue
                 message = eff.message
                 if eff.retry is not None:
                     pending = self._reliable().track(eff, self.env.now)
@@ -171,7 +180,7 @@ class SimDriver:
                         self.telemetry.metrics.counter("msg.sent",
                                                        mtype=message.mtype))
                 counter.inc()
-                self.endpoint.send(eff.dst, message)
+                self.endpoint.send(dst, message)
             elif isinstance(eff, SetTimer):
                 self._timers[eff.key] = self.env.now + eff.delay
                 if tracer.enabled:

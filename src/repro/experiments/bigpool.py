@@ -65,7 +65,6 @@ class PoolConfig:
     #: Pre-seeded (already converged) state records per member.
     n_records: int = 32
     seed: int = 11
-    sync_mode: str = "digest"
     fanout: int = 2
     shard_size: int = 32
     intershard_period: int = 2
@@ -78,8 +77,6 @@ class PoolConfig:
     token_period: float = 600.0
     token_timeout: float = 1500.0
     jitter: float = 0.0
-    #: Windowed-engine lookahead; None runs the plain serial loop.
-    window: Optional[float] = None
 
 
 @dataclass
@@ -97,10 +94,7 @@ class BigPool:
     seeded: list[StateRecord] = field(default_factory=list)
 
     def run(self, until: float) -> None:
-        if self.config.window is not None:
-            self.env.run_windowed(until, window=self.config.window)
-        else:
-            self.env.run(until=until)
+        self.env.run(until=until)
 
     def active_servers(self) -> list[GossipServer]:
         """Members whose driver process is still alive — a crashed host's
@@ -153,7 +147,6 @@ def build_pool(config: Optional[PoolConfig] = None, **overrides) -> BigPool:
             sync_period=config.sync_period,
             token_period=config.token_period,
             token_timeout=config.token_timeout,
-            sync_mode=config.sync_mode,
             fanout=config.fanout,
             shard_size=config.shard_size,
             intershard_period=config.intershard_period,
@@ -239,7 +232,7 @@ def export_state(pool: BigPool) -> dict:
     return {
         "n_hosts": pool.config.n_hosts,
         "seed": pool.config.seed,
-        "sync_mode": pool.config.sync_mode,
+        "sync_mode": "digest",
         "now": pool.env.now,
         "members": members,
         "totals": totals,

@@ -81,13 +81,6 @@ class SC98Config:
     compute_pool: int = 0
     #: Step cap per real-engine advance (lowered for smoke runs).
     max_steps_per_advance: int = 2000
-    #: Conservative parallel DES: drive the run in lookahead-sized
-    #: windows with compute-lane barriers (see repro.simgrid.pdes).
-    #: Byte-identical outcomes to the serial run by construction — the
-    #: parity contract is enforced by tests and CI.
-    parallel_des: bool = False
-    #: Optional window override (may only shrink the derived lookahead).
-    des_window: Optional[float] = None
     #: Ablation A1: forecast-driven vs static service time-outs.
     dynamic_timeouts: bool = True
     #: Ablation A2: place schedulers inside the Condor pool.
@@ -299,9 +292,6 @@ class SC98World:
 
         self.sampler = HostCountSampler(
             self.env, self.adapters, start=0.0, width=c.bucket, n=c.n_buckets)
-        #: Synchronization stats of the last parallel-DES run (None for
-        #: serial runs).
-        self.pdes_stats: Optional[dict] = None
 
     def _move_schedulers_into_condor_pool(self) -> None:
         """Ablation A2: schedulers live on (reclaimable) Condor hosts.
@@ -322,15 +312,7 @@ class SC98World:
             # at every event boundary while the world runs.
             self.env.drain_hook = self.compute_lane.drain
         try:
-            if self.config.parallel_des:
-                from ..simgrid.pdes import WindowedRunner
-
-                runner = WindowedRunner(
-                    self.env, self.network, lane=self.compute_lane,
-                    window=self.config.des_window)
-                self.pdes_stats = runner.run(until=self.config.duration)
-            else:
-                self.env.run(until=self.config.duration)
+            self.env.run(until=self.config.duration)
         finally:
             self.env.drain_hook = None
             self.close()

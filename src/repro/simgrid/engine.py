@@ -572,10 +572,8 @@ class Environment:
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run until the queue empties, time ``until`` passes, or the
         event ``until`` triggers (returning its value)."""
-        if self.profiler is not None:
-            return self._run_profiled(until)
-        if self.drain_hook is not None:
-            return self._run_draining(until)
+        if self.profiler is not None or self.drain_hook is not None:
+            return self._run_observed(until)
         stop_at = None
         stop_event: Optional[Event] = None
         if isinstance(until, Event):
@@ -671,113 +669,17 @@ class Environment:
                 pass
             raise
 
-    def run_windowed(
-        self,
-        until: float,
-        window: float,
-        barrier: Optional[Callable[[float], None]] = None,
-    ) -> None:
-        """Run to ``until`` in fixed-width time windows, invoking
-        ``barrier(edge)`` after each window edge is reached.
-
-        Event ordering is *byte-identical* to a single ``run(until=...)``:
-        each window is a plain :meth:`run` to the next edge, and the
-        deadline sentinel makes an edge a pure checkpoint — events at
-        exactly the edge time are processed at the start of the next
-        window, in the same ``(time, tag)`` heap order they would have
-        been processed in an unwindowed run (the sequence counter runs on
-        across windows). This is the synchronization skeleton of the
-        conservative parallel DES (see :mod:`repro.simgrid.pdes`): the
-        window width is the lookahead — no event inside a window can be
-        affected by an inter-partition message sent in the same window —
-        and the barrier is where cross-partition work (compute-lane
-        completions) is reconciled.
-        """
-        stop_at = float(until)
-        if stop_at < self._now:
-            raise SimulationError(
-                f"until={stop_at} is in the past (now={self._now})"
-            )
-        if window <= 0:
-            raise SimulationError(f"window must be positive, got {window!r}")
-        edge = self._now
-        while edge < stop_at:
-            edge = min(edge + window, stop_at)
-            self.run(until=edge)
-            if barrier is not None:
-                barrier(edge)
-
-    def _run_profiled(self, until: Optional[float | Event] = None) -> Any:
-        """run() twin taken when a profiler is attached: same scheduling
-        semantics, but samples per-event-type counts and callback wall
-        time. Skips the Timeout-recycling micro-optimization — profiled
-        runs measure, fast runs race."""
+    def _run_observed(self, until: Optional[float | Event] = None) -> Any:
+        """run() twin taken when a profiler, a drain hook, or both are
+        attached: identical scheduling semantics. The profiler samples
+        per-event-type counts and callback wall time; the hook is called
+        between events so an external completion source (the compute
+        plane's worker pool) is harvested at every event boundary. Skips
+        the Timeout-recycling micro-optimization — observed runs measure
+        (and the hook may retain event references), fast runs race."""
         from time import perf_counter
 
         profiler = self.profiler
-        stop_at = None
-        stop_event: Optional[Event] = None
-        if isinstance(until, Event):
-            stop_event = until
-            if stop_event.callbacks is None:  # already processed
-                return stop_event._value
-
-            def _stop(event: Event) -> None:
-                raise StopSimulation(event._value)
-
-            stop_event.callbacks.append(_stop)
-        elif until is not None:
-            stop_at = float(until)
-            if stop_at < self._now:
-                raise SimulationError(
-                    f"until={stop_at} is in the past (now={self._now})"
-                )
-        queue = self._queue
-        sentinel_entry = None
-        if stop_at is not None:
-            sentinel_entry = (stop_at, _DEADLINE_TAG, _Deadline())
-            heappush(queue, sentinel_entry)
-        by_type = profiler.events_by_type
-        run_t0 = perf_counter()
-        try:
-            while queue:
-                self._now, _tag, event = heappop(queue)
-                callbacks = event.callbacks
-                if callbacks is None:
-                    if sentinel_entry is not None:
-                        sentinel_entry = None  # popped: nothing to withdraw
-                        return None  # the deadline sentinel ends the run
-                    continue  # stale sentinel from an aborted earlier run
-                event.callbacks = None
-                tname = type(event).__name__
-                by_type[tname] = by_type.get(tname, 0) + 1
-                profiler.events += 1
-                t0 = perf_counter()
-                for cb in callbacks:
-                    cb(event)
-                profiler.callback_time += perf_counter() - t0
-                if not event._ok and not event._defused:
-                    raise event._value
-        except StopSimulation as stop:
-            return stop.value
-        finally:
-            profiler.run_wall_time += perf_counter() - run_t0
-            if sentinel_entry is not None:
-                try:
-                    queue.remove(sentinel_entry)
-                    heapify(queue)
-                except ValueError:
-                    pass
-        if stop_event is not None and stop_event.callbacks is not None:
-            raise SimulationError("run() until-event was never triggered")
-        return None
-
-    def _run_draining(self, until: Optional[float | Event] = None) -> Any:
-        """run() twin taken when a drain hook is attached: identical
-        scheduling semantics, with the hook called between events so an
-        external completion source (the compute plane's worker pool) is
-        harvested at every event boundary. Skips the Timeout-recycling
-        micro-optimization — the hook may retain event references."""
         hook = self.drain_hook
         stop_at = None
         stop_event: Optional[Event] = None
@@ -801,6 +703,8 @@ class Environment:
         if stop_at is not None:
             sentinel_entry = (stop_at, _DEADLINE_TAG, _Deadline())
             heappush(queue, sentinel_entry)
+        by_type = None if profiler is None else profiler.events_by_type
+        run_t0 = perf_counter()
         try:
             while queue:
                 self._now, _tag, event = heappop(queue)
@@ -811,14 +715,26 @@ class Environment:
                         return None  # the deadline sentinel ends the run
                     continue  # stale sentinel from an aborted earlier run
                 event.callbacks = None
-                for cb in callbacks:
-                    cb(event)
+                if profiler is None:
+                    for cb in callbacks:
+                        cb(event)
+                else:
+                    tname = type(event).__name__
+                    by_type[tname] = by_type.get(tname, 0) + 1
+                    profiler.events += 1
+                    t0 = perf_counter()
+                    for cb in callbacks:
+                        cb(event)
+                    profiler.callback_time += perf_counter() - t0
                 if not event._ok and not event._defused:
                     raise event._value
-                hook()
+                if hook is not None:
+                    hook()
         except StopSimulation as stop:
             return stop.value
         finally:
+            if profiler is not None:
+                profiler.run_wall_time += perf_counter() - run_t0
             if sentinel_entry is not None:
                 try:
                     queue.remove(sentinel_entry)

@@ -147,29 +147,6 @@ class Network:
         self._site_latency[(a, b)] = latency
         self._site_latency[(b, a)] = latency
 
-    def site_partitions(self) -> dict[str, list[str]]:
-        """Hosts grouped by site, in registration order — the natural
-        partitioning for conservative parallel DES (intra-site traffic is
-        fast and chatty, inter-site traffic pays wide-area latency)."""
-        parts: dict[str, list[str]] = {}
-        for host in self._hosts.values():
-            parts.setdefault(host.site, []).append(host.name)
-        return parts
-
-    def min_cross_site_latency(self) -> float:
-        """Lower bound on the delay of any inter-site message, *now and
-        forever*: congestion multiplies latency by >= 1, jitter multiplies
-        by >= 1, and transfer time adds >= 0 — so the static minimum over
-        site-pair base latencies is a valid conservative lookahead for
-        windowed parallel execution (no event can be affected by a
-        cross-partition message sent less than this long ago)."""
-        sites = {host.site for host in self._hosts.values()}
-        lookahead = self.base_latency
-        for (a, b), latency in self._site_latency.items():
-            if a != b and a in sites and b in sites:
-                lookahead = min(lookahead, latency)
-        return lookahead
-
     def start(self) -> None:
         """Begin the congestion process. Idempotent."""
         if self._started:

@@ -57,17 +57,15 @@ def test_layer_modules_reachable_as_attributes():
 
 
 def test_moved_internal_warns_but_resolves():
-    # Reaching a non-public name that lives in a layer module earns a
-    # DeprecationWarning pointing at its home, not an AttributeError.
+    # (Name kept for the test floor.) The DeprecationWarning fallback is
+    # gone: a non-public name that lives in a layer module is no longer
+    # reachable through the flat namespace at all.
     api_core = importlib.import_module("repro.api.core")
-    probe = object()
-    api_core.moved_probe_for_test = probe
+    api_core.moved_probe_for_test = object()
     try:
-        d = vars(api)
-        assert "moved_probe_for_test" not in d
-        with pytest.warns(DeprecationWarning, match="repro.api.core"):
-            assert api.moved_probe_for_test is probe
-        del d["moved_probe_for_test"]  # undo the lazy cache
+        with pytest.raises(AttributeError):
+            api.moved_probe_for_test
+        assert "moved_probe_for_test" not in vars(api)
     finally:
         del api_core.moved_probe_for_test
 

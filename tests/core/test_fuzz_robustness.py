@@ -9,7 +9,7 @@ fuzz every server type and then verify it still functions.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.gossip import ComparatorRegistry, GossipServer
@@ -37,10 +37,17 @@ json_values = st.recursive(
     max_leaves=10)
 bodies = st.dictionaries(st.text(max_size=10), json_values, max_size=5)
 
+#: Field names the digest/delta decoders read, so hostile values reach
+#: the code behind them instead of being skipped as unknown keys.
+SYNC_KEYS = ["r", "root", "n", "d", "a", "ok", "bh", "e", "bk", "w",
+             "tomb", "susp", "reg", "records"]
+sync_bodies = st.dictionaries(st.sampled_from(SYNC_KEYS), json_values,
+                              max_size=5)
+
 KNOWN_MTYPES = sorted(
-    {"GOS_REG", "GOS_STATE", "GOS_SYNC", "GOS_NEWCOMP", "GOS_DELCOMP",
-     "SCH_HELLO", "SCH_REPORT", "PST_STORE", "PST_FETCH", "PST_LIST",
-     "LOG_APPEND", "LOG_QUERY"} | set(CLIQUE_MTYPES))
+    {"GOS_REG", "GOS_STATE", "GOS_SYNC", "GOS_NEWCOMP", "GOS_DIGEST",
+     "GOS_DELTA", "SCH_HELLO", "SCH_REPORT", "PST_STORE", "PST_FETCH",
+     "PST_LIST", "LOG_APPEND", "LOG_QUERY"} | set(CLIQUE_MTYPES))
 
 
 def build_world(server_factory, port):
@@ -68,8 +75,11 @@ def fuzz(env, net, dst, payloads):
     env.run(until=env.now + 60)
 
 
-@given(payloads=st.lists(st.tuples(st.sampled_from(KNOWN_MTYPES), bodies),
+@given(payloads=st.lists(st.tuples(st.sampled_from(KNOWN_MTYPES),
+                                   st.one_of(bodies, sync_bodies)),
                          min_size=1, max_size=25))
+# Found by this fuzz: an unroutable contact gets registered, then polled.
+@example(payloads=[("GOS_DIGEST", {"reg": [[None, [], False]]})])
 @settings(max_examples=25, deadline=None)
 def test_gossip_server_survives_fuzz(payloads):
     env, net, gossip, driver = build_world(
@@ -84,6 +94,27 @@ def test_gossip_server_survives_fuzz(payloads):
                      body={"types": ["X"]}).encode())
     env.run(until=env.now + 30)
     assert "attacker/fuzz" in gossip.registry
+
+
+def test_retired_delcomp_frame_is_dropped_as_unknown():
+    """A stale peer still speaking the pre-digest eviction broadcast must
+    not be able to evict anything: the frame is an unknown type now."""
+    env, net, gossip, driver = build_world(
+        lambda: GossipServer("g", ["srv/gossip"],
+                             comparators=ComparatorRegistry(),
+                             poll_period=1e6, sync_period=1e6), "gossip")
+    net.send(Address("attacker", "fuzz"), Address("srv", "gossip"),
+             Message(mtype="GOS_REG", sender="attacker/fuzz",
+                     body={"types": ["X"]}).encode())
+    env.run(until=env.now + 30)
+    sent = net.stats.sent
+    fuzz(env, net, Address("srv", "gossip"),
+         [("GOS_DELCOMP", {"contact": "attacker/fuzz", "ts": env.now})])
+    assert net.stats.sent == sent + 1  # the frame itself; no reply, no fan-out
+    assert "attacker/fuzz" in gossip.registry
+    assert not gossip.tombstones
+    assert driver.handler_errors == 0
+    assert driver.running
 
 
 @given(payloads=st.lists(st.tuples(st.sampled_from(KNOWN_MTYPES), bodies),

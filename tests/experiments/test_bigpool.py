@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.experiments.bigpool import (
+    _STAT_FIELDS,
     PoolConfig,
     build_pool,
     churn_plan,
@@ -78,17 +79,6 @@ def test_different_seeds_diverge_in_traffic_not_state():
     assert totals[0] != totals[1]  # different peer picks, same outcome
 
 
-def test_windowed_engine_matches_serial():
-    exports = []
-    for window in (None, 5.0):
-        pool = small(window=window)
-        pool.run(until=20.0)
-        inject_write(pool)
-        run_until_converged(pool, deadline=300.0)
-        exports.append(export_json(pool))
-    assert exports[0] == exports[1]
-
-
 def test_export_is_json_stable():
     pool = small()
     pool.run(until=25.0)
@@ -96,6 +86,9 @@ def test_export_is_json_stable():
     assert json.loads(json.dumps(snap)) == snap
     assert len(snap["members"]) == 32
     assert snap["totals"]["digest_rounds"] > 0
+    # The recorded pool_converge export SHA depends on these staying put.
+    assert '"sync_mode":"digest"' in export_json(pool)
+    assert set(_STAT_FIELDS) <= set(snap["totals"])
 
 
 def test_churn_plan_is_deterministic_and_survivable():
@@ -116,18 +109,6 @@ def test_churn_plan_is_deterministic_and_survivable():
     assert len(pool.active_servers()) < len(pool.servers)
 
 
-def test_full_sync_mode_also_converges():
-    pool = small(sync_mode="full")
-    pool.run(until=20.0)
-    record = inject_write(pool)
-    result = run_until_converged(pool, deadline=900.0)
-    assert result["converged"]
-    for server in pool.servers:
-        assert server.freshest[record.mtype].origin == record.origin
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         build_pool(PoolConfig(n_hosts=8), n_hosts=16)
-    with pytest.raises(ValueError):
-        build_pool(n_hosts=8, sync_mode="bogus")

@@ -111,3 +111,27 @@ def test_accumulates_across_runs():
     first = profiler.events
     _run(profiler=profiler, n=5)
     assert profiler.events > first
+
+
+def test_profiler_and_drain_hook_are_both_honoured():
+    """A pooled real-engine world under the profiler must keep harvesting
+    at event boundaries: the hook fires once per processed event, and the
+    profiler still counts every one of them."""
+    def ticks(profiler):
+        env = Environment()
+        env.profiler = profiler
+        calls: list[float] = []
+        env.drain_hook = lambda: calls.append(env.now)
+
+        def ticker(env):
+            for _ in range(5):
+                yield env.timeout(1.0)
+
+        env.process(ticker(env))
+        env.run(until=10)
+        return calls
+
+    profiler = EngineProfiler()
+    hooked = ticks(profiler)
+    assert hooked == ticks(None)
+    assert len(hooked) == profiler.events > 0
