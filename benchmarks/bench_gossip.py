@@ -19,6 +19,15 @@ Exercises the digest/delta anti-entropy sync plane (DESIGN §15) on
 * a **determinism** cell — the 64-host scenario runs twice with the same
   seed and must produce byte-identical state exports.
 
+A full run (no ``--quick``) records speed the way ROADMAP aim 1 asks: if
+``src/`` differs from the commit that last refreshed ``BENCH_gossip.json``,
+that commit's ``src/`` is extracted under ``benchmarks/out/`` and every
+convergence cell is measured in interleaved before/after pairs, each in a
+fresh process; the cell records the after-median plus a ``before`` block,
+and the report states ``host_cpus``. Both trees must agree on every
+deterministic field (rounds, bytes). A shallow clone or an unchanged
+``src/`` measures the current tree only.
+
 The gate (``--check``) asserts the acceptance floors: convergence within
 ``1.5*log2(N) + 4`` rounds at every size, per-node bytes/round at 1,024
 hosts within 1.5x of the 64-host cell, digest bytes staying within 1.5x
@@ -28,18 +37,32 @@ over the state sweep, and the same-seed exports identical.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
+import os
 import pathlib
+import subprocess
 import sys
+import tarfile
 import time
+from typing import Optional
 
 HERE = pathlib.Path(__file__).resolve().parent
-SRC = HERE.parent / "src"
+ROOT = HERE.parent
+SRC = ROOT / "src"
 if str(SRC) not in sys.path:
-    sys.path.insert(0, str(SRC))
+    # Appended, not prepended: a before-tree put on the path by
+    # _cell_in_fresh_process must win over this checkout.
+    sys.path.append(str(SRC))
 
-GOSSIP_JSON = HERE.parent / "BENCH_gossip.json"
+GOSSIP_JSON = ROOT / "BENCH_gossip.json"
+
+#: Interleaved before/after pairs per convergence cell (full runs).
+PAIRS = 3
+#: Convergence-cell fields that depend on the seed only, never the host.
+_DETERMINISTIC = ("converged", "rounds", "sim_time_s",
+                  "bytes_per_node_round", "bytes_saved")
 
 #: Acceptance floors (see --check).
 CONVERGENCE_ROUNDS_FACTOR = 1.5  # rounds <= factor * log2(N) + slack
@@ -77,6 +100,57 @@ def _convergence_cell(n_hosts: int, seed: int = 11,
         "bytes_saved": sum(g.stats.bytes_saved for g in servers),
         "wall_s": round(wall, 2),
     }
+
+
+def _before_tree() -> Optional[tuple[str, pathlib.Path]]:
+    """``(sha, src dir)`` of the tree behind the committed record, or None
+    when it is unreachable or its ``src/`` is what is checked out now."""
+    def git(*argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run(("git", "-C", str(ROOT)) + argv,
+                              capture_output=True)
+
+    sha = git("log", "-n1", "--format=%H", "--",
+              GOSSIP_JSON.name).stdout.decode().strip()
+    if not sha or git("diff", "--quiet", sha, "--", "src").returncode != 1:
+        return None
+    dest = HERE / "out" / f"gossip_before_{sha[:12]}"
+    if not (dest / "src" / "repro").is_dir():
+        archive = git("archive", sha, "src")
+        if archive.returncode != 0:
+            return None
+        dest.mkdir(parents=True, exist_ok=True)
+        tarfile.open(fileobj=io.BytesIO(archive.stdout)).extractall(dest)
+    return sha, dest / "src"
+
+
+def _cell_in_fresh_process(n_hosts: int, src: pathlib.Path) -> dict:
+    code = ("import json, sys; sys.path[:0] = sys.argv[1:3]; "
+            "import bench_gossip; print(json.dumps("
+            "bench_gossip._convergence_cell(int(sys.argv[3]))))")
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(src), str(HERE), str(n_hosts)],
+        check=True, capture_output=True, text=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def _interleaved_cell(n_hosts: int, sha: str, before_src: pathlib.Path) -> dict:
+    """The after-median convergence cell plus a ``before`` block."""
+    before, after = [], []
+    for _ in range(PAIRS):
+        before.append(_cell_in_fresh_process(n_hosts, before_src))
+        after.append(_cell_in_fresh_process(n_hosts, SRC))
+    for row in before + after:
+        if any(row[k] != after[0][k] for k in _DETERMINISTIC):
+            raise SystemExit(f"{n_hosts} hosts: trees disagree on a "
+                             f"deterministic field: {row} vs {after[0]}")
+    before.sort(key=lambda r: r["wall_s"])
+    after.sort(key=lambda r: r["wall_s"])
+    row, was = after[PAIRS // 2], before[PAIRS // 2]
+    row["before"] = {"tree": sha[:12], "wall_s": was["wall_s"],
+                     "events_per_s": was["events_per_s"],
+                     "pairs": PAIRS,
+                     "source": "interleaved, each run a fresh process"}
+    return row
 
 
 def _steady_bytes(n_hosts: int, n_records: int,
@@ -175,13 +249,16 @@ def main(argv: list[str] | None = None) -> int:
     sizes = [64, 256] if args.quick else [64, 256, 1024]
     if args.full:
         sizes.append(4096)
+    before = None if args.quick else _before_tree()
     cells: list[dict] = []
     for n in sizes:
-        row = _convergence_cell(n)
+        row = (_interleaved_cell(n, *before) if before
+               else _convergence_cell(n))
         cells.append(row)
         print(f"convergence {n:>5} hosts: rounds={row['rounds']} "
               f"bytes/node/round={row['bytes_per_node_round']} "
-              f"events/s={row['events_per_s']:,} wall={row['wall_s']}s")
+              f"events/s={row['events_per_s']:,} wall={row['wall_s']}s"
+              + (f" (before {row['before']['wall_s']}s)" if before else ""))
     state_pool = 64
     for n_records in ([32, 128] if args.quick else [32, 128, 512]):
         row = _state_size_cell(state_pool, n_records)
@@ -195,6 +272,7 @@ def main(argv: list[str] | None = None) -> int:
 
     report = {
         "bench": "gossip-pool-scale",
+        "host_cpus": os.cpu_count(),
         "floors": {
             "convergence_rounds": f"<= {CONVERGENCE_ROUNDS_FACTOR}*log2(N)"
                                   f" + {CONVERGENCE_ROUNDS_SLACK}",

@@ -15,7 +15,7 @@ bounds, with a default before any history exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Optional, Sequence
+from typing import Callable, Hashable, Optional, Sequence, Union
 
 from .forecasters import Forecaster
 from .selector import Forecast, ForecasterBank
@@ -28,30 +28,57 @@ def event_tag(address: str, mtype: str) -> str:
     return f"{address}#{mtype}"
 
 
+#: An unread stream is materialised once its sample log reaches the
+#: longest forecaster window in the default bank, so the log stays bounded.
+_LOG_CAP = 50
+
+
 class ForecastRegistry:
-    """Keyed collection of forecaster banks."""
+    """Keyed collection of forecaster banks.
+
+    State is created on first read: :meth:`record` appends to a flat
+    per-tag sample log, and the tag's :class:`ForecasterBank` is built by
+    replaying that log the first time anyone asks for a forecast (or the
+    log reaches ``_LOG_CAP`` samples). Replaying feeds the bank the same
+    values in the same order, so every served forecast is bit-identical
+    to updating eagerly; a stream nobody reads costs one list.
+    """
 
     def __init__(
         self, bank_factory: Optional[Callable[[], Sequence[Forecaster]]] = None
     ) -> None:
         self._bank_factory = bank_factory
-        self._banks: dict[Hashable, ForecasterBank] = {}
+        #: tag -> its bank, or the list of samples recorded so far for a
+        #: stream nobody has read yet.
+        self._streams: dict[Hashable, Union[ForecasterBank, list[float]]] = {}
 
     def bank(self, tag: Hashable) -> ForecasterBank:
-        b = self._banks.get(tag)
-        if b is None:
-            forecasters = self._bank_factory() if self._bank_factory else None
-            b = ForecasterBank(forecasters)
-            self._banks[tag] = b
+        stream = self._streams.get(tag)
+        if stream is not None and type(stream) is not list:
+            return stream
+        forecasters = self._bank_factory() if self._bank_factory else None
+        b = ForecasterBank(forecasters)
+        for value in stream or ():
+            b.update(value)
+        self._streams[tag] = b
         return b
 
     def record(self, tag: Hashable, value: float) -> None:
-        """Feed one measurement into the tag's bank."""
-        self.bank(tag).update(value)
+        """Note one measurement of the tagged event."""
+        stream = self._streams.get(tag)
+        if stream is None:
+            self._streams[tag] = [value]
+        elif type(stream) is list:
+            stream.append(value)
+            if len(stream) >= _LOG_CAP:
+                self.bank(tag)
+        else:
+            stream.update(value)
 
     def forecast(self, tag: Hashable) -> Optional[Forecast]:
-        b = self._banks.get(tag)
-        return b.forecast() if b is not None else None
+        if tag in self._streams:
+            return self.bank(tag).forecast()
+        return None
 
     def timeout(
         self,
@@ -73,14 +100,14 @@ class ForecastRegistry:
 
     def drop(self, tag: Hashable) -> None:
         """Forget a stream (e.g. its component was evicted/reaped), so
-        long-running servers do not accumulate banks for dead peers."""
-        self._banks.pop(tag, None)
+        long-running servers do not accumulate state for dead peers."""
+        self._streams.pop(tag, None)
 
     def tags(self) -> list[Hashable]:
-        return list(self._banks)
+        return list(self._streams)
 
     def __len__(self) -> int:
-        return len(self._banks)
+        return len(self._streams)
 
 
 @dataclass

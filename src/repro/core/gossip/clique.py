@@ -109,7 +109,7 @@ class CliqueState:
         self.version = 0
         #: Presumptive initial leader: the bully winner of the full universe.
         self.leader = max(self.universe)
-        self.members = list(self.universe)
+        self.members = list(self.universe)  # also resets the shard plans
         self.token_period = token_period
         self.assemble_wait = assemble_wait
         self.token_timeout = token_timeout
@@ -127,24 +127,42 @@ class CliqueState:
         return self.leader == self.self_id
 
     # -- sharded sync ring ---------------------------------------------------
+    @property
+    def members(self) -> list[str]:
+        """The current membership view. Replaced, never edited in place:
+        assigning it is what invalidates the shard plans below."""
+        return self._members
+
+    @members.setter
+    def members(self, members: list[str]) -> None:
+        self._members = members
+        #: shard_size -> (shards, index of our shard or None); filled on
+        #: first ask, so sync rounds between membership changes look it up.
+        self._shard_plans: dict[int, tuple[list[list[str]], Optional[int]]] = {}
+
+    def _shard_plan(self, shard_size: int) -> tuple[list[list[str]], Optional[int]]:
+        plan = self._shard_plans.get(shard_size)
+        if plan is None:
+            shards = plan_shards(self._members, shard_size)
+            mine = next((i for i, shard in enumerate(shards)
+                         if self.self_id in shard), None)
+            plan = self._shard_plans[shard_size] = (shards, mine)
+        return plan
+
     def shards(self, shard_size: int = 32) -> list[list[str]]:
         """The current membership cut into sync sub-cliques; see
-        :func:`plan_shards`."""
-        return plan_shards(self.members, shard_size)
+        :func:`plan_shards`. Shared with later callers: do not edit."""
+        return self._shard_plan(shard_size)[0]
 
     def shard_index(self, shard_size: int = 32) -> int:
         """Index of the shard this member belongs to (0 when unknown,
         e.g. before the first token names us)."""
-        for i, shard in enumerate(self.shards(shard_size)):
-            if self.self_id in shard:
-                return i
-        return 0
+        return self._shard_plan(shard_size)[1] or 0
 
     def my_shard(self, shard_size: int = 32) -> list[str]:
-        shards = self.shards(shard_size)
-        for shard in shards:
-            if self.self_id in shard:
-                return shard
+        shards, mine = self._shard_plan(shard_size)
+        if mine is not None:
+            return shards[mine]
         # Not yet in the membership view (joiner awaiting its first
         # token): gossip with whatever members we know about.
         return sorted(set(self.members) | {self.self_id})
@@ -217,19 +235,22 @@ class CliqueState:
         return effects
 
     # -- message handling ------------------------------------------------------
+    #: mtype -> handler method name.
+    _HANDLERS = {
+        CLQ_PROBE: "_on_probe",
+        CLQ_ALIVE: "_on_alive",
+        CLQ_TOKEN: "_on_token",
+        CLQ_ELECT: "_on_elect",
+        CLQ_ELECT_OK: "_on_elect_ok",
+        CLQ_JOIN: "_on_join",
+    }
+
     def on_message(self, message: Message, now: float) -> list[Effect]:
-        handler = {
-            CLQ_PROBE: self._on_probe,
-            CLQ_ALIVE: self._on_alive,
-            CLQ_TOKEN: self._on_token,
-            CLQ_ELECT: self._on_elect,
-            CLQ_ELECT_OK: self._on_elect_ok,
-            CLQ_JOIN: self._on_join,
-        }.get(message.mtype)
+        handler = self._HANDLERS.get(message.mtype)
         if handler is None:
             return []
         effects = self._note_remote(message)
-        effects.extend(handler(message, now))
+        effects.extend(getattr(self, handler)(message, now))
         return effects
 
     def _on_probe(self, message: Message, now: float) -> list[Effect]:

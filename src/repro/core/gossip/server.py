@@ -226,6 +226,8 @@ class GossipServer(Component):
         #: (``gossip.clique_reconfigs`` counts regime changes this member
         #: witnessed — elections, joins, partitions shrinking the pool).
         self._members_view: tuple[str, ...] = ()
+        #: The ``clique.members`` list that view was taken from.
+        self._members_seen: Optional[list[str]] = None
 
     # -- lifecycle ------------------------------------------------------------
     def on_start(self, now: float) -> list[Effect]:
@@ -247,6 +249,7 @@ class GossipServer(Component):
         effects.extend(self.clique.start(now))
         effects.append(SetTimer(T_POLL, self.poll_period))
         effects.append(SetTimer(T_SYNC, self.sync_period))
+        self._members_seen = self.clique.members
         self._members_view = tuple(self.pool_members())
         self.telemetry.metrics.gauge(
             "gossip.clique_size", component=self.name).set(
@@ -299,20 +302,27 @@ class GossipServer(Component):
             effects = self.clique.on_message(message, now)
             self._note_membership(now)
             return effects
-        handler = {
-            GOS_REG: self._on_register,
-            GOS_STATE: self._on_state,
-            GOS_SYNC: self._on_sync,
-            GOS_DIGEST: self._on_digest,
-            GOS_DELTA: self._on_delta,
-            GOS_NEWCOMP: self._on_newcomp,
-        }.get(message.mtype)
+        handler = self._HANDLERS.get(message.mtype)
         if handler is None:
             return []
-        return handler(message, now)
+        return getattr(self, handler)(message, now)
+
+    #: mtype -> handler method name (clique traffic is routed above).
+    _HANDLERS = {
+        GOS_REG: "_on_register",
+        GOS_STATE: "_on_state",
+        GOS_SYNC: "_on_sync",
+        GOS_DIGEST: "_on_digest",
+        GOS_DELTA: "_on_delta",
+        GOS_NEWCOMP: "_on_newcomp",
+    }
 
     def _note_membership(self, now: float) -> None:
         """Record a clique regime change, if the last event caused one."""
+        assert self.clique is not None
+        if self.clique.members is self._members_seen:
+            return  # the clique replaces the list whenever it changes it
+        self._members_seen = self.clique.members
         members = tuple(self.pool_members())
         if members == self._members_view:
             return

@@ -13,10 +13,10 @@ only inferred from missing replies.
 
 from __future__ import annotations
 
-from typing import Generator, Optional, Union
+from typing import Callable, Generator, Optional, Union
 
 from ...simgrid.engine import Environment
-from ...simgrid.network import Address, Network
+from ...simgrid.network import Address, Delivery, Network
 from ...simgrid.resources import get_with_timeout
 from .messages import Message, MessageError, fresh_req_id
 from .packets import PacketError
@@ -31,13 +31,20 @@ def _as_address(addr: AddressLike) -> Address:
 
 
 class SimEndpoint:
-    """A bound lingua-franca port on a simulated host."""
+    """A bound lingua-franca port on a simulated host.
 
-    def __init__(self, env: Environment, network: Network, address: Address) -> None:
+    Process-style callers block in :meth:`recv`/:meth:`request` on the
+    endpoint's mailbox. A callback-driven owner passes ``sink`` instead:
+    the network hands it every raw :class:`Delivery` as it arrives, there
+    is no mailbox, and the endpoint is used for sending only.
+    """
+
+    def __init__(self, env: Environment, network: Network, address: Address,
+                 sink: Optional[Callable[[Delivery], object]] = None) -> None:
         self.env = env
         self.network = network
         self.address = address
-        self.mailbox = network.bind(address)
+        self.mailbox = network.bind(address, sink=sink)
         self.decode_errors = 0
         self._backlog: list[Message] = []
         self._closed = False

@@ -1,23 +1,31 @@
 """Driver running a sans-IO :class:`Component` on a simulated host.
 
-The driver owns the endpoint, the timer wheel, and the main loop; the
-component only ever sees messages, timer keys, and the current time. When
-the host dies (Condor reclamation, failure, ...), the loop is interrupted
-with :class:`~repro.simgrid.host.HostDown`; the driver unbinds the
-endpoint and reports the death through ``on_stop`` — matching how SC98
-guest processes were killed without warning.
+The driver owns the endpoint and the timer wheel; the component only ever
+sees messages, timer keys, and the current time. There is no driver
+process: the network hands every arriving delivery to
+:meth:`SimDriver._on_delivery` from the arrival event itself, and timers
+and reliable-send deadlines share one wake-up ``Timeout`` that is re-armed
+after each handled event (DESIGN §7 has the three same-instant ordering
+rules this keeps). When the host dies (Condor reclamation, failure, ...)
+the driver's :attr:`~SimDriver.process` handle is interrupted with
+:class:`~repro.simgrid.host.HostDown`; the driver unbinds the endpoint and
+reports the death through ``on_stop`` — matching how SC98 guest processes
+were killed without warning.
 """
 
 from __future__ import annotations
 
 from time import perf_counter as _perf_counter
-from typing import Callable, Generator, Optional
+from typing import Any, Callable, Optional
 
-from ..simgrid.engine import Environment, Interrupt, Process
+from ..simgrid.engine import (PRIORITY_URGENT, Environment, Event,
+                              SimulationError)
 from ..simgrid.host import Host
-from ..simgrid.network import Address, AddressError, Network
+from ..simgrid.network import Address, AddressError, Delivery, Network
 from .component import CancelTimer, Component, Effect, LogLine, Send, SetTimer, Stop
 from .linguafranca.endpoint import SimEndpoint
+from .linguafranca.messages import Message, MessageError
+from .linguafranca.packets import PacketError
 from .policy import ReliableSendTracker, TimeoutPolicy
 from .telemetry import Counter, Telemetry
 
@@ -59,6 +67,39 @@ class _SimRuntime:
         return self._d.compute_lane
 
 
+def _urgently(env: Environment, callback: Callable[[Event], None]) -> None:
+    """Run ``callback`` at the current instant, ahead of every
+    normal-priority event — where a process's first step and an
+    interrupt's delivery sit."""
+    event = Event(env)
+    event.callbacks.append(callback)
+    env.schedule(event, priority=PRIORITY_URGENT)
+
+
+class _DriverHandle(Event):
+    """What the outside holds of a started driver: an event that triggers
+    with the stop reason when the driver ends, plus the
+    ``is_alive``/``interrupt()`` pair through which hosts and
+    infrastructure adapters kill their guests."""
+
+    __slots__ = ("_driver",)
+
+    def __init__(self, driver: "SimDriver") -> None:
+        super().__init__(driver.env)
+        self._driver = driver
+
+    @property
+    def is_alive(self) -> bool:
+        return not self.triggered
+
+    def interrupt(self, cause: Any = None) -> None:
+        """Kill the driver at the current time; ``on_stop`` sees
+        ``host_down:<cause.reason>``."""
+        if self.triggered:
+            raise SimulationError(f"{self!r} has terminated and cannot be interrupted")
+        _urgently(self.env, lambda _event: self._driver._on_interrupt(cause))
+
+
 class SimDriver:
     """Runs one component on one host."""
 
@@ -80,7 +121,8 @@ class SimDriver:
         self.component = component
         self.streams = streams
         self.address = Address(host.name, port)
-        self.endpoint = SimEndpoint(env, network, self.address)
+        self.endpoint = SimEndpoint(env, network, self.address,
+                                    sink=self._on_delivery)
         self.log_sink = log_sink
         # Reply time-outs for reliable sends: forecast-driven per event
         # tag by default (§2.2 dynamic time-out discovery), overridable
@@ -95,7 +137,10 @@ class SimDriver:
         #: Sends dropped for a malformed destination (NetDriver's twin).
         self.send_errors = 0
         self.stop_reason: Optional[str] = None
-        self.process: Optional[Process] = None
+        self.process: Optional[_DriverHandle] = None
+        #: The armed wake-up (or its zero-delay hop); any other wake-up
+        #: still on the event queue is superseded and ignored when it fires.
+        self._wake: Optional[Event] = None
         # Worlds thread one shared Telemetry through every driver —
         # explicitly, or implicitly via Network.attach_telemetry (so the
         # many driver construction sites inherit it without plumbing); a
@@ -117,10 +162,13 @@ class SimDriver:
         component.bind_telemetry(self.telemetry)
 
     # -- lifecycle ------------------------------------------------------------
-    def start(self) -> Process:
-        """Spawn the driver loop as a guest process on the host."""
-        self.process = self.host.spawn(self._run(), name=f"drv:{self.address.port}")
-        return self.process
+    def start(self) -> _DriverHandle:
+        """Register as a guest of the host and schedule ``on_start``."""
+        handle = _DriverHandle(self)
+        self.host.adopt(handle, name=f"drv:{self.address.port}")
+        self.process = handle
+        _urgently(self.env, self._on_start)
+        return handle
 
     def attach_compute_lane(self, lane) -> None:
         """Offer a compute lane to this driver's component (reachable
@@ -140,7 +188,7 @@ class SimDriver:
                     dst = Address.parse(eff.dst)
                 except AddressError:
                     # A contact some peer made up (hostile registration):
-                    # a metered drop, never a crash of the driver loop.
+                    # a metered drop, never a crash of the run.
                     self.send_errors += 1
                     continue
                 message = eff.message
@@ -287,82 +335,117 @@ class SimDriver:
                     tracer.finish(span, self.env.now, "ok")
                     tracer.current = None
 
-    # -- main loop ------------------------------------------------------------
-    def _run(self) -> Generator:
-        reason = "stopped"
+    # -- event entry points -----------------------------------------------------
+    # Same-instant ordering is part of the determinism contract (same seed,
+    # same bytes), so these keep the event-queue positions the generator
+    # loop they replace had: on_start from an urgent zero-delay event, a
+    # fresh wake-up Timeout after every handled event, and one zero-delay
+    # hop between a wake-up firing and the timers it fires.
+    def _on_start(self, _event: Event) -> None:
         tracer = self.telemetry.tracer
-        try:
-            if tracer.enabled:
-                span = tracer.begin(f"start {self.component.name}",
-                                    component=self.component.name,
-                                    start=self.env.now)
-                tracer.current = span
-                try:
-                    self._apply(self.component.on_start(self.env.now))
-                finally:
-                    tracer.finish(span, self.env.now, "ok")
-                    tracer.current = None
-            else:
+        if tracer.enabled:
+            span = tracer.begin(f"start {self.component.name}",
+                                component=self.component.name,
+                                start=self.env.now)
+            tracer.current = span
+            try:
                 self._apply(self.component.on_start(self.env.now))
-            while not self._stopped:
-                deadline = self._next_deadline()
-                if deadline is None:
-                    timeout = None
-                else:
-                    timeout = max(deadline - self.env.now, 0.0)
-                message = yield from self.endpoint.recv(timeout)
-                if self._stopped:
-                    break
-                if message is not None:
-                    now = self.env.now
-                    if self.tracker is not None:
-                        resolved = self.tracker.resolve(message.reply_to, now)
-                        if resolved is not None and resolved.span is not None:
-                            tracer.finish(resolved.span, now, "ok")
-                    counter = self._recv_counters.get(message.mtype)
-                    if counter is None:
-                        counter = self._recv_counters[message.mtype] = (
-                            self.telemetry.metrics.counter(
-                                "msg.recv", mtype=message.mtype))
-                    counter.inc()
-                    span = None
-                    if tracer.enabled:
-                        span = tracer.begin(f"recv {message.mtype}",
-                                            component=self.component.name,
-                                            parent=message.trace,
-                                            start=now, mtype=message.mtype)
-                        tracer.current = span
-                    outcome = "ok"
-                    profiler = self.env.profiler
-                    t0 = _perf_counter() if profiler is not None else 0.0
-                    try:
-                        effects = self.component.on_message(message, now)
-                    except Exception as exc:  # noqa: BLE001 — robustness boundary
-                        # A malformed or hostile message must never take a
-                        # server down (§2.3 robustness): drop it, log, go on.
-                        self.handler_errors += 1
-                        outcome = "error"
-                        if self.log_sink is not None:
-                            self.log_sink(now, self.component.name,
-                                          "error",
-                                          f"dropped {message.mtype}: {exc!r}")
-                        effects = []
-                    if profiler is not None:
-                        profiler.record_handler(self.component.name,
-                                                message.mtype,
-                                                _perf_counter() - t0)
-                    try:
-                        self._apply(effects)
-                    finally:
-                        if span is not None:
-                            tracer.finish(span, self.env.now, outcome)
-                            tracer.current = None
-                self._fire_due_timers()
-            reason = self.stop_reason or "stopped"
-        except Interrupt as interrupt:
-            reason = f"host_down:{getattr(interrupt.cause, 'reason', interrupt.cause)}"
+            finally:
+                tracer.finish(span, self.env.now, "ok")
+                tracer.current = None
+        else:
+            self._apply(self.component.on_start(self.env.now))
+        self._stop_or_rearm()
+
+    def _on_delivery(self, delivery: Delivery) -> None:
+        if self.process is None:
+            return  # bound at construction but never started
+        try:
+            message = Message.decode(delivery.payload)
+        except (MessageError, PacketError):
+            # Corrupt data on the wire: drop and keep listening.
+            self.endpoint.decode_errors += 1
+            return
+        now = self.env.now
+        tracer = self.telemetry.tracer
+        if self.tracker is not None:
+            resolved = self.tracker.resolve(message.reply_to, now)
+            if resolved is not None and resolved.span is not None:
+                tracer.finish(resolved.span, now, "ok")
+        counter = self._recv_counters.get(message.mtype)
+        if counter is None:
+            counter = self._recv_counters[message.mtype] = (
+                self.telemetry.metrics.counter(
+                    "msg.recv", mtype=message.mtype))
+        counter.inc()
+        span = None
+        if tracer.enabled:
+            span = tracer.begin(f"recv {message.mtype}",
+                                component=self.component.name,
+                                parent=message.trace,
+                                start=now, mtype=message.mtype)
+            tracer.current = span
+        outcome = "ok"
+        profiler = self.env.profiler
+        t0 = _perf_counter() if profiler is not None else 0.0
+        try:
+            effects = self.component.on_message(message, now)
+        except Exception as exc:  # noqa: BLE001 — robustness boundary
+            # A malformed or hostile message must never take a
+            # server down (§2.3 robustness): drop it, log, go on.
+            self.handler_errors += 1
+            outcome = "error"
+            if self.log_sink is not None:
+                self.log_sink(now, self.component.name,
+                              "error",
+                              f"dropped {message.mtype}: {exc!r}")
+            effects = []
+        if profiler is not None:
+            profiler.record_handler(self.component.name,
+                                    message.mtype,
+                                    _perf_counter() - t0)
+        try:
+            self._apply(effects)
         finally:
-            self.endpoint.close()
-            self._stopped = True
-            self.component.on_stop(self.env.now, reason)
-        return reason
+            if span is not None:
+                tracer.finish(span, self.env.now, outcome)
+                tracer.current = None
+        self._fire_due_timers()
+        self._stop_or_rearm()
+
+    def _on_wake(self, event: Event) -> None:
+        """The wake-up Timeout fired: hop once more through the queue, so
+        everything already scheduled for this instant runs first."""
+        if event is self._wake:
+            hop = self._wake = self.env.timeout(0.0)
+            hop.callbacks.append(self._on_due)
+
+    def _on_due(self, event: Event) -> None:
+        if event is self._wake:
+            self._fire_due_timers()
+            self._stop_or_rearm()
+
+    def _stop_or_rearm(self) -> None:
+        """After every handled event: finish if the component asked to
+        stop, else arm a fresh wake-up for the next deadline."""
+        if self._stopped:
+            self._finish(self.stop_reason or "stopped")
+            return
+        deadline = self._next_deadline()
+        if deadline is None:
+            self._wake = None
+        else:
+            wake = self._wake = self.env.timeout(
+                max(deadline - self.env.now, 0.0))
+            wake.callbacks.append(self._on_wake)
+
+    def _on_interrupt(self, cause: Any) -> None:
+        if self.process.is_alive:  # else it ended before the kill landed
+            self._finish(f"host_down:{getattr(cause, 'reason', cause)}")
+
+    def _finish(self, reason: str) -> None:
+        self._stopped = True
+        self._wake = None
+        self.endpoint.close()
+        self.component.on_stop(self.env.now, reason)
+        self.process.succeed(reason)

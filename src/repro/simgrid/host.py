@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Optional
 
-from .engine import Environment, Interrupt, Process
+from .engine import Environment, Event, Process
 from .load import ConstantLoad, LoadModel
 from .rand import PrefixedStreams, RngStreams
 
@@ -61,7 +61,7 @@ class Host:
         self.up = True
         self.availability = 1.0
         self._rng = streams.get(f"load:{spec.name}")
-        self._guests: dict[str, Process] = {}
+        self._guests: dict[str, Event] = {}
         self._load_proc: Optional[Process] = None
         #: cumulative (seconds up, seconds total) for dependability metrics
         self.up_seconds = 0.0
@@ -137,15 +137,24 @@ class Host:
         if not self.up:
             raise RuntimeError(f"cannot spawn {name!r} on down host {self.name}")
         proc = self.env.process(generator)
-        self._guests[name] = proc
+        self.adopt(proc, name)
+        return proc
 
-        def _deregister(_event: Any, name: str = name, proc: Process = proc) -> None:
-            if self._guests.get(name) is proc:
+    def adopt(self, guest: Event, name: str) -> None:
+        """Track ``guest`` until it triggers: a :class:`Process`, or any
+        pending event with the same ``is_alive``/``interrupt(cause)`` pair
+        (a callback-driven driver's handle). :meth:`go_down` interrupts
+        it with :class:`HostDown`."""
+        if not self.up:
+            raise RuntimeError(f"cannot spawn {name!r} on down host {self.name}")
+        self._guests[name] = guest
+
+        def _deregister(_event: Any) -> None:
+            if self._guests.get(name) is guest:
                 del self._guests[name]
 
-        assert proc.callbacks is not None
-        proc.callbacks.append(_deregister)
-        return proc
+        assert guest.callbacks is not None
+        guest.callbacks.append(_deregister)
 
     def guest_names(self) -> list[str]:
         return sorted(self._guests)

@@ -16,7 +16,7 @@ varied dramatically").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Iterable, Optional
+from typing import Callable, Generator, Iterable, Optional
 
 from .engine import Environment
 from .host import Host
@@ -68,9 +68,9 @@ class NetworkStats:
     delayed_fault: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Delivery:
-    """What a listener pulls from its mailbox."""
+    """What a listener's sink is handed (a mailbox queues it)."""
 
     src: Address
     dst: Address
@@ -107,7 +107,9 @@ class Network:
         self.loss_rate = loss_rate
         self._rng = streams.get("network")
         self._hosts: dict[str, Host] = {}
-        self._mailboxes: dict[Address, Store] = {}
+        self._sinks: dict[Address, Callable[[Delivery], object]] = {}
+        # Bound once: it is the callback of every in-flight message.
+        self._arrival = self._on_arrival
         self._site_latency: dict[tuple[str, str], float] = {}
         self._partition_groups: list[frozenset[str]] = []
         #: Active message-chaos injector (duck-typed: anything with a
@@ -222,21 +224,29 @@ class Network:
         return ga is gb
 
     # -- endpoints ---------------------------------------------------------
-    def bind(self, address: Address) -> Store:
-        """Start listening at ``address``; returns the delivery mailbox."""
+    def bind(self, address: Address,
+             sink: Optional[Callable[[Delivery], object]] = None
+             ) -> Optional[Store]:
+        """Start listening at ``address``. Each arriving :class:`Delivery`
+        is handed to ``sink`` from the arrival event itself; without one
+        the sink is a fresh :class:`Store` mailbox's ``put``, and that
+        mailbox is returned for process-style ``get`` callers."""
         if address.host not in self._hosts:
             raise ValueError(f"unknown host {address.host!r}")
-        if address in self._mailboxes:
+        if address in self._sinks:
             raise ValueError(f"address {address} already bound")
-        box = Store(self.env)
-        self._mailboxes[address] = box
+        box = None
+        if sink is None:
+            box = Store(self.env)
+            sink = box.put
+        self._sinks[address] = sink
         return box
 
     def unbind(self, address: Address) -> None:
-        self._mailboxes.pop(address, None)
+        self._sinks.pop(address, None)
 
     def is_bound(self, address: Address) -> bool:
-        return address in self._mailboxes
+        return address in self._sinks
 
     # -- transmission ---------------------------------------------------------
     def delay(self, src_host: str, dst_host: str, nbytes: int) -> float:
@@ -280,18 +290,12 @@ class Network:
         if self.chaos is not None:
             self._send_chaotic(src, dst, payload, delay, trace)
             return
-        delivery = Delivery(
-            src=src,
-            dst=dst,
-            payload=payload,
-            sent_at=self.env.now,
-            delivered_at=self.env.now + delay,
-            trace=trace,
-        )
+        now = self.env.now
         # Plain timeout + callback: cheaper than a process per message.
-        timer = self.env.timeout(delay)
-        assert timer.callbacks is not None
-        timer.callbacks.append(lambda _ev: self._deliver(delivery))
+        # The delivery rides as the timeout's value.
+        self.env.timeout(
+            delay, Delivery(src, dst, payload, now, now + delay, trace)
+        ).callbacks.append(self._arrival)
 
     def _send_chaotic(self, src: Address, dst: Address, payload: bytes,
                       delay: float,
@@ -313,28 +317,22 @@ class Network:
         for extra in fates:
             if extra > 0.0:
                 self.stats.delayed_fault += 1
-            delivery = Delivery(
-                src=src,
-                dst=dst,
-                payload=payload,
-                sent_at=self.env.now,
-                delivered_at=self.env.now + delay + extra,
-                trace=trace,
-            )
-            timer = self.env.timeout(delay + extra)
-            assert timer.callbacks is not None
-            timer.callbacks.append(
-                lambda _ev, _d=delivery: self._deliver(_d))
+            now = self.env.now
+            self.env.timeout(
+                delay + extra,
+                Delivery(src, dst, payload, now, now + delay + extra, trace),
+            ).callbacks.append(self._arrival)
 
-    def _deliver(self, delivery: Delivery) -> None:
+    def _on_arrival(self, timer) -> None:
+        delivery: Delivery = timer._value
         dst_host = self._hosts.get(delivery.dst.host)
         if dst_host is None or not dst_host.up:
             self.stats.dropped_down += 1
             self._note_drop("dropped_down", delivery.trace,
                             dst_host.down_ctx if dst_host is not None else None)
             return
-        box = self._mailboxes.get(delivery.dst)
-        if box is None:
+        sink = self._sinks.get(delivery.dst)
+        if sink is None:
             self.stats.dropped_unbound += 1
             self._note_drop("dropped_unbound", delivery.trace)
             return
@@ -342,4 +340,4 @@ class Network:
         self.stats.bytes_delivered += len(delivery.payload)
         if self._c_delivered is not None:
             self._c_delivered.inc()
-        box.put(delivery)
+        sink(delivery)

@@ -294,3 +294,100 @@ def test_registry_drop_forgets_stream():
     assert len(reg) == 0
     assert reg.forecast("t") is None
     reg.drop("never-existed")  # idempotent
+
+
+# ------------------------------------------------------- lazy == eager
+
+
+class EagerRegistry:
+    """What ForecastRegistry was before state became lazy: one bank per
+    tag, built on first sight and updated on every record."""
+
+    def __init__(self, bank_factory=None):
+        self._factory = bank_factory
+        self._banks = {}
+
+    def bank(self, tag):
+        if tag not in self._banks:
+            self._banks[tag] = ForecasterBank(
+                self._factory() if self._factory else None)
+        return self._banks[tag]
+
+    def record(self, tag, value):
+        self.bank(tag).update(value)
+
+    def forecast(self, tag):
+        return self._banks[tag].forecast() if tag in self._banks else None
+
+    def drop(self, tag):
+        self._banks.pop(tag, None)
+
+    def tags(self):
+        return list(self._banks)
+
+
+def _wide_bank():
+    # A window beyond the registry's 50-sample log cap: equivalence must
+    # not depend on the cap covering every forecaster's memory.
+    return [LastValue(), SlidingMean(3), SlidingMedian(60), AdaptiveMean()]
+
+
+_REGISTRY_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["record", "record", "record", "forecast", "timeout",
+                         "drop", "bank"]),
+        st.sampled_from(["a", "b", "c"]),
+        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    ),
+    max_size=200,
+)
+
+
+@given(ops=_REGISTRY_OPS, factory=st.sampled_from([None, _wide_bank]))
+@settings(max_examples=150, deadline=None)
+def test_lazy_registry_serves_exactly_what_eager_updating_serves(ops, factory):
+    lazy, eager = ForecastRegistry(factory), EagerRegistry(factory)
+    for op, tag, value in ops:
+        if op == "record":
+            lazy.record(tag, value)
+            eager.record(tag, value)
+        elif op == "forecast":
+            # Forecast is a dataclass: value, method, mae, mse, samples.
+            assert lazy.forecast(tag) == eager.forecast(tag)
+        elif op == "timeout":
+            want = eager.forecast(tag)
+            want = 10.0 if want is None else min(max(want.value * 4.0, 0.5), 120.0)
+            assert lazy.timeout(tag) == want
+        elif op == "drop":
+            lazy.drop(tag)
+            eager.drop(tag)
+        else:
+            got, want = lazy.bank(tag), eager.bank(tag)
+            assert got is lazy.bank(tag)
+            assert (got.samples, got.last_value, got.errors(), got.forecast()) == (
+                want.samples, want.last_value, want.errors(), want.forecast())
+        # Unread streams count as streams.
+        assert lazy.tags() == eager.tags()
+        assert len(lazy) == len(eager.tags())
+    for tag in eager.tags():
+        assert lazy.forecast(tag) == eager.forecast(tag)
+
+
+def test_unread_stream_builds_no_bank_until_the_log_is_full():
+    built = []
+
+    def factory():
+        built.append(1)
+        return [LastValue(), RunningMean()]
+
+    reg = ForecastRegistry(factory)
+    for i in range(49):
+        reg.record("t", float(i))
+    assert built == [] and len(reg) == 1 and reg.tags() == ["t"]
+    reg.record("t", 49.0)  # 50 samples: materialised, the log is gone
+    assert built == [1]
+    for i in range(50, 500):
+        reg.record("t", float(i))
+    assert built == [1]
+    fc = reg.forecast("t")
+    assert (fc.samples, fc.method, fc.value) == (500, "last", 499.0)
