@@ -17,9 +17,10 @@ from .forecasters import Forecaster, default_bank
 __all__ = ["Forecast", "ForecasterBank"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Forecast:
-    """A served prediction plus provenance and error estimates."""
+    """A served prediction plus provenance and error estimates. Frozen:
+    a bank serves the same instance until its next sample."""
 
     value: float
     method: str
@@ -43,6 +44,8 @@ class ForecasterBank:
         self._err_n = {f.name: 0 for f in self._forecasters}
         self._n = 0
         self._last_value: Optional[float] = None
+        #: The forecast served since the last update (None: not asked yet).
+        self._served: Optional[Forecast] = None
 
     @property
     def samples(self) -> int:
@@ -64,6 +67,7 @@ class ForecasterBank:
             f.update(value)
         self._n += 1
         self._last_value = value
+        self._served = None
 
     def _winner(self) -> Optional[Forecaster]:
         best: Optional[Forecaster] = None
@@ -81,20 +85,25 @@ class ForecasterBank:
         return best
 
     def forecast(self) -> Optional[Forecast]:
-        """Serve the current winner's prediction; None with no history."""
+        """Serve the current winner's prediction; None with no history.
+        The answer can only change when a sample arrives, so it is
+        computed once per :meth:`update` however often it is read."""
+        if self._served is not None:
+            return self._served
         f = self._winner()
         if f is None:
             return None
         value = f.forecast()
         assert value is not None
         n = self._err_n[f.name]
-        return Forecast(
+        self._served = Forecast(
             value=value,
             method=f.name,
             mae=self._abs_err[f.name] / n if n else float("inf"),
             mse=self._sq_err[f.name] / n if n else float("inf"),
             samples=self._n,
         )
+        return self._served
 
     def errors(self) -> dict[str, float]:
         """Per-method MAE so far (inf for never-scored methods)."""

@@ -2,9 +2,11 @@
 
 The endpoint encodes every message through the real wire codec
 (:mod:`.packets` / :mod:`.messages`) before handing the bytes to the
-simulated network, so the simulation exercises the same framing path as
-the TCP transport; transmission delay is computed from the true encoded
-size.
+simulated network: transmission delay and every byte counter are computed
+from the true encoded size, the same framing the TCP transport writes.
+The typed record rides along with its bytes, and the receiving side
+parses bytes only when nobody typed them (raw sends: fuzz, hostile
+peers). A sent :class:`Message` is therefore immutable (DESIGN §7).
 
 Receive follows the paper's discipline (§2.1): blocking receive with a
 time-out (their ``select()`` idiom); connection failure is never signalled,
@@ -13,6 +15,7 @@ only inferred from missing replies.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable, Generator, Optional, Union
 
 from ...simgrid.engine import Environment
@@ -46,7 +49,7 @@ class SimEndpoint:
         self.address = address
         self.mailbox = network.bind(address, sink=sink)
         self.decode_errors = 0
-        self._backlog: list[Message] = []
+        self._backlog: deque[Message] = deque()
         self._closed = False
 
     def close(self) -> None:
@@ -68,9 +71,21 @@ class SimEndpoint:
         # can attribute in-flight drops to the causing fault without
         # decoding payloads.
         self.network.send(self.address, _as_address(dst), message.encode(),
-                          trace=message.trace)
+                          trace=message.trace, record=message)
 
     # -- receiving ---------------------------------------------------------
+    def message_of(self, delivery: Delivery) -> Optional[Message]:
+        """The delivered message: the sender's own record when one rode
+        along, else parsed from the bytes — ``None`` (and counted in
+        ``decode_errors``) when those are corrupt."""
+        message = delivery.record
+        if message is None:
+            try:
+                message = Message.decode(delivery.payload)
+            except (MessageError, PacketError):
+                self.decode_errors += 1
+        return message
+
     def recv(self, timeout: Optional[float] = None) -> Generator:
         """Process helper: next message or None on time-out.
 
@@ -79,7 +94,7 @@ class SimEndpoint:
         if self._backlog:
             # Make even the fast path yield once so callers are uniform.
             yield self.env.timeout(0)
-            return self._backlog.pop(0)
+            return self._backlog.popleft()
         msg = yield from self._recv_fresh(timeout)
         return msg
 
@@ -91,12 +106,10 @@ class SimEndpoint:
             delivery = yield from get_with_timeout(self.env, self.mailbox, remaining)
             if delivery is None:
                 return None
-            try:
-                return Message.decode(delivery.payload)
-            except (MessageError, PacketError):
-                self.decode_errors += 1
-                # Corrupt data on the wire: drop and keep listening.
-                continue
+            message = self.message_of(delivery)
+            if message is not None:
+                return message
+            # Corrupt data on the wire: dropped, keep listening.
 
     def request(
         self,

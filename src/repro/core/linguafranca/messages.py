@@ -103,7 +103,9 @@ class Message:
 
         Zero-copy: the payload is parsed through a memoryview into
         ``data`` (:func:`decode_packet_view`), never materialized as an
-        intermediate ``bytes`` object."""
+        intermediate ``bytes`` object. The TCP transport parses every
+        frame; a simulated delivery comes here only when no typed record
+        rode along with its bytes (:meth:`SimEndpoint.message_of`)."""
         mtype, payload = decode_packet_view(data)
         return cls.from_parts(mtype, payload)
 

@@ -24,8 +24,6 @@ from ..simgrid.host import Host
 from ..simgrid.network import Address, AddressError, Delivery, Network
 from .component import CancelTimer, Component, Effect, LogLine, Send, SetTimer, Stop
 from .linguafranca.endpoint import SimEndpoint
-from .linguafranca.messages import Message, MessageError
-from .linguafranca.packets import PacketError
 from .policy import ReliableSendTracker, TimeoutPolicy
 from .telemetry import Counter, Telemetry
 
@@ -360,12 +358,9 @@ class SimDriver:
     def _on_delivery(self, delivery: Delivery) -> None:
         if self.process is None:
             return  # bound at construction but never started
-        try:
-            message = Message.decode(delivery.payload)
-        except (MessageError, PacketError):
-            # Corrupt data on the wire: drop and keep listening.
-            self.endpoint.decode_errors += 1
-            return
+        message = self.endpoint.message_of(delivery)
+        if message is None:
+            return  # corrupt data on the wire: dropped, keep listening
         now = self.env.now
         tracer = self.telemetry.tracer
         if self.tracker is not None:

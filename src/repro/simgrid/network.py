@@ -80,6 +80,10 @@ class Delivery:
     #: Sender's trace context, carried out-of-band so delivery-time drops
     #: can be attributed to their cause without decoding the payload.
     trace: Optional[tuple[int, int]] = None
+    #: The typed record ``payload`` was encoded from, when the sender had
+    #: one: opaque here, it spares the receiver a parse. ``None`` for raw
+    #: bytes. Lengths and delays are always taken from ``payload``.
+    record: object = None
 
 
 class Network:
@@ -264,7 +268,8 @@ class Network:
         return latency + xfer
 
     def send(self, src: Address, dst: Address, payload: bytes,
-             trace: Optional[tuple[int, int]] = None) -> None:
+             trace: Optional[tuple[int, int]] = None,
+             record: object = None) -> None:
         """Fire-and-forget datagram send; loss is silent by design."""
         self.stats.sent += 1
         src_host = self._hosts.get(src.host)
@@ -288,18 +293,18 @@ class Network:
             return
         delay = self.delay(src.host, dst.host, len(payload))
         if self.chaos is not None:
-            self._send_chaotic(src, dst, payload, delay, trace)
+            self._send_chaotic(src, dst, payload, delay, trace, record)
             return
         now = self.env.now
         # Plain timeout + callback: cheaper than a process per message.
         # The delivery rides as the timeout's value.
         self.env.timeout(
-            delay, Delivery(src, dst, payload, now, now + delay, trace)
+            delay, Delivery(src, dst, payload, now, now + delay, trace, record)
         ).callbacks.append(self._arrival)
 
     def _send_chaotic(self, src: Address, dst: Address, payload: bytes,
-                      delay: float,
-                      trace: Optional[tuple[int, int]] = None) -> None:
+                      delay: float, trace: Optional[tuple[int, int]],
+                      record: object) -> None:
         """Slow path behind an active fault injector: the chaos hook maps
         one logical send to zero (drop), one, or several (duplicate)
         physical deliveries, each with an optional extra delay — extra
@@ -320,7 +325,8 @@ class Network:
             now = self.env.now
             self.env.timeout(
                 delay + extra,
-                Delivery(src, dst, payload, now, now + delay + extra, trace),
+                Delivery(src, dst, payload, now, now + delay + extra, trace,
+                         record),
             ).callbacks.append(self._arrival)
 
     def _on_arrival(self, timer) -> None:

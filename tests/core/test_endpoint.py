@@ -144,6 +144,38 @@ def test_corrupt_bytes_counted_and_skipped(fabric):
     assert server.decode_errors == 1
 
 
+def test_raw_bytes_to_a_mailbox_are_parsed(fabric, monkeypatch):
+    """A typed send hands the receiver the sender's record; a bare
+    ``Network.send`` has none, so the mailbox path must parse the bytes."""
+    env, net, hosts = fabric
+    server = SimEndpoint(env, net, Address("beta", "svc"))
+    client = SimEndpoint(env, net, Address("alpha", "cli"))
+    decodes = []
+    decode = Message.decode
+    monkeypatch.setattr(Message, "decode",
+                        lambda data: decodes.append(data) or decode(data))
+    typed = Message(mtype="TYPED", sender="", body={"x": [1, 2]})
+    raw = Message(mtype="RAW", sender="alpha/x", body={"x": [1, 2]}).encode()
+    client.send("beta/svc", typed)
+    net.send(Address("alpha", "x"), Address("beta", "svc"), raw)
+    net.send(Address("alpha", "x"), Address("beta", "svc"), raw[:-3])
+
+    def server_proc(env):
+        got = []
+        while len(got) < 2:
+            got.append((yield from server.recv(timeout=10)))
+        return got
+
+    sp = env.process(server_proc(env))
+    env.run(until=20)
+    parsed, carried = sorted(sp.value, key=lambda m: m.mtype)
+    assert carried is typed  # the record rode along: nothing to parse
+    assert (parsed.mtype, parsed.sender, parsed.body) == (
+        "RAW", "alpha/x", {"x": [1, 2]})
+    assert sorted(decodes) == sorted([raw, raw[:-3]])
+    assert server.decode_errors == 1
+
+
 def test_close_unbinds(fabric):
     env, net, hosts = fabric
     ep = SimEndpoint(env, net, Address("beta", "svc"))

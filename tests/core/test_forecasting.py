@@ -1,6 +1,7 @@
 """Tests for the NWS forecaster bank, adaptive selection, and dynamic
 benchmarking."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -343,24 +344,41 @@ _REGISTRY_OPS = st.lists(
 )
 
 
+def _replayed(factory, samples):
+    """The forecast of a bank that has never served one before: fresh,
+    fed ``samples``, asked once — what a memo must keep equalling."""
+    bank = ForecasterBank(factory() if factory else None)
+    for value in samples:
+        bank.update(value)
+    return bank.forecast()
+
+
 @given(ops=_REGISTRY_OPS, factory=st.sampled_from([None, _wide_bank]))
 @settings(max_examples=150, deadline=None)
 def test_lazy_registry_serves_exactly_what_eager_updating_serves(ops, factory):
     lazy, eager = ForecastRegistry(factory), EagerRegistry(factory)
+    samples = {}  # tag -> every value recorded since its last drop
     for op, tag, value in ops:
         if op == "record":
             lazy.record(tag, value)
             eager.record(tag, value)
+            samples.setdefault(tag, []).append(value)
         elif op == "forecast":
             # Forecast is a dataclass: value, method, mae, mse, samples.
-            assert lazy.forecast(tag) == eager.forecast(tag)
+            # The eager bank has served (and memoised) forecasts at other
+            # points of the interleaving than the lazy one; the replayed
+            # bank never has.
+            served = lazy.forecast(tag)
+            assert served == eager.forecast(tag)
+            assert served == _replayed(factory, samples.get(tag, ()))
         elif op == "timeout":
-            want = eager.forecast(tag)
+            want = _replayed(factory, samples.get(tag, ()))
             want = 10.0 if want is None else min(max(want.value * 4.0, 0.5), 120.0)
             assert lazy.timeout(tag) == want
         elif op == "drop":
             lazy.drop(tag)
             eager.drop(tag)
+            samples.pop(tag, None)
         else:
             got, want = lazy.bank(tag), eager.bank(tag)
             assert got is lazy.bank(tag)
@@ -371,6 +389,27 @@ def test_lazy_registry_serves_exactly_what_eager_updating_serves(ops, factory):
         assert len(lazy) == len(eager.tags())
     for tag in eager.tags():
         assert lazy.forecast(tag) == eager.forecast(tag)
+
+
+def test_forecast_is_frozen_and_served_from_a_memo_until_the_next_sample():
+    bank = ForecasterBank()
+    assert bank.forecast() is None
+    bank.update(3.0)
+    first = bank.forecast()
+    assert bank.forecast() is first  # no sample since: the same object
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.value = 99.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.samples += 1
+    bank.update(3.0)  # one sample, even an identical one, invalidates
+    second = bank.forecast()
+    assert second is not first and bank.forecast() is second
+    assert (first.samples, second.samples) == (1, 2)
+    reg = ForecastRegistry()
+    reg.record("t", 1.0)
+    assert reg.forecast("t") is reg.forecast("t")
+    reg.record("t", 2.0)
+    assert reg.forecast("t").samples == 2
 
 
 def test_unread_stream_builds_no_bank_until_the_log_is_full():

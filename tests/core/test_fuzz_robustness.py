@@ -7,9 +7,11 @@ boundary converts handler explosions into dropped messages; these tests
 fuzz every server type and then verify it still functions.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.gossip import ComparatorRegistry, GossipServer
@@ -65,14 +67,21 @@ def build_world(server_factory, port):
 
 
 def fuzz(env, net, dst, payloads):
+    """Hostile frames go in as raw bytes, with no typed record beside
+    them, so the receiving driver has to parse every one."""
     src = Address("attacker", "fuzz")
+    frames = []
     for mtype, body in payloads:
         try:
             data = Message(mtype=mtype, sender="attacker/fuzz", body=body).encode()
         except Exception:
             continue  # unencodable body: nothing reaches the wire anyway
         net.send(src, dst, data)
-    env.run(until=env.now + 60)
+        frames.append(data)
+    with mock.patch.object(Message, "decode", wraps=Message.decode) as decode:
+        env.run(until=env.now + 60)
+    parsed = [call.args[0] for call in decode.call_args_list]
+    assert all(frame in parsed for frame in frames)
 
 
 @given(payloads=st.lists(st.tuples(st.sampled_from(KNOWN_MTYPES),
@@ -155,6 +164,35 @@ def test_logging_server_survives_fuzz(payloads):
     env, net, logsrv, driver = build_world(lambda: LoggingServer("l"), "log")
     fuzz(env, net, Address("srv", "log"), payloads)
     assert driver.running
+
+
+FRAME = Message(mtype="SCH_HELLO", sender="attacker/fuzz",
+                body={"infra": "x"}).encode()
+
+
+@given(cut=st.integers(min_value=0, max_value=len(FRAME) - 1),
+       junk=st.binary(max_size=24))
+@example(cut=len(FRAME) - 1, junk=b"")  # truncated: one byte of crc missing
+@example(cut=len(FRAME) - 1, junk=b"\x00")  # right length, wrong crc
+@settings(max_examples=40, deadline=None)
+def test_undecodable_frames_are_counted_and_dropped_without_effects(cut, junk):
+    assume(FRAME[:cut] + junk != FRAME)
+    env, net, sched, driver = build_world(
+        lambda: SchedulerServer(
+            "s", QueueWorkSource([{"id": "u0"}]), report_period=10), "sched")
+    sent = net.stats.sent
+    net.send(Address("attacker", "fuzz"), Address("srv", "sched"),
+             FRAME[:cut] + junk)
+    env.run(until=env.now + 30)
+    assert driver.endpoint.decode_errors == 1
+    assert net.stats.delivered == 1 and net.stats.sent == sent + 1
+    assert not sched.active_clients()
+    assert driver.handler_errors == 0 and driver.running
+    # The intact frame still registers the client afterwards.
+    net.send(Address("attacker", "fuzz"), Address("srv", "sched"), FRAME)
+    env.run(until=env.now + 30)
+    assert "attacker/fuzz" in sched.active_clients()
+    assert driver.endpoint.decode_errors == 1
 
 
 def test_handler_errors_are_counted_and_logged():

@@ -437,3 +437,27 @@ def test_tracing_spans_and_handler_profile_still_fire():
     assert timer.parent_id == tracer.named("start caller")[0].span_id
     assert env.profiler.handlers[("pong", "PING")][0] == 1
     assert env.profiler.handlers[("caller", "PONG")][0] == 1
+
+
+def test_raw_bytes_to_a_driver_are_parsed_and_garbage_is_dropped_without_effects():
+    """A bare ``Network.send`` carries no typed record: the driver must
+    parse the bytes, and count + drop what does not parse."""
+    env, streams, net, hosts = build()
+    echo = EchoServer()
+    telemetry = Telemetry()
+    drv = SimDriver(env, net, hosts[1], "echo", echo, streams,
+                    telemetry=telemetry)
+    drv.start()
+    src = Address("h0", "raw")
+    frame = Message(mtype="PING", sender="h0/raw", body={"n": 1}).encode()
+    net.send(src, drv.address, frame)
+    net.send(src, drv.address, b"garbage-bytes")
+    net.send(src, drv.address, frame[:-1])  # truncated frame
+    sent = net.stats.sent
+    env.run(until=5)
+    assert [m for m, _ in echo.seen] == ["PING"]  # parsed, handled once
+    assert drv.endpoint.decode_errors == 2
+    assert net.stats.delivered == 3  # the fabric delivered all three
+    assert net.stats.sent == sent + 1  # one PONG; garbage caused no send
+    assert telemetry.metrics.counter("msg.recv", mtype="PING").value == 1
+    assert drv.handler_errors == 0 and drv.running
