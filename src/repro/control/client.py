@@ -161,8 +161,11 @@ class GatewayClient:
 
     def events(self, since: int = -1, wait: float = 0.0,
                limit: int = 500) -> list[dict]:
-        """Tail the job-lifecycle feed; ``wait`` long-polls server-side."""
+        """Tail the job-lifecycle feed; ``wait`` long-polls server-side
+        (capped at half the socket timeout, so a parked read never looks
+        like a dead gateway)."""
         path = f"/events?since={int(since)}&limit={int(limit)}"
+        wait = min(wait, self.timeout / 2.0)
         if wait > 0:
             path += f"&wait={wait:g}"
         status, payload = self.request_raw("GET", path)

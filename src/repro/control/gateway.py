@@ -130,13 +130,28 @@ class GatewayCore:
             work.telemetry = self.telemetry
         work.component = name
 
+    @property
+    def telemetry(self) -> Telemetry:
+        return self._telemetry
+
+    @telemetry.setter
+    def telemetry(self, telemetry: Telemetry) -> None:
+        self._telemetry = telemetry
+        #: (route, status) -> its ``http.requests`` Counter. A registry
+        #: never resets, so the references stay good until it is swapped.
+        self._request_counters: dict = {}
+
     # -- bookkeeping ----------------------------------------------------------
     def _account(self, route: str, status: int, now: float) -> None:
         self.requests += 1
         if status >= 400:
             self.rejected += 1
-        self.telemetry.metrics.counter(
-            "http.requests", route=route, status=str(status)).inc()
+        counter = self._request_counters.get((route, status))
+        if counter is None:
+            counter = self._request_counters[route, status] = (
+                self.telemetry.metrics.counter(
+                    "http.requests", route=route, status=str(status)))
+        counter.inc()
         tracer = self.telemetry.tracer
         if tracer.enabled and status >= 400:
             # Only anomalies become spans. Healthy traffic is already

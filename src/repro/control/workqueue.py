@@ -109,22 +109,33 @@ class FileJournal:
     def __init__(self, path: str) -> None:
         self.path = path
         self._fh = None
+        #: Lines the last :meth:`records` could not use, the torn tail
+        #: aside: anything but 0 means the journal is damaged mid-file.
+        self.skipped = 0
 
     def records(self) -> list[dict]:
         out: list[dict] = []
+        self.skipped = skipped = 0
         if not os.path.exists(self.path):
             return out
+        unusable = False
         with open(self.path, "r", encoding="utf-8") as fh:
             for line in fh:
                 line = line.strip()
                 if not line:
                     continue
+                # An unparsable line is a torn tail write (a crash mid-
+                # append) only if nothing follows it.
+                skipped += unusable
                 try:
                     record = json.loads(line)
                 except ValueError:
-                    continue  # torn tail write from a crash mid-append
-                if isinstance(record, dict):
+                    unusable = True
+                    continue
+                unusable = not isinstance(record, dict)
+                if not unusable:
                     out.append(record)
+        self.skipped = skipped
         return out
 
     def append(self, record: dict) -> None:
@@ -350,7 +361,7 @@ class WorkQueue:
         job.finished_at = now
         self.cancelled += 1
         self._span("job cancel", now, job.trace, id=job.id)
-        self._event("cancelled", job.id, now)
+        self._event("cancelled", job.id, now, requeues=job.requeues)
         return job
 
     def counts(self) -> dict:
@@ -435,7 +446,10 @@ class WorkQueue:
         job.finished_at = now
         self.completed += 1
         self._span("job done", now, job.trace, id=job.id)
-        self._event("done", job.id, now)
+        # Terminal events are self-contained (by reference, not copied):
+        # a feed consumer retires the job without a GET /jobs/{id}.
+        self._event("done", job.id, now, result=result,
+                    requeues=job.requeues)
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -453,5 +467,6 @@ class WorkQueue:
             "results_dropped": self.results_dropped,
             "results_rejected": self.results_rejected,
             "depth": len(self._queue),
+            "journal_skipped": getattr(self.journal, "skipped", 0),
             **{f"state_{k}": v for k, v in self.counts().items()},
         }

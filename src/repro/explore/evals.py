@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import math
 import zlib
+from functools import lru_cache
 from typing import Optional
 
 from ..core.services.kinds import ResultCheckError
@@ -91,6 +92,15 @@ _OBS_QUALITY = 0.6
 _FORECAST_STEPS = 64
 
 
+@lru_cache(maxsize=64, typed=True)
+def _shocks(seed: int) -> tuple:
+    """The truth series' innovations in [-1, 1): a constant of the seed,
+    so neither an evaluation nor its §3.1 re-evaluation recomputes it
+    (``typed``: the hash keys on ``str(seed)``, and 1 != 1.0 there)."""
+    return tuple(_unit_hash("forecast", seed, t) * 2.0 - 1.0
+                 for t in range(_FORECAST_STEPS))
+
+
 def _forecast(params: dict, seed: int) -> float:
     """RMSE of a damped-persistence forecast against a seeded synthetic
     truth series — minimize over bias/damping/nudging."""
@@ -100,8 +110,7 @@ def _forecast(params: dict, seed: int) -> float:
     truth = 0.0
     model = 0.0
     err = 0.0
-    for t in range(_FORECAST_STEPS):
-        shock = _unit_hash("forecast", seed, t) * 2.0 - 1.0
+    for shock in _shocks(seed):
         truth = _TRUTH_PERSISTENCE * truth + shock
         model = (damping * model + nudging * (truth - model) + bias
                  + _OBS_QUALITY * shock)

@@ -10,12 +10,14 @@ whatever computational clients say HELLO, the WorkQueue distrusts and
 accepts their reports — which is the point: the ME side needs no
 EveryWare-specific machinery at all, just HTTP.
 
-Result consumption tails the gateway's ``/events`` feed (the cheap
-path: one poll notices any number of completions) and falls back to
-directly probing outstanding job records whenever the feed goes quiet —
-the events ring is bounded, so a burst larger than its capacity could
-otherwise hide completions. Per-result submit→pop latency is recorded
-for the bench.
+Result consumption tails the gateway's ``/events`` feed: terminal events
+are self-contained (``done`` carries ``result`` and ``requeues``) and the
+queue remembers the spec it pushed, so a job retires straight from its
+feed line — no ``GET /jobs/{id}`` — and the read long-polls, returning as
+soon as something happens. Directly probing outstanding job records is
+the fallback for what the feed lost: its ring is bounded and a reborn
+gateway renumbers it, both visible as a break in the seq numbers.
+Per-result submit→pop latency is recorded for the bench.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ class ExploreQueue:
         self.probe_limit = probe_limit
         self.clock = clock
         self.pump = pump
-        #: job id -> push timestamp (clock units).
-        self.outstanding: dict[str, float] = {}
+        #: job id -> (push timestamp in clock units, the spec pushed).
+        self.outstanding: dict[str, tuple[float, dict]] = {}
         self._ready: deque[dict] = deque()
         self._since = -1
         #: Every id ever pushed, in push order (the verify sweep's list).
@@ -73,56 +75,61 @@ class ExploreQueue:
         else:
             ids = [str(self.client.submit(spec)["id"]) for spec in specs]
         now = self.clock()
-        for job_id in ids:
-            self.outstanding[job_id] = now
+        for job_id, spec in zip(ids, specs):
+            self.outstanding[job_id] = (now, spec)
         self.pushed_ids.extend(ids)
         self.pushed += len(ids)
         return ids
 
     # -- pop -----------------------------------------------------------------
-    def _retire(self, job_id: str, doc: dict) -> None:
-        pushed_at = self.outstanding.pop(job_id, None)
-        latency_ms = (None if pushed_at is None
-                      else round((self.clock() - pushed_at) * 1000.0, 3))
-        if latency_ms is not None:
-            self.pop_latencies_ms.append(latency_ms)
-        if doc.get("state") == "cancelled":
-            self.cancelled_seen += 1
+    def _retire(self, job_id: str, state: str, doc: dict) -> None:
+        """Move one outstanding job to the ready list. ``doc`` is its
+        terminal feed event or its job record: both carry ``result`` and
+        ``requeues``; the spec is the one pushed."""
+        pushed_at, spec = self.outstanding.pop(job_id)
+        latency_ms = round((self.clock() - pushed_at) * 1000.0, 3)
+        self.pop_latencies_ms.append(latency_ms)
+        self.cancelled_seen += state == "cancelled"
         self._ready.append({
             "id": job_id,
-            "state": doc.get("state"),
-            "spec": doc.get("spec") or {},
+            "state": state,
+            "spec": spec,
             "result": doc.get("result"),
             "requeues": doc.get("requeues", 0),
             "latency_ms": latency_ms,
         })
 
     def _ingest_events(self) -> int:
-        """One /events poll; returns how many outstanding jobs retired."""
-        retired = 0
+        """One /events poll (parked server-side for up to ``poll``
+        seconds while the feed is quiet); returns how many outstanding
+        jobs retired."""
+        retired, wait, broken = 0, self.poll, False
         while True:
-            events = self.client.events(since=self._since, limit=500)
+            events = self.client.events(since=self._since, wait=wait,
+                                        limit=500)
             for event in events:
-                seq = event.get("seq")
-                if isinstance(seq, int):
-                    self._since = max(self._since, seq)
-                if (event.get("event") in _TERMINAL
-                        and event.get("job") in self.outstanding):
-                    doc = self.client.job(event["job"])
-                    if doc is not None and doc.get("state") in _TERMINAL:
-                        self._retire(event["job"], doc)
-                        retired += 1
+                # Seqs are contiguous: a jump ahead is ring overflow, a
+                # jump back a reborn gateway numbering from 0. Adopt the
+                # feed's numbering; what was missed only a probe finds.
+                broken = broken or event["seq"] != self._since + 1
+                self._since = event["seq"]
+                state, job_id = event.get("event"), event.get("job")
+                if state in _TERMINAL and job_id in self.outstanding:
+                    self._retire(job_id, state, event)
+                    retired += 1
             if len(events) < 500:
-                return retired
+                return retired + (self._probe_outstanding() if broken else 0)
+            wait = 0.0
 
     def _probe_outstanding(self) -> int:
         """Directly poll a bounded slice of outstanding job records — the
-        safety net for completions the bounded events ring aged out."""
+        only per-job reader: the safety net for completions the feed lost
+        (ring overflow, gateway restart)."""
         retired = 0
         for job_id in list(self.outstanding)[:self.probe_limit]:
             doc = self.client.job(job_id)
             if doc is not None and doc.get("state") in _TERMINAL:
-                self._retire(job_id, doc)
+                self._retire(job_id, doc["state"], doc)
                 retired += 1
         return retired
 
@@ -131,18 +138,18 @@ class ExploreQueue:
         """Block until at least ``min_results`` results are ready (or
         nothing is outstanding, or ``timeout`` expires); returns *all*
         ready results. Each is ``{"id", "state", "spec", "result",
-        "requeues", "latency_ms"}``.
-        """
+        "requeues", "latency_ms"}``. An iteration that finds nothing costs
+        ``poll`` seconds in all (long-poll plus sleep)."""
         deadline = self.clock() + timeout
         while (len(self._ready) < min_results and self.outstanding
                and self.clock() < deadline):
-            if self._ingest_events() == 0:
-                self._probe_outstanding()
-            if len(self._ready) >= min_results:
-                break
+            started = self.clock()
+            quiet = (self._ingest_events() == 0
+                     and self._probe_outstanding() == 0)
             if self.pump is not None:
                 self.pump()
-            time.sleep(self.poll)
+            if quiet:
+                time.sleep(max(0.0, self.poll - (self.clock() - started)))
         out = list(self._ready)
         self._ready.clear()
         self.popped += len(out)

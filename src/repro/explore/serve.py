@@ -195,6 +195,16 @@ def run_explore(
         say(f"ME finished: {summary['evals']} evaluations consumed in "
             f"{summary['elapsed']:.1f}s, best={summary.get('best')}")
 
+        # The ME can outrun the supervisor's restart backoff: the reaper
+        # requeues the dead client's unit, the survivors finish the sweep,
+        # and draining now would cancel the respawn the checklist demands.
+        # Keep the world up until every reaped node is back.
+        pump()
+        while (any(node.state == "backoff"
+                   for node in supervisor.nodes.values())
+               and supervisor.now() < supervisor.deadline):
+            pump()
+
         # Verify sweep against the live gateway: every pushed id must be
         # done, exactly once (requeues allowed, extra completions not).
         states: dict[str, int] = {}

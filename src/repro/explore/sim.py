@@ -5,9 +5,9 @@ workload: instead of synthetic users submitting noop jobs, an
 :class:`MEDriverComponent` runs a real ME algorithm (sweep or hill
 climber — the identical :mod:`repro.explore.drivers` objects the live
 pump uses) against the *unchanged* :class:`GatewayComponent`, pushing
-generations through ``POST /jobs/batch`` frames, tailing ``/events``,
-and fetching finished job records — the sans-IO mirror of
-:class:`~repro.explore.queue.ExploreQueue` + ``run_driver``.
+generations through ``POST /jobs/batch`` frames and retiring them from
+the self-contained terminal events of the ``/events`` feed — the sans-IO
+mirror of :class:`~repro.explore.queue.ExploreQueue` + ``run_driver``.
 
 :class:`ExploreWorker` plays the computational client: it *really
 executes* each evaluation (``delay = ops_budget / speed`` simulated
@@ -104,9 +104,9 @@ class ExploreWorker(SimJobWorker):
 class MEDriverComponent(Component):
     """The ME algorithm as a sim component (the EMEWS pump, event-driven).
 
-    push initial batch → poll /events → fetch finished jobs → feed the
-    driver → push follow-up generations, all over GW_REQ/GW_RES frames
-    against the unchanged gateway router.
+    push initial batch → poll /events → feed the driver each terminal
+    event's result → push follow-up generations, all over GW_REQ/GW_RES
+    frames against the unchanged gateway router.
     """
 
     def __init__(self, name: str, gateway: str, driver,
@@ -116,12 +116,12 @@ class MEDriverComponent(Component):
         self.driver = driver
         self.poll_period = poll_period
         self._rid = 0
-        #: rid -> ("batch",) | ("events",) | ("job", job_id)
-        self._inflight: dict[int, tuple] = {}
+        #: rid -> the specs of a batch push | None for an /events read.
+        self._inflight: dict[int, Optional[list]] = {}
         self._since = -1
         self._events_pending = False
-        #: job id -> push sim-time.
-        self.outstanding: dict[str, float] = {}
+        #: job id -> (push sim-time, the spec pushed).
+        self.outstanding: dict[str, tuple[float, dict]] = {}
         self.pushed = 0
         self.popped = 0
         self.pushed_ids: list[str] = []
@@ -133,10 +133,11 @@ class MEDriverComponent(Component):
         self.batch_rejected = 0
 
     # -- request plumbing -----------------------------------------------------
-    def _request(self, tag: tuple, method: str, path: str,
-                 body=None) -> Send:
+    def _request(self, method: str, path: str,
+                 specs: Optional[list] = None) -> Send:
         self._rid += 1
-        self._inflight[self._rid] = tag
+        self._inflight[self._rid] = specs
+        body = None if specs is None else {"specs": specs}
         return Send(self.gateway, Message(
             mtype=GW_REQ, sender=self.contact,
             body={"method": method, "path": path, "body": body,
@@ -145,8 +146,7 @@ class MEDriverComponent(Component):
     def _push(self, specs: list[dict]) -> list[Effect]:
         if not specs:
             return []
-        return [self._request(("batch",), "POST", "/jobs/batch",
-                              {"specs": specs})]
+        return [self._request("POST", "/jobs/batch", specs)]
 
     # -- lifecycle ------------------------------------------------------------
     def on_start(self, now: float) -> list[Effect]:
@@ -164,31 +164,30 @@ class MEDriverComponent(Component):
         if not self._events_pending:
             self._events_pending = True
             effects.append(self._request(
-                ("events",), "GET",
-                f"/events?since={self._since}&limit=500"))
+                "GET", f"/events?since={self._since}&limit=500"))
         return effects
 
     # -- responses ------------------------------------------------------------
     def on_message(self, message: Message, now: float) -> list[Effect]:
         if message.mtype != GW_RES:
             return []
-        tag = self._inflight.pop(message.body.get("rid"), None)
-        if tag is None:
+        rid = message.body.get("rid")
+        if rid not in self._inflight:
             return []
+        specs = self._inflight.pop(rid)
         status = int(message.body.get("status", 0))
         doc = message.body.get("body")
-        if tag[0] == "batch":
-            return self._on_batch(status, doc, now)
-        if tag[0] == "events":
-            return self._on_events(status, doc, now)
-        return self._on_job(tag[1], status, doc, now)
+        if specs is not None:
+            return self._on_batch(specs, status, doc, now)
+        return self._on_events(status, doc, now)
 
-    def _on_batch(self, status: int, doc, now: float) -> list[Effect]:
+    def _on_batch(self, specs: list, status: int, doc,
+                  now: float) -> list[Effect]:
         if status != 201 or not isinstance(doc, dict):
             self.batch_rejected += 1
             return []
-        for job_id in doc.get("ids", []):
-            self.outstanding[str(job_id)] = now
+        for job_id, spec in zip(doc.get("ids", []), specs):
+            self.outstanding[str(job_id)] = (now, spec)
             self.pushed_ids.append(str(job_id))
         self.pushed += int(doc.get("count", 0))
         return []
@@ -199,35 +198,22 @@ class MEDriverComponent(Component):
             return []
         effects: list[Effect] = []
         for line in doc.splitlines():
-            if not line.strip():
-                continue
             event = json.loads(line)
-            seq = event.get("seq")
-            if isinstance(seq, int):
-                self._since = max(self._since, seq)
-            if (event.get("event") in ("done", "cancelled")
-                    and event.get("job") in self.outstanding):
-                effects.append(self._request(
-                    ("job", event["job"]), "GET", f"/jobs/{event['job']}"))
+            # Adopt the feed's numbering (a reborn feed counts from 0);
+            # `outstanding` dedupes whatever is then read twice.
+            self._since = event["seq"]
+            if (event.get("event") not in ("done", "cancelled")
+                    or event.get("job") not in self.outstanding):
+                continue
+            pushed_at, spec = self.outstanding.pop(event["job"])
+            self.popped += 1
+            self.pop_latencies.append(round(now - pushed_at, 6))
+            self.driver.observe(spec, event.get("result"))
+            follow_up = self.driver.next_tasks()
+            if follow_up:
+                self.rounds.append(round(now, 6))
+                effects += self._push(follow_up)
         return effects
-
-    def _on_job(self, job_id: str, status: int, doc,
-                now: float) -> list[Effect]:
-        if status != 200 or not isinstance(doc, dict):
-            return []
-        if doc.get("state") not in ("done", "cancelled"):
-            return []
-        pushed_at = self.outstanding.pop(job_id, None)
-        if pushed_at is None:
-            return []  # already consumed (duplicate event)
-        self.popped += 1
-        self.pop_latencies.append(round(now - pushed_at, 6))
-        self.driver.observe(doc.get("spec") or {}, doc.get("result"))
-        follow_up = self.driver.next_tasks()
-        if follow_up:
-            self.rounds.append(round(now, 6))
-            return self._push(follow_up)
-        return []
 
     def stats(self) -> dict:
         lat = sorted(self.pop_latencies)

@@ -427,7 +427,7 @@ def _attach_gateway(driver: NetDriver, manifest: Manifest,
             wait = float(params.get("wait", "0"))
         except ValueError:
             return False  # let the router 400 it
-        if wait <= 0 or core.events.latest_seq > since:
+        if wait <= 0 or core.events.since(since, limit=1):
             poll_deadlines.pop(id(request), None)
             return False
         deadline = poll_deadlines.setdefault(

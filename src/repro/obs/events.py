@@ -5,7 +5,9 @@ cancelled) are appended by the :class:`~repro.control.workqueue.WorkQueue`
 as they happen; HTTP long-pollers tail the feed with
 ``GET /events?since=<seq>`` and get back newline-delimited JSON. The
 ring is fixed-size: a slow consumer loses old events (and can see the
-gap in the seq numbers), never stalls the producer.
+gap in the seq numbers), never stalls the producer. Terminal events are
+self-contained (``done`` carries the result), so a consumer that keeps
+up never has to ask about a job.
 """
 
 from __future__ import annotations
@@ -48,11 +50,16 @@ class EventLog:
         return seq
 
     def since(self, seq: int, limit: int = 500) -> list[dict]:
-        """Events with seq strictly greater than ``seq``, oldest first."""
-        if seq >= self.latest_seq:
-            return []
-        out = [e for e in self._events if e["seq"] > seq]
-        return out[:limit] if limit else out
+        """Events with seq strictly greater than ``seq``, oldest first.
+        A cursor *beyond* the log belongs to an earlier incarnation of
+        the producer (a reborn gateway numbers from 0): it restarts from
+        the oldest retained event. Seqs in the ring are contiguous, so
+        the start is arithmetic — O(returned), not O(capacity)."""
+        events = self._events
+        first = self.next_seq - len(events)
+        start = 0 if seq >= self.next_seq else max(seq + 1 - first, 0)
+        stop = min(start + limit, len(events)) if limit else len(events)
+        return [events[i] for i in range(start, stop)]
 
     def __len__(self) -> int:
         return len(self._events)

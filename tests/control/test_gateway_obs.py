@@ -72,6 +72,66 @@ def test_events_feed_tails_job_lifecycle():
     assert status == 400
 
 
+def test_terminal_events_are_self_contained():
+    """`done` carries the result and the requeue count (by reference),
+    `cancelled` the requeue count: a feed consumer never needs
+    GET /jobs/{id}. A `wait=` read is answered at once, never parked."""
+    core = _core()
+    core.handle("POST", "/jobs", _json({}), now=1.0)
+    core.handle("POST", "/jobs", _json({}), now=1.0)
+    core.work.requeue(core.work.next_unit())
+    result = {"answer": 42}
+    core.work.complete(core.work.next_unit()["id"], result, now=2.0)
+    core.work.cancel("t-2", now=2.5)
+
+    done, cancelled = (e for e in core.events.since(-1)
+                       if e["event"] in ("done", "cancelled"))
+    assert done["result"] is result and done["requeues"] == 1
+    assert cancelled["job"] == "t-2" and cancelled["requeues"] == 0
+    assert "result" not in cancelled
+    status, text, _ = core.handle("GET", "/events?since=-1&wait=30", b"",
+                                  now=3.0)
+    assert status == 200
+    assert [e for e in parse_jsonl(text) if e["event"] == "done"] == [done]
+    record = core.handle("GET", "/jobs/t-1", b"", now=3.0)[1]
+    assert (done["result"], done["requeues"]) == (record["result"],
+                                                  record["requeues"])
+
+
+def test_request_counters_are_cached_per_route_and_follow_the_registry():
+    """`_account` keeps each http.requests Counter instead of rebuilding
+    its key per request; /metrics must not be able to tell."""
+    telemetry = Telemetry()
+    core = _core(telemetry=telemetry)
+    for _ in range(3):
+        core.handle("GET", "/health", b"", now=0.0)
+    core.handle("GET", "/jobs/nope", b"", now=0.0)
+    core.handle("GET", "/nowhere", b"", now=0.0)
+    assert telemetry.metrics.snapshot()["counters"] == {
+        "http.requests{route=GET /health,status=200}": 3,
+        "http.requests{route=GET /jobs/{id},status=404}": 1,
+        "http.requests{route=none,status=404}": 1,
+    }
+    reference = Telemetry()
+    reference.metrics.counter("http.requests", route="GET /health",
+                              status="200").inc(3)
+    reference.metrics.counter("http.requests", route="GET /jobs/{id}",
+                              status="404").inc()
+    reference.metrics.counter("http.requests", route="none",
+                              status="404").inc()
+    from repro.obs.prom import render_prometheus
+    assert (render_prometheus(telemetry.metrics.snapshot())
+            == render_prometheus(reference.metrics.snapshot()))
+    # Swapping the registry (the sim twin's bind_telemetry) drops the
+    # cached references with it.
+    core.telemetry = swapped = Telemetry()
+    core.handle("GET", "/health", b"", now=0.0)
+    assert swapped.metrics.snapshot()["counters"] == {
+        "http.requests{route=GET /health,status=200}": 1}
+    assert telemetry.metrics.snapshot()["counters"][
+        "http.requests{route=GET /health,status=200}"] == 3
+
+
 def test_sites_push_lands_as_labelled_gauges():
     core = _core()
     body = {"sites": {"ucsd": {"delivered_ops": 750.0,

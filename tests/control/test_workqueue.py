@@ -155,6 +155,32 @@ def test_file_journal_survives_torn_tail_write(tmp_path):
     # The torn record is skipped; everything before it replays intact.
     assert reborn.get("t-1").state == "queued"
     assert reborn.get("t-2").state == "queued"
+    # ...silently: a torn *last* line is what a crash looks like.
+    assert reborn.journal.skipped == 0
+    assert reborn.stats()["journal_skipped"] == 0
+
+
+def test_mid_file_corruption_is_counted_not_mistaken_for_a_torn_tail(tmp_path):
+    from repro.control import GatewayCore
+
+    path = str(tmp_path / "q.jsonl")
+    work = WorkQueue(journal=FileJournal(path), prefix="t")
+    for i in range(3):
+        work.submit({"a": i}, now=0.0)
+    work.close()
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    lines[1] = lines[1][:15] + "\n"          # the middle record, damaged
+    lines.insert(2, "[1, 2]\n")              # parses, but is no record
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines + ['{"op": "done", "id": "t-3", "resu'])
+    reborn = WorkQueue(journal=FileJournal(path), prefix="t")
+    assert sorted(reborn.jobs) == ["t-1", "t-3"]     # t-2 is gone...
+    assert reborn.journal.skipped == 2               # ...and it shows
+    assert reborn.stats()["journal_skipped"] == 2
+    core = GatewayCore("gw", reborn)
+    assert core.handle("GET", "/queue", b"", 0.0)[1]["journal_skipped"] == 2
+    assert WorkQueue(prefix="m").stats()["journal_skipped"] == 0
 
 
 def test_stats_are_json_safe_counters():

@@ -5,6 +5,9 @@ spec must evaluate to the same value (and digest) on any host, any
 plane, any number of times.
 """
 
+import math
+import random
+
 import pytest
 
 from repro.core.services.kinds import ResultCheckError
@@ -80,3 +83,62 @@ def test_check_eval_result_rejects_corruption():
         check_eval_result(spec, None)
     with pytest.raises(ResultCheckError):
         check_eval_result(spec, {})
+
+
+def test_check_eval_result_rejects_a_value_off_by_one_ulp():
+    """The check is a full recomputation, not a plausibility test: the
+    nearest representable neighbour of the true value is still wrong,
+    even under a digest that is consistent with it."""
+    from repro.explore.evals import _digest
+
+    spec = make_eval_spec("forecast",
+                          {"bias": 0.1, "damping": 0.6, "nudging": 0.4},
+                          seed=7)
+    honest = evaluate(spec)
+    for neighbour in (math.nextafter(honest["value"], math.inf),
+                      math.nextafter(honest["value"], -math.inf)):
+        forged = {**honest, "value": neighbour,
+                  "digest": _digest(honest["fn"], honest["params"],
+                                    honest["seed"], neighbour)}
+        with pytest.raises(ResultCheckError):
+            check_eval_result(spec, forged)
+        with pytest.raises(ResultCheckError):
+            check_eval_result(spec, {**honest, "value": neighbour})
+
+
+def _forecast_uncached(params, seed):
+    """`_forecast` as it was before the per-seed memo: every shock
+    re-derived from its CRC on every call."""
+    from repro.explore import evals
+
+    bias, damping, nudging = (float(params.get(k, d)) for k, d in
+                              (("bias", 0.0), ("damping", 0.5),
+                               ("nudging", 0.0)))
+    truth = model = err = 0.0
+    for t in range(evals._FORECAST_STEPS):
+        shock = evals._unit_hash("forecast", seed, t) * 2.0 - 1.0
+        truth = evals._TRUTH_PERSISTENCE * truth + shock
+        model = (damping * model + nudging * (truth - model) + bias
+                 + evals._OBS_QUALITY * shock)
+        err += (model - truth) ** 2
+    return math.sqrt(err / evals._FORECAST_STEPS)
+
+
+def test_forecast_memo_is_bit_identical_and_bounded():
+    from repro.explore.evals import _forecast, _shocks
+
+    rng = random.Random(19)
+    for _ in range(200):
+        params = {"bias": rng.uniform(-1, 1), "damping": rng.uniform(0, 1),
+                  "nudging": rng.uniform(0, 1)}
+        seed = rng.randrange(-5, 10 ** 6)
+        # == on floats: bit-identical, not approximately equal.
+        assert _forecast(params, seed) == _forecast_uncached(params, seed)
+        assert _forecast(params, seed) == _forecast_uncached(params, seed)
+    info = _shocks.cache_info()
+    assert info.currsize <= info.maxsize == 64
+    # The memo keys on the seed as the hash sees it (its str()): 1, 1.0
+    # and True are three different landscapes, cached or not.
+    params = {"bias": 0.1, "damping": 0.6, "nudging": 0.4}
+    for seed in (1, 1.0, True):
+        assert _forecast(params, seed) == _forecast_uncached(params, seed)

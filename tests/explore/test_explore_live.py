@@ -13,6 +13,7 @@ import os
 import pytest
 
 from repro.explore import ExploreConfig, run_explore
+from repro.live.supervisor import RestartPolicy
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +22,14 @@ def report(tmp_path_factory):
     config = ExploreConfig(algo="sweep", fn="forecast", clients=2,
                            duration=60.0, scale=0.5, ops_budget=50_000.0,
                            kill_at=1.5, seed=0)
-    return run_explore(config, out=str(out)), str(out)
+    # The sweep takes 3.5-5 s and the default restart backoff 3 s from
+    # the kill: whether the ME outran the respawn used to depend on the
+    # host's mood (one loaded full-suite run in three failed "killed but
+    # never restarted"). A 6 s backoff makes the ME outrun it every
+    # time, so the harness's wait for pending respawns is always on the
+    # path — and the reaper, not an adopting HELLO, frees the orphan.
+    return run_explore(config, out=str(out),
+                       restart=RestartPolicy(backoff=6.0)), str(out)
 
 
 def test_every_evaluation_done_exactly_once_across_kill(report):

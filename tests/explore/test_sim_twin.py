@@ -10,7 +10,13 @@ import json
 
 import pytest
 
-from repro.explore import run_sim_explore
+from repro.control import GatewayCore, WorkQueue
+from repro.control.sim import GW_RES
+from repro.core.component import NullRuntime, Send
+from repro.core.linguafranca.messages import Message
+from repro.explore import make_eval_spec, run_sim_explore
+from repro.explore.evals import execute_unit
+from repro.explore.sim import MEDriverComponent
 
 
 def _canon(report):
@@ -63,3 +69,81 @@ def test_sim_twin_seed_changes_world():
     a = run_sim_explore(seed=1, algo="sweep", duration=120.0, scale=0.4)
     b = run_sim_explore(seed=2, algo="sweep", duration=120.0, scale=0.4)
     assert _canon(a) != _canon(b)
+
+
+def test_sim_twin_never_asks_about_a_job(chaos_pair):
+    """Both planes keep one contract: results ride the /events feed."""
+    a, _ = chaos_pair
+    requests = {key: n for key, n in a["metrics"]["counters"].items()
+                if key.startswith("http.requests{")}
+    assert requests and all(
+        "route=POST /jobs/batch," in key or "route=GET /events," in key
+        for key in requests)
+    assert sum(requests.values()) == a["gateway"]["requests"]
+
+
+# -- the ME component against the real router, message by message -----------
+
+class _Observed:
+    """A driver that only records what the ME feeds it."""
+
+    def __init__(self, specs):
+        self.specs, self.seen = specs, []
+
+    def initial_tasks(self):
+        return self.specs
+
+    def observe(self, spec, result):
+        self.seen.append((spec, result))
+
+    def next_tasks(self):
+        return []
+
+    def finished(self):
+        return False                        # keep the ME polling
+
+
+def _answer(me, core, effects, now):
+    """Route every GW_REQ in ``effects`` and hand the ME the GW_RES."""
+    for effect in effects:
+        if not isinstance(effect, Send):
+            continue
+        body = effect.message.body
+        raw = json.dumps(body["body"]).encode() if body["body"] else b""
+        status, doc, _ = core.handle(body["method"], body["path"], raw, now)
+        assert me.on_message(Message(
+            mtype=GW_RES, sender="gw0/gw",
+            body={"status": status, "body": doc, "rid": body["rid"]}),
+            now) == []
+
+
+def test_me_component_retires_jobs_from_feed_lines_field_by_field():
+    work = WorkQueue(prefix="t")
+    core = GatewayCore("gw0", work)
+    specs = [make_eval_spec("sphere", {"x": float(i)}, seed=0)
+             for i in range(5)]
+    me = MEDriverComponent("me0", "gw0/gw", _Observed(specs))
+    me.bind_runtime(NullRuntime("me0/me"))
+    _answer(me, core, me.on_start(0.0), 0.0)
+    assert me.pushed == 5 and sorted(me.outstanding) == me.pushed_ids
+
+    work.requeue(work.next_unit())          # a requeue before completion
+    work.cancel(me.pushed_ids[4], now=0.5)
+    for _ in range(4):
+        unit = work.next_unit()
+        work.complete(str(unit["id"]), execute_unit(unit))
+    _answer(me, core, me.on_timer("me:poll", 1.0), 1.0)
+    assert me.popped == 5 and not me.outstanding
+    assert core.requests == 2               # one batch, one /events read
+    records = [work.get(job_id).to_dict() for job_id in me.pushed_ids]
+    assert sorted(me.driver.seen, key=lambda pair: pair[0]["params"]["x"]) \
+        == [(record["spec"], record["result"]) for record in records]
+
+    # A reborn feed numbers from 0: the cursor adopts it, and lines read
+    # a second time are deduped on `outstanding`.
+    stranded = me._since
+    core.events = work.events = type(core.events)()
+    work._event("noise", "x", now=2.0)
+    _answer(me, core, me.on_timer("me:poll", 2.0), 2.0)
+    assert me._since == 0 < stranded
+    assert me.popped == 5
