@@ -437,10 +437,25 @@ def _cmd_live(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
+def _finish_twin(report: dict, out: Optional[str], name: str) -> int:
+    """Print a ``--simulate`` report's violations, write it under ``out``
+    as the byte-stable document CI hashes, and return the exit code."""
     import json
     import os
 
+    for violation in report["violations"]:
+        print(f"VIOLATION: {violation}")
+    if out:
+        os.makedirs(out, exist_ok=True)
+        path = os.path.join(out, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        print(f"wrote: {path}")
+    return 0 if not report["violations"] else 1
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
     kill_at = args.kill_at if args.kill_at and args.kill_at > 0 else None
     if args.simulate:
         from .control import run_sim_serve
@@ -457,16 +472,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               f"{report['accepted_total']}, lost: "
               f"{len(report['jobs_lost'])}, restarts: {gw['restarts']} "
               f"(requeued {gw['requeued_on_restart']})")
-        for violation in report["violations"]:
-            print(f"VIOLATION: {violation}")
-        if args.out:
-            os.makedirs(args.out, exist_ok=True)
-            path = os.path.join(args.out, "serve_sim.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=1, sort_keys=True)
-                fh.write("\n")
-            print(f"wrote: {path}")
-        return 0 if not report["violations"] else 1
+        return _finish_twin(report, args.out, "serve_sim.json")
 
     from .control import ServeConfig, run_serve
 
@@ -505,9 +511,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
-    import json
-    import os
-
     kill_at = args.kill_at if args.kill_at and args.kill_at > 0 else None
     if args.simulate:
         from .explore import run_sim_explore
@@ -532,16 +535,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
               f"{work['requeued']} requeued, "
               f"{work['results_rejected']} results rejected, "
               f"{report['gateway']['restarts']} gateway restart(s)")
-        for violation in report["violations"]:
-            print(f"VIOLATION: {violation}")
-        if args.out:
-            os.makedirs(args.out, exist_ok=True)
-            path = os.path.join(args.out, "explore_sim.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=1, sort_keys=True)
-                fh.write("\n")
-            print(f"wrote: {path}")
-        return 0 if not report["violations"] else 1
+        return _finish_twin(report, args.out, "explore_sim.json")
 
     from .explore import ExploreConfig, run_explore
 

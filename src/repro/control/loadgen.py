@@ -20,6 +20,7 @@ kill/restart.
 from __future__ import annotations
 
 import errno
+import json
 import random
 import selectors
 import socket
@@ -40,6 +41,61 @@ RECONNECT_DELAY = 0.1
 
 def _default_spec(rng: random.Random) -> dict:
     return {"kind": "noop", "payload": rng.randrange(1 << 16)}
+
+
+class UserMix:
+    """One synthetic user's request mix, sans-IO (DESIGN §13).
+
+    :meth:`next_request` rolls the user's own RNG for the next
+    submit/query/cancel — the same draws in the same order on every
+    plane — and :meth:`outcome` classifies the answer, remembering an
+    accepted id and counting the outcome on ``tally`` (anything with
+    ``submitted``/``queried``/``cancelled``/``rejected`` counters).
+    :class:`GatewayStorm` frames the requests as HTTP over real sockets,
+    :class:`~repro.control.sim.SimJobUser` as ``GW_REQ`` messages.
+    """
+
+    __slots__ = ("rng", "tally", "submit_fraction", "cancel_fraction",
+                 "spec_factory", "ids")
+
+    def __init__(self, rng: random.Random, tally, submit_fraction: float,
+                 cancel_fraction: float,
+                 spec_factory: Callable[[random.Random], dict]) -> None:
+        self.rng = rng
+        self.tally = tally
+        self.submit_fraction = submit_fraction
+        self.cancel_fraction = cancel_fraction
+        self.spec_factory = spec_factory
+        #: Ids this user's submissions were answered 201 for.
+        self.ids: list[str] = []
+
+    def next_request(self) -> tuple[str, str, str, Optional[dict]]:
+        """``(kind, method, path, body)`` of the user's next request."""
+        rng = self.rng
+        roll = rng.random()
+        if self.ids and roll >= self.submit_fraction:
+            job_id = rng.choice(self.ids)
+            if roll >= 1.0 - self.cancel_fraction:
+                return "cancel", "POST", f"/jobs/{job_id}/cancel", None
+            return "query", "GET", f"/jobs/{job_id}", None
+        return "submit", "POST", "/jobs", self.spec_factory(rng)
+
+    def outcome(self, kind: str, status: int, doc) -> str:
+        """Classify the answer to a ``kind`` request (``doc`` is its
+        decoded JSON body, read only for a submit) and count it."""
+        name = "rejected"
+        if kind == "submit":
+            job_id = doc.get("id") if isinstance(doc, dict) else None
+            if status == 201 and isinstance(job_id, str):
+                self.ids.append(job_id)
+                name = "submitted"
+        elif kind == "query":
+            if status == 200:
+                name = "queried"
+        elif status in (200, 404, 409):
+            name = "cancelled"
+        setattr(self.tally, name, getattr(self.tally, name) + 1)
+        return name
 
 
 class StormStats:
@@ -73,19 +129,17 @@ class StormStats:
 class _Client:
     """One logical user: a connection, a decoder, one in-flight request."""
 
-    __slots__ = ("idx", "rng", "sock", "decoder", "connected", "outbuf",
-                 "inflight", "ids", "served", "retry_at", "want_write")
+    __slots__ = ("mix", "sock", "decoder", "connected", "outbuf",
+                 "inflight", "served", "retry_at", "want_write")
 
-    def __init__(self, idx: int, rng: random.Random) -> None:
-        self.idx = idx
-        self.rng = rng
+    def __init__(self, mix: UserMix) -> None:
+        self.mix = mix
         self.sock: Optional[socket.socket] = None
         self.decoder = HttpResponseDecoder()
         self.connected = False
         self.outbuf = b""
-        #: (kind, job_id, t0) of the request awaiting its response.
-        self.inflight: Optional[tuple[str, Optional[str], float]] = None
-        self.ids: list[str] = []
+        #: (kind, t0) of the request awaiting its response.
+        self.inflight: Optional[tuple[str, float]] = None
         self.served = 0  # requests completed on this connection (churn)
         self.retry_at = 0.0
         self.want_write = False
@@ -112,17 +166,16 @@ class GatewayStorm:
     ) -> None:
         self.host = host
         self.port = int(port)
-        self.submit_fraction = submit_fraction
-        self.cancel_fraction = cancel_fraction
         #: Close and reopen a connection after this many responses
         #: (0 = no churn): models users coming and going.
         self.churn_every = churn_every
-        self.spec_factory = spec_factory
         self.stats = StormStats()
         self.accepted: list[str] = []
         self._sel = selectors.DefaultSelector()
         self._clients = [
-            _Client(i, random.Random(f"{seed}:{i}")) for i in range(clients)
+            _Client(UserMix(random.Random(f"{seed}:{i}"), self.stats,
+                            submit_fraction, cancel_fraction, spec_factory))
+            for i in range(clients)
         ]
         self._closed = False
         self._quiescing = False
@@ -179,30 +232,19 @@ class GatewayStorm:
         client.retry_at = time.monotonic() + RECONNECT_DELAY
 
     # -- request generation ---------------------------------------------------
-    def _next_request(self, client: _Client) -> tuple[str, Optional[str], bytes]:
-        rng = client.rng
-        roll = rng.random()
-        if client.ids and roll >= self.submit_fraction:
-            job_id = rng.choice(client.ids)
-            if roll >= 1.0 - self.cancel_fraction:
-                data = (f"POST /jobs/{job_id}/cancel HTTP/1.1\r\n"
-                        f"Host: {self.host}\r\nContent-Length: 0\r\n\r\n")
-                return "cancel", job_id, data.encode("latin-1")
-            data = (f"GET /jobs/{job_id} HTTP/1.1\r\n"
-                    f"Host: {self.host}\r\n\r\n")
-            return "query", job_id, data.encode("latin-1")
-        import json as _json
-
-        body = _json.dumps(self.spec_factory(rng)).encode("utf-8")
-        data = (f"POST /jobs HTTP/1.1\r\nHost: {self.host}\r\n"
-                f"Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n\r\n").encode("latin-1") + body
-        return "submit", None, data
-
     def _issue(self, client: _Client) -> None:
-        kind, job_id, frame = self._next_request(client)
-        client.inflight = (kind, job_id, time.monotonic())
-        client.outbuf += frame
+        """Frame the mix's next request as HTTP/1.1 and start writing."""
+        kind, method, path, spec = client.mix.next_request()
+        head = f"{method} {path} HTTP/1.1\r\nHost: {self.host}\r\n"
+        if spec is not None:
+            body = json.dumps(spec).encode("utf-8")
+            head += "Content-Type: application/json\r\n"
+        else:
+            body = b""
+        if method == "POST":
+            head += f"Content-Length: {len(body)}\r\n"
+        client.inflight = (kind, time.monotonic())
+        client.outbuf += (head + "\r\n").encode("latin-1") + body
         self._write(client)
 
     # -- I/O ------------------------------------------------------------------
@@ -252,35 +294,21 @@ class GatewayStorm:
 
     def _finish(self, client: _Client, status: int, headers: dict,
                 body: bytes) -> None:
-        kind, job_id, t0 = client.inflight
+        kind, t0 = client.inflight
         client.inflight = None
         elapsed_ms = (time.monotonic() - t0) * 1000.0
-        if kind == "submit":
-            if status == 201:
-                self.stats.submitted += 1
-                self.stats.submit_latencies.append(elapsed_ms)
-                import json as _json
-
-                try:
-                    accepted = _json.loads(body).get("id")
-                except (ValueError, AttributeError):
-                    accepted = None
-                if isinstance(accepted, str):
-                    client.ids.append(accepted)
-                    self.accepted.append(accepted)
-            else:
-                self.stats.rejected += 1
-        elif kind == "query":
-            if status == 200:
-                self.stats.queried += 1
-                self.stats.query_latencies.append(elapsed_ms)
-            else:
-                self.stats.rejected += 1
-        else:
-            if status in (200, 404, 409):
-                self.stats.cancelled += 1
-            else:
-                self.stats.rejected += 1
+        doc = None
+        if kind == "submit":  # the one body the mix reads
+            try:
+                doc = json.loads(body)
+            except ValueError:
+                pass
+        outcome = client.mix.outcome(kind, status, doc)
+        if outcome == "submitted":
+            self.stats.submit_latencies.append(elapsed_ms)
+            self.accepted.append(client.mix.ids[-1])
+        elif outcome == "queried":
+            self.stats.query_latencies.append(elapsed_ms)
         client.served += 1
         if self._quiescing:
             self._teardown(client)

@@ -20,19 +20,15 @@ computational client and back.
 
 from __future__ import annotations
 
-import json
-import os
 import random
-import tempfile
-import time
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ..live.collector import Collector
-from ..live.ports import PortAllocator
-from ..live.supervisor import RestartPolicy, Supervisor
-from ..live.topology import Topology, build_manifest, serve_topology
-from ..core.telemetry import write_trace_json
+from ..live.harness import LiveWorld, ReportDoc, never_restarted
+from ..live.supervisor import RestartPolicy
+from ..live.topology import Topology, serve_topology
 from ..ramsey.tasks import HEURISTICS
 from .client import GatewayClient
 from .http import HttpError
@@ -93,7 +89,7 @@ class ServeConfig:
 
 
 @dataclass
-class ServeReport:
+class ServeReport(ReportDoc):
     """Everything one serve run produced, in one JSON-safe document."""
 
     duration: float
@@ -111,26 +107,6 @@ class ServeReport:
     violations: list[str] = field(default_factory=list)
     artifacts: dict = field(default_factory=dict)
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "duration": self.duration,
-            "topology": self.topology,
-            "nodes": self.nodes,
-            "storm": self.storm,
-            "accepted": self.accepted,
-            "jobs_lost": self.jobs_lost,
-            "job_states": self.job_states,
-            "chaos": self.chaos,
-            "metrics": self.metrics,
-            "violations": self.violations,
-            "artifacts": self.artifacts,
-            "ok": self.ok,
-        }
-
 
 def check_serve_invariants(report: ServeReport) -> list[str]:
     """The control plane's consistency checklist (wall-clock runs gate
@@ -145,14 +121,7 @@ def check_serve_invariants(report: ServeReport) -> list[str]:
     for name, node in sorted(report.nodes.items()):
         if not node.get("reports"):
             violations.append(f"{name}: never shipped a telemetry report")
-    if report.chaos:
-        restarted = [c["node"] for c in report.chaos
-                     if report.nodes.get(c["node"], {}).get("restarts", 0) >= 1]
-        if not restarted:
-            killed = sorted({c["node"] for c in report.chaos})
-            violations.append(
-                f"{'/'.join(killed)} was killed but never restarted")
-    return violations
+    return violations + never_restarted(report.nodes, report.chaos)
 
 
 def _site_rollup(collector: Collector, topology: Topology,
@@ -182,40 +151,6 @@ def _site_rollup(collector: Collector, topology: Topology,
     return sites
 
 
-def _sweep_jobs(contact: str, accepted: list[str],
-                pump: Optional[Callable[[], None]] = None,
-                timeout: float = 15.0) -> tuple[list[str], dict[str, int]]:
-    """Ask the gateway for every accepted id; returns (lost ids, state
-    histogram). Waits up to ``timeout`` for the gateway to answer at all
-    — it may be mid-restart when the storm ends, so ``pump`` (the
-    supervisor poll) keeps running while we wait."""
-    lost: list[str] = []
-    states: dict[str, int] = {}
-    with GatewayClient(contact, timeout=3.0) as client:
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if pump is not None:
-                pump()
-            try:
-                client.health()
-                break
-            except HttpError:
-                time.sleep(0.2)
-        for i, job_id in enumerate(accepted):
-            if pump is not None and i % 200 == 0:
-                pump()
-            try:
-                job = client.job(job_id)
-            except HttpError:
-                job = None
-            if job is None:
-                lost.append(job_id)
-            else:
-                state = str(job.get("state"))
-                states[state] = states.get(state, 0) + 1
-    return lost, states
-
-
 def run_serve(
     config: ServeConfig,
     out: Optional[str] = None,
@@ -223,45 +158,14 @@ def run_serve(
     progress: Optional[Callable[[str], None]] = None,
 ) -> ServeReport:
     """Stand up the control-plane world, storm it, sweep it, report."""
-    def say(text: str) -> None:
-        if progress is not None:
-            progress(text)
-
     topology = config.topology()
-    tmp = None
-    if out is not None:
-        os.makedirs(out, exist_ok=True)
-        run_dir = out
-    else:
-        tmp = tempfile.TemporaryDirectory(prefix="repro-serve-")
-        run_dir = tmp.name
-    manifest_path = os.path.join(run_dir, "manifest.json")
-
-    host = config.host
-    collector = Collector(host=host)
-    allocator = PortAllocator(host)
-    storm = None
-    sites_client: Optional[GatewayClient] = None
-    try:
-        manifest = build_manifest(topology, collector.contact,
-                                  host=host, allocator=allocator)
-        manifest.write(manifest_path)
-        # Nodes outlive the storm window by a sweep grace: the verify
-        # sweep below must run against a *live* (possibly restarted)
-        # gateway, not race the nodes' own deadline shutdown.
-        sweep_grace = 30.0
-        supervisor = Supervisor(
-            manifest, manifest_path,
-            deadline=config.duration + sweep_grace,
-            collector=collector, restart=restart,
-            log_dir=os.path.join(run_dir, "node-logs"))
-        gateway_name = topology.by_role("gateway")[0].name
-        http_contact = manifest.http_contact(gateway_name)
-        say(f"world of {len(topology.nodes)} nodes; "
-            f"gateway HTTP at {http_contact}")
-        allocator.release()
-        supervisor.spawn_all()
-
+    with LiveWorld(topology, config.duration, grace=30.0,
+                   kill_at=config.kill_at, kill_node=config.kill_node,
+                   victim_role="gateway", out=out, restart=restart,
+                   host=config.host, progress=progress) as world:
+        http_contact = world.http_contact
+        world.say(f"world of {len(topology.nodes)} nodes; "
+                  f"gateway HTTP at {http_contact}")
         http_host, _, http_port = http_contact.rpartition(":")
         storm = GatewayStorm(
             http_host, int(http_port),
@@ -271,119 +175,46 @@ def run_serve(
             churn_every=config.churn_every,
             spec_factory=lambda r: ramsey_job_spec(
                 r, k=config.k, n=config.n))
-
-        chaos: list[dict] = []
-        killed = False
-        kill_target = config.kill_node or gateway_name
-        if kill_target not in supervisor.nodes:
-            raise ValueError(f"kill_node {kill_target!r} not in topology")
-        sites_client = GatewayClient(http_contact, timeout=1.0)
-        health_at = 1.0
-        sites_at = config.sites_period or float("inf")
-        while supervisor.now() < config.duration:
-            collector.step(0.005)
-            supervisor.poll()
-            storm.step(0.005)
-            now = supervisor.now()
-            if now >= health_at:
-                supervisor.check_health()
-                health_at = now + 1.0
-            if now >= sites_at:
-                # Push delivered-vs-available to the gateway so /metrics
-                # exposes per-site utilisation; a dead/mid-restart
-                # gateway just misses a beat.
-                try:
-                    sites_client.publish_sites(
-                        _site_rollup(collector, topology, now))
-                except HttpError:
-                    pass
-                sites_at = now + config.sites_period
-            if (config.kill_at is not None and not killed
-                    and now >= config.kill_at):
-                pid = supervisor.kill(kill_target)
-                killed = True
-                if pid is not None:
-                    chaos.append({"t": round(now, 3), "node": kill_target,
-                                  "pid": pid})
-                    say(f"chaos: killed {kill_target} (pid {pid}) "
-                        f"at t={now:.1f}s")
-
-        def pump() -> None:
-            collector.step(0.01)
-            supervisor.poll()
-
-        storm.quiesce(grace=3.0)
-        say(f"storm done: {storm.stats.submitted} submitted, "
-            f"{storm.stats.queried} queried, "
-            f"{storm.stats.cancelled} cancelled, "
-            f"{len(storm.accepted)} accepted")
+        with closing(storm), \
+                GatewayClient(http_contact, timeout=1.0) as sites_client:
+            sites_at = config.sites_period or float("inf")
+            while (now := world.supervisor.now()) < config.duration:
+                world.pump()
+                storm.step(0.005)
+                if now >= sites_at:
+                    # Push delivered-vs-available to the gateway so /metrics
+                    # exposes per-site utilisation; a dead/mid-restart
+                    # gateway just misses a beat.
+                    try:
+                        sites_client.publish_sites(
+                            _site_rollup(world.collector, topology, now))
+                    except HttpError:
+                        pass
+                    sites_at = now + config.sites_period
+            storm.quiesce(grace=3.0)
+        world.say(f"storm done: {storm.stats.submitted} submitted, "
+                  f"{storm.stats.queried} queried, "
+                  f"{storm.stats.cancelled} cancelled, "
+                  f"{len(storm.accepted)} accepted")
 
         # The sweep runs while the world is still up: every accepted id
         # must still be known to the (possibly restarted) gateway.
-        lost, states = _sweep_jobs(http_contact, storm.accepted, pump=pump)
-        for _ in range(20):
-            pump()
-        supervisor.drain(pump=pump)
-        for _ in range(10):
-            collector.step(0.01)
-
-        nodes: dict[str, dict] = {}
-        statuses = supervisor.statuses()
-        for spec in topology.nodes:
-            rec = collector.nodes.get(spec.name)
-            nodes[spec.name] = {
-                "role": spec.role,
-                "contact": manifest.contact(spec.name),
-                "hellos": rec.hellos if rec else 0,
-                "reports": rec.reports if rec else 0,
-                "stop_reason": rec.stop_reason if rec else None,
-                "stats": dict(rec.stats) if rec else {},
-                **statuses.get(spec.name, {}),
-            }
+        sweep = world.sweep_jobs(storm.accepted)
+        nodes = world.drain()
         report = ServeReport(
             duration=config.duration,
             topology=topology.to_dict(),
             nodes=nodes,
             storm=storm.stats.to_dict(),
             accepted=len(storm.accepted),
-            jobs_lost=lost,
-            job_states=states,
-            chaos=chaos,
-            metrics=collector.merged_metrics(),
+            jobs_lost=sweep["lost"],
+            job_states=sweep["states"],
+            chaos=world.chaos,
+            metrics=world.collector.merged_metrics(),
         )
         report.violations = check_serve_invariants(report)
-
         if out is not None:
-            merged = collector.merged_tracer()
-            trace_path = write_trace_json(
-                merged, os.path.join(out, "trace.json"))
-            # Raw span dicts alongside the Chrome export: what
-            # ``repro trace --job`` walks (obs.jobtrace.load_spans).
-            spans_path = os.path.join(out, "spans.json")
-            with open(spans_path, "w", encoding="utf-8") as fh:
-                json.dump({"spans": [s.to_dict() for s in merged.spans]},
-                          fh, indent=1, sort_keys=True)
-                fh.write("\n")
-            metrics_path = os.path.join(out, "metrics.json")
-            with open(metrics_path, "w", encoding="utf-8") as fh:
-                json.dump(report.metrics, fh, indent=1, sort_keys=True)
-                fh.write("\n")
-            report.artifacts = {
-                "manifest": manifest_path, "trace": trace_path,
-                "spans": spans_path, "metrics": metrics_path,
-            }
-            report_path = os.path.join(out, "report.json")
-            with open(report_path, "w", encoding="utf-8") as fh:
-                json.dump(report.to_dict(), fh, indent=1, sort_keys=True)
-                fh.write("\n")
-            report.artifacts["report"] = report_path
+            report.artifacts = world.write_artifacts(report.metrics)
+            report.artifacts["report"] = world.write_json(
+                "report.json", report.to_dict())
         return report
-    finally:
-        if sites_client is not None:
-            sites_client.close()
-        if storm is not None:
-            storm.close()
-        allocator.release()
-        collector.close()
-        if tmp is not None:
-            tmp.cleanup()

@@ -48,6 +48,7 @@ from ..simgrid.load import ConstantLoad
 from ..simgrid.network import Network
 from ..simgrid.rand import RngStreams
 from .gateway import GatewayCore
+from .loadgen import UserMix
 from .workqueue import MemoryJournal, WorkQueue
 
 __all__ = [
@@ -155,6 +156,12 @@ class GatewayComponent(SchedulerServer):
         return super().on_message(message, now)
 
 
+def _noop_spec(rng: random.Random) -> dict:
+    return {"kind": "noop",
+            "delay": round(rng.uniform(0.05, 0.5), 3),
+            "payload": rng.randrange(1 << 16)}
+
+
 class SimJobUser(Component):
     """One synthetic external user under simulated time.
 
@@ -175,16 +182,17 @@ class SimJobUser(Component):
     ) -> None:
         super().__init__(name)
         self.gateway = gateway
-        self.rng = random.Random(f"{seed}:{idx}")
         self.period = period
-        self.submit_fraction = submit_fraction
-        self.cancel_fraction = cancel_fraction
-        self.accepted: list[str] = []
         self.submitted = 0
         self.queried = 0
         self.cancelled = 0
         self.rejected = 0
         self.done_seen = 0
+        #: The request mix itself — the core GatewayStorm's clients run —
+        #: counting its outcomes on this component.
+        self.mix = UserMix(random.Random(f"{seed}:{idx}"), self,
+                           submit_fraction, cancel_fraction, _noop_spec)
+        self.accepted = self.mix.ids
         self.latencies_ms: list[float] = []
         self._rid = 0
         #: (kind, rid, t0) of the request awaiting its GW_RES.
@@ -192,29 +200,14 @@ class SimJobUser(Component):
 
     def on_start(self, now: float) -> list[Effect]:
         # Stagger users deterministically inside the first period.
-        return [SetTimer(T_NEXT, self.period * (0.1 + 0.8 * self.rng.random()))]
+        return [SetTimer(
+            T_NEXT, self.period * (0.1 + 0.8 * self.mix.rng.random()))]
 
     def on_timer(self, key: str, now: float) -> list[Effect]:
         if key != T_NEXT or self._inflight is not None:
             return []
-        return self._issue(now)
-
-    def _issue(self, now: float) -> list[Effect]:
         self._rid += 1
-        roll = self.rng.random()
-        if self.accepted and roll >= self.submit_fraction:
-            job_id = self.rng.choice(self.accepted)
-            if roll >= 1.0 - self.cancel_fraction:
-                kind, method, path, body = (
-                    "cancel", "POST", f"/jobs/{job_id}/cancel", None)
-            else:
-                kind, method, path, body = (
-                    "query", "GET", f"/jobs/{job_id}", None)
-        else:
-            kind, method, path = "submit", "POST", "/jobs"
-            body = {"kind": "noop",
-                    "delay": round(self.rng.uniform(0.05, 0.5), 3),
-                    "payload": self.rng.randrange(1 << 16)}
+        kind, method, path, body = self.mix.next_request()
         self._inflight = (kind, self._rid, now)
         return [Send(self.gateway, Message(
             mtype=GW_REQ, sender=self.contact,
@@ -229,27 +222,12 @@ class SimJobUser(Component):
             return []  # stale response from a previous conversation
         self._inflight = None
         self.latencies_ms.append(round((now - t0) * 1000.0, 6))
-        status = int(message.body.get("status", 0))
         doc = message.body.get("body")
-        doc = doc if isinstance(doc, dict) else {}
-        if kind == "submit":
-            if status == 201 and isinstance(doc.get("id"), str):
-                self.submitted += 1
-                self.accepted.append(doc["id"])
-            else:
-                self.rejected += 1
-        elif kind == "query":
-            if status == 200:
-                self.queried += 1
-                if doc.get("state") == "done":
-                    self.done_seen += 1
-            else:
-                self.rejected += 1
-        else:
-            if status in (200, 404, 409):
-                self.cancelled += 1
-            else:
-                self.rejected += 1
+        outcome = self.mix.outcome(
+            kind, int(message.body.get("status", 0)), doc)
+        if (outcome == "queried" and isinstance(doc, dict)
+                and doc.get("state") == "done"):
+            self.done_seen += 1
         return [SetTimer(T_NEXT, self.period)]
 
     def stats(self) -> dict:
@@ -267,7 +245,8 @@ class SimJobUser(Component):
 class SimJobWorker(Component):
     """A minimal computational client for the twin: pulls jobs over the
     scheduler protocol and "executes" each as a timed delay (the spec's
-    ``delay`` field), then reports done. Application-agnostic on
+    ``delay`` field), then reports done; a subclass that really computes
+    overrides :meth:`_delay` and :meth:`_result`. Application-agnostic on
     purpose — the twin exercises the control plane, not the Ramsey
     search (the live plane runs real :class:`RamseyClient`\\ s)."""
 
@@ -276,6 +255,8 @@ class SimJobWorker(Component):
         super().__init__(name)
         self.gateway = gateway
         self.hello_retry = hello_retry
+        #: Delivered ops/s this worker reports with each finished unit.
+        self.rate = 1.0
         self.unit: Optional[dict] = None
         self.units_done = 0
 
@@ -293,13 +274,19 @@ class SimJobWorker(Component):
             SCH_ACK, sender=self.contact,
             body={"unit_id": (message.body.get("unit") or {}).get("id")}))]
 
+    def _delay(self, unit: dict) -> float:
+        """Simulated seconds ``unit`` occupies this worker."""
+        return float(unit.get("delay", 0.1))
+
+    def _result(self, unit: dict) -> dict:
+        return {"worker": self.name, "payload": unit.get("payload")}
+
     def _take(self, unit: Optional[dict], now: float) -> list[Effect]:
         if unit is None:
             # Queue was empty: knock again after a beat.
             return [SetTimer(T_HELLO, self.hello_retry)]
         self.unit = unit
-        delay = float(unit.get("delay", 0.1))
-        return [SetTimer(T_DONE, max(delay, 0.001))]
+        return [SetTimer(T_DONE, max(self._delay(unit), 0.001))]
 
     def on_message(self, message: Message, now: float) -> list[Effect]:
         if message.mtype == SCH_WORK:
@@ -326,10 +313,61 @@ class SimJobWorker(Component):
             return [Send(self.gateway, Message(
                 mtype=SCH_REPORT, sender=self.contact,
                 body={"unit_id": unit.get("id"), "done": True,
-                      "rate": 1.0, "infra": "sim",
-                      "result": {"worker": self.name,
-                                 "payload": unit.get("payload")}}))]
+                      "rate": self.rate, "infra": "sim",
+                      "result": self._result(unit)}))]
         return []
+
+
+class TwinWorld:
+    """What every simulated twin stands on: engine, seeded streams,
+    telemetry, network and one :class:`GatewayComponent` at
+    :attr:`CONTACT`; :meth:`spawn` adds the twin's own actors."""
+
+    CONTACT = "gw0/gw"
+    SITES = ("ucsd", "utk", "uva", "ncsa")
+
+    def __init__(self, seed: int, restart_after: Optional[float],
+                 telemetry: Optional[Telemetry]) -> None:
+        self.env = Environment()
+        self.streams = RngStreams(seed=seed)
+        self.telemetry = telemetry if telemetry is not None else Telemetry()
+        self.network = Network(self.env, self.streams,
+                               base_latency=0.01, jitter=0.1)
+        self.network.attach_telemetry(self.telemetry)
+        self._spawned = 0
+        self.gateway = GatewayComponent("gw0", restart_after=restart_after)
+        self.spawn("gw0", "gw", self.gateway)
+
+    def spawn(self, name: str, port: str, component: Component) -> None:
+        """One host per component, sites dealt round-robin in spawn order."""
+        host = Host(self.env, HostSpec(
+            name=name, site=self.SITES[self._spawned % len(self.SITES)],
+            infra="service", speed=2e7, load_model=ConstantLoad(1.0)),
+            self.streams)
+        self._spawned += 1
+        self.network.add_host(host)
+        host.start()
+        SimDriver(self.env, self.network, host, port, component,
+                  self.streams).start()
+
+    def gateway_report(self) -> dict:
+        """The ``"gateway"`` block of a twin's report."""
+        gateway = self.gateway
+        return {
+            "requests": gateway.core.requests,
+            "rejected": gateway.core.rejected,
+            "restarts": gateway.restarts,
+            "requeued_on_restart": gateway.requeued_on_restart,
+            "scheduler": asdict(gateway.stats),
+            "work": gateway.work.stats(),
+        }
+
+    def restart_violations(self) -> list[str]:
+        gateway = self.gateway
+        if gateway.restart_after is None or gateway.restarts == 1:
+            return []
+        return [f"expected exactly one simulated restart, "
+                f"saw {gateway.restarts}"]
 
 
 def run_sim_serve(
@@ -350,42 +388,25 @@ def run_sim_serve(
     job id must still be known to the gateway at the end (``jobs_lost``
     empty), across the simulated restart if one was scheduled.
     """
-    env = Environment()
-    streams = RngStreams(seed=seed)
-    telemetry = telemetry if telemetry is not None else Telemetry()
-    network = Network(env, streams, base_latency=0.01, jitter=0.1)
-    network.attach_telemetry(telemetry)
-    sites = ["ucsd", "utk", "uva", "ncsa"]
-
-    def spawn(name: str, idx: int, port: str, component: Component) -> None:
-        host = Host(env, HostSpec(
-            name=name, site=sites[idx % len(sites)], infra="service",
-            speed=2e7, load_model=ConstantLoad(1.0)), streams)
-        network.add_host(host)
-        host.start()
-        SimDriver(env, network, host, port, component, streams).start()
-
-    gateway = GatewayComponent("gw0", restart_after=restart_after)
-    spawn("gw0", 0, "gw", gateway)
-    contact = "gw0/gw"
-    worker_components = [SimJobWorker(f"wrk{i}", contact)
+    world = TwinWorld(seed, restart_after, telemetry)
+    worker_components = [SimJobWorker(f"wrk{i}", world.CONTACT)
                          for i in range(workers)]
-    for i, wrk in enumerate(worker_components):
-        spawn(f"wrk{i}", i + 1, "wrk", wrk)
+    for wrk in worker_components:
+        world.spawn(wrk.name, "wrk", wrk)
     user_components = [
-        SimJobUser(f"user{i}", contact, idx=i, seed=seed,
+        SimJobUser(f"user{i}", world.CONTACT, idx=i, seed=seed,
                    period=user_period, submit_fraction=submit_fraction,
                    cancel_fraction=cancel_fraction)
         for i in range(users)
     ]
-    for i, user in enumerate(user_components):
-        spawn(f"user{i}", i + 1 + workers, "usr", user)
+    for user in user_components:
+        world.spawn(user.name, "usr", user)
 
-    env.run(until=duration)
+    world.env.run(until=duration)
 
     accepted = [job_id for user in user_components
                 for job_id in user.accepted]
-    known = gateway.work.jobs
+    known = world.gateway.work.jobs
     jobs_lost = sorted(job_id for job_id in accepted
                        if job_id not in known)
     violations: list[str] = []
@@ -393,9 +414,7 @@ def run_sim_serve(
         violations.append(
             f"{len(jobs_lost)} accepted job(s) unknown to the gateway "
             f"after the run: {jobs_lost[:5]}")
-    if restart_after is not None and gateway.restarts != 1:
-        violations.append(
-            f"expected exactly one simulated restart, saw {gateway.restarts}")
+    violations += world.restart_violations()
     return {
         "config": {
             "seed": seed, "users": users, "workers": workers,
@@ -404,18 +423,11 @@ def run_sim_serve(
             "cancel_fraction": cancel_fraction,
             "restart_after": restart_after,
         },
-        "gateway": {
-            "requests": gateway.core.requests,
-            "rejected": gateway.core.rejected,
-            "restarts": gateway.restarts,
-            "requeued_on_restart": gateway.requeued_on_restart,
-            "scheduler": asdict(gateway.stats),
-            "work": gateway.work.stats(),
-        },
+        "gateway": world.gateway_report(),
         "users": {user.name: user.stats() for user in user_components},
         "workers": {wrk.name: wrk.units_done for wrk in worker_components},
         "accepted_total": len(accepted),
         "jobs_lost": jobs_lost,
         "violations": violations,
-        "metrics": telemetry.snapshot(),
+        "metrics": world.telemetry.snapshot(),
     }

@@ -28,11 +28,91 @@ from typing import Callable, Optional
 
 __all__ = ["ExploreQueue"]
 
-#: Terminal job states: popping one of these retires the outstanding id.
+#: Terminal job states: a feed line or record in one retires its job.
 _TERMINAL = ("done", "cancelled")
 
 
-class ExploreQueue:
+class FeedConsumer:
+    """The ME side of the feed protocol, sans-IO (DESIGN §16): what was
+    pushed, what is still outstanding, where the ``/events`` cursor
+    stands, and the push→retire accounting. A subclass supplies the
+    transport — :class:`ExploreQueue` blocks on a ``GatewayClient``,
+    :class:`~repro.explore.sim.MEDriverComponent` exchanges
+    ``GW_REQ``/``GW_RES`` under simulated time — and hands every answer
+    here with its own clock reading."""
+
+    #: How push→retire latency is reported: (result key, clock units →
+    #: reported unit, digits kept).
+    LATENCY = ("latency_s", 1.0, 6)
+
+    def __init__(self) -> None:
+        #: job id -> (push time in the caller's clock, the spec pushed).
+        self.outstanding: dict[str, tuple[float, dict]] = {}
+        #: Every id ever pushed, in push order (the verify sweep's list).
+        self.pushed_ids: list[str] = []
+        self.pushed = 0
+        self.popped = 0
+        self.cancelled_seen = 0
+        #: Seq of the last feed line read, and how many times the
+        #: numbering broke (lines this consumer will never see).
+        self.since = -1
+        self.seq_breaks = 0
+        #: Latency of every retired job, in push order of retirement.
+        self.latencies: list[float] = []
+
+    def record_push(self, ids: list[str], specs: list[dict],
+                    now: float) -> None:
+        """The gateway accepted ``specs`` as ``ids`` at ``now``."""
+        for job_id, spec in zip(ids, specs):
+            self.outstanding[job_id] = (now, spec)
+        self.pushed_ids.extend(ids)
+        self.pushed += len(ids)
+
+    def retire(self, job_id: str, state: str, doc: dict, now: float) -> dict:
+        """Retire one outstanding job; returns its result record. ``doc``
+        is its terminal feed line or its job record: both carry ``result``
+        and ``requeues``; the spec is the one pushed."""
+        key, scale, digits = self.LATENCY
+        pushed_at, spec = self.outstanding.pop(job_id)
+        latency = round((now - pushed_at) * scale, digits)
+        self.latencies.append(latency)
+        self.popped += 1
+        self.cancelled_seen += state == "cancelled"
+        return {
+            "id": job_id,
+            "state": state,
+            "spec": spec,
+            "result": doc.get("result"),
+            "requeues": doc.get("requeues", 0),
+            key: latency,
+        }
+
+    def ingest(self, events: list[dict], now: float) -> list[dict]:
+        """Consume one ``/events`` answer; returns the result records of
+        the outstanding jobs its terminal lines retired."""
+        retired = []
+        since, breaks, outstanding = self.since, 0, self.outstanding
+        for event in events:
+            # Seqs are contiguous: a jump ahead is ring overflow, a jump
+            # back a reborn gateway numbering from 0. Adopt the feed's
+            # numbering — `outstanding` dedupes whatever is then read
+            # twice; what was missed only a probe of the records finds.
+            seq = event["seq"]
+            breaks += seq != since + 1
+            since = seq
+            state, job_id = event.get("event"), event.get("job")
+            if state in _TERMINAL and job_id in outstanding:
+                retired.append(self.retire(job_id, state, event, now))
+        self.since = since
+        self.seq_breaks += breaks
+        return retired
+
+    def latency_quantile(self, p: float) -> Optional[float]:
+        lat = sorted(self.latencies)
+        return lat[min(len(lat) - 1, int(p * len(lat)))] if lat else None
+
+
+class ExploreQueue(FeedConsumer):
     """Blocking push/pop facade over a gateway client (see module doc).
 
     ``client`` is anything :class:`~repro.control.client.GatewayClient`
@@ -42,27 +122,22 @@ class ExploreQueue:
     running while the ME blocks.
     """
 
+    LATENCY = ("latency_ms", 1000.0, 3)
+
     def __init__(self, client, batch: bool = True, poll: float = 0.05,
                  probe_limit: int = 64,
                  clock: Callable[[], float] = time.monotonic,
                  pump: Optional[Callable[[], None]] = None) -> None:
+        super().__init__()
         self.client = client
         self.batch = batch
         self.poll = poll
         self.probe_limit = probe_limit
         self.clock = clock
         self.pump = pump
-        #: job id -> (push timestamp in clock units, the spec pushed).
-        self.outstanding: dict[str, tuple[float, dict]] = {}
         self._ready: deque[dict] = deque()
-        self._since = -1
-        #: Every id ever pushed, in push order (the verify sweep's list).
-        self.pushed_ids: list[str] = []
-        self.pushed = 0
-        self.popped = 0
-        self.cancelled_seen = 0
         #: submit→pop latency per popped result, ms (bench fodder).
-        self.pop_latencies_ms: list[float] = []
+        self.pop_latencies_ms = self.latencies
 
     # -- push ----------------------------------------------------------------
     def push_tasks(self, specs: list[dict]) -> list[str]:
@@ -74,51 +149,25 @@ class ExploreQueue:
             ids = self.client.submit_batch(specs)
         else:
             ids = [str(self.client.submit(spec)["id"]) for spec in specs]
-        now = self.clock()
-        for job_id, spec in zip(ids, specs):
-            self.outstanding[job_id] = (now, spec)
-        self.pushed_ids.extend(ids)
-        self.pushed += len(ids)
+        self.record_push(ids, specs, self.clock())
         return ids
 
     # -- pop -----------------------------------------------------------------
-    def _retire(self, job_id: str, state: str, doc: dict) -> None:
-        """Move one outstanding job to the ready list. ``doc`` is its
-        terminal feed event or its job record: both carry ``result`` and
-        ``requeues``; the spec is the one pushed."""
-        pushed_at, spec = self.outstanding.pop(job_id)
-        latency_ms = round((self.clock() - pushed_at) * 1000.0, 3)
-        self.pop_latencies_ms.append(latency_ms)
-        self.cancelled_seen += state == "cancelled"
-        self._ready.append({
-            "id": job_id,
-            "state": state,
-            "spec": spec,
-            "result": doc.get("result"),
-            "requeues": doc.get("requeues", 0),
-            "latency_ms": latency_ms,
-        })
-
     def _ingest_events(self) -> int:
         """One /events poll (parked server-side for up to ``poll``
         seconds while the feed is quiet); returns how many outstanding
         jobs retired."""
-        retired, wait, broken = 0, self.poll, False
+        retired, wait, breaks = 0, self.poll, self.seq_breaks
         while True:
-            events = self.client.events(since=self._since, wait=wait,
+            events = self.client.events(since=self.since, wait=wait,
                                         limit=500)
-            for event in events:
-                # Seqs are contiguous: a jump ahead is ring overflow, a
-                # jump back a reborn gateway numbering from 0. Adopt the
-                # feed's numbering; what was missed only a probe finds.
-                broken = broken or event["seq"] != self._since + 1
-                self._since = event["seq"]
-                state, job_id = event.get("event"), event.get("job")
-                if state in _TERMINAL and job_id in self.outstanding:
-                    self._retire(job_id, state, event)
-                    retired += 1
+            records = self.ingest(events, self.clock())
+            self._ready.extend(records)
+            retired += len(records)
             if len(events) < 500:
-                return retired + (self._probe_outstanding() if broken else 0)
+                if self.seq_breaks != breaks:
+                    retired += self._probe_outstanding()
+                return retired
             wait = 0.0
 
     def _probe_outstanding(self) -> int:
@@ -129,7 +178,8 @@ class ExploreQueue:
         for job_id in list(self.outstanding)[:self.probe_limit]:
             doc = self.client.job(job_id)
             if doc is not None and doc.get("state") in _TERMINAL:
-                self._retire(job_id, doc["state"], doc)
+                self._ready.append(
+                    self.retire(job_id, doc["state"], doc, self.clock()))
                 retired += 1
         return retired
 
@@ -152,7 +202,6 @@ class ExploreQueue:
                 time.sleep(max(0.0, self.poll - (self.clock() - started)))
         out = list(self._ready)
         self._ready.clear()
-        self.popped += len(out)
         return out
 
     # -- session -------------------------------------------------------------
@@ -168,16 +217,11 @@ class ExploreQueue:
         return summary
 
     def stats(self) -> dict:
-        lat = sorted(self.pop_latencies_ms)
-        def pct(p: float) -> Optional[float]:
-            if not lat:
-                return None
-            return lat[min(len(lat) - 1, int(p * len(lat)))]
         return {
             "pushed": self.pushed,
             "popped": self.popped,
             "outstanding": len(self.outstanding),
             "cancelled_seen": self.cancelled_seen,
-            "pop_p50_ms": pct(0.50),
-            "pop_p99_ms": pct(0.99),
+            "pop_p50_ms": self.latency_quantile(0.50),
+            "pop_p99_ms": self.latency_quantile(0.99),
         }

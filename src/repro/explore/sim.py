@@ -25,29 +25,16 @@ Everything runs on seeded RNG streams and the virtual clock, so
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 from typing import Optional
 
 from ..core.component import Component, Effect, Send, SetTimer
 from ..core.linguafranca.messages import Message
 from ..core.services.kinds import kind_of
-from ..core.services.scheduler import SCH_REPORT
-from ..core.simdriver import SimDriver
 from ..core.telemetry import Telemetry
-from ..simgrid.engine import Environment
-from ..simgrid.host import Host, HostSpec
-from ..simgrid.load import ConstantLoad
-from ..simgrid.network import Network
-from ..simgrid.rand import RngStreams
-from ..control.sim import (
-    GW_REQ,
-    GW_RES,
-    GatewayComponent,
-    SimJobWorker,
-    T_DONE,
-)
+from ..control.sim import GW_REQ, GW_RES, SimJobWorker, TwinWorld
 from .drivers import make_driver
 from .evals import EVAL_KIND, execute_unit
+from .queue import FeedConsumer
 from . import engine as _engine  # noqa: F401  (registers the kind)
 
 __all__ = ["ExploreWorker", "MEDriverComponent", "run_sim_explore"]
@@ -67,65 +54,54 @@ class ExploreWorker(SimJobWorker):
     def __init__(self, name: str, gateway: str, speed: float = 40_000.0,
                  corrupt_first: int = 0, hello_retry: float = 1.0) -> None:
         super().__init__(name, gateway, hello_retry=hello_retry)
-        self.speed = float(speed)
+        self.speed = self.rate = float(speed)
         self.corrupt_first = int(corrupt_first)
         self.results_corrupted = 0
 
-    def _take(self, unit: Optional[dict], now: float) -> list[Effect]:
-        if unit is not None and kind_of(unit) == EVAL_KIND:
-            self.unit = unit
-            delay = float(unit.get("ops_budget", 0.0)) / max(self.speed, 1.0)
-            return [SetTimer(T_DONE, max(delay, 0.001))]
-        return super()._take(unit, now)
+    def _delay(self, unit: dict) -> float:
+        if kind_of(unit) != EVAL_KIND:
+            return super()._delay(unit)
+        return float(unit.get("ops_budget", 0.0)) / max(self.speed, 1.0)
 
-    def on_timer(self, key: str, now: float) -> list[Effect]:
-        if (key == T_DONE and self.unit is not None
-                and kind_of(self.unit) == EVAL_KIND):
-            unit, self.unit = self.unit, None
-            self.units_done += 1
-            result = execute_unit(unit)
-            if self.results_corrupted < self.corrupt_first:
-                self.results_corrupted += 1
-                # A falsified value with a now-stale digest: exactly what
-                # an unreliable (or hostile) host would report.
-                result = {**result, "value": result["value"] + 1.0}
-            return [Send(self.gateway, Message(
-                mtype=SCH_REPORT, sender=self.contact,
-                body={"unit_id": unit.get("id"), "done": True,
-                      "rate": self.speed, "infra": "sim",
-                      "result": result}))]
-        return super().on_timer(key, now)
+    def _result(self, unit: dict) -> dict:
+        if kind_of(unit) != EVAL_KIND:
+            return super()._result(unit)
+        result = execute_unit(unit)
+        if self.results_corrupted < self.corrupt_first:
+            self.results_corrupted += 1
+            # A falsified value with a now-stale digest: exactly what
+            # an unreliable (or hostile) host would report.
+            result = {**result, "value": result["value"] + 1.0}
+        return result
 
     def stats(self) -> dict:
         return {"units_done": self.units_done,
                 "results_corrupted": self.results_corrupted}
 
 
-class MEDriverComponent(Component):
+class MEDriverComponent(Component, FeedConsumer):
     """The ME algorithm as a sim component (the EMEWS pump, event-driven).
 
     push initial batch → poll /events → feed the driver each terminal
     event's result → push follow-up generations, all over GW_REQ/GW_RES
-    frames against the unchanged gateway router.
+    frames against the unchanged gateway router. The feed bookkeeping is
+    the :class:`~repro.explore.queue.FeedConsumer` the live
+    :class:`~repro.explore.queue.ExploreQueue` runs; what is this
+    component's own is the framing, the poll timer and asking the driver
+    for follow-ups after every result.
     """
 
     def __init__(self, name: str, gateway: str, driver,
                  poll_period: float = 0.25) -> None:
-        super().__init__(name)
+        Component.__init__(self, name)
+        FeedConsumer.__init__(self)
         self.gateway = gateway
         self.driver = driver
         self.poll_period = poll_period
         self._rid = 0
         #: rid -> the specs of a batch push | None for an /events read.
         self._inflight: dict[int, Optional[list]] = {}
-        self._since = -1
         self._events_pending = False
-        #: job id -> (push sim-time, the spec pushed).
-        self.outstanding: dict[str, tuple[float, dict]] = {}
-        self.pushed = 0
-        self.popped = 0
-        self.pushed_ids: list[str] = []
-        self.pop_latencies: list[float] = []
         #: Sim-times at which follow-up generations went out (ME round
         #: trips) and at which the driver finished.
         self.rounds: list[float] = []
@@ -164,7 +140,7 @@ class MEDriverComponent(Component):
         if not self._events_pending:
             self._events_pending = True
             effects.append(self._request(
-                "GET", f"/events?since={self._since}&limit=500"))
+                "GET", f"/events?since={self.since}&limit=500"))
         return effects
 
     # -- responses ------------------------------------------------------------
@@ -178,37 +154,20 @@ class MEDriverComponent(Component):
         status = int(message.body.get("status", 0))
         doc = message.body.get("body")
         if specs is not None:
-            return self._on_batch(specs, status, doc, now)
-        return self._on_events(status, doc, now)
-
-    def _on_batch(self, specs: list, status: int, doc,
-                  now: float) -> list[Effect]:
-        if status != 201 or not isinstance(doc, dict):
-            self.batch_rejected += 1
+            if status != 201 or not isinstance(doc, dict):
+                self.batch_rejected += 1
+            else:
+                self.record_push(
+                    [str(job_id) for job_id in doc.get("ids", [])],
+                    specs, now)
             return []
-        for job_id, spec in zip(doc.get("ids", []), specs):
-            self.outstanding[str(job_id)] = (now, spec)
-            self.pushed_ids.append(str(job_id))
-        self.pushed += int(doc.get("count", 0))
-        return []
-
-    def _on_events(self, status: int, doc, now: float) -> list[Effect]:
         self._events_pending = False
         if status != 200 or not isinstance(doc, str):
             return []
         effects: list[Effect] = []
-        for line in doc.splitlines():
-            event = json.loads(line)
-            # Adopt the feed's numbering (a reborn feed counts from 0);
-            # `outstanding` dedupes whatever is then read twice.
-            self._since = event["seq"]
-            if (event.get("event") not in ("done", "cancelled")
-                    or event.get("job") not in self.outstanding):
-                continue
-            pushed_at, spec = self.outstanding.pop(event["job"])
-            self.popped += 1
-            self.pop_latencies.append(round(now - pushed_at, 6))
-            self.driver.observe(spec, event.get("result"))
+        events = [json.loads(line) for line in doc.splitlines()]
+        for record in self.ingest(events, now):
+            self.driver.observe(record["spec"], record["result"])
             follow_up = self.driver.next_tasks()
             if follow_up:
                 self.rounds.append(round(now, 6))
@@ -216,7 +175,6 @@ class MEDriverComponent(Component):
         return effects
 
     def stats(self) -> dict:
-        lat = sorted(self.pop_latencies)
         return {
             "pushed": self.pushed,
             "popped": self.popped,
@@ -224,8 +182,8 @@ class MEDriverComponent(Component):
             "batch_rejected": self.batch_rejected,
             "rounds": self.rounds,
             "finished_at": self.finished_at,
-            "pop_p50": lat[len(lat) // 2] if lat else None,
-            "pop_max": lat[-1] if lat else None,
+            "pop_p50": self.latency_quantile(0.5),
+            "pop_max": self.latency_quantile(1.0),
         }
 
 
@@ -252,38 +210,21 @@ def run_sim_explore(
     re-executed, and the simulated restart — when scheduled — must have
     requeued-not-dropped the in-flight generation.
     """
-    env = Environment()
-    streams = RngStreams(seed=seed)
-    telemetry = telemetry if telemetry is not None else Telemetry()
-    network = Network(env, streams, base_latency=0.01, jitter=0.1)
-    network.attach_telemetry(telemetry)
-    sites = ["ucsd", "utk", "uva", "ncsa"]
-
-    def spawn(name: str, idx: int, port: str, component: Component) -> None:
-        host = Host(env, HostSpec(
-            name=name, site=sites[idx % len(sites)], infra="service",
-            speed=2e7, load_model=ConstantLoad(1.0)), streams)
-        network.add_host(host)
-        host.start()
-        SimDriver(env, network, host, port, component, streams).start()
-
-    gateway = GatewayComponent("gw0", restart_after=restart_after)
-    spawn("gw0", 0, "gw", gateway)
-    contact = "gw0/gw"
+    world = TwinWorld(seed, restart_after, telemetry)
     worker_components = [
-        ExploreWorker(f"wrk{i}", contact, speed=worker_speed,
+        ExploreWorker(f"wrk{i}", world.CONTACT, speed=worker_speed,
                       corrupt_first=corrupt_first if i == 0 else 0)
         for i in range(workers)]
-    for i, wrk in enumerate(worker_components):
-        spawn(f"wrk{i}", i + 1, "wrk", wrk)
+    for wrk in worker_components:
+        world.spawn(wrk.name, "wrk", wrk)
     driver = make_driver(algo, seed=seed, fn=fn, ops_budget=ops_budget,
                          scale=scale)
-    me = MEDriverComponent("me0", contact, driver)
-    spawn("me0", workers + 1, "me", me)
+    me = MEDriverComponent("me0", world.CONTACT, driver)
+    world.spawn("me0", "me", me)
 
-    env.run(until=duration)
+    world.env.run(until=duration)
 
-    work = gateway.work
+    work = world.gateway.work
     states = {job_id: work.jobs[job_id].state if job_id in work.jobs else None
               for job_id in me.pushed_ids}
     not_done = sorted(job_id for job_id, state in states.items()
@@ -308,9 +249,7 @@ def run_sim_explore(
         violations.append(
             f"expected {corrupt_first} rejected result(s), "
             f"saw {stats['results_rejected']}")
-    if restart_after is not None and gateway.restarts != 1:
-        violations.append(
-            f"expected exactly one simulated restart, saw {gateway.restarts}")
+    violations += world.restart_violations()
     return {
         "config": {
             "seed": seed, "algo": algo, "fn": fn, "workers": workers,
@@ -320,15 +259,8 @@ def run_sim_explore(
         },
         "driver": driver.summary(),
         "me": me.stats(),
-        "gateway": {
-            "requests": gateway.core.requests,
-            "rejected": gateway.core.rejected,
-            "restarts": gateway.restarts,
-            "requeued_on_restart": gateway.requeued_on_restart,
-            "scheduler": asdict(gateway.stats),
-            "work": stats,
-        },
+        "gateway": world.gateway_report(),
         "workers": {wrk.name: wrk.stats() for wrk in worker_components},
         "violations": violations,
-        "metrics": telemetry.snapshot(),
+        "metrics": world.telemetry.snapshot(),
     }

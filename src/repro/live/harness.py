@@ -1,7 +1,10 @@
 """``repro live``: topology in, supervised world out, merged report back.
 
-:func:`run_live` is the deployment plane's experiment harness — the live
-twin of :func:`repro.experiments.sc98.run_sc98`:
+:class:`LiveWorld` is the lifecycle every live harness runs on (this
+one, ``repro serve``, ``repro explore``): run dir → collector → ports →
+manifest → supervisor → pump → sweep → drain → artifacts → cleanup.
+:func:`run_live` is the deployment plane's experiment harness on top of
+it — the live twin of :func:`repro.experiments.sc98.run_sc98`:
 
 1. allocate ports, write the bootstrap manifest, start the collector;
 2. spawn every node as a real OS process under the :class:`Supervisor`;
@@ -24,7 +27,8 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
+from contextlib import AbstractContextManager, closing
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 from ..core.linguafranca.messages import Message, fresh_req_id
@@ -37,7 +41,8 @@ from .ports import PortAllocator
 from .supervisor import RestartPolicy, Supervisor
 from .topology import Manifest, Topology, build_manifest
 
-__all__ = ["Probe", "LiveReport", "check_invariants", "run_live"]
+__all__ = ["Probe", "ReportDoc", "LiveReport", "never_restarted",
+           "check_invariants", "LiveWorld", "run_live"]
 
 #: Stored counter-examples fetched per persistent node when probing.
 MAX_PROBED_KEYS = 64
@@ -91,8 +96,22 @@ class Probe:
         self.client.close()
 
 
+class ReportDoc:
+    """What the planes' report dataclasses share: ``ok`` and the JSON
+    document (every field, plus ``ok``)."""
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    def to_dict(self) -> dict:
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["ok"] = self.ok
+        return doc
+
+
 @dataclass
-class LiveReport:
+class LiveReport(ReportDoc):
     """Everything a live run produced, in one JSON-safe document."""
 
     duration: float
@@ -111,24 +130,11 @@ class LiveReport:
     violations: list[str] = field(default_factory=list)
     artifacts: dict = field(default_factory=dict)
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
-    def to_dict(self) -> dict:
-        return {
-            "duration": self.duration,
-            "topology": self.topology,
-            "nodes": self.nodes,
-            "counter_examples": self.counter_examples,
-            "verify_failures": self.verify_failures,
-            "chaos": self.chaos,
-            "metrics": self.metrics,
-            "collector": self.collector,
-            "violations": self.violations,
-            "artifacts": self.artifacts,
-            "ok": self.ok,
-        }
+def never_restarted(nodes: dict[str, dict], chaos: list[dict]) -> list[str]:
+    """One violation per killed node the supervisor never brought back."""
+    return [f"{c['node']} was killed but never restarted" for c in chaos
+            if nodes.get(c["node"], {}).get("restarts", 0) < 1]
 
 
 def _counter_total(metrics: dict, prefix: str) -> int:
@@ -172,11 +178,8 @@ def check_invariants(report: LiveReport) -> list[str]:
             violations.append(
                 f"{name}: denied {stats['denials']} store(s) — a client "
                 f"shipped a corrupt counter-example")
+    violations += never_restarted(report.nodes, report.chaos)
     if report.chaos:
-        restarted = [c["node"] for c in report.chaos
-                     if report.nodes.get(c["node"], {}).get("restarts", 0) >= 1]
-        if not restarted:
-            violations.append("a node was killed but never restarted")
         recovery = sum(
             node.get("stats", {}).get("units_requeued", 0)
             + node.get("stats", {}).get("reaps", 0)
@@ -218,6 +221,230 @@ def _probe_counter_examples(
     return found, failures
 
 
+class LiveWorld(AbstractContextManager):
+    """One supervised world's lifecycle, shared by ``repro live``,
+    ``repro serve`` and ``repro explore`` (DESIGN §11).
+
+    Construction allocates the run directory (``out``, or a temp dir),
+    the collector, the ports, the manifest and the supervisor, and spawns
+    every node; leaving the ``with`` block — on any exit — kills what is
+    still running, releases the ports, closes the collector and removes
+    the temp dir. In between, the harness calls :meth:`pump` from its own
+    loop: the 1 Hz health check and the one scheduled SIGKILL ride on it
+    (``kill_node`` — default: the first ``victim_role`` node — at
+    ``kill_at`` seconds, inside the ``duration`` window). Nodes live for
+    ``duration + grace``, so a verify sweep runs against a live (possibly
+    restarted) gateway instead of racing their deadline.
+    """
+
+    def __init__(
+        self,
+        topology: Topology,
+        duration: float,
+        grace: float = 0.0,
+        kill_at: Optional[float] = None,
+        kill_node: Optional[str] = None,
+        victim_role: str = "client",
+        out: Optional[str] = None,
+        restart: Optional[RestartPolicy] = None,
+        host: str = "127.0.0.1",
+        progress: Optional[Callable[[str], None]] = None,
+    ) -> None:
+        if kill_node is None:
+            victims = topology.by_role(victim_role)
+            kill_node = victims[0].name if victims else None
+        elif kill_node not in {spec.name for spec in topology.nodes}:
+            raise ValueError(f"kill_node {kill_node!r} not in topology")
+        self.topology = topology
+        self.duration = duration
+        self.kill_at = kill_at if kill_node is not None else None
+        self.kill_node = kill_node
+        self.out = out
+        self.progress = progress
+        #: Chaos events injected (``{"t", "node", "pid"}``).
+        self.chaos: list[dict] = []
+        self._health_at = 1.0
+        self._tmp = self.collector = self.allocator = self.supervisor = None
+        try:
+            if out is not None:
+                os.makedirs(out, exist_ok=True)
+                run_dir = out
+            else:
+                self._tmp = tempfile.TemporaryDirectory(prefix="repro-live-")
+                run_dir = self._tmp.name
+            self.manifest_path = os.path.join(run_dir, "manifest.json")
+            self.collector = Collector(host=host)
+            self.allocator = PortAllocator(host)
+            self.manifest = build_manifest(topology, self.collector.contact,
+                                           host=host, allocator=self.allocator)
+            self.manifest.write(self.manifest_path)
+            self.supervisor = Supervisor(
+                self.manifest, self.manifest_path, deadline=duration + grace,
+                collector=self.collector, restart=restart,
+                log_dir=os.path.join(run_dir, "node-logs"))
+            self.allocator.release()
+            self.supervisor.spawn_all()
+        except BaseException:
+            self.close()
+            raise
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        if self.supervisor is not None and self.supervisor.alive_count():
+            self.supervisor.drain(grace=0.0)
+        if self.allocator is not None:
+            self.allocator.release()
+        if self.collector is not None:
+            self.collector.close()
+        if self._tmp is not None:
+            self._tmp.cleanup()
+
+    def say(self, text: str) -> None:
+        if self.progress is not None:
+            self.progress(text)
+
+    @property
+    def http_contact(self) -> str:
+        """``host:port`` of the first gateway's HTTP listener."""
+        return self.manifest.http_contacts()[0]
+
+    # -- the loop body ------------------------------------------------------
+    def pump(self, timeout: float = 0.005) -> None:
+        """One turn: collector I/O, reap/respawn, the 1 Hz health check
+        and — once — the scheduled kill."""
+        self.collector.step(timeout)
+        self.supervisor.poll()
+        now = self.supervisor.now()
+        if now >= self._health_at:
+            self.supervisor.check_health()
+            self._health_at = now + 1.0
+        if self.kill_at is not None and self.kill_at <= now < self.duration:
+            self.kill_at = None
+            pid = self.supervisor.kill(self.kill_node)
+            if pid is not None:
+                self.chaos.append({"t": round(now, 3), "node": self.kill_node,
+                                   "pid": pid})
+                self.say(f"chaos: killed {self.kill_node} (pid {pid}) "
+                         f"at t={now:.1f}s")
+
+    def wait_healthy(self, client, timeout: float = 15.0) -> None:
+        """Pump until the gateway behind ``client`` answers ``/health``
+        (it may be freshly spawned or mid-restart) or ``timeout`` passes."""
+        from ..control.http import HttpError  # control imports this module
+
+        deadline = time.monotonic() + timeout
+        while time.monotonic() < deadline:
+            self.pump()
+            try:
+                client.health()
+                return
+            except HttpError:
+                time.sleep(0.2)
+
+    def sweep_jobs(self, job_ids: list[str]) -> dict:
+        """Ask the live gateway about every id it ever accepted: the ids
+        ``lost`` (it no longer knows them), the final-``states`` histogram
+        of the rest, the ids ``not_done``, the ``requeues`` they took in
+        total, and the gateway's own ``work`` stats."""
+        from ..control.client import GatewayClient
+        from ..control.http import HttpError
+
+        lost: list[str] = []
+        not_done: list[str] = []
+        states: dict[str, int] = {}
+        requeues, work = 0, {}
+        with GatewayClient(self.http_contact, timeout=3.0) as client:
+            self.wait_healthy(client)
+            try:
+                work = client.queue()
+            except HttpError:
+                pass
+            for i, job_id in enumerate(job_ids):
+                if i % 200 == 0:
+                    self.pump()
+                try:
+                    job = client.job(job_id) or {}
+                except HttpError:
+                    job = {}
+                if not job:
+                    lost.append(job_id)
+                else:
+                    state = str(job.get("state"))
+                    states[state] = states.get(state, 0) + 1
+                    requeues += int(job.get("requeues", 0))
+                if job.get("state") != "done":
+                    not_done.append(job_id)
+        return {"lost": lost, "states": states, "not_done": not_done,
+                "requeues": requeues, "work": work}
+
+    def drain(self) -> dict[str, dict]:
+        """Shut the world down gracefully (SIGTERM → final telemetry
+        flush → SIGKILL stragglers) and return the per-node merge of
+        collector state and supervision history. Work can finish inside
+        the supervisor's restart backoff, and draining then would cancel
+        the respawn the checklists demand — so first keep the world up
+        until every reaped node is back (or the nodes' deadline)."""
+        supervisor = self.supervisor
+        self.pump()
+        while (any(node.state == "backoff"
+                   for node in supervisor.nodes.values())
+               and supervisor.now() < supervisor.deadline):
+            self.pump()
+        for _ in range(20):
+            self.pump()
+        supervisor.drain(pump=self.pump)
+        # One final pump so last reports queued during drain all land.
+        for _ in range(10):
+            self.collector.step(0.01)
+        nodes: dict[str, dict] = {}
+        statuses = supervisor.statuses()
+        for spec in self.topology.nodes:
+            rec = self.collector.nodes.get(spec.name)
+            nodes[spec.name] = {
+                "role": spec.role,
+                "contact": self.manifest.contact(spec.name),
+                "hellos": rec.hellos if rec else 0,
+                "reports": rec.reports if rec else 0,
+                "stop_reason": rec.stop_reason if rec else None,
+                "stats": dict(rec.stats) if rec else {},
+                **statuses.get(spec.name, {}),
+            }
+        return nodes
+
+    # -- artifacts ----------------------------------------------------------
+    def write_json(self, name: str, doc: dict) -> str:
+        path = os.path.join(self.out, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        return path
+
+    def write_artifacts(self, metrics: dict) -> dict:
+        """Into ``out``: the merged Chrome trace, the raw span dicts
+        beside it (what ``repro trace --job`` walks) and the merged
+        metrics. Returns artifact name → path, manifest included."""
+        merged = self.collector.merged_tracer()
+        return {
+            "manifest": self.manifest_path,
+            "trace": write_trace_json(
+                merged, os.path.join(self.out, "trace.json")),
+            "spans": self.write_json(
+                "spans.json", {"spans": [s.to_dict() for s in merged.spans]}),
+            "metrics": self.write_json("metrics.json", metrics),
+        }
+
+    def write_log(self) -> str:
+        """Into ``out``: the merged, time-sorted world log."""
+        path = os.path.join(self.out, "log.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            for line in self.collector.merged_logs():
+                fh.write(f"{line['t']:10.3f} {line['node']:>8} "
+                         f"[{line['level']}] {line['text']}\n")
+        return path
+
+
 def run_live(
     topology: Topology,
     duration: float = 12.0,
@@ -237,90 +464,29 @@ def run_live(
     logs, merged ``report.json``/``metrics.json``/``trace.json``, and
     the merged world log land in that directory.
     """
-    def say(text: str) -> None:
-        if progress is not None:
-            progress(text)
-
-    tmp = None
-    if out is not None:
-        os.makedirs(out, exist_ok=True)
-        run_dir = out
-    else:
-        tmp = tempfile.TemporaryDirectory(prefix="repro-live-")
-        run_dir = tmp.name
-    manifest_path = os.path.join(run_dir, "manifest.json")
-
-    collector = Collector(host=host)
-    allocator = PortAllocator(host)
-    try:
-        manifest = build_manifest(topology, collector.contact,
-                                  host=host, allocator=allocator)
-        manifest.write(manifest_path)
-        supervisor = Supervisor(
-            manifest, manifest_path, deadline=duration,
-            collector=collector, restart=restart,
-            log_dir=os.path.join(run_dir, "node-logs"))
-        say(f"world of {len(topology.nodes)} nodes; manifest {manifest_path}")
-        allocator.release()
-        supervisor.spawn_all()
-
-        if kill_node is None:
-            clients = topology.by_role("client")
-            kill_node = clients[0].name if clients else None
-        chaos: list[dict] = []
-        killed = False
-        health_at = 1.0
-        while supervisor.now() < duration:
-            collector.step(0.02)
-            supervisor.poll()
-            now = supervisor.now()
-            if now >= health_at:
-                supervisor.check_health()
-                health_at = now + 1.0
-            if (kill_at is not None and not killed and now >= kill_at
-                    and kill_node is not None):
-                pid = supervisor.kill(kill_node)
-                killed = True
-                if pid is not None:
-                    chaos.append({"t": round(now, 3), "node": kill_node,
-                                  "pid": pid})
-                    say(f"chaos: killed {kill_node} (pid {pid}) "
-                        f"at t={now:.1f}s")
+    with LiveWorld(topology, duration, kill_at=kill_at, kill_node=kill_node,
+                   out=out, restart=restart, host=host,
+                   progress=progress) as world:
+        world.say(f"world of {len(topology.nodes)} nodes; "
+                  f"manifest {world.manifest_path}")
+        while world.supervisor.now() < duration:
+            world.pump(0.02)
 
         # Probe while the services are still alive, then drain.
-        probe = Probe(host)
-        try:
+        with closing(Probe(host)) as probe:
             counter_examples, verify_failures = _probe_counter_examples(
-                probe, manifest)
-        finally:
-            probe.close()
-        say(f"probed {len(counter_examples)} stored counter-example(s); "
-            "draining")
-        supervisor.drain(pump=lambda: collector.step(0.02))
-        # One final pump so last reports queued during drain all land.
-        for _ in range(10):
-            collector.step(0.01)
-
-        nodes: dict[str, dict] = {}
-        statuses = supervisor.statuses()
-        for spec in topology.nodes:
-            rec = collector.nodes.get(spec.name)
-            nodes[spec.name] = {
-                "role": spec.role,
-                "contact": manifest.contact(spec.name),
-                "hellos": rec.hellos if rec else 0,
-                "reports": rec.reports if rec else 0,
-                "stop_reason": rec.stop_reason if rec else None,
-                "stats": dict(rec.stats) if rec else {},
-                **statuses.get(spec.name, {}),
-            }
+                probe, world.manifest)
+        world.say(f"probed {len(counter_examples)} stored "
+                  "counter-example(s); draining")
+        nodes = world.drain()
+        collector = world.collector
         report = LiveReport(
             duration=duration,
             topology=topology.to_dict(),
             nodes=nodes,
             counter_examples=counter_examples,
             verify_failures=verify_failures,
-            chaos=chaos,
+            chaos=world.chaos,
             metrics=collector.merged_metrics(),
             collector={
                 "contact": collector.contact,
@@ -333,38 +499,9 @@ def run_live(
             },
         )
         report.violations = check_invariants(report)
-
         if out is not None:
-            merged = collector.merged_tracer()
-            trace_path = write_trace_json(
-                merged, os.path.join(out, "trace.json"))
-            spans_path = os.path.join(out, "spans.json")
-            with open(spans_path, "w", encoding="utf-8") as fh:
-                json.dump({"spans": [s.to_dict() for s in merged.spans]},
-                          fh, indent=1, sort_keys=True)
-                fh.write("\n")
-            metrics_path = os.path.join(out, "metrics.json")
-            with open(metrics_path, "w", encoding="utf-8") as fh:
-                json.dump(report.metrics, fh, indent=1, sort_keys=True)
-                fh.write("\n")
-            log_path = os.path.join(out, "log.txt")
-            with open(log_path, "w", encoding="utf-8") as fh:
-                for line in collector.merged_logs():
-                    fh.write(f"{line['t']:10.3f} {line['node']:>8} "
-                             f"[{line['level']}] {line['text']}\n")
-            report.artifacts = {
-                "manifest": manifest_path, "trace": trace_path,
-                "spans": spans_path, "metrics": metrics_path,
-                "log": log_path,
-            }
-            report_path = os.path.join(out, "report.json")
-            with open(report_path, "w", encoding="utf-8") as fh:
-                json.dump(report.to_dict(), fh, indent=1, sort_keys=True)
-                fh.write("\n")
-            report.artifacts["report"] = report_path
+            report.artifacts = world.write_artifacts(report.metrics)
+            report.artifacts["log"] = world.write_log()
+            report.artifacts["report"] = world.write_json(
+                "report.json", report.to_dict())
         return report
-    finally:
-        allocator.release()
-        collector.close()
-        if tmp is not None:
-            tmp.cleanup()

@@ -6,6 +6,7 @@ them through the same unmodified SchedulerServer — and the whole run is
 a pure function of the seed, including a mid-run gateway restart.
 """
 
+import hashlib
 import json
 
 from repro.control import run_sim_serve
@@ -51,3 +52,24 @@ def test_seed_changes_the_world():
     a = run_sim_serve(seed=1, users=3, workers=2, duration=20.0)
     b = run_sim_serve(seed=2, users=3, workers=2, duration=20.0)
     assert _dumps(a) != _dumps(b)
+
+
+def _cli_sha(report):
+    """SHA-256 of the bytes ``repro serve --simulate --out`` writes."""
+    text = json.dumps(report, indent=1, sort_keys=True) + "\n"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_ci_twin_report_is_pinned_byte_for_byte():
+    """``repro serve --simulate --storm 4 --clients 3 --duration 60
+    --kill-at 25 --seed 11`` — the configuration CI used to run twice and
+    diff. Pinning the digest proves determinism *and* that a refactor of
+    the twin, the gateway or the user mix changed no byte of it."""
+    report = run_sim_serve(seed=11, users=4, workers=3, duration=60.0,
+                           restart_after=25.0)
+    assert report["violations"] == []
+    assert report["gateway"]["restarts"] == 1
+    assert report["jobs_lost"] == []
+    assert report["accepted_total"] > 0
+    assert _cli_sha(report) == (
+        "ff482e14e4546c0b8723572fdfe60e82169b4614994bccf1c4162abb8b449a43")

@@ -269,7 +269,7 @@ def test_gateway_restart_mid_generation_loses_and_duplicates_nothing():
     ids = queue.push_tasks(_specs(20))
     _finish(work, 7)
     popped = queue.pop_results(min_results=7, timeout=1.0)
-    assert queue._since > 20                # the cursor the restart strands
+    assert queue.since > 20                # the cursor the restart strands
     _finish(work, 5)                        # done, but their events die unread
     work.next_unit()                        # in flight at the crash
     # SIGKILL + respawn: store rebuilt from the journal, feed numbered from 0.
@@ -277,7 +277,7 @@ def test_gateway_restart_mid_generation_loses_and_duplicates_nothing():
     client.core = GatewayCore("gw", reborn)
     assert reborn.replay() == 8
     _finish(reborn)
-    assert client.core.events.latest_seq < queue._since
+    assert client.core.events.latest_seq < queue.since
     while queue.outstanding:
         popped += queue.pop_results(min_results=1, timeout=1.0)
     assert sorted(r["id"] for r in popped) == sorted(ids)

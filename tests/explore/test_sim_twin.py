@@ -6,6 +6,7 @@ same-seed runs must serialize to identical bytes even with a mid-run
 gateway restart and corrupted worker results in the schedule.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -141,9 +142,43 @@ def test_me_component_retires_jobs_from_feed_lines_field_by_field():
 
     # A reborn feed numbers from 0: the cursor adopts it, and lines read
     # a second time are deduped on `outstanding`.
-    stranded = me._since
+    stranded = me.since
     core.events = work.events = type(core.events)()
     work._event("noise", "x", now=2.0)
     _answer(me, core, me.on_timer("me:poll", 2.0), 2.0)
-    assert me._since == 0 < stranded
+    assert me.since == 0 < stranded
     assert me.popped == 5
+
+
+def _cli_sha(report):
+    """SHA-256 of the bytes ``repro explore --simulate --out`` writes."""
+    text = json.dumps(report, indent=1, sort_keys=True) + "\n"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_ci_sweep_twin_report_is_pinned_byte_for_byte():
+    """``repro explore --simulate --algo sweep --scale 0.4 --duration 120
+    --seed 3`` (the CLI's defaults: 2 workers, ops budget 20,000)."""
+    report = run_sim_explore(seed=3, algo="sweep", workers=2, scale=0.4,
+                             duration=120.0)
+    assert report["violations"] == []
+    assert report["driver"]["evals"] == report["driver"]["expected"]
+    assert _cli_sha(report) == (
+        "4f41836a255f2c919c38a1210ea8edd6b97e1bda542609d4c4cdb2705a4b3619")
+
+
+def test_ci_hill_twin_report_is_pinned_byte_for_byte():
+    """``repro explore --simulate --algo hill --scale 0.5 --duration 240
+    --seed 7 --kill-at 4 --corrupt-first 1``: a gateway restart and a
+    corrupted result in the schedule, and still not a byte moves."""
+    report = run_sim_explore(seed=7, algo="hill", workers=2, scale=0.5,
+                             duration=240.0, restart_after=4.0,
+                             corrupt_first=1)
+    assert report["violations"] == []
+    work = report["gateway"]["work"]
+    assert work["completed"] == report["me"]["pushed"]
+    assert work["results_rejected"] == 1
+    assert report["gateway"]["restarts"] == 1
+    assert report["driver"]["failed"] == 0   # the ME never saw a bad value
+    assert _cli_sha(report) == (
+        "5312b54c376fd08d38b5e918a68bd614d2f77a4a3089bce8f2554c79f07b0e5b")
