@@ -16,7 +16,7 @@ be asserted):
 
 Every run is fully deterministic under its seed: the same
 :class:`ChaosConfig` twice produces byte-identical reports, which is what
-the ``chaos-smoke`` CI job asserts. Run one from the command line::
+the tier-1 suite pins by SHA-256. Run one from the command line::
 
     PYTHONPATH=src python -m repro.experiments.chaos --profile crash-heavy
 """

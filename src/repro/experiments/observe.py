@@ -12,8 +12,8 @@ causally linked span chain
 i.e. the requeued unit's spans walk back through the retransmissions of
 the reliable assignment to the injected fault that killed its recipient.
 :func:`requeue_chains` extracts and validates exactly that chain; the
-``observability-smoke`` CI job additionally asserts the exported Chrome
-trace is byte-identical across same-seed reruns.
+tier-1 suite additionally pins the exported Chrome trace, metrics and
+report of one seeded run by SHA-256.
 
 Run it from the command line via ``repro trace`` (see
 :mod:`repro.cli`).

@@ -20,7 +20,8 @@ from ..core.services.persistent import PersistentStateServer
 from ..core.services.scheduler import QueueWorkSource, SchedulerServer
 from ..core.simdriver import SimDriver
 from ..infra.base import ClientFactory
-from ..ramsey.client import RAMSEY_BEST, ModelEngine, RamseyClient, ramsey_comparator
+from ..ramsey.client import (RAMSEY_BEST, ModelEngine, RamseyClient,
+                             ramsey_comparator, rotated)
 from ..ramsey.tasks import unit_generator
 from ..ramsey.verify import counter_example_validator
 from ..simgrid.engine import Environment
@@ -171,7 +172,7 @@ def model_client_factory(
     overrides support special routing (e.g. Legion's translator)."""
 
     def factory(host: Host, infra: str, idx: int) -> RamseyClient:
-        schedulers = scheduler_override or _rotated(core.scheduler_contacts, idx)
+        schedulers = scheduler_override or rotated(core.scheduler_contacts, idx)
         loggers = logger_override or [core.logger_contacts[idx % len(core.logger_contacts)]]
         persistent = persistent_override or (
             core.persistent_contacts[0] if core.persistent_contacts else None)
@@ -191,10 +192,3 @@ def model_client_factory(
         )
 
     return factory
-
-
-def _rotated(items: list[str], idx: int) -> list[str]:
-    if not items:
-        return []
-    shift = idx % len(items)
-    return items[shift:] + items[:shift]

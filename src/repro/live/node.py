@@ -37,7 +37,8 @@ from ..control.workqueue import FileJournal, WorkQueue
 # tooling and the nodes that mint the ids can never drift apart.
 from ..obs.jobtrace import ID_BLOCK, MAX_INCARNATIONS
 from ..obs.flight import FlightRecorder, flight_path
-from ..ramsey.client import RAMSEY_BEST, RamseyClient, RealEngine, ramsey_comparator
+from ..ramsey.client import (RAMSEY_BEST, RamseyClient, RealEngine,
+                             ramsey_comparator, rotated)
 from ..ramsey.tasks import unit_generator
 from ..ramsey.verify import counter_example_validator
 from .collector import COL_HELLO, COL_REPORT
@@ -45,13 +46,6 @@ from .topology import Manifest
 
 __all__ = ["build_component", "run_node", "node_stats",
            "ID_BLOCK", "MAX_INCARNATIONS"]
-
-
-def _rotated(items: list[str], idx: int) -> list[str]:
-    if not items:
-        return []
-    shift = idx % len(items)
-    return items[shift:] + items[:shift]
 
 
 def build_component(manifest: Manifest, name: str,
@@ -128,13 +122,13 @@ def build_component(manifest: Manifest, name: str,
         from ..explore import engine as _explore_engine  # noqa: F401
         client = RamseyClient(
             name=name,
-            schedulers=_rotated(manifest.contacts_for("scheduler")
-                                + manifest.contacts_for("gateway"), idx),
+            schedulers=rotated(manifest.contacts_for("scheduler")
+                               + manifest.contacts_for("gateway"), idx),
             engine=KindEngine(engines={"ramsey": RealEngine(
                 max_steps_per_advance=int(
                     opts.get("max_steps_per_advance", 2000)))}),
             infra=str(opts.get("infra", "live")),
-            loggers=_rotated(manifest.contacts_for("logger"), idx)[:1],
+            loggers=rotated(manifest.contacts_for("logger"), idx)[:1],
             persistent=(manifest.contacts_for("persistent") or [None])[0],
             gossip_well_known=manifest.contacts_for("gossip"),
             work_period=topo.work_period,

@@ -247,6 +247,15 @@ class ModelEngine:
         return {"ops": self.total_ops, "best_energy": self.best_energy}
 
 
+def rotated(items: list[str], idx: int) -> list[str]:
+    """``items`` starting at position ``idx``: how worlds hand the idx-th
+    client its own first-choice server out of a shared contact list."""
+    if not items:
+        return []
+    shift = idx % len(items)
+    return items[shift:] + items[:shift]
+
+
 class RamseyClient(Component):
     """One computational client process."""
 

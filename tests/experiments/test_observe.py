@@ -3,6 +3,7 @@ fault → drop → retransmit → give-up → requeue span chain, fault-counter
 agreement between chaos stats and telemetry, and byte-identical
 same-seed exports."""
 
+import hashlib
 import json
 
 import pytest
@@ -66,6 +67,30 @@ def test_same_seed_exports_are_byte_identical():
         return trace, metrics, json.dumps(report, sort_keys=True)
 
     assert export() == export()
+
+
+def test_ci_traced_exports_are_pinned_byte_for_byte(tmp_path):
+    """``repro trace --scenario observe --seed 7 --duration 420 --out DIR``
+    — what CI's observability-smoke job ran twice and diffed. The trace
+    holds every span kind the driver emits (start, recv, send, call,
+    timer, retransmit, send-failed), so a pinned digest proves determinism
+    *and* that a driver or tracing refactor moved no byte of it."""
+    out = tmp_path / "obs"
+    assert main(["trace", "--scenario", "observe", "--seed", "7",
+                 "--duration", "420", "--out", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("trace.json", "metrics.json", "report.json")}
+    assert digests == {
+        "trace.json":
+            "877dbfb6c6a5824a8b0ae0fcea7ed1ebb3808a443bc7c79ba4ba832e720c80f0",
+        "metrics.json":
+            "b74f003ffe049390bb8ddd61d653dc3e88f6e8f3a097891e3c993d0417595207",
+        "report.json":
+            "1efbea6e999d176f7da4bebcef84812e027e54acd22c3a7e0871a1625f03d24b",
+    }
+    chain = json.loads((out / "report.json").read_text())["requeue_chains"][0]
+    assert chain["retransmits"] >= 1
+    assert chain["faults"]
 
 
 def test_chrome_export_has_required_keys(world):
