@@ -30,13 +30,12 @@ Job lifecycle::
 
 from __future__ import annotations
 
-import json
-import os
 from collections import deque
 from typing import Optional
 
 from ..core.services.kinds import ResultCheckError
 from ..core.services.kinds import registry as kind_registry
+from ..obs.recordlog import RecordLog
 
 __all__ = ["Job", "WorkQueue", "MemoryJournal", "FileJournal",
            "JOB_STATES"]
@@ -96,72 +95,9 @@ class MemoryJournal:
         pass
 
 
-class FileJournal:
-    """Append-only JSONL journal, flushed per record.
-
-    ``flush()`` (no fsync) is the deliberate durability point: the
-    threat model is the gateway *process* dying (chaos SIGKILL,
-    supervisor restart), and flushed bytes live in the kernel regardless
-    of what happens to the process. Machine-crash durability would add
-    an fsync per accept and is not what the live plane simulates.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._fh = None
-        #: Lines the last :meth:`records` could not use, the torn tail
-        #: aside: anything but 0 means the journal is damaged mid-file.
-        self.skipped = 0
-
-    def records(self) -> list[dict]:
-        out: list[dict] = []
-        self.skipped = skipped = 0
-        if not os.path.exists(self.path):
-            return out
-        unusable = False
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                # An unparsable line is a torn tail write (a crash mid-
-                # append) only if nothing follows it.
-                skipped += unusable
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    unusable = True
-                    continue
-                unusable = not isinstance(record, dict)
-                if not unusable:
-                    out.append(record)
-        self.skipped = skipped
-        return out
-
-    def append(self, record: dict) -> None:
-        if self._fh is None:
-            self._fh = open(self.path, "a", encoding="utf-8")
-        self._fh.write(json.dumps(record, sort_keys=True,
-                                  separators=(",", ":")) + "\n")
-        self._fh.flush()
-
-    def append_many(self, records: list[dict]) -> None:
-        """Append N records with ONE flush — the batch-submit durability
-        point. All-or-nothing to the same degree as ``append``: every
-        line is in the userspace buffer before the single flush."""
-        if not records:
-            return
-        if self._fh is None:
-            self._fh = open(self.path, "a", encoding="utf-8")
-        self._fh.write("".join(
-            json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-            for record in records))
-        self._fh.flush()
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+#: The durable journal is the one record log (:mod:`repro.obs.recordlog`:
+#: line format, durability point, damage rule) under its public name.
+FileJournal = RecordLog
 
 
 class WorkQueue:
@@ -194,11 +130,6 @@ class WorkQueue:
         self.results_rejected = 0
         if journal is not None:
             self.replay()
-
-    # -- journal --------------------------------------------------------------
-    def _log(self, record: dict) -> None:
-        if self.journal is not None:
-            self.journal.append(record)
 
     # -- observability hooks --------------------------------------------------
     def _now(self) -> float:
@@ -276,24 +207,8 @@ class WorkQueue:
         scheduler assignment, client work slices across incarnations,
         requeues, completion — joins one causal chain.
         """
-        self._seq += 1
-        job = Job(f"{self.prefix}-{self._seq}", dict(spec), now)
-        record = {"op": "submit", "id": job.id, "spec": job.spec, "t": now}
-        if trace is not None:
-            job.trace = (int(trace[0]), int(trace[1]))
-            record["trace"] = job.trace  # json renders the tuple as a list
-        self._log(record)
-        # Inlined _span: submits are the hot path, and the parent ingress
-        # span already names the job, so no args either.
-        tel = self.telemetry
-        if tel is not None and job.trace is not None and tel.tracer.enabled:
-            tel.tracer.instant("journal flush", now,
-                               component=self.component, parent=job.trace)
-        self.jobs[job.id] = job
-        self._queue.append(job.id)
-        self.submitted += 1
-        self._event("submitted", job.id, now)
-        return job
+        # No span args: the hot path; the ingress span already names the job.
+        return self._accept([spec], now, trace, None)[0]
 
     def submit_batch(self, specs: list[dict], now: float,
                      trace: Optional[tuple[int, int]] = None) -> list[Job]:
@@ -305,6 +220,13 @@ class WorkQueue:
         Callers validate specs *before* calling — by the time we are
         here the whole batch is accepted.
         """
+        return self._accept(specs, now, trace, {"jobs": len(specs)})
+
+    def _accept(self, specs: list[dict], now: float,
+                trace: Optional[tuple[int, int]],
+                span_args: Optional[dict]) -> list[Job]:
+        """The one acceptance path: mint ids, journal every submit record
+        with one flush, then — and only then — enqueue and announce."""
         jobs: list[Job] = []
         records: list[dict] = []
         for spec in specs:
@@ -314,23 +236,17 @@ class WorkQueue:
                       "t": now}
             if trace is not None:
                 job.trace = (int(trace[0]), int(trace[1]))
-                record["trace"] = job.trace
+                record["trace"] = job.trace  # json renders it as a list
             jobs.append(job)
             records.append(record)
         if self.journal is not None:
-            append_many = getattr(self.journal, "append_many", None)
-            if append_many is not None:
-                append_many(records)
-            else:
-                for record in records:
-                    self.journal.append(record)
+            self.journal.append_many(records)
         tel = self.telemetry
         if (jobs and tel is not None and jobs[0].trace is not None
                 and tel.tracer.enabled):
             tel.tracer.instant("journal flush", now,
                                component=self.component,
-                               parent=jobs[0].trace,
-                               args={"jobs": len(jobs)})
+                               parent=jobs[0].trace, args=span_args)
         for job in jobs:
             self.jobs[job.id] = job
             self._queue.append(job.id)
@@ -351,7 +267,8 @@ class WorkQueue:
             return None
         if job.state in ("done", "cancelled"):
             return job
-        self._log({"op": "cancel", "id": job_id, "t": now})
+        if self.journal is not None:
+            self.journal.append({"op": "cancel", "id": job_id, "t": now})
         if job.state == "queued":
             try:
                 self._queue.remove(job_id)
@@ -440,7 +357,9 @@ class WorkQueue:
                            outcome="rejected", id=job.id)
                 self._event("rejected", job.id, now)
                 return
-        self._log({"op": "done", "id": job.id, "result": result, "t": now})
+        if self.journal is not None:
+            self.journal.append(
+                {"op": "done", "id": job.id, "result": result, "t": now})
         job.state = "done"
         job.result = result
         job.finished_at = now

@@ -43,6 +43,7 @@ __all__ = [
     "TraceContext",
     "Span",
     "Tracer",
+    "SpanCursor",
     "Telemetry",
     "export_chrome_trace",
     "merge_snapshots",
@@ -400,6 +401,31 @@ class Tracer:
 
     def to_dicts(self) -> list[dict]:
         return [s.to_dict() for s in self.spans]
+
+
+class SpanCursor:
+    """One consumer's place in a tracer's span list (the telemetry
+    shipper and the flight recorder each hold one): every span is taken
+    exactly once, and only once it has closed. ``position`` is the
+    absolute index (``dropped`` + list position) of the first span not
+    yet considered — the holder's bound for :meth:`Tracer.trim`."""
+
+    def __init__(self, tracer: Tracer) -> None:
+        self.tracer = tracer
+        self.position = 0
+        self._open: list[Span] = []  # seen, still open at the last take
+
+    def take(self, final: bool = False) -> list[Span]:
+        """Spans closed since the last take; with ``final`` (drain/seal)
+        the still-open ones too, as they stand."""
+        tracer = self.tracer
+        fresh = tracer.spans[max(self.position - tracer.dropped, 0):]
+        self.position = tracer.dropped + len(tracer.spans)
+        candidates = self._open + fresh
+        # Open spans wait: `finish` mutates in place, so a span taken
+        # early would be frozen open in the merged trace.
+        self._open = [] if final else [s for s in candidates if s.end is None]
+        return [s for s in candidates if final or s.end is not None]
 
 
 class Telemetry:

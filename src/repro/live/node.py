@@ -29,7 +29,7 @@ from ..core.services.persistent import (
 )
 from ..core.services.kinds import KindEngine
 from ..core.services.scheduler import QueueWorkSource, SchedulerServer
-from ..core.telemetry import Telemetry
+from ..core.telemetry import SpanCursor, Telemetry
 from ..control.gateway import GatewayCore, render_payload
 from ..control.http import HttpServer
 from ..control.workqueue import FileJournal, WorkQueue
@@ -196,8 +196,7 @@ class _Shipper:
         self.seq = 0
         self.sent = 0
         self.errors = 0
-        self._cursor = 0  # first tracer span not yet considered
-        self._pending: list = []  # spans seen but still open at last ship
+        self.spans = SpanCursor(driver.telemetry.tracer)
         self._logs: list[dict] = []
         self._last_ship = driver.now()
 
@@ -222,27 +221,6 @@ class _Shipper:
             "epoch": self.epoch,
         })
 
-    @property
-    def cursor(self) -> int:
-        """Absolute index of the first span not yet taken (trim bound)."""
-        return self._cursor
-
-    def _take_spans(self, final: bool) -> list[dict]:
-        tracer = self.driver.telemetry.tracer
-        fresh = tracer.spans[max(self._cursor - tracer.dropped, 0):]
-        self._cursor = tracer.dropped + len(tracer.spans)
-        candidates = self._pending + fresh
-        if final:
-            self._pending = []
-            return [s.to_dict() for s in candidates]
-        # Open spans wait: `finish` mutates in place, so a span shipped
-        # early would be frozen open in the merged trace.
-        out, still_open = [], []
-        for span in candidates:
-            (out if span.end is not None else still_open).append(span)
-        self._pending = still_open
-        return [s.to_dict() for s in out]
-
     def ship(self, final: bool = False) -> None:
         self._last_ship = self.driver.now()
         self.seq += 1
@@ -252,7 +230,7 @@ class _Shipper:
             "seq": self.seq,
             "incarnation": self.incarnation,
             "metrics": self.driver.telemetry.snapshot(),
-            "spans": self._take_spans(final),
+            "spans": [s.to_dict() for s in self.spans.take(final)],
             "logs": logs,
             "stats": node_stats(self.driver.component),
             "driver": {
@@ -343,10 +321,7 @@ def run_node(
         # without this a busy traced node grows its span list (and gen-2
         # GC pauses) without bound for the life of the process.
         def _trim_spans() -> None:
-            upto = shipper.cursor
-            if flight is not None:
-                upto = min(upto, flight.cursor)
-            telemetry.tracer.trim(upto)
+            telemetry.tracer.trim(min(shipper.spans.position, flight.cursor))
 
         tick_hooks.append(_trim_spans)
     driver.tick_hook = (tick_hooks[0] if len(tick_hooks) == 1

@@ -205,12 +205,12 @@ class Supervisor:
             return
         if node.incarnation in node.flights_recovered:
             return
-        dump = load_flight(flight_path(self._data_dir, node.name,
-                                       node.incarnation))
-        if dump is None:
-            return
-        node.flights_recovered.append(node.incarnation)
         try:
+            dump = load_flight(flight_path(self._data_dir, node.name,
+                                           node.incarnation))
+            if dump is None:
+                return
+            node.flights_recovered.append(node.incarnation)
             self.flight_sink(dump)
         except Exception:
             pass  # recovery must never take the supervisor down

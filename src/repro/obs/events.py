@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Iterable, Optional
+from typing import Iterable
+
+from .recordlog import encode_line
 
 __all__ = ["EventLog", "render_jsonl"]
 
@@ -67,15 +69,9 @@ class EventLog:
 
 def render_jsonl(events: Iterable[dict]) -> str:
     """Newline-delimited JSON, one event per line (byte-stable order)."""
-    return "".join(
-        json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n"
-        for e in events)
+    return "".join(map(encode_line, events))
 
 
 def parse_jsonl(text: str) -> list[dict]:
     """Inverse of :func:`render_jsonl`; skips blank lines."""
-    out = []
-    for line in text.splitlines():
-        if line.strip():
-            out.append(json.loads(line))
-    return out
+    return [json.loads(line) for line in text.splitlines() if line.strip()]

@@ -19,9 +19,11 @@ make span ids globally unique per incarnation).
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Optional
+
+from ..core.telemetry import SpanCursor, Tracer
+from .recordlog import RecordLog, read_records
 
 __all__ = ["FlightRecorder", "load_flight", "flight_path"]
 
@@ -39,7 +41,7 @@ class FlightRecorder:
 
     ``telemetry`` is the node's :class:`~repro.core.telemetry.Telemetry`;
     :meth:`tick` (called from the driver's reactor hook) takes every span
-    closed since the last tick. Open spans wait in ``_pending`` (finish
+    closed since the last tick. Open spans wait in the cursor (finish
     mutates in place) and are force-dumped by :meth:`seal`.
     """
 
@@ -55,40 +57,35 @@ class FlightRecorder:
         self.records = 0          # total records ever spooled
         self.rotations = 0
         self._written = 0         # records in the current segment
-        self._cursor = 0          # first tracer span not yet considered
-        self._pending: list = []  # spans seen but still open
-        self._sealed = False
-        self._fh = open(path, "w", encoding="utf-8")
+        # Untelemetered, the cursor walks a tracer that never has spans.
+        self._spans = SpanCursor(telemetry.tracer if telemetry is not None
+                                 else Tracer())
+        self._closed = False
+        if os.path.exists(path):
+            os.remove(path)  # a spool is one incarnation's: never appended to
+        # The job journal's appender, flushed per record: the whole point
+        # is that the bytes are on disk when the SIGKILL lands.
+        self._log = RecordLog(path)
         self._header()
 
     # -- spool ----------------------------------------------------------------
     def _header(self) -> None:
-        self._emit({"kind": "hello", "node": self.node,
-                    "incarnation": self.incarnation, "epoch": self.epoch,
-                    "capacity": self.capacity})
-
-    def _emit(self, record: dict) -> None:
-        if self._fh.closed:
-            return
-        self._fh.write(json.dumps(record, sort_keys=True,
-                                  separators=(",", ":")) + "\n")
-        # Flushed per record, like the job journal: the whole point is
-        # that the bytes are on disk when the SIGKILL lands.
-        self._fh.flush()
-
-    def _rotate_if_full(self) -> None:
-        if self._written < self.capacity:
-            return
-        self._fh.close()
-        os.replace(self.path, self.path + ".1")
-        self._fh = open(self.path, "w", encoding="utf-8")
-        self._written = 0
-        self.rotations += 1
-        self._header()
+        self._log.append({"kind": "hello", "node": self.node,
+                          "incarnation": self.incarnation,
+                          "epoch": self.epoch, "capacity": self.capacity})
 
     def _record(self, kind: str, payload: dict) -> None:
-        self._rotate_if_full()
-        self._emit({"kind": kind, **payload})
+        if self._closed:
+            return
+        if self._written >= self.capacity:
+            # Two-segment ring: the full segment becomes ``*.1`` and the
+            # lazily reopened log starts a fresh one.
+            self._log.close()
+            os.replace(self.path, self.path + ".1")
+            self._written = 0
+            self.rotations += 1
+            self._header()
+        self._log.append({"kind": kind, **payload})
         self._written += 1
         self.records += 1
 
@@ -101,81 +98,51 @@ class FlightRecorder:
     @property
     def cursor(self) -> int:
         """Absolute index of the first span not yet spooled (trim bound)."""
-        return self._cursor
+        return self._spans.position
 
     def tick(self) -> int:
         """Spool every span closed since the last tick; returns count."""
-        if self.telemetry is None or not self.telemetry.tracer.enabled:
-            return 0
-        tracer = self.telemetry.tracer
-        fresh = tracer.spans[max(self._cursor - tracer.dropped, 0):]
-        self._cursor = tracer.dropped + len(tracer.spans)
-        candidates = self._pending + fresh
-        taken = 0
-        still_open = []
-        for span in candidates:
-            if span.end is None:
-                still_open.append(span)
-            else:
-                self._record("span", span.to_dict())
-                taken += 1
-        self._pending = still_open
-        return taken
+        taken = self._spans.take()
+        for span in taken:
+            self._record("span", span.to_dict())
+        return len(taken)
 
     def seal(self, reason: str = "") -> None:
         """Graceful-exit path: dump open spans and a footer, then close."""
-        if self._sealed or self._fh.closed:
+        if self._closed:
             return
-        self._sealed = True
-        if self.telemetry is not None and self.telemetry.tracer.enabled:
-            tracer = self.telemetry.tracer
-            fresh = tracer.spans[max(self._cursor - tracer.dropped, 0):]
-            self._cursor = tracer.dropped + len(tracer.spans)
-            for span in self._pending + fresh:
-                self._record("span", span.to_dict())
-            self._pending = []
-        self._emit({"kind": "seal", "reason": reason,
-                    "records": self.records})
-        self._fh.close()
+        for span in self._spans.take(final=True):
+            self._record("span", span.to_dict())
+        self._log.append({"kind": "seal", "reason": reason,
+                          "records": self.records})
+        self.close()
 
     def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.close()
-
-
-def _read_records(path: str) -> list[dict]:
-    records: list[dict] = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    records.append(json.loads(line))
-                except ValueError:
-                    # A torn final line is expected when the process was
-                    # killed mid-write; everything before it is intact.
-                    break
-    except OSError:
-        pass
-    return records
+        self._closed = True
+        self._log.close()
 
 
 def load_flight(path: str) -> Optional[dict]:
     """Load a flight spool (current segment + rotated predecessor).
 
     Returns ``{"node", "incarnation", "epoch", "spans", "logs",
-    "sealed", "reason"}`` holding the most recent ``capacity`` records,
-    or ``None`` when no readable spool exists at ``path``.
+    "sealed", "reason", "skipped"}`` holding the most recent
+    ``capacity`` records (``skipped`` counts damaged lines, as
+    ``journal_skipped`` does for the journal), or ``None`` when no
+    readable spool exists at ``path``.
     """
-    records = _read_records(path + ".1") + _read_records(path)
-    if not records:
-        return None
+    rotated, rotated_skipped = read_records(path + ".1")
+    current, skipped = read_records(path)
+    records = rotated + current
     header = next((r for r in records if r.get("kind") == "hello"), None)
     if header is None:
         return None
-    capacity = int(header.get("capacity", DEFAULT_FLIGHT_CAPACITY))
+    try:
+        capacity = int(header.get("capacity", DEFAULT_FLIGHT_CAPACITY))
+        incarnation = int(header.get("incarnation", 0))
+        epoch = float(header.get("epoch", 0.0))
+    except (TypeError, ValueError, OverflowError):
+        return None  # a header that parses but lies is no header
     spans = [r for r in records if r.get("kind") == "span"]
     logs = [r for r in records if r.get("kind") == "log"]
     seal = next((r for r in reversed(records) if r.get("kind") == "seal"),
@@ -187,11 +154,12 @@ def load_flight(path: str) -> Optional[dict]:
         record.pop("kind", None)
     return {
         "node": header.get("node", ""),
-        "incarnation": int(header.get("incarnation", 0)),
-        "epoch": float(header.get("epoch", 0.0)),
+        "incarnation": incarnation,
+        "epoch": epoch,
         "capacity": capacity,
         "spans": keep,
         "logs": logs[-capacity:],
         "sealed": seal is not None,
         "reason": (seal or {}).get("reason", ""),
+        "skipped": rotated_skipped + skipped,
     }

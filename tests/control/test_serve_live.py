@@ -60,7 +60,11 @@ def test_all_nodes_shipped_telemetry(report):
 def test_gateway_stats_include_job_meters(report):
     rep, _ = report
     jobs = rep.nodes["gw0"]["stats"].get("jobs", {})
-    assert jobs.get("submitted", 0) > 0
+    # `submitted` counts since the last restart, and the reborn gateway
+    # may see no submit in what is left of the run; the journal replay
+    # guarantees the jobs themselves are there.
+    assert "submitted" in jobs
+    assert jobs.get("state_total", 0) > 0
 
 
 def test_artifacts_parse_and_agree(report):

@@ -6,6 +6,8 @@ journal is the reason a SIGKILLed gateway never loses an accepted job.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.control import FileJournal, MemoryJournal, WorkQueue
 
@@ -181,6 +183,134 @@ def test_mid_file_corruption_is_counted_not_mistaken_for_a_torn_tail(tmp_path):
     core = GatewayCore("gw", reborn)
     assert core.handle("GET", "/queue", b"", 0.0)[1]["journal_skipped"] == 2
     assert WorkQueue(prefix="m").stats()["journal_skipped"] == 0
+
+
+def _two_jobs_then(path, tail: bytes) -> None:
+    work = WorkQueue(journal=FileJournal(path), prefix="t")
+    work.submit({"a": 1}, now=0.0)
+    work.submit({"a": 2}, now=0.0)
+    work.close()
+    with open(path, "ab") as fh:
+        fh.write(tail)
+
+
+#: The third record as the appender writes it, newline included; every
+#: proper prefix of it is a torn tail — the last one (complete JSON, no
+#: newline) is the one a reader is most tempted to accept.
+_THIRD = b'{"id":"t-3","op":"submit","spec":{"a":3},"t":1.0}\n'
+
+
+@pytest.mark.parametrize("cut", range(1, len(_THIRD)))
+def test_job_accepted_after_a_torn_tail_is_not_lost(tmp_path, cut):
+    path = str(tmp_path / "q.jsonl")
+    _two_jobs_then(path, _THIRD[:cut])
+    reborn = WorkQueue(journal=FileJournal(path), prefix="t")
+    assert sorted(reborn.jobs) == ["t-1", "t-2"]   # never acknowledged
+    accepted = reborn.submit({"a": 3}, now=1.0)    # the 201 leaves here
+    reborn.close()
+    again = WorkQueue(journal=FileJournal(path), prefix="t")
+    assert again.get(accepted.id) is not None
+    assert again.get(accepted.id).spec == {"a": 3}
+    assert again.journal.skipped == 0
+    with open(path, "rb") as fh:
+        lines = fh.readlines()
+    assert len(lines) == 3 and lines[-1] == _THIRD   # cut, not glued onto
+
+
+def test_non_utf8_byte_mid_journal_is_counted_never_fatal(tmp_path):
+    path = str(tmp_path / "q.jsonl")
+    _two_jobs_then(path, _THIRD)
+    with open(path, "rb") as fh:
+        data = bytearray(fh.read())
+    middle = data.index(b"\n") + 10            # inside the second record
+    data[middle] ^= 0x80
+    with open(path, "wb") as fh:
+        fh.write(data)
+    reborn = WorkQueue(journal=FileJournal(path), prefix="t")
+    assert sorted(reborn.jobs) == ["t-1", "t-3"]
+    assert reborn.journal.skipped == 1
+
+
+def test_benchmark_patch_targets_are_defined_on_the_classes():
+    # benchmarks/e2e/gateway_child.py wraps vars(cls)[name]; an inherited
+    # or renamed method would make its traced pass report
+    # "wrap target missing" in CI only.
+    assert {"append", "append_many"} <= set(vars(FileJournal))
+    assert {"submit", "submit_batch", "get", "next_unit",
+            "complete"} <= set(vars(WorkQueue))
+
+
+# -- replay == live, at any crash point --------------------------------------
+
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("submit"), st.integers(0, 9)),
+    st.tuples(st.just("submit_batch"), st.integers(0, 4)),
+    st.tuples(st.just("next_unit"), st.just(0)),
+    st.tuples(st.sampled_from(["requeue", "complete", "cancel"]),
+              st.integers(0, 30)),
+), max_size=25)
+
+
+def _lines(path) -> int:
+    """Complete (newline-terminated) lines in the file."""
+    with open(path, "rb") as fh:
+        return fh.read().count(b"\n")
+
+
+@given(ops=_OPS, cut=st.integers(min_value=0))
+@settings(max_examples=60, deadline=None)
+def test_replayed_queue_equals_live_queue_and_no_crash_point_loses_a_job(
+        tmp_path_factory, ops, cut):
+    path = str(tmp_path_factory.mktemp("q") / "q.jsonl")
+    live = WorkQueue(journal=FileJournal(path), prefix="t")
+    now = 0.0
+    for op, arg in ops:
+        now += 1.0
+        known = list(live.jobs)
+        job_id = known[arg % len(known)] if known else "t-0"
+        if op == "submit":
+            live.submit({"a": arg}, now=now)
+        elif op == "submit_batch":
+            live.submit_batch([{"b": i} for i in range(arg)], now=now)
+        elif op == "next_unit":
+            live.next_unit()
+        elif op == "requeue":
+            live.requeue({"id": job_id})
+        elif op == "complete":
+            live.complete(job_id, {"r": arg}, now=now)
+        else:
+            live.cancel(job_id, now=now)
+    live.close()
+
+    # Replay == live: same ids in submit order, terminal jobs identical,
+    # everything else back in the queue in submit order, next id unused.
+    reborn = WorkQueue(journal=FileJournal(path), prefix="t")
+    assert list(reborn.jobs) == list(live.jobs)
+    terminal = ("done", "cancelled")
+    for job_id, job in live.jobs.items():
+        twin = reborn.jobs[job_id]
+        if job.state in terminal:
+            assert ((twin.state, twin.result, twin.finished_at)
+                    == (job.state, job.result, job.finished_at))
+        else:
+            assert twin.state == "queued"
+    assert list(reborn._queue) == [
+        j for j, job in live.jobs.items() if job.state not in terminal]
+    assert reborn.submit({}, now=now).id not in live.jobs
+    reborn.close()
+
+    # Crash anywhere in the file: whatever survives, the next accepted
+    # job is neither lost nor duplicated.
+    with open(path, "r+b") as fh:
+        fh.truncate(cut % (fh.seek(0, 2) + 1))
+    complete = _lines(path)
+    crashed = WorkQueue(journal=FileJournal(path), prefix="t")
+    accepted = crashed.submit({"after": "crash"}, now=now)
+    crashed.close()
+    final = WorkQueue(journal=FileJournal(path), prefix="t")
+    assert final.get(accepted.id).spec == {"after": "crash"}
+    assert final.journal.skipped == 0
+    assert _lines(path) == complete + 1
 
 
 def test_stats_are_json_safe_counters():

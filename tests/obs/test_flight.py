@@ -106,3 +106,51 @@ def test_spool_is_flushed_per_record(tmp_path):
         lines = [json.loads(line) for line in fh if line.strip()]
     assert any(r.get("kind") == "span" for r in lines)
     rec.close()
+
+
+# -- damage: counted, never fatal, never truncating (one reader, DESIGN §14) --
+
+def _five_log_spool(tmp_path):
+    rec = FlightRecorder(flight_path(str(tmp_path), "n", 0), node="n")
+    for i in range(5):
+        rec.observe_log(float(i), "n", "info", f"line {i}")
+    rec.close()
+    with open(rec.path, "rb") as fh:
+        return rec.path, fh.readlines()   # [hello, log 0, ..., log 4]
+
+
+def test_damaged_middle_line_costs_one_record_not_the_rest(tmp_path):
+    path, lines = _five_log_spool(tmp_path)
+    assert load_flight(path)["skipped"] == 0
+    lines[2] = lines[2][:20] + b"\n"              # log 1, cut short
+    with open(path, "wb") as fh:
+        fh.writelines(lines)
+    dump = load_flight(path)
+    assert [r["text"] for r in dump["logs"]] == [
+        "line 0", "line 2", "line 3", "line 4"]
+    assert dump["skipped"] == 1
+
+
+def test_non_utf8_byte_in_spool_is_survivable_through_the_supervisor(tmp_path):
+    from types import SimpleNamespace
+
+    from repro.live.supervisor import ManagedNode, Supervisor
+
+    path, lines = _five_log_spool(tmp_path)
+    damaged = bytearray(lines[3])
+    damaged[len(damaged) // 2] ^= 0x80            # log 2: no longer UTF-8
+    lines[3] = bytes(damaged)
+    with open(path, "wb") as fh:
+        fh.writelines(lines)
+    dump = load_flight(path)
+    assert [r["text"] for r in dump["logs"]] == [
+        "line 0", "line 1", "line 3", "line 4"]
+    assert dump["skipped"] == 1
+
+    # What the supervisor does with a reaped incarnation's spool.
+    manifest = SimpleNamespace(topology=SimpleNamespace(nodes=[]))
+    sup = Supervisor(manifest, str(tmp_path / "manifest.json"), deadline=1.0)
+    got = []
+    sup.flight_sink = got.append
+    sup._recover_flight(ManagedNode(name="n"))
+    assert [d["skipped"] for d in got] == [1]
