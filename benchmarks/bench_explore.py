@@ -74,8 +74,7 @@ def _serve_child(port: int, journal_path: str) -> int:
     from repro.control import (FileJournal, GatewayCore, HttpServer,
                                WorkQueue, render_payload)
     from repro.core.services.kinds import registry
-    from repro.explore.evals import execute_unit  # registers nothing
-    from repro.explore import engine as _engine  # noqa: F401  (registers kind)
+    from repro.explore.evals import execute_unit
 
     work = WorkQueue(journal=FileJournal(journal_path), prefix="bench-ex")
     work.clock = time.monotonic

@@ -10,61 +10,21 @@ processes and storms it with :class:`GatewayStorm`.
 
 from __future__ import annotations
 
-from ..control import (
-    FileJournal,
-    GatewayClient,
-    GatewayComponent,
-    GatewayCore,
-    GatewayStorm,
-    HttpDecoder,
-    HttpError,
-    HttpRequest,
-    HttpResponseDecoder,
-    HttpServer,
-    JOB_STATES,
-    Job,
-    MemoryJournal,
-    ServeConfig,
-    ServeReport,
-    SimJobUser,
-    SimJobWorker,
-    StormStats,
-    WorkQueue,
-    error_response,
-    json_response,
-    render_payload,
-    run_serve,
-    run_sim_serve,
-    text_response,
-)
-from ..control.serve import check_serve_invariants, ramsey_job_spec
+from .._exports import lazy_exports
 
-__all__ = [
-    "FileJournal",
-    "GatewayClient",
-    "GatewayComponent",
-    "GatewayCore",
-    "GatewayStorm",
-    "HttpDecoder",
-    "HttpError",
-    "HttpRequest",
-    "HttpResponseDecoder",
-    "HttpServer",
-    "JOB_STATES",
-    "Job",
-    "MemoryJournal",
-    "ServeConfig",
-    "ServeReport",
-    "SimJobUser",
-    "SimJobWorker",
-    "StormStats",
-    "WorkQueue",
-    "check_serve_invariants",
-    "error_response",
-    "json_response",
-    "ramsey_job_spec",
-    "render_payload",
-    "run_serve",
-    "run_sim_serve",
-    "text_response",
-]
+_EXPORTS = {
+    "..control.client": ("GatewayClient",),
+    "..control.gateway": ("GatewayCore", "render_payload"),
+    "..control.http": ("HttpDecoder", "HttpError", "HttpRequest",
+                       "HttpResponseDecoder", "HttpServer", "error_response",
+                       "json_response", "text_response"),
+    "..control.loadgen": ("GatewayStorm", "StormStats"),
+    "..control.serve": ("ServeConfig", "ServeReport",
+                        "check_serve_invariants", "ramsey_job_spec",
+                        "run_serve"),
+    "..control.sim": ("GatewayComponent", "SimJobUser", "SimJobWorker",
+                      "run_sim_serve"),
+    "..control.workqueue": ("FileJournal", "JOB_STATES", "Job",
+                            "MemoryJournal", "WorkQueue"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

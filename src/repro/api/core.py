@@ -12,153 +12,46 @@ grid — those live in :mod:`repro.api.net` and :mod:`repro.api.sim`.
 
 from __future__ import annotations
 
-# -- components and effects ------------------------------------------------
-from ..core.component import (
-    CancelTimer,
-    Component,
-    Effect,
-    LogLine,
-    NullRuntime,
-    Send,
-    SetTimer,
-    Stop,
-)
+from .._exports import lazy_exports
 
-# -- retry / timeout policies ----------------------------------------------
-from ..core.policy import RetryPolicy, TimeoutPolicy
-
-# -- observability ----------------------------------------------------------
-from ..core.telemetry import (
-    MetricsRegistry,
-    Span,
-    Telemetry,
-    TraceContext,
-    Tracer,
-    export_chrome_trace,
-    render_timeline,
-    write_metrics_json,
-    write_trace_json,
-)
-from ..simgrid.profile import EngineProfiler
-
-# -- the lingua franca wire format -----------------------------------------
-from ..core.linguafranca import Message
-
-# -- dynamic benchmarking / forecasting (§2.2) ------------------------------
-from ..core.forecasting import (
-    ForecastRegistry,
-    ForecasterBank,
-    default_bank,
-    event_tag,
-)
-
-# -- gossip and services ---------------------------------------------------
-from ..core.gossip import (
-    ComparatorRegistry,
-    GossipAgent,
-    GossipServer,
-    GossipStats,
-    StateDigest,
-    StateStore,
-    SuspicionTable,
-    plan_exchange,
-    plan_shards,
-)
-from ..core.services import (
-    LoggingServer,
-    PersistentStateServer,
-    QueueWorkSource,
-    SchedulerServer,
-)
-from ..core.services.framework import TaskFarmMaster, TaskFarmWorker
-
-# -- app-agnostic work-unit kinds (§3.1 distrust, pluggable engines) --------
-from ..core.services.kinds import (
-    AppKind,
-    KindEngine,
-    KindRegistry,
-    ResultCheckError,
-    kind_of,
-    register_kind,
-)
-
-# -- application: Ramsey search --------------------------------------------
-from ..ramsey import (
-    RAMSEY_BEST,
-    Coloring,
-    ModelEngine,
-    RamseyClient,
-    RealEngine,
-    TabuSearch,
-    is_counter_example,
-    ramsey_comparator,
-    unit_generator,
-)
-from ..ramsey.verify import counter_example_validator
-
-__all__ = [
+_EXPORTS = {
     # components and effects
-    "CancelTimer",
-    "Component",
-    "Effect",
-    "LogLine",
-    "NullRuntime",
-    "Send",
-    "SetTimer",
-    "Stop",
-    # policies
-    "RetryPolicy",
-    "TimeoutPolicy",
+    "..core.component": ("CancelTimer", "Component", "Effect", "LogLine",
+                         "NullRuntime", "Send", "SetTimer", "Stop"),
+    # retry / timeout policies
+    "..core.policy": ("RetryPolicy", "TimeoutPolicy"),
     # observability
-    "MetricsRegistry",
-    "Span",
-    "Telemetry",
-    "TraceContext",
-    "Tracer",
-    "export_chrome_trace",
-    "render_timeline",
-    "write_metrics_json",
-    "write_trace_json",
-    "EngineProfiler",
-    # lingua franca
-    "Message",
-    # forecasting
-    "ForecastRegistry",
-    "ForecasterBank",
-    "default_bank",
-    "event_tag",
+    "..core.telemetry": ("MetricsRegistry", "Span", "Telemetry",
+                         "TraceContext", "Tracer", "export_chrome_trace",
+                         "render_timeline", "write_metrics_json",
+                         "write_trace_json"),
+    "..simgrid.profile": ("EngineProfiler",),
+    # the lingua franca wire format
+    "..core.linguafranca.messages": ("Message",),
+    # dynamic benchmarking / forecasting (§2.2)
+    "..core.forecasting.benchmarking": ("ForecastRegistry", "event_tag"),
+    "..core.forecasting.selector": ("ForecasterBank",),
+    "..core.forecasting.forecasters": ("default_bank",),
     # gossip and services
-    "ComparatorRegistry",
-    "GossipAgent",
-    "GossipServer",
-    "GossipStats",
-    "StateDigest",
-    "StateStore",
-    "SuspicionTable",
-    "plan_exchange",
-    "plan_shards",
-    "LoggingServer",
-    "PersistentStateServer",
-    "QueueWorkSource",
-    "SchedulerServer",
-    "TaskFarmMaster",
-    "TaskFarmWorker",
-    # Ramsey application
-    "RAMSEY_BEST",
-    "Coloring",
-    "ModelEngine",
-    "RamseyClient",
-    "RealEngine",
-    "TabuSearch",
-    "is_counter_example",
-    "ramsey_comparator",
-    "unit_generator",
-    "counter_example_validator",
-    # app-agnostic work-unit kinds
-    "AppKind",
-    "KindEngine",
-    "KindRegistry",
-    "ResultCheckError",
-    "kind_of",
-    "register_kind",
-]
+    "..core.gossip.state": ("ComparatorRegistry", "StateStore"),
+    "..core.gossip.agent": ("GossipAgent",),
+    "..core.gossip.server": ("GossipServer", "GossipStats"),
+    "..core.gossip.digest": ("StateDigest", "plan_exchange"),
+    "..core.gossip.swim": ("SuspicionTable",),
+    "..core.gossip.clique": ("plan_shards",),
+    "..core.services.logging": ("LoggingServer",),
+    "..core.services.persistent": ("PersistentStateServer",),
+    "..core.services.scheduler": ("QueueWorkSource", "SchedulerServer"),
+    "..core.services.framework": ("TaskFarmMaster", "TaskFarmWorker"),
+    # app-agnostic work-unit kinds (§3.1 distrust, pluggable engines)
+    "..core.services.kinds": ("AppKind", "KindEngine", "KindRegistry",
+                              "ResultCheckError", "kind_of", "register_kind"),
+    # application: Ramsey search
+    "..ramsey.client": ("RAMSEY_BEST", "ModelEngine", "RamseyClient",
+                        "RealEngine", "ramsey_comparator"),
+    "..ramsey.graphs": ("Coloring",),
+    "..ramsey.heuristics": ("TabuSearch",),
+    "..ramsey.verify": ("is_counter_example", "counter_example_validator"),
+    "..ramsey.tasks": ("unit_generator",),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -11,44 +11,18 @@ byte-deterministic simulated twin.
 
 from __future__ import annotations
 
-from ..explore import (
-    EVAL_FUNCTIONS,
-    EVAL_KIND,
-    ExploreConfig,
-    ExploreEngine,
-    ExploreQueue,
-    ExploreWorker,
-    GridSweep,
-    HillClimber,
-    MEDriverComponent,
-    check_eval_result,
-    evaluate,
-    execute_unit,
-    make_driver,
-    make_eval_spec,
-    run_driver,
-    run_explore,
-    run_sim_explore,
-    validate_eval,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "EVAL_FUNCTIONS",
-    "EVAL_KIND",
-    "ExploreConfig",
-    "ExploreEngine",
-    "ExploreQueue",
-    "ExploreWorker",
-    "GridSweep",
-    "HillClimber",
-    "MEDriverComponent",
-    "check_eval_result",
-    "evaluate",
-    "execute_unit",
-    "make_driver",
-    "make_eval_spec",
-    "run_driver",
-    "run_explore",
-    "run_sim_explore",
-    "validate_eval",
-]
+_EXPORTS = {
+    "..explore.drivers": ("GridSweep", "HillClimber", "make_driver",
+                          "run_driver"),
+    "..explore.engine": ("ExploreEngine",),
+    "..explore.evals": ("EVAL_FUNCTIONS", "EVAL_KIND", "check_eval_result",
+                        "evaluate", "execute_unit", "make_eval_spec",
+                        "validate_eval"),
+    "..explore.queue": ("ExploreQueue",),
+    "..explore.serve": ("ExploreConfig", "run_explore"),
+    "..explore.sim": ("ExploreWorker", "MEDriverComponent",
+                      "run_sim_explore"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -9,32 +9,13 @@ runs the whole experiment and returns a :class:`LiveReport`.
 
 from __future__ import annotations
 
-from ..live import (
-    Collector,
-    LiveReport,
-    Manifest,
-    NodeSpec,
-    RestartPolicy,
-    Supervisor,
-    Topology,
-    build_manifest,
-    check_invariants,
-    run_live,
-    sc98_topology,
-    serve_topology,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "Collector",
-    "LiveReport",
-    "Manifest",
-    "NodeSpec",
-    "RestartPolicy",
-    "Supervisor",
-    "Topology",
-    "build_manifest",
-    "check_invariants",
-    "run_live",
-    "sc98_topology",
-    "serve_topology",
-]
+_EXPORTS = {
+    "..live.collector": ("Collector",),
+    "..live.harness": ("LiveReport", "check_invariants", "run_live"),
+    "..live.supervisor": ("RestartPolicy", "Supervisor"),
+    "..live.topology": ("Manifest", "NodeSpec", "Topology", "build_manifest",
+                        "sc98_topology", "serve_topology"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

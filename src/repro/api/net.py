@@ -8,20 +8,12 @@ port, and the transport benchmark (``repro bench --net``).
 
 from __future__ import annotations
 
-from ..core.netdriver import NetDriver
-from ..core.linguafranca import (
-    AsyncSender,
-    EventLoop,
-    TcpClient,
-    TcpServer,
-)
-from ..core.netbench import run_netbench
+from .._exports import lazy_exports
 
-__all__ = [
-    "NetDriver",
-    "AsyncSender",
-    "EventLoop",
-    "TcpClient",
-    "TcpServer",
-    "run_netbench",
-]
+_EXPORTS = {
+    "..core.netdriver": ("NetDriver",),
+    "..core.linguafranca.tcp": ("AsyncSender", "EventLoop", "TcpClient",
+                                "TcpServer"),
+    "..core.netbench": ("run_netbench",),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -12,36 +12,14 @@ the job-lifecycle :class:`EventLog` behind ``GET /events``, and the
 
 from __future__ import annotations
 
-from ..obs import (
-    EventLog,
-    FlightRecorder,
-    build_frame,
-    flight_path,
-    job_trace,
-    load_flight,
-    load_spans,
-    parse_prometheus,
-    render_job_trace,
-    render_prometheus,
-    render_top,
-    run_top,
-    sample_value,
-    span_origin,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "EventLog",
-    "FlightRecorder",
-    "build_frame",
-    "flight_path",
-    "job_trace",
-    "load_flight",
-    "load_spans",
-    "parse_prometheus",
-    "render_job_trace",
-    "render_prometheus",
-    "render_top",
-    "run_top",
-    "sample_value",
-    "span_origin",
-]
+_EXPORTS = {
+    "..obs.events": ("EventLog",),
+    "..obs.flight": ("FlightRecorder", "flight_path", "load_flight"),
+    "..obs.jobtrace": ("job_trace", "load_spans", "render_job_trace",
+                       "span_origin"),
+    "..obs.prom": ("parse_prometheus", "render_prometheus", "sample_value"),
+    "..obs.top": ("build_frame", "render_top", "run_top"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -11,140 +11,42 @@ whole deterministic worlds.
 
 from __future__ import annotations
 
-# -- the simulated-time driver ---------------------------------------------
-from ..core.simdriver import SimDriver
+from .._exports import lazy_exports
 
-# -- simulated grid --------------------------------------------------------
-from ..simgrid import Environment
-from ..simgrid.host import Host, HostSpec
-from ..simgrid.load import ConstantLoad, MeanRevertingLoad
-from ..simgrid.network import Address, AddressError, Network
-from ..simgrid.rand import RngStreams
-from ..simgrid.faults import (
-    FaultPlan,
-    FaultStats,
-    HostCrash,
-    InfraOutage,
-    MessageChaos,
-    SitePartition,
-)
-
-# -- compute plane ----------------------------------------------------------
-from ..parallel import (
-    ComputeLane,
-    EvalRound,
-    EvalResult,
-    InlineLane,
-    PoolLane,
-    Recount,
-    RecountResult,
-    StepBatch,
-    StepBatchResult,
-    make_lane,
-    run_task,
-)
-from ..parallel.scaling import run_scaling
-
-# -- scenarios and experiment harnesses ------------------------------------
-from ..apps.runner import run_farm
-from ..experiments.scenario import ServiceCore, build_core, model_client_factory
-from ..experiments.sc98 import SC98Config, SC98Results, SC98World, build_sc98
-from ..experiments.report import (
-    render_fig2,
-    render_fig3a,
-    render_fig3b,
-    render_grid_criteria,
-    render_headlines,
-)
-from ..experiments.chaos import (
-    PROFILES,
-    ChaosConfig,
-    ChaosReport,
-    build_plan,
-    run_chaos,
-    run_chaos_matrix,
-)
-from ..experiments.observe import (
-    ObserveConfig,
-    ObserveWorld,
-    requeue_chains,
-    run_observe,
-)
-from ..experiments.bigpool import (
-    BigPool,
-    PoolConfig,
-    build_pool,
-    churn_plan,
-    export_state,
-    gossip_rollup,
-    inject_write,
-    run_until_converged,
-)
-
-__all__ = [
-    # driver
-    "SimDriver",
+_EXPORTS = {
+    # the simulated-time driver
+    "..core.simdriver": ("SimDriver",),
     # simulated grid
-    "Environment",
-    "Host",
-    "HostSpec",
-    "ConstantLoad",
-    "MeanRevertingLoad",
-    "Address",
-    "AddressError",
-    "Network",
-    "RngStreams",
+    "..simgrid.engine": ("Environment",),
+    "..simgrid.host": ("Host", "HostSpec"),
+    "..simgrid.load": ("ConstantLoad", "MeanRevertingLoad"),
+    "..simgrid.network": ("Address", "AddressError", "Network"),
+    "..simgrid.rand": ("RngStreams",),
     # fault injection
-    "FaultPlan",
-    "FaultStats",
-    "HostCrash",
-    "InfraOutage",
-    "MessageChaos",
-    "SitePartition",
+    "..simgrid.faults": ("FaultPlan", "FaultStats", "HostCrash",
+                         "InfraOutage", "MessageChaos", "SitePartition"),
     # compute plane
-    "ComputeLane",
-    "EvalRound",
-    "EvalResult",
-    "InlineLane",
-    "PoolLane",
-    "Recount",
-    "RecountResult",
-    "StepBatch",
-    "StepBatchResult",
-    "make_lane",
-    "run_scaling",
-    "run_task",
-    # scenarios
-    "run_farm",
-    "ServiceCore",
-    "build_core",
-    "model_client_factory",
-    "SC98Config",
-    "SC98Results",
-    "SC98World",
-    "build_sc98",
-    "render_fig2",
-    "render_fig3a",
-    "render_fig3b",
-    "render_grid_criteria",
-    "render_headlines",
-    "PROFILES",
-    "ChaosConfig",
-    "ChaosReport",
-    "build_plan",
-    "run_chaos",
-    "run_chaos_matrix",
-    "ObserveConfig",
-    "ObserveWorld",
-    "requeue_chains",
-    "run_observe",
+    "..parallel.lanes": ("ComputeLane", "InlineLane", "PoolLane",
+                         "make_lane"),
+    "..parallel.kernels": ("EvalRound", "EvalResult", "Recount",
+                           "RecountResult", "StepBatch", "StepBatchResult",
+                           "run_task"),
+    "..parallel.scaling": ("run_scaling",),
+    # scenarios and experiment harnesses
+    "..apps.runner": ("run_farm",),
+    "..experiments.scenario": ("ServiceCore", "build_core",
+                               "model_client_factory"),
+    "..experiments.sc98": ("SC98Config", "SC98Results", "SC98World",
+                           "build_sc98"),
+    "..experiments.report": ("render_fig2", "render_fig3a", "render_fig3b",
+                             "render_grid_criteria", "render_headlines"),
+    "..experiments.chaos": ("PROFILES", "ChaosConfig", "ChaosReport",
+                            "build_plan", "run_chaos", "run_chaos_matrix"),
+    "..experiments.observe": ("ObserveConfig", "ObserveWorld",
+                              "requeue_chains", "run_observe"),
     # scale pools (DESIGN §15)
-    "BigPool",
-    "PoolConfig",
-    "build_pool",
-    "churn_plan",
-    "export_state",
-    "gossip_rollup",
-    "inject_write",
-    "run_until_converged",
-]
+    "..experiments.bigpool": ("BigPool", "PoolConfig", "build_pool",
+                              "churn_plan", "export_state", "gossip_rollup",
+                              "inject_write", "run_until_converged"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

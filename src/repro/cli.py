@@ -623,7 +623,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
           "(spawned by the supervisor)")
     print("  node roles: " + ", ".join(ROLES))
 
-    from . import explore as _explore  # noqa: F401  (registers kinds)
     from .core.services.kinds import registry
 
     print("\napp kinds (client-side execution registry):")

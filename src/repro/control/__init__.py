@@ -11,63 +11,20 @@ both planes: real sockets on the live reactor
 simulated time (:class:`~repro.control.sim.GatewayComponent`).
 """
 
-from .client import GatewayClient
-from .gateway import GatewayCore, ROUTES, TEXT_ROUTES, render_payload
-from .http import (
-    HttpDecoder,
-    HttpError,
-    HttpRequest,
-    HttpResponseDecoder,
-    HttpServer,
-    error_response,
-    json_response,
-    text_response,
-)
-from .loadgen import GatewayStorm, StormStats
-from .sim import GatewayComponent, SimJobUser, SimJobWorker, run_sim_serve
-from .serve import (
-    ServeConfig,
-    ServeReport,
-    check_serve_invariants,
-    ramsey_job_spec,
-    run_serve,
-)
-from .workqueue import (
-    FileJournal,
-    Job,
-    JOB_STATES,
-    MemoryJournal,
-    WorkQueue,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "FileJournal",
-    "GatewayClient",
-    "GatewayComponent",
-    "GatewayCore",
-    "GatewayStorm",
-    "HttpDecoder",
-    "HttpError",
-    "HttpRequest",
-    "HttpResponseDecoder",
-    "HttpServer",
-    "JOB_STATES",
-    "Job",
-    "MemoryJournal",
-    "ROUTES",
-    "ServeConfig",
-    "ServeReport",
-    "SimJobUser",
-    "SimJobWorker",
-    "StormStats",
-    "TEXT_ROUTES",
-    "WorkQueue",
-    "check_serve_invariants",
-    "error_response",
-    "json_response",
-    "ramsey_job_spec",
-    "render_payload",
-    "run_serve",
-    "run_sim_serve",
-    "text_response",
-]
+_EXPORTS = {
+    ".client": ("GatewayClient",),
+    ".gateway": ("GatewayCore", "ROUTES", "TEXT_ROUTES", "render_payload"),
+    ".http": ("HttpDecoder", "HttpError", "HttpRequest",
+              "HttpResponseDecoder", "HttpServer", "error_response",
+              "json_response", "text_response"),
+    ".loadgen": ("GatewayStorm", "StormStats"),
+    ".sim": ("GatewayComponent", "SimJobUser", "SimJobWorker",
+             "run_sim_serve"),
+    ".serve": ("ServeConfig", "ServeReport", "check_serve_invariants",
+               "ramsey_job_spec", "run_serve"),
+    ".workqueue": ("FileJournal", "Job", "JOB_STATES", "MemoryJournal",
+                   "WorkQueue"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

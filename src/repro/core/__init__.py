@@ -1,26 +1,10 @@
 """EveryWare toolkit: lingua franca, forecasting, gossip, services."""
 
-from .component import (
-    CancelTimer,
-    Component,
-    Effect,
-    LogLine,
-    NullRuntime,
-    Send,
-    SetTimer,
-    Stop,
-)
-from .policy import RetryPolicy, TimeoutPolicy
+from .._exports import lazy_exports
 
-__all__ = [
-    "CancelTimer",
-    "Component",
-    "Effect",
-    "LogLine",
-    "NullRuntime",
-    "RetryPolicy",
-    "Send",
-    "SetTimer",
-    "Stop",
-    "TimeoutPolicy",
-]
+_EXPORTS = {
+    ".component": ("CancelTimer", "Component", "Effect", "LogLine",
+                   "NullRuntime", "Send", "SetTimer", "Stop"),
+    ".policy": ("RetryPolicy", "TimeoutPolicy"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -1,38 +1,14 @@
 """NWS-style performance forecasting and dynamic benchmarking."""
 
-from .benchmarking import EventTimer, ForecastRegistry, event_tag
-from .forecasters import (
-    AdaptiveMean,
-    ExponentialSmoothing,
-    Forecaster,
-    LastValue,
-    RunningMean,
-    SlidingMean,
-    SlidingMedian,
-    TrimmedMean,
-    default_bank,
-)
-from .selector import Forecast, ForecasterBank
-from .sensors import NWS_FORECAST, NWS_PING, NWS_PONG, NWS_QUERY, NWSSensor
+from ..._exports import lazy_exports
 
-__all__ = [
-    "EventTimer",
-    "ForecastRegistry",
-    "event_tag",
-    "AdaptiveMean",
-    "ExponentialSmoothing",
-    "Forecaster",
-    "LastValue",
-    "RunningMean",
-    "SlidingMean",
-    "SlidingMedian",
-    "TrimmedMean",
-    "default_bank",
-    "Forecast",
-    "ForecasterBank",
-    "NWSSensor",
-    "NWS_PING",
-    "NWS_PONG",
-    "NWS_QUERY",
-    "NWS_FORECAST",
-]
+_EXPORTS = {
+    ".benchmarking": ("EventTimer", "ForecastRegistry", "event_tag"),
+    ".forecasters": ("AdaptiveMean", "ExponentialSmoothing", "Forecaster",
+                     "LastValue", "RunningMean", "SlidingMean",
+                     "SlidingMedian", "TrimmedMean", "default_bank"),
+    ".selector": ("Forecast", "ForecasterBank"),
+    ".sensors": ("NWSSensor", "NWS_PING", "NWS_PONG", "NWS_QUERY",
+                 "NWS_FORECAST"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -1,65 +1,17 @@
 """Distributed state exchange: Gossip pool, clique protocol, state stores."""
 
-from .agent import GossipAgent
-from .clique import CLIQUE_MTYPES, CliqueState, plan_shards
-from .digest import (
-    DIGEST_BUCKETS,
-    StateDigest,
-    bucket_of,
-    freshness_hash,
-    plan_exchange,
-)
-from .server import (
-    GOS_DELTA,
-    GOS_DIGEST,
-    GOS_NEWCOMP,
-    GOS_POLL,
-    GOS_REG,
-    GOS_REG_OK,
-    GOS_STATE,
-    GOS_SYNC,
-    GOS_UPDATE,
-    GossipServer,
-    GossipStats,
-)
-from .state import (
-    Comparator,
-    ComparatorRegistry,
-    StateRecord,
-    StateStore,
-    default_comparator,
-)
-from .swim import ALIVE, DEAD, SUSPECT, MemberView, SuspicionTable
+from ..._exports import lazy_exports
 
-__all__ = [
-    "GossipAgent",
-    "CLIQUE_MTYPES",
-    "CliqueState",
-    "plan_shards",
-    "DIGEST_BUCKETS",
-    "StateDigest",
-    "bucket_of",
-    "freshness_hash",
-    "plan_exchange",
-    "GossipServer",
-    "GossipStats",
-    "GOS_DELTA",
-    "GOS_DIGEST",
-    "GOS_NEWCOMP",
-    "GOS_POLL",
-    "GOS_REG",
-    "GOS_REG_OK",
-    "GOS_STATE",
-    "GOS_SYNC",
-    "GOS_UPDATE",
-    "Comparator",
-    "ComparatorRegistry",
-    "StateRecord",
-    "StateStore",
-    "default_comparator",
-    "ALIVE",
-    "SUSPECT",
-    "DEAD",
-    "MemberView",
-    "SuspicionTable",
-]
+_EXPORTS = {
+    ".agent": ("GossipAgent",),
+    ".clique": ("CLIQUE_MTYPES", "CliqueState", "plan_shards"),
+    ".digest": ("DIGEST_BUCKETS", "StateDigest", "bucket_of",
+                "freshness_hash", "plan_exchange"),
+    ".server": ("GossipServer", "GossipStats", "GOS_DELTA", "GOS_DIGEST",
+                "GOS_NEWCOMP", "GOS_POLL", "GOS_REG", "GOS_REG_OK",
+                "GOS_STATE", "GOS_SYNC", "GOS_UPDATE"),
+    ".state": ("Comparator", "ComparatorRegistry", "StateRecord",
+               "StateStore", "default_comparator"),
+    ".swim": ("ALIVE", "SUSPECT", "DEAD", "MemberView", "SuspicionTable"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

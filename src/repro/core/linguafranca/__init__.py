@@ -1,23 +1,13 @@
 """Portable lingua franca: packet framing, typed messages, transports."""
 
-from .endpoint import SimEndpoint
-from .messages import Message, MessageError, TypeRegistry, fresh_req_id
-from .packets import PacketDecoder, PacketError, decode_packet, encode_packet
-from .tcp import AsyncSender, EventLoop, TcpClient, TcpServer, TransportError
+from ..._exports import lazy_exports
 
-__all__ = [
-    "SimEndpoint",
-    "Message",
-    "MessageError",
-    "TypeRegistry",
-    "fresh_req_id",
-    "PacketDecoder",
-    "PacketError",
-    "decode_packet",
-    "encode_packet",
-    "AsyncSender",
-    "EventLoop",
-    "TcpClient",
-    "TcpServer",
-    "TransportError",
-]
+_EXPORTS = {
+    ".endpoint": ("SimEndpoint",),
+    ".messages": ("Message", "MessageError", "TypeRegistry", "fresh_req_id"),
+    ".packets": ("PacketDecoder", "PacketError", "decode_packet",
+                 "encode_packet"),
+    ".tcp": ("AsyncSender", "EventLoop", "TcpClient", "TcpServer",
+             "TransportError"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

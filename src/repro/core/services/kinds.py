@@ -25,20 +25,25 @@ admitted unchecked (the queue is a transport, not a gatekeeper); only
 
 Lookup supports one level of wildcarding: ``explore.eval`` falls back to
 an ``explore.*`` registration, so an app family can share one contract.
+The kinds the toolkit ships are found by name (:data:`SHIPPED_KINDS`),
+not by whatever a process happened to import.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 __all__ = [
     "AppKind",
     "DEFAULT_KIND",
+    "EngineStatus",
     "KIND_FIELD",
     "KindEngine",
     "KindRegistry",
     "ResultCheckError",
+    "SHIPPED_KINDS",
     "kind_of",
     "register_kind",
     "registry",
@@ -49,6 +54,15 @@ KIND_FIELD = "kind"
 
 #: Kind assumed for specs that predate the field (the Ramsey search).
 DEFAULT_KIND = "ramsey"
+
+#: The kinds the toolkit ships, by the module whose import registers
+#: them on the default registry. A lookup that misses one of these
+#: imports its home first, so a gateway that never builds an engine
+#: still distrusts results (§3.1) whatever else it imported.
+SHIPPED_KINDS = {
+    "ramsey": "repro.ramsey.tasks",
+    "explore.*": "repro.explore.engine",
+}
 
 
 class ResultCheckError(Exception):
@@ -82,16 +96,22 @@ class KindRegistry:
         return kind
 
     def get(self, name: str) -> Optional[AppKind]:
-        """Exact match first, then the ``family.*`` wildcard."""
-        kind = self._kinds.get(name)
-        if kind is not None:
-            return kind
+        """Exact match first, then the ``family.*`` wildcard; a miss on a
+        shipped kind imports its home module and looks again."""
         head, sep, _ = name.partition(".")
-        if sep:
-            return self._kinds.get(f"{head}.*")
-        return None
+        family = f"{head}.*" if sep else None
+        kind = self._kinds.get(name) or self._kinds.get(family)
+        if kind is None:
+            home = SHIPPED_KINDS.get(name) or SHIPPED_KINDS.get(family)
+            if home is not None:
+                importlib.import_module(home)
+                kind = self._kinds.get(name) or self._kinds.get(family)
+        return kind
 
     def names(self) -> list[str]:
+        """Every registered kind, the shipped ones included."""
+        for home in SHIPPED_KINDS.values():
+            importlib.import_module(home)
         return sorted(self._kinds)
 
     def kind_of(self, spec: dict) -> str:
@@ -112,9 +132,10 @@ class KindRegistry:
 
 
 #: The process-wide default registry. Applications register at import
-#: time (``repro.ramsey.tasks`` claims ``ramsey``, ``repro.explore``
-#: claims ``explore.eval``), so any process that can *build* a kind's
-#: engine also distrusts its results.
+#: time (``repro.ramsey.tasks`` claims ``ramsey``,
+#: ``repro.explore.engine`` claims ``explore.eval``). A process that
+#: imported neither — a gateway only routes and stores units — still
+#: checks both: the first lookup of a shipped kind imports its home.
 registry = KindRegistry()
 
 
@@ -136,6 +157,18 @@ def register_kind(
 def kind_of(spec: dict) -> str:
     """The kind name of ``spec`` under the default registry."""
     return registry.kind_of(spec)
+
+
+@dataclass
+class EngineStatus:
+    """Outcome of one compute slice (what every engine's ``advance``
+    returns, whatever its kind)."""
+
+    ops_done: float
+    energy: float
+    best_energy: float
+    found: Optional[dict] = None  # counter-example object, when newly found
+    done: bool = False  # unit budget exhausted
 
 
 @dataclass

@@ -1,89 +1,19 @@
 """Experiment harness: the SC98 scenario, metrics, and figure rendering."""
 
-from .export import headlines_json, hosts_csv, rates_csv, write_results
-from .stats import SweepOutcome, bootstrap_ci, seed_sweep, shape_metrics
-from .metrics import (
-    HostCountSampler,
-    SeriesBundle,
-    TimeBuckets,
-    coefficient_of_variation,
-    collect_rate_series,
-)
-from .report import (
-    format_rate,
-    render_fig2,
-    render_fig3a,
-    render_fig3b,
-    render_grid_criteria,
-    render_headlines,
-    render_series_table,
-    sparkline,
-)
-from .sc98 import (
-    SC98Config,
-    SC98Results,
-    SC98World,
-    build_sc98,
-    clock_to_offset,
-    offset_to_clock,
-)
-from .scenario import ServiceCore, build_core, model_client_factory
+from .._exports import lazy_exports
 
-#: Chaos-matrix names resolved lazily (PEP 562) so that running
-#: ``python -m repro.experiments.chaos`` does not import the module
-#: twice (once via this package, once via runpy).
-_CHAOS_EXPORTS = {
-    "PROFILES",
-    "ChaosConfig",
-    "ChaosReport",
-    "build_plan",
-    "run_chaos",
-    "run_chaos_matrix",
+_EXPORTS = {
+    ".chaos": ("PROFILES", "ChaosConfig", "ChaosReport", "build_plan",
+               "run_chaos", "run_chaos_matrix"),
+    ".export": ("headlines_json", "hosts_csv", "rates_csv", "write_results"),
+    ".metrics": ("HostCountSampler", "SeriesBundle", "TimeBuckets",
+                 "coefficient_of_variation", "collect_rate_series"),
+    ".report": ("format_rate", "render_fig2", "render_fig3a", "render_fig3b",
+                "render_grid_criteria", "render_headlines",
+                "render_series_table", "sparkline"),
+    ".sc98": ("SC98Config", "SC98Results", "SC98World", "build_sc98",
+              "clock_to_offset", "offset_to_clock"),
+    ".scenario": ("ServiceCore", "build_core", "model_client_factory"),
+    ".stats": ("SweepOutcome", "bootstrap_ci", "seed_sweep", "shape_metrics"),
 }
-
-
-def __getattr__(name):
-    if name in _CHAOS_EXPORTS:
-        from . import chaos
-
-        return getattr(chaos, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-__all__ = [
-    "SweepOutcome",
-    "bootstrap_ci",
-    "seed_sweep",
-    "shape_metrics",
-    "headlines_json",
-    "hosts_csv",
-    "rates_csv",
-    "write_results",
-    "HostCountSampler",
-    "SeriesBundle",
-    "TimeBuckets",
-    "coefficient_of_variation",
-    "collect_rate_series",
-    "format_rate",
-    "render_fig2",
-    "render_fig3a",
-    "render_fig3b",
-    "render_grid_criteria",
-    "render_headlines",
-    "render_series_table",
-    "sparkline",
-    "SC98Config",
-    "SC98Results",
-    "SC98World",
-    "build_sc98",
-    "clock_to_offset",
-    "offset_to_clock",
-    "ServiceCore",
-    "build_core",
-    "model_client_factory",
-    "PROFILES",
-    "ChaosConfig",
-    "ChaosReport",
-    "build_plan",
-    "run_chaos",
-    "run_chaos_matrix",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -11,7 +11,8 @@ scheduler/gateway/WorkQueue stack. The pieces:
   (sphere, rastrigin, a miniature forecast-skill model) and the §3.1
   recompute-and-distrust result check.
 * :mod:`~repro.explore.engine` — the client-side ComputeEngine for
-  ``explore.eval`` units; importing this module registers the kind.
+  ``explore.eval`` units; importing this module registers the kind, and
+  the default kind registry imports it on the first ``explore.*`` lookup.
 * :mod:`~repro.explore.drivers` — the ME algorithms (:class:`GridSweep`,
   :class:`HillClimber`) and the blocking EMEWS pump
   (:func:`run_driver`).
@@ -25,38 +26,15 @@ scheduler/gateway/WorkQueue stack. The pieces:
   sweep.
 """
 
-from .drivers import GridSweep, HillClimber, make_driver, run_driver
-from .engine import ExploreEngine
-from .evals import (
-    EVAL_FUNCTIONS,
-    EVAL_KIND,
-    check_eval_result,
-    evaluate,
-    execute_unit,
-    make_eval_spec,
-    validate_eval,
-)
-from .queue import ExploreQueue
-from .serve import ExploreConfig, run_explore
-from .sim import ExploreWorker, MEDriverComponent, run_sim_explore
+from .._exports import lazy_exports
 
-__all__ = [
-    "EVAL_FUNCTIONS",
-    "EVAL_KIND",
-    "ExploreConfig",
-    "ExploreEngine",
-    "ExploreQueue",
-    "ExploreWorker",
-    "GridSweep",
-    "HillClimber",
-    "MEDriverComponent",
-    "check_eval_result",
-    "evaluate",
-    "execute_unit",
-    "make_driver",
-    "make_eval_spec",
-    "run_driver",
-    "run_explore",
-    "run_sim_explore",
-    "validate_eval",
-]
+_EXPORTS = {
+    ".drivers": ("GridSweep", "HillClimber", "make_driver", "run_driver"),
+    ".engine": ("ExploreEngine",),
+    ".evals": ("EVAL_FUNCTIONS", "EVAL_KIND", "check_eval_result", "evaluate",
+               "execute_unit", "make_eval_spec", "validate_eval"),
+    ".queue": ("ExploreQueue",),
+    ".serve": ("ExploreConfig", "run_explore"),
+    ".sim": ("ExploreWorker", "MEDriverComponent", "run_sim_explore"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -7,9 +7,10 @@ exhausted, then surface the finished evaluation. The objective itself is
 cheap deterministic math (:func:`~repro.explore.evals.evaluate`); the
 ``ops_budget`` is what the evaluation *costs on the grid* — it meters
 how long a client is occupied, which is what the scheduler, forecasters,
-and chaos machinery care about. Registering the kind here means any
-process that imports :mod:`repro.explore` can both execute these units
-(via :class:`~repro.core.services.kinds.KindEngine`) and distrust their
+and chaos machinery care about. This module registers the kind, and the
+default kind registry imports it on the first ``explore.*`` lookup, so
+every process can both execute these units (via
+:class:`~repro.core.services.kinds.KindEngine`) and distrust their
 results (the gateway's WorkQueue check).
 """
 
@@ -17,8 +18,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..core.services.kinds import register_kind
-from ..ramsey.client import EngineStatus
+from ..core.services.kinds import EngineStatus, register_kind
 from .evals import EVAL_KIND, check_eval_result, execute_unit, validate_eval
 
 __all__ = ["ExploreEngine"]

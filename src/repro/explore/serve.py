@@ -30,7 +30,6 @@ from ..live.supervisor import RestartPolicy
 from ..live.topology import Topology, serve_topology
 from .drivers import make_driver, run_driver
 from .queue import ExploreQueue
-from . import engine as _engine  # noqa: F401  (registers the kind)
 
 __all__ = ["ExploreConfig", "run_explore"]
 

@@ -35,7 +35,6 @@ from ..control.sim import GW_REQ, GW_RES, SimJobWorker, TwinWorld
 from .drivers import make_driver
 from .evals import EVAL_KIND, execute_unit
 from .queue import FeedConsumer
-from . import engine as _engine  # noqa: F401  (registers the kind)
 
 __all__ = ["ExploreWorker", "MEDriverComponent", "run_sim_explore"]
 

@@ -1,28 +1,17 @@
 """Simulated Grid infrastructure adapters (the paper's §5 experiences)."""
 
-from .base import ClientFactory, InfraAdapter
-from .condor import CondorPool
-from .globus import GlobusSites
-from .java import JavaApplets
-from .legion import LegionNet, LegionTranslator
-from .netsolve import NetSolveFarm
-from .nt import NTSupercluster
-from .speeds import JAVA_INTERP_IOPS, JAVA_JIT_IOPS, SPEED_CLASSES, speed_for
-from .unixpool import UnixPool
+from .._exports import lazy_exports
 
-__all__ = [
-    "ClientFactory",
-    "InfraAdapter",
-    "CondorPool",
-    "GlobusSites",
-    "JavaApplets",
-    "LegionNet",
-    "LegionTranslator",
-    "NetSolveFarm",
-    "NTSupercluster",
-    "UnixPool",
-    "JAVA_INTERP_IOPS",
-    "JAVA_JIT_IOPS",
-    "SPEED_CLASSES",
-    "speed_for",
-]
+_EXPORTS = {
+    ".base": ("ClientFactory", "InfraAdapter"),
+    ".condor": ("CondorPool",),
+    ".globus": ("GlobusSites",),
+    ".java": ("JavaApplets",),
+    ".legion": ("LegionNet", "LegionTranslator"),
+    ".netsolve": ("NetSolveFarm",),
+    ".nt": ("NTSupercluster",),
+    ".speeds": ("JAVA_INTERP_IOPS", "JAVA_JIT_IOPS", "SPEED_CLASSES",
+                "speed_for"),
+    ".unixpool": ("UnixPool",),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

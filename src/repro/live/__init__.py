@@ -26,35 +26,15 @@ driver, the clock, and the addressing (``host:port`` instead of
 ``host/port``) change. See DESIGN.md §11.
 """
 
-from .collector import Collector, NodeRecord
-from .harness import LiveReport, check_invariants, run_live
-from .node import build_component, run_node
-from .ports import PortAllocator
-from .supervisor import RestartPolicy, Supervisor
-from .topology import (
-    Manifest,
-    NodeSpec,
-    Topology,
-    build_manifest,
-    sc98_topology,
-    serve_topology,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "Collector",
-    "NodeRecord",
-    "LiveReport",
-    "check_invariants",
-    "run_live",
-    "build_component",
-    "run_node",
-    "PortAllocator",
-    "RestartPolicy",
-    "Supervisor",
-    "Manifest",
-    "NodeSpec",
-    "Topology",
-    "build_manifest",
-    "sc98_topology",
-    "serve_topology",
-]
+_EXPORTS = {
+    ".collector": ("Collector", "NodeRecord"),
+    ".harness": ("LiveReport", "check_invariants", "run_live"),
+    ".node": ("build_component", "run_node"),
+    ".ports": ("PortAllocator",),
+    ".supervisor": ("RestartPolicy", "Supervisor"),
+    ".topology": ("Manifest", "NodeSpec", "Topology", "build_manifest",
+                  "sc98_topology", "serve_topology"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

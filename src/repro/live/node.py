@@ -117,9 +117,8 @@ def build_component(manifest: Manifest, name: str,
     if spec.role == "client":
         # Clients execute whichever app kind the scheduler hands them:
         # the KindEngine dispatches per-unit (ramsey units to the tuned
-        # RealEngine below, explore.* units to the registry-built
-        # ExploreEngine — registered by the import side effect here).
-        from ..explore import engine as _explore_engine  # noqa: F401
+        # RealEngine below, explore.* units to the ExploreEngine the
+        # default kind registry builds on first lookup).
         client = RamseyClient(
             name=name,
             schedulers=rotated(manifest.contacts_for("scheduler")

@@ -9,44 +9,15 @@ strictly additive — simulated-plane runs stay byte-identical and the
 telemetry-off overhead gate still holds.
 """
 
-from .events import EventLog, parse_jsonl, render_jsonl
-from .flight import FlightRecorder, flight_path, load_flight
-from .jobtrace import (
-    ID_BLOCK,
-    MAX_INCARNATIONS,
-    job_trace,
-    load_spans,
-    render_job_trace,
-    span_origin,
-)
-from .prom import (
-    CONTENT_TYPE,
-    parse_prometheus,
-    render_prometheus,
-    sample_value,
-    split_metric_key,
-)
-from .top import build_frame, render_top, run_top
+from .._exports import lazy_exports
 
-__all__ = [
-    "CONTENT_TYPE",
-    "EventLog",
-    "FlightRecorder",
-    "ID_BLOCK",
-    "MAX_INCARNATIONS",
-    "build_frame",
-    "flight_path",
-    "job_trace",
-    "load_flight",
-    "load_spans",
-    "parse_jsonl",
-    "parse_prometheus",
-    "render_job_trace",
-    "render_jsonl",
-    "render_prometheus",
-    "render_top",
-    "run_top",
-    "sample_value",
-    "span_origin",
-    "split_metric_key",
-]
+_EXPORTS = {
+    ".events": ("EventLog", "parse_jsonl", "render_jsonl"),
+    ".flight": ("FlightRecorder", "flight_path", "load_flight"),
+    ".jobtrace": ("ID_BLOCK", "MAX_INCARNATIONS", "job_trace", "load_spans",
+                  "render_job_trace", "span_origin"),
+    ".prom": ("CONTENT_TYPE", "parse_prometheus", "render_prometheus",
+              "sample_value", "split_metric_key"),
+    ".top": ("build_frame", "render_top", "run_top"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -8,31 +8,13 @@ vectorized executors; ``shm`` passes colorings through shared memory;
 ``benchmarks/bench_parallel.py``.
 """
 
-from .kernels import (
-    EvalResult,
-    EvalRound,
-    Recount,
-    RecountResult,
-    StepBatch,
-    StepBatchResult,
-    run_task,
-)
-from .lanes import ComputeLane, InlineLane, PoolLane, make_lane
-from .pool import KernelPool
-from .shm import ShmArena
+from .._exports import lazy_exports
 
-__all__ = [
-    "ComputeLane",
-    "InlineLane",
-    "PoolLane",
-    "make_lane",
-    "KernelPool",
-    "ShmArena",
-    "EvalRound",
-    "EvalResult",
-    "Recount",
-    "RecountResult",
-    "StepBatch",
-    "StepBatchResult",
-    "run_task",
-]
+_EXPORTS = {
+    ".kernels": ("EvalResult", "EvalRound", "Recount", "RecountResult",
+                 "StepBatch", "StepBatchResult", "run_task"),
+    ".lanes": ("ComputeLane", "InlineLane", "PoolLane", "make_lane"),
+    ".pool": ("KernelPool",),
+    ".shm": ("ShmArena",),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -21,7 +21,6 @@ A client:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Protocol
 
 import numpy as np
@@ -40,7 +39,9 @@ from ..core.services.scheduler import (
     SCH_REPORT,
     SCH_WORK,
 )
-from ..core.services.kinds import kind_of
+# EngineStatus lives beside KindEngine (so non-Ramsey engines need not
+# import this module); re-exported here, where it has always been public.
+from ..core.services.kinds import EngineStatus, kind_of
 from .graphs import OpCounter
 from .heuristics import SearchSnapshot, TabuSearch, make_search
 from .tasks import validate_unit
@@ -75,17 +76,6 @@ def ramsey_comparator(a: StateRecord, b: StateRecord) -> int:
     kb = (b.data.get("k", 0), -b.data.get("energy", float("inf")),
           b.data.get("ops", 0.0), b.stamp, b.seq, b.origin)
     return (ka > kb) - (ka < kb)
-
-
-@dataclass
-class EngineStatus:
-    """Outcome of one compute slice."""
-
-    ops_done: float
-    energy: float
-    best_energy: float
-    found: Optional[dict] = None  # counter-example object, when newly found
-    done: bool = False  # unit budget exhausted
 
 
 class ComputeEngine(Protocol):

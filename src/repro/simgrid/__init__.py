@@ -1,47 +1,13 @@
 """Simulated Computational Grid substrate (discrete-event simulation)."""
 
-from .engine import (
-    AllOf,
-    AnyOf,
-    Condition,
-    Environment,
-    Event,
-    Interrupt,
-    Process,
-    SimulationError,
-    Timeout,
-)
-from .faults import (
-    FaultPlan,
-    FaultStats,
-    HostCrash,
-    InfraOutage,
-    MessageChaos,
-    SitePartition,
-)
-from .network import Address, AddressError, Network
-from .resources import Gate, Store, get_with_timeout
+from .._exports import lazy_exports
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Condition",
-    "Environment",
-    "Event",
-    "Interrupt",
-    "Process",
-    "SimulationError",
-    "Timeout",
-    "Address",
-    "AddressError",
-    "FaultPlan",
-    "FaultStats",
-    "HostCrash",
-    "InfraOutage",
-    "MessageChaos",
-    "Network",
-    "SitePartition",
-    "Gate",
-    "Store",
-    "get_with_timeout",
-]
+_EXPORTS = {
+    ".engine": ("AllOf", "AnyOf", "Condition", "Environment", "Event",
+                "Interrupt", "Process", "SimulationError", "Timeout"),
+    ".faults": ("FaultPlan", "FaultStats", "HostCrash", "InfraOutage",
+                "MessageChaos", "SitePartition"),
+    ".network": ("Address", "AddressError", "Network"),
+    ".resources": ("Gate", "Store", "get_with_timeout"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
