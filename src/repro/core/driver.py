@@ -20,6 +20,7 @@ its own lifecycle and wake-up scheduling —
 
 from __future__ import annotations
 
+from dataclasses import replace
 from time import perf_counter as _perf_counter
 from typing import Any, Callable, Optional
 
@@ -156,11 +157,13 @@ class ComponentDriver:
                             message.trace = (span.trace_id, span.span_id)
                         pending.span = span
                 elif tracer.enabled and message.trace is None:
+                    # Stamp a copy: a sent Message is immutable (DESIGN §7).
                     span = tracer.instant(
                         f"send {message.mtype}", now,
                         component=self.component.name,
                         parent=tracer.current_ctx(), mtype=message.mtype)
-                    message.trace = (span.trace_id, span.span_id)
+                    eff = replace(eff, message=replace(
+                        message, trace=(span.trace_id, span.span_id)))
                 counter = self._sent_counters.get(message.mtype)
                 if counter is None:
                     counter = self._sent_counters[message.mtype] = (

@@ -34,13 +34,46 @@ The class is sans-IO: the owning component routes ``CLQ_*`` messages and
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Optional
 
 from ..component import CancelTimer, Effect, LogLine, Send, SetTimer
-from ..linguafranca.messages import Message
+from ..linguafranca.messages import Message, MessageError
 
 __all__ = ["CliqueState", "plan_shards", "CLQ_PROBE", "CLQ_ALIVE", "CLQ_TOKEN",
            "CLQ_ELECT", "CLQ_ELECT_OK", "CLQ_JOIN", "CLIQUE_MTYPES"]
+
+#: Sorted tuple -> (view, its shard plans by size), at most 64 entries: a
+#: thousand members holding one view hold one list and plan it once.
+_VIEWS: dict[tuple[str, ...], tuple[list[str], dict]] = {}
+
+
+def _shared(members: list[str]) -> tuple[list[str], dict]:
+    """The process's one sorted, duplicate-free list for this membership
+    view (replace it, never edit it in place) and its shard plans."""
+    if type(members) is not list:
+        raise MessageError("a membership view is a list of contacts")
+    entry = _VIEWS.get(tuple(members))  # already a view's sorted tuple
+    if entry is None:
+        if not all(isinstance(member, str) for member in members):
+            raise MessageError("a membership view holds contact strings only")
+        key = tuple(sorted(set(members)))
+        if key not in _VIEWS and len(_VIEWS) >= 64:
+            _VIEWS.clear()
+        entry = _VIEWS.setdefault(key, (list(key), {}))
+    return entry
+
+
+def _in_view(view: list[str], member: str) -> bool:
+    return member in view[(at := bisect_left(view, member)):at + 1]
+
+
+def _parse_token(body: dict) -> tuple[tuple[int, str], list[str], list[str]]:
+    """A CLQ_TOKEN body as ``((version, leader), members, universe)``."""
+    if not isinstance(body.get("leader"), str):
+        raise MessageError("CLQ_TOKEN names no leader")
+    return ((int(body["v"]), body["leader"]), _shared(body["members"])[0],
+            _shared(body.get("universe", []))[0])
 
 
 def plan_shards(members: list[str], shard_size: int) -> list[list[str]]:
@@ -102,14 +135,14 @@ class CliqueState:
         token_timeout: float = 35.0,
         elect_timeout: float = 8.0,
     ) -> None:
-        if self_id not in universe:
-            universe = [*universe, self_id]
         self.self_id = self_id
-        self.universe = sorted(set(universe))
+        self.universe = universe
+        if not _in_view(self.universe, self_id):
+            self.universe = [*universe, self_id]
         self.version = 0
         #: Presumptive initial leader: the bully winner of the full universe.
-        self.leader = max(self.universe)
-        self.members = list(self.universe)  # also resets the shard plans
+        self.leader = self.universe[-1]
+        self.members = self.universe
         self.token_period = token_period
         self.assemble_wait = assemble_wait
         self.token_timeout = token_timeout
@@ -129,35 +162,35 @@ class CliqueState:
     # -- sharded sync ring ---------------------------------------------------
     @property
     def members(self) -> list[str]:
-        """The current membership view. Replaced, never edited in place:
-        assigning it is what invalidates the shard plans below."""
+        """The current membership view (sorted; shared, do not edit)."""
         return self._members
 
     @members.setter
     def members(self, members: list[str]) -> None:
-        self._members = members
-        #: shard_size -> (shards, index of our shard or None); filled on
-        #: first ask, so sync rounds between membership changes look it up.
-        self._shard_plans: dict[int, tuple[list[list[str]], Optional[int]]] = {}
+        self._members, self._plans = _shared(members)
+
+    @property
+    def universe(self) -> list[str]:
+        """Configured pool plus joiners (sorted; shared, do not edit)."""
+        return self._universe
+
+    @universe.setter
+    def universe(self, universe: list[str]) -> None:
+        self._universe = _shared(universe)[0]
 
     def _shard_plan(self, shard_size: int) -> tuple[list[list[str]], Optional[int]]:
-        plan = self._shard_plans.get(shard_size)
+        """The view's shards (planned once per process) and our index."""
+        plan = self._plans.get(shard_size)
         if plan is None:
             shards = plan_shards(self._members, shard_size)
-            mine = next((i for i, shard in enumerate(shards)
-                         if self.self_id in shard), None)
-            plan = self._shard_plans[shard_size] = (shards, mine)
-        return plan
+            plan = self._plans[shard_size] = (shards, {
+                m: i for i, shard in enumerate(shards) for m in shard})
+        return plan[0], plan[1].get(self.self_id)
 
     def shards(self, shard_size: int = 32) -> list[list[str]]:
         """The current membership cut into sync sub-cliques; see
         :func:`plan_shards`. Shared with later callers: do not edit."""
         return self._shard_plan(shard_size)[0]
-
-    def shard_index(self, shard_size: int = 32) -> int:
-        """Index of the shard this member belongs to (0 when unknown,
-        e.g. before the first token names us)."""
-        return self._shard_plan(shard_size)[1] or 0
 
     def my_shard(self, shard_size: int = 32) -> list[str]:
         shards, mine = self._shard_plan(shard_size)
@@ -184,11 +217,12 @@ class CliqueState:
         full.update(body)
         return Message(mtype=mtype, sender=self.self_id, body=full)
 
-    def _send_token_to(self, dst: str) -> Effect:
-        return Send(dst, self._msg(CLQ_TOKEN, {
+    def _token(self) -> Message:
+        # The views ride as they are: JSON lists, frozen once sent.
+        return self._msg(CLQ_TOKEN, {
             "members": self.members,
             "universe": self.universe,
-        }))
+        })
 
     def _abdicate_to(self, leader: str, version: int) -> list[Effect]:
         """Join a bigger live leader's regime."""
@@ -226,10 +260,9 @@ class CliqueState:
 
     def _begin_probe_round(self) -> list[Effect]:
         self._alive = set()
+        probe = self._msg(CLQ_PROBE, {})
         effects: list[Effect] = [
-            Send(peer, self._msg(CLQ_PROBE, {}))
-            for peer in self.universe
-            if peer != self.self_id
+            Send(peer, probe) for peer in self.universe if peer != self.self_id
         ]
         effects.append(SetTimer(T_ASSEMBLE, self.assemble_wait))
         return effects
@@ -249,19 +282,21 @@ class CliqueState:
         handler = self._HANDLERS.get(message.mtype)
         if handler is None:
             return []
+        # A malformed token raises here, before any state moves.
+        arg = _parse_token(message.body) if message.mtype == CLQ_TOKEN else message
         effects = self._note_remote(message)
-        effects.extend(getattr(self, handler)(message, now))
+        effects.extend(getattr(self, handler)(arg, now))
         return effects
 
     def _on_probe(self, message: Message, now: float) -> list[Effect]:
         src = message.sender
-        if src not in self.universe:
-            self.universe = sorted({*self.universe, src})
+        if not _in_view(self.universe, src):
+            self.universe = [*self.universe, src]
         effects: list[Effect] = [Send(src, self._msg(CLQ_ALIVE, {}))]
         if self.is_leader and src < self.self_id:
             # A smaller node (possibly a partition-era leader) is probing:
             # push our token at it so it folds into our clique.
-            effects.append(self._send_token_to(src))
+            effects.append(Send(src, self._token()))
         return effects
 
     def _on_alive(self, message: Message, now: float) -> list[Effect]:
@@ -269,16 +304,16 @@ class CliqueState:
             self._alive.add(message.sender)
         return []
 
-    def _on_token(self, message: Message, now: float) -> list[Effect]:
-        body = message.body
-        key = (int(body["v"]), str(body["leader"]))
+    def _on_token(self, token: tuple, now: float) -> list[Effect]:
+        key, members, universe = token
         if key < self._key():
             return []  # stale token from an old regime
         self.tokens_seen += 1
         was_leader = self.is_leader
         self.version, self.leader = key
-        self.members = list(body["members"])
-        self.universe = sorted(set(self.universe) | set(body.get("universe", [])))
+        self.members = members
+        if universe is not self.universe:
+            self.universe = [*self.universe, *universe]
         self._electing = False
         effects: list[Effect] = [SetTimer(T_WATCHDOG, self.token_timeout)]
         if was_leader and not self.is_leader:
@@ -299,7 +334,7 @@ class CliqueState:
             if self._seen_version >= self.version:
                 self.version = self._seen_version + 1
                 self._seen_version = self.version
-            effects.append(self._send_token_to(src))
+            effects.append(Send(src, self._token()))
         elif not self._electing:
             effects.extend(self._start_election(now))
         return effects
@@ -313,11 +348,11 @@ class CliqueState:
 
     def _on_join(self, message: Message, now: float) -> list[Effect]:
         joiner = message.body.get("joiner") or message.sender
-        if joiner not in self.universe:
-            self.universe = sorted({*self.universe, joiner})
+        if not _in_view(self.universe, joiner):
+            self.universe = [*self.universe, joiner]
         if self.is_leader:
             # Fold the joiner in on the next probe round; greet immediately.
-            return [self._send_token_to(joiner)]
+            return [Send(joiner, self._token())]
         # First-hand JOIN at a non-leader: forward so the leader learns.
         if joiner != self.leader and message.body.get("joiner") is None:
             return [Send(self.leader, self._msg(CLQ_JOIN, {"joiner": joiner}))]
@@ -345,16 +380,17 @@ class CliqueState:
     def _close_probe_round(self, now: float) -> list[Effect]:
         if not self.is_leader:
             return []
-        new_members = sorted(self._alive | {self.self_id})
-        changed = new_members != sorted(self.members)
-        if changed or self._seen_version > self.version:
+        new_members = _shared([*self._alive, self.self_id])[0]
+        if new_members != self.members or self._seen_version > self.version:
             # New epoch: dominate every version we have witnessed so that
             # members from stale regimes accept this token.
             self.version = max(self.version, self._seen_version) + 1
             self._seen_version = self.version
             self.members = new_members
+        # One token object for the whole round: encoded once, not per peer.
+        token = self._token()
         effects: list[Effect] = [
-            self._send_token_to(peer) for peer in self.members if peer != self.self_id
+            Send(peer, token) for peer in self.members if peer != self.self_id
         ]
         effects.append(SetTimer(T_PROBE, max(self.token_period - self.assemble_wait, 0.1)))
         return effects
@@ -365,9 +401,8 @@ class CliqueState:
         higher = [p for p in self.universe if p > self.self_id]
         if not higher:
             return self._become_leader(now)
-        effects: list[Effect] = [
-            Send(peer, self._msg(CLQ_ELECT, {})) for peer in higher
-        ]
+        challenge = self._msg(CLQ_ELECT, {})
+        effects: list[Effect] = [Send(peer, challenge) for peer in higher]
         effects.append(SetTimer(T_ELECT, self.elect_timeout))
         return effects
 
@@ -385,8 +420,6 @@ class CliqueState:
         """Effects for a *new* pool member announcing itself (§2.3: "new
         Gossip processes registered themselves with one of the well-known
         sites")."""
-        return [
-            Send(peer, self._msg(CLQ_JOIN, {}))
-            for peer in contact_points
-            if peer != self.self_id
-        ]
+        join = self._msg(CLQ_JOIN, {})
+        return [Send(peer, join) for peer in contact_points
+                if peer != self.self_id]

@@ -53,7 +53,7 @@ from ..component import CancelTimer, Component, Effect, LogLine, Send, SetTimer,
 from ..forecasting.benchmarking import EventTimer, ForecastRegistry, event_tag
 from ..policy import TimeoutPolicy
 from ..linguafranca.messages import Message
-from .clique import CLIQUE_MTYPES, CliqueState
+from .clique import CLIQUE_MTYPES, CliqueState, _in_view
 from .digest import StateDigest, plan_exchange
 from .state import ComparatorRegistry, StateRecord
 from .swim import ALIVE, DEAD, SUSPECT, SuspicionTable
@@ -127,11 +127,6 @@ class _Registration:
     contact: str
     types: set[str]
     last_seen: float = 0.0
-
-
-def _body_size(body: dict) -> int:
-    """Serialized size of a record body (byte accounting)."""
-    return len(json.dumps(body, separators=(",", ":")))
 
 
 class GossipServer(Component):
@@ -222,19 +217,18 @@ class GossipServer(Component):
         self._saved_counter = None
         self._rounds_counter = None
         self._delta_counter = None
-        #: Last observed clique membership, for reconfiguration detection
-        #: (``gossip.clique_reconfigs`` counts regime changes this member
-        #: witnessed — elections, joins, partitions shrinking the pool).
-        self._members_view: tuple[str, ...] = ()
-        #: The ``clique.members`` list that view was taken from.
-        self._members_seen: Optional[list[str]] = None
+        #: Last observed (shared) clique membership view, for
+        #: reconfiguration detection (``gossip.clique_reconfigs`` counts
+        #: regime changes this member witnessed — elections, joins,
+        #: partitions shrinking the pool).
+        self._members_view: list[str] = []
 
     # -- lifecycle ------------------------------------------------------------
     def on_start(self, now: float) -> list[Effect]:
         contact = self.contact
         self.clique = CliqueState(
             self_id=contact,
-            universe=sorted(set(self.well_known) | {contact}),
+            universe=self.well_known,
             token_period=self._token_period,
             token_timeout=self._token_timeout,
         )
@@ -249,8 +243,7 @@ class GossipServer(Component):
         effects.extend(self.clique.start(now))
         effects.append(SetTimer(T_POLL, self.poll_period))
         effects.append(SetTimer(T_SYNC, self.sync_period))
-        self._members_seen = self.clique.members
-        self._members_view = tuple(self.pool_members())
+        self._members_view = self.clique.members
         self.telemetry.metrics.gauge(
             "gossip.clique_size", component=self.name).set(
                 len(self._members_view))
@@ -276,8 +269,9 @@ class GossipServer(Component):
 
     # -- responsibility partitioning ------------------------------------------
     def pool_members(self) -> list[str]:
+        """The clique's membership view: sorted, shared, do not edit."""
         assert self.clique is not None
-        return sorted(self.clique.members)
+        return self.clique.members
 
     def alive_members(self) -> list[str]:
         """Pool members not currently declared dead by the failure
@@ -320,17 +314,14 @@ class GossipServer(Component):
     def _note_membership(self, now: float) -> None:
         """Record a clique regime change, if the last event caused one."""
         assert self.clique is not None
-        if self.clique.members is self._members_seen:
-            return  # the clique replaces the list whenever it changes it
-        self._members_seen = self.clique.members
-        members = tuple(self.pool_members())
-        if members == self._members_view:
-            return
+        members = self.clique.members
+        if members is self._members_view:
+            return  # one list per distinct view: the common case
         before, self._members_view = self._members_view, members
-        current = set(members)
-        for peer in list(self._pending_acks):
-            if peer not in current:
-                self._pending_acks.pop(peer, None)
+        if members == before:
+            return
+        for peer in [p for p in self._pending_acks if not _in_view(members, p)]:
+            del self._pending_acks[peer]
         metrics = self.telemetry.metrics
         metrics.counter("gossip.clique_reconfigs", component=self.name).inc()
         metrics.gauge("gossip.clique_size", component=self.name).set(
@@ -369,10 +360,9 @@ class GossipServer(Component):
         # Tell this member's shard directly; the rest of the pool learns
         # through the registration piggyback on digest rounds (O(shard)
         # sends instead of O(pool), with epidemic coverage behind it).
-        announce = {"contact": contact, "types": sorted(types), "ts": now}
-        for peer in self._shard_peers():
-            effects.append(Send(peer, Message(
-                mtype=GOS_NEWCOMP, sender=self.contact, body=announce)))
+        announce = Message(mtype=GOS_NEWCOMP, sender=self.contact, body={
+            "contact": contact, "types": sorted(types), "ts": now})
+        effects.extend(Send(peer, announce) for peer in self._shard_peers())
         self._reg_queue[contact] = self._piggyback_budget()
         return effects
 
@@ -470,13 +460,13 @@ class GossipServer(Component):
                 self._adopt(rec, body)
         return remote
 
-    def _adopt(self, rec: StateRecord, body: Optional[dict] = None) -> None:
+    def _adopt(self, rec: StateRecord, body: dict) -> None:
         """Single funnel for freshest-map writes: keeps the incremental
-        digest current and queues the record for rumor-mongering."""
+        digest current and queues the record for rumor-mongering. The
+        body is sized as received, not as ``rec`` would re-render it."""
         self.freshest[rec.mtype] = rec
         self.stats.records_adopted += 1
-        self.digest.adopt(
-            rec, _body_size(body if body is not None else rec.to_body()))
+        self.digest.adopt(rec, len(json.dumps(body, separators=(",", ":"))))
         self._rumors[rec.mtype] = self._rumor_budget()
 
     def seed_records(self, records: list[StateRecord],
@@ -487,7 +477,7 @@ class GossipServer(Component):
         O(N^2) gossip storm at t=0."""
         for rec in records:
             self.freshest[rec.mtype] = rec
-            self.digest.adopt(rec, _body_size(rec.to_body()))
+            self.digest.adopt(rec, rec.body_size)
             if hot:
                 self._rumors[rec.mtype] = self._rumor_budget()
 

@@ -16,7 +16,9 @@ are registered per message type.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Optional
 
 __all__ = [
@@ -44,6 +46,11 @@ class StateRecord:
     def to_body(self) -> dict:
         return {"t": self.mtype, "d": self.data, "ts": self.stamp,
                 "o": self.origin, "n": self.seq}
+
+    @cached_property
+    def body_size(self) -> int:
+        """Serialized size of :meth:`to_body`, once per shared record."""
+        return len(json.dumps(self.to_body(), separators=(",", ":")))
 
     @classmethod
     def from_body(cls, body: dict) -> "StateRecord":

@@ -31,16 +31,17 @@ def fresh_req_id() -> int:
     return next(_req_counter)
 
 
-#: Encoded-bytes cache for repeated identical control messages (gossip
-#: probes, scheduler polls, registry heartbeats re-sent unchanged every
-#: period). Keyed on every field that feeds the wire bytes — including the
-#: body's *insertion order*, since json.dumps preserves it — so a hit
-#: returns exactly the bytes a fresh encode would produce. Messages whose
-#: body holds unhashable values (nested dicts/lists) skip the cache, as
-#: does anything carrying a ``req_id``/``reply_to``: correlated messages
-#: are unique per conversation, so caching them would be pure miss
-#: overhead. Trace contexts are likewise unique per send, so traced
-#: messages skip the cache too.
+#: Encoded-bytes cache for identical control messages built afresh each
+#: period (gossip polls, scheduler polls, registry heartbeats); one object
+#: sent again keeps its own frame instead. Keyed on every field that feeds
+#: the wire bytes — including the body's *insertion order*, since
+#: json.dumps preserves it — so a hit returns exactly the bytes a fresh
+#: encode would produce. Messages whose body holds unhashable values
+#: (nested dicts/lists) skip the cache, as does anything carrying a
+#: ``req_id``/``reply_to``: correlated messages are unique per
+#: conversation, so caching them would be pure miss overhead. Trace
+#: contexts are likewise unique per send, so traced messages skip the
+#: cache too.
 _encode_cache: dict[tuple, bytes] = {}
 _ENCODE_CACHE_MAX = 2048
 
@@ -49,13 +50,19 @@ class MessageError(Exception):
     """Malformed message content."""
 
 
+class _Framed:
+    __slots__ = ("_frame",)  # no dataclass field: eq/repr/pickle skip it
+
+
 @dataclass(slots=True)
-class Message:
+class Message(_Framed):
     """One lingua-franca record.
 
     ``sender`` is the string form of the sender's contact address
     ("host/port"); components use it to reply. ``body`` must be
-    JSON-serializable.
+    JSON-serializable and is frozen once encoded (DESIGN §7): the frame
+    is kept until a header field (``sender``, ``req_id``, ``reply_to``,
+    ``trace``) changes, so one message sent N times is encoded once.
     """
 
     mtype: str
@@ -68,8 +75,18 @@ class Message:
     #: :mod:`repro.core.telemetry`.
     trace: Optional[tuple[int, int]] = None
 
+    def __getstate__(self):  # the fields only: the frame is a cache
+        return None, {name: getattr(self, name) for name in Message.__slots__}
+
     def encode(self) -> bytes:
         """Serialize to a framed packet."""
+        header = (self.sender, self.req_id, self.reply_to, self.trace)
+        frame = getattr(self, "_frame", None)
+        if frame is None or frame[0] != header:
+            frame = self._frame = (header, self._encode())
+        return frame[1]
+
+    def _encode(self) -> bytes:
         key = None
         if self.req_id is None and self.reply_to is None and self.trace is None:
             try:

@@ -194,3 +194,46 @@ def test_token_and_version_monotonic():
     v2 = w.comps[0].clique.version
     assert v2 > v1 or w.comps[0].clique.tokens_seen > 0
     assert w.comps[0].clique.version >= v1
+
+
+# -- a malformed token is rejected whole -----------------------------------
+
+MALFORMED_TOKENS = [
+    {"v": 99, "leader": "zz"},  # no membership at all
+    {"v": 99, "leader": "zz", "members": 5},
+    {"v": 99, "leader": "zz", "members": ["a"], "universe": 5},
+    {"v": 99, "leader": "zz", "members": ["a", 7]},
+    {"v": 99, "leader": "zz", "members": ["a"], "universe": [None]},
+    {"v": 99, "leader": 3, "members": ["a"]},
+    {"v": "x", "leader": "zz", "members": ["a"]},
+    {"leader": "zz", "members": ["a"]},
+]
+
+
+def clique_state(clique):
+    return (clique.version, clique.leader, list(clique.members),
+            list(clique.universe), clique.tokens_seen)
+
+
+@pytest.mark.parametrize("body", MALFORMED_TOKENS)
+@pytest.mark.parametrize("sender", ["a", "zz"])
+def test_malformed_token_changes_nothing(body, sender):
+    from repro.core.linguafranca.messages import Message, MessageError
+
+    clique = CliqueState("b", ["a", "b", "c"])
+    before = clique_state(clique)
+    with pytest.raises((MessageError, KeyError, TypeError, ValueError)):
+        clique.on_message(Message("CLQ_TOKEN", sender, body), 1.0)
+    assert clique_state(clique) == before
+
+
+def test_well_formed_token_still_applies():
+    from repro.core.linguafranca.messages import Message
+
+    clique = CliqueState("b", ["a", "b", "c"])
+    clique.on_message(Message("CLQ_TOKEN", "c", {
+        "v": 3, "leader": "c", "members": ["c", "b"],
+        "universe": ["d", "a"]}), 1.0)
+    assert (clique.version, clique.leader, clique.tokens_seen) == (3, "c", 1)
+    assert clique.members == ["b", "c"]
+    assert clique.universe == ["a", "b", "c", "d"]

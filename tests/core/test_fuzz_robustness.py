@@ -15,7 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.gossip import ComparatorRegistry, GossipServer
-from repro.core.gossip.clique import CLIQUE_MTYPES
+from repro.core.gossip.clique import CLIQUE_MTYPES, CliqueState
 from repro.core.linguafranca.messages import Message
 from repro.core.services import (
     LoggingServer,
@@ -217,6 +217,38 @@ def test_handler_errors_are_counted_and_logged():
     assert driver.handler_errors == 1
     assert driver.running
     assert any(level == "error" for (_, _, level, _) in logs)
+
+
+def _clique_state(clique):
+    return (clique.version, clique.leader, list(clique.members),
+            list(clique.universe), clique.tokens_seen)
+
+
+member_lists = st.lists(st.one_of(st.sampled_from(["a", "d", "zz"]),
+                                  json_scalars), max_size=4)
+token_bodies = st.fixed_dictionaries({}, optional={
+    "v": json_values, "leader": st.one_of(st.just("zz"), json_values),
+    "members": st.one_of(member_lists, json_values),
+    "universe": st.one_of(member_lists, json_values)})
+
+
+@given(body=token_bodies, sender=st.sampled_from(["a", "zz"]))
+# Before the whole-token check this moved version, leader and tokens_seen,
+# then raised KeyError.
+@example(body={"v": 99, "leader": "zz"}, sender="zz")
+@settings(max_examples=80, deadline=None)
+def test_clique_token_is_applied_whole_or_not_at_all(body, sender):
+    clique = CliqueState("b", ["a", "b", "c"])
+    before = _clique_state(clique)
+    try:
+        clique.on_message(Message("CLQ_TOKEN", sender, body), 1.0)
+    except Exception:  # the driver's robustness boundary drops it
+        assert _clique_state(clique) == before
+        return
+    for view in (clique.members, clique.universe):
+        assert all(type(m) is str for m in view)
+        assert view == sorted(set(view))
+    assert type(clique.version) is int and type(clique.leader) is str
 
 
 # -- the record log: journal reader + flight-spool loader --------------------

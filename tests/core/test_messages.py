@@ -134,3 +134,39 @@ json_values = st.recursive(
 def test_property_message_body_roundtrip(body):
     m = Message(mtype="T", sender="h/p", body=body)
     assert Message.decode(m.encode()).body == body
+
+
+# -- one frame per message (DESIGN §7) --------------------------------------
+
+def test_encode_follows_every_header_field_a_transport_stamps():
+    m = Message(mtype="T", sender="", body={"n": [1, 2]})
+    first = m.encode()
+    assert m.encode() is first  # kept, not rebuilt
+    for name, value in (("sender", "a/b"), ("req_id", 7), ("reply_to", 3),
+                        ("trace", (11, 12))):
+        setattr(m, name, value)
+        fresh = Message(mtype=m.mtype, sender=m.sender, body=m.body,
+                        req_id=m.req_id, reply_to=m.reply_to, trace=m.trace)
+        assert m.encode() == fresh.encode(), name
+        assert Message.decode(m.encode()) == m
+
+
+def test_the_kept_frame_is_invisible_to_fields_eq_repr_copy_and_pickle():
+    import copy
+    import dataclasses
+    import pickle
+
+    def fresh():
+        return Message(mtype="T", sender="a/b", body={"n": [1]}, req_id=4)
+
+    encoded = fresh()
+    encoded.encode()
+    assert [f.name for f in dataclasses.fields(Message)] == [
+        "mtype", "sender", "body", "req_id", "reply_to", "trace"]
+    assert encoded == fresh() and repr(encoded) == repr(fresh())
+    assert pickle.dumps(encoded) == pickle.dumps(fresh())
+    assert pickle.loads(pickle.dumps(encoded)) == fresh()
+    clone = copy.copy(encoded)
+    assert clone == encoded and clone.body is encoded.body
+    clone.req_id = 5  # a copy re-stamped encodes its own header
+    assert Message.decode(clone.encode()).req_id == 5

@@ -185,3 +185,40 @@ def test_tracing_disabled_leaves_no_spans_and_no_headers():
     assert caller.pongs == 1
     assert tel.tracer.spans == []
     assert seen == [None]
+
+
+class Broadcaster(Component):
+    """Sends one Message object to every peer at start."""
+
+    def __init__(self, peers):
+        super().__init__("bcast")
+        self.peers = peers
+        self.message = None
+
+    def on_start(self, now):
+        self.message = Message(mtype="NEWS", sender=self.contact, body={})
+        return [Send(peer, self.message) for peer in self.peers]
+
+
+def test_one_message_to_three_peers_is_three_sends_and_stays_unstamped():
+    tel = Telemetry(trace=True)
+    env, streams, net, hosts = build(tel, n_hosts=4)
+    seen = []
+
+    class Spy(Component):
+        def on_message(self, message, now):
+            seen.append(message.trace)
+            return []
+
+    for host in hosts[1:]:
+        SimDriver(env, net, host, "spy", Spy("spy"), streams,
+                  telemetry=tel).start()
+    sender = Broadcaster([f"h{i}/spy" for i in (1, 2, 3)])
+    SimDriver(env, net, hosts[0], "b", sender, streams, telemetry=tel).start()
+    env.run(until=30)
+    sends = tel.tracer.named("send NEWS")
+    assert len({span.span_id for span in sends}) == 3
+    # Each receiver parents to its own send; the component's object was
+    # never stamped (the driver transmitted stamped copies).
+    assert sorted(seen) == sorted((s.trace_id, s.span_id) for s in sends)
+    assert sender.message.trace is None
