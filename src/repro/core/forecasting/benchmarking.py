@@ -15,6 +15,7 @@ bounds, with a default before any history exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Callable, Hashable, Optional, Sequence, Union
 
 from .forecasters import Forecaster
@@ -64,16 +65,17 @@ class ForecastRegistry:
         return b
 
     def record(self, tag: Hashable, value: float) -> None:
-        """Note one measurement of the tagged event."""
+        """Note one measurement of the tagged event. The log keeps only
+        what a bank would absorb: a non-finite value is refused by both."""
         stream = self._streams.get(tag)
         if stream is None:
-            self._streams[tag] = [value]
-        elif type(stream) is list:
+            stream = self._streams[tag] = []
+        if type(stream) is not list:
+            stream.update(value)
+        elif isfinite(value):
             stream.append(value)
             if len(stream) >= _LOG_CAP:
                 self.bank(tag)
-        else:
-            stream.update(value)
 
     def forecast(self, tag: Hashable) -> Optional[Forecast]:
         if tag in self._streams:

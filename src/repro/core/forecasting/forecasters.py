@@ -161,17 +161,17 @@ class TrimmedMean(Forecaster):
         self._window = window
         self._trim = trim
         self._values: deque[float] = deque(maxlen=window)
+        self._forecast: Optional[float] = None
 
     def update(self, value: float) -> None:
         self._values.append(value)
-
-    def forecast(self) -> Optional[float]:
-        if not self._values:
-            return None
         ordered = sorted(self._values)
         if len(ordered) > 2 * self._trim:
             ordered = ordered[self._trim : len(ordered) - self._trim]
-        return sum(ordered) / len(ordered)
+        self._forecast = sum(ordered) / len(ordered)
+
+    def forecast(self) -> Optional[float]:
+        return self._forecast
 
 
 class AdaptiveMean(Forecaster):
@@ -192,21 +192,23 @@ class AdaptiveMean(Forecaster):
         self._long = long
         self._threshold = threshold
         self._values: deque[float] = deque(maxlen=long)
+        self._forecast: Optional[float] = None
 
     def update(self, value: float) -> None:
+        # The forecast is the mean of what is kept (``recent`` if truncated).
         self._values.append(value)
+        mean = sum(self._values) / len(self._values)
         if len(self._values) > self._short:
             recent = list(self._values)[-self._short :]
             s_mean = sum(recent) / len(recent)
-            l_mean = sum(self._values) / len(self._values)
-            scale = max(abs(l_mean), 1e-12)
-            if abs(s_mean - l_mean) / scale > self._threshold:
+            scale = max(abs(mean), 1e-12)
+            if abs(s_mean - mean) / scale > self._threshold:
                 self._values = deque(recent, maxlen=self._long)
+                mean = s_mean
+        self._forecast = mean
 
     def forecast(self) -> Optional[float]:
-        if not self._values:
-            return None
-        return sum(self._values) / len(self._values)
+        return self._forecast
 
 
 def default_bank() -> list[Forecaster]:

@@ -10,7 +10,8 @@ forecasting accuracy over time").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from math import inf, isfinite
+from typing import Optional, Sequence
 
 from .forecasters import Forecaster, default_bank
 
@@ -30,7 +31,9 @@ class Forecast:
 
 
 class ForecasterBank:
-    """A bank of competing forecasters over one measurement stream."""
+    """A bank of competing forecasters over one measurement stream. Each
+    method predicts once per sample, right after absorbing it: the next
+    sample scores that stored prediction, and :meth:`forecast` serves it."""
 
     def __init__(self, forecasters: Optional[Sequence[Forecaster]] = None) -> None:
         self._forecasters = list(forecasters) if forecasters is not None else default_bank()
@@ -39,13 +42,17 @@ class ForecasterBank:
         names = [f.name for f in self._forecasters]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate forecaster names in bank: {names}")
-        self._abs_err = {f.name: 0.0 for f in self._forecasters}
-        self._sq_err = {f.name: 0.0 for f in self._forecasters}
-        self._err_n = {f.name: 0 for f in self._forecasters}
+        #: Per method, by position: pending prediction (None: no history).
+        self._preds: list[Optional[float]] = [f.forecast() for f in self._forecasters]
+        self._abs_err = [0.0] * len(names)
+        self._sq_err = [0.0] * len(names)
+        self._err_n = [0] * len(names)
         self._n = 0
         self._last_value: Optional[float] = None
         #: The forecast served since the last update (None: not asked yet).
         self._served: Optional[Forecast] = None
+        #: Samples :meth:`update` refused as unscorable.
+        self.rejected = 0
 
     @property
     def samples(self) -> int:
@@ -57,32 +64,30 @@ class ForecasterBank:
 
     def update(self, value: float) -> None:
         """Observe a measurement: score every method's pending prediction
-        against it, then let each method absorb it."""
-        for f in self._forecasters:
-            pred = f.forecast()
-            if pred is not None:
-                self._abs_err[f.name] += abs(pred - value)
-                self._sq_err[f.name] += (pred - value) ** 2
-                self._err_n[f.name] += 1
+        against it, then let each method absorb it. An unscorable sample
+        is refused and counted, and nothing moves: NaN or ±inf would stick
+        in the errors for good, and |pred - value| over ~1.3e154 overflows."""
+        preds = self._preds
+        try:
+            squares = [None if pred is None else (pred - value) ** 2
+                       for pred in preds] if isfinite(value) else None
+        except OverflowError:
+            squares = None
+        if squares is None:
+            self.rejected += 1
+            return
+        abs_err, sq_err, err_n = self._abs_err, self._sq_err, self._err_n
+        for i, f in enumerate(self._forecasters):
+            square = squares[i]
+            if square is not None:
+                abs_err[i] += abs(preds[i] - value)
+                sq_err[i] += square
+                err_n[i] += 1
             f.update(value)
+            preds[i] = f.forecast()
         self._n += 1
         self._last_value = value
         self._served = None
-
-    def _winner(self) -> Optional[Forecaster]:
-        best: Optional[Forecaster] = None
-        best_mae = float("inf")
-        for f in self._forecasters:
-            n = self._err_n[f.name]
-            if f.forecast() is None:
-                continue
-            # Methods that have never been scored rank behind scored ones
-            # but remain eligible (cold start).
-            mae = self._abs_err[f.name] / n if n else float("inf")
-            if mae < best_mae or best is None:
-                best = f
-                best_mae = mae
-        return best
 
     def forecast(self) -> Optional[Forecast]:
         """Serve the current winner's prediction; None with no history.
@@ -90,25 +95,31 @@ class ForecasterBank:
         computed once per :meth:`update` however often it is read."""
         if self._served is not None:
             return self._served
-        f = self._winner()
-        if f is None:
+        best: Optional[int] = None
+        best_mae = inf
+        for i, pred in enumerate(self._preds):
+            if pred is None:
+                continue
+            # Methods that have never been scored rank behind scored ones
+            # but remain eligible (cold start).
+            n = self._err_n[i]
+            mae = self._abs_err[i] / n if n else inf
+            if mae < best_mae or best is None:
+                best = i
+                best_mae = mae
+        if best is None:
             return None
-        value = f.forecast()
-        assert value is not None
-        n = self._err_n[f.name]
+        n = self._err_n[best]
         self._served = Forecast(
-            value=value,
-            method=f.name,
-            mae=self._abs_err[f.name] / n if n else float("inf"),
-            mse=self._sq_err[f.name] / n if n else float("inf"),
+            value=self._preds[best],
+            method=self._forecasters[best].name,
+            mae=best_mae,
+            mse=self._sq_err[best] / n if n else inf,
             samples=self._n,
         )
         return self._served
 
     def errors(self) -> dict[str, float]:
         """Per-method MAE so far (inf for never-scored methods)."""
-        out = {}
-        for f in self._forecasters:
-            n = self._err_n[f.name]
-            out[f.name] = self._abs_err[f.name] / n if n else float("inf")
-        return out
+        return {f.name: self._abs_err[i] / n if n else inf
+                for i, (f, n) in enumerate(zip(self._forecasters, self._err_n))}

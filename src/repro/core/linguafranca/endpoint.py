@@ -29,10 +29,6 @@ __all__ = ["SimEndpoint"]
 AddressLike = Union[Address, str]
 
 
-def _as_address(addr: AddressLike) -> Address:
-    return addr if isinstance(addr, Address) else Address.parse(addr)
-
-
 class SimEndpoint:
     """A bound lingua-franca port on a simulated host.
 
@@ -70,7 +66,8 @@ class SimEndpoint:
         # The trace context rides along out-of-band too, so the network
         # can attribute in-flight drops to the causing fault without
         # decoding payloads.
-        self.network.send(self.address, _as_address(dst), message.encode(),
+        route = dst if isinstance(dst, Address) else self.network.route(dst)
+        self.network.send(self.address, route, message.encode(),
                           trace=message.trace, record=message)
 
     # -- receiving ---------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Callable, Optional
 
 from .packets import PacketError, decode_packet_view, encode_packet
@@ -34,16 +35,33 @@ def fresh_req_id() -> int:
 #: Encoded-bytes cache for identical control messages built afresh each
 #: period (gossip polls, scheduler polls, registry heartbeats); one object
 #: sent again keeps its own frame instead. Keyed on every field that feeds
-#: the wire bytes — including the body's *insertion order*, since
-#: json.dumps preserves it — so a hit returns exactly the bytes a fresh
-#: encode would produce. Messages whose body holds unhashable values
-#: (nested dicts/lists) skip the cache, as does anything carrying a
-#: ``req_id``/``reply_to``: correlated messages are unique per
-#: conversation, so caching them would be pure miss overhead. Trace
+#: the wire bytes — including the body's *insertion order*, since the
+#: encoder preserves it — so a hit returns exactly the bytes a fresh
+#: encode would produce. Only a body (string-keyed, as JSON objects are)
+#: whose values are all scalars of a ``_KEYABLE`` type is keyed, with
+#: those types in the key, so equal keys mean equal JSON (``True == 1 ==
+#: 1.0`` encode three ways); a float body holding a zero is not keyed,
+#: since ``0.0 == -0.0``. Deciding it raises nothing. Anything carrying a
+#: ``req_id``/``reply_to`` skips the cache: correlated messages are unique
+#: per conversation, so caching them would be pure miss overhead. Trace
 #: contexts are likewise unique per send, so traced messages skip the
 #: cache too.
 _encode_cache: dict[tuple, bytes] = {}
 _ENCODE_CACHE_MAX = 2048
+_KEYABLE = frozenset((str, int, float, bool, type(None)))
+
+#: The one compact JSON encoder every record goes through, built at
+#: import: ``json.dumps`` with ``separators=`` builds a ``JSONEncoder`` per
+#: call, and ``JSONEncoder.encode`` builds its C encoder per call.
+#: ``"".join(_iterencode(record, 0))`` is ``json.dumps(record,
+#: separators=(",", ":"))`` to the byte. Built without the per-call
+#: circular-reference markers, a circular body fails as a RecursionError
+#: instead of a ValueError. Without json's C accelerator the encoder's
+#: own pure-Python path serves.
+_iterencode = (json.JSONEncoder(separators=(",", ":")).iterencode
+               if c_make_encoder is None else c_make_encoder(
+                   None, json.JSONEncoder().default, encode_basestring_ascii,
+                   None, ":", ",", False, False, True))
 
 
 class MessageError(Exception):
@@ -88,14 +106,17 @@ class Message(_Framed):
 
     def _encode(self) -> bytes:
         key = None
-        if self.req_id is None and self.reply_to is None and self.trace is None:
-            try:
-                key = (self.mtype, self.sender, tuple(self.body.items()))
+        values = self.body.values()
+        if (self.req_id is None and self.reply_to is None
+                and self.trace is None and _KEYABLE.issuperset(map(type, values))):
+            # Built only for a keyable body: a tuple per list-bearing body
+            # as well cost the SC98 world 2 MB of peak RSS.
+            types = tuple(map(type, values))
+            if float not in types or 0.0 not in values:
+                key = (self.mtype, self.sender, tuple(self.body.items()), types)
                 cached = _encode_cache.get(key)
                 if cached is not None:
                     return cached
-            except TypeError:  # unhashable body value: encode uncached
-                key = None
         record: dict[str, Any] = {"s": self.sender, "b": self.body}
         if self.req_id is not None:
             record["q"] = self.req_id
@@ -104,8 +125,8 @@ class Message(_Framed):
         if self.trace is not None:
             record["t"] = [self.trace[0], self.trace[1]]
         try:
-            payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
-        except (TypeError, ValueError) as exc:
+            payload = "".join(_iterencode(record, 0)).encode("utf-8")
+        except (TypeError, ValueError, RecursionError) as exc:
             raise MessageError(f"unserializable message body: {exc}") from exc
         data = encode_packet(self.mtype, payload)
         if key is not None:

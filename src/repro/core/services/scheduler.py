@@ -33,6 +33,7 @@ work unit is simply requeued and reissued.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite, nan
 from typing import Optional, Protocol
 
 from ..component import Component, Effect, LogLine, Send, SetTimer
@@ -249,6 +250,13 @@ class SchedulerServer(Component):
 
     def _on_report(self, message: Message, now: float) -> list[Effect]:
         contact = message.sender
+        # Checked before any state moves: a rate that is not a finite
+        # number (a peer can send NaN, "nan", 1e999, 10**400 or a list) is
+        # not recorded, and the rest of the report is handled as usual.
+        try:
+            rate = float(message.body.get("rate", 0.0))
+        except (TypeError, ValueError, OverflowError):
+            rate = nan
         self.stats.reports += 1
         client = self.clients.get(contact)
         if client is None:
@@ -256,9 +264,9 @@ class SchedulerServer(Component):
             client = _ClientState(contact=contact, infra=message.body.get("infra", "unknown"))
             self.clients[contact] = client
         client.last_seen = now
-        rate = float(message.body.get("rate", 0.0))
-        client.last_rate = rate
-        self.forecasts.record(event_tag(contact, RATE), rate)
+        if isfinite(rate):
+            client.last_rate = rate
+            self.forecasts.record(event_tag(contact, RATE), rate)
 
         done = bool(message.body.get("done", False))
         unit_id = message.body.get("unit_id")

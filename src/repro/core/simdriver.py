@@ -108,7 +108,7 @@ class SimDriver(ComponentDriver):
 
     def _resolve(self, dst: str) -> Optional[Address]:
         try:
-            return Address.parse(dst)
+            return self.network.route(dst)
         except AddressError:
             self.send_errors += 1
             return None

@@ -26,6 +26,9 @@ from .resources import Store
 
 __all__ = ["Address", "AddressError", "Network", "NetworkStats", "Delivery"]
 
+#: Contacts :meth:`Network.route` keeps parsed before starting over.
+_ROUTES_MAX = 4096
+
 
 class AddressError(ValueError):
     """Canonical error for malformed endpoint addresses.
@@ -112,6 +115,7 @@ class Network:
         self._rng = streams.get("network")
         self._hosts: dict[str, Host] = {}
         self._sinks: dict[Address, Callable[[Delivery], object]] = {}
+        self._routes: dict[str, Address] = {}
         # Bound once: it is the callback of every in-flight message.
         self._arrival = self._on_arrival
         self._site_latency: dict[tuple[str, str], float] = {}
@@ -251,6 +255,20 @@ class Network:
 
     def is_bound(self, address: Address) -> bool:
         return address in self._sinks
+
+    def route(self, contact: str) -> Address:
+        """The one :class:`Address` for ``contact`` in this world, parsed
+        on first use: a world sends to a few hundred contacts over and
+        over. The table is cleared when full, so contacts a hostile peer
+        makes up cannot grow it; a malformed contact raises
+        :class:`AddressError` and is never cached."""
+        route = self._routes.get(contact)
+        if route is None:
+            route = Address.parse(contact)
+            if len(self._routes) >= _ROUTES_MAX:
+                self._routes.clear()
+            self._routes[contact] = route
+        return route
 
     # -- transmission ---------------------------------------------------------
     def delay(self, src_host: str, dst_host: str, nbytes: int) -> float:

@@ -3,6 +3,8 @@ benchmarking."""
 
 import dataclasses
 import math
+from collections import deque
+from typing import Optional, Sequence
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from repro.core.forecasting import (
     AdaptiveMean,
     EventTimer,
     ExponentialSmoothing,
+    Forecast,
+    Forecaster,
     ForecastRegistry,
     ForecasterBank,
     LastValue,
@@ -430,3 +434,275 @@ def test_unread_stream_builds_no_bank_until_the_log_is_full():
     assert built == [1]
     fc = reg.forecast("t")
     assert (fc.samples, fc.method, fc.value) == (500, "last", 499.0)
+
+
+# ------------------------------------------- seed bank == stored predictions
+
+
+class SeedTrimmedMean(TrimmedMean):
+    """``TrimmedMean`` as it was before it computed its forecast in
+    ``update``: the window is sorted on every read."""
+
+    def update(self, value):
+        self._values.append(value)
+
+    def forecast(self):
+        if not self._values:
+            return None
+        ordered = sorted(self._values)
+        if len(ordered) > 2 * self._trim:
+            ordered = ordered[self._trim : len(ordered) - self._trim]
+        return sum(ordered) / len(ordered)
+
+
+class SeedAdaptiveMean(AdaptiveMean):
+    """``AdaptiveMean`` as it was before it computed its forecast in
+    ``update``: the kept history is summed again on every read."""
+
+    def update(self, value):
+        self._values.append(value)
+        if len(self._values) > self._short:
+            recent = list(self._values)[-self._short :]
+            s_mean = sum(recent) / len(recent)
+            l_mean = sum(self._values) / len(self._values)
+            scale = max(abs(l_mean), 1e-12)
+            if abs(s_mean - l_mean) / scale > self._threshold:
+                self._values = deque(recent, maxlen=self._long)
+
+    def forecast(self):
+        if not self._values:
+            return None
+        return sum(self._values) / len(self._values)
+
+
+class SeedForecasterBank:
+    """A verbatim copy of ``ForecasterBank`` before it stored each
+    method's prediction: every method is asked in ``update`` to score it
+    and again in ``_winner``, and errors live in dicts keyed by name."""
+
+    def __init__(self, forecasters: Optional[Sequence[Forecaster]] = None) -> None:
+        self._forecasters = list(forecasters) if forecasters is not None else default_bank()
+        if not self._forecasters:
+            raise ValueError("bank needs at least one forecaster")
+        names = [f.name for f in self._forecasters]
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate forecaster names in bank: {names}")
+        self._abs_err = {f.name: 0.0 for f in self._forecasters}
+        self._sq_err = {f.name: 0.0 for f in self._forecasters}
+        self._err_n = {f.name: 0 for f in self._forecasters}
+        self._n = 0
+        self._last_value: Optional[float] = None
+        #: The forecast served since the last update (None: not asked yet).
+        self._served: Optional[Forecast] = None
+
+    @property
+    def samples(self) -> int:
+        return self._n
+
+    @property
+    def last_value(self) -> Optional[float]:
+        return self._last_value
+
+    def update(self, value: float) -> None:
+        """Observe a measurement: score every method's pending prediction
+        against it, then let each method absorb it."""
+        for f in self._forecasters:
+            pred = f.forecast()
+            if pred is not None:
+                self._abs_err[f.name] += abs(pred - value)
+                self._sq_err[f.name] += (pred - value) ** 2
+                self._err_n[f.name] += 1
+            f.update(value)
+        self._n += 1
+        self._last_value = value
+        self._served = None
+
+    def _winner(self) -> Optional[Forecaster]:
+        best: Optional[Forecaster] = None
+        best_mae = float("inf")
+        for f in self._forecasters:
+            n = self._err_n[f.name]
+            if f.forecast() is None:
+                continue
+            # Methods that have never been scored rank behind scored ones
+            # but remain eligible (cold start).
+            mae = self._abs_err[f.name] / n if n else float("inf")
+            if mae < best_mae or best is None:
+                best = f
+                best_mae = mae
+        return best
+
+    def forecast(self) -> Optional[Forecast]:
+        """Serve the current winner's prediction; None with no history.
+        The answer can only change when a sample arrives, so it is
+        computed once per :meth:`update` however often it is read."""
+        if self._served is not None:
+            return self._served
+        f = self._winner()
+        if f is None:
+            return None
+        value = f.forecast()
+        assert value is not None
+        n = self._err_n[f.name]
+        self._served = Forecast(
+            value=value,
+            method=f.name,
+            mae=self._abs_err[f.name] / n if n else float("inf"),
+            mse=self._sq_err[f.name] / n if n else float("inf"),
+            samples=self._n,
+        )
+        return self._served
+
+    def errors(self) -> dict[str, float]:
+        """Per-method MAE so far (inf for never-scored methods)."""
+        out = {}
+        for f in self._forecasters:
+            n = self._err_n[f.name]
+            out[f.name] = self._abs_err[f.name] / n if n else float("inf")
+        return out
+
+
+def _seed_family():
+    """``default_bank()`` with the two methods whose forecast moved into
+    ``update`` swapped for their earlier, read-time versions."""
+    return [SeedTrimmedMean(10, 2) if isinstance(f, TrimmedMean)
+            else SeedAdaptiveMean() if isinstance(f, AdaptiveMean) else f
+            for f in default_bank()]
+
+
+def _subset(family, picks):
+    return None if picks is None else (
+        lambda: [family()[i] for i in sorted(picks)])
+
+
+def _served(bank):
+    """What a bank serves, compared by ``repr`` so ``-0.0`` and ``0.0``
+    differ."""
+    fc = bank.forecast()
+    if fc is None:
+        return None
+    return tuple(repr(getattr(fc, name))
+                 for name in ("value", "method", "mae", "mse", "samples"))
+
+
+def _state(bank):
+    return (_served(bank), {k: repr(v) for k, v in bank.errors().items()},
+            bank.samples, repr(bank.last_value))
+
+
+def _seed_raises(seed, value):
+    """Feed the seed bank one sample. A squared error past ~1.3e154
+    overflows (``float ** 2`` raises) and leaves it half-updated: the
+    methods before the one that raised have absorbed the sample."""
+    try:
+        seed.update(value)
+    except OverflowError:
+        return True
+    return False
+
+
+_SAMPLE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e300, -1e300, 5e-324]),
+    st.integers(min_value=-3, max_value=3),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+#: Finite streams with runs of repeats: (value, how many times) pairs.
+_STREAMS = st.lists(st.tuples(_SAMPLE, st.integers(min_value=1, max_value=12)),
+                    max_size=40).map(
+    lambda runs: [value for value, times in runs for _ in range(times)])
+_PICKS = st.one_of(st.none(), st.sets(st.integers(min_value=0, max_value=15),
+                                      min_size=1))
+
+
+@given(stream=_STREAMS, picks=_PICKS, read_every=st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+def test_bank_serves_exactly_what_the_seed_bank_served(stream, picks, read_every):
+    new_factory, seed_factory = _subset(default_bank, picks), _subset(_seed_family, picks)
+    new = ForecasterBank(new_factory() if new_factory else None)
+    seed = SeedForecasterBank(seed_factory() if seed_factory else _seed_family())
+    assert _state(new) == _state(seed)
+    for i, value in enumerate(stream):
+        before = _state(new)
+        new.update(value)
+        if _seed_raises(seed, value):
+            # Where the seed bank raised, the new one refuses the sample
+            # whole; the half-updated seed bank is no reference after it.
+            assert _state(new) == before and new.rejected == 1
+            return
+        assert {k: repr(v) for k, v in new.errors().items()} == {
+            k: repr(v) for k, v in seed.errors().items()}
+        if i % read_every == 0:  # memoised reads at varying points
+            assert _state(new) == _state(seed)
+    assert _state(new) == _state(seed) and new.rejected == 0
+
+
+@given(stream=_STREAMS, picks=_PICKS, cut=st.integers(0, 120))
+@settings(max_examples=150, deadline=None)
+def test_replayed_bank_serves_exactly_what_the_seed_bank_served(stream, picks, cut):
+    """The same for a bank the registry builds by replaying its log (read
+    first after ``cut`` samples, or when the log fills), against a bank
+    updated eagerly and, until it raises, the seed bank."""
+    new_factory, seed_factory = _subset(default_bank, picks), _subset(_seed_family, picks)
+    reg = ForecastRegistry(new_factory)
+    eager = ForecasterBank(new_factory() if new_factory else None)
+    seed = SeedForecasterBank(seed_factory() if seed_factory else _seed_family())
+    seed_ok = True
+    for i, value in enumerate(stream):
+        reg.record("t", value)
+        eager.update(value)
+        seed_ok = seed_ok and not _seed_raises(seed, value)
+        if i + 1 >= cut:
+            bank = reg.bank("t")
+            assert (_state(bank), bank.rejected) == (_state(eager), eager.rejected)
+            if seed_ok:
+                assert _state(bank) == _state(seed)
+
+
+# --------------------------------------------------- non-finite samples
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@given(stream=st.lists(st.one_of(
+           st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+           _NON_FINITE), max_size=150),
+       picks=_PICKS)
+@settings(max_examples=150, deadline=None)
+def test_non_finite_samples_are_refused_and_counted(stream, picks):
+    """A bank fed NaN and ±inf in between serves exactly what a bank that
+    never saw them serves, and so does a registry's replayed log."""
+    factory = _subset(default_bank, picks)
+    fed, clean = (ForecasterBank(factory() if factory else None) for _ in "ab")
+    lazy, eager = ForecastRegistry(factory), ForecastRegistry(factory)
+    for value in stream:
+        fed.update(value)
+        lazy.record("t", value)
+        if math.isfinite(value):
+            clean.update(value)
+            eager.record("t", value)
+        assert _state(fed) == _state(clean)
+    assert fed.rejected == sum(not math.isfinite(v) for v in stream)
+    assert clean.rejected == 0
+    assert lazy.forecast("t") == eager.forecast("t")
+    if stream:
+        assert _state(lazy.bank("t")) == _state(eager.bank("t"))
+
+
+def test_one_nan_no_longer_switches_method_selection_off():
+    """Ten 1.0s, one NaN, then more samples: before non-finite samples
+    were refused, every method's error was NaN from then on and the bank
+    was stuck serving ``last``."""
+    fed, clean = ForecasterBank(), ForecasterBank()
+    after = [1.0, 3.0] * 50  # last-value is the worst method here
+    for value in [1.0] * 10 + [math.nan] + after:
+        fed.update(value)
+    for value in [1.0] * 10 + after:
+        clean.update(value)
+    assert all(math.isfinite(err) for err in fed.errors().values())
+    assert fed.forecast().method != "last"
+    assert _state(fed) == _state(clean)
+    assert (fed.samples, fed.rejected) == (110, 1)
+    reg = ForecastRegistry()
+    reg.record("t", math.inf)  # a stream, like an eager bank's, but empty
+    assert reg.tags() == ["t"] and reg.forecast("t") is None

@@ -7,6 +7,7 @@ boundary converts handler explosions into dropped messages; these tests
 fuzz every server type and then verify it still functions.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.forecasting import event_tag
 from repro.core.gossip import ComparatorRegistry, GossipServer
 from repro.core.gossip.clique import CLIQUE_MTYPES, CliqueState
 from repro.core.linguafranca.messages import Message
@@ -23,6 +25,7 @@ from repro.core.services import (
     QueueWorkSource,
     SchedulerServer,
 )
+from repro.core.services.scheduler import RATE
 from repro.core.simdriver import SimDriver
 from repro.obs.flight import load_flight
 from repro.obs.recordlog import encode_line, read_records
@@ -325,3 +328,40 @@ def test_one_damaged_byte_costs_only_the_lines_it_touches(log_path, at, byte):
         if i not in touched:
             assert record in records
     assert len(records) + skipped <= len(RECORDS) + 1
+
+
+# -- report rates: only finite numbers reach the forecasters -----------------
+
+def _finite_rate(value):
+    try:
+        return math.isfinite(float(value))
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+@given(rates=st.lists(st.one_of(json_values, st.floats(),
+                                st.sampled_from(["nan", "-inf", "1e999", "2.5"])),
+                      min_size=1, max_size=6))
+# Before rates were checked, one NaN report made every method's error NaN
+# for good: the reporter's rate forecast was stuck on last-value.
+@example(rates=[7.0, float("nan"), 9.0])
+# Found by this test: 1.34e154 away from a prediction, the squared error
+# overflowed inside ForecasterBank.update and raised out of the handler,
+# so the report was half-applied and never answered.
+@example(rates=[0.0, 1.3407807929942597e+154, 5.0])
+@settings(max_examples=40, deadline=None)
+def test_scheduler_records_only_finite_report_rates(rates):
+    env, net, sched, driver = build_world(
+        lambda: SchedulerServer(
+            "s", QueueWorkSource([{"id": "u0"}]), report_period=10), "sched")
+    fuzz(env, net, Address("srv", "sched"),
+         [("SCH_HELLO", {"infra": "x"})]
+         + [("SCH_REPORT", {"rate": rate}) for rate in rates])
+    good = [float(rate) for rate in rates if _finite_rate(rate)]
+    bank = sched.forecasts.bank(event_tag("attacker/fuzz", RATE))
+    # A finite rate the bank cannot score (its squared error overflows)
+    # is refused there, whole, instead of raising out of the handler.
+    assert bank.samples + bank.rejected == len(good)
+    assert not any(math.isnan(err) for err in bank.errors().values())
+    assert sched.stats.reports == len(rates)
+    assert driver.handler_errors == 0 and driver.running

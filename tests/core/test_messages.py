@@ -170,3 +170,81 @@ def test_the_kept_frame_is_invisible_to_fields_eq_repr_copy_and_pickle():
     assert clone == encoded and clone.body is encoded.body
     clone.req_id = 5  # a copy re-stamped encodes its own header
     assert Message.decode(clone.encode()).req_id == 5
+
+
+# -- the encode path: one encoder, no failed cache attempt -------------------
+
+def _reference_frame(m):
+    """What ``encode()`` must return, built from scratch with ``json.dumps``."""
+    import json
+
+    from repro.core.linguafranca.packets import encode_packet
+
+    record = {"s": m.sender, "b": m.body}
+    if m.req_id is not None:
+        record["q"] = m.req_id
+    if m.reply_to is not None:
+        record["r"] = m.reply_to
+    if m.trace is not None:
+        record["t"] = [m.trace[0], m.trace[1]]
+    return encode_packet(m.mtype, json.dumps(record, separators=(",", ":")).encode())
+
+
+#: Values that compare equal but encode differently sit side by side, so
+#: a cache keyed on equality alone would hand one the other's bytes.
+_COLLIDING = st.sampled_from([0, 0.0, -0.0, False, 1, 1.0, True, None, "1", 2**53,
+                              float(2**53)])
+_MIXED_BODIES = st.dictionaries(
+    st.sampled_from(["a", "b", "v"]),
+    st.one_of(_COLLIDING, st.lists(_COLLIDING, max_size=2),
+              st.dictionaries(st.just("x"), _COLLIDING, max_size=1),
+              st.tuples(_COLLIDING)),
+    max_size=3)
+_HEADERS = st.fixed_dictionaries({}, optional={
+    "req_id": st.integers(1, 3), "reply_to": st.integers(1, 3),
+    "trace": st.tuples(st.integers(1, 3), st.integers(1, 3))})
+
+
+@given(sends=st.lists(st.tuples(st.sampled_from(["a/x", "b/y"]), _MIXED_BODIES,
+                                _HEADERS), min_size=1, max_size=20))
+def test_encode_equals_a_fresh_json_dumps_frame_in_any_order(sends):
+    """One mtype, hashable and list-bearing bodies in any order, with and
+    without correlation or trace headers: every frame is byte-equal to a
+    fresh ``json.dumps`` encode, whatever the module cache holds."""
+    for sender, body, headers in sends:
+        m = Message(mtype="T", sender=sender, body=dict(body), **headers)
+        assert m.encode() == _reference_frame(m)
+
+
+def test_circular_body_rejected():
+    body = {"n": 1}
+    body["self"] = body
+    with pytest.raises(MessageError):
+        Message(mtype="X", sender="a/b", body=body).encode()
+
+
+@pytest.mark.parametrize("body", [
+    {}, {"v": 7}, {"v": 1.5, "ok": True}, {"who": "a/b", "n": None, "x": -2.25},
+], ids=["empty", "int", "float-bool", "mixed"])
+def test_scalar_bodies_built_afresh_hit_the_module_cache(body):
+    """Every scalar body the cache keyed before still hits it: a message
+    rebuilt with an equal body gets the very bytes object of the first."""
+    from repro.core.linguafranca import messages
+
+    messages._encode_cache.clear()
+    first = Message(mtype="POLL", sender="a/b", body=dict(body)).encode()
+    again = Message(mtype="POLL", sender="a/b", body=dict(body)).encode()
+    assert again is first and len(messages._encode_cache) == 1
+
+
+@pytest.mark.parametrize("first, second", [
+    (0.0, -0.0), (-0.0, 0.0), (1, True), (True, 1), (1, 1.0), (0, False),
+    (2**53, float(2**53)), ((1,), (1.0,)),
+], ids=repr)
+def test_equal_values_that_encode_differently_never_share_a_frame(first, second):
+    from repro.core.linguafranca import messages
+
+    messages._encode_cache.clear()
+    for value in (first, second, first):
+        m = Message(mtype="POLL", sender="a/b", body={"v": value, "n": 2})
+        assert m.encode() == _reference_frame(m)

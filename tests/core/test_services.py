@@ -421,3 +421,29 @@ def test_give_up_after_client_moved_on_does_not_clone_work():
     sched.on_send_failed(send, 60.0)
     assert sched.clients["cli/1"].unit["id"] == "u1"  # untouched
     assert sched.stats.units_requeued == 0
+
+
+@pytest.mark.parametrize("raw", [
+    "NaN", '"nan"', "1e999", "-Infinity", "[1]", "1" + "0" * 400,
+], ids=["NaN", "nan-string", "1e999", "-Infinity", "list", "10**400"])
+def test_report_with_a_bad_rate_records_nothing(raw):
+    """A rate that is not a finite number, as a peer can put it on the
+    wire: the forecasts and the client table stay as they were, and the
+    rest of the report is still answered."""
+    sched, _ = make_scheduler()
+    sched.on_message(msg(SCH_HELLO, sender="a/x"), 1.0)
+    for t in (2.0, 3.0, 4.0):
+        sched.on_message(msg(SCH_REPORT, sender="a/x", body={"rate": 5.0}), t)
+    before = (sched.forecasts.forecast(f"a/x#{RATE}"), len(sched.forecasts),
+              {c: (s.last_rate, s.unit) for c, s in sched.clients.items()})
+    report = Message.from_parts(
+        SCH_REPORT, ('{"s":"a/x","q":9,"b":{"rate":%s}}' % raw).encode())
+    effects = sched.on_message(report, 5.0)
+    assert (sched.forecasts.forecast(f"a/x#{RATE}"), len(sched.forecasts),
+            {c: (s.last_rate, s.unit) for c, s in sched.clients.items()}) == before
+    assert sends_of(effects)[0].message.body["action"] == "continue"
+    assert sched.clients["a/x"].last_seen == 5.0
+    # An unknown reporter is still adopted, with no rate stream opened.
+    report.sender = "b/x"
+    sched.on_message(report, 6.0)
+    assert "b/x" in sched.clients and len(sched.forecasts) == before[1]

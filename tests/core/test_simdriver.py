@@ -461,3 +461,39 @@ def test_raw_bytes_to_a_driver_are_parsed_and_garbage_is_dropped_without_effects
     assert net.stats.sent == sent + 1  # one PONG; garbage caused no send
     assert telemetry.metrics.counter("msg.recv", mtype="PING").value == 1
     assert drv.handler_errors == 0 and drv.running
+
+
+class Scatter(Component):
+    """Sends one PING to every contact it is given, on start."""
+
+    def __init__(self, contacts):
+        super().__init__("scatter")
+        self.contacts = contacts
+
+    def on_start(self, now):
+        return [Send(dst, Message("PING", self.contact, {}))
+                for dst in self.contacts]
+
+
+def test_hostile_contacts_leave_the_contact_table_bounded():
+    """10,000 distinct made-up contacts: the well-formed ones pass
+    through the world's contact table without growing it past its cap,
+    the malformed ones are never cached and each is one metered drop,
+    and a cached route is exactly what parsing the contact gives."""
+    from repro.simgrid import network
+
+    hostile = [f"x{i}/p" if i % 4 else f"bad-{i}" for i in range(10_000)]
+    env, streams, net, hosts = build()
+    driver = SimDriver(env, net, hosts[0], "s", Scatter(hostile), streams)
+    driver.start()
+    env.run(until=5.0)
+    malformed = [dst for dst in hostile if "/" not in dst]
+    assert driver.send_errors == len(malformed) == 2_500
+    assert net.stats.sent == net.stats.dropped_unbound == 7_500
+    assert 0 < len(net._routes) <= network._ROUTES_MAX
+    assert not set(malformed) & set(net._routes)
+    for dst, route in net._routes.items():
+        assert route == Address.parse(dst) and str(route) == dst
+    # A route the table holds is the very object every later send uses.
+    dst = next(iter(net._routes))
+    assert driver._resolve(dst) is net._routes[dst]

@@ -112,3 +112,21 @@ def test_churn_plan_is_deterministic_and_survivable():
 def test_config_validation():
     with pytest.raises(ValueError):
         build_pool(PoolConfig(n_hosts=8), n_hosts=16)
+
+
+def test_ci_64_host_export_is_pinned_byte_for_byte():
+    """A 64-host pool through a write, the churn plan's crashes, reboots
+    and partition, to t=400: ``export_json`` to the byte. Every frame's
+    size feeds its delivery time and the byte counters, so a changed
+    encode or route shows up here."""
+    import hashlib
+
+    pool = build_pool(n_hosts=64, n_sites=4, seed=1998)
+    churn_plan(pool.config).install(pool.env, pool.network)
+    pool.run(until=40.0)
+    inject_write(pool, node=5, tag="PIN_WRITE", seq=1)
+    assert run_until_converged(pool, deadline=600.0)["converged"]
+    pool.run(until=400.0)
+    digest = hashlib.sha256(export_json(pool).encode("utf-8")).hexdigest()
+    assert digest == (
+        "518898a1c12755bc7a915b5df52f01b1b5cde91971577e3c5132165c78f1bd77")

@@ -9,6 +9,7 @@ hot-path work in the engine cannot silently reorder anything.
 """
 
 import hashlib
+from unittest import mock
 
 import pytest
 
@@ -197,3 +198,24 @@ def test_interrupt_terminated_process_raises():
     env.run()
     with pytest.raises(SimulationError):
         proc.interrupt()
+
+
+def test_ci_mini_sc98_is_pinned_byte_for_byte():
+    """The reduced SC98 world's Fig. 2 series, to the bit: a forecast,
+    a delivery order or a byte count that moves changes this digest."""
+    assert _run_mini_sc98() == (
+        "a52e637d26e2626744931a1f629d0178be2aaa5d9985101043cbcde0191112d6",
+        1800.0, 7934)
+
+
+def test_mini_sc98_makes_no_more_real_json_encodes():
+    """Every JSON encode the module cache saves stays saved: the frames
+    built from scratch in the reduced world, counted at the one encoder
+    (1,363 before the cache stopped trying unhashable bodies)."""
+    from repro.core.linguafranca import messages
+
+    messages._encode_cache.clear()  # what earlier tests cached is not ours
+    with mock.patch.object(messages, "_iterencode",
+                           wraps=messages._iterencode) as encoder:
+        _run_mini_sc98()
+    assert encoder.call_count <= 1363
