@@ -4,7 +4,8 @@
 Demonstrates, on one machine, each toolkit layer from the paper:
 
 1. the lingua franca over **real TCP sockets** (packet framing, typed
-   messages, request/response with time-outs);
+   messages, request/response correlated by ``req_id``), single-threaded:
+   two servers and a sender on one event loop, the way a live node runs;
 2. the **forecasting service** predicting response times and deriving a
    dynamic time-out;
 3. the **Ramsey search kernel** finding an actual counter-example
@@ -13,17 +14,17 @@ Demonstrates, on one machine, each toolkit layer from the paper:
 Run: ``python examples/quickstart.py``
 """
 
-import threading
 import time
 
 import numpy as np
 
 from repro.api import (
+    AsyncSender,
     Coloring,
+    EventLoop,
     ForecastRegistry,
     Message,
     TabuSearch,
-    TcpClient,
     TcpServer,
     event_tag,
     is_counter_example,
@@ -33,34 +34,40 @@ from repro.api import (
 def main() -> None:
     # -- 1. lingua franca over real sockets --------------------------------
     print("== lingua franca over TCP ==")
+    # One select() loop carries everything. Replies travel datagram-style
+    # as fresh frames to the requester's own listening contact, which is
+    # how every EveryWare peer (and the NetDriver) talks.
+    loop = EventLoop()
+    sender = AsyncSender(loop, sender="quickstart")
+    replies: list[Message] = []
 
-    def handler(message: Message):
+    def service(message: Message):
         if message.mtype == "PING":
-            return message.reply("PONG", sender="", body={"got": message.body})
-        return None
+            host, _, port = message.sender.rpartition(":")
+            sender.post(host, int(port), message.reply(
+                "PONG", sender="", body={"got": message.body}))
 
-    server = TcpServer("127.0.0.1", 0, handler)
+    server = TcpServer("127.0.0.1", 0, service, loop=loop)
+    inbox = TcpServer("127.0.0.1", 0, replies.append, loop=loop)
     host, port = server.address
-    stop = threading.Event()
-    pump = threading.Thread(
-        target=lambda: [server.step(0.02) for _ in iter(stop.is_set, True)],
-        daemon=True)
-    pump.start()
 
-    client = TcpClient(sender="quickstart")
     registry = ForecastRegistry()
-    tag = event_tag(f"{host}:{port}", "PING")
+    tag = event_tag(server.contact, "PING")
     for i in range(10):
         started = time.monotonic()
-        reply = client.request(host, port, Message(
-            mtype="PING", sender="", body={"i": i}),
-            timeout=registry.timeout(tag, default=2.0))
+        deadline = started + registry.timeout(tag, default=2.0)
+        sender.post(host, port, Message(
+            mtype="PING", sender=inbox.contact, body={"i": i}, req_id=i + 1))
+        while not replies and time.monotonic() < deadline:
+            loop.step(0.01)
+            sender.service()
         rtt = time.monotonic() - started
-        assert reply is not None and reply.mtype == "PONG"
+        assert replies, "no reply within the forecast time-out"
+        reply = replies.pop()
+        assert reply.mtype == "PONG" and reply.reply_to == i + 1
         registry.record(tag, rtt)
-    stop.set()
-    pump.join(timeout=1)
-    server.close()
+    sender.close()
+    loop.close()
 
     fc = registry.forecast(tag)
     print(f"  10 request/response round trips OK")

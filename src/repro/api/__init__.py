@@ -16,7 +16,7 @@ for callers that want exactly one plane:
   simgrid fabric and fault injectors, the compute plane, and the
   prebuilt experiment worlds (SC98, chaos, observe).
 * :mod:`repro.api.net` — real sockets: the :class:`EventLoop` reactor,
-  TCP endpoints, :class:`NetDriver`, and the transport benchmark.
+  TCP endpoints, and :class:`NetDriver`.
 * :mod:`repro.api.live` — the deployment plane: topologies, manifests,
   the supervisor/collector, and :func:`run_live`.
 * :mod:`repro.api.control` — the workload-management control plane: the

@@ -31,7 +31,6 @@ _EXPORTS = {
     "..parallel.kernels": ("EvalRound", "EvalResult", "Recount",
                            "RecountResult", "StepBatch", "StepBatchResult",
                            "run_task"),
-    "..parallel.scaling": ("run_scaling",),
     # scenarios and experiment harnesses
     "..apps.runner": ("run_farm",),
     "..experiments.scenario": ("ServiceCore", "build_core",

@@ -4,8 +4,6 @@ Commands
 --------
 ``sc98``    run the SC98 scenario and print/export the paper's figures
 ``ramsey``  run a counter-example search locally (real kernels)
-``bench``   compute-plane scaling (``--parallel``) and transport
-            (``--net``) benchmarks
 ``pet``     run the distributed PET reconstruction demo
 ``trace``   run a scenario with causal tracing on; export Chrome trace
             (``--job ID --from DIR`` walks one job's end-to-end trace
@@ -23,8 +21,8 @@ Commands
 
 (``live-node`` is internal: the supervisor spawns one per world node.)
 
-Every experiment-shaped command (``sc98``, ``bench``, ``trace``,
-``metrics``, ``live``, ``serve``, ``explore``) shares one flag vocabulary —
+Every experiment-shaped command (``sc98``, ``trace``, ``metrics``,
+``live``, ``serve``, ``explore``) shares one flag vocabulary —
 ``--seed``, ``--duration``, ``--out`` — declared once in
 :func:`_common_parent` so defaults and help text cannot drift apart.
 """
@@ -134,78 +132,6 @@ def _cmd_ramsey(args: argparse.Namespace) -> int:
     print("no counter-example within the step budget "
           f"(best energy {snap.best_energy})")
     return 1
-
-
-def _cmd_bench_net(args: argparse.Namespace) -> int:
-    import json
-
-    from .api import run_netbench
-
-    counts = tuple(int(c) for c in args.connections.split(","))
-    print(f"transport curves over connection counts {counts} "
-          f"({args.net_duration:.1f}s cells) ...")
-    report = run_netbench(connection_counts=counts,
-                          duration=args.net_duration, payload=0)
-    print(f"{'bench':>7} {'mode':>16} {'conns':>6} {'msgs/s':>10} "
-          f"{'p50 ms':>8} {'p99 ms':>8} {'speedup':>8}")
-    for row in report["rows"]:
-        speed = row.get("speedup_vs_blocking")
-        print(f"{row['bench']:>7} {row['mode']:>16} "
-              f"{row['connections']:>6} {row['msgs_per_s']:>10,.0f} "
-              f"{row.get('p50_ms', 0.0):>8.1f} "
-              f"{row.get('p99_ms', 0.0):>8.1f} "
-              f"{'' if speed is None else f'{speed:.2f}x':>8}")
-    print(f"host cpus: {report['host_cpus']}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote: {args.out}")
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    if args.net:
-        return _cmd_bench_net(args)
-    if not args.parallel:
-        print("nothing to do: pass --parallel for the compute-plane "
-              "scaling benchmark or --net for the transport benchmark")
-        return 2
-    from .api import run_scaling
-
-    worker_counts = tuple(int(w) for w in args.workers.split(","))
-    print(f"scaling tabu kernel batches over pool sizes {worker_counts} "
-          f"(K_{args.k}, n={args.n}, {args.searches} searches, "
-          f"{args.candidates} candidates) ...")
-    report = run_scaling(
-        worker_counts=worker_counts,
-        searches=args.searches,
-        k=args.k,
-        n=args.n,
-        candidates=args.candidates,
-        steps_per_batch=args.steps_per_batch,
-        batches=args.batches,
-        seed=args.seed,
-        rounds=args.rounds,
-    )
-    print(f"{'workers':>8} {'moves/s':>12} {'speedup':>8} "
-          f"{'parity':>18} {'fallbacks':>9}")
-    for row in report["rows"]:
-        print(f"{row['workers']:>8} {row['moves_per_s']:>12,.0f} "
-              f"{row['speedup_vs_inline']:>7.2f}x "
-              f"{row['parity_hash']:>18} {row['fallbacks']:>9}")
-        if row.get("warning"):
-            print(f"{'':>8} warning: {row['warning']}")
-    print(f"parity: {'OK' if report['parity_ok'] else 'MISMATCH'} "
-          f"(host cpus: {report['host_cpus']})")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote: {args.out}")
-    return 0 if report["parity_ok"] else 1
 
 
 def _cmd_pet(args: argparse.Namespace) -> int:
@@ -657,31 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--figures", action="store_true",
                    help="print the full figure tables")
     p.set_defaults(func=_cmd_sc98)
-
-    p = sub.add_parser(
-        "bench", help="run micro/scaling benchmarks",
-        parents=[_common_parent(
-            seed=0, out_help="write the benchmark report JSON here")])
-    p.add_argument("--parallel", action="store_true",
-                   help="run the compute-plane scaling benchmark")
-    p.add_argument("--net", action="store_true",
-                   help="run the transport benchmark (echo storms and "
-                        "send fan-out, blocking stack vs async reactor)")
-    p.add_argument("--connections", type=str, default="64,256,1000",
-                   help="comma-separated connection counts (--net)")
-    p.add_argument("--net-duration", type=float, default=2.0,
-                   help="measured seconds per transport cell (--net)")
-    p.add_argument("--workers", type=str, default="0,1,2,4",
-                   help="comma-separated pool sizes (0 = inline lane)")
-    p.add_argument("--searches", type=int, default=4)
-    p.add_argument("--k", type=int, default=43)
-    p.add_argument("--n", type=int, default=5)
-    p.add_argument("--candidates", type=int, default=64)
-    p.add_argument("--steps-per-batch", type=int, default=25)
-    p.add_argument("--batches", type=int, default=4)
-    p.add_argument("--rounds", type=int, default=2,
-                   help="best-of rounds per worker count")
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("ramsey", help="run a local counter-example search")
     p.add_argument("--k", type=int, default=10)

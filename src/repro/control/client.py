@@ -7,8 +7,9 @@ the client side needs nothing EveryWare-specific at all.
 
 One cached connection, reopened transparently when the gateway restarts
 (the probe-after-kill path): a request that fails on a cached connection
-is retried exactly once on a fresh one, mirroring the lingua-franca
-:class:`~repro.core.linguafranca.tcp.TcpClient` reuse contract.
+is retried exactly once on a fresh one, the same once-per-failure
+reconnect the lingua-franca
+:class:`~repro.core.linguafranca.tcp.AsyncSender` makes.
 """
 
 from __future__ import annotations
@@ -62,46 +63,32 @@ class GatewayClient:
             self._drop()
         return response.status, payload
 
-    def _once(self, method: str, path: str,
-              body: Optional[bytes]) -> tuple[int, dict]:
-        status, payload = self._once_raw(method, path, body)
+    def request(self, method: str, path: str,
+                obj: Optional[dict] = None) -> tuple[int, dict]:
+        """One request/response; returns ``(status, parsed JSON body)``.
+
+        Raises :class:`HttpError` when the gateway is unreachable (after
+        the one transparent retry on a fresh connection) or answers with
+        something that is not JSON.
+        """
+        body = (json.dumps(obj).encode("utf-8")
+                if obj is not None else None)
+        status, payload = self.request_raw(method, path, body)
         try:
             doc = json.loads(payload) if payload else {}
         except ValueError as exc:
             raise HttpError(f"non-JSON gateway response: {exc}") from exc
         return status, doc if isinstance(doc, dict) else {}
 
-    def request(self, method: str, path: str,
-                obj: Optional[dict] = None) -> tuple[int, dict]:
-        """One request/response; returns ``(status, parsed JSON body)``.
-
-        Raises :class:`HttpError` when the gateway is unreachable (after
-        the one transparent retry on a fresh connection).
-        """
-        body = (json.dumps(obj).encode("utf-8")
-                if obj is not None else None)
-        try:
-            return self._once(method, path, body)
-        except (OSError, http.client.HTTPException, socket.timeout):
-            # Cached connection went stale (gateway restarted): once more
-            # on a fresh socket, then give up loudly.
-            self._drop()
-        try:
-            return self._once(method, path, body)
-        except (OSError, http.client.HTTPException, socket.timeout) as exc:
-            self._drop()
-            raise HttpError(
-                f"gateway {self.host}:{self.port} unreachable: {exc}") from exc
-        finally:
-            self.reconnects += 1
-
     def request_raw(self, method: str, path: str,
                     body: Optional[bytes] = None) -> tuple[int, bytes]:
-        """Like :meth:`request` but without JSON parsing — for the text
-        routes (Prometheus /metrics, JSONL /events)."""
+        """One request/response with the body unparsed — the text routes
+        (Prometheus /metrics, JSONL /events) read it as is."""
         try:
             return self._once_raw(method, path, body)
         except (OSError, http.client.HTTPException, socket.timeout):
+            # Cached connection went stale (gateway restarted): once more
+            # on a fresh socket, then give up loudly.
             self._drop()
         try:
             return self._once_raw(method, path, body)
@@ -146,11 +133,6 @@ class GatewayClient:
 
     def health(self) -> dict:
         return self.request("GET", "/health")[1]
-
-    def metrics(self) -> dict:
-        """The JSON metrics snapshot (served at /metrics.json since
-        /metrics became Prometheus text exposition)."""
-        return self.request("GET", "/metrics.json")[1]
 
     def metrics_text(self) -> str:
         """Scrape /metrics: raw Prometheus text exposition."""

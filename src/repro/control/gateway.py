@@ -18,7 +18,6 @@ Routes (diracx-style job management + health, ROADMAP item 2)::
     GET  /queue             queue/progress counters
     GET  /health            liveness + uptime + job counts
     GET  /metrics           Prometheus text exposition (DESIGN §14)
-    GET  /metrics.json      the raw telemetry metrics snapshot (legacy)
     GET  /events            job-lifecycle feed, JSONL (long-poll capable)
     POST /telemetry/sites   per-site utilisation gauges (collector push)
 
@@ -58,7 +57,6 @@ ROUTES = (
     "GET /queue",
     "GET /health",
     "GET /metrics",
-    "GET /metrics.json",
     "GET /events",
     "POST /telemetry/sites",
     "POST /telemetry/gossip",
@@ -219,9 +217,6 @@ class GatewayCore:
         if path == "/metrics" and method == "GET":
             return (200, render_prometheus(self.telemetry.metrics.snapshot()),
                     "GET /metrics")
-        if path == "/metrics.json" and method == "GET":
-            return (200, self.telemetry.metrics.snapshot(),
-                    "GET /metrics.json")
         if path == "/events" and method == "GET":
             return (*self._events(query), "GET /events")
         if path == "/telemetry/sites" and method == "POST":

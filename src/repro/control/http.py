@@ -153,17 +153,25 @@ class HttpDecoder:
             name, sep, value = line.partition(":")
             if not sep or not name or name != name.strip():
                 return self._fail(400, f"malformed header line {line!r}")
-            headers[name.lower()] = value.strip()
+            name, value = name.lower(), value.strip()
+            if (name == "content-length"
+                    and headers.get(name, value) != value):
+                # Two lengths for one body: a request-smuggling shape.
+                return self._fail(400, "conflicting content-length")
+            headers[name] = value
         if "transfer-encoding" in headers:
             return self._fail(400, "transfer-encoding not supported")
         length = 0
         if "content-length" in headers:
+            # RFC 9110: 1*DIGIT. int() alone would also take "+10",
+            # "1_0" and non-ASCII digits.
+            value = headers["content-length"]
+            if not (value.isascii() and value.isdigit()):
+                return self._fail(400, "malformed content-length")
             try:
-                length = int(headers["content-length"])
-            except ValueError:
-                return self._fail(400, "malformed content-length")
-            if length < 0:
-                return self._fail(400, "malformed content-length")
+                length = int(value)
+            except ValueError:  # more digits than int() will parse
+                return self._fail(413, "declared body exceeds any limit")
         if length > self.max_body:
             # Answer before the body even finishes arriving: a client
             # announcing a huge upload is refused at the header.

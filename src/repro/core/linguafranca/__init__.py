@@ -7,7 +7,6 @@ _EXPORTS = {
     ".messages": ("Message", "MessageError", "TypeRegistry", "fresh_req_id"),
     ".packets": ("PacketDecoder", "PacketError", "decode_packet",
                  "encode_packet"),
-    ".tcp": ("AsyncSender", "EventLoop", "TcpClient", "TcpServer",
-             "TransportError"),
+    ".tcp": ("AsyncSender", "EventLoop", "TcpServer", "TransportError"),
 }
 __all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -4,18 +4,17 @@ This is the deployment-grade counterpart of :class:`SimEndpoint`: the same
 packet framing (:mod:`.packets`) over actual sockets. Per the paper's
 portability discipline (§2.1, §5.1) the implementation is single-threaded
 and uses only the most vanilla socket facilities — ``socket``, ``select``
--style readiness via :mod:`selectors`, and receive time-outs; no threads,
-no signals, no keep-alives.
+-style readiness via :mod:`selectors`, and per-frame send deadlines; no
+threads, no signals, no keep-alives.
 
 The transport is built around one :class:`EventLoop` (a thin selector
 wrapper) that several endpoints can share, so a live node multiplexes its
 listening socket, every accepted connection, and every outbound
 connection through a single ``select`` call per reactor turn:
 
-* :class:`TcpServer` is a reactor: callers pump it with :meth:`step` (or
-  :meth:`serve`), and a handler callback maps each inbound
-  :class:`~.messages.Message` to an optional reply sent on the same
-  connection. Reads are parsed in place (zero-copy
+* :class:`TcpServer` is a reactor: callers pump it with :meth:`step`,
+  and a handler callback maps each inbound :class:`~.messages.Message`
+  to an optional reply sent on the same connection. Reads are parsed in place (zero-copy
   ``PacketDecoder.next_record``); replies accumulate in a per-connection
   write queue and leave in one ``sendmsg`` (writev-style) batch per ready
   cycle instead of one ``send`` per packet.
@@ -23,33 +22,34 @@ connection through a single ``select`` call per reactor turn:
   frames are queued per peer and flushed in ``sendmsg`` batches as the
   connection becomes writable, with transparent once-per-failure
   reconnects. Nothing in it ever blocks the reactor.
-* :class:`TcpClient` offers the original blocking fire-and-forget sends
-  and blocking request/response with a deadline (probes, tests, simple
-  tools).
 
-Every socket the module creates — listening-side accepts, blocking client
-connects, async outbound connects — sets ``TCP_NODELAY``: the lingua
-franca is small-record request/response traffic, exactly the shape
-Nagle's algorithm stalls.
+There is no blocking client. A request/response exchange is a server and
+a sender on one loop: the request leaves through the sender with the
+local server's contact as ``sender``, and the reply arrives at that
+server as a fresh inbound frame correlated by ``req_id`` (the pattern
+:class:`~repro.core.netdriver.NetDriver` and the live harness's probe
+use).
+
+Every socket the module creates — listening-side accepts and outbound
+connects — sets ``TCP_NODELAY``: the lingua franca is small-record
+request/response traffic, exactly the shape Nagle's algorithm stalls.
 """
 
 from __future__ import annotations
 
 import errno
-import select
 import selectors
 import socket
 import time
 from collections import deque
 from typing import Callable, Optional
 
-from .messages import Message, MessageError, fresh_req_id
+from .messages import Message, MessageError
 from .packets import PacketDecoder, PacketError
 
 __all__ = [
     "EventLoop",
     "TcpServer",
-    "TcpClient",
     "AsyncSender",
     "TransportError",
 ]
@@ -185,19 +185,12 @@ class TcpServer:
         self._conns: set[_Connection] = set()
         self.messages_handled = 0
         self.decode_errors = 0
-        #: Syscall-batching meters: frames queued vs vectored flushes.
-        self.frames_sent = 0
-        self.flush_batches = 0
         self._step_handled = 0
         self._closed = False
 
     @property
     def contact(self) -> str:
         return f"{self.address[0]}:{self.address[1]}"
-
-    @property
-    def connections(self) -> int:
-        return len(self._conns)
 
     def step(self, timeout: float = 0.1) -> int:
         """Process ready I/O once; returns messages handled this step.
@@ -210,14 +203,6 @@ class TcpServer:
         self._step_handled = 0
         self._loop.step(timeout)
         return self._step_handled
-
-    def serve(self, duration: float, poll: float = 0.05) -> int:
-        """Pump the reactor for ``duration`` wall seconds."""
-        deadline = time.monotonic() + duration
-        handled = 0
-        while time.monotonic() < deadline:
-            handled += self.step(poll)
-        return handled
 
     # -- accept/read/dispatch ----------------------------------------------
     def _on_accept(self, mask: int) -> None:
@@ -340,13 +325,11 @@ class TcpServer:
             except OSError:
                 self._drop(conn)
                 return False
-            self.flush_batches += 1
             while sent and out:
                 head = out[0]
                 if sent >= len(head):
                     sent -= len(head)
                     out.popleft()
-                    self.frames_sent += 1
                 else:
                     out[0] = memoryview(head)[sent:]
                     sent = 0
@@ -650,134 +633,3 @@ class AsyncSender:
                     sent = 0
         self._want_write(peer, bool(out))
 
-
-class TcpClient:
-    """Blocking lingua-franca client.
-
-    Fire-and-forget sends (:meth:`send`) keep one cached connection per
-    peer and reuse it across calls — chatty live nodes (heartbeats,
-    reports, gossip polls) would otherwise pay a connect handshake per
-    message. Reuse is *transparent*: a cached connection that has gone
-    stale (the peer restarted, the socket was reset) is dropped and
-    reopened once, and only a failure on the fresh connection surfaces
-    as :class:`TransportError`. Components still assume no connection
-    state survives failures — the cache is a driver-level optimization,
-    never a protocol guarantee. ``request`` keeps the original
-    one-connection-per-call behavior because it awaits the reply on the
-    same socket.
-
-    Every connection (fresh or reconnected) runs with ``TCP_NODELAY``:
-    request/response records are small, and Nagle-vs-delayed-ACK would
-    add an RTT-scale stall per exchange.
-    """
-
-    def __init__(self, sender: str = "client", reuse: bool = True) -> None:
-        self.sender = sender
-        self.reuse = reuse
-        self._conns: dict[tuple[str, int], socket.socket] = {}
-        self.reconnects = 0
-
-    def _connect(self, host: str, port: int, timeout: float) -> socket.socket:
-        try:
-            sock = socket.create_connection((host, port), timeout=timeout)
-        except OSError as exc:
-            raise TransportError(f"connect to {host}:{port} failed: {exc}") from exc
-        _nodelay(sock)
-        return sock
-
-    def _cached(self, key: tuple[str, int]) -> Optional[socket.socket]:
-        """The live cached connection for ``key``, dropping it if the
-        peer has already closed its end (readable-at-idle means EOF/RST
-        here: servers never write on a fire-and-forget connection)."""
-        sock = self._conns.get(key)
-        if sock is None:
-            return None
-        try:
-            ready, _, _ = select.select([sock], [], [], 0)
-            if ready and not sock.recv(4096):
-                raise OSError("peer closed")
-        except OSError:
-            self._drop(key)
-            self.reconnects += 1
-            return None
-        return sock
-
-    def _drop(self, key: tuple[str, int]) -> None:
-        sock = self._conns.pop(key, None)
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
-
-    def send(self, host: str, port: int, message: Message, timeout: float = 5.0) -> None:
-        """Fire-and-forget delivery (cached connection, see class docs)."""
-        if not message.sender:
-            message.sender = self.sender
-        data = message.encode()
-        if not self.reuse:
-            with self._connect(host, port, timeout) as sock:
-                sock.sendall(data)
-            return
-        key = (host, int(port))
-        sock = self._cached(key)
-        if sock is not None:
-            try:
-                sock.settimeout(timeout)
-                sock.sendall(data)
-                return
-            except OSError:
-                # Stale connection: reconnect transparently below.
-                self._drop(key)
-                self.reconnects += 1
-        sock = self._connect(host, port, timeout)
-        try:
-            sock.sendall(data)
-        except OSError as exc:
-            try:
-                sock.close()
-            except OSError:
-                pass
-            raise TransportError(f"send to {host}:{port} failed: {exc}") from exc
-        self._conns[key] = sock
-
-    def close(self) -> None:
-        """Close every cached connection."""
-        for key in list(self._conns):
-            self._drop(key)
-
-    def request(
-        self, host: str, port: int, message: Message, timeout: float = 5.0
-    ) -> Optional[Message]:
-        """Send a request, await the correlated reply; None on time-out."""
-        if not message.sender:
-            message.sender = self.sender
-        if message.req_id is None:
-            message.req_id = fresh_req_id()
-        deadline = time.monotonic() + timeout
-        with self._connect(host, port, timeout) as sock:
-            sock.sendall(message.encode())
-            decoder = PacketDecoder()
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return None
-                sock.settimeout(remaining)
-                try:
-                    data = sock.recv(65536)
-                except socket.timeout:
-                    return None
-                except OSError as exc:
-                    raise TransportError(f"recv failed: {exc}") from exc
-                if not data:
-                    return None
-                decoder.feed(data)
-                try:
-                    while True:
-                        reply = decoder.next_record(Message.from_parts)
-                        if reply is None:
-                            break
-                        if reply.reply_to == message.req_id:
-                            return reply
-                except (PacketError, MessageError) as exc:
-                    raise TransportError(f"corrupt reply stream: {exc}") from exc

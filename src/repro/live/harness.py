@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 from ..core.linguafranca.messages import Message, fresh_req_id
-from ..core.linguafranca.tcp import TcpClient, TcpServer, TransportError
+from ..core.linguafranca.tcp import AsyncSender, EventLoop, TcpServer
 from ..core.services.persistent import PST_FETCH, PST_KEYS, PST_LIST, PST_VALUE
 from ..core.telemetry import write_trace_json
 from ..ramsey.verify import ValidationError, verify_counter_example_object
@@ -52,14 +52,15 @@ class Probe:
     """A one-shot lingua-franca endpoint for querying a live world.
 
     NetDriver replies travel as fresh connections to ``message.sender``
-    (datagram-style), so a plain request socket never sees them — the
-    probe brings its own listening server and correlates replies by
-    ``req_id``, exactly like a real EveryWare peer.
+    (datagram-style), so the probe is built like a driver: its own
+    listening server and an :class:`AsyncSender` on one event loop, with
+    replies correlated by ``req_id`` — exactly like a real EveryWare peer.
     """
 
     def __init__(self, host: str = "127.0.0.1") -> None:
-        self.server = TcpServer(host, 0, self._handle)
-        self.client = TcpClient(sender=self.server.contact)
+        self.loop = EventLoop()
+        self.server = TcpServer(host, 0, self._handle, loop=self.loop)
+        self.sender = AsyncSender(self.loop, sender=self.server.contact)
         self._replies: list[Message] = []
 
     @property
@@ -75,16 +76,19 @@ class Probe:
         """Send a request to ``contact`` and wait for its correlated
         reply; None on timeout or unreachable peer."""
         host, _, port = contact.rpartition(":")
-        req_id = fresh_req_id()
         try:
-            self.client.send(host, int(port), Message(
-                mtype=mtype, sender=self.contact, body=body,
-                req_id=req_id), timeout=2.0)
-        except (TransportError, OSError, ValueError):
+            port_no = int(port)
+        except ValueError:
             return None
+        req_id = fresh_req_id()
+        errors = self.sender.errors
+        self.sender.post(host, port_no, Message(
+            mtype=mtype, sender=self.contact, body=body, req_id=req_id),
+            timeout=2.0)
         end = time.monotonic() + timeout
-        while time.monotonic() < end:
-            self.server.step(0.05)
+        while time.monotonic() < end and self.sender.errors == errors:
+            self.loop.step(0.05)
+            self.sender.service()
             for message in self._replies:
                 if message.reply_to == req_id:
                     self._replies.remove(message)
@@ -92,8 +96,9 @@ class Probe:
         return None
 
     def close(self) -> None:
+        self.sender.close()
         self.server.close()
-        self.client.close()
+        self.loop.close()
 
 
 class ReportDoc:

@@ -15,37 +15,188 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import asdict
-from typing import Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from ..core.component import Component
-from ..core.gossip.state import ComparatorRegistry
-from ..core.gossip.server import GossipServer
 from ..core.linguafranca.messages import Message
 from ..core.netdriver import NetDriver
-from ..core.services.logging import LoggingServer
-from ..core.services.persistent import (
-    DirectoryBackend,
-    PersistentStateServer,
-)
-from ..core.services.kinds import KindEngine
-from ..core.services.scheduler import QueueWorkSource, SchedulerServer
 from ..core.telemetry import SpanCursor, Telemetry
-from ..control.gateway import GatewayCore, render_payload
-from ..control.http import HttpServer
-from ..control.workqueue import FileJournal, WorkQueue
 # The id-partition constants live with the span-origin decoder so trace
 # tooling and the nodes that mint the ids can never drift apart.
 from ..obs.jobtrace import ID_BLOCK, MAX_INCARNATIONS
 from ..obs.flight import FlightRecorder, flight_path
-from ..ramsey.client import (RAMSEY_BEST, RamseyClient, RealEngine,
-                             ramsey_comparator, rotated)
-from ..ramsey.tasks import unit_generator
-from ..ramsey.verify import counter_example_validator
 from .collector import COL_HELLO, COL_REPORT
 from .topology import Manifest
 
+if TYPE_CHECKING:
+    from ..control.http import HttpServer
+
 __all__ = ["build_component", "run_node", "node_stats",
            "ID_BLOCK", "MAX_INCARNATIONS"]
+
+
+# -- one builder and one stats reader per role --------------------------------
+# A builder is ``(manifest, name, index, options, data_dir) -> Component``
+# and imports only its own classes, so a node process loads the code of
+# its role and no other: a gateway never imports the Ramsey application,
+# numpy, or the gossip stack (DESIGN §11).
+
+def _build_gossip(manifest, name, idx, opts, data_dir):
+    from ..core.gossip.server import GossipServer
+    from ..core.gossip.state import ComparatorRegistry
+    from ..ramsey.client import RAMSEY_BEST, ramsey_comparator
+
+    topo = manifest.topology
+    comparators = ComparatorRegistry()
+    comparators.register(RAMSEY_BEST, ramsey_comparator)
+    return GossipServer(
+        name,
+        well_known=manifest.contacts_for("gossip"),
+        comparators=comparators,
+        poll_period=topo.gossip_poll_period,
+        sync_period=topo.gossip_sync_period,
+    )
+
+
+def _scheduler_over(work, manifest, name, opts):
+    from ..core.services.scheduler import SchedulerServer
+
+    # Reap checks every report period: with wall-clock restarts the
+    # reap-the-dead-client deadline races the supervisor's restart
+    # backoff, and a coarse reap tick would let the restarted client's
+    # hello win and silently resume the orphaned unit.
+    return SchedulerServer(
+        name, work,
+        report_period=manifest.topology.report_period,
+        reap_period=manifest.topology.report_period,
+        dead_factor=float(opts.get("dead_factor", 4.0)),
+    )
+
+
+def _build_scheduler(manifest, name, idx, opts, data_dir):
+    from ..core.services.scheduler import QueueWorkSource
+    from ..ramsey.tasks import unit_generator
+
+    topo = manifest.topology
+    sched_rank = [s.name for s in topo.by_role("scheduler")].index(name)
+    return _scheduler_over(QueueWorkSource(generator=unit_generator(
+        int(opts.get("k", topo.k)), topo.n,
+        base_seed=topo.seed + 1000 * (sched_rank + 1),
+        ops_budget=topo.unit_ops_budget)), manifest, name, opts)
+
+
+def _build_gateway(manifest, name, idx, opts, data_dir):
+    from ..control.workqueue import FileJournal, WorkQueue
+
+    # A gateway IS a scheduler downward: its work source is the durable
+    # WorkQueue the HTTP routers fill, and clients pull via the usual
+    # SCH_* protocol. The journal (replayed in the constructor) is what
+    # makes a SIGKILL lose no accepted job.
+    journal = None
+    if data_dir is not None:
+        journal = FileJournal(os.path.join(data_dir, f"{name}.journal.jsonl"))
+    return _scheduler_over(WorkQueue(journal=journal, prefix=f"{name}-job"),
+                           manifest, name, opts)
+
+
+def _build_persistent(manifest, name, idx, opts, data_dir):
+    from ..core.services.persistent import (DirectoryBackend,
+                                            PersistentStateServer)
+    from ..ramsey.verify import counter_example_validator
+
+    backend_dir = opts.get("backend_dir")
+    backend = DirectoryBackend(str(backend_dir)) if backend_dir else None
+    pst = PersistentStateServer(name, backend=backend)
+    pst.add_validator(counter_example_validator)
+    return pst
+
+
+def _build_logger(manifest, name, idx, opts, data_dir):
+    from ..core.services.logging import LoggingServer
+
+    return LoggingServer(name)
+
+
+def _build_client(manifest, name, idx, opts, data_dir):
+    from ..core.services.kinds import KindEngine
+    from ..ramsey.client import RamseyClient, RealEngine, rotated
+
+    topo = manifest.topology
+    # Clients execute whichever app kind the scheduler hands them: the
+    # KindEngine dispatches per-unit (ramsey units to the tuned
+    # RealEngine below, explore.* units to the ExploreEngine the default
+    # kind registry builds on first lookup).
+    client = RamseyClient(
+        name=name,
+        schedulers=rotated(manifest.contacts_for("scheduler")
+                           + manifest.contacts_for("gateway"), idx),
+        engine=KindEngine(engines={"ramsey": RealEngine(
+            max_steps_per_advance=int(
+                opts.get("max_steps_per_advance", 2000)))}),
+        infra=str(opts.get("infra", "live")),
+        loggers=rotated(manifest.contacts_for("logger"), idx)[:1],
+        persistent=(manifest.contacts_for("persistent") or [None])[0],
+        gossip_well_known=manifest.contacts_for("gossip"),
+        work_period=topo.work_period,
+        report_period=topo.report_period,
+        hello_retry=topo.hello_retry,
+        seed=topo.seed + idx,
+    )
+    client.site = str(opts.get("site", ""))
+    return client
+
+
+def _scheduler_stats(sched) -> dict:
+    stats = asdict(sched.stats)
+    stats["active_clients"] = len(sched.clients)
+    stats["queue_depth"] = len(sched.work)
+    if hasattr(sched.work, "stats"):  # a gateway's WorkQueue meters jobs
+        stats["jobs"] = sched.work.stats()
+    return stats
+
+
+def _persistent_stats(pst) -> dict:
+    return {**asdict(pst.stats), "keys": pst.backend.keys()}
+
+
+def _gossip_stats(gossip) -> dict:
+    stats = asdict(gossip.stats)
+    stats["registered"] = len(gossip.registry)
+    if gossip.clique is not None:
+        stats["clique_size"] = len(gossip.pool_members())
+    return stats
+
+
+def _client_stats(client) -> dict:
+    return {
+        "counter_examples_found": client.counter_examples_found,
+        "checkpoint_acks": client.checkpoint_acks,
+        "checkpoint_denials": client.checkpoint_denials,
+        "checkpoint_give_ups": client.checkpoint_give_ups,
+        "unit_id": client.unit.get("id") if client.unit else None,
+        "site": client.site,
+        "total_ops": client._total_ops,
+    }
+
+
+class _Role(NamedTuple):
+    build: Callable[..., Component]
+    #: The class ``build`` returns, by name: :func:`node_stats` finds a
+    #: component's role by it, so reading stats imports nothing.
+    component: str
+    stats: Callable[[Component], dict]
+
+
+_ROLES = {
+    "gossip": _Role(_build_gossip, "GossipServer", _gossip_stats),
+    "scheduler": _Role(_build_scheduler, "SchedulerServer", _scheduler_stats),
+    "gateway": _Role(_build_gateway, "SchedulerServer", _scheduler_stats),
+    "persistent": _Role(_build_persistent, "PersistentStateServer",
+                        _persistent_stats),
+    "logger": _Role(_build_logger, "LoggingServer",
+                    lambda logger: {"records": len(logger.records)}),
+    "client": _Role(_build_client, "RamseyClient", _client_stats),
+}
 
 
 def build_component(manifest: Manifest, name: str,
@@ -60,120 +211,19 @@ def build_component(manifest: Manifest, name: str,
     """
     topo = manifest.topology
     spec = topo.named(name)
-    idx = topo.index_of(name)
-    opts = spec.options
-    if spec.role == "gossip":
-        comparators = ComparatorRegistry()
-        comparators.register(RAMSEY_BEST, ramsey_comparator)
-        return GossipServer(
-            name,
-            well_known=manifest.contacts_for("gossip"),
-            comparators=comparators,
-            poll_period=topo.gossip_poll_period,
-            sync_period=topo.gossip_sync_period,
-        )
-    if spec.role == "scheduler":
-        sched_rank = [s.name for s in topo.by_role("scheduler")].index(name)
-        work = QueueWorkSource(generator=unit_generator(
-            int(opts.get("k", topo.k)), topo.n,
-            base_seed=topo.seed + 1000 * (sched_rank + 1),
-            ops_budget=topo.unit_ops_budget))
-        # Reap checks every report period: with wall-clock restarts the
-        # reap-the-dead-client deadline races the supervisor's restart
-        # backoff, and a coarse reap tick would let the restarted
-        # client's hello win and silently resume the orphaned unit.
-        return SchedulerServer(
-            name, work,
-            report_period=topo.report_period,
-            reap_period=topo.report_period,
-            dead_factor=float(opts.get("dead_factor", 4.0)),
-        )
-    if spec.role == "gateway":
-        # A gateway IS a scheduler downward: its work source is the
-        # durable WorkQueue the HTTP routers fill, and clients pull via
-        # the usual SCH_* protocol. The journal (replayed in the
-        # constructor) is what makes a SIGKILL lose no accepted job.
-        journal = None
-        if data_dir is not None:
-            journal = FileJournal(
-                os.path.join(data_dir, f"{name}.journal.jsonl"))
-        work = WorkQueue(journal=journal, prefix=f"{name}-job")
-        return SchedulerServer(
-            name, work,
-            report_period=topo.report_period,
-            reap_period=topo.report_period,
-            dead_factor=float(opts.get("dead_factor", 4.0)),
-        )
-    if spec.role == "persistent":
-        backend = None
-        backend_dir = opts.get("backend_dir")
-        if backend_dir:
-            backend = DirectoryBackend(str(backend_dir))
-        pst = PersistentStateServer(name, backend=backend)
-        pst.add_validator(counter_example_validator)
-        return pst
-    if spec.role == "logger":
-        return LoggingServer(name)
-    if spec.role == "client":
-        # Clients execute whichever app kind the scheduler hands them:
-        # the KindEngine dispatches per-unit (ramsey units to the tuned
-        # RealEngine below, explore.* units to the ExploreEngine the
-        # default kind registry builds on first lookup).
-        client = RamseyClient(
-            name=name,
-            schedulers=rotated(manifest.contacts_for("scheduler")
-                               + manifest.contacts_for("gateway"), idx),
-            engine=KindEngine(engines={"ramsey": RealEngine(
-                max_steps_per_advance=int(
-                    opts.get("max_steps_per_advance", 2000)))}),
-            infra=str(opts.get("infra", "live")),
-            loggers=rotated(manifest.contacts_for("logger"), idx)[:1],
-            persistent=(manifest.contacts_for("persistent") or [None])[0],
-            gossip_well_known=manifest.contacts_for("gossip"),
-            work_period=topo.work_period,
-            report_period=topo.report_period,
-            hello_retry=topo.hello_retry,
-            seed=topo.seed + idx,
-        )
-        client.site = str(opts.get("site", ""))
-        return client
-    raise ValueError(f"unknown node role {spec.role!r}")
+    role = _ROLES.get(spec.role)
+    if role is None:
+        raise ValueError(f"unknown node role {spec.role!r}")
+    return role.build(manifest, name, topo.index_of(name), spec.options,
+                      data_dir)
 
 
 def node_stats(component: Component) -> dict:
     """Role-specific stats shipped in each ``COL_REPORT`` (JSON-safe)."""
-    if isinstance(component, SchedulerServer):
-        stats = asdict(component.stats)
-        stats["active_clients"] = len(component.clients)
-        try:
-            stats["queue_depth"] = len(component.work)  # type: ignore[arg-type]
-        except TypeError:
-            pass
-        if isinstance(component.work, WorkQueue):
-            stats["jobs"] = component.work.stats()
-        return stats
-    if isinstance(component, PersistentStateServer):
-        stats = asdict(component.stats)
-        stats["keys"] = component.backend.keys()
-        return stats
-    if isinstance(component, LoggingServer):
-        return {"records": len(component.records)}
-    if isinstance(component, GossipServer):
-        stats = asdict(component.stats)
-        stats["registered"] = len(component.registry)
-        if component.clique is not None:
-            stats["clique_size"] = len(component.pool_members())
-        return stats
-    if isinstance(component, RamseyClient):
-        return {
-            "counter_examples_found": component.counter_examples_found,
-            "checkpoint_acks": component.checkpoint_acks,
-            "checkpoint_denials": component.checkpoint_denials,
-            "checkpoint_give_ups": component.checkpoint_give_ups,
-            "unit_id": component.unit.get("id") if component.unit else None,
-            "site": component.site,
-            "total_ops": component._total_ops,
-        }
+    classes = {cls.__name__ for cls in type(component).__mro__}
+    for role in _ROLES.values():
+        if role.component in classes:
+            return role.stats(component)
     return {}
 
 
@@ -373,7 +423,10 @@ def _attach_gateway(driver: NetDriver, manifest: Manifest,
     nothing new returns ``None`` to park the connection, and the reactor
     retries parked requests every tick (``server.poll_parked``) until
     fresh events arrive or the wait deadline passes."""
-    work: WorkQueue = driver.component.work
+    from ..control.gateway import GatewayCore, render_payload
+    from ..control.http import HttpServer
+
+    work = driver.component.work
     work.clock = driver.now
     core = GatewayCore(name, work, telemetry=driver.telemetry,
                        started_at=driver.now())

@@ -1,7 +1,7 @@
 """``repro top`` — a live terminal dashboard over the gateway.
 
-Polls the gateway's JSON snapshot (/metrics.json), queue counts, and
-the /events long-poll feed, and renders the numbers a human steering an
+Scrapes the gateway's Prometheus exposition (/metrics), queue counts,
+and the /events feed, and renders the numbers a human steering an
 SC98-style run actually watches: submissions/s, queue depth, per-site
 delivered-vs-available utilisation, p50/p99 route latency, and the most
 recent job-lifecycle events. Stdlib only; rendering is a pure function
@@ -10,96 +10,75 @@ of one sampled frame so tests never need a terminal (or a gateway).
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from typing import Optional
 
-from .prom import split_metric_key
+from .prom import parse_prometheus
 
 __all__ = ["build_frame", "render_top", "run_top"]
 
 _CLEAR = "\x1b[H\x1b[2J"
 SUBMIT_ROUTE = "POST /jobs"
+#: Site gauges shown per site, by exposition name.
+_SITE_FIELDS = {"site_utilisation": "utilisation",
+                "site_delivered_ops": "delivered",
+                "site_available_ops": "available"}
 
 
-def quantile_from_histogram(hist: dict, q: float) -> float:
-    """The bucket upper bound at quantile ``q`` (+inf bucket clamps to
-    the top finite bound)."""
-    total = hist.get("count", 0)
+def quantile_from_buckets(buckets: list[tuple[float, float]],
+                          q: float) -> float:
+    """The bucket upper bound at quantile ``q`` over cumulative
+    ``(le, count)`` buckets, the last one ``+Inf`` (which clamps to the
+    top finite bound)."""
+    buckets = sorted(buckets)
+    finite = [le for le, _ in buckets if not math.isinf(le)]
+    top = finite[-1] if finite else 0.0
+    total = buckets[-1][1] if buckets else 0
     if total <= 0:
         return 0.0
-    bounds = hist.get("bounds", [])
-    counts = hist.get("counts", [])
-    target = q * total
-    seen = 0
-    for i, bound in enumerate(bounds):
-        seen += counts[i] if i < len(counts) else 0
-        if seen >= target:
-            return float(bound)
-    return float(bounds[-1]) if bounds else 0.0
+    for le, seen in buckets:
+        if seen >= q * total:
+            return min(le, top)
+    return top
 
 
-def _sum_counters(counters: dict, name: str,
-                  route: Optional[str] = None) -> int:
-    total = 0
-    for key, value in counters.items():
-        kname, labels = split_metric_key(key)
-        if kname != name:
-            continue
-        if route is not None and labels.get("route") != route:
-            continue
-        total += value
-    return total
-
-
-def build_frame(metrics: dict, queue: Optional[dict] = None,
+def build_frame(samples: list[dict], queue: Optional[dict] = None,
                 events: Optional[list] = None,
                 prev: Optional[dict] = None,
                 now: Optional[float] = None) -> dict:
-    """Distil one dashboard frame from a /metrics.json snapshot.
+    """Distil one dashboard frame from a /metrics scrape, given as
+    :func:`~repro.obs.prom.parse_prometheus` samples.
 
     ``prev`` is the previous frame (for rate deltas); rates are 0.0 on
     the first sample.
     """
     now = time.monotonic() if now is None else now
-    counters = metrics.get("counters", {})
-    gauges = metrics.get("gauges", {})
-    histograms = metrics.get("histograms", {})
-
-    submitted = _sum_counters(counters, "http.requests", route=SUBMIT_ROUTE)
-    requests = _sum_counters(counters, "http.requests")
-
-    sites: dict[str, dict] = {}
-    for key, value in gauges.items():
-        name, labels = split_metric_key(key)
-        site = labels.get("site")
-        if site is None:
-            continue
-        slot = sites.setdefault(site, {})
-        if name == "site.utilisation":
-            slot["utilisation"] = value
-        elif name == "site.delivered_ops":
-            slot["delivered"] = value
-        elif name == "site.available_ops":
-            slot["available"] = value
-
-    routes: dict[str, dict] = {}
-    for key, hist in histograms.items():
-        name, labels = split_metric_key(key)
-        if name != "http.latency_ms":
-            continue
-        routes[labels.get("route", "?")] = {
-            "count": hist.get("count", 0),
-            "p50_ms": quantile_from_histogram(hist, 0.50),
-            "p99_ms": quantile_from_histogram(hist, 0.99),
-        }
-
+    submitted = requests = 0
     queue_depth = None
-    for key, value in gauges.items():
-        name, _labels = split_metric_key(key)
-        if name == "sch.queue_depth":
+    sites: dict[str, dict] = {}
+    buckets: dict[str, list[tuple[float, float]]] = {}
+    counts: dict[str, int] = {}
+    for sample in samples:
+        name, labels, value = sample["name"], sample["labels"], sample["value"]
+        if name == "http_requests":
+            requests += int(value)
+            if labels.get("route") == SUBMIT_ROUTE:
+                submitted += int(value)
+        elif name == "sch_queue_depth" and queue_depth is None:
             queue_depth = value
-            break
+        elif name in _SITE_FIELDS and "site" in labels:
+            sites.setdefault(labels["site"], {})[_SITE_FIELDS[name]] = value
+        elif name == "http_latency_ms_bucket":
+            buckets.setdefault(labels.get("route", "?"), []).append(
+                (float(labels["le"]), value))
+        elif name == "http_latency_ms_count":
+            counts[labels.get("route", "?")] = int(value)
+    routes = {route: {"count": counts.get(route, 0),
+                      "p50_ms": quantile_from_buckets(rows, 0.50),
+                      "p99_ms": quantile_from_buckets(rows, 0.99)}
+              for route, rows in buckets.items()}
     frame = {
         "now": now,
         "submitted_total": submitted,
@@ -188,16 +167,16 @@ def run_top(contact: str, interval: float = 1.0,
                 as client:
             while True:
                 try:
-                    metrics = client.metrics()
+                    samples = parse_prometheus(client.metrics_text())
                     queue = client.queue()
                     events = client.events(since=since, wait=0.0)
-                except HttpError as exc:
+                except (HttpError, ValueError) as exc:
                     print(f"gateway {contact} unreachable: {exc}",
                           file=out)
                     return 1
                 if events:
                     since = max(e.get("seq", since) for e in events)
-                frame = build_frame(metrics, queue=queue, events=events,
+                frame = build_frame(samples, queue=queue, events=events,
                                     prev=prev)
                 text = render_top(frame)
                 if once:

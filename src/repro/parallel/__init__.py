@@ -3,9 +3,8 @@
 ``kernels`` defines the task slices and their bit-identical reference /
 vectorized executors; ``shm`` passes colorings through shared memory;
 ``pool`` runs a persistent forked worker pool with crash fallback;
-``lanes`` is the :class:`ComputeLane` seam the simulation plugs into;
-``scaling`` is the throughput/parity harness behind
-``benchmarks/bench_parallel.py``.
+``lanes`` is the :class:`ComputeLane` seam the simulation plugs into.
+``benchmarks/bench_parallel.py`` measures the throughput/parity curve.
 """
 
 from .._exports import lazy_exports

@@ -91,11 +91,7 @@ def test_list_queue_health_metrics(core):
     assert doc["uptime"] == 10.0
     assert doc["jobs"]["queued"] == 3
 
-    status, doc, _ = core.handle("GET", "/metrics.json", b"", now=10.0)
-    assert status == 200
-    assert any(k.startswith("http.requests") for k in doc["counters"])
-
-    # /metrics itself is Prometheus text exposition now (DESIGN §14).
+    # /metrics is Prometheus text exposition (DESIGN §14).
     status, text, _ = core.handle("GET", "/metrics", b"", now=10.0)
     assert status == 200
     assert isinstance(text, str)

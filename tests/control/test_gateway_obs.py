@@ -1,9 +1,9 @@
 """The gateway's observability routes and end-to-end job tracing.
 
-Covers the DESIGN §14 surface sans-IO: Prometheus text at /metrics,
-the legacy JSON snapshot at /metrics.json, the JSONL /events feed,
-pushed per-site utilisation gauges, and the ingress span / TraceContext
-that rides the journal and the work unit across the wire.
+Covers the DESIGN §14 surface sans-IO: Prometheus text at /metrics
+(the one metrics route), the JSONL /events feed, pushed per-site
+utilisation gauges, and the ingress span / TraceContext that rides the
+journal and the work unit across the wire.
 """
 
 import json
@@ -25,7 +25,7 @@ def _json(obj) -> bytes:
 
 
 # -- exposition routes --------------------------------------------------------
-def test_metrics_is_prometheus_and_metrics_json_is_snapshot():
+def test_metrics_is_prometheus_and_metrics_json_is_gone():
     core = _core()
     core.handle("POST", "/jobs", _json({"k": 8}), now=0.0)
 
@@ -35,9 +35,8 @@ def test_metrics_is_prometheus_and_metrics_json_is_snapshot():
     assert sample_value(samples, "http_requests",
                         route="POST /jobs", status="201") == 1
 
-    status, doc, route = core.handle("GET", "/metrics.json", b"", now=1.0)
-    assert (status, route) == (200, "GET /metrics.json")
-    assert isinstance(doc, dict) and "counters" in doc
+    # One metrics route: the old JSON snapshot route no longer exists.
+    assert core.handle("GET", "/metrics.json", b"", now=1.0)[0] == 404
 
 
 def test_render_payload_sets_text_content_types():

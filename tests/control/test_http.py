@@ -13,12 +13,15 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.control import (
     GatewayClient,
     GatewayCore,
     HttpDecoder,
     HttpError,
+    HttpRequest,
     HttpResponseDecoder,
     HttpServer,
     WorkQueue,
@@ -98,6 +101,14 @@ def test_decoder_waits_for_split_body():
     (b"GET / HTTP/1.1\r\nContent-Length: ten\r\n\r\n", 400),
     (b"GET / HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
     (b"GET / HTTP/1.1\r\nBad Header Line\r\n\r\n", 400),
+    # RFC 9110 Content-Length is 1*DIGIT; int() alone took these as 10.
+    (b"GET / HTTP/1.1\r\nContent-Length: 1_0\r\n\r\n", 400),
+    (b"GET / HTTP/1.1\r\nContent-Length: +10\r\n\r\n", 400),
+    ("GET / HTTP/1.1\r\nContent-Length: ²\r\n\r\n"  # superscript 2
+     .encode("latin-1"), 400),
+    # Two lengths for one body (request smuggling): never last-one-wins.
+    (b"POST / HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 10\r\n\r\n"
+     b"abcdefghij", 400),
 ])
 def test_decoder_rejects_malformed_framing(wire, status):
     decoder = HttpDecoder()
@@ -109,6 +120,66 @@ def test_decoder_rejects_malformed_framing(wire, status):
     # The decoder is poisoned: no resync on a boundary-less stream.
     decoder.feed(_request())
     assert decoder.next_request() is None
+
+
+def test_decoder_accepts_a_repeated_equal_content_length():
+    decoder = HttpDecoder()
+    decoder.feed(b"POST /jobs HTTP/1.1\r\nContent-Length: 2\r\n"
+                 b"Content-Length: 2\r\n\r\n{}")
+    request = decoder.next_request()
+    assert request.error is None and request.body == b"{}"
+
+
+# -- decoder: fuzz ------------------------------------------------------------
+
+_paths = st.text("abcdefghijklmnopqrstuvwxyz0123456789/-_.?=&%",
+                 max_size=24).map(lambda s: "/" + s)
+_requests = st.lists(st.tuples(
+    st.sampled_from(["GET", "POST", "PUT", "DELETE"]), _paths,
+    st.binary(max_size=64), st.booleans()), min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(requests=_requests, data=st.data())
+def test_fuzz_any_split_of_a_pipelined_stream_parses_the_same(requests,
+                                                              data):
+    stream = b"".join(_request(m, p, b, extra="Connection: close\r\n" * c)
+                      for m, p, b, c in requests)
+    cuts = sorted(data.draw(st.lists(
+        st.integers(0, len(stream)), max_size=8)))
+    decoder = HttpDecoder()
+    parsed = []
+    for start, end in zip([0] + cuts, cuts + [len(stream)]):
+        decoder.feed(stream[start:end])
+        parsed += iter(decoder.next_request, None)
+    assert [(r.method, r.path, r.body, r.close, r.error) for r in parsed] \
+        == [(m, p, b, c, None) for m, p, b, c in requests]
+
+
+@settings(max_examples=300, deadline=None)
+@given(chunks=st.lists(st.one_of(
+    st.binary(max_size=64),
+    st.sampled_from([b"GET / HTTP/1.1\r\n", b"\r\n", b"\r\n\r\n",
+                     b"Content-Length: ", b"Content-Length: 5\r\n",
+                     b"POST /jobs HTTP/1.0\r\n", b"Transfer-Encoding: x\r\n",
+                     b"9" * 12])), max_size=12))
+def test_fuzz_hostile_bytes_yield_requests_or_one_error_then_nothing(chunks):
+    decoder = HttpDecoder(max_header=512, max_body=256)
+    errors = 0
+    for chunk in chunks:
+        decoder.feed(chunk)
+        for request in iter(decoder.next_request, None):
+            assert isinstance(request, HttpRequest)
+            assert not errors, "a request after the error"
+            if request.error is not None:
+                errors += 1
+                assert request.error[0] in (400, 413) and request.close
+            else:
+                assert request.method and request.path.startswith("/")
+                assert len(request.body) <= 256
+    if errors:
+        decoder.feed(_request())  # poisoned: no resync
+        assert decoder.next_request() is None
 
 
 def test_decoder_refuses_oversized_declared_body_with_413():

@@ -59,6 +59,24 @@ def test_gateway_child_loads_only_the_control_plane():
     assert len(loaded_under(modules, "repro")) <= 25
 
 
+def test_gateway_role_live_node_loads_only_its_role(tmp_path):
+    """A whole ``repro live-node`` for a gateway: manifest, component,
+    NetDriver, HTTP listener, a short run and the drain."""
+    manifest = tmp_path / "manifest.json"
+    out = run_fresh(f"""
+from repro.live import build_manifest, serve_topology
+path = build_manifest(serve_topology(clients=1),
+                      collector="127.0.0.1:9").write({str(manifest)!r})
+from repro.live.node import run_node
+out["exit"] = run_node(path, "gw0", deadline=0.2)
+""")
+    assert out["exit"] == 0
+    modules = out["modules"]
+    assert loaded_under(modules, "numpy", "repro.ramsey", "repro.core.gossip",
+                        "repro.simgrid") == []
+    assert len(loaded_under(modules, "repro")) <= 35
+
+
 def test_api_gateway_names_load_only_the_control_plane():
     code = "from repro.api import WorkQueue, GatewayCore, HttpServer"
     modules = run_fresh(code)["modules"]

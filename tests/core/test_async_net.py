@@ -7,23 +7,25 @@ Covers the live-plane contracts the async rewrite introduced:
   aliases the connection's stream buffer, no per-packet bytes objects;
 * frames survive arbitrary split points, including mid-header and
   mid-trailer, across many reactor turns;
-* every socket in the new stack (accepted, client, async-sender) runs
-  with TCP_NODELAY, and small request/response exchanges don't hit
+* every socket in the stack (accepted and async-sender) runs with
+  TCP_NODELAY, and small request/response exchanges don't hit
   Nagle-vs-delayed-ACK stalls;
 * a burst of posts to one peer flushes as batched ``sendmsg`` calls,
-  not one syscall per frame.
+  not one syscall per frame;
+* the transport benchmark's cells (``benchmarks/bench_net.py``) run.
 """
 
+import pathlib
 import socket
 import statistics
+import sys
 import threading
 import time
 
-import pytest
-
 from repro.core.linguafranca.messages import Message
-from repro.core.linguafranca.tcp import (AsyncSender, EventLoop, TcpClient,
-                                         TcpServer)
+from repro.core.linguafranca.tcp import TcpServer
+
+from tests.core.test_tcp import Wire, nodelay_on, request
 
 
 def _pump(server, condition, budget=5.0, step=0.02):
@@ -91,54 +93,35 @@ def test_partial_reads_survive_frame_boundaries():
 # -- TCP_NODELAY everywhere (no Nagle stalls) ---------------------------------
 
 
-def _nodelay_on(sock) -> bool:
-    return bool(sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
-
-
 def test_nodelay_set_on_all_new_stack_sockets():
-    server = TcpServer("127.0.0.1", 0,
-                       lambda m: m.reply("PONG", sender=""))
-    client = TcpClient(sender="t")
-    loop = EventLoop()
-    sender = AsyncSender(loop, sender="t")
+    wire = Wire()
     try:
-        host, port = server.address
-        client.send(host, port, Message(mtype="PUSH", sender="", body={}))
-        _pump(server, lambda: server.messages_handled == 1)
-        # Accepted server sockets and the client's cached socket.
-        (conn,) = server._conns
-        assert _nodelay_on(conn.sock)
-        assert _nodelay_on(client._conns[(host, port)])
-        # The async sender's peer socket.
-        sender.post(host, port, Message(mtype="PUSH", sender="", body={}))
-        peer = sender._peers[(host, port)]
-        assert peer.sock is not None and _nodelay_on(peer.sock)
+        wire.push(0)
+        # The async sender's peer socket, from the moment it exists.
+        assert nodelay_on(wire.peer().sock)
+        wire.pump(lambda: wire.got)
+        (conn,) = wire.server._conns  # the server's accepted socket
+        assert nodelay_on(conn.sock)
     finally:
-        sender.close()
-        loop.close()
-        client.close()
-        server.close()
+        wire.close()
 
 
 def test_client_reconnect_path_keeps_nodelay():
-    server = TcpServer("127.0.0.1", 0, lambda m: None)
-    client = TcpClient(sender="t")
+    wire = Wire()
     try:
-        host, port = server.address
-        client.send(host, port, Message(mtype="PUSH", sender="", body={}))
-        _pump(server, lambda: server.messages_handled == 1)
-        # Kill the server side of the cached connection; the next send
-        # reconnects transparently — the fresh socket must also be
-        # Nagle-free.
-        (conn,) = server._conns
-        server._drop(conn)
-        server.step(0.02)
-        client.send(host, port, Message(mtype="PUSH", sender="", body={}))
-        assert client.reconnects == 1
-        assert _nodelay_on(client._conns[(host, port)])
+        wire.push(1)
+        wire.pump(lambda: wire.got)
+        # Kill the server side of the cached connection with a frame
+        # queued: the sender reconnects transparently, and the fresh
+        # socket must also be Nagle-free.
+        (conn,) = wire.server._conns
+        wire.server._drop(conn)
+        wire.push(2)
+        wire.pump(lambda: len(wire.got) == 2)
+        assert wire.sender.reconnects == 1
+        assert nodelay_on(wire.peer().sock)
     finally:
-        client.close()
-        server.close()
+        wire.close()
 
 
 def test_request_response_has_no_nagle_stalls():
@@ -149,7 +132,6 @@ def test_request_response_has_no_nagle_stalls():
     # honest cost.
     server = TcpServer("127.0.0.1", 0,
                        lambda m: m.reply("PONG", sender=""))
-    client = TcpClient(sender="t")
     laps = []
     stop = threading.Event()
 
@@ -163,15 +145,13 @@ def test_request_response_has_no_nagle_stalls():
         host, port = server.address
         for _ in range(30):
             t0 = time.monotonic()
-            reply = client.request(host, port,
-                                   Message(mtype="PING", sender="", body={}),
-                                   timeout=5.0)
+            reply = request(host, port,
+                            Message(mtype="PING", sender="t", body={}))
             laps.append(time.monotonic() - t0)
             assert reply is not None and reply.mtype == "PONG"
     finally:
         stop.set()
         pumper.join(timeout=2)
-        client.close()
         server.close()
     assert statistics.median(laps) < 0.02, f"median {statistics.median(laps)}"
 
@@ -180,55 +160,47 @@ def test_request_response_has_no_nagle_stalls():
 
 
 def test_burst_of_posts_flushes_batched():
-    got = []
-    loop = EventLoop()
-    server = TcpServer("127.0.0.1", 0,
-                       lambda m: got.append(m.body["n"]) or None, loop=loop)
-    sender = AsyncSender(loop, sender="t")
+    wire = Wire()
     try:
-        host, port = server.address
         for n in range(50):
-            sender.post(host, port,
-                        Message(mtype="PUSH", sender="", body={"n": n}))
-        _pump(server, lambda: len(got) == 50)
-        assert got == list(range(50))
-        assert sender.sent == 50
+            wire.push(n)
+        wire.pump(lambda: len(wire.got) == 50)
+        assert [m.body["i"] for m in wire.got] == list(range(50))
+        assert wire.sender.sent == 50
         # Coalescing contract: the burst went out in batched sendmsg
         # calls, nowhere near one syscall per frame.
-        assert sender.flush_batches <= 4
+        assert wire.sender.flush_batches <= 4
     finally:
-        sender.close()
-        server.close()
+        wire.close()
 
 
-# -- benchmark harness --------------------------------------------------------
+# -- benchmark cells ----------------------------------------------------------
+
+
+def _bench_net():
+    benchmarks = str(pathlib.Path(__file__).resolve().parents[2]
+                     / "benchmarks")
+    if benchmarks not in sys.path:
+        sys.path.insert(0, benchmarks)
+    import bench_net
+
+    return bench_net
 
 
 def test_netbench_echo_cell_runs():
-    from repro.core.netbench import bench_mode
-
-    row = bench_mode("async-reactor", 8, duration=0.4, warmup=0.1,
-                     pipeline=2, payload=0)
-    assert row["mode"] == "async-reactor"
+    row = _bench_net().run_echo(8, duration=0.4, warmup=0.1, pipeline=2,
+                                payload=0)
+    assert row["bench"] == "echo"
     assert row["msgs"] > 0
     assert row["msgs_per_s"] > 0
     assert row["p99_ms"] >= row["p50_ms"] >= 0
 
 
 def test_netbench_fanout_cell_runs():
-    from repro.core.netbench import run_fanout
-
-    row = run_fanout("async-send", peers=8, duration=0.4, warmup=0.1,
-                     payload=0, burst=4, window=256)
+    row = _bench_net().run_fanout(peers=8, duration=0.4, warmup=0.1,
+                                  payload=0, burst=4, window=256)
     assert row["bench"] == "fanout"
     assert row["msgs"] > 0
     assert row["sent"] >= row["msgs"]
-
-
-def test_netbench_rejects_unknown_modes():
-    from repro.core.netbench import run_fanout, spawn_echo_server
-
-    with pytest.raises(ValueError):
-        spawn_echo_server("carrier-pigeon")
-    with pytest.raises(ValueError):
-        run_fanout("carrier-pigeon")
+    # Bursts of 4 per peer: the sender coalesces, never one frame a call.
+    assert row["frames_per_sendmsg"] > 1

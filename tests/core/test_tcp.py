@@ -4,13 +4,37 @@ The server reactor is pumped from a helper thread in the tests only; the
 library itself stays single-threaded, per the paper's design rules.
 """
 
+import socket
 import threading
 import time
 
 import pytest
 
-from repro.core.linguafranca.messages import Message
-from repro.core.linguafranca.tcp import TcpClient, TcpServer, TransportError
+from repro.core.linguafranca.messages import Message, fresh_req_id
+from repro.core.linguafranca.packets import PacketDecoder
+from repro.core.linguafranca.tcp import AsyncSender, EventLoop, TcpServer
+
+
+def request(host, port, message, timeout=5.0):
+    """Blocking request, reply read off the same socket; None on time-out."""
+    message.req_id = fresh_req_id()
+    decoder = PacketDecoder()
+    deadline = time.monotonic() + timeout
+    with socket.create_connection((host, port), timeout=timeout) as sock:
+        sock.sendall(message.encode())
+        while (remaining := deadline - time.monotonic()) > 0:
+            sock.settimeout(remaining)
+            try:
+                data = sock.recv(65536)
+            except socket.timeout:
+                return None
+            if not data:
+                return None
+            decoder.feed(data)
+            while (reply := decoder.next_record(Message.from_parts)):
+                if reply.reply_to == message.req_id:
+                    return reply
+    return None
 
 
 class ServerThread:
@@ -47,8 +71,8 @@ def test_request_reply_over_tcp():
     server = TcpServer("127.0.0.1", 0, echo_handler)
     host, port = server.address
     with ServerThread(server):
-        client = TcpClient(sender="tester")
-        reply = client.request(host, port, Message(mtype="PING", sender="", body={"n": 5}))
+        reply = request(host, port, Message(mtype="PING", sender="tester",
+                                            body={"n": 5}))
         assert reply is not None
         assert reply.mtype == "PONG"
         assert reply.body == {"echo": {"n": 5}}
@@ -64,7 +88,8 @@ def test_fire_and_forget_over_tcp():
     server = TcpServer("127.0.0.1", 0, handler)
     host, port = server.address
     with ServerThread(server):
-        TcpClient().send(host, port, Message(mtype="PUSH", sender=""))
+        with socket.create_connection((host, port)) as sock:
+            sock.sendall(Message(mtype="PUSH", sender="").encode())
         deadline = time.monotonic() + 2
         while not got and time.monotonic() < deadline:
             time.sleep(0.01)
@@ -75,7 +100,7 @@ def test_unknown_type_gets_error_reply():
     server = TcpServer("127.0.0.1", 0, echo_handler)
     host, port = server.address
     with ServerThread(server):
-        reply = TcpClient().request(host, port, Message(mtype="WAT", sender=""))
+        reply = request(host, port, Message(mtype="WAT", sender=""))
         assert reply.mtype == "ERROR"
 
 
@@ -83,24 +108,18 @@ def test_request_timeout_when_handler_never_replies():
     server = TcpServer("127.0.0.1", 0, lambda m: None)
     host, port = server.address
     with ServerThread(server):
-        reply = TcpClient().request(host, port, Message(mtype="PING", sender=""), timeout=0.3)
+        reply = request(host, port, Message(mtype="PING", sender=""),
+                        timeout=0.3)
         assert reply is None
-
-
-def test_connect_refused_raises_transport_error():
-    client = TcpClient()
-    with pytest.raises(TransportError):
-        # Port 1 on localhost is essentially guaranteed closed.
-        client.request("127.0.0.1", 1, Message(mtype="PING", sender=""), timeout=0.5)
 
 
 def test_many_sequential_requests_one_server():
     server = TcpServer("127.0.0.1", 0, echo_handler)
     host, port = server.address
     with ServerThread(server):
-        client = TcpClient()
         for i in range(20):
-            reply = client.request(host, port, Message(mtype="PING", sender="", body={"i": i}))
+            reply = request(host, port, Message(mtype="PING", sender="",
+                                                body={"i": i}))
             assert reply.body["echo"]["i"] == i
     assert server.messages_handled == 20
 
@@ -109,18 +128,16 @@ def test_server_survives_garbage_connection():
     server = TcpServer("127.0.0.1", 0, echo_handler)
     host, port = server.address
     with ServerThread(server):
-        import socket
-
         with socket.create_connection((host, port)) as s:
             s.sendall(b"this is not a packet at all" * 10)
         time.sleep(0.1)
         # Server must still answer real clients.
-        reply = TcpClient().request(host, port, Message(mtype="PING", sender=""))
+        reply = request(host, port, Message(mtype="PING", sender=""))
         assert reply.mtype == "PONG"
     assert server.decode_errors >= 1
 
 
-# -- connection reuse (live-plane satellite) ---------------------------------
+# -- AsyncSender: one connection per peer, once-per-failure reconnect ---------
 
 
 class AcceptCounter:
@@ -131,73 +148,107 @@ class AcceptCounter:
         self._orig = server._accept
 
         def counting():
-            self.count += 1
-            self._orig()
+            accepted = self._orig()
+            self.count += accepted
+            return accepted
 
         server._accept = counting
 
 
-def _drain(server, want, got, timeout=5.0):
-    deadline = time.monotonic() + timeout
-    while len(got) < want and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert len(got) == want
+def nodelay_on(sock):
+    return bool(sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
 
 
-def test_send_reuses_one_connection_per_peer():
-    got = []
-    server = TcpServer("127.0.0.1", 0, lambda m: got.append(m))
-    accepts = AcceptCounter(server)
-    host, port = server.address
-    with ServerThread(server):
-        client = TcpClient(sender="tester")
-        for i in range(8):
-            client.send(host, port, Message(mtype="PUSH", sender="", body={"i": i}))
-        _drain(server, 8, got)
-        client.close()
-    assert accepts.count == 1
-    assert client.reconnects == 0
-    assert [m.body["i"] for m in got] == list(range(8))
+class Wire:
+    """A frame-collecting ``TcpServer`` and an ``AsyncSender`` on one
+    loop, pumped by the test (single-threaded, like a node)."""
+
+    def __init__(self):
+        self.loop = EventLoop()
+        self.got = []
+        self.listen()
+        self.sender = AsyncSender(self.loop, sender="tester")
+
+    def listen(self, port=0):
+        self.server = TcpServer("127.0.0.1", port, self.got.append,
+                                loop=self.loop)
+        self.key = self.server.address
+
+    def push(self, i):
+        self.sender.post(*self.key, Message(mtype="PUSH", sender="",
+                                            body={"i": i}))
+
+    def pump(self, condition, budget=5.0):
+        deadline = time.monotonic() + budget
+        while not condition() and time.monotonic() < deadline:
+            self.loop.step(0.01)
+            self.sender.service()
+        assert condition(), "condition not reached while pumping the loop"
+
+    def peer(self):
+        return self.sender._peers.get(self.key)
+
+    def close(self):
+        self.sender.close()
+        self.loop.close()  # closes every socket still registered
 
 
-def test_reuse_disabled_connects_per_send():
-    got = []
-    server = TcpServer("127.0.0.1", 0, lambda m: got.append(m))
-    accepts = AcceptCounter(server)
-    host, port = server.address
-    with ServerThread(server):
-        client = TcpClient(sender="tester", reuse=False)
-        for i in range(3):
-            client.send(host, port, Message(mtype="PUSH", sender="", body={"i": i}))
-        _drain(server, 3, got)
-        client.close()
-    assert accepts.count == 3
+@pytest.fixture
+def wire():
+    wire = Wire()
+    yield wire
+    wire.close()
 
 
-def test_send_transparently_reconnects_after_peer_restart():
-    got = []
-    server = TcpServer("127.0.0.1", 0, lambda m: got.append(m))
-    host, port = server.address
-    with ServerThread(server):
-        client = TcpClient(sender="tester")
-        client.send(host, port, Message(mtype="PUSH", sender="", body={"gen": 1}))
-        _drain(server, 1, got)
-    # Peer restarts on the same port; the cached connection is now stale.
-    server2 = TcpServer(host, port, lambda m: got.append(m))
-    with ServerThread(server2):
-        client.send(host, port, Message(mtype="PUSH", sender="", body={"gen": 2}))
-        _drain(server2, 2, got)
-        client.close()
-    assert client.reconnects >= 1
-    assert [m.body["gen"] for m in got] == [1, 2]
+def test_send_reuses_one_connection_per_peer(wire):
+    accepts = AcceptCounter(wire.server)
+    for i in range(8):
+        wire.push(i)
+        wire.pump(lambda: len(wire.got) == i + 1)
+    assert accepts.count == 1 and wire.sender.reconnects == 0
+    assert [m.body["i"] for m in wire.got] == list(range(8))
 
 
-def test_close_drops_cached_connections():
-    server = TcpServer("127.0.0.1", 0, lambda m: None)
-    host, port = server.address
-    with ServerThread(server):
-        client = TcpClient(sender="tester")
-        client.send(host, port, Message(mtype="PUSH", sender="", body={}))
-        assert client._conns
-        client.close()
-        assert not client._conns
+def test_send_transparently_reconnects_after_peer_restart(wire):
+    """The peer restarts on the same port while frames are queued for it:
+    one reconnect, delivery in order, and a Nagle-free fresh socket."""
+    wire.push(1)
+    wire.pump(lambda: len(wire.got) == 1)
+    stale = wire.peer().sock
+    wire.server.close()  # the peer dies; the cached connection is stale
+    wire.listen(wire.key[1])  # ...and comes back on the same port
+    wire.push(2)
+    wire.push(3)
+    wire.pump(lambda: len(wire.got) == 3)
+    assert [m.body["i"] for m in wire.got] == [1, 2, 3]
+    assert wire.sender.reconnects == 1 and wire.sender.errors == 0
+    assert wire.peer().sock is not stale and nodelay_on(wire.peer().sock)
+
+
+def test_second_failure_counts_the_frame_as_an_error(wire):
+    wire.push(1)
+    wire.pump(lambda: len(wire.got) == 1)
+    wire.server.close()  # nobody listens any more: the reconnect fails too
+    wire.push(2)
+    wire.pump(lambda: wire.sender.errors == 1)
+    assert wire.sender.reconnects == 1 and wire.peer() is None
+    assert [m.body["i"] for m in wire.got] == [1]
+
+
+def test_idle_stale_entry_is_forgotten(wire):
+    wire.push(1)
+    wire.pump(lambda: len(wire.got) == 1)
+    (conn,) = wire.server._conns
+    wire.server._drop(conn)  # the peer hangs up on an idle connection
+    wire.pump(lambda: wire.peer() is None)
+    assert wire.sender.reconnects == 0 and wire.sender.errors == 0
+    wire.push(2)  # the next post simply connects afresh
+    wire.pump(lambda: len(wire.got) == 2)
+
+
+def test_close_drops_cached_connections(wire):
+    wire.push(0)
+    wire.pump(lambda: wire.sender.sent == 1)
+    assert wire.sender._peers
+    wire.sender.close()
+    assert not wire.sender._peers

@@ -7,9 +7,9 @@ import time
 import pytest
 
 from repro.core.linguafranca.messages import Message
-from repro.core.linguafranca.tcp import TcpClient, TcpServer
+from repro.core.linguafranca.tcp import TcpServer
 
-from tests.core.test_tcp import ServerThread
+from tests.core.test_tcp import ServerThread, request
 
 
 def echo(message):
@@ -25,7 +25,7 @@ def test_large_payload_roundtrip():
     host, port = server.address
     with ServerThread(server):
         blob = "x" * 500_000
-        reply = TcpClient().request(host, port, Message(
+        reply = request(host, port, Message(
             mtype="BIG", sender="", body={"blob": blob}), timeout=10)
         assert reply is not None
         assert reply.mtype == "BIG_OK"
@@ -63,10 +63,10 @@ def test_concurrent_clients():
     lock = threading.Lock()
 
     def worker(wid):
-        client = TcpClient(sender=f"w{wid}")
         for i in range(10):
-            reply = client.request(host, port, Message(
-                mtype="PING", sender="", body={"w": wid, "i": i}), timeout=5)
+            reply = request(host, port, Message(
+                mtype="PING", sender=f"w{wid}", body={"w": wid, "i": i}),
+                timeout=5)
             with lock:
                 results.append(reply is not None and reply.mtype == "OK")
 

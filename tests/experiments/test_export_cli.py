@@ -72,6 +72,13 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
+def test_benchmarks_are_not_cli_commands(capsys):
+    # The transport and scaling benchmarks are scripts under benchmarks/.
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["bench", "--net"])
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
 def test_cli_info(capsys):
     assert main(["info"]) == 0
     out = capsys.readouterr().out
