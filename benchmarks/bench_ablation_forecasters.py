@@ -45,6 +45,32 @@ def chooser_mae(trace):
     return err / scored, bank.errors()
 
 
+def a3_table():
+    """The A3 table as committed under ``out_fullscale/``, plus each
+    trace's chooser regret and best single method."""
+    lines = ["Ablation A3: adaptive forecaster selection vs single methods",
+             ""]
+    regrets = {}
+    best_methods = {}
+    for name, trace in make_traces().items():
+        mae, method_errors = chooser_mae(trace)
+        best = min(method_errors.values())
+        worst = max(v for v in method_errors.values() if np.isfinite(v))
+        regrets[name] = mae / best
+        lines.append(f"  {name:>13}: chooser MAE {mae:.3f} | best single "
+                     f"{best:.3f} | worst single {worst:.3f} | "
+                     f"regret {mae / best:.2f}x")
+        # Track which method is best per trace: it changes.
+        best_methods[name] = min(method_errors, key=method_errors.get)
+
+    lines.append("")
+    lines.append("best single method differs per trace: "
+                 + ", ".join(f"{t}->{m}" for t, m in best_methods.items()))
+    lines.append("no fixed choice is safe; the adaptive chooser is near-best "
+                 "everywhere.")
+    return "\n".join(lines), regrets, best_methods
+
+
 def test_adaptive_selection_beats_fixed_methods(benchmark, artifact_dir):
     traces = make_traces()
 
@@ -57,30 +83,10 @@ def test_adaptive_selection_beats_fixed_methods(benchmark, artifact_dir):
 
     benchmark(feed_bank)
 
-    lines = ["Ablation A3: adaptive forecaster selection vs single methods",
-             ""]
-    regrets = {}
-    worst_counts = {}
-    for name, trace in traces.items():
-        mae, method_errors = chooser_mae(trace)
-        best = min(method_errors.values())
-        worst = max(v for v in method_errors.values() if np.isfinite(v))
-        regrets[name] = mae / best
-        lines.append(f"  {name:>13}: chooser MAE {mae:.3f} | best single "
-                     f"{best:.3f} | worst single {worst:.3f} | "
-                     f"regret {mae / best:.2f}x")
-        # Track which method is best per trace: it changes.
-        best_name = min(method_errors, key=method_errors.get)
-        worst_counts[name] = best_name
-
-    lines.append("")
-    lines.append("best single method differs per trace: "
-                 + ", ".join(f"{t}->{m}" for t, m in worst_counts.items()))
-    lines.append("no fixed choice is safe; the adaptive chooser is near-best "
-                 "everywhere.")
-    save_artifact(artifact_dir, "ablation_a3_forecasters.txt", "\n".join(lines))
+    table, regrets, best_methods = a3_table()
+    save_artifact(artifact_dir, "ablation_a3_forecasters.txt", table)
 
     # Near-best on every series...
     assert all(r < 1.6 for r in regrets.values()), regrets
     # ...and the winning single method is not the same everywhere.
-    assert len(set(worst_counts.values())) >= 2
+    assert len(set(best_methods.values())) >= 2

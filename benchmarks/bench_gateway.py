@@ -2,8 +2,8 @@
 
 Usage (from the repository root)::
 
-    PYTHONPATH=src python benchmarks/bench_gateway.py
-    PYTHONPATH=src python benchmarks/bench_gateway.py --quick --check
+    python benchmarks/bench_gateway.py
+    python benchmarks/bench_gateway.py --quick --check
 
 Benchmarks the HTTP/JSON job gateway as its own OS process (the same
 ``HttpServer`` + ``GatewayCore`` + journal-backed ``WorkQueue`` stack
@@ -14,9 +14,10 @@ keep-alive HTTP users:
   client count (the top cell is the 1,000-concurrent-user claim);
 * a **churn** cell — every storm connection reconnects after a handful
   of responses, so accept/close machinery is on the hot path;
-* a **kill-restart** cell — the gateway is SIGKILLed mid-storm and
-  respawned on the same port and journal; after the storm, every job id
-  it ever answered 201 for must still be known (requeued, not lost).
+* a **kill-restart** cell — 200 users storm the gateway, which is
+  SIGKILLed mid-storm and respawned on the same port and journal; after
+  the storm, every job id it ever answered 201 for must still be known
+  (requeued, not lost). It is 200 users in ``--quick`` runs too.
 
 The gate (``--check``) asserts the acceptance floors at the top cell:
 sustained submissions/s, query p99, and zero lost jobs across the kill.
@@ -24,111 +25,19 @@ sustained submissions/s, query p99, and zero lost jobs across the kill.
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import pathlib
-import signal
-import socket
-import subprocess
 import sys
+import tempfile
 import time
 
-HERE = pathlib.Path(__file__).resolve().parent
-SRC = HERE.parent / "src"
-if str(SRC) not in sys.path:
-    sys.path.insert(0, str(SRC))
-
-GATEWAY_JSON = HERE.parent / "BENCH_gateway.json"
+from common import (GatewayProcess, bench_parser, finish, free_port,
+                    percentile)
 
 #: Acceptance floors for the top steady cell (see --check).
 SUBMISSIONS_PER_S_FLOOR = 500.0
 QUERY_P99_MS_CEILING = 250.0
-
-
-def _percentile(values: list[float], q: float) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    idx = min(len(ordered) - 1, int(q * len(ordered)))
-    return ordered[idx]
-
-
-def _free_port() -> int:
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-
-
-def _serve_child(port: int, journal_path: str) -> int:
-    """Child mode: one gateway process, pumped until killed."""
-    from repro.control import (FileJournal, GatewayCore, HttpServer,
-                               WorkQueue, render_payload)
-
-    work = WorkQueue(journal=FileJournal(journal_path), prefix="bench-job")
-    work.clock = time.monotonic
-    core = GatewayCore("bench-gw", work, started_at=time.monotonic())
-
-    def app(request):
-        status, payload, route = core.handle(
-            request.method, request.path, request.body, time.monotonic())
-        return render_payload(status, payload, route, close=request.close)
-
-    last: Exception | None = None
-    for _ in range(100):  # the port may linger briefly after a SIGKILL
-        try:
-            server = HttpServer("127.0.0.1", port, app)
-            break
-        except OSError as exc:
-            last = exc
-            time.sleep(0.05)
-    else:
-        raise SystemExit(f"gateway bind failed: {last}")
-    while True:
-        server.step(0.05)
-
-
-class GatewayProcess:
-    """Spawn/kill/respawn one gateway child on a fixed port + journal."""
-
-    def __init__(self, port: int, journal: str) -> None:
-        self.port = port
-        self.journal = journal
-        self.proc: subprocess.Popen | None = None
-
-    def spawn(self) -> None:
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-        self.proc = subprocess.Popen(
-            [sys.executable, str(HERE / "bench_gateway.py"),
-             "--_serve", str(self.port), self.journal],
-            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-
-    def wait_healthy(self, timeout: float = 15.0) -> None:
-        from repro.control import GatewayClient, HttpError
-
-        deadline = time.monotonic() + timeout
-        with GatewayClient(f"127.0.0.1:{self.port}", timeout=2.0) as probe:
-            while time.monotonic() < deadline:
-                try:
-                    probe.health()
-                    return
-                except HttpError:
-                    time.sleep(0.1)
-        raise RuntimeError("gateway never became healthy")
-
-    def kill(self) -> None:
-        if self.proc is not None and self.proc.poll() is None:
-            self.proc.send_signal(signal.SIGKILL)
-            self.proc.wait()
-
-    def __enter__(self) -> "GatewayProcess":
-        self.spawn()
-        self.wait_healthy()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.kill()
+#: Storm users in the kill-restart cell.
+KILL_CLIENTS = 200
 
 
 def _storm_cell(port: int, clients: int, duration: float, seed: int,
@@ -169,13 +78,13 @@ def _storm_cell(port: int, clients: int, duration: float, seed: int,
                 (stats.submitted + stats.queried + stats.cancelled)
                 / elapsed, 1),
             "submit_p50_ms": round(
-                _percentile(stats.submit_latencies, 0.50), 2),
+                percentile(stats.submit_latencies, 0.50), 2),
             "submit_p99_ms": round(
-                _percentile(stats.submit_latencies, 0.99), 2),
+                percentile(stats.submit_latencies, 0.99), 2),
             "query_p50_ms": round(
-                _percentile(stats.query_latencies, 0.50), 2),
+                percentile(stats.query_latencies, 0.50), 2),
             "query_p99_ms": round(
-                _percentile(stats.query_latencies, 0.99), 2),
+                percentile(stats.query_latencies, 0.99), 2),
         }
         if kill_restart:
             gateway.wait_healthy()
@@ -195,8 +104,25 @@ def _storm_cell(port: int, clients: int, duration: float, seed: int,
         storm.close()
 
 
+def check(rows: list[dict]) -> list[str]:
+    top = max((r for r in rows if r["cell"] == "steady"),
+              key=lambda r: r["clients"])
+    kill = next(r for r in rows if r["cell"] == "kill-restart")
+    failures = []
+    if top["submissions_per_s"] < SUBMISSIONS_PER_S_FLOOR:
+        failures.append(f"submissions/s {top['submissions_per_s']:,.0f} < "
+                        f"floor {SUBMISSIONS_PER_S_FLOOR:,.0f}")
+    if top["query_p99_ms"] > QUERY_P99_MS_CEILING:
+        failures.append(f"query p99 {top['query_p99_ms']:.1f} ms > "
+                        f"ceiling {QUERY_P99_MS_CEILING:.1f} ms")
+    if kill["jobs_lost"] != 0:
+        failures.append(f"{kill['jobs_lost']} accepted job(s) lost across "
+                        f"the kill/restart")
+    return failures
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = bench_parser(__doc__, "gateway")
     parser.add_argument("--clients", type=str, default="100,1000",
                         help="comma-separated storm client counts")
     parser.add_argument("--duration", type=float, default=4.0,
@@ -204,16 +130,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--churn-every", type=int, default=10,
                         help="responses per connection in the churn cell")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--quick", action="store_true",
-                        help="small grid, short cells (CI smoke)")
-    parser.add_argument("--check", action="store_true",
-                        help="fail unless the acceptance floors hold")
-    parser.add_argument("--out", type=str, default=str(GATEWAY_JSON))
-    parser.add_argument("--_serve", nargs=2, metavar=("PORT", "JOURNAL"),
-                        help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args._serve:
-        return _serve_child(int(args._serve[0]), args._serve[1])
 
     counts = tuple(int(c) for c in args.clients.split(","))
     duration = args.duration
@@ -222,75 +139,40 @@ def main(argv: list[str] | None = None) -> int:
         duration = min(duration, 2.0)
     top = max(counts)
 
-    import tempfile
-
     rows: list[dict] = []
     with tempfile.TemporaryDirectory(prefix="repro-bench-gw-") as tmp:
         for i, clients in enumerate(counts):
-            port = _free_port()
+            port = free_port()
             journal = os.path.join(tmp, f"steady-{clients}.jsonl")
-            with GatewayProcess(port, journal) as gateway:
+            with GatewayProcess(port, journal):
                 rows.append(_storm_cell(port, clients, duration,
                                         seed=args.seed + i))
             print(f"steady {clients:>5} clients: "
                   f"{rows[-1]['submissions_per_s']:>8,.0f} submissions/s, "
                   f"query p99 {rows[-1]['query_p99_ms']:.1f} ms")
 
-        port = _free_port()
-        with GatewayProcess(port, os.path.join(tmp, "churn.jsonl")) \
-                as gateway:
+        port = free_port()
+        with GatewayProcess(port, os.path.join(tmp, "churn.jsonl")):
             rows.append(_storm_cell(port, top, duration, seed=args.seed + 7,
                                     churn_every=args.churn_every))
         print(f"churn  {top:>5} clients: "
               f"{rows[-1]['submissions_per_s']:>8,.0f} submissions/s "
               f"({rows[-1]['reconnects']} reconnects)")
 
-        port = _free_port()
-        gateway = GatewayProcess(port, os.path.join(tmp, "kill.jsonl"))
-        with gateway:
+        port = free_port()
+        with GatewayProcess(port, os.path.join(tmp, "kill.jsonl")) as gateway:
             rows.append(_storm_cell(
-                port, min(top, 200), max(duration, 3.0),
+                port, KILL_CLIENTS, max(duration, 3.0),
                 seed=args.seed + 13, kill_restart=True, gateway=gateway))
         print(f"kill-restart: {rows[-1]['accepted']} accepted, "
               f"{rows[-1]['jobs_lost']} lost across SIGKILL at "
               f"t={rows[-1]['killed_at_s']:.1f}s")
 
-    report = {
-        "bench": "gateway",
-        "floors": {
-            "submissions_per_s": SUBMISSIONS_PER_S_FLOOR,
-            "query_p99_ms": QUERY_P99_MS_CEILING,
-            "jobs_lost": 0,
-        },
-        "rows": rows,
-        "host_cpus": os.cpu_count(),
-    }
-    out_path = pathlib.Path(args.out)
-    out_path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n",
-                        encoding="utf-8")
-    print(f"wrote: {out_path}")
-
-    if args.check:
-        top_row = max((r for r in rows if r["cell"] == "steady"),
-                      key=lambda r: r["clients"])
-        kill_row = next(r for r in rows if r["cell"] == "kill-restart")
-        failures = []
-        if top_row["submissions_per_s"] < SUBMISSIONS_PER_S_FLOOR:
-            failures.append(
-                f"submissions/s {top_row['submissions_per_s']:,.0f} < "
-                f"floor {SUBMISSIONS_PER_S_FLOOR:,.0f}")
-        if top_row["query_p99_ms"] > QUERY_P99_MS_CEILING:
-            failures.append(
-                f"query p99 {top_row['query_p99_ms']:.1f} ms > "
-                f"ceiling {QUERY_P99_MS_CEILING:.1f} ms")
-        if kill_row["jobs_lost"] != 0:
-            failures.append(f"{kill_row['jobs_lost']} accepted job(s) "
-                            f"lost across the kill/restart")
-        if failures:
-            print("CHECK FAILED: " + "; ".join(failures))
-            return 1
-        print("check: OK (floors hold)")
-    return 0
+    config = {"clients": list(counts), "duration": duration,
+              "churn_every": args.churn_every, "seed": args.seed}
+    floors = {"submissions_per_s": SUBMISSIONS_PER_S_FLOOR,
+              "query_p99_ms": QUERY_P99_MS_CEILING, "jobs_lost": 0}
+    return finish(args, "gateway", config, floors, rows, check(rows))
 
 
 if __name__ == "__main__":

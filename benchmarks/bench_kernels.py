@@ -1,107 +1,127 @@
-"""Ramsey-kernel, metrics and codec throughput.
+"""Refresh the repo-root ``BENCH_kernels.json`` compute-kernel rates.
 
-The compute side of the reproduction: tabu-search moves (the §3 search
-heuristics' unit of progress), full clique recounts, perf-record
-ingestion into the measurement plane, and lingua-franca codec round
-trips. Together with ``bench_engine.py`` these are the repository's
-perf-regression harness; ``benchmarks/perf_snapshot.py`` records the same
-workloads to the repo-root ``BENCH_*.json`` trajectory files.
+Usage (from the repository root)::
 
-With ``REPRO_PERF_STRICT=1`` each bench fails if throughput regresses
-more than 30% below the committed ``BENCH_kernels.json`` baseline.
+    python benchmarks/bench_kernels.py
+    python benchmarks/bench_kernels.py --quick --check
+
+Three kernels no end-to-end workload isolates: tabu-search moves (the §3
+search heuristics' unit of progress), full clique recounts, and
+perf-record ingestion into the measurement plane. Each cell warms up
+once, then reports the median and best items/s over its rounds; rates do
+not depend on the work size, so ``--quick`` (fewer tabu steps, fewer
+rounds) is comparable with the committed full run.
+
+The gate (``--check``) fails a cell whose median falls more than 30%
+below its row in the committed ``BENCH_kernels.json``.
 """
 
-import os
+from __future__ import annotations
 
-import perfjson
-from conftest import save_artifact
-from workloads import (
-    N_CODEC_MESSAGES,
-    N_INGEST_RECORDS,
-    N_RECOUNTS,
-    N_TABU_STEPS,
-    run_clique_recount,
-    run_codec_decode,
-    run_codec_roundtrip,
-    run_metrics_ingest,
-    run_tabu_search,
-)
+import json
+import time
 
-N_STEPS = int(os.environ.get("REPRO_BENCH_TABU_STEPS", N_TABU_STEPS))
-ROUNDS = int(os.environ.get("REPRO_BENCH_ROUNDS", "3"))
-STRICT = os.environ.get("REPRO_PERF_STRICT") == "1"
+from common import ROOT, bench_parser, finish
+
+#: A cell fails ``--check`` below this fraction of its committed median.
+MIN_FRACTION_OF_COMMITTED = 0.70
 
 
-def _maybe_enforce_baseline(workload: str, rate: float) -> None:
-    if not STRICT:
-        return
-    problem = perfjson.check_regression(perfjson.KERNELS_JSON, workload, rate)
-    assert problem is None, problem
+def run_tabu_search(steps: int) -> int:
+    """Tabu-search moves on the K_43 R(5,5) problem (§3 heuristics)."""
+    import numpy as np
+
+    from repro.ramsey.graphs import OpCounter
+    from repro.ramsey.heuristics import TabuSearch
+
+    search = TabuSearch(43, 5, np.random.default_rng(0),
+                        ops=OpCounter(), candidates=8)
+    search.run(max_steps=steps, target=-1)
+    return steps
 
 
-def test_tabu_moves_throughput(benchmark, artifact_dir):
-    benchmark.pedantic(run_tabu_search, args=(N_STEPS,),
-                       rounds=ROUNDS, iterations=1, warmup_rounds=1)
-    moves_per_sec = N_STEPS / benchmark.stats["median"]
-    lines = [
-        "Ramsey tabu search on K_43 (R(5,5) target, 8 candidate probes):",
-        f"  {moves_per_sec:,.0f} moves/s median "
-        f"({N_STEPS} steps x {ROUNDS} rounds)",
-    ]
-    save_artifact(artifact_dir, "kernel_tabu_throughput.txt", "\n".join(lines))
-    assert moves_per_sec > 50  # sanity floor
-    _maybe_enforce_baseline("tabu_search", moves_per_sec)
+def run_clique_recount(reps: int) -> int:
+    """Full monochromatic-K_5 recounts of a random K_43 coloring."""
+    import numpy as np
+
+    from repro.ramsey.graphs import Coloring, OpCounter, count_mono_cliques
+
+    coloring = Coloring.random(43, np.random.default_rng(7))
+    ops = OpCounter()
+    for _ in range(reps):
+        count_mono_cliques(coloring, 5, ops)
+    return reps
 
 
-def test_clique_recount_throughput(benchmark, artifact_dir):
-    benchmark.pedantic(run_clique_recount, args=(N_RECOUNTS,),
-                       rounds=ROUNDS, iterations=1, warmup_rounds=1)
-    recounts_per_sec = N_RECOUNTS / benchmark.stats["median"]
-    lines = [
-        "Full monochromatic-K_5 recount of a K_43 coloring:",
-        f"  {recounts_per_sec:,.1f} recounts/s median",
-    ]
-    save_artifact(artifact_dir, "kernel_recount_throughput.txt",
-                  "\n".join(lines))
-    _maybe_enforce_baseline("clique_recount", recounts_per_sec)
+def run_metrics_ingest(n: int) -> int:
+    """Perf-record ingestion into TimeBuckets, batched."""
+    import numpy as np
+
+    from repro.experiments.metrics import TimeBuckets
+
+    rng = np.random.default_rng(3)
+    ts = rng.uniform(0.0, 1000.0, n)
+    values = rng.uniform(0.0, 10.0, n)
+    TimeBuckets(0.0, 10.0, 100).add_many(ts, values)
+    return n
 
 
-def test_metrics_ingest_throughput(benchmark, artifact_dir):
-    benchmark.pedantic(run_metrics_ingest, args=(N_INGEST_RECORDS,),
-                       rounds=ROUNDS, iterations=1, warmup_rounds=1)
-    records_per_sec = N_INGEST_RECORDS / benchmark.stats["median"]
-    lines = [
-        "Perf-record ingestion into the TimeBuckets measurement plane:",
-        f"  {records_per_sec:,.0f} records/s median "
-        f"({N_INGEST_RECORDS:,} records x {ROUNDS} rounds)",
-    ]
-    save_artifact(artifact_dir, "metrics_ingest_throughput.txt",
-                  "\n".join(lines))
-    _maybe_enforce_baseline("metrics_ingest", records_per_sec)
+#: cell -> (workload, unit, work items: (full, quick))
+CELLS = {
+    "tabu_search": (run_tabu_search, "moves/s", (200, 100)),
+    "clique_recount": (run_clique_recount, "recounts/s", (20, 20)),
+    "metrics_ingest": (run_metrics_ingest, "records/s", (200_000, 200_000)),
+}
 
 
-def test_codec_roundtrip_throughput(benchmark, artifact_dir):
-    benchmark.pedantic(run_codec_roundtrip, args=(N_CODEC_MESSAGES,),
-                       rounds=ROUNDS, iterations=1, warmup_rounds=1)
-    msgs_per_sec = N_CODEC_MESSAGES / benchmark.stats["median"]
-    lines = [
-        "Lingua-franca encode+decode of a repeated control message:",
-        f"  {msgs_per_sec:,.0f} messages/s median "
-        f"({N_CODEC_MESSAGES:,} messages x {ROUNDS} rounds)",
-    ]
-    save_artifact(artifact_dir, "codec_throughput.txt", "\n".join(lines))
-    _maybe_enforce_baseline("codec_roundtrip", msgs_per_sec)
+def measure(cell: str, quick: bool) -> dict:
+    fn, unit, (full, reduced) = CELLS[cell]
+    items, rounds = (reduced, 3) if quick else (full, 5)
+    fn(items)  # warm-up: imports, allocator, branch caches
+    rates = []
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        fn(items)
+        rates.append(items / (time.perf_counter() - t0))
+    rates.sort()
+    return {"cell": cell, "unit": unit, "work_items": items,
+            "rounds": rounds, "median": round(rates[len(rates) // 2], 1),
+            "best": round(rates[-1], 1)}
 
 
-def test_codec_decode_throughput(benchmark, artifact_dir):
-    benchmark.pedantic(run_codec_decode, args=(N_CODEC_MESSAGES,),
-                       rounds=ROUNDS, iterations=1, warmup_rounds=1)
-    msgs_per_sec = N_CODEC_MESSAGES / benchmark.stats["median"]
-    lines = [
-        "Lingua-franca decode-only (zero-copy deframe + parse):",
-        f"  {msgs_per_sec:,.0f} messages/s median "
-        f"({N_CODEC_MESSAGES:,} messages x {ROUNDS} rounds)",
-    ]
-    save_artifact(artifact_dir, "codec_decode_throughput.txt",
-                  "\n".join(lines))
-    _maybe_enforce_baseline("codec_decode", msgs_per_sec)
+def check(rows: list[dict], committed: dict) -> list[str]:
+    failures = []
+    for row in rows:
+        floor = MIN_FRACTION_OF_COMMITTED * committed[row["cell"]]["median"]
+        if row["median"] < floor:
+            failures.append(
+                f"{row['cell']}: {row['median']:,.0f} {row['unit']} is more "
+                f"than {1 - MIN_FRACTION_OF_COMMITTED:.0%} below the "
+                f"committed median {committed[row['cell']]['median']:,.0f} "
+                f"(floor {floor:,.0f})")
+    return failures
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = bench_parser(__doc__, "kernels")
+    args = parser.parse_args(argv)
+    committed_path = ROOT / "BENCH_kernels.json"
+    committed = {row["cell"]: row for row in
+                 json.loads(committed_path.read_text())["rows"]}
+
+    rows = []
+    for cell in CELLS:
+        row = measure(cell, args.quick)
+        rows.append(row)
+        print(f"{cell:16s} {row['median']:>14,.1f} {row['unit']} "
+              f"(best {row['best']:,.1f}; committed "
+              f"{committed[cell]['median']:,.1f})")
+    config = {cell: {"work_items": row["work_items"], "rounds": row["rounds"]}
+              for cell, row in zip(CELLS, rows)}
+    floors = {"min_fraction_of_committed": MIN_FRACTION_OF_COMMITTED}
+    return finish(args, "kernels", config, floors, rows,
+                  check(rows, committed))
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

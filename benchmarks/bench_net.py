@@ -28,30 +28,20 @@ expected; 1 would mean a syscall per frame).
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import pathlib
 import resource
 import select
 import signal
 import socket
 import struct
-import sys
 import time
 from collections import deque
 
-HERE = pathlib.Path(__file__).resolve().parent
-SRC = HERE.parent / "src"
-if str(SRC) not in sys.path:
-    sys.path.insert(0, str(SRC))
+from common import bench_parser, finish
 
-from repro.core.linguafranca.messages import Message  # noqa: E402
-from repro.core.linguafranca.packets import encode_packet  # noqa: E402
-from repro.core.linguafranca.tcp import (AsyncSender, EventLoop,  # noqa: E402
-                                         TcpServer)
-
-NET_JSON = HERE.parent / "BENCH_net.json"
+from repro.core.linguafranca.messages import Message
+from repro.core.linguafranca.packets import encode_packet
+from repro.core.linguafranca.tcp import AsyncSender, EventLoop, TcpServer
 
 #: ``--check`` floors at the top connection count.
 ECHO_FLOOR_MSGS_PER_S = 20_000
@@ -235,7 +225,7 @@ def run_echo(connections: int, duration: float = 4.0, pipeline: int = 4,
                         pipeline=pipeline, payload=payload, warmup=warmup)
     finally:
         _kill(pid)
-    return {"bench": "echo", **row}
+    return {"cell": "echo", **row}
 
 
 # -- send fan-out -------------------------------------------------------------
@@ -347,7 +337,7 @@ def run_fanout(peers: int = 1000, duration: float = 4.0, payload: int = 32,
     elapsed = t1 - t0
     received = (c1 - c0) // len(frame)
     return {
-        "bench": "fanout",
+        "cell": "fanout",
         "connections": peers,
         "msgs": received,
         "msgs_per_s": received / elapsed if elapsed > 0 else 0.0,
@@ -359,35 +349,24 @@ def run_fanout(peers: int = 1000, duration: float = 4.0, payload: int = 32,
 
 # -- the grid -----------------------------------------------------------------
 
-def run_netbench(connection_counts, duration: float = 4.0,
-                 pipeline: int = 4, payload: int = 32, warmup: float = 0.5,
-                 burst: int = 32) -> dict:
+def run_netbench(config: dict) -> list[dict]:
     """One echo and one fan-out row per connection count."""
     _raise_nofile()
-    rows = [run_echo(n, duration=duration, pipeline=pipeline,
-                     payload=payload, warmup=warmup)
-            for n in connection_counts]
-    rows += [run_fanout(peers=n, duration=duration, payload=payload,
-                        warmup=warmup, burst=burst, window=burst * 2000)
-             for n in connection_counts]
-    return {
-        "schema": "repro-net/2",
-        "host_cpus": os.cpu_count(),
-        "config": {
-            "duration": duration, "pipeline": pipeline,
-            "payload": payload, "warmup": warmup,
-            "connection_counts": list(connection_counts), "burst": burst,
-        },
-        "rows": rows,
-    }
+    counts, burst = config["connection_counts"], config["burst"]
+    shared = {k: config[k] for k in ("duration", "payload", "warmup")}
+    rows = [run_echo(n, pipeline=config["pipeline"], **shared)
+            for n in counts]
+    rows += [run_fanout(peers=n, burst=burst, window=burst * 2000, **shared)
+             for n in counts]
+    return rows
 
 
-def check(report: dict) -> list[str]:
+def check(config: dict, rows: list[dict]) -> list[str]:
     """The ``--check`` gates at the top connection count; one line per
     failure."""
-    top = max(report["config"]["connection_counts"])
-    rows = {(r["bench"], r["connections"]): r for r in report["rows"]}
-    echo, fanout = rows[("echo", top)], rows[("fanout", top)]
+    top = max(config["connection_counts"])
+    cells = {(r["cell"], r["connections"]): r for r in rows}
+    echo, fanout = cells[("echo", top)], cells[("fanout", top)]
     gates = [
         (echo["msgs_per_s"] >= ECHO_FLOOR_MSGS_PER_S,
          f"echo {echo['msgs_per_s']:,.0f} msgs/s is below "
@@ -403,49 +382,33 @@ def check(report: dict) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = bench_parser(__doc__, "net")
     parser.add_argument("--connections", type=str, default=None,
                         help="comma-separated connection counts (default "
                              "64,256,1000; 64,500 with --quick)")
     parser.add_argument("--duration", type=float, default=4.0,
                         help="measured seconds per cell")
-    parser.add_argument("--quick", action="store_true",
-                        help="small grid, short cells (CI smoke)")
-    parser.add_argument("--check", action="store_true",
-                        help="fail unless the top connection count meets "
-                             "the echo and fan-out floors")
-    parser.add_argument("--out", type=str, default=str(NET_JSON))
     args = parser.parse_args(argv)
 
     default = "64,500" if args.quick else "64,256,1000"
-    counts = tuple(int(c) for c in (args.connections or default).split(","))
+    counts = [int(c) for c in (args.connections or default).split(",")]
     duration, warmup = (1.5, 0.4) if args.quick else (args.duration, 0.8)
-    report = run_netbench(counts, duration=duration, warmup=warmup,
-                          payload=0)
+    config = {"duration": duration, "pipeline": 4, "payload": 0,
+              "warmup": warmup, "connection_counts": counts, "burst": 32}
+    rows = run_netbench(config)
 
-    print(f"{'bench':>7} {'conns':>6} {'msgs/s':>10} {'p50 ms':>8} "
+    print(f"{'cell':>7} {'conns':>6} {'msgs/s':>10} {'p50 ms':>8} "
           f"{'p99 ms':>8} {'frames/sendmsg':>15}")
-    for row in report["rows"]:
+    for row in rows:
         batching = row.get("frames_per_sendmsg")
-        print(f"{row['bench']:>7} {row['connections']:>6} "
+        print(f"{row['cell']:>7} {row['connections']:>6} "
               f"{row['msgs_per_s']:>10,.0f} "
               f"{row.get('p50_ms', 0.0):>8.1f} {row.get('p99_ms', 0.0):>8.1f} "
               f"{'' if batching is None else f'{batching:.1f}':>15}")
-    print(f"host cpus: {report['host_cpus']}")
-
-    out_path = pathlib.Path(args.out)
-    out_path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n",
-                        encoding="utf-8")
-    print(f"wrote {out_path.name}")
-
-    if args.check:
-        failures = check(report)
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print("net check ok")
-    return 0
+    floors = {"echo_msgs_per_s": ECHO_FLOOR_MSGS_PER_S,
+              "echo_p99_ms": ECHO_P99_CEILING_MS,
+              "frames_per_sendmsg": FRAMES_PER_SENDMSG_FLOOR}
+    return finish(args, "net", config, floors, rows, check(config, rows))
 
 
 if __name__ == "__main__":

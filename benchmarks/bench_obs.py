@@ -2,8 +2,8 @@
 
 Usage (from the repository root)::
 
-    PYTHONPATH=src python benchmarks/bench_obs.py
-    PYTHONPATH=src python benchmarks/bench_obs.py --quick --check
+    python benchmarks/bench_obs.py
+    python benchmarks/bench_obs.py --quick --check
 
 Two questions, two cell families:
 
@@ -22,97 +22,23 @@ Two questions, two cell families:
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import pathlib
 import sys
 import tempfile
 import time
 
-HERE = pathlib.Path(__file__).resolve().parent
-SRC = HERE.parent / "src"
-if str(SRC) not in sys.path:
-    sys.path.insert(0, str(SRC))
-
-OBS_JSON = HERE.parent / "BENCH_obs.json"
+from common import (GatewayProcess, bench_parser, finish, free_port,
+                    percentile)
 
 #: Acceptance ceiling: tracing may cost at most this much throughput.
 TRACE_DELTA_PCT_CEILING = 5.0
-#: The --quick ceiling is looser for the same reason net-smoke's floors
+#: The --quick ceiling is looser for the same reason bench_net's floors
 #: are: an 8-second cell on a shared (often single-core) CI box cannot
 #: resolve the ~2% true cost against scheduling noise; the quick gate
 #: exists to catch a gross regression (a span per request, an O(n) scan
 #: on the submit path), not to re-measure the committed baseline.
 QUICK_TRACE_DELTA_PCT_CEILING = 12.0
 FLIGHT_CAPACITIES = (1_000, 10_000)
-
-
-def _percentile(values: list[float], q: float) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
-
-
-def _free_port() -> int:
-    import socket
-
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-
-
-def _serve_child(port: int, journal_path: str, trace: bool) -> int:
-    """Child mode: one gateway process, tracing on or off."""
-    from repro.control import (FileJournal, GatewayCore, HttpServer,
-                               WorkQueue, render_payload)
-    from repro.core.telemetry import Telemetry
-    from repro.obs.jobtrace import ID_BLOCK
-
-    telemetry = Telemetry(trace=True, id_base=ID_BLOCK) if trace else None
-    work = WorkQueue(journal=FileJournal(journal_path), prefix="bench-job")
-    work.clock = time.monotonic
-    core = GatewayCore("bench-gw", work, telemetry=telemetry,
-                       started_at=time.monotonic())
-
-    def app(request):
-        status, payload, route = core.handle(
-            request.method, request.path, request.body, time.monotonic())
-        return render_payload(status, payload, route, close=request.close)
-
-    server = HttpServer("127.0.0.1", port, app)
-    tracer = telemetry.tracer if telemetry is not None else None
-    while True:
-        server.step(0.05)
-        if tracer is not None:
-            # Model a healthy span shipper: everything taken, list bounded.
-            tracer.trim(tracer.dropped + len(tracer.spans))
-
-
-def _spawn_gateway(port: int, journal: str, trace: bool):
-    import subprocess
-
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.Popen(
-        [sys.executable, str(HERE / "bench_obs.py"), "--_serve",
-         str(port), journal, str(int(trace))],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-
-
-def _wait_healthy(port: int, timeout: float = 15.0) -> None:
-    from repro.control import GatewayClient, HttpError
-
-    deadline = time.monotonic() + timeout
-    with GatewayClient(f"127.0.0.1:{port}", timeout=2.0) as probe:
-        while time.monotonic() < deadline:
-            try:
-                probe.health()
-                return
-            except HttpError:
-                time.sleep(0.1)
-    raise RuntimeError("gateway never became healthy")
 
 
 def _trace_cells(clients: int, rounds: int, burst_s: float,
@@ -124,22 +50,21 @@ def _trace_cells(clients: int, rounds: int, burst_s: float,
     dominant noise source on shared hosts) hits both modes equally
     instead of masquerading as tracing cost.
     """
-    import signal
-
     from repro.control import GatewayStorm
 
     modes = ("trace-off", "trace-on")
     with tempfile.TemporaryDirectory(prefix="repro-bench-obs-") as tmp:
-        ports = {m: _free_port() for m in modes}
-        procs = {m: _spawn_gateway(ports[m],
-                                   os.path.join(tmp, f"{m}.jsonl"),
-                                   trace=(m == "trace-on"))
-                 for m in modes}
+        children = {m: GatewayProcess(free_port(),
+                                      os.path.join(tmp, f"{m}.jsonl"),
+                                      trace=(m == "trace-on"))
+                    for m in modes}
         storms = {}
         try:
-            for mode in modes:
-                _wait_healthy(ports[mode])
-                storms[mode] = GatewayStorm("127.0.0.1", ports[mode],
+            for child in children.values():
+                child.spawn()
+            for mode, child in children.items():
+                child.wait_healthy()
+                storms[mode] = GatewayStorm("127.0.0.1", child.port,
                                             clients=clients, seed=seed)
             totals = {m: {"submitted": 0, "elapsed": 0.0} for m in modes}
             rates = {m: [] for m in modes}
@@ -174,19 +99,17 @@ def _trace_cells(clients: int, rounds: int, burst_s: float,
                         tot["submitted"] / tot["elapsed"], 1)
                     if tot["elapsed"] else 0.0,
                     "submit_p50_ms": round(
-                        _percentile(stats.submit_latencies, 0.50), 2),
+                        percentile(stats.submit_latencies, 0.50), 2),
                     "submit_p99_ms": round(
-                        _percentile(stats.submit_latencies, 0.99), 2),
+                        percentile(stats.submit_latencies, 0.99), 2),
                     "round_submissions_per_s": rates[mode],
                 })
             return rows
         finally:
             for storm in storms.values():
                 storm.close()
-            for proc in procs.values():
-                if proc.poll() is None:
-                    proc.send_signal(signal.SIGKILL)
-                    proc.wait()
+            for child in children.values():
+                child.kill()
 
 
 def _flight_cell(capacity: int) -> dict:
@@ -229,8 +152,27 @@ def _flight_cell(capacity: int) -> dict:
         }
 
 
+def _trace_delta_pct(rows: list[dict]) -> tuple[float, int]:
+    """Tracing cost in % submissions/s, and the paired rounds behind it.
+
+    The statistic is the MEDIAN of the per-round paired off/on
+    throughput ratios, not the ratio of the aggregates: a single noisy
+    burst (scheduler hiccup, page-cache writeback) moves the aggregate by
+    several percent but cannot move the median, which is what lets an
+    8-second quick run hold its ceiling without flaking.
+    """
+    by_cell = {row["cell"]: row for row in rows}
+    pairs = zip(by_cell["trace-off"]["round_submissions_per_s"],
+                by_cell["trace-on"]["round_submissions_per_s"])
+    ratios = sorted(off / on for off, on in pairs if on)
+    mid = len(ratios) // 2
+    median = (ratios[mid] if len(ratios) % 2
+              else (ratios[mid - 1] + ratios[mid]) / 2) if ratios else 1.0
+    return round(100.0 * (1.0 - 1.0 / median), 2), len(ratios)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = bench_parser(__doc__, "obs")
     # 100 clients keeps the server at a stable operating point: deep
     # saturation (bench_gateway's domain) amplifies queueing noise far
     # beyond the per-request delta this bench is trying to resolve.
@@ -241,18 +183,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--burst", type=float, default=1.0,
                         help="seconds per storm burst")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--quick", action="store_true",
-                        help="small storm, short cells (CI smoke)")
-    parser.add_argument("--check", action="store_true",
-                        help="fail unless the tracing-cost ceiling holds")
-    parser.add_argument("--out", type=str, default=str(OBS_JSON))
-    parser.add_argument("--_serve", nargs=3,
-                        metavar=("PORT", "JOURNAL", "TRACE"),
-                        help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args._serve:
-        return _serve_child(int(args._serve[0]), args._serve[1],
-                            bool(int(args._serve[2])))
 
     clients, rounds, burst = args.clients, args.rounds, args.burst
     if args.quick:
@@ -263,30 +194,18 @@ def main(argv: list[str] | None = None) -> int:
         burst = min(burst, 0.25)
 
     rows = _trace_cells(clients, rounds, burst, seed=args.seed)
-    by_cell = {row["cell"]: row for row in rows}
     for row in rows:
         print(f"{row['cell']:<9} {clients:>4} clients: "
               f"{row['submissions_per_s']:>8,.0f} submissions/s "
               f"over {row['rounds']} x {row['burst_s']}s bursts, "
               f"submit p50 {row['submit_p50_ms']:.1f} ms")
-    # The gate statistic is the MEDIAN of the per-round paired off/on
-    # throughput ratios, not the ratio of the aggregates: a single
-    # noisy burst (scheduler hiccup, page-cache writeback) moves the
-    # aggregate by several percent but cannot move the median, which
-    # is what lets an 8-second quick run hold a 5% ceiling without
-    # flaking.
-    pairs = zip(by_cell["trace-off"]["round_submissions_per_s"],
-                by_cell["trace-on"]["round_submissions_per_s"])
-    ratios = sorted(off / on for off, on in pairs if on)
-    mid = len(ratios) // 2
-    median = (ratios[mid] if len(ratios) % 2
-              else (ratios[mid - 1] + ratios[mid]) / 2) if ratios else 1.0
-    delta_pct = round(100.0 * (1.0 - 1.0 / median), 2)
+    delta_pct, paired = _trace_delta_pct(rows)
     ceiling = (QUICK_TRACE_DELTA_PCT_CEILING if args.quick
                else TRACE_DELTA_PCT_CEILING)
+    rows.append({"cell": "trace-cost", "delta_pct": delta_pct,
+                 "paired_rounds": paired})
     print(f"tracing cost: {delta_pct:+.1f}% submissions/s "
-          f"(median of {len(ratios)} paired rounds, "
-          f"ceiling {ceiling:.0f}%)")
+          f"(median of {paired} paired rounds, ceiling {ceiling:.0f}%)")
 
     for capacity in FLIGHT_CAPACITIES:
         row = _flight_cell(capacity)
@@ -296,34 +215,18 @@ def main(argv: list[str] | None = None) -> int:
               f"dump {row['dump_bytes'] / 1024:.0f} KiB, "
               f"seal {row['seal_ms']:.1f} ms, load {row['load_ms']:.1f} ms")
 
-    report = {
-        "bench": "obs",
-        "ceilings": {"trace_delta_pct": ceiling},
-        "trace_delta_pct": delta_pct,
-        "rows": rows,
-        "host_cpus": os.cpu_count(),
-    }
-    out_path = pathlib.Path(args.out)
-    out_path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n",
-                        encoding="utf-8")
-    print(f"wrote: {out_path}")
-
-    if args.check:
-        failures = []
-        if delta_pct > ceiling:
-            failures.append(
-                f"tracing costs {delta_pct:.1f}% submissions/s > "
-                f"ceiling {ceiling:.0f}%")
-        for row in rows:
-            if row["cell"] == "flight" and row["spans_recovered"] == 0:
-                failures.append(
-                    f"flight dump at capacity {row['capacity']} "
-                    f"recovered no spans")
-        if failures:
-            print("CHECK FAILED: " + "; ".join(failures))
-            return 1
-        print("check: OK (ceilings hold)")
-    return 0
+    failures = []
+    if delta_pct > ceiling:
+        failures.append(f"tracing costs {delta_pct:.1f}% submissions/s > "
+                        f"ceiling {ceiling:.0f}%")
+    for row in rows:
+        if row["cell"] == "flight" and row["spans_recovered"] == 0:
+            failures.append(f"flight dump at capacity {row['capacity']} "
+                            f"recovered no spans")
+    config = {"clients": clients, "rounds": rounds, "burst": burst,
+              "seed": args.seed}
+    floors = {"trace_delta_pct": ceiling, "flight_spans_recovered": 1}
+    return finish(args, "obs", config, floors, rows, failures)
 
 
 if __name__ == "__main__":

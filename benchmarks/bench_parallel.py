@@ -2,8 +2,8 @@
 
 Usage (from the repository root)::
 
-    PYTHONPATH=src python benchmarks/bench_parallel.py
-    PYTHONPATH=src python benchmarks/bench_parallel.py --quick
+    python benchmarks/bench_parallel.py
+    python benchmarks/bench_parallel.py --quick --check
 
 Runs the tabu step-batch workload (K_43, the R(5,5) search target)
 through the compute plane at 0/1/2/4 pool workers — 0 is the inline
@@ -20,36 +20,30 @@ reflects vectorization x available cores. On a single-core host (CI)
 the curve is flat across worker counts but still far above inline;
 ``host_cpus`` is recorded so readers can interpret the curve.
 
-The gate (``--check``) asserts the acceptance floor: >= 2.5x aggregate
-throughput at 4 workers vs the inline lane, with parity hashes matching
-serial at every worker count.
+The gate (``--check``) asserts parity hashes matching serial at every
+worker count and, on a full run, the acceptance floor: >= 2.5x aggregate
+throughput at the top worker count vs the inline lane. ``--quick`` runs
+a reduced workload (parity hash ``201347a903ba2d44``) and gates parity
+only.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
-import pathlib
-import sys
 from time import perf_counter
 from typing import Optional, Sequence
 
 import numpy as np
+from common import bench_parser, finish
 
-HERE = pathlib.Path(__file__).resolve().parent
-SRC = HERE.parent / "src"
-if str(SRC) not in sys.path:
-    sys.path.insert(0, str(SRC))
+from repro.parallel.kernels import StepBatch
+from repro.parallel.lanes import make_lane
+from repro.ramsey.heuristics import TabuSearch
 
-from repro.parallel.kernels import StepBatch  # noqa: E402
-from repro.parallel.lanes import make_lane  # noqa: E402
-from repro.ramsey.heuristics import TabuSearch  # noqa: E402
-
-PARALLEL_JSON = HERE.parent / "BENCH_parallel.json"
-
-#: Acceptance floor: aggregate moves/s at 4 workers vs the inline lane.
+#: Acceptance floor (full runs): aggregate moves/s at the top worker
+#: count vs the inline lane.
 SPEEDUP_FLOOR = 2.5
 
 
@@ -120,40 +114,35 @@ def run_lane(
 
 
 def run_scaling(
-    worker_counts: Sequence[int] = (0, 1, 2, 4),
-    searches: int = 4,
-    k: int = 43,
-    n: int = 5,
-    candidates: int = 32,
-    steps_per_batch: int = 25,
-    batches: int = 6,
-    seed: int = 0,
-    rounds: int = 1,
-) -> dict:
+    worker_counts: Sequence[int],
+    config: dict,
+) -> list[dict]:
     """The full curve: one row per worker count (0 = inline lane).
 
-    ``speedup`` is against the inline row; ``parity_ok`` asserts every
-    row reached the identical final states. ``host_cpus`` is recorded
-    because the measured speedup composes vectorization (the pool's
-    batch kernels) with real cores — on a single-core host the
-    vectorization term is what remains.
+    ``speedup_vs_inline`` is against the inline row. Oversubscribed rows
+    carry a warning because the measured speedup composes vectorization
+    (the pool's batch kernels) with real cores — on a single-core host
+    the vectorization term is what remains.
     """
-    base = initial_states(searches, k, n, candidates, seed)
+    base = initial_states(config["searches"], config["k"], config["n"],
+                          config["candidates"], config["seed"])
     host_cpus = os.cpu_count() or 1
     rows = []
     for workers in worker_counts:
         best: Optional[dict] = None
-        for _ in range(max(rounds, 1)):
+        for _ in range(max(config["rounds"], 1)):
             lane = make_lane(workers)
             try:
-                outcome = run_lane(lane, base, batches, steps_per_batch)
+                outcome = run_lane(lane, base, config["batches"],
+                                   config["steps_per_batch"])
             finally:
                 lane.close()
             if best is None or outcome["moves_per_s"] > best["moves_per_s"]:
                 if best is not None and outcome["parity_hash"] != best["parity_hash"]:
                     raise AssertionError("parity hash changed between rounds")
                 best = outcome
-        row = {"workers": workers, **best}
+        row = {"cell": "inline" if workers == 0 else "pool",
+               "workers": workers, **best}
         if workers > host_cpus:
             # Oversubscribed: workers time-slice the same cores, so the
             # measured speedup understates what real cores would give.
@@ -167,46 +156,43 @@ def run_scaling(
     for row in rows:
         row["speedup_vs_inline"] = (
             row["moves_per_s"] / inline_rate if inline_rate else 0.0)
-    return {
-        "schema": "repro-parallel/1",
-        "host_cpus": host_cpus,
-        "config": {
-            "searches": searches, "k": k, "n": n, "candidates": candidates,
-            "steps_per_batch": steps_per_batch, "batches": batches,
-            "seed": seed, "rounds": rounds,
-        },
-        "rows": rows,
-        "parity_ok": len({r["parity_hash"] for r in rows}) == 1,
-    }
+    return rows
+
+
+def check(rows: list[dict], quick: bool) -> list[str]:
+    failures = []
+    if len({row["parity_hash"] for row in rows}) != 1:
+        failures.append("pool and serial search states diverged")
+    top = max(rows, key=lambda row: row["workers"])
+    if not quick and top["speedup_vs_inline"] < SPEEDUP_FLOOR:
+        failures.append(f"{top['workers']}-worker speedup "
+                        f"{top['speedup_vs_inline']:.2f}x is below the "
+                        f"{SPEEDUP_FLOOR}x floor")
+    return failures
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = bench_parser(__doc__, "parallel")
     parser.add_argument("--workers", type=str, default="0,1,2,4",
                         help="comma-separated pool sizes (0 = inline lane)")
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller workload, 1 round (CI smoke)")
     parser.add_argument("--rounds", type=int, default=2,
                         help="best-of rounds per worker count")
-    parser.add_argument("--check", action="store_true",
-                        help=f"fail unless 4-worker speedup >= "
-                             f"{SPEEDUP_FLOOR}x and parity holds")
-    parser.add_argument("--out", type=str, default=str(PARALLEL_JSON))
     args = parser.parse_args(argv)
 
-    worker_counts = tuple(int(w) for w in args.workers.split(","))
+    worker_counts = [int(w) for w in args.workers.split(",")]
     if args.quick:
-        report = run_scaling(worker_counts=worker_counts, searches=2,
-                             k=30, n=5, candidates=24, steps_per_batch=10,
-                             batches=2, rounds=1)
+        config = {"searches": 2, "k": 30, "n": 5, "candidates": 24,
+                  "steps_per_batch": 10, "batches": 2, "rounds": 1}
     else:
-        report = run_scaling(worker_counts=worker_counts, searches=4,
-                             k=43, n=5, candidates=64, steps_per_batch=25,
-                             batches=4, rounds=max(args.rounds, 1))
+        config = {"searches": 4, "k": 43, "n": 5, "candidates": 64,
+                  "steps_per_batch": 25, "batches": 4,
+                  "rounds": max(args.rounds, 1)}
+    config.update(seed=0, workers=worker_counts)
+    rows = run_scaling(worker_counts, config)
 
     print(f"{'workers':>8} {'moves/s':>12} {'speedup':>8} "
           f"{'parity':>18} {'fallbacks':>9}  {'worker wall s':>13}")
-    for row in report["rows"]:
+    for row in rows:
         walls = row.get("worker_wall_s") or []
         wall_col = ("/".join(f"{w:.2f}" for w in walls) if walls
                     else "(inline)")
@@ -216,26 +202,11 @@ def main(argv: list[str] | None = None) -> int:
               f"{wall_col:>13}")
         if row.get("warning"):
             print(f"{'':>8} warning: {row['warning']}")
-    print(f"parity: {'OK' if report['parity_ok'] else 'MISMATCH'} "
-          f"(host cpus: {report['host_cpus']})")
-
-    out_path = pathlib.Path(args.out)
-    out_path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n",
-                        encoding="utf-8")
-    print(f"wrote {out_path.name}")
-
-    if not report["parity_ok"]:
-        print("FAIL: pool and serial search states diverged", file=sys.stderr)
-        return 1
-    if args.check and not args.quick:
-        by_workers = {row["workers"]: row for row in report["rows"]}
-        top = by_workers.get(max(by_workers))
-        if top["speedup_vs_inline"] < SPEEDUP_FLOOR:
-            print(f"FAIL: {top['workers']}-worker speedup "
-                  f"{top['speedup_vs_inline']:.2f}x is below the "
-                  f"{SPEEDUP_FLOOR}x floor", file=sys.stderr)
-            return 1
-    return 0
+    floors = {"parity": "one hash across worker counts"}
+    if not args.quick:
+        floors["speedup_vs_inline"] = SPEEDUP_FLOOR
+    return finish(args, "parallel", config, floors, rows,
+                  check(rows, args.quick))
 
 
 if __name__ == "__main__":

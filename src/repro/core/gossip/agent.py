@@ -107,12 +107,12 @@ class GossipAgent:
                 mtype=GOS_STATE, sender=contact, body={"records": records}))]
         if message.mtype == GOS_UPDATE:
             applied = 0
-            from .state import StateRecord
+            from .state import MALFORMED, StateRecord, wire_list
 
-            for body in message.body.get("records", []):
+            for body in wire_list(message.body.get("records")):
                 try:
                     rec = StateRecord.from_body(body)
-                except (KeyError, TypeError, ValueError):
+                except MALFORMED:
                     continue
                 if rec.mtype in self.store.types() and self.store.apply_remote(rec):
                     applied += 1

@@ -33,6 +33,8 @@ from __future__ import annotations
 import zlib
 from typing import TYPE_CHECKING, Iterable, Optional
 
+from .state import MALFORMED, wire_stamp
+
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from .state import ComparatorRegistry, StateRecord
 
@@ -159,6 +161,12 @@ def plan_exchange(
     invocations spent deciding. When ``buckets`` is given, local records
     in those buckets that the peer did not list at all are shipped too
     (the peer provably lacks them).
+
+    A malformed entry (a short list, a non-number, an ``inf`` or NaN
+    stamp, an integer field given as ``inf``) is skipped as if the peer
+    had not listed it, and ``buckets`` that are not a list of bucket
+    numbers read as absent: hostile entries never change the plan the
+    well-formed ones make.
     """
     ship: list["StateRecord"] = []
     want: list[str] = []
@@ -167,9 +175,9 @@ def plan_exchange(
     for entry in remote_entries:
         try:
             tag, stamp, seq, origin, rhash = (
-                str(entry[0]), float(entry[1]), int(entry[2]),
+                str(entry[0]), wire_stamp(entry[1]), int(entry[2]),
                 str(entry[3]), int(entry[4]))
-        except (IndexError, TypeError, ValueError):
+        except MALFORMED:
             continue  # malformed entry: robustness over strictness
         listed.add(tag)
         mine = freshest.get(tag)
@@ -191,8 +199,11 @@ def plan_exchange(
             ship.append(mine)
         elif rk > mk:
             want.append(tag)
-    if buckets is not None:
-        in_scope = set(buckets)
+    try:
+        in_scope = set(buckets) if buckets is not None else set()
+    except TypeError:  # not a list of bucket numbers: as if absent
+        in_scope = set()
+    if in_scope:
         for tag in sorted(freshest):
             if tag not in listed and bucket_of(tag) in in_scope:
                 ship.append(freshest[tag])

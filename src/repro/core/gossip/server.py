@@ -55,7 +55,8 @@ from ..policy import TimeoutPolicy
 from ..linguafranca.messages import Message
 from .clique import CLIQUE_MTYPES, CliqueState, _in_view
 from .digest import StateDigest, plan_exchange
-from .state import ComparatorRegistry, StateRecord
+from .state import (MALFORMED, ComparatorRegistry, StateRecord, wire_int,
+                    wire_list, wire_stamp)
 from .swim import ALIVE, DEAD, SUSPECT, SuspicionTable
 
 __all__ = [
@@ -442,10 +443,10 @@ class GossipServer(Component):
                        sync_plane: bool = False) -> dict[str, StateRecord]:
         """Adopt fresher records; returns the parsed remote records by type."""
         remote: dict[str, StateRecord] = {}
-        for body in bodies:
+        for body in wire_list(bodies):
             try:
                 rec = StateRecord.from_body(body)
-            except (KeyError, TypeError, ValueError):
+            except MALFORMED:
                 continue  # malformed record: robustness over strictness
             remote[rec.mtype] = rec
             current = self.freshest.get(rec.mtype)
@@ -619,13 +620,13 @@ class GossipServer(Component):
         return body
 
     def _apply_piggyback(self, body: dict, now: float) -> None:
-        for item in body.get("tomb", []):
+        for item in wire_list(body.get("tomb")):
             try:
-                contact, stamp = str(item[0]), float(item[1])
-            except (IndexError, TypeError, ValueError):
+                contact, stamp = str(item[0]), wire_stamp(item[1])
+            except MALFORMED:
                 continue
             self._apply_tombstone(contact, stamp, now)
-        claims = body.get("susp")
+        claims = wire_list(body.get("susp"))
         if claims and self.suspicion is not None:
             refutation = self.suspicion.apply_claims(
                 claims, now, budget=self._piggyback_budget())
@@ -633,11 +634,11 @@ class GossipServer(Component):
                 # We are suspected somewhere: piggyback the refutation on
                 # the next digest round (with its dominating incarnation).
                 self._refutation = refutation
-        for item in body.get("reg", []):
+        for item in wire_list(body.get("reg")):
             try:
                 contact, types, stamp = (
-                    str(item[0]), set(map(str, item[1])), float(item[2]))
-            except (IndexError, TypeError, ValueError):
+                    str(item[0]), set(map(str, item[1])), wire_stamp(item[2]))
+            except MALFORMED:
                 continue
             self._note_registration(contact, types, stamp)
 
@@ -759,8 +760,9 @@ class GossipServer(Component):
             self._note_delta_records(len(merged))
         reply: dict = {"a": body.get("r", 0)}
         digest = self.digest
-        if int(body.get("root", -1)) == digest.root and int(
-                body.get("n", -1)) == digest.count:
+        # An unreadable root or count reads as absent: answer diverged.
+        if (wire_int(body.get("root"), -1) == digest.root
+                and wire_int(body.get("n"), -1) == digest.count):
             reply["ok"] = 1
         else:
             reply["bh"] = list(digest.buckets)
@@ -791,10 +793,10 @@ class GossipServer(Component):
             # entries for the diverged buckets only.
             try:
                 remote_buckets = [int(h) for h in body["bh"]]
-            except (TypeError, ValueError):
+            except MALFORMED:
                 return []
             buckets = digest.diverged_buckets(remote_buckets)
-            if digest.count == 0 and int(body.get("n", 0)) == 0:
+            if digest.count == 0 and wire_int(body.get("n"), 0) == 0:
                 buckets = []
             if not buckets:
                 return []
@@ -811,7 +813,7 @@ class GossipServer(Component):
             # and what to nack.
             ship, want, comparisons = plan_exchange(
                 self.freshest, digest, self.comparators,
-                body.get("e", []), buckets=body.get("bk"))
+                wire_list(body["e"]), buckets=body.get("bk"))
             self.stats.sync_comparisons += comparisons
             if ship or want:
                 out_body = {"d": [r.to_body() for r in ship], "w": want}
@@ -828,7 +830,8 @@ class GossipServer(Component):
             # nack list with ours.
             merged = self._merge_records(body.get("d", []), sync_plane=True)
             self._note_delta_records(len(merged))
-            wanted = [t for t in body.get("w", []) if t in self.freshest]
+            wanted = [t for t in wire_list(body.get("w"))
+                      if isinstance(t, str) and t in self.freshest]
             if wanted:
                 out_body = {"records": [self.freshest[t].to_body()
                                         for t in sorted(set(wanted))]}

@@ -17,6 +17,7 @@ are registered per message type.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Optional
@@ -54,13 +55,44 @@ class StateRecord:
 
     @classmethod
     def from_body(cls, body: dict) -> "StateRecord":
-        return cls(
-            mtype=body["t"],
-            data=body["d"],
-            stamp=float(body["ts"]),
-            origin=body["o"],
-            seq=int(body["n"]),
-        )
+        """Parse a wire record; raises one of :data:`MALFORMED` unless
+        the tag and origin are strings and the stamp a finite number."""
+        mtype, origin = body["t"], body["o"]
+        if type(mtype) is not str or type(origin) is not str:
+            raise TypeError("record tag and origin must be strings")
+        return cls(mtype=mtype, data=body["d"], stamp=wire_stamp(body["ts"]),
+                   origin=origin, seq=int(body["n"]))
+
+
+#: What parsing a malformed wire field raises: a missing key or index, a
+#: wrong type, a non-number string, or a number ``int()``/``float()``
+#: cannot take (JSON's ``Infinity``, ``NaN`` or ``1e999`` to ``int``, a
+#: 400-digit integer to ``float``). The gossip frame parsers skip an
+#: entry that raises one: robustness over strictness.
+MALFORMED = (LookupError, TypeError, ValueError, OverflowError)
+
+
+def wire_list(value: Any) -> list:
+    """``value`` when the frame carried a JSON array there, else ``[]``."""
+    return value if isinstance(value, list) else []
+
+
+def wire_int(value: Any, default: int) -> int:
+    """``int(value)``, or ``default`` when the field is malformed."""
+    try:
+        return int(value)
+    except MALFORMED:
+        return default
+
+
+def wire_stamp(value: Any) -> float:
+    """A wire timestamp as a finite float; raises one of :data:`MALFORMED`
+    otherwise (an ``inf`` or NaN stamp would win, or tie, every
+    comparison it meets)."""
+    stamp = float(value)
+    if not math.isfinite(stamp):
+        raise ValueError(f"non-finite stamp {value!r}")
+    return stamp
 
 
 def default_comparator(a: StateRecord, b: StateRecord) -> int:

@@ -32,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from .state import MALFORMED
+
 __all__ = ["ALIVE", "SUSPECT", "DEAD", "MemberView", "SuspicionTable"]
 
 ALIVE = "alive"
@@ -201,7 +203,7 @@ class SuspicionTable:
             try:
                 member, state, incarnation = (
                     str(claim[0]), str(claim[1]), int(claim[2]))
-            except (IndexError, TypeError, ValueError):
+            except MALFORMED:
                 continue  # malformed claim: drop it
             if member == self.self_id:
                 if state in (SUSPECT, DEAD) and incarnation >= self.self_incarnation:

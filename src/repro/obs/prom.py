@@ -42,6 +42,8 @@ _SAMPLE_RE = re.compile(
     r"[ \t]+"
     r"([+-]?(?:[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?|Inf|NaN))$")
 _LABEL_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
+_ESCAPE_RE = re.compile(r"\\(.)")
+_UNESCAPE = {"n": "\n", "\\": "\\", '"': '"'}
 
 
 def split_metric_key(key: str) -> tuple[str, dict]:
@@ -171,10 +173,11 @@ def _parse_labels(block: str) -> dict:
         match = _LABEL_RE.match(block, pos)
         if match is None:
             raise ValueError(f"malformed label block at {block[pos:]!r}")
-        value = (match.group(2)
-                 .replace("\\n", "\n").replace('\\"', '"')
-                 .replace("\\\\", "\\"))
-        labels[match.group(1)] = value
+        # One left-to-right pass: replacing one escape at a time would
+        # read the ``\\`` + ``n`` of an escaped ``\n`` as a newline.
+        labels[match.group(1)] = _ESCAPE_RE.sub(
+            lambda esc: _UNESCAPE.get(esc.group(1), esc.group(0)),
+            match.group(2))
         pos = match.end()
         if pos < len(block):
             if block[pos] != ",":
@@ -188,11 +191,14 @@ def parse_prometheus(text: str) -> list[dict]:
     """Parse text exposition into ``{"name", "labels", "value"}`` samples.
 
     Strict on purpose: any line that is neither a comment, blank, nor a
-    well-formed sample raises ``ValueError``. CI uses this to assert the
-    gateway's /metrics actually speaks the format it claims to.
+    well-formed sample raises ``ValueError``. ``repro top`` reads scrapes
+    with it, and the tests use it to assert the gateway's /metrics
+    actually speaks the format it claims to.
     """
     samples: list[dict] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # Lines end at "\n" only: str.splitlines would also cut at a "\r",
+    # "\x1c" or "\u2028" inside a label value, which are not escaped.
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         match = _SAMPLE_RE.match(line)

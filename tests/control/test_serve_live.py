@@ -12,14 +12,17 @@ import json
 import pytest
 
 from repro.control import ServeConfig, check_serve_invariants, run_serve
+from repro.obs.prom import parse_prometheus, render_prometheus
 
 
 @pytest.fixture(scope="module")
 def report(tmp_path_factory):
     out = tmp_path_factory.mktemp("serveworld")
+    # Site gauges are pushed every 0.5 s so the restarted gateway, whose
+    # report replaces the killed one's, holds them too.
     config = ServeConfig(clients=1, gateways=1, gossips=1, persistents=1,
                          loggers=1, storm_clients=10, duration=6.0,
-                         kill_at=2.5, seed=0)
+                         kill_at=2.5, sites_period=0.5, seed=0)
     return run_serve(config, out=str(out)), out
 
 
@@ -76,6 +79,11 @@ def test_artifacts_parse_and_agree(report):
     metrics = json.loads((out / "metrics.json").read_text())
     assert any(k.startswith("http.requests")
                for k in metrics.get("counters", {}))
+    # The merged snapshot renders with the per-site delivered-vs-available
+    # gauges the harness pushed to the gateway intact.
+    rows = parse_prometheus(render_prometheus(metrics))
+    assert {row["labels"]["site"] for row in rows
+            if row["name"] == "site_utilisation"}
 
 
 def test_check_serve_invariants_flags_loss(report):

@@ -190,7 +190,7 @@ def _bench_net():
 def test_netbench_echo_cell_runs():
     row = _bench_net().run_echo(8, duration=0.4, warmup=0.1, pipeline=2,
                                 payload=0)
-    assert row["bench"] == "echo"
+    assert row["cell"] == "echo"
     assert row["msgs"] > 0
     assert row["msgs_per_s"] > 0
     assert row["p99_ms"] >= row["p50_ms"] >= 0
@@ -199,7 +199,7 @@ def test_netbench_echo_cell_runs():
 def test_netbench_fanout_cell_runs():
     row = _bench_net().run_fanout(peers=8, duration=0.4, warmup=0.1,
                                   payload=0, burst=4, window=256)
-    assert row["bench"] == "fanout"
+    assert row["cell"] == "fanout"
     assert row["msgs"] > 0
     assert row["sent"] >= row["msgs"]
     # Bursts of 4 per peer: the sender coalesces, never one frame a call.

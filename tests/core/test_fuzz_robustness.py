@@ -16,7 +16,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.forecasting import event_tag
-from repro.core.gossip import ComparatorRegistry, GossipServer
+from repro.core.gossip import (ComparatorRegistry, GossipServer, StateDigest,
+                               StateRecord)
 from repro.core.gossip.clique import CLIQUE_MTYPES, CliqueState
 from repro.core.linguafranca.messages import Message
 from repro.core.services import (
@@ -108,6 +109,66 @@ def test_gossip_server_survives_fuzz(payloads):
                      body={"types": ["X"]}).encode())
     env.run(until=env.now + 30)
     assert "attacker/fuzz" in gossip.registry
+
+
+#: What ``json_scalars`` never draws and a JSON frame can still carry:
+#: ``Infinity``, ``NaN`` (``1e999`` decodes to ``inf`` too) and an
+#: integer no float can hold.
+hostile_numbers = st.sampled_from([math.inf, -math.inf, math.nan,
+                                   10**400, -(10**400)])
+wire_scalars = st.one_of(hostile_numbers, json_scalars)
+#: Entries, claims, tombstones and registrations are short arrays; the
+#: record shape is what ``d`` and ``records`` carry.
+wire_rows = st.lists(st.one_of(st.sampled_from(["a", "suspect"]),
+                               wire_scalars), max_size=5)
+wire_records = st.fixed_dictionaries(
+    {"t": st.sampled_from(["a", "b"]), "d": st.just({}), "ts": wire_scalars,
+     "o": st.just("p/gossip"), "n": wire_scalars})
+hostile_sync_bodies = st.dictionaries(
+    st.sampled_from(SYNC_KEYS),
+    st.one_of(wire_scalars, st.lists(st.one_of(wire_scalars, wire_rows,
+                                               wire_records), max_size=4)),
+    max_size=4)
+
+SEEDED = StateRecord(mtype="a", data={}, stamp=1.0, origin="p/gossip", seq=1)
+_seeded_digest = StateDigest()
+_seeded_digest.adopt(SEEDED, SEEDED.body_size)
+#: The fuzzed member's digest root: a frame must match it before the
+#: digest handler reads ``n``.
+SEEDED_ROOT = _seeded_digest.root
+
+
+@given(payloads=st.lists(st.tuples(
+    st.sampled_from(["GOS_DIGEST", "GOS_DELTA", "GOS_SYNC"]),
+    hostile_sync_bodies), min_size=1, max_size=12))
+# Each of these raised out of its handler before malformed sync fields
+# were skipped, so the whole frame was lost.
+@example(payloads=[("GOS_DIGEST", {"root": "x"}),
+                   ("GOS_DIGEST", {"root": math.inf}),
+                   ("GOS_DIGEST", {"root": SEEDED_ROOT, "n": math.nan}),
+                   ("GOS_DELTA", {"bh": [math.inf]}),
+                   ("GOS_DELTA", {"bh": [0], "n": 10**400}),
+                   ("GOS_DELTA", {"e": [["a", 1.0, math.inf, "o", 1]]}),
+                   ("GOS_DELTA", {"e": [["a", 10**400, 1, "o", 1]]}),
+                   ("GOS_DELTA", {"e": 7, "bk": 5}),
+                   ("GOS_DELTA", {"w": [["a"]]}),
+                   ("GOS_DELTA", {"d": math.nan, "tomb": [["c", 10**400]]}),
+                   ("GOS_DIGEST", {"susp": [["c", "suspect", math.inf]]}),
+                   ("GOS_DIGEST", {"reg": [["c", ["X"], -(10**400)]]}),
+                   ("GOS_SYNC", {"records": [{"t": "a", "d": {}, "ts": 2.0,
+                                              "o": "p/gossip",
+                                              "n": math.inf}]})])
+@settings(max_examples=40, deadline=None)
+def test_hostile_numbers_on_sync_keys_raise_no_handler_error(payloads):
+    env, net, gossip, driver = build_world(
+        lambda: GossipServer("g", ["srv/gossip"],
+                             comparators=ComparatorRegistry(),
+                             poll_period=5, sync_period=5), "gossip")
+    gossip.seed_records([SEEDED])
+    fuzz(env, net, Address("srv", "gossip"), payloads)
+    assert driver.handler_errors == 0 and driver.running
+    # Nothing non-finite was adopted as a record stamp.
+    assert all(math.isfinite(r.stamp) for r in gossip.freshest.values())
 
 
 def test_retired_delcomp_frame_is_dropped_as_unknown():

@@ -1,8 +1,12 @@
 """Unit tests: digest/delta anti-entropy data plane (DESIGN §15)."""
 
 import json
+import math
+import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.gossip import (
     DIGEST_BUCKETS,
@@ -162,3 +166,64 @@ def test_plan_exchange_tolerates_malformed_entries():
          ["B", "not-a-stamp", 1, "x", 0]])
     assert ship == []
     assert want == []
+
+
+# -- hostile entries never change the plan -----------------------------------
+
+TAGS = ["A", "B", "C"]
+#: Values a JSON frame can carry that no entry field may take: JSON's
+#: ``Infinity``/``1e999``/``NaN``, an integer too large for a float, and
+#: the wrong types.
+HOSTILE = [math.inf, -math.inf, math.nan, 10**400, "x", None, [], {}]
+valid_entries = st.lists(
+    st.tuples(st.sampled_from(TAGS), st.floats(0.0, 8.0), st.integers(0, 3),
+              st.sampled_from(["a/x", "b/x"])).map(
+        lambda t: [*t, freshness_hash(*t)]),
+    max_size=6)
+hostile_entries = st.lists(st.one_of(
+    # One field of an otherwise well-formed entry is hostile. A 400-digit
+    # integer is still an integer, so it only counts against the stamp.
+    st.tuples(st.sampled_from(TAGS), st.sampled_from(HOSTILE),
+              st.integers(0, 3), st.just("b/x"), st.integers()).map(list),
+    st.tuples(st.sampled_from(TAGS), st.floats(0.0, 8.0),
+              st.sampled_from([h for h in HOSTILE if h != 10**400]),
+              st.just("b/x"), st.integers()).map(list),
+    st.tuples(st.sampled_from(TAGS), st.floats(0.0, 8.0), st.integers(0, 3),
+              st.just("b/x"),
+              st.sampled_from([h for h in HOSTILE if h != 10**400])).map(list),
+    # Entries of the wrong shape altogether.
+    st.sampled_from([[], ["A"], ["A", 1.0, 1, "b/x"], 42, None, "A",
+                     {"0": "A"}, math.nan])),
+    min_size=1, max_size=4)
+
+
+def _local():
+    digest, freshest = build([rec("A", stamp=2.0), rec("B", stamp=5.0, seq=2)])
+    return freshest, digest, ComparatorRegistry()
+
+
+@given(valid=valid_entries, hostile=hostile_entries, rnd=st.randoms(),
+       buckets=st.sampled_from([None, list(range(DIGEST_BUCKETS))]))
+# Each raised or misplanned before malformed fields were skipped:
+# int(inf) raised OverflowError, and a NaN stamp marked the tag listed
+# while ordering neither way, so the local record was not shipped.
+@example(valid=[], hostile=[["A", 1.0, math.inf, "o", 1]], rnd=random.Random(0),
+         buckets=None)
+@example(valid=[], hostile=[["A", math.nan, 1, "o", 1]], rnd=random.Random(0),
+         buckets=list(range(DIGEST_BUCKETS)))
+@example(valid=[], hostile=[["A", 10**400, 1, "o", 1]], rnd=random.Random(0),
+         buckets=None)
+@settings(max_examples=150, deadline=None)
+def test_hostile_entries_plan_as_if_left_out(valid, hostile, rnd, buckets):
+    mixed = list(valid)
+    for entry in hostile:
+        mixed.insert(rnd.randint(0, len(mixed)), entry)
+    assert (plan_exchange(*_local(), mixed, buckets=buckets)
+            == plan_exchange(*_local(), valid, buckets=buckets))
+
+
+@pytest.mark.parametrize("buckets", [5, math.inf, [[1]], [{}]])
+def test_unreadable_bucket_list_reads_as_absent(buckets):
+    entries = [["C", 1.0, 1, "b/x", 0]]
+    assert (plan_exchange(*_local(), entries, buckets=buckets)
+            == plan_exchange(*_local(), entries, buckets=None))

@@ -1,0 +1,94 @@
+"""One job's trace across a SIGKILLed client's two incarnations, live.
+
+The serve world as real OS processes with one worker client, SIGKILLed
+mid-unit. The supervisor recovers the dead incarnation's flight-recorder
+spool, the reaper requeues the orphaned unit, and the merged span set
+must hold one connected trace whose work spans come from both
+incarnations of the client, merged onto one timeline around the
+requeue. Cancels are off: a cancelled in-flight job is (correctly)
+dropped on requeue.
+
+The unit is sized so the kill always lands mid-unit. On K_18 there is
+no R(4,4) counter-example (R(4,4) = 18), so a unit never ends early: it
+runs its whole ops budget, 600k ops or 2 s at the topology's 300k
+ops/s. The client takes its first unit about 0.5 s in, so it is still
+working on it at the 2 s kill; the replacement restarts after the 3 s
+backoff and finishes the requeued unit near 8 s in.
+"""
+
+import collections
+import functools
+import json
+
+import pytest
+
+import repro.control.serve as serve
+from repro.cli import main as cli_main
+from repro.control import ServeConfig, run_serve
+from repro.obs.jobtrace import span_origin
+
+LIFECYCLE = {"job ingress", "journal flush", "job assign", "job requeue",
+             "job done"}
+
+
+@pytest.fixture(scope="module")
+def run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tracekill")
+    config = ServeConfig(clients=1, storm_clients=10, duration=9.0,
+                         kill_at=2.0, kill_node="cli0", cancel_fraction=0.0,
+                         k=18, n=4, seed=0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(serve, "ramsey_job_spec", functools.partial(
+            serve.ramsey_job_spec, ops_budget=600_000.0))
+        report = run_serve(config, out=str(out))
+    return report, out
+
+
+def _crossing_trace(spans):
+    """The first trace with the whole job lifecycle whose work spans come
+    from two incarnations, as ``(requeue span, first, second)`` work
+    start times; None if there is none."""
+    by_trace = collections.defaultdict(list)
+    for span in spans:
+        by_trace[span["trace_id"]].append(span)
+    for group in by_trace.values():
+        if not LIFECYCLE <= {s["name"] for s in group}:
+            continue
+        work = collections.defaultdict(list)
+        for s in group:
+            if s["name"] == "job work":
+                work[span_origin(s["span_id"])[1]].append(s["start"])
+        if len(work) < 2:
+            continue
+        requeue = next(s for s in group if s["name"] == "job requeue")
+        return requeue, work[min(work)], work[max(work)]
+    return None
+
+
+def test_one_trace_crosses_both_incarnations_around_the_requeue(run):
+    report, out = run
+    assert report.ok, report.violations
+    assert [c["node"] for c in report.chaos] == ["cli0"]
+    spans = json.loads((out / "spans.json").read_text())["spans"]
+    crossing = _crossing_trace(spans)
+    assert crossing is not None, (
+        "no trace with work spans in two incarnations around a requeue")
+    requeue, first, second = crossing
+    assert max(first) <= requeue["start"] <= min(second)
+
+
+def test_killed_incarnation_spool_recovered(run):
+    _, out = run
+    report = json.loads((out / "report.json").read_text())
+    assert 0 in report["nodes"]["cli0"]["flights_recovered"]
+
+
+def test_trace_job_renders_the_requeue_and_second_incarnation(run, capsys):
+    _, out = run
+    spans = json.loads((out / "spans.json").read_text())["spans"]
+    requeue, _, _ = _crossing_trace(spans)
+    assert cli_main(["trace", "--job", requeue["args"]["id"],
+                     "--from", str(out)]) == 0
+    rendered = capsys.readouterr().out
+    assert "job requeue" in rendered
+    assert "inc1" in rendered

@@ -1,13 +1,15 @@
 """Prometheus text exposition over the telemetry snapshot shape.
 
 The renderer and the (strict) parser are tested against each other:
-every snapshot must round-trip, because CI's obs-smoke job gates on
-``parse_prometheus(scrape)`` succeeding against a live gateway.
+every snapshot must round-trip, because ``repro top`` and the live
+gateway tests read scrapes back through ``parse_prometheus``.
 """
 
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.telemetry import MetricsRegistry
 from repro.obs.prom import (
@@ -76,6 +78,34 @@ def test_label_values_escaped():
     m.counter("odd", path='a"b\\c').inc()
     samples = parse_prometheus(render_prometheus(m.snapshot()))
     assert samples and samples[0]["labels"]["path"] == 'a"b\\c'
+
+
+#: Label text the registry key ``name{k=v,...}`` can carry: anything but
+#: the "," that separates its pairs.
+label_text = st.text(st.characters(blacklist_characters=",",
+                                   blacklist_categories=("Cs",)), max_size=12)
+gauge_values = st.one_of(st.floats(), st.sampled_from(
+    [math.inf, -math.inf, math.nan, 0.0, -0.0, 1e300, 5e-324]))
+
+
+@given(labels=st.lists(st.tuples(label_text, gauge_values), min_size=1,
+                       max_size=6, unique_by=lambda pair: pair[0]))
+# Before the one-pass unescape, a backslash before an "n" came back as a
+# newline: C:\new parsed as C:<newline>ew.
+@example(labels=[("C:\\new", 1.0), ("a\\nb", math.inf)])
+# Before lines were split at "\n" only, these cut a sample in two.
+@example(labels=[("a\rb", math.nan), ("\u2028\x1c", -math.inf)])
+@settings(max_examples=150, deadline=None)
+def test_every_label_and_value_survives_render_then_parse(labels):
+    m = MetricsRegistry()
+    for site, value in labels:
+        m.gauge("site.utilisation", site=site).set(value)
+    samples = parse_prometheus(render_prometheus(m.snapshot()))
+    got = {s["labels"]["site"]: s["value"] for s in samples}
+    assert set(got) == {site for site, _ in labels}
+    for site, value in labels:
+        assert (math.isnan(got[site]) if math.isnan(value)
+                else got[site] == value), (site, value, got[site])
 
 
 def test_metric_names_sanitised():
