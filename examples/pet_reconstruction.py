@@ -1,12 +1,13 @@
 #!/usr/bin/env python
-"""PET image reconstruction on the EveryWare service framework (§6).
+"""PET image reconstruction on the EveryWare work plane (§6).
 
 One of the two applications the paper planned to build next. A synthetic
 emission phantom is forward-projected into a sinogram; filtered
-backprojection is then farmed over a small simulated Grid, one chunk of
-projection angles per task, with a worker killed mid-run to show the
-framework's failure-driven reissue. The distributed reconstruction is
-compared against both a serial reconstruction and the phantom.
+backprojection is then submitted as a batch of ``pet.*`` jobs, one chunk
+of projection angles each, to the gateway of a small simulated Grid,
+with a client killed mid-unit to show the scheduler reaping and
+requeueing its work. The distributed reconstruction is compared against
+both a serial reconstruction and the phantom.
 
 Run: ``python examples/pet_reconstruction.py``
 """
@@ -15,15 +16,13 @@ import numpy as np
 
 from repro.apps.pet import (
     Accumulator,
-    execute_task,
     forward_project,
     image_correlation,
     make_phantom,
     make_tasks,
     reconstruct_serial,
-    task_cost,
 )
-from repro.api import run_farm
+from repro.api import run_sim_batch
 
 SIZE = 64
 N_ANGLES = 48
@@ -51,27 +50,28 @@ def main() -> None:
     sino = forward_project(phantom, angles)
 
     tasks = make_tasks(sino, angles, SIZE, chunk=6)
-    acc = Accumulator(size=SIZE)
-    print(f"farming {len(tasks)} backprojection tasks over 4 heterogeneous "
-          "workers (one dies mid-run) ...")
-    run = run_farm(tasks, execute=execute_task, cost=task_cost,
-                   on_result=acc, n_workers=4,
-                   kill_worker_at=15.0, reissue_timeout=120.0)
+    print(f"submitting {len(tasks)} backprojection jobs to 4 clients "
+          "(one dies mid-unit) ...")
+    jobs, report = run_sim_batch(tasks, workers=4, kill_worker_at=0.2)
+    assert not report["violations"], report["violations"]
+    image = Accumulator(SIZE).fold(job.result for job in jobs).image
 
     serial = reconstruct_serial(sino, angles, SIZE)
-    corr_serial = image_correlation(acc.image, serial)
-    corr_phantom = image_correlation(acc.image, phantom)
+    corr_serial = image_correlation(image, serial)
+    corr_phantom = image_correlation(image, phantom)
 
-    print(f"\nfarm finished in {run.sim_seconds:.0f} simulated seconds; "
-          f"reissues after worker loss: {run.master.reissues}")
-    print(f"per-worker tasks: {[w.tasks_done for w in run.workers]}")
+    scheduler = report["gateway"]["scheduler"]
+    print(f"\nbatch finished in {report['sim_seconds']:.0f} simulated "
+          f"seconds; units requeued after the client's loss: "
+          f"{scheduler['units_requeued']} (reaps: {scheduler['reaps']})")
+    print(f"per-client jobs: {list(report['workers'].values())}")
     print(f"correlation with serial FBP: {corr_serial:.4f}")
     print(f"correlation with phantom:    {corr_phantom:.3f}")
 
     print("\nphantom:")
     print(ascii_image(phantom))
     print("\ndistributed reconstruction:")
-    print(ascii_image(acc.image))
+    print(ascii_image(image))
 
 
 if __name__ == "__main__":

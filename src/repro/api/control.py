@@ -20,9 +20,8 @@ _EXPORTS = {
                        "json_response", "text_response"),
     "..control.loadgen": ("GatewayStorm", "StormStats"),
     "..control.serve": ("ServeConfig", "ServeReport",
-                        "check_serve_invariants", "ramsey_job_spec",
-                        "run_serve"),
-    "..control.sim": ("GatewayComponent", "SimJobUser", "SimJobWorker",
+                        "check_serve_invariants", "run_serve"),
+    "..control.sim": ("GatewayComponent", "SimJobUser", "run_sim_batch",
                       "run_sim_serve"),
     "..control.workqueue": ("FileJournal", "JOB_STATES", "Job",
                             "MemoryJournal", "WorkQueue"),

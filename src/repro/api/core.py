@@ -5,9 +5,10 @@ the sans-IO :class:`Component` contract and its effects, the
 retry/time-out policies drivers execute, the observability plane
 (metrics registry + causal tracer + profiler + exporters), the NWS
 forecasting machinery, the lingua-franca :class:`Message`, the
-EveryWare services (gossip, scheduler, persistent state, logging, task
-farm), and the Ramsey application components. No sockets, no simulated
-grid — those live in :mod:`repro.api.net` and :mod:`repro.api.sim`.
+EveryWare services (gossip, scheduler, persistent state, logging, the
+app-kind registry), and the Ramsey application components. No sockets,
+no simulated grid — those live in :mod:`repro.api.net` and
+:mod:`repro.api.sim`.
 """
 
 from __future__ import annotations
@@ -42,16 +43,16 @@ _EXPORTS = {
     "..core.services.logging": ("LoggingServer",),
     "..core.services.persistent": ("PersistentStateServer",),
     "..core.services.scheduler": ("QueueWorkSource", "SchedulerServer"),
-    "..core.services.framework": ("TaskFarmMaster", "TaskFarmWorker"),
     # app-agnostic work-unit kinds (§3.1 distrust, pluggable engines)
     "..core.services.kinds": ("AppKind", "KindEngine", "KindRegistry",
-                              "ResultCheckError", "kind_of", "register_kind"),
+                              "MeteredEngine", "ResultCheckError", "kind_of",
+                              "register_kind"),
     # application: Ramsey search
     "..ramsey.client": ("RAMSEY_BEST", "ModelEngine", "RamseyClient",
                         "RealEngine", "ramsey_comparator"),
     "..ramsey.graphs": ("Coloring",),
     "..ramsey.heuristics": ("TabuSearch",),
     "..ramsey.verify": ("is_counter_example", "counter_example_validator"),
-    "..ramsey.tasks": ("unit_generator",),
+    "..ramsey.tasks": ("ramsey_job_spec", "unit_generator"),
 }
 __all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -16,13 +16,11 @@ from .._exports import lazy_exports
 _EXPORTS = {
     "..explore.drivers": ("GridSweep", "HillClimber", "make_driver",
                           "run_driver"),
-    "..explore.engine": ("ExploreEngine",),
     "..explore.evals": ("EVAL_FUNCTIONS", "EVAL_KIND", "check_eval_result",
                         "evaluate", "execute_unit", "make_eval_spec",
                         "validate_eval"),
     "..explore.queue": ("ExploreQueue",),
     "..explore.serve": ("ExploreConfig", "run_explore"),
-    "..explore.sim": ("ExploreWorker", "MEDriverComponent",
-                      "run_sim_explore"),
+    "..explore.sim": ("MEDriverComponent", "run_sim_explore"),
 }
 __all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -32,7 +32,6 @@ _EXPORTS = {
                            "RecountResult", "StepBatch", "StepBatchResult",
                            "run_task"),
     # scenarios and experiment harnesses
-    "..apps.runner": ("run_farm",),
     "..experiments.scenario": ("ServiceCore", "build_core",
                                "model_client_factory"),
     "..experiments.sc98": ("SC98Config", "SC98Results", "SC98World",

@@ -3,24 +3,27 @@
 The paper's second planned application is "a data mining application
 called NOW G-Net". This module implements the canonical distributed
 mining kernel — frequent itemset counting over a partitioned transaction
-database — on the :mod:`~repro.core.services.framework` template:
+database — as the ``gnet.*`` app kind:
 
-* the synthetic market-basket database is *not* shipped: each task
-  carries only a (seed, offset, count) triple, and workers regenerate
+* the synthetic market-basket database is *not* shipped: each job
+  carries only a (seed, offset, count) triple, and clients regenerate
   their partition deterministically (the data-parallel idiom the paper
   highlights for Grid-suitable applications);
-* workers count item and item-pair supports in their partition;
-* the master's control module merges counts; frequent itemsets are the
-  ones clearing the support threshold — identical, by construction, to
-  a serial pass over the whole database.
+* clients count item and item-pair supports in their partition;
+* :class:`CountMerger` folds the completed jobs' counts in submit order;
+  frequent itemsets are the ones clearing the support threshold —
+  identical, by construction, to a serial pass over the whole database.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
+
+from ..core.services.kinds import MeteredEngine, ResultCheckError, register_kind
 
 __all__ = [
     "generate_transactions",
@@ -33,8 +36,14 @@ __all__ = [
     "frequent_itemsets",
 ]
 
+GNET_KIND = "gnet.count"  # stamped on every job; registered as gnet.*
+
 #: Item pairs planted with high joint support in the synthetic data.
 PLANTED_PAIRS = [(1, 2), (5, 9)]
+
+#: Per-job bounds, as the §3.1 recount runs on the gateway's event loop
+#: (the example's and tests' jobs are at most 3,000 x 24 items).
+MAX_COUNT, MAX_ITEMS = 10_000, 1_024
 
 
 def generate_transactions(
@@ -88,26 +97,40 @@ def mine_serial(n_transactions: int, n_items: int, seed: int,
     return frequent_itemsets(singles, pairs, n_transactions, min_support)
 
 
-# -- farm wiring -------------------------------------------------------------
+# -- the gnet.* kind --------------------------------------------------------
 
 
 def make_tasks(n_transactions: int, n_items: int, seed: int,
                chunk: int = 500) -> list[dict]:
+    """One job spec per partition of the database."""
     tasks = []
-    for i, offset in enumerate(range(0, n_transactions, chunk)):
-        count = min(chunk, n_transactions - offset)
+    for offset in range(0, n_transactions, chunk):
         tasks.append({
-            "id": f"gnet-{i}",
+            "kind": GNET_KIND,
             "seed": seed,
             "offset": offset,
-            "count": count,
+            "count": min(chunk, n_transactions - offset),
             "n_items": n_items,
         })
     return tasks
 
 
+def validate_task(task: dict) -> None:
+    """Raise ValueError for a spec no client can count."""
+    try:
+        seed, offset, count, n_items = (int(task[key]) for key in (
+            "seed", "offset", "count", "n_items"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"bad gnet task: {exc!r}") from exc
+    if min(offset, count) < 0 or n_items < 6:  # 6: the largest basket
+        raise ValueError("gnet task needs offset, count >= 0, n_items >= 6")
+    if count > MAX_COUNT or n_items > MAX_ITEMS:
+        raise ValueError(f"gnet task over the per-job bounds "
+                         f"(count <= {MAX_COUNT}, n_items <= {MAX_ITEMS})")
+
+
 def execute_task(task: dict) -> dict:
-    """Worker control module: count supports in this partition."""
+    """Count supports in this partition (what a client's engine runs)."""
     transactions = generate_transactions(
         int(task["count"]), int(task["n_items"]),
         int(task["seed"]), int(task["offset"]))
@@ -124,23 +147,49 @@ def task_cost(task: dict) -> float:
     return 40.0 * float(task["count"])
 
 
+def check_task_result(task: dict, result: Optional[dict]) -> None:
+    """§3.1: recount the partition and distrust counts that differ. A
+    spec no client can count is never recounted: its one honest result
+    is the client's refusal (DESIGN §13)."""
+    try:
+        validate_task(task)
+    except ValueError:
+        if isinstance(result, dict) and "error" in result:
+            return
+        raise ResultCheckError("counts for a spec no client can count")
+    if result != execute_task(task):
+        raise ResultCheckError("partition counts differ from a recount")
+
+
+register_kind(
+    "gnet.*",
+    validate=validate_task,
+    engine_factory=functools.partial(MeteredEngine, execute_task, task_cost),
+    check_result=check_task_result,
+    description="NOW G-Net itemset counting, one partition per job",
+    replace=True,
+)
+
+
 @dataclass
 class CountMerger:
-    """Master control module: merge partition counts."""
+    """Merge the counts of completed jobs, folded in submit order."""
 
     singles: dict = field(default_factory=dict)
     pairs: dict = field(default_factory=dict)
     n_transactions: int = 0
 
-    def __call__(self, task: dict, result: dict) -> None:
-        for key, value in result["singles"].items():
-            item = int(key)
-            self.singles[item] = self.singles.get(item, 0) + value
-        for key, value in result["pairs"].items():
-            a, b = key.split(",")
-            pair = (int(a), int(b))
-            self.pairs[pair] = self.pairs.get(pair, 0) + value
-        self.n_transactions += int(result["n"])
+    def fold(self, results: Iterable[dict]) -> "CountMerger":
+        for result in results:
+            for key, value in result["singles"].items():
+                item = int(key)
+                self.singles[item] = self.singles.get(item, 0) + value
+            for key, value in result["pairs"].items():
+                a, b = key.split(",")
+                pair = (int(a), int(b))
+                self.pairs[pair] = self.pairs.get(pair, 0) + value
+            self.n_transactions += int(result["n"])
+        return self
 
     def mine(self, min_support: float) -> tuple[list[int], list[tuple[int, int]]]:
         return frequent_itemsets(self.singles, self.pairs,

@@ -2,28 +2,31 @@
 
 The paper's future work names "an image reconstruction tool called
 Positron Emission Tomography (PET)" as a planned EveryWare application
-with coupled master/slave data parallelism. This module implements it on
-the :mod:`~repro.core.services.framework` template:
+with coupled master/slave data parallelism. This module implements it as
+the ``pet.*`` app kind:
 
 * a synthetic emission phantom is forward-projected into a sinogram
   (the "scanner data");
 * reconstruction is filtered backprojection, data-parallel over
-  projection angles: each farm task backprojects a chunk of angles;
-* the master's control module accumulates partial images; fidelity is
-  measured as correlation against the phantom.
+  projection angles: each job backprojects a chunk of angles;
+* :class:`Accumulator` sums the completed jobs' partial images in submit
+  order; fidelity is measured as correlation against the phantom.
 
 All math is real (numpy FFT ramp filter, bilinear rotation); the Grid
-part — distribution, failure-driven reissue, heterogeneous-speed
-charging — is the framework's.
+part — journaled distribution, reap-driven reissue, charging at each
+host's delivered speed, result distrust — is the one work plane.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
+
+from ..core.services.kinds import MeteredEngine, ResultCheckError, register_kind
 
 __all__ = [
     "make_phantom",
@@ -36,6 +39,12 @@ __all__ = [
     "task_cost",
     "image_correlation",
 ]
+
+PET_KIND = "pet.backproject"  # stamped on every job; registered as pet.*
+
+#: Per-job bound on angles x size^2, as the §3.1 re-execution runs on
+#: the gateway's event loop (the example's jobs are 6 x 64^2 = 24,576).
+MAX_PIXEL_ROWS = 1 << 20
 
 
 def make_phantom(size: int = 64) -> np.ndarray:
@@ -113,17 +122,17 @@ def reconstruct_serial(sinogram: np.ndarray, angles: list[float], size: int) -> 
     return backproject(sinogram, angles, size, filtered=True)
 
 
-# -- farm wiring -------------------------------------------------------------
+# -- the pet.* kind ---------------------------------------------------------
 
 
 def make_tasks(sinogram: np.ndarray, angles: list[float], size: int,
                chunk: int = 8) -> list[dict]:
-    """One task per chunk of projection angles; projections ride in the
-    task (JSON-safe lists), partial images come back."""
+    """One job spec per chunk of projection angles; projections ride in
+    the spec (JSON-safe lists), partial images come back."""
     tasks = []
     for i in range(0, len(angles), chunk):
         tasks.append({
-            "id": f"pet-{i // chunk}",
+            "kind": PET_KIND,
             "size": size,
             "angles": [float(a) for a in angles[i : i + chunk]],
             "projections": [list(map(float, row))
@@ -132,8 +141,22 @@ def make_tasks(sinogram: np.ndarray, angles: list[float], size: int,
     return tasks
 
 
+def validate_task(task: dict) -> None:
+    """Raise ValueError for a spec no client can backproject."""
+    try:
+        shape = np.asarray(task["projections"], dtype=float).shape
+        want = (len([float(a) for a in task["angles"]]), int(task["size"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"bad pet task: {exc!r}") from exc
+    if shape != want or want[1] < 1:
+        raise ValueError("pet task needs one size-long projection per angle")
+    if want[0] * want[1] * want[1] > MAX_PIXEL_ROWS:
+        raise ValueError(f"pet task over the per-job bound "
+                         f"(angles * size^2 <= {MAX_PIXEL_ROWS})")
+
+
 def execute_task(task: dict) -> dict:
-    """Worker control module: backproject this chunk."""
+    """Backproject this chunk (what a client's engine runs)."""
     projections = np.asarray(task["projections"], dtype=float)
     partial = backproject(projections, task["angles"], int(task["size"]))
     return {"partial": [list(map(float, row)) for row in partial]}
@@ -145,20 +168,50 @@ def task_cost(task: dict) -> float:
     return 20.0 * size * size * len(task["angles"])
 
 
+def check_task_result(task: dict, result: Optional[dict]) -> None:
+    """§3.1: recompute the partial image and distrust one that differs.
+    A spec no client can backproject is never recomputed: its one honest
+    result is the client's refusal (DESIGN §13)."""
+    try:
+        validate_task(task)
+    except ValueError:
+        if isinstance(result, dict) and "error" in result:
+            return
+        raise ResultCheckError("an image for a spec no client can run")
+    try:
+        partial = np.asarray(result["partial"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ResultCheckError(f"unreadable partial image: {exc!r}") from exc
+    expected = np.asarray(execute_task(task)["partial"])
+    if partial.shape != expected.shape or not np.allclose(partial, expected):
+        raise ResultCheckError("partial image differs from a re-execution")
+
+
+register_kind(
+    "pet.*",
+    validate=validate_task,
+    engine_factory=functools.partial(MeteredEngine, execute_task, task_cost),
+    check_result=check_task_result,
+    description="PET filtered backprojection, one chunk of angles per job",
+    replace=True,
+)
+
+
 @dataclass
 class Accumulator:
-    """Master control module: sum partial images."""
+    """Sum the partial images of completed jobs, folded in submit order."""
 
     size: int
     image: Optional[np.ndarray] = None
     chunks: int = 0
 
-    def __call__(self, task: dict, result: dict) -> None:
-        partial = np.asarray(result["partial"], dtype=float)
-        if self.image is None:
-            self.image = np.zeros((self.size, self.size))
-        self.image += partial
-        self.chunks += 1
+    def fold(self, results: Iterable[dict]) -> "Accumulator":
+        for result in results:
+            partial = np.asarray(result["partial"], dtype=float)
+            self.image = (partial if self.image is None
+                          else self.image + partial)
+            self.chunks += 1
+        return self
 
 
 def image_correlation(a: np.ndarray, b: np.ndarray) -> float:

@@ -137,28 +137,23 @@ def _cmd_ramsey(args: argparse.Namespace) -> int:
 def _cmd_pet(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from .apps.pet import (
-        Accumulator,
-        execute_task,
-        forward_project,
-        image_correlation,
-        make_phantom,
-        make_tasks,
-        task_cost,
-    )
-    from .apps.runner import run_farm
+    from .apps.pet import (Accumulator, forward_project, image_correlation,
+                           make_phantom, make_tasks)
+    from .control.sim import run_sim_batch
 
     angles = [float(a) for a in np.linspace(0, 180, args.angles, endpoint=False)]
     phantom = make_phantom(args.size)
     sino = forward_project(phantom, angles)
     tasks = make_tasks(sino, angles, args.size, chunk=max(args.angles // 8, 1))
-    acc = Accumulator(size=args.size)
-    print(f"farming {len(tasks)} backprojection tasks over "
-          f"{args.workers} workers ...")
-    run = run_farm(tasks, execute=execute_task, cost=task_cost,
-                   on_result=acc, n_workers=args.workers)
-    corr = image_correlation(acc.image, phantom)
-    print(f"done in {run.sim_seconds:.0f} simulated seconds; "
+    print(f"submitting {len(tasks)} backprojection jobs to "
+          f"{args.workers} clients ...")
+    jobs, report = run_sim_batch(tasks, workers=args.workers)
+    if report["violations"]:
+        print("; ".join(report["violations"]))
+        return 1
+    image = Accumulator(args.size).fold(job.result for job in jobs).image
+    corr = image_correlation(image, phantom)
+    print(f"done in {report['sim_seconds']:.0f} simulated seconds; "
           f"phantom correlation {corr:.3f}")
     return 0 if corr > 0.8 else 1
 
@@ -524,7 +519,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
         ("repro.core.linguafranca", "typed packet messaging, TCP + sim transports"),
         ("repro.core.forecasting", "NWS forecaster bank, dynamic benchmarking, sensors"),
         ("repro.core.gossip", "state exchange pool + clique protocol"),
-        ("repro.core.services", "schedulers, persistent state, logging, task farm"),
+        ("repro.core.services", "schedulers, persistent state, logging, app kinds"),
         ("repro.simgrid", "deterministic discrete-event Grid substrate"),
         ("repro.infra", "the seven SC98 infrastructure adapters"),
         ("repro.ramsey", "the Ramsey Number Search application"),

@@ -20,10 +20,10 @@ _EXPORTS = {
               "HttpResponseDecoder", "HttpServer", "error_response",
               "json_response", "text_response"),
     ".loadgen": ("GatewayStorm", "StormStats"),
-    ".sim": ("GatewayComponent", "SimJobUser", "SimJobWorker",
+    ".sim": ("GatewayComponent", "SimJobUser", "run_sim_batch",
              "run_sim_serve"),
     ".serve": ("ServeConfig", "ServeReport", "check_serve_invariants",
-               "ramsey_job_spec", "run_serve"),
+               "run_serve"),
     ".workqueue": ("FileJournal", "Job", "JOB_STATES", "MemoryJournal",
                    "WorkQueue"),
 }

@@ -11,7 +11,8 @@ external users hammering refresh while a service restarts.
 
 Used by ``benchmarks/bench_gateway.py`` (floors on submissions/s and
 query p99 at 1,000+ connections) and by the ``repro serve`` harness
-(the 200-client storm in the ``gateway-smoke`` CI job). Accepted job
+(the kill/restart storm ``tests/control/test_serve_live.py`` runs in
+the tier-1 suite). Accepted job
 ids — submissions the gateway answered 201 — are recorded so the
 harness can sweep them afterwards and prove none was lost across a
 kill/restart.

@@ -20,7 +20,6 @@ computational client and back.
 
 from __future__ import annotations
 
-import random
 from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -29,26 +28,13 @@ from ..live.collector import Collector
 from ..live.harness import LiveWorld, ReportDoc, never_restarted
 from ..live.supervisor import RestartPolicy
 from ..live.topology import Topology, serve_topology
-from ..ramsey.tasks import HEURISTICS
+from ..ramsey.tasks import ramsey_job_spec
 from .client import GatewayClient
 from .http import HttpError
 from .loadgen import GatewayStorm
 
 __all__ = ["ServeConfig", "ServeReport", "check_serve_invariants",
-           "ramsey_job_spec", "run_serve"]
-
-
-def ramsey_job_spec(rng: random.Random, k: int = 8, n: int = 4,
-                    ops_budget: float = 250_000.0) -> dict:
-    """One externally-submitted job spec the Ramsey clients can execute:
-    a work unit minus the ``id`` (the gateway assigns ids)."""
-    return {
-        "k": int(k),
-        "n": int(n),
-        "heuristic": HEURISTICS[rng.randrange(len(HEURISTICS))],
-        "seed": rng.randrange(1 << 20),
-        "ops_budget": float(ops_budget),
-    }
+           "run_serve"]
 
 
 @dataclass

@@ -6,14 +6,16 @@ here is :class:`GatewayComponent` — a sans-IO component speaking the
 same routing table over lingua-franca messages (``GW_REQ`` carries
 ``{method, path, body}``, ``GW_RES`` carries ``{status, body}``) under
 simulated time, with :class:`SimJobUser` components playing external
-HTTP users and :class:`SimJobWorker` components playing computational
-clients pulling jobs over the usual SCH_* protocol.
+HTTP users and the real :class:`~repro.ramsey.client.RamseyClient`
+pulling jobs of any kind over the usual SCH_* protocol.
 
 Everything is driven by the simulation's seeded RNG streams and virtual
 clock, so :func:`run_sim_serve` is *deterministic*: the same seed yields
-a byte-identical report, run after run — which is what lets CI diff two
-runs to prove the control plane's logic (submission, assignment,
-cancel races, restart recovery) contains no hidden nondeterminism.
+a byte-identical report, run after run — which is what lets a pinned
+digest (``tests/control/test_sim_twin.py``) prove the control plane's
+logic (submission, assignment, cancel races, restart recovery) contains
+no hidden nondeterminism. :func:`run_sim_batch` is the same world with
+one batch of jobs of any kind in place of the users.
 
 A simulated gateway "restart" (``restart_after``) is the deterministic
 analogue of the live SIGKILL + supervisor respawn: scheduler state and
@@ -27,36 +29,35 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import asdict
-from typing import Optional
+from typing import Callable, Optional
 
 from ..core.component import Component, Effect, LogLine, Send, SetTimer
 from ..core.forecasting.benchmarking import ForecastRegistry
 from ..core.linguafranca.messages import Message
-from ..core.services.scheduler import (
-    SCH_ACK,
-    SCH_DIRECTIVE,
-    SCH_HELLO,
-    SCH_REPORT,
-    SCH_WORK,
-    SchedulerServer,
-)
+from ..core.services.kinds import KindEngine
+from ..core.services.scheduler import SchedulerServer
 from ..core.simdriver import SimDriver
 from ..core.telemetry import Telemetry
+from ..ramsey.client import ModelEngine, RamseyClient
+from ..ramsey.tasks import ramsey_job_spec
 from ..simgrid.engine import Environment
+from ..simgrid.faults import FaultPlan
 from ..simgrid.host import Host, HostSpec
 from ..simgrid.load import ConstantLoad
 from ..simgrid.network import Network
 from ..simgrid.rand import RngStreams
 from .gateway import GatewayCore
 from .loadgen import UserMix
-from .workqueue import MemoryJournal, WorkQueue
+from .workqueue import Job, MemoryJournal, WorkQueue
 
 __all__ = [
     "GW_REQ",
     "GW_RES",
+    "ForgingEngine",
     "GatewayComponent",
     "SimJobUser",
-    "SimJobWorker",
+    "TwinWorld",
+    "run_sim_batch",
     "run_sim_serve",
 ]
 
@@ -65,8 +66,6 @@ GW_RES = "GW_RES"
 
 T_RESTART = "gw:restart"
 T_NEXT = "usr:next"
-T_HELLO = "wrk:hello"
-T_DONE = "wrk:done"
 
 
 class GatewayComponent(SchedulerServer):
@@ -83,15 +82,12 @@ class GatewayComponent(SchedulerServer):
     def __init__(
         self,
         name: str,
-        journal=None,
         restart_after: Optional[float] = None,
         report_period: float = 0.5,
         reap_period: float = 0.5,
         dead_factor: float = 4.0,
     ) -> None:
-        work = WorkQueue(
-            journal=journal if journal is not None else MemoryJournal(),
-            prefix=f"{name}-job")
+        work = WorkQueue(journal=MemoryJournal(), prefix=f"{name}-job")
         super().__init__(name, work,
                          report_period=report_period,
                          reap_period=reap_period,
@@ -105,7 +101,7 @@ class GatewayComponent(SchedulerServer):
 
     def bind_telemetry(self, telemetry: Telemetry) -> None:
         super().bind_telemetry(telemetry)
-        self.core.telemetry = telemetry
+        self.core.telemetry = self.work.telemetry = telemetry
 
     # -- lifecycle ------------------------------------------------------------
     def on_start(self, now: float) -> list[Effect]:
@@ -156,18 +152,11 @@ class GatewayComponent(SchedulerServer):
         return super().on_message(message, now)
 
 
-def _noop_spec(rng: random.Random) -> dict:
-    return {"kind": "noop",
-            "delay": round(rng.uniform(0.05, 0.5), 3),
-            "payload": rng.randrange(1 << 16)}
-
-
 class SimJobUser(Component):
     """One synthetic external user under simulated time.
 
     The deterministic analogue of one :class:`GatewayStorm` client: a
-    seeded submit/query/cancel loop, one request in flight, latencies
-    measured on the simulated clock.
+    seeded submit/query/cancel loop, one request in flight.
     """
 
     def __init__(
@@ -191,12 +180,11 @@ class SimJobUser(Component):
         #: The request mix itself — the core GatewayStorm's clients run —
         #: counting its outcomes on this component.
         self.mix = UserMix(random.Random(f"{seed}:{idx}"), self,
-                           submit_fraction, cancel_fraction, _noop_spec)
+                           submit_fraction, cancel_fraction, ramsey_job_spec)
         self.accepted = self.mix.ids
-        self.latencies_ms: list[float] = []
         self._rid = 0
-        #: (kind, rid, t0) of the request awaiting its GW_RES.
-        self._inflight: Optional[tuple[str, int, float]] = None
+        #: (kind, rid) of the request awaiting its GW_RES.
+        self._inflight: Optional[tuple[str, int]] = None
 
     def on_start(self, now: float) -> list[Effect]:
         # Stagger users deterministically inside the first period.
@@ -208,7 +196,7 @@ class SimJobUser(Component):
             return []
         self._rid += 1
         kind, method, path, body = self.mix.next_request()
-        self._inflight = (kind, self._rid, now)
+        self._inflight = (kind, self._rid)
         return [Send(self.gateway, Message(
             mtype=GW_REQ, sender=self.contact,
             body={"method": method, "path": path, "body": body,
@@ -217,11 +205,10 @@ class SimJobUser(Component):
     def on_message(self, message: Message, now: float) -> list[Effect]:
         if message.mtype != GW_RES or self._inflight is None:
             return []
-        kind, rid, t0 = self._inflight
+        kind, rid = self._inflight
         if message.body.get("rid") != rid:
             return []  # stale response from a previous conversation
         self._inflight = None
-        self.latencies_ms.append(round((now - t0) * 1000.0, 6))
         doc = message.body.get("body")
         outcome = self.mix.outcome(
             kind, int(message.body.get("status", 0)), doc)
@@ -242,86 +229,33 @@ class SimJobUser(Component):
         }
 
 
-class SimJobWorker(Component):
-    """A minimal computational client for the twin: pulls jobs over the
-    scheduler protocol and "executes" each as a timed delay (the spec's
-    ``delay`` field), then reports done; a subclass that really computes
-    overrides :meth:`_delay` and :meth:`_result`. Application-agnostic on
-    purpose — the twin exercises the control plane, not the Ramsey
-    search (the live plane runs real :class:`RamseyClient`\\ s)."""
+class ForgingEngine:
+    """A dishonest host (§3.1's threat) for a client's ``engines`` map:
+    ``engine``'s first ``first`` results pass through ``forge``."""
 
-    def __init__(self, name: str, gateway: str,
-                 hello_retry: float = 1.0) -> None:
-        super().__init__(name)
-        self.gateway = gateway
-        self.hello_retry = hello_retry
-        #: Delivered ops/s this worker reports with each finished unit.
-        self.rate = 1.0
-        self.unit: Optional[dict] = None
-        self.units_done = 0
+    def __init__(self, engine, forge: Callable[[dict], dict],
+                 first: int = 1) -> None:
+        self.engine = engine
+        self.forge = forge
+        self.first = first
+        self.forged = 0
 
-    def on_start(self, now: float) -> list[Effect]:
-        return [self._hello(), SetTimer(T_HELLO, self.hello_retry)]
+    def __getattr__(self, name: str):
+        return getattr(self.engine, name)
 
-    def _hello(self) -> Send:
-        return Send(self.gateway, Message(
-            mtype=SCH_HELLO, sender=self.contact, body={"infra": "sim"}))
-
-    def _ack(self, message: Message) -> list[Effect]:
-        if message.req_id is None:
-            return []
-        return [Send(message.sender, message.reply(
-            SCH_ACK, sender=self.contact,
-            body={"unit_id": (message.body.get("unit") or {}).get("id")}))]
-
-    def _delay(self, unit: dict) -> float:
-        """Simulated seconds ``unit`` occupies this worker."""
-        return float(unit.get("delay", 0.1))
-
-    def _result(self, unit: dict) -> dict:
-        return {"worker": self.name, "payload": unit.get("payload")}
-
-    def _take(self, unit: Optional[dict], now: float) -> list[Effect]:
-        if unit is None:
-            # Queue was empty: knock again after a beat.
-            return [SetTimer(T_HELLO, self.hello_retry)]
-        self.unit = unit
-        return [SetTimer(T_DONE, max(self._delay(unit), 0.001))]
-
-    def on_message(self, message: Message, now: float) -> list[Effect]:
-        if message.mtype == SCH_WORK:
-            ack = self._ack(message)
-            if self.unit is not None:
-                return ack  # duplicate delivery mid-unit: keep working
-            return ack + self._take(message.body.get("unit"), now)
-        if message.mtype == SCH_DIRECTIVE:
-            ack = self._ack(message)
-            if message.body.get("action") in ("new_work", "migrate"):
-                if self.unit is None:
-                    return ack + self._take(message.body.get("unit"), now)
-            return ack
-        return []
-
-    def on_timer(self, key: str, now: float) -> list[Effect]:
-        if key == T_HELLO:
-            if self.unit is None:
-                return [self._hello(), SetTimer(T_HELLO, self.hello_retry)]
-            return []
-        if key == T_DONE and self.unit is not None:
-            unit, self.unit = self.unit, None
-            self.units_done += 1
-            return [Send(self.gateway, Message(
-                mtype=SCH_REPORT, sender=self.contact,
-                body={"unit_id": unit.get("id"), "done": True,
-                      "rate": self.rate, "infra": "sim",
-                      "result": self._result(unit)}))]
-        return []
+    def result(self) -> Optional[dict]:
+        result = self.engine.result()
+        if result is not None and self.forged < self.first:
+            self.forged += 1
+            result = self.forge(result)
+        return result
 
 
 class TwinWorld:
     """What every simulated twin stands on: engine, seeded streams,
     telemetry, network and one :class:`GatewayComponent` at
-    :attr:`CONTACT`; :meth:`spawn` adds the twin's own actors."""
+    :attr:`CONTACT`; :meth:`spawn` adds the twin's own actors and
+    :meth:`spawn_client` its computational clients."""
 
     CONTACT = "gw0/gw"
     SITES = ("ucsd", "utk", "uva", "ncsa")
@@ -338,17 +272,33 @@ class TwinWorld:
         self.gateway = GatewayComponent("gw0", restart_after=restart_after)
         self.spawn("gw0", "gw", self.gateway)
 
-    def spawn(self, name: str, port: str, component: Component) -> None:
+    def spawn(self, name: str, port: str, component: Component,
+              speed: float = 2e7) -> Host:
         """One host per component, sites dealt round-robin in spawn order."""
         host = Host(self.env, HostSpec(
             name=name, site=self.SITES[self._spawned % len(self.SITES)],
-            infra="service", speed=2e7, load_model=ConstantLoad(1.0)),
+            infra="service", speed=speed, load_model=ConstantLoad(1.0)),
             self.streams)
         self._spawned += 1
         self.network.add_host(host)
         host.start()
         SimDriver(self.env, self.network, host, port, component,
                   self.streams).start()
+        return host
+
+    def spawn_client(self, name: str, speed: float = 2e6,
+                     engines: Optional[dict] = None) -> RamseyClient:
+        """The real :class:`RamseyClient` + :class:`KindEngine` on a host
+        of ``speed`` ops/s (a serve-twin job is one work slice): ``ramsey``
+        units on the cost model, as in the SC98 world, other kinds on
+        ``engines`` or their registered engine."""
+        client = RamseyClient(
+            name, [self.CONTACT],
+            KindEngine(engines={"ramsey": ModelEngine(), **(engines or {})}),
+            infra="sim", work_period=0.25, report_period=0.5,
+            hello_retry=1.0)
+        self.spawn(name, "cli", client, speed=speed)
+        return client
 
     def gateway_report(self) -> dict:
         """The ``"gateway"`` block of a twin's report."""
@@ -389,10 +339,8 @@ def run_sim_serve(
     empty), across the simulated restart if one was scheduled.
     """
     world = TwinWorld(seed, restart_after, telemetry)
-    worker_components = [SimJobWorker(f"wrk{i}", world.CONTACT)
+    worker_components = [world.spawn_client(f"wrk{i}")
                          for i in range(workers)]
-    for wrk in worker_components:
-        world.spawn(wrk.name, "wrk", wrk)
     user_components = [
         SimJobUser(f"user{i}", world.CONTACT, idx=i, seed=seed,
                    period=user_period, submit_fraction=submit_fraction,
@@ -429,5 +377,54 @@ def run_sim_serve(
         "accepted_total": len(accepted),
         "jobs_lost": jobs_lost,
         "violations": violations,
+        "metrics": world.telemetry.snapshot(),
+    }
+
+
+#: Every batch world's seed (batch runs are deterministic).
+_BATCH_SEED = 12
+#: Simulated-time safety cap on one batch.
+_BATCH_CAP_S = 24 * 3600.0
+
+
+def run_sim_batch(
+    specs: list[dict],
+    workers: int = 4,
+    kill_worker_at: Optional[float] = None,
+    telemetry: Optional[Telemetry] = None,
+) -> tuple[list[Job], dict]:
+    """Run one batch of jobs of any kind to the end on the twin.
+
+    ``specs`` go in through the gateway router as one ``POST
+    /jobs/batch`` (journaled, and traced when ``telemetry`` traces) and
+    ``workers`` clients pull them. ``kill_worker_at`` crashes the first
+    worker's host at that simulated second; the scheduler's reap
+    requeues its unit. Runs until every job is terminal (or a simulated
+    day passes); returns the jobs in submit order and a JSON-safe report
+    whose ``violations`` name the unfinished ones.
+    """
+    world = TwinWorld(_BATCH_SEED, None, telemetry)
+    clients = [world.spawn_client(f"wrk{i}") for i in range(workers)]
+    status, doc, _ = world.gateway.core.handle(
+        "POST", "/jobs/batch", json.dumps({"specs": specs}).encode("utf-8"),
+        0.0)
+    if status != 201:
+        raise ValueError(f"batch refused: {doc.get('error')}")
+    if kill_worker_at is not None and clients:
+        FaultPlan().crash(kill_worker_at, clients[0].name).install(
+            world.env, world.network)
+    jobs: list[Job] = [world.gateway.work.jobs[job_id] for job_id in doc["ids"]]
+    while (world.env.now < _BATCH_CAP_S
+           and any(job.state not in ("done", "cancelled") for job in jobs)):
+        world.env.run(until=min(world.env.now + 1.0, _BATCH_CAP_S))
+    unfinished = [job.id for job in jobs if job.state != "done"]
+    return jobs, {
+        "config": {"jobs": len(specs), "workers": workers,
+                   "kill_worker_at": kill_worker_at},
+        "sim_seconds": round(world.env.now, 6),
+        "gateway": world.gateway_report(),
+        "workers": {client.name: client.units_done for client in clients},
+        "violations": [f"{len(unfinished)} job(s) not done: "
+                       f"{unfinished[:5]}"] if unfinished else [],
         "metrics": world.telemetry.snapshot(),
     }

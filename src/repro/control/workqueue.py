@@ -10,7 +10,7 @@ externally-submitted jobs to computational clients exactly the way it
 hands out internally-minted units. The queue is application-agnostic: a
 job spec is any JSON object the executing client understands (the Ramsey
 clients take their usual unit dicts; see
-:func:`repro.control.serve.ramsey_job_spec`).
+:func:`repro.ramsey.tasks.ramsey_job_spec`).
 
 Durability is an append-only JSONL journal, flushed per accepted
 operation: a SIGKILLed gateway process loses its sockets and its

@@ -5,8 +5,8 @@ from ..._exports import lazy_exports
 
 _EXPORTS = {
     ".kinds": ("DEFAULT_KIND", "KIND_FIELD", "AppKind", "KindEngine",
-               "KindRegistry", "ResultCheckError", "kind_of", "register_kind",
-               "registry"),
+               "KindRegistry", "MeteredEngine", "ResultCheckError", "kind_of",
+               "register_kind", "registry"),
     ".logging": ("LOG_APPEND", "LOG_QUERY", "LOG_RECORDS", "LoggingServer",
                  "LogRecord"),
     ".persistent": ("PST_DENIED", "PST_FETCH", "PST_KEYS", "PST_LIST",

@@ -6,8 +6,9 @@ journal → ``SCH_WORK`` → client execution → ``SCH_REPORT`` → complete
 without any layer in between understanding it. What *does* understand
 it is looked up here, keyed by the unit's ``kind`` field:
 
-* ``validate(spec)`` — is this spec executable at all (gateway/admission
-  side);
+* ``validate(spec)`` — is this spec executable at all (run by
+  :class:`KindEngine` before a client pays for the unit, and by a
+  kind's ``check_result`` before it recomputes anything);
 * ``engine_factory()`` — the client-side
   :class:`~repro.ramsey.client.ComputeEngine` that executes it
   (dispatched per-unit by :class:`KindEngine`, so one client process can
@@ -42,6 +43,7 @@ __all__ = [
     "KIND_FIELD",
     "KindEngine",
     "KindRegistry",
+    "MeteredEngine",
     "ResultCheckError",
     "SHIPPED_KINDS",
     "kind_of",
@@ -62,6 +64,8 @@ DEFAULT_KIND = "ramsey"
 SHIPPED_KINDS = {
     "ramsey": "repro.ramsey.tasks",
     "explore.*": "repro.explore.engine",
+    "pet.*": "repro.apps.pet",
+    "gnet.*": "repro.apps.gnet",
 }
 
 
@@ -132,10 +136,9 @@ class KindRegistry:
 
 
 #: The process-wide default registry. Applications register at import
-#: time (``repro.ramsey.tasks`` claims ``ramsey``,
-#: ``repro.explore.engine`` claims ``explore.eval``). A process that
-#: imported neither — a gateway only routes and stores units — still
-#: checks both: the first lookup of a shipped kind imports its home.
+#: time (the homes in :data:`SHIPPED_KINDS`). A process that imported
+#: none of them — a gateway only routes and stores units — still checks
+#: them all: the first lookup of a shipped kind imports its home.
 registry = KindRegistry()
 
 
@@ -171,6 +174,41 @@ class EngineStatus:
     done: bool = False  # unit budget exhausted
 
 
+class MeteredEngine:
+    """The ComputeEngine for a kind whose work is one function call: the
+    client's work slices pay ``cost(unit)`` ops at the host's delivered
+    speed, then ``execute(unit)`` runs once and its dict is the unit's
+    result (what ``SCH_REPORT`` ships and ``check_result`` judges)."""
+
+    def __init__(self, execute: Callable[[dict], dict],
+                 cost: Callable[[dict], float]) -> None:
+        self.execute = execute
+        self.cost = cost
+        self.unit: Optional[dict] = None
+        self._price = self._ops = 0.0
+        self._result: Optional[dict] = None
+
+    def load(self, unit: dict, rng=None) -> None:
+        self._price = float(self.cost(unit))
+        self.unit, self._ops, self._result = unit, 0.0, None
+
+    def advance(self, ops_budget: float) -> EngineStatus:
+        assert self.unit is not None
+        burned = max(float(ops_budget), 0.0)
+        self._ops += burned
+        done = self._ops >= self._price
+        if done and self._result is None:
+            self._result = self.execute(self.unit)
+        return EngineStatus(ops_done=burned, energy=0.0, best_energy=0.0,
+                            done=done)
+
+    def progress(self) -> dict:
+        return {"kind": kind_of(self.unit or {}), "ops": self._ops}
+
+    def result(self) -> Optional[dict]:
+        return dict(self._result) if self._result is not None else None
+
+
 @dataclass
 class KindEngine:
     """A ComputeEngine that dispatches per-unit on the unit's kind.
@@ -179,7 +217,9 @@ class KindEngine:
     process executes whichever kind the scheduler hands it: ``load``
     resolves the unit's kind to an engine (explicit ``engines`` map
     first — exact name, then ``family.*`` — falling back to the
-    registry's ``engine_factory``) and every other engine call delegates
+    registry's ``engine_factory``), runs the kind's ``validate`` (a
+    client refuses a unit that can never run before paying for any of
+    it), and every other engine call delegates
     to the engine of the unit in hand. Engines are cached per kind, so a
     client flip-flopping between kinds keeps both warm.
     """
@@ -210,6 +250,7 @@ class KindEngine:
     def load(self, unit: dict, rng) -> None:
         kind = self.kinds.kind_of(unit)
         engine = self.engine_for(kind)
+        self.kinds.validate(unit)
         engine.load(unit, rng)
         self.active = engine
         self.active_kind = kind

@@ -23,8 +23,8 @@ Scale choices worth knowing about:
   O(1) root comparison the protocol itself uses;
 * ``export_state`` returns a deterministic JSON-able snapshot, so two
   same-seed runs must produce byte-identical exports (the reproducibility
-  gate used by ``benchmarks/bench_gossip.py`` and the CI gossip-smoke
-  job).
+  gate used by ``benchmarks/bench_gossip.py`` and pinned by
+  ``tests/experiments/test_bigpool.py::test_ci_64_host_export_is_pinned_byte_for_byte``).
 """
 
 from __future__ import annotations

@@ -86,7 +86,8 @@ def build_plan(profile: str, cfg: ChaosConfig) -> FaultPlan:
         # floor ~50 ms), so the assignment is guaranteed to retransmit
         # into a dead host, give up, and requeue — under tracing, that is
         # the fault → drop → retransmit → give-up → requeue span chain
-        # the observability smoke asserts on.
+        # tests/experiments/test_observe.py asserts on (its world repeats
+        # this crash on its own client).
         plan.crash(at=0.02, host="unix-ws0", reboot_after=120.0)
         plan.chaos(at=250.0, duration=600.0, drop=0.05)
         plan.crash(at=300.0, host="gossip1", reboot_after=240.0)

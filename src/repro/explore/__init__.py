@@ -10,9 +10,9 @@ scheduler/gateway/WorkQueue stack. The pieces:
 * :mod:`~repro.explore.evals` — deterministic black-box objectives
   (sphere, rastrigin, a miniature forecast-skill model) and the §3.1
   recompute-and-distrust result check.
-* :mod:`~repro.explore.engine` — the client-side ComputeEngine for
-  ``explore.eval`` units; importing this module registers the kind, and
-  the default kind registry imports it on the first ``explore.*`` lookup.
+* :mod:`~repro.explore.engine` — the ``explore.eval`` kind: importing
+  this module registers it, and the default kind registry imports it on
+  the first ``explore.*`` lookup.
 * :mod:`~repro.explore.drivers` — the ME algorithms (:class:`GridSweep`,
   :class:`HillClimber`) and the blocking EMEWS pump
   (:func:`run_driver`).
@@ -30,11 +30,10 @@ from .._exports import lazy_exports
 
 _EXPORTS = {
     ".drivers": ("GridSweep", "HillClimber", "make_driver", "run_driver"),
-    ".engine": ("ExploreEngine",),
     ".evals": ("EVAL_FUNCTIONS", "EVAL_KIND", "check_eval_result", "evaluate",
                "execute_unit", "make_eval_spec", "validate_eval"),
     ".queue": ("ExploreQueue",),
     ".serve": ("ExploreConfig", "run_explore"),
-    ".sim": ("ExploreWorker", "MEDriverComponent", "run_sim_explore"),
+    ".sim": ("MEDriverComponent", "run_sim_explore"),
 }
 __all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

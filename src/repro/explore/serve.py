@@ -7,7 +7,7 @@ storm: the ME driver runs in *this* process, pushing evaluation batches
 over HTTP through an :class:`~repro.explore.queue.ExploreQueue` and
 consuming results, while the unchanged clients execute whatever kind
 they are handed (their :class:`~repro.core.services.kinds.KindEngine`
-dispatches ``explore.eval`` units to the ExploreEngine).
+dispatches ``explore.eval`` units to the kind's metered engine).
 
 Chaos is the tentpole's live gate: SIGKILL a computational client
 mid-sweep and the world must deliver every pushed evaluation anyway —

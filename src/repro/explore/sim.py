@@ -1,7 +1,7 @@
 """The model-exploration subsystem's simulated-time twin.
 
 Same shape as :func:`repro.control.sim.run_sim_serve`, different
-workload: instead of synthetic users submitting noop jobs, an
+workload: instead of synthetic users submitting Ramsey jobs, an
 :class:`MEDriverComponent` runs a real ME algorithm (sweep or hill
 climber — the identical :mod:`repro.explore.drivers` objects the live
 pump uses) against the *unchanged* :class:`GatewayComponent`, pushing
@@ -9,11 +9,12 @@ generations through ``POST /jobs/batch`` frames and retiring them from
 the self-contained terminal events of the ``/events`` feed — the sans-IO
 mirror of :class:`~repro.explore.queue.ExploreQueue` + ``run_driver``.
 
-:class:`ExploreWorker` plays the computational client: it *really
-executes* each evaluation (``delay = ops_budget / speed`` simulated
-seconds, then :func:`~repro.explore.evals.execute_unit`), so results —
-and therefore the driver's decisions — are the true objective values. A
-``corrupt_first`` knob makes the first worker falsify its first N
+The computational clients are the real ones
+(:meth:`~repro.control.sim.TwinWorld.spawn_client`): each evaluation is
+metered against its ``ops_budget`` at the host's speed and then *really
+executed*, so results — and therefore the driver's decisions — are the
+true objective values. ``corrupt_first`` hands the first client a
+:class:`~repro.control.sim.ForgingEngine` that falsifies its first N
 results, exercising the §3.1 rejection path end-to-end: the WorkQueue
 distrusts the result, requeues the unit, and an honest re-execution
 completes it — deterministically, restart included.
@@ -29,53 +30,16 @@ from typing import Optional
 
 from ..core.component import Component, Effect, Send, SetTimer
 from ..core.linguafranca.messages import Message
-from ..core.services.kinds import kind_of
+from ..core.services.kinds import registry
 from ..core.telemetry import Telemetry
-from ..control.sim import GW_REQ, GW_RES, SimJobWorker, TwinWorld
+from ..control.sim import GW_REQ, GW_RES, ForgingEngine, TwinWorld
 from .drivers import make_driver
-from .evals import EVAL_KIND, execute_unit
+from .evals import EVAL_KIND
 from .queue import FeedConsumer
 
-__all__ = ["ExploreWorker", "MEDriverComponent", "run_sim_explore"]
+__all__ = ["MEDriverComponent", "run_sim_explore"]
 
 T_POLL = "me:poll"
-
-
-class ExploreWorker(SimJobWorker):
-    """A twin computational client that genuinely executes evaluations.
-
-    ``speed`` is its delivered ops/s: an evaluation occupies the worker
-    for ``ops_budget / speed`` simulated seconds before the (real,
-    deterministic) result is reported. ``corrupt_first`` falsifies the
-    first N results — the dishonest-host injector for the §3.1 path.
-    """
-
-    def __init__(self, name: str, gateway: str, speed: float = 40_000.0,
-                 corrupt_first: int = 0, hello_retry: float = 1.0) -> None:
-        super().__init__(name, gateway, hello_retry=hello_retry)
-        self.speed = self.rate = float(speed)
-        self.corrupt_first = int(corrupt_first)
-        self.results_corrupted = 0
-
-    def _delay(self, unit: dict) -> float:
-        if kind_of(unit) != EVAL_KIND:
-            return super()._delay(unit)
-        return float(unit.get("ops_budget", 0.0)) / max(self.speed, 1.0)
-
-    def _result(self, unit: dict) -> dict:
-        if kind_of(unit) != EVAL_KIND:
-            return super()._result(unit)
-        result = execute_unit(unit)
-        if self.results_corrupted < self.corrupt_first:
-            self.results_corrupted += 1
-            # A falsified value with a now-stale digest: exactly what
-            # an unreliable (or hostile) host would report.
-            result = {**result, "value": result["value"] + 1.0}
-        return result
-
-    def stats(self) -> dict:
-        return {"units_done": self.units_done,
-                "results_corrupted": self.results_corrupted}
 
 
 class MEDriverComponent(Component, FeedConsumer):
@@ -210,12 +174,14 @@ def run_sim_explore(
     requeued-not-dropped the in-flight generation.
     """
     world = TwinWorld(seed, restart_after, telemetry)
+    # A falsified value with a now-stale digest: what a liar would send.
+    forger = ForgingEngine(registry.get(EVAL_KIND).engine_factory(),
+                           lambda r: {**r, "value": r["value"] + 1.0},
+                           first=corrupt_first)
     worker_components = [
-        ExploreWorker(f"wrk{i}", world.CONTACT, speed=worker_speed,
-                      corrupt_first=corrupt_first if i == 0 else 0)
+        world.spawn_client(f"wrk{i}", worker_speed,
+                           engines={EVAL_KIND: forger} if i == 0 else None)
         for i in range(workers)]
-    for wrk in worker_components:
-        world.spawn(wrk.name, "wrk", wrk)
     driver = make_driver(algo, seed=seed, fn=fn, ops_budget=ops_budget,
                          scale=scale)
     me = MEDriverComponent("me0", world.CONTACT, driver)
@@ -259,7 +225,10 @@ def run_sim_explore(
         "driver": driver.summary(),
         "me": me.stats(),
         "gateway": world.gateway_report(),
-        "workers": {wrk.name: wrk.stats() for wrk in worker_components},
+        "workers": {wrk.name: {
+            "units_done": wrk.units_done,
+            "results_corrupted": forger.forged if i == 0 else 0}
+            for i, wrk in enumerate(worker_components)},
         "violations": violations,
         "metrics": world.telemetry.snapshot(),
     }

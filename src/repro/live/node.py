@@ -124,8 +124,8 @@ def _build_client(manifest, name, idx, opts, data_dir):
     topo = manifest.topology
     # Clients execute whichever app kind the scheduler hands them: the
     # KindEngine dispatches per-unit (ramsey units to the tuned
-    # RealEngine below, explore.* units to the ExploreEngine the default
-    # kind registry builds on first lookup).
+    # RealEngine below; explore.*, pet.* and gnet.* units to the engine
+    # the default kind registry builds on first lookup).
     client = RamseyClient(
         name=name,
         schedulers=rotated(manifest.contacts_for("scheduler")

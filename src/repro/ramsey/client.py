@@ -293,6 +293,7 @@ class RamseyClient(Component):
         self._last_directive = 0.0
         self._unit_done = False
         self.counter_examples_found = 0
+        self.units_done = 0
         self.checkpoint_acks = 0
         self.checkpoint_denials = 0
         self.checkpoint_give_ups = 0
@@ -389,14 +390,24 @@ class RamseyClient(Component):
 
     def _take_unit(self, unit: Optional[dict], now: float) -> list[Effect]:
         if unit is None:
+            # A drained queue. The done flag goes too, or the next report
+            # would complete whatever unit is on its way (DESIGN §13).
             self.unit = None
+            self._unit_done = False
             return []
         try:
             self.engine.load(unit, np.random.default_rng(
                 (self.seed, int(unit.get("seed", 0)))))
         except (ValueError, KeyError) as exc:
+            # Report the refused unit done (DESIGN §13): held, it would
+            # come back on every hello. A rate of None records no rate.
             self.unit = None
-            return [LogLine(f"rejected bad unit: {exc}", level="warning")]
+            return [LogLine(f"rejected bad unit: {exc}", level="warning"),
+                    Send(self.scheduler, Message(
+                        mtype=SCH_REPORT, sender=self.contact,
+                        body={"unit_id": unit.get("id"), "rate": None,
+                              "infra": self.infra, "done": True,
+                              "result": {"error": str(exc)}}))]
         self.unit = unit
         self._unit_done = False
         self._last_work_mark = now
@@ -509,6 +520,7 @@ class RamseyClient(Component):
                 effects.extend(self.agent.push(self.contact))
         if status.done:
             self._unit_done = True
+            self.units_done += 1
         return effects
 
     def _report(self, now: float) -> list[Effect]:

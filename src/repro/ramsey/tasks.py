@@ -10,6 +10,7 @@ was migrated from another client mid-flight.
 
 from __future__ import annotations
 
+import random
 from typing import Callable, Optional
 
 import numpy as np
@@ -18,8 +19,9 @@ from ..core.services.kinds import ResultCheckError, register_kind
 from .graphs import OpCounter
 from .heuristics import SearchSnapshot, make_search
 
-__all__ = ["check_ramsey_result", "make_unit", "unit_generator", "run_unit",
-           "validate_ramsey_spec", "validate_unit"]
+__all__ = ["check_ramsey_result", "make_unit", "ramsey_job_spec",
+           "unit_generator", "run_unit", "validate_ramsey_spec",
+           "validate_unit"]
 
 HEURISTICS = ("tabu", "anneal", "minconflict")
 
@@ -43,6 +45,16 @@ def make_unit(
         "seed": int(seed),
         "ops_budget": float(ops_budget),
     }
+
+
+def ramsey_job_spec(rng: random.Random, k: int = 8, n: int = 4,
+                    ops_budget: float = 250_000.0) -> dict:
+    """One externally-submitted job spec the Ramsey clients can execute:
+    a work unit minus the ``id`` (the gateway assigns ids)."""
+    heuristic = HEURISTICS[rng.randrange(len(HEURISTICS))]
+    spec = make_unit("", k, n, heuristic, rng.randrange(1 << 20), ops_budget)
+    del spec["id"]
+    return spec
 
 
 def validate_unit(unit: dict) -> None:

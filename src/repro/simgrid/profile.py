@@ -10,7 +10,8 @@ driver-handled message.
 
 All numbers here are *wall-clock* (they answer "where does the simulation
 spend host CPU?"), so they are intentionally excluded from the
-deterministic trace/metrics exports that same-seed CI jobs diff.
+deterministic trace/metrics exports whose digests the tier-1 suite pins
+(``tests/experiments/test_observe.py -k pinned``).
 """
 
 from __future__ import annotations

@@ -1,10 +1,13 @@
-"""Tests for the G-Net-style distributed data mining application."""
+"""Tests for the G-Net-style distributed data mining application (the
+``gnet.*`` kind)."""
 
-import pytest
+import time
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.gnet import (
+    GNET_KIND,
     PLANTED_PAIRS,
     CountMerger,
     count_supports,
@@ -15,7 +18,11 @@ from repro.apps.gnet import (
     mine_serial,
     task_cost,
 )
-from repro.apps.runner import run_farm
+from repro.control.client import GatewayClient
+from repro.control.sim import run_sim_batch
+from repro.explore.queue import ExploreQueue
+from repro.live.harness import LiveWorld
+from repro.live.topology import serve_topology
 
 N_TX = 2000
 N_ITEMS = 24
@@ -75,25 +82,25 @@ def test_tasks_cover_database_exactly():
         assert offset == cursor
         cursor += count
     assert all(task_cost(t) > 0 for t in tasks)
+    assert all(t["kind"] == GNET_KIND and "id" not in t for t in tasks)
 
 
 def test_distributed_mining_equals_serial():
     tasks = make_tasks(N_TX, N_ITEMS, SEED, chunk=250)
-    merger = CountMerger()
-    run = run_farm(tasks, execute=execute_task, cost=task_cost,
-                   on_result=merger, n_workers=4)
-    assert run.master.done
+    jobs, report = run_sim_batch(tasks, workers=4)
+    assert report["violations"] == []
+    merger = CountMerger().fold(job.result for job in jobs)
     assert merger.n_transactions == N_TX
     assert merger.mine(MIN_SUPPORT) == mine_serial(N_TX, N_ITEMS, SEED, MIN_SUPPORT)
 
 
 def test_distributed_mining_with_worker_failure():
     tasks = make_tasks(800, N_ITEMS, SEED, chunk=100)
-    merger = CountMerger()
-    run = run_farm(tasks, execute=execute_task, cost=task_cost,
-                   on_result=merger, n_workers=3,
-                   kill_worker_at=20.0, reissue_timeout=120.0)
-    assert run.master.done
+    # The first client dies holding its first unit; the reap requeues it.
+    jobs, report = run_sim_batch(tasks, workers=3, kill_worker_at=0.1)
+    assert report["violations"] == []
+    assert report["gateway"]["work"]["requeued"] == 1
+    merger = CountMerger().fold(job.result for job in jobs)
     assert merger.mine(MIN_SUPPORT) == mine_serial(800, N_ITEMS, SEED, MIN_SUPPORT)
 
 
@@ -103,10 +110,39 @@ def test_distributed_mining_with_worker_failure():
 def test_property_partitioned_counts_equal_serial(chunk, n_tx):
     """Any partitioning of the database merges to the same counts."""
     tasks = make_tasks(n_tx, N_ITEMS, SEED, chunk=chunk)
-    merger = CountMerger()
-    for t in tasks:
-        merger(t, execute_task(t))
+    merger = CountMerger().fold(execute_task(t) for t in tasks)
     serial_singles, serial_pairs = count_supports(
         generate_transactions(n_tx, N_ITEMS, SEED), N_ITEMS)
     assert merger.singles == serial_singles
     assert merger.pairs == serial_pairs
+
+
+def test_live_gnet_batch_survives_a_client_sigkill():
+    """The same kind on real processes: a batch through the live
+    gateway, one client SIGKILLed while both hold a unit. The reap
+    requeues the dead client's partition, every job completes exactly
+    once, and the merged counts are the serial ones."""
+    tasks = make_tasks(24_000, N_ITEMS, SEED, chunk=3_000)
+    with LiveWorld(serve_topology(clients=2), duration=20.0,
+                   grace=10.0) as world:
+        with GatewayClient(world.http_contact, timeout=3.0) as client:
+            queue = ExploreQueue(client, pump=world.pump)
+            world.wait_healthy(client)
+            queue.push_tasks(tasks)
+            deadline = time.monotonic() + 10.0
+            while (client.queue()["state_assigned"] < 2
+                   and time.monotonic() < deadline):
+                world.pump(0.05)
+            assert world.supervisor.kill("cli0") is not None
+            results = queue.pop_results(min_results=len(tasks), timeout=15.0)
+        sweep = world.sweep_jobs(queue.pushed_ids)
+        nodes = world.drain()
+    assert sweep["states"] == {"done": len(tasks)}
+    assert sweep["work"]["completed"] == len(tasks)   # exactly once
+    assert sweep["requeues"] >= 1
+    assert nodes["cli0"]["restarts"] >= 1
+    by_id = {record["id"]: record["result"] for record in results}
+    merger = CountMerger().fold(by_id[job_id] for job_id in queue.pushed_ids)
+    assert merger.n_transactions == 24_000
+    assert merger.mine(MIN_SUPPORT) == mine_serial(24_000, N_ITEMS, SEED,
+                                                   MIN_SUPPORT)

@@ -1,9 +1,10 @@
-"""Tests for the PET reconstruction application."""
+"""Tests for the PET reconstruction application (the ``pet.*`` kind)."""
 
 import numpy as np
 import pytest
 
 from repro.apps.pet import (
+    PET_KIND,
     Accumulator,
     backproject,
     execute_task,
@@ -16,7 +17,7 @@ from repro.apps.pet import (
     task_cost,
     _rotate,
 )
-from repro.apps.runner import run_farm
+from repro.control.sim import run_sim_batch
 
 SIZE = 48
 ANGLES = [float(a) for a in np.linspace(0, 180, 36, endpoint=False)]
@@ -84,7 +85,7 @@ def test_tasks_partition_all_angles(sino):
     covered = [a for t in tasks for a in t["angles"]]
     assert covered == ANGLES
     assert all(len(t["projections"]) == len(t["angles"]) for t in tasks)
-    assert len({t["id"] for t in tasks}) == len(tasks)
+    assert all(t["kind"] == PET_KIND and "id" not in t for t in tasks)
     assert all(task_cost(t) > 0 for t in tasks)
 
 
@@ -97,13 +98,12 @@ def test_execute_task_matches_direct_backprojection(sino):
 
 
 def test_distributed_equals_serial(phantom, sino):
-    """The farm's summed partial images must equal the serial FBP up to
-    the per-chunk normalization."""
+    """The summed partial images of the completed jobs must equal the
+    serial FBP up to the per-chunk normalization."""
     tasks = make_tasks(sino, ANGLES, SIZE, chunk=9)
-    acc = Accumulator(size=SIZE)
-    run = run_farm(tasks, execute=execute_task, cost=task_cost,
-                   on_result=acc, n_workers=3)
-    assert run.master.done
+    jobs, report = run_sim_batch(tasks, workers=3)
+    assert report["violations"] == []
+    acc = Accumulator(size=SIZE).fold(job.result for job in jobs)
     assert acc.chunks == len(tasks)
     # Each chunk normalizes by its own angle count; rescale to compare.
     # chunks have equal size here, so the sum is serial * (n_chunks ... )
@@ -114,9 +114,10 @@ def test_distributed_equals_serial(phantom, sino):
 
 def test_distributed_survives_worker_loss(phantom, sino):
     tasks = make_tasks(sino, ANGLES, SIZE, chunk=6)
-    acc = Accumulator(size=SIZE)
-    run = run_farm(tasks, execute=execute_task, cost=task_cost,
-                   on_result=acc, n_workers=3,
-                   kill_worker_at=10.0, reissue_timeout=120.0)
-    assert run.master.done
+    # The first client dies holding its first unit; the reap requeues it.
+    jobs, report = run_sim_batch(tasks, workers=3, kill_worker_at=0.1)
+    assert report["violations"] == []
+    assert report["gateway"]["scheduler"]["reaps"] == 1
+    assert report["gateway"]["work"]["requeued"] == 1
+    acc = Accumulator(size=SIZE).fold(job.result for job in jobs)
     assert image_correlation(acc.image, phantom) > 0.85

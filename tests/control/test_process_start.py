@@ -14,6 +14,7 @@ import sys
 import pytest
 
 import repro
+from repro.apps import gnet, pet
 from repro.explore.evals import evaluate
 
 SRC = pathlib.Path(repro.__file__).resolve().parents[1]
@@ -97,22 +98,36 @@ RAMSEY_SPEC = {"k": 8, "n": 4, "heuristic": "tabu", "seed": 1,
                "ops_budget": 1e6}
 #: Claims a counter-example (best_energy 0) that does not verify.
 RAMSEY_BOGUS = {"progress": {"best_energy": 0, "best_coloring": "00"}}
+PET_SPEC = {"kind": "pet.backproject", "size": 4, "angles": [0.0, 45.0],
+            "projections": [[1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 1.0, 0.0]]}
+#: A blank partial image where the backprojection has structure.
+PET_BOGUS = {"partial": [[0.0] * 4] * 4}
+GNET_SPEC = {"kind": "gnet.count", "seed": 3, "offset": 0, "count": 40,
+             "n_items": 24}
+#: Counts for a partition that was never read.
+GNET_BOGUS = {"singles": {}, "pairs": {}, "n": 40}
 
-#: Both kinds' results go bogus first, then the evaluation comes back
-#: honest: two rejections (each requeued), one acceptance.
+#: Every kind's result goes bogus first, then all but the Ramsey one come
+#: back honest: four rejections (each requeued), three acceptances.
 DISTRUST = f"""
 from repro.control.workqueue import WorkQueue
 work = WorkQueue()
-ev = work.submit({EVAL_SPEC!r}, now=0.0)
-rs = work.submit({RAMSEY_SPEC!r}, now=0.0)
-work.next_unit(), work.next_unit()
-work.complete(ev.id, {{"value": -1.0, "digest": "forged"}}, now=1.0)
-work.complete(rs.id, {RAMSEY_BOGUS!r}, now=1.0)
-out["after_bogus"] = [ev.state, rs.state, len(work)]
-work.next_unit(), work.next_unit()
-work.complete(ev.id, {evaluate(EVAL_SPEC)!r}, now=2.0)
+jobs = [work.submit(spec, now=0.0) for spec in
+        ({EVAL_SPEC!r}, {RAMSEY_SPEC!r}, {PET_SPEC!r}, {GNET_SPEC!r})]
+for _ in jobs:
+    work.next_unit()
+for job, bogus in zip(jobs, ({{"value": -1.0, "digest": "forged"}},
+                             {RAMSEY_BOGUS!r}, {PET_BOGUS!r}, {GNET_BOGUS!r})):
+    work.complete(job.id, bogus, now=1.0)
+out["after_bogus"] = [job.state for job in jobs] + [len(work)]
+for _ in jobs:
+    work.next_unit()
+for job, honest in zip((jobs[0], jobs[2], jobs[3]),
+                       ({evaluate(EVAL_SPEC)!r}, {pet.execute_task(PET_SPEC)!r},
+                        {gnet.execute_task(GNET_SPEC)!r})):
+    work.complete(job.id, honest, now=2.0)
 out["stats"] = work.stats()
-out["final"] = [ev.state, rs.state]
+out["final"] = [job.state for job in jobs]
 """
 
 
@@ -122,10 +137,10 @@ out["final"] = [ev.state, rs.state]
 ], ids=["workqueue-only", "live-node"])
 def test_fresh_process_distrusts_every_shipped_kind(setup):
     out = run_fresh(setup + "\n" + DISTRUST)
-    assert out["after_bogus"] == ["queued", "queued", 2]
-    assert out["stats"]["results_rejected"] == 2
-    assert out["stats"]["completed"] == 1
-    assert out["final"] == ["done", "assigned"]
+    assert out["after_bogus"] == ["queued"] * 4 + [4]
+    assert out["stats"]["results_rejected"] == 4
+    assert out["stats"]["completed"] == 3
+    assert out["final"] == ["done", "assigned", "done", "done"]
 
 
 def test_unknown_kind_is_admitted_unchecked_and_imports_nothing():

@@ -72,4 +72,4 @@ def test_ci_twin_report_is_pinned_byte_for_byte():
     assert report["jobs_lost"] == []
     assert report["accepted_total"] > 0
     assert _cli_sha(report) == (
-        "ff482e14e4546c0b8723572fdfe60e82169b4614994bccf1c4162abb8b449a43")
+        "366e784c6c57d438d1c0350011cea4c68bd315314bce96d03cbef00862b6eef3")

@@ -15,9 +15,10 @@ from types import SimpleNamespace
 from repro.control import GatewayStorm, HttpServer, SimJobUser
 from repro.control.http import json_response
 from repro.control.loadgen import StormStats, UserMix
-from repro.control.sim import GW_REQ, GW_RES, _noop_spec
+from repro.control.sim import GW_REQ, GW_RES
 from repro.core.component import NullRuntime, Send
 from repro.core.linguafranca.messages import Message
+from repro.ramsey.tasks import ramsey_job_spec
 
 
 def _tally():
@@ -78,7 +79,7 @@ def test_outcome_classifies_every_status_once():
 
 def test_storm_clients_share_one_tally():
     stats = StormStats()
-    mixes = [UserMix(random.Random(i), stats, 0.5, 0.1, _noop_spec)
+    mixes = [UserMix(random.Random(i), stats, 0.5, 0.1, ramsey_job_spec)
              for i in range(3)]
     for i, mix in enumerate(mixes):
         mix.outcome("submit", 201, {"id": f"j-{i}"})
@@ -116,7 +117,7 @@ def test_seeded_storm_and_sim_user_emit_the_same_requests():
 
     server = HttpServer("127.0.0.1", 0, app)
     storm = GatewayStorm("127.0.0.1", int(server.contact.rpartition(":")[2]),
-                         clients=1, seed=seed, spec_factory=_noop_spec,
+                         clients=1, seed=seed, spec_factory=ramsey_job_spec,
                          **fractions)
     try:
         # One request in flight per user: seeing request n+1 means the

@@ -42,6 +42,19 @@ def test_next_unit_carries_spec_plus_id_only():
     assert work.get("t-1").spec["k"] == 8
 
 
+def test_duplicate_completion_is_counted_once():
+    # A requeued unit can come back from two clients: the first result
+    # stands, the second is neither stored nor counted.
+    work = WorkQueue(prefix="t", journal=MemoryJournal())
+    job = work.submit({"kind": "noop"}, now=0.0)
+    work.next_unit()
+    work.complete(job.id, {"v": 1}, now=1.0)
+    work.complete(job.id, {"v": 2}, now=2.0)
+    assert (job.result, job.finished_at) == ({"v": 1}, 1.0)
+    assert work.stats()["completed"] == 1
+    assert [r["op"] for r in work.journal.records()] == ["submit", "done"]
+
+
 def test_cancel_is_idempotent_and_unknown_is_none():
     work = WorkQueue(prefix="t")
     work.submit({}, now=0.0)

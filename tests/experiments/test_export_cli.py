@@ -84,6 +84,19 @@ def test_cli_info(capsys):
     out = capsys.readouterr().out
     assert "EveryWare" in out
     assert "repro.ramsey" in out
+    inventory = out.split("app kinds (client-side execution registry):")[1]
+    kinds = {line.split()[0] for line in inventory.splitlines()
+             if line.startswith("  ")}
+    # (Other tests may have registered kinds of their own.)
+    assert {"explore.eval", "gnet.*", "pet.*", "ramsey"} <= kinds
+
+
+def test_cli_pet_reconstructs_on_the_twin(capsys):
+    assert main(["pet", "--size", "24", "--angles", "16",
+                 "--workers", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "submitting 8 backprojection jobs to 2 clients" in out
+    assert float(out.rsplit("phantom correlation", 1)[1]) > 0.8
 
 
 def test_cli_ramsey_finds_witness(capsys):

@@ -164,7 +164,7 @@ def test_ci_sweep_twin_report_is_pinned_byte_for_byte():
     assert report["violations"] == []
     assert report["driver"]["evals"] == report["driver"]["expected"]
     assert _cli_sha(report) == (
-        "4f41836a255f2c919c38a1210ea8edd6b97e1bda542609d4c4cdb2705a4b3619")
+        "36cf4272e0e102f46368c9adf43fb4710cb4f77ba09002c77ee06476544756d2")
 
 
 def test_ci_hill_twin_report_is_pinned_byte_for_byte():
@@ -181,4 +181,4 @@ def test_ci_hill_twin_report_is_pinned_byte_for_byte():
     assert report["gateway"]["restarts"] == 1
     assert report["driver"]["failed"] == 0   # the ME never saw a bad value
     assert _cli_sha(report) == (
-        "5312b54c376fd08d38b5e918a68bd614d2f77a4a3089bce8f2554c79f07b0e5b")
+        "5bd91bb38742bdff1dff06676cb29df16e7a011bd3f9daae75583ccd684aec8b")

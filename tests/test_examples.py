@@ -14,7 +14,8 @@ import pytest
 
 EXAMPLES = pathlib.Path(__file__).parent.parent / "examples"
 
-FAST = ["quickstart.py", "forecasting_demo.py", "gnet_mining.py"]
+FAST = ["quickstart.py", "forecasting_demo.py", "gnet_mining.py",
+        "pet_reconstruction.py"]
 ALL = sorted(p.name for p in EXAMPLES.glob("*.py"))
 
 
