@@ -159,14 +159,14 @@ def _me_cell(port: int, seed: int, scale: float) -> dict:
 
 def _sim_cell(seed: int) -> dict:
     """The deterministic twin, run twice: byte-identical or bust."""
-    from repro.explore import run_sim_explore
+    from repro.control import Scenario, run_scenario
 
+    scenario = Scenario(seed=seed, algo="hill", clients=3, duration=240.0,
+                        scale=0.5, fault_at=5.0, corrupt=1)
     t0 = time.monotonic()
-    a = run_sim_explore(seed=seed, algo="hill", duration=240.0, scale=0.5,
-                        restart_after=5.0, corrupt_first=1)
+    a = run_scenario(scenario)
     one = time.monotonic() - t0
-    b = run_sim_explore(seed=seed, algo="hill", duration=240.0, scale=0.5,
-                        restart_after=5.0, corrupt_first=1)
+    b = run_scenario(scenario)
     identical = (json.dumps(a, sort_keys=True)
                  == json.dumps(b, sort_keys=True))
     return {

@@ -13,7 +13,7 @@ Run: ``python examples/gnet_mining.py``
 """
 
 from repro.apps.gnet import PLANTED_PAIRS, CountMerger, make_tasks, mine_serial
-from repro.api import run_sim_batch
+from repro.api import Scenario, run_scenario
 
 N_TX = 4000
 N_ITEMS = 24
@@ -26,12 +26,13 @@ def main() -> None:
     print(f"mining {N_TX:,} transactions ({N_ITEMS} items) across "
           f"{len(tasks)} partitions on 4 clients; the data ships as seeds, "
           "not rows ...")
-    jobs, report = run_sim_batch(tasks, workers=4, kill_worker_at=0.2)
+    report = run_scenario(Scenario(specs=tasks, clients=4, victim="client",
+                                   fault_at=0.2))
     assert not report["violations"], report["violations"]
-    merger = CountMerger().fold(job.result for job in jobs)
+    merger = CountMerger().fold(report["results"])
 
     items, pairs = merger.mine(MIN_SUPPORT)
-    print(f"\nbatch finished in {report['sim_seconds']:.0f} simulated "
+    print(f"\nbatch finished in {report['world']['seconds']:.0f} simulated "
           f"seconds (units requeued: "
           f"{report['gateway']['scheduler']['units_requeued']})")
     print(f"frequent items (support >= {MIN_SUPPORT:.0%}): {items}")

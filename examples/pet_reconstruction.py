@@ -22,7 +22,7 @@ from repro.apps.pet import (
     make_tasks,
     reconstruct_serial,
 )
-from repro.api import run_sim_batch
+from repro.api import Scenario, run_scenario
 
 SIZE = 64
 N_ANGLES = 48
@@ -52,16 +52,17 @@ def main() -> None:
     tasks = make_tasks(sino, angles, SIZE, chunk=6)
     print(f"submitting {len(tasks)} backprojection jobs to 4 clients "
           "(one dies mid-unit) ...")
-    jobs, report = run_sim_batch(tasks, workers=4, kill_worker_at=0.2)
+    report = run_scenario(Scenario(specs=tasks, clients=4, victim="client",
+                                   fault_at=0.2))
     assert not report["violations"], report["violations"]
-    image = Accumulator(SIZE).fold(job.result for job in jobs).image
+    image = Accumulator(SIZE).fold(report["results"]).image
 
     serial = reconstruct_serial(sino, angles, SIZE)
     corr_serial = image_correlation(image, serial)
     corr_phantom = image_correlation(image, phantom)
 
     scheduler = report["gateway"]["scheduler"]
-    print(f"\nbatch finished in {report['sim_seconds']:.0f} simulated "
+    print(f"\nbatch finished in {report['world']['seconds']:.0f} simulated "
           f"seconds; units requeued after the client's loss: "
           f"{scheduler['units_requeued']} (reaps: {scheduler['reaps']})")
     print(f"per-client jobs: {list(report['workers'].values())}")

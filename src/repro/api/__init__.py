@@ -21,13 +21,14 @@ for callers that want exactly one plane:
   the supervisor/collector, and :func:`run_live`.
 * :mod:`repro.api.control` — the workload-management control plane: the
   HTTP/JSON job gateway, its durable :class:`WorkQueue`, the synthetic
-  user storm, and the ``repro serve`` harnesses (live + simulated twin).
+  user storm, and the one harness, :class:`Scenario`, run on either the
+  simulated twin or real processes.
 * :mod:`repro.api.obs` — the observability plane: end-to-end job
   tracing, the per-node flight recorder, Prometheus text exposition,
   and the ``repro top`` dashboard.
 * :mod:`repro.api.explore` — the model-exploration plane: the
-  EMEWS-style :class:`ExploreQueue`, the ME algorithms, and the
-  ``repro explore`` harnesses (live + simulated twin).
+  EMEWS-style :class:`ExploreQueue`, the ME algorithms, and their
+  simulated-time framing, :class:`MEDriverComponent`.
 
 Importing a name from ``repro.api`` directly keeps working for every
 previously public name (the flat-module compatibility contract, frozen

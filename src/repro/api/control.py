@@ -2,10 +2,11 @@
 
 The HTTP/JSON job gateway (ROADMAP item 2): a durable
 :class:`WorkQueue` behind diracx-style job routes, served on the live
-reactor by :class:`HttpServer` + :class:`GatewayCore` and mirrored
-deterministically under simulated time by :func:`run_sim_serve`.
-:func:`run_serve` stands up the whole control-plane world as real
-processes and storms it with :class:`GatewayStorm`.
+reactor by :class:`HttpServer` + :class:`GatewayCore` and under
+simulated time by :class:`GatewayComponent`. A :class:`Scenario` — synthetic
+users (:class:`GatewayStorm`), an ME driver or a batch of specs, plus
+one fault — runs on either world through :func:`run_scenario`, judged
+by :func:`check_scenario`.
 """
 
 from __future__ import annotations
@@ -19,10 +20,8 @@ _EXPORTS = {
                        "HttpResponseDecoder", "HttpServer", "error_response",
                        "json_response", "text_response"),
     "..control.loadgen": ("GatewayStorm", "StormStats"),
-    "..control.serve": ("ServeConfig", "ServeReport",
-                        "check_serve_invariants", "run_serve"),
-    "..control.sim": ("GatewayComponent", "SimJobUser", "run_sim_batch",
-                      "run_sim_serve"),
+    "..control.scenario": ("Scenario", "check_scenario", "run_scenario"),
+    "..control.sim": ("GatewayComponent", "SimJobUser"),
     "..control.workqueue": ("FileJournal", "JOB_STATES", "Job",
                             "MemoryJournal", "WorkQueue"),
 }

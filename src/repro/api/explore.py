@@ -4,9 +4,9 @@ The toolkit's second first-class application (ROADMAP item 4, DESIGN
 §16): an EMEWS EQ/Py-style :class:`ExploreQueue` through which ME
 algorithms (:class:`GridSweep`, :class:`HillClimber`) push black-box
 evaluation tasks to the unchanged gateway/scheduler/WorkQueue stack and
-consume results asynchronously. :func:`run_explore` is the live
-harness (``repro explore``); :func:`run_sim_explore` is its
-byte-deterministic simulated twin.
+consume results asynchronously. :class:`MEDriverComponent` frames the
+same driver under simulated time; ``repro explore`` is a
+:class:`~repro.control.scenario.Scenario` with an ``algo``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ _EXPORTS = {
                         "evaluate", "execute_unit", "make_eval_spec",
                         "validate_eval"),
     "..explore.queue": ("ExploreQueue",),
-    "..explore.serve": ("ExploreConfig", "run_explore"),
-    "..explore.sim": ("MEDriverComponent", "run_sim_explore"),
+    "..explore.sim": ("MEDriverComponent",),
 }
 __all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

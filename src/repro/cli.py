@@ -139,7 +139,7 @@ def _cmd_pet(args: argparse.Namespace) -> int:
 
     from .apps.pet import (Accumulator, forward_project, image_correlation,
                            make_phantom, make_tasks)
-    from .control.sim import run_sim_batch
+    from .control.scenario import Scenario, run_scenario
 
     angles = [float(a) for a in np.linspace(0, 180, args.angles, endpoint=False)]
     phantom = make_phantom(args.size)
@@ -147,13 +147,13 @@ def _cmd_pet(args: argparse.Namespace) -> int:
     tasks = make_tasks(sino, angles, args.size, chunk=max(args.angles // 8, 1))
     print(f"submitting {len(tasks)} backprojection jobs to "
           f"{args.workers} clients ...")
-    jobs, report = run_sim_batch(tasks, workers=args.workers)
+    report = run_scenario(Scenario(specs=tasks, clients=args.workers))
     if report["violations"]:
         print("; ".join(report["violations"]))
         return 1
-    image = Accumulator(args.size).fold(job.result for job in jobs).image
+    image = Accumulator(args.size).fold(report["results"]).image
     corr = image_correlation(image, phantom)
-    print(f"done in {report['sim_seconds']:.0f} simulated seconds; "
+    print(f"done in {report['world']['seconds']:.0f} simulated seconds; "
           f"phantom correlation {corr:.3f}")
     return 0 if corr > 0.8 else 1
 
@@ -358,135 +358,48 @@ def _cmd_live(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _finish_twin(report: dict, out: Optional[str], name: str) -> int:
-    """Print a ``--simulate`` report's violations, write it under ``out``
-    as the byte-stable document CI hashes, and return the exit code."""
-    import json
+def _cmd_scenario(args: argparse.Namespace) -> int:
+    """``repro serve`` and ``repro explore``: one :class:`Scenario` from
+    the flags, run as real processes or (``--simulate``) on the twin."""
+    import dataclasses
     import os
 
-    for violation in report["violations"]:
-        print(f"VIOLATION: {violation}")
-    if out:
-        os.makedirs(out, exist_ok=True)
-        path = os.path.join(out, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote: {path}")
-    return 0 if not report["violations"] else 1
+    from .control.scenario import Scenario, run_scenario
 
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    kill_at = args.kill_at if args.kill_at and args.kill_at > 0 else None
-    if args.simulate:
-        from .control import run_sim_serve
-
-        print(f"simulated twin: {args.storm} job users, {args.clients} "
-              f"workers, {args.duration:.0f}s simulated"
-              + (f" (gateway restart at t={kill_at:.1f}s)" if kill_at else "")
-              + " ...")
-        report = run_sim_serve(
-            seed=args.seed, users=args.storm, workers=args.clients,
-            duration=args.duration, restart_after=kill_at)
-        gw = report["gateway"]
-        print(f"requests: {gw['requests']}, accepted: "
-              f"{report['accepted_total']}, lost: "
-              f"{len(report['jobs_lost'])}, restarts: {gw['restarts']} "
-              f"(requeued {gw['requeued_on_restart']})")
-        return _finish_twin(report, args.out, "serve_sim.json")
-
-    from .control import ServeConfig, run_serve
-
-    config = ServeConfig(
-        clients=args.clients, gateways=args.gateways,
-        storm_clients=args.storm, duration=args.duration,
-        kill_at=kill_at, kill_node=args.kill_node,
-        churn_every=args.churn_every, seed=args.seed,
-        k=args.k, n=args.n,
-        cancel_fraction=args.cancel_fraction)
-    kill_target = args.kill_node or "the gateway"
-    print(f"standing up {args.gateways} gateway(s) + {args.clients} "
-          f"client(s) and storming with {args.storm} HTTP users for "
-          f"{args.duration:.0f}s wall"
-          + (f" (chaos: kill {kill_target} at t={kill_at:.1f}s)"
-             if kill_at else "")
+    names = {f.name for f in dataclasses.fields(Scenario)}
+    scenario = Scenario(**{k: v for k, v in vars(args).items() if k in names})
+    scenario.fault_at = scenario.fault_at or None  # 0 = no fault
+    world = "the simulated twin" if args.simulate else "real processes"
+    print(f"{scenario.workload} scenario on {world}: {scenario.clients} "
+          f"client(s), {scenario.duration:g}s"
+          + (f" (chaos: kill the {scenario.victim} at "
+             f"t={scenario.fault_at:g}s)" if scenario.fault_at else "")
           + " ...")
-    report = run_serve(config, out=args.out,
-                       progress=lambda text: print(f"  {text}"))
-    storm = report.storm
-    print(f"\nstorm: {storm['submitted']} submitted, {storm['queried']} "
-          f"queried, {storm['cancelled']} cancelled, "
-          f"{storm['rejected']} rejected, {storm['errors']} errors")
-    states = ", ".join(f"{state}={count}" for state, count
-                       in sorted(report.job_states.items()))
-    print(f"jobs: {report.accepted} accepted, "
-          f"{len(report.jobs_lost)} lost ({states or 'no states'})")
-    for violation in report.violations:
-        print(f"VIOLATION: {violation}")
-    if not report.violations:
-        print("invariants: OK (no accepted job lost)")
-    if report.artifacts:
-        print("wrote: " + ", ".join(
-            report.artifacts[k] for k in sorted(report.artifacts)))
-    return 0 if report.ok else 1
-
-
-def _cmd_explore(args: argparse.Namespace) -> int:
-    kill_at = args.kill_at if args.kill_at and args.kill_at > 0 else None
-    if args.simulate:
-        from .explore import run_sim_explore
-
-        ops_budget = args.ops_budget or 20_000.0
-        print(f"simulated twin: {args.algo!r} over fn={args.fn!r}, "
-              f"{args.clients} workers, {args.duration:.0f}s simulated"
-              + (f" (gateway restart at t={kill_at:.1f}s)" if kill_at else "")
-              + (f" ({args.corrupt_first} corrupted result(s))"
-                 if args.corrupt_first else "")
-              + " ...")
-        report = run_sim_explore(
-            seed=args.seed, algo=args.algo, fn=args.fn,
-            workers=args.clients, duration=args.duration,
-            scale=args.scale, ops_budget=ops_budget,
-            restart_after=kill_at, corrupt_first=args.corrupt_first)
-        driver = report["driver"]
-        work = report["gateway"]["work"]
-        print(f"ME: {driver['evals']} evaluations consumed, "
-              f"best={driver.get('best')}")
-        print(f"work queue: {work['completed']} completed, "
-              f"{work['requeued']} requeued, "
-              f"{work['results_rejected']} results rejected, "
-              f"{report['gateway']['restarts']} gateway restart(s)")
-        return _finish_twin(report, args.out, "explore_sim.json")
-
-    from .explore import ExploreConfig, run_explore
-
-    config = ExploreConfig(
-        algo=args.algo, fn=args.fn, clients=args.clients,
-        duration=args.duration, scale=args.scale,
-        ops_budget=args.ops_budget or 75_000.0,
-        kill_at=kill_at, kill_node=args.kill_node,
-        batch=args.batch, seed=args.seed)
-    print(f"standing up the grid and running {args.algo!r} over "
-          f"fn={args.fn!r} for up to {args.duration:.0f}s wall"
-          + (f" (chaos: kill at t={kill_at:.1f}s)" if kill_at else "")
-          + " ...")
-    report = run_explore(config, out=args.out,
-                         progress=lambda text: print(f"  {text}"))
-    summary = report["summary"]
-    jobs = report["jobs"]
-    print(f"\nME: {summary['evals']} evaluations consumed in "
-          f"{summary['elapsed']:.1f}s, best={summary.get('best')}")
-    print(f"jobs: {jobs['pushed']} pushed, {jobs['done']} done, "
-          f"{jobs['requeues_total']} requeue(s); queue p99 "
-          f"{report['queue']['pop_p99_ms']} ms")
+    try:
+        report = run_scenario(scenario, live=not args.simulate, out=args.out,
+                              progress=lambda text: print(f"  {text}"))
+    except ValueError as exc:
+        print(f"error: {exc}")
+        return 2
+    jobs, work = report["jobs"], report["gateway"]["work"]
+    states = ", ".join(f"{state}={count}"
+                       for state, count in sorted(jobs["states"].items()))
+    print(f"jobs: {jobs['accepted']} accepted, {len(jobs['lost'])} lost "
+          f"({states or 'no states'})")
+    print(f"work queue: {work.get('completed')} completed, "
+          f"{work.get('requeued')} requeued, {work.get('results_rejected')} "
+          f"results rejected, {report['gateway']['restarts']} gateway "
+          f"restart(s)")
+    if "driver" in report:
+        print(f"ME: {report['driver']['evals']} evaluations consumed, "
+              f"best={report['driver'].get('best')}")
     for violation in report["violations"]:
         print(f"VIOLATION: {violation}")
     if not report["violations"]:
-        print("invariants: OK (every evaluation done exactly once)")
-    if report.get("artifacts"):
-        print("wrote: " + ", ".join(
-            report["artifacts"][k] for k in sorted(report["artifacts"])))
-    return 0 if report["ok"] else 1
+        print("invariants: OK")
+    if args.out:
+        print(f"wrote: {os.path.join(args.out, 'report.json')}")
+    return 0 if not report["violations"] else 1
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
@@ -551,6 +464,27 @@ def _cmd_info(args: argparse.Namespace) -> int:
         print(f"  {name:<28} {registry.get(name).description}")
     print("\napi surface: repro info --api (layered; see repro.api)")
     return 0
+
+
+def _scenario_arguments(p: argparse.ArgumentParser) -> None:
+    """The flags ``serve`` and ``explore`` share: a Scenario's clients
+    and fault, and which world runs it."""
+    p.add_argument("--clients", type=int, default=2,
+                   help="computational clients executing the jobs")
+    p.add_argument("--kill-at", dest="fault_at", type=float, default=0.0,
+                   metavar="T",
+                   help="chaos: kill the victim T seconds in (0 = off); "
+                        "live a SIGKILL and supervisor respawn, on the "
+                        "twin an in-place gateway restart or a client "
+                        "crash for good")
+    p.add_argument("--victim", choices=["gateway", "client"],
+                   default="gateway",
+                   help="which node --kill-at kills: the first gateway "
+                        "(default) or the first client")
+    p.add_argument("--simulate", action="store_true",
+                   help="run on the deterministic simulated twin instead "
+                        "of real processes")
+    p.set_defaults(func=_cmd_scenario)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -665,83 +599,49 @@ def build_parser() -> argparse.ArgumentParser:
                    help="which node --kill-at kills (default: first client)")
     p.set_defaults(func=_cmd_live)
 
+    scenario_out = ("directory for report.json (live runs add the "
+                    "manifest, node logs, trace, spans and metrics)")
     p = sub.add_parser(
         "serve", help="stand up the HTTP job gateway and storm it",
         parents=[_common_parent(
             seed=0, duration=10.0,
             duration_help="wall seconds of storm (simulated seconds "
-                          "with --simulate)",
-            out_help="directory for manifest, node logs, and the serve "
-                     "report JSON")])
-    p.add_argument("--clients", type=int, default=2,
-                   help="Ramsey client nodes executing submitted jobs")
-    p.add_argument("--gateways", type=int, default=1)
-    p.add_argument("--storm", type=int, default=50, metavar="N",
-                   help="concurrent synthetic HTTP users")
-    p.add_argument("--churn-every", type=int, default=0, metavar="K",
-                   help="storm connections reconnect after K responses "
-                        "(0 = keep-alive throughout)")
-    p.add_argument("--kill-at", type=float, default=0.0, metavar="T",
-                   help="chaos: SIGKILL the gateway T seconds in (0 = off); "
-                        "with --simulate, a deterministic in-sim restart")
+                          "with --simulate)", out_help=scenario_out)])
+    _scenario_arguments(p)
+    p.add_argument("--storm", dest="users", type=int, default=50,
+                   metavar="N", help="concurrent synthetic HTTP users")
     p.add_argument("--k", type=int, default=8,
                    help="Ramsey target K_k for submitted job specs")
     p.add_argument("--n", type=int, default=4)
-    p.add_argument("--kill-node", type=str, default=None,
-                   help="which node --kill-at kills (default: the first "
-                        "gateway; kill a client to watch one job's trace "
-                        "span two incarnations)")
     p.add_argument("--cancel-fraction", type=float, default=0.1,
                    metavar="F",
                    help="fraction of storm turns that cancel a job "
-                        "(0 with --kill-node: a cancelled in-flight job "
-                        "is dropped on requeue, which would make the "
+                        "(0 with --victim client: a cancelled in-flight "
+                        "job is dropped on requeue, which would make the "
                         "two-incarnation trace demo nondeterministic)")
-    p.add_argument("--simulate", action="store_true",
-                   help="run the deterministic simulated twin instead of "
-                        "real processes")
-    p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(
         "explore", help="run a model-exploration algorithm over the grid",
         parents=[_common_parent(
             seed=0, duration=60.0,
             duration_help="wall seconds for the ME pump (simulated "
-                          "seconds with --simulate)",
-            out_help="directory for manifest, node logs, and the "
-                     "explore report JSON")])
+                          "seconds with --simulate)", out_help=scenario_out)])
+    _scenario_arguments(p)
     p.add_argument("--algo", choices=["sweep", "hill"], default="sweep",
                    help="ME algorithm: deterministic grid sweep or "
                         "iterative hill climber (default sweep)")
     p.add_argument("--fn", choices=["sphere", "rastrigin", "forecast"],
                    default="forecast",
                    help="black-box objective to explore (default forecast)")
-    p.add_argument("--clients", type=int, default=2,
-                   help="computational clients executing evaluations "
-                        "(sim workers with --simulate)")
     p.add_argument("--scale", type=float, default=1.0,
                    help="workload scale factor (grid density / "
                         "generations)")
-    p.add_argument("--ops-budget", type=float, default=0.0,
-                   help="simulated ops per evaluation (0 = plane "
-                        "default: 75k live, 20k sim)")
-    p.add_argument("--kill-at", type=float, default=0.0, metavar="T",
-                   help="chaos: SIGKILL a client T seconds in (0 = off); "
-                        "with --simulate, a deterministic in-sim "
-                        "gateway restart")
-    p.add_argument("--kill-node", type=str, default=None,
-                   help="which node --kill-at kills (default: first "
-                        "client)")
-    p.add_argument("--corrupt-first", type=int, default=0, metavar="N",
-                   help="--simulate only: worker 0 corrupts its first N "
-                        "results (exercises the §3.1 result check)")
-    p.add_argument("--no-batch", dest="batch", action="store_false",
-                   help="submit one POST /jobs per task instead of "
-                        "POST /jobs/batch")
-    p.add_argument("--simulate", action="store_true",
-                   help="run the deterministic simulated twin instead of "
-                        "real processes")
-    p.set_defaults(func=_cmd_explore)
+    p.add_argument("--ops-budget", type=float, default=None,
+                   help="ops per evaluation (default 20k)")
+    p.add_argument("--corrupt-first", dest="corrupt", type=int, default=0,
+                   metavar="N",
+                   help="--simulate only: the first client corrupts its "
+                        "first N results (exercises the §3.1 result check)")
 
     p = sub.add_parser(
         "top", help="live dashboard over a running gateway")

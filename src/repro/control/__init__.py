@@ -8,7 +8,9 @@ computational clients pull externally-submitted jobs over the usual
 SCH_* protocol. The same sans-IO router (:class:`GatewayCore`) serves
 both planes: real sockets on the live reactor
 (:class:`~repro.control.http.HttpServer`), lingua-franca messages under
-simulated time (:class:`~repro.control.sim.GatewayComponent`).
+simulated time (:class:`~repro.control.sim.GatewayComponent`). A
+:class:`~repro.control.scenario.Scenario` is one workload on this plane,
+run on either.
 """
 
 from .._exports import lazy_exports
@@ -20,10 +22,8 @@ _EXPORTS = {
               "HttpResponseDecoder", "HttpServer", "error_response",
               "json_response", "text_response"),
     ".loadgen": ("GatewayStorm", "StormStats"),
-    ".sim": ("GatewayComponent", "SimJobUser", "run_sim_batch",
-             "run_sim_serve"),
-    ".serve": ("ServeConfig", "ServeReport", "check_serve_invariants",
-               "run_serve"),
+    ".scenario": ("Scenario", "check_scenario", "run_scenario"),
+    ".sim": ("GatewayComponent", "SimJobUser"),
     ".workqueue": ("FileJournal", "Job", "JOB_STATES", "MemoryJournal",
                    "WorkQueue"),
 }

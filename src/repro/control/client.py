@@ -86,16 +86,20 @@ class GatewayClient:
         (Prometheus /metrics, JSONL /events) read it as is."""
         try:
             return self._once_raw(method, path, body)
-        except (OSError, http.client.HTTPException, socket.timeout):
+        except (OSError, http.client.HTTPException, socket.timeout) as exc:
             # Cached connection went stale (gateway restarted): once more
             # on a fresh socket, then give up loudly.
+            first = exc
             self._drop()
         try:
             return self._once_raw(method, path, body)
         except (OSError, http.client.HTTPException, socket.timeout) as exc:
             self._drop()
+            # The cause is a refusal only if both tries were refused: a
+            # first try on a stale connection may have been delivered.
             raise HttpError(
-                f"gateway {self.host}:{self.port} unreachable: {exc}") from exc
+                f"gateway {self.host}:{self.port} unreachable: {exc}") from (
+                exc if isinstance(first, ConnectionRefusedError) else first)
         finally:
             self.reconnects += 1
 

@@ -10,11 +10,11 @@ gateway, injected churn) reconnect with a short backoff, exactly like
 external users hammering refresh while a service restarts.
 
 Used by ``benchmarks/bench_gateway.py`` (floors on submissions/s and
-query p99 at 1,000+ connections) and by the ``repro serve`` harness
-(the kill/restart storm ``tests/control/test_serve_live.py`` runs in
-the tier-1 suite). Accepted job
-ids — submissions the gateway answered 201 — are recorded so the
-harness can sweep them afterwards and prove none was lost across a
+query p99 at 1,000+ connections) and by a live users
+:class:`~repro.control.scenario.Scenario` (the kill/restart storm
+``tests/control/test_serve_live.py`` runs in the tier-1 suite). Accepted
+job ids — submissions the gateway answered 201 — are recorded so the
+scenario can sweep them afterwards and prove none was lost across a
 kill/restart.
 """
 

@@ -1,27 +1,17 @@
-"""The gateway's simulated-time twin: same router, deterministic world.
+"""The gateway's simulated-time world: same router, deterministic run.
 
 The live gateway is an :class:`~repro.control.http.HttpServer` feeding a
 :class:`~repro.control.gateway.GatewayCore` on a real reactor. Its twin
-here is :class:`GatewayComponent` — a sans-IO component speaking the
-same routing table over lingua-franca messages (``GW_REQ`` carries
-``{method, path, body}``, ``GW_RES`` carries ``{status, body}``) under
-simulated time, with :class:`SimJobUser` components playing external
-HTTP users and the real :class:`~repro.ramsey.client.RamseyClient`
-pulling jobs of any kind over the usual SCH_* protocol.
-
-Everything is driven by the simulation's seeded RNG streams and virtual
-clock, so :func:`run_sim_serve` is *deterministic*: the same seed yields
-a byte-identical report, run after run — which is what lets a pinned
-digest (``tests/control/test_sim_twin.py``) prove the control plane's
-logic (submission, assignment, cancel races, restart recovery) contains
-no hidden nondeterminism. :func:`run_sim_batch` is the same world with
-one batch of jobs of any kind in place of the users.
-
-A simulated gateway "restart" (``restart_after``) is the deterministic
-analogue of the live SIGKILL + supervisor respawn: scheduler state and
-in-flight assignments are discarded, and the job store is rebuilt from
-the :class:`~repro.control.workqueue.MemoryJournal` — accepted jobs must
-all survive, requeued-not-dropped, exactly like the live journal replay.
+here is :class:`GatewayComponent`, the same routing table over
+lingua-franca messages (``GW_REQ`` carries ``{method, path, body}``,
+``GW_RES`` ``{status, body}``) under simulated time; :class:`SimJobUser`
+plays an external HTTP user and the real
+:class:`~repro.ramsey.client.RamseyClient` pulls jobs of any kind over
+SCH_*. :class:`TwinWorld` is where a
+:class:`~repro.control.scenario.Scenario` runs when it is not run as
+real processes: seeded streams and the virtual clock make its report a
+pure function of the scenario, which is what lets a pinned digest prove
+the control plane's logic hides no nondeterminism.
 """
 
 from __future__ import annotations
@@ -41,14 +31,13 @@ from ..core.telemetry import Telemetry
 from ..ramsey.client import ModelEngine, RamseyClient
 from ..ramsey.tasks import ramsey_job_spec
 from ..simgrid.engine import Environment
-from ..simgrid.faults import FaultPlan
 from ..simgrid.host import Host, HostSpec
 from ..simgrid.load import ConstantLoad
 from ..simgrid.network import Network
 from ..simgrid.rand import RngStreams
 from .gateway import GatewayCore
 from .loadgen import UserMix
-from .workqueue import Job, MemoryJournal, WorkQueue
+from .workqueue import MemoryJournal, WorkQueue
 
 __all__ = [
     "GW_REQ",
@@ -57,8 +46,6 @@ __all__ = [
     "GatewayComponent",
     "SimJobUser",
     "TwinWorld",
-    "run_sim_batch",
-    "run_sim_serve",
 ]
 
 GW_REQ = "GW_REQ"
@@ -75,23 +62,16 @@ class GatewayComponent(SchedulerServer):
     SCH_*); upward it answers ``GW_REQ`` messages through the identical
     :class:`GatewayCore` router the live HTTP wrapper uses. The work
     source is a journal-backed :class:`WorkQueue`; ``restart_after``
-    schedules one simulated crash+restart (state rebuilt from the
-    journal) at that many simulated seconds after start.
+    schedules the deterministic analogue of a SIGKILL + supervisor
+    respawn at that many simulated seconds: scheduler state and in-flight
+    assignments die, and the store is rebuilt from the journal, accepted
+    jobs requeued-not-dropped exactly like the live journal replay.
     """
 
-    def __init__(
-        self,
-        name: str,
-        restart_after: Optional[float] = None,
-        report_period: float = 0.5,
-        reap_period: float = 0.5,
-        dead_factor: float = 4.0,
-    ) -> None:
+    def __init__(self, name: str,
+                 restart_after: Optional[float] = None) -> None:
         work = WorkQueue(journal=MemoryJournal(), prefix=f"{name}-job")
-        super().__init__(name, work,
-                         report_period=report_period,
-                         reap_period=reap_period,
-                         dead_factor=dead_factor)
+        super().__init__(name, work, report_period=0.5, reap_period=0.5)
         self.restart_after = restart_after
         self.restarts = 0
         self.requeued_on_restart = 0
@@ -119,9 +99,6 @@ class GatewayComponent(SchedulerServer):
         return super().on_timer(key, now)
 
     def _restart(self, now: float) -> list[Effect]:
-        """Simulated process death + respawn: everything a SIGKILL takes
-        (client table, forecasts, in-flight assignments) dies; the job
-        store comes back from the journal, unfinished jobs requeued."""
         self.restarts += 1
         self.clients.clear()
         self.forecasts = ForecastRegistry()
@@ -136,12 +113,8 @@ class GatewayComponent(SchedulerServer):
         if message.mtype == GW_REQ:
             body = message.body
             raw = body.get("body")
-            if isinstance(raw, dict):
-                data = json.dumps(raw, sort_keys=True).encode("utf-8")
-            elif isinstance(raw, str):
-                data = raw.encode("utf-8")
-            else:
-                data = b""
+            data = (b"" if raw is None
+                    else json.dumps(raw, sort_keys=True).encode("utf-8"))
             status, doc, _route = self.core.handle(
                 str(body.get("method", "GET")), str(body.get("path", "/")),
                 data, now)
@@ -156,8 +129,11 @@ class SimJobUser(Component):
     """One synthetic external user under simulated time.
 
     The deterministic analogue of one :class:`GatewayStorm` client: a
-    seeded submit/query/cancel loop, one request in flight.
+    seeded submit/query/cancel loop, one request in flight, the next one
+    :attr:`PERIOD` simulated seconds after each answer.
     """
+
+    PERIOD = 1.0
 
     def __init__(
         self,
@@ -165,13 +141,12 @@ class SimJobUser(Component):
         gateway: str,
         idx: int = 0,
         seed: int = 0,
-        period: float = 1.0,
         submit_fraction: float = 0.6,
         cancel_fraction: float = 0.1,
+        spec_factory: Callable[[random.Random], dict] = ramsey_job_spec,
     ) -> None:
         super().__init__(name)
         self.gateway = gateway
-        self.period = period
         self.submitted = 0
         self.queried = 0
         self.cancelled = 0
@@ -180,7 +155,7 @@ class SimJobUser(Component):
         #: The request mix itself — the core GatewayStorm's clients run —
         #: counting its outcomes on this component.
         self.mix = UserMix(random.Random(f"{seed}:{idx}"), self,
-                           submit_fraction, cancel_fraction, ramsey_job_spec)
+                           submit_fraction, cancel_fraction, spec_factory)
         self.accepted = self.mix.ids
         self._rid = 0
         #: (kind, rid) of the request awaiting its GW_RES.
@@ -189,7 +164,7 @@ class SimJobUser(Component):
     def on_start(self, now: float) -> list[Effect]:
         # Stagger users deterministically inside the first period.
         return [SetTimer(
-            T_NEXT, self.period * (0.1 + 0.8 * self.mix.rng.random()))]
+            T_NEXT, self.PERIOD * (0.1 + 0.8 * self.mix.rng.random()))]
 
     def on_timer(self, key: str, now: float) -> list[Effect]:
         if key != T_NEXT or self._inflight is not None:
@@ -215,7 +190,7 @@ class SimJobUser(Component):
         if (outcome == "queried" and isinstance(doc, dict)
                 and doc.get("state") == "done"):
             self.done_seen += 1
-        return [SetTimer(T_NEXT, self.period)]
+        return [SetTimer(T_NEXT, self.PERIOD)]
 
     def stats(self) -> dict:
         return {
@@ -252,10 +227,9 @@ class ForgingEngine:
 
 
 class TwinWorld:
-    """What every simulated twin stands on: engine, seeded streams,
-    telemetry, network and one :class:`GatewayComponent` at
-    :attr:`CONTACT`; :meth:`spawn` adds the twin's own actors and
-    :meth:`spawn_client` its computational clients."""
+    """Engine, seeded streams, telemetry, network and one
+    :class:`GatewayComponent` at :attr:`CONTACT`; :meth:`spawn` adds a
+    scenario's actors and :meth:`spawn_client` its clients."""
 
     CONTACT = "gw0/gw"
     SITES = ("ucsd", "utk", "uva", "ncsa")
@@ -289,9 +263,8 @@ class TwinWorld:
     def spawn_client(self, name: str, speed: float = 2e6,
                      engines: Optional[dict] = None) -> RamseyClient:
         """The real :class:`RamseyClient` + :class:`KindEngine` on a host
-        of ``speed`` ops/s (a serve-twin job is one work slice): ``ramsey``
-        units on the cost model, as in the SC98 world, other kinds on
-        ``engines`` or their registered engine."""
+        of ``speed`` ops/s: ``ramsey`` units on the cost model, as in the
+        SC98 world, other kinds on ``engines`` or their registered one."""
         client = RamseyClient(
             name, [self.CONTACT],
             KindEngine(engines={"ramsey": ModelEngine(), **(engines or {})}),
@@ -301,7 +274,6 @@ class TwinWorld:
         return client
 
     def gateway_report(self) -> dict:
-        """The ``"gateway"`` block of a twin's report."""
         gateway = self.gateway
         return {
             "requests": gateway.core.requests,
@@ -311,120 +283,3 @@ class TwinWorld:
             "scheduler": asdict(gateway.stats),
             "work": gateway.work.stats(),
         }
-
-    def restart_violations(self) -> list[str]:
-        gateway = self.gateway
-        if gateway.restart_after is None or gateway.restarts == 1:
-            return []
-        return [f"expected exactly one simulated restart, "
-                f"saw {gateway.restarts}"]
-
-
-def run_sim_serve(
-    seed: int = 0,
-    users: int = 4,
-    workers: int = 3,
-    duration: float = 120.0,
-    user_period: float = 1.0,
-    submit_fraction: float = 0.6,
-    cancel_fraction: float = 0.1,
-    restart_after: Optional[float] = None,
-    telemetry: Optional[Telemetry] = None,
-) -> dict:
-    """Run the control-plane twin; returns a JSON-safe, deterministic
-    report (same seed ⇒ byte-identical ``json.dumps(..., sort_keys=True)``).
-
-    The report carries the twin's own invariant checks: every accepted
-    job id must still be known to the gateway at the end (``jobs_lost``
-    empty), across the simulated restart if one was scheduled.
-    """
-    world = TwinWorld(seed, restart_after, telemetry)
-    worker_components = [world.spawn_client(f"wrk{i}")
-                         for i in range(workers)]
-    user_components = [
-        SimJobUser(f"user{i}", world.CONTACT, idx=i, seed=seed,
-                   period=user_period, submit_fraction=submit_fraction,
-                   cancel_fraction=cancel_fraction)
-        for i in range(users)
-    ]
-    for user in user_components:
-        world.spawn(user.name, "usr", user)
-
-    world.env.run(until=duration)
-
-    accepted = [job_id for user in user_components
-                for job_id in user.accepted]
-    known = world.gateway.work.jobs
-    jobs_lost = sorted(job_id for job_id in accepted
-                       if job_id not in known)
-    violations: list[str] = []
-    if jobs_lost:
-        violations.append(
-            f"{len(jobs_lost)} accepted job(s) unknown to the gateway "
-            f"after the run: {jobs_lost[:5]}")
-    violations += world.restart_violations()
-    return {
-        "config": {
-            "seed": seed, "users": users, "workers": workers,
-            "duration": duration, "user_period": user_period,
-            "submit_fraction": submit_fraction,
-            "cancel_fraction": cancel_fraction,
-            "restart_after": restart_after,
-        },
-        "gateway": world.gateway_report(),
-        "users": {user.name: user.stats() for user in user_components},
-        "workers": {wrk.name: wrk.units_done for wrk in worker_components},
-        "accepted_total": len(accepted),
-        "jobs_lost": jobs_lost,
-        "violations": violations,
-        "metrics": world.telemetry.snapshot(),
-    }
-
-
-#: Every batch world's seed (batch runs are deterministic).
-_BATCH_SEED = 12
-#: Simulated-time safety cap on one batch.
-_BATCH_CAP_S = 24 * 3600.0
-
-
-def run_sim_batch(
-    specs: list[dict],
-    workers: int = 4,
-    kill_worker_at: Optional[float] = None,
-    telemetry: Optional[Telemetry] = None,
-) -> tuple[list[Job], dict]:
-    """Run one batch of jobs of any kind to the end on the twin.
-
-    ``specs`` go in through the gateway router as one ``POST
-    /jobs/batch`` (journaled, and traced when ``telemetry`` traces) and
-    ``workers`` clients pull them. ``kill_worker_at`` crashes the first
-    worker's host at that simulated second; the scheduler's reap
-    requeues its unit. Runs until every job is terminal (or a simulated
-    day passes); returns the jobs in submit order and a JSON-safe report
-    whose ``violations`` name the unfinished ones.
-    """
-    world = TwinWorld(_BATCH_SEED, None, telemetry)
-    clients = [world.spawn_client(f"wrk{i}") for i in range(workers)]
-    status, doc, _ = world.gateway.core.handle(
-        "POST", "/jobs/batch", json.dumps({"specs": specs}).encode("utf-8"),
-        0.0)
-    if status != 201:
-        raise ValueError(f"batch refused: {doc.get('error')}")
-    if kill_worker_at is not None and clients:
-        FaultPlan().crash(kill_worker_at, clients[0].name).install(
-            world.env, world.network)
-    jobs: list[Job] = [world.gateway.work.jobs[job_id] for job_id in doc["ids"]]
-    while (world.env.now < _BATCH_CAP_S
-           and any(job.state not in ("done", "cancelled") for job in jobs)):
-        world.env.run(until=min(world.env.now + 1.0, _BATCH_CAP_S))
-    unfinished = [job.id for job in jobs if job.state != "done"]
-    return jobs, {
-        "config": {"jobs": len(specs), "workers": workers,
-                   "kill_worker_at": kill_worker_at},
-        "sim_seconds": round(world.env.now, 6),
-        "gateway": world.gateway_report(),
-        "workers": {client.name: client.units_done for client in clients},
-        "violations": [f"{len(unfinished)} job(s) not done: "
-                       f"{unfinished[:5]}"] if unfinished else [],
-        "metrics": world.telemetry.snapshot(),
-    }

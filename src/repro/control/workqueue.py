@@ -151,10 +151,15 @@ class WorkQueue:
 
     def replay(self) -> int:
         """Rebuild the store from the journal; returns the number of
-        jobs that came back *queued* (i.e. requeued-not-dropped)."""
+        jobs that came back *queued* (i.e. requeued-not-dropped).
+
+        The journaled meters (``submitted``/``completed``/``cancelled``)
+        are recounted from the records, so they mean "in this queue's
+        durable history" whether the queue is reborn in a fresh process
+        or replayed in place; the other meters are process-lifetime."""
         self.jobs.clear()
         self._queue.clear()
-        top = 0
+        top = completed = cancelled = 0
         for record in self.journal.records():
             op = record.get("op")
             job_id = record.get("id")
@@ -184,10 +189,14 @@ class WorkQueue:
                     job.state = "done"
                     job.result = record.get("result")
                     job.finished_at = record.get("t")
+                    completed += 1
                 elif op == "cancel":
                     job.state = "cancelled"
                     job.finished_at = record.get("t")
+                    cancelled += 1
         self._seq = top
+        self.submitted = len(self.jobs)
+        self.completed, self.cancelled = completed, cancelled
         # Everything not terminal goes back in the queue, submit order.
         self._queue = deque(
             job_id for job_id in self._queue

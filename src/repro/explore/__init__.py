@@ -18,12 +18,11 @@ scheduler/gateway/WorkQueue stack. The pieces:
   (:func:`run_driver`).
 * :mod:`~repro.explore.queue` — :class:`ExploreQueue` over the HTTP
   gateway.
-* :mod:`~repro.explore.sim` — the byte-deterministic simulated twin
-  (:func:`run_sim_explore`), restart and corrupted-result chaos
-  included.
-* :mod:`~repro.explore.serve` — ``repro explore``, the live harness
-  (:func:`run_explore`) with SIGKILL chaos and the exactly-once verify
-  sweep.
+* :mod:`~repro.explore.sim` — :class:`MEDriverComponent`, the same
+  pump under simulated time.
+
+``repro explore`` is a :class:`~repro.control.scenario.Scenario` with an
+``algo``, run on the twin or as real processes.
 """
 
 from .._exports import lazy_exports
@@ -33,7 +32,6 @@ _EXPORTS = {
     ".evals": ("EVAL_FUNCTIONS", "EVAL_KIND", "check_eval_result", "evaluate",
                "execute_unit", "make_eval_spec", "validate_eval"),
     ".queue": ("ExploreQueue",),
-    ".serve": ("ExploreConfig", "run_explore"),
-    ".sim": ("MEDriverComponent", "run_sim_explore"),
+    ".sim": ("MEDriverComponent",),
 }
 __all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -26,10 +26,15 @@ import time
 from collections import deque
 from typing import Callable, Optional
 
+from ..control.http import HttpError
+
 __all__ = ["ExploreQueue"]
 
 #: Terminal job states: a feed line or record in one retires its job.
 _TERMINAL = ("done", "cancelled")
+#: How long a push keeps retrying a refused connection (a supervisor
+#: respawns a killed gateway within its restart backoff).
+REFUSED_RETRY_S = 15.0
 
 
 class FeedConsumer:
@@ -141,16 +146,33 @@ class ExploreQueue(FeedConsumer):
 
     # -- push ----------------------------------------------------------------
     def push_tasks(self, specs: list[dict]) -> list[str]:
-        """Submit a batch of evaluation specs; returns the job ids."""
+        """Submit a batch of evaluation specs; returns the job ids. A
+        refused connection (the gateway is restarting) sent nothing, so
+        that push is retried for up to ``REFUSED_RETRY_S``; any other
+        failure may have been accepted and is raised."""
         specs = list(specs)
         if not specs:
             return []
         if self.batch:
-            ids = self.client.submit_batch(specs)
+            ids = self._retry_refused(self.client.submit_batch, specs)
         else:
-            ids = [str(self.client.submit(spec)["id"]) for spec in specs]
+            ids = [str(self._retry_refused(self.client.submit, spec)["id"])
+                   for spec in specs]
         self.record_push(ids, specs, self.clock())
         return ids
+
+    def _retry_refused(self, call, arg):
+        deadline = self.clock() + REFUSED_RETRY_S
+        while True:
+            try:
+                return call(arg)
+            except HttpError as exc:
+                if (not isinstance(exc.__cause__, ConnectionRefusedError)
+                        or self.clock() >= deadline):
+                    raise
+            if self.pump is not None:
+                self.pump()
+            time.sleep(self.poll)
 
     # -- pop -----------------------------------------------------------------
     def _ingest_events(self) -> int:
@@ -194,8 +216,11 @@ class ExploreQueue(FeedConsumer):
         while (len(self._ready) < min_results and self.outstanding
                and self.clock() < deadline):
             started = self.clock()
-            quiet = (self._ingest_events() == 0
-                     and self._probe_outstanding() == 0)
+            try:
+                quiet = (self._ingest_events() == 0
+                         and self._probe_outstanding() == 0)
+            except HttpError:
+                quiet = True  # gateway down or restarting: a missed poll
             if self.pump is not None:
                 self.pump()
             if quiet:

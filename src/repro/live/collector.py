@@ -293,6 +293,26 @@ class Collector:
             snapshots.extend(history[i] for i in sorted(history))
         return merge_snapshots(snapshots)
 
+    def site_utilisation(self, topology, elapsed: float) -> dict:
+        """Per-site delivered-vs-available ops (§2.2's utilisation
+        meters) after ``elapsed`` seconds: delivered is each client's
+        latest-incarnation ops counter (a restart resets it — the meter
+        dips honestly when a site loses a machine), available is clients
+        x topology speed x elapsed."""
+        sites: dict[str, dict] = {}
+        for spec in topology.by_role("client"):
+            rec = self.nodes.get(spec.name)
+            row = sites.setdefault(spec.options["site"], {
+                "clients": 0, "delivered_ops": 0.0, "available_ops": 0.0})
+            row["clients"] += 1
+            row["available_ops"] += topology.speed * elapsed
+            row["delivered_ops"] += float(
+                rec.stats.get("total_ops", 0.0) if rec else 0.0)
+        for row in sites.values():
+            row["utilisation"] = (row["delivered_ops"] / row["available_ops"]
+                                  if row["available_ops"] else 0.0)
+        return sites
+
     def merged_tracer(self) -> Tracer:
         """One tracer holding every node's spans on the common timeline
         (start-time ordered), ready for the existing exporters."""

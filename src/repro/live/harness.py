@@ -1,7 +1,8 @@
 """``repro live``: topology in, supervised world out, merged report back.
 
-:class:`LiveWorld` is the lifecycle every live harness runs on (this
-one, ``repro serve``, ``repro explore``): run dir → collector → ports →
+:class:`LiveWorld` is the lifecycle every live run stands on (this
+harness, and every :class:`~repro.control.scenario.Scenario` run with
+``live=True``): run dir → collector → ports →
 manifest → supervisor → pump → sweep → drain → artifacts → cleanup.
 :func:`run_live` is the deployment plane's experiment harness on top of
 it — the live twin of :func:`repro.experiments.sc98.run_sc98`:
@@ -41,8 +42,8 @@ from .ports import PortAllocator
 from .supervisor import RestartPolicy, Supervisor
 from .topology import Manifest, Topology, build_manifest
 
-__all__ = ["Probe", "ReportDoc", "LiveReport", "never_restarted",
-           "check_invariants", "LiveWorld", "run_live"]
+__all__ = ["Probe", "LiveReport", "check_invariants", "LiveWorld",
+           "run_live"]
 
 #: Stored counter-examples fetched per persistent node when probing.
 MAX_PROBED_KEYS = 64
@@ -101,22 +102,8 @@ class Probe:
         self.loop.close()
 
 
-class ReportDoc:
-    """What the planes' report dataclasses share: ``ok`` and the JSON
-    document (every field, plus ``ok``)."""
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict:
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        doc["ok"] = self.ok
-        return doc
-
-
 @dataclass
-class LiveReport(ReportDoc):
+class LiveReport:
     """Everything a live run produced, in one JSON-safe document."""
 
     duration: float
@@ -135,11 +122,15 @@ class LiveReport(ReportDoc):
     violations: list[str] = field(default_factory=list)
     artifacts: dict = field(default_factory=dict)
 
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
-def never_restarted(nodes: dict[str, dict], chaos: list[dict]) -> list[str]:
-    """One violation per killed node the supervisor never brought back."""
-    return [f"{c['node']} was killed but never restarted" for c in chaos
-            if nodes.get(c["node"], {}).get("restarts", 0) < 1]
+    def to_dict(self) -> dict:
+        """Every field, plus ``ok``."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["ok"] = self.ok
+        return doc
 
 
 def _counter_total(metrics: dict, prefix: str) -> int:
@@ -183,7 +174,9 @@ def check_invariants(report: LiveReport) -> list[str]:
             violations.append(
                 f"{name}: denied {stats['denials']} store(s) — a client "
                 f"shipped a corrupt counter-example")
-    violations += never_restarted(report.nodes, report.chaos)
+    violations += [f"{c['node']} was killed but never restarted"
+                   for c in report.chaos
+                   if report.nodes.get(c["node"], {}).get("restarts", 0) < 1]
     if report.chaos:
         recovery = sum(
             node.get("stats", {}).get("units_requeued", 0)
@@ -227,8 +220,9 @@ def _probe_counter_examples(
 
 
 class LiveWorld(AbstractContextManager):
-    """One supervised world's lifecycle, shared by ``repro live``,
-    ``repro serve`` and ``repro explore`` (DESIGN §11).
+    """One supervised world's lifecycle, shared by ``repro live`` and
+    every live scenario run — ``repro serve``, ``repro explore`` (DESIGN
+    §11).
 
     Construction allocates the run directory (``out``, or a temp dir),
     the collector, the ports, the manifest and the supervisor, and spawns
@@ -349,17 +343,14 @@ class LiveWorld(AbstractContextManager):
                 time.sleep(0.2)
 
     def sweep_jobs(self, job_ids: list[str]) -> dict:
-        """Ask the live gateway about every id it ever accepted: the ids
-        ``lost`` (it no longer knows them), the final-``states`` histogram
-        of the rest, the ids ``not_done``, the ``requeues`` they took in
-        total, and the gateway's own ``work`` stats."""
+        """Ask the live gateway about every id it ever accepted: the job
+        ``records`` it still knows (id -> record; a missing id is lost)
+        and its own ``work`` stats."""
         from ..control.client import GatewayClient
         from ..control.http import HttpError
 
-        lost: list[str] = []
-        not_done: list[str] = []
-        states: dict[str, int] = {}
-        requeues, work = 0, {}
+        records: dict[str, dict] = {}
+        work: dict = {}
         with GatewayClient(self.http_contact, timeout=3.0) as client:
             self.wait_healthy(client)
             try:
@@ -370,19 +361,12 @@ class LiveWorld(AbstractContextManager):
                 if i % 200 == 0:
                     self.pump()
                 try:
-                    job = client.job(job_id) or {}
+                    job = client.job(job_id)
                 except HttpError:
-                    job = {}
-                if not job:
-                    lost.append(job_id)
-                else:
-                    state = str(job.get("state"))
-                    states[state] = states.get(state, 0) + 1
-                    requeues += int(job.get("requeues", 0))
-                if job.get("state") != "done":
-                    not_done.append(job_id)
-        return {"lost": lost, "states": states, "not_done": not_done,
-                "requeues": requeues, "work": work}
+                    job = None
+                if job:
+                    records[job_id] = job
+        return {"records": records, "work": work}
 
     def drain(self) -> dict[str, dict]:
         """Shut the world down gracefully (SIGTERM → final telemetry
@@ -390,11 +374,21 @@ class LiveWorld(AbstractContextManager):
         collector state and supervision history. Work can finish inside
         the supervisor's restart backoff, and draining then would cancel
         the respawn the checklists demand — so first keep the world up
-        until every reaped node is back (or the nodes' deadline)."""
+        until every reaped node is back and its new life has said hello
+        (a SIGTERM before that leaves it no final report), or until the
+        nodes' deadline."""
         supervisor = self.supervisor
+        nodes = self.collector.nodes
+
+        def coming_back(name: str, node) -> bool:
+            return node.state == "backoff" or (
+                node.state == "running" and node.incarnation > 0
+                and (name not in nodes
+                     or nodes[name].incarnation < node.incarnation))
+
         self.pump()
-        while (any(node.state == "backoff"
-                   for node in supervisor.nodes.values())
+        while (any(coming_back(name, node)
+                   for name, node in supervisor.nodes.items())
                and supervisor.now() < supervisor.deadline):
             self.pump()
         for _ in range(20):

@@ -176,6 +176,7 @@ def _client_stats(client) -> dict:
         "unit_id": client.unit.get("id") if client.unit else None,
         "site": client.site,
         "total_ops": client._total_ops,
+        "units_done": client.units_done,
     }
 
 

@@ -88,5 +88,5 @@ def test_star_import_covers_the_surface():
 
 def test_dir_lists_surface_and_layers():
     listing = dir(api)
-    for name in ("Component", "run_serve", "core", "control", "surface"):
+    for name in ("Component", "run_scenario", "core", "control", "surface"):
         assert name in listing

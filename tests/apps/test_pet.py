@@ -17,7 +17,7 @@ from repro.apps.pet import (
     task_cost,
     _rotate,
 )
-from repro.control.sim import run_sim_batch
+from repro.control import Scenario, run_scenario
 
 SIZE = 48
 ANGLES = [float(a) for a in np.linspace(0, 180, 36, endpoint=False)]
@@ -101,9 +101,9 @@ def test_distributed_equals_serial(phantom, sino):
     """The summed partial images of the completed jobs must equal the
     serial FBP up to the per-chunk normalization."""
     tasks = make_tasks(sino, ANGLES, SIZE, chunk=9)
-    jobs, report = run_sim_batch(tasks, workers=3)
+    report = run_scenario(Scenario(specs=tasks, clients=3))
     assert report["violations"] == []
-    acc = Accumulator(size=SIZE).fold(job.result for job in jobs)
+    acc = Accumulator(size=SIZE).fold(report["results"])
     assert acc.chunks == len(tasks)
     # Each chunk normalizes by its own angle count; rescale to compare.
     # chunks have equal size here, so the sum is serial * (n_chunks ... )
@@ -115,9 +115,10 @@ def test_distributed_equals_serial(phantom, sino):
 def test_distributed_survives_worker_loss(phantom, sino):
     tasks = make_tasks(sino, ANGLES, SIZE, chunk=6)
     # The first client dies holding its first unit; the reap requeues it.
-    jobs, report = run_sim_batch(tasks, workers=3, kill_worker_at=0.1)
+    report = run_scenario(Scenario(specs=tasks, clients=3, victim="client",
+                                   fault_at=0.1))
     assert report["violations"] == []
     assert report["gateway"]["scheduler"]["reaps"] == 1
     assert report["gateway"]["work"]["requeued"] == 1
-    acc = Accumulator(size=SIZE).fold(job.result for job in jobs)
+    acc = Accumulator(size=SIZE).fold(report["results"])
     assert image_correlation(acc.image, phantom) > 0.85

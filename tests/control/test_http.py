@@ -343,3 +343,19 @@ def test_client_reconnects_after_gateway_restart():
         assert job is not None and job["id"] == accepted["id"]
         assert client.health()["node"] == "gw-reborn"
     client.close()
+
+
+def test_a_refusal_is_reported_only_when_nothing_was_sent():
+    """A request on a stale cached connection may have been delivered,
+    so its error is not a refusal even when the reconnect is refused;
+    a client that never connected was refused outright."""
+    gateway = GatewayUnderTest()
+    with gateway:
+        client = GatewayClient(gateway.contact)
+        client.health()                      # caches a connection
+    with pytest.raises(HttpError) as stale:
+        client.submit({"kind": "noop"})
+    assert not isinstance(stale.value.__cause__, ConnectionRefusedError)
+    with pytest.raises(HttpError) as fresh:
+        client.submit({"kind": "noop"})      # no cached connection left
+    assert isinstance(fresh.value.__cause__, ConnectionRefusedError)

@@ -33,7 +33,7 @@ from repro.explore.evals import execute_unit
 #: Planes a gateway never runs, so never loads.
 NOT_IN_A_GATEWAY = ("numpy", "repro.simgrid", "repro.live", "repro.ramsey",
                     "repro.experiments", "repro.control.sim",
-                    "repro.control.serve")
+                    "repro.control.scenario")
 
 
 def run_fresh(code: str) -> dict:

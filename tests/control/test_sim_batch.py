@@ -1,7 +1,8 @@
 """One work plane on the twin: any kind, the real client, one runner.
 
-:func:`run_sim_batch` submits a batch through the gateway router and
-runs it on real ``RamseyClient`` + ``KindEngine`` clients; these checks
+A batch :class:`~repro.control.scenario.Scenario` submits its specs
+through the gateway router and runs them on real ``RamseyClient`` +
+``KindEngine`` clients; these checks
 hold it to the plane's promises — a dead worker's unit comes back
 through the scheduler's reap (and says so in its job trace), a forged
 result is distrusted and honestly re-run, and a unit no client can load
@@ -14,7 +15,8 @@ import numpy as np
 import pytest
 
 from repro.apps import gnet, pet
-from repro.control.sim import ForgingEngine, TwinWorld, run_sim_batch
+from repro.control import Scenario, run_scenario
+from repro.control.sim import ForgingEngine, TwinWorld
 from repro.core.component import NullRuntime, Send
 from repro.core.linguafranca.messages import Message
 from repro.core.services.kinds import (KindEngine, MeteredEngine,
@@ -44,22 +46,22 @@ def _submit(world, specs):
 
 def test_killed_workers_unit_is_reaped_and_requeued_in_its_trace(pet_tasks):
     telemetry = Telemetry(trace=True)
-    jobs, report = run_sim_batch(pet_tasks, workers=3, kill_worker_at=0.1,
-                                 telemetry=telemetry)
+    report = run_scenario(Scenario(specs=pet_tasks, clients=3,
+                                   victim="client", fault_at=0.1),
+                          telemetry=telemetry)
     assert report["violations"] == []
     scheduler = report["gateway"]["scheduler"]
     assert scheduler["reaps"] == 1 and scheduler["units_requeued"] == 1
-    (orphan,) = [job for job in jobs if job.requeues]
+    assert report["jobs"]["requeues"] == 1   # one orphan, requeued once
+    (requeue,) = [span for span in telemetry.tracer.spans
+                  if span.name == "job requeue"]
     trace = [span for span in telemetry.tracer.spans
-             if span.trace_id == orphan.trace[0]]
-    requeues = [span for span in trace if span.name == "job requeue"
-                and span.args["id"] == orphan.id]
-    assert len(requeues) == 1
+             if span.trace_id == requeue.trace_id]
     # The reap (silence > dead_factor x report_period) did it, after the
     # kill and before the unit's second, finishing execution.
     done = next(span for span in trace if span.name == "job done"
-                and span.args["id"] == orphan.id)
-    assert 0.1 + 2.0 < requeues[0].start < done.start
+                and span.args["id"] == requeue.args["id"])
+    assert 0.1 + 2.0 < requeue.start < done.start
     assert report["workers"]["wrk0"] == 0
 
 
@@ -192,4 +194,5 @@ def test_metered_engine_charges_the_price_then_executes_once():
 
 def test_a_refused_batch_raises():
     with pytest.raises(ValueError, match="may not carry 'id'"):
-        run_sim_batch([{"kind": "pet.backproject", "id": "mine"}])
+        run_scenario(Scenario(specs=[{"kind": "pet.backproject",
+                                      "id": "mine"}]))

@@ -1,40 +1,45 @@
-"""The simulated twin of ``repro serve``: deterministic, byte-stable.
+"""The users scenario on the twin: deterministic, byte-stable.
 
 Simulated users submit/query/cancel jobs through the same GatewayCore
 routing table the live HTTP plane serves, simulated workers execute
 them through the same unmodified SchedulerServer — and the whole run is
-a pure function of the seed, including a mid-run gateway restart.
+a pure function of the scenario, including a mid-run gateway restart.
 """
 
 import hashlib
 import json
 
-from repro.control import run_sim_serve
+from repro.cli import main
+from repro.control import Scenario, run_scenario
 
 
 def _dumps(report):
     return json.dumps(report, sort_keys=True)
 
 
+def _run(**fields):
+    return run_scenario(Scenario(**fields))
+
+
 def test_run_twice_is_byte_identical():
-    kwargs = dict(seed=11, users=3, workers=2, duration=25.0)
-    assert _dumps(run_sim_serve(**kwargs)) == _dumps(run_sim_serve(**kwargs))
+    kwargs = dict(seed=11, users=3, clients=2, duration=25.0)
+    assert _dumps(_run(**kwargs)) == _dumps(_run(**kwargs))
 
 
 def test_restart_is_deterministic_and_loses_nothing():
-    kwargs = dict(seed=3, users=3, workers=2, duration=30.0,
-                  restart_after=12.0)
-    first = run_sim_serve(**kwargs)
-    second = run_sim_serve(**kwargs)
+    kwargs = dict(seed=3, users=3, clients=2, duration=30.0, fault_at=12.0)
+    first = _run(**kwargs)
+    second = _run(**kwargs)
     assert _dumps(first) == _dumps(second)  # chaos included in the contract
     assert first["gateway"]["restarts"] == 1
-    assert first["jobs_lost"] == []
+    assert first["chaos"] == [{"t": 12.0, "node": "gw0", "restarted": True}]
+    assert first["jobs"]["lost"] == []
     assert first["violations"] == []
-    assert first["accepted_total"] > 0
+    assert first["jobs"]["accepted"] > 0
 
 
 def test_workers_actually_execute_submitted_jobs():
-    report = run_sim_serve(seed=5, users=3, workers=2, duration=30.0)
+    report = _run(seed=5, users=3, clients=2, duration=30.0)
     work = report["gateway"]["work"]
     done = work["state_done"]
     assert done > 0
@@ -42,15 +47,14 @@ def test_workers_actually_execute_submitted_jobs():
     # be in flight at the horizon, or race a cancel and be dropped.
     assert sum(report["workers"].values()) >= done
     # Everything accepted is accounted for in a terminal-or-live state.
-    counts = report["gateway"]["work"]
-    assert (counts["state_queued"] + counts["state_assigned"]
-            + counts["state_done"] + counts["state_cancelled"]
-            == report["accepted_total"])
+    assert (work["state_queued"] + work["state_assigned"]
+            + work["state_done"] + work["state_cancelled"]
+            == report["jobs"]["accepted"])
 
 
 def test_seed_changes_the_world():
-    a = run_sim_serve(seed=1, users=3, workers=2, duration=20.0)
-    b = run_sim_serve(seed=2, users=3, workers=2, duration=20.0)
+    a = _run(seed=1, users=3, clients=2, duration=20.0)
+    b = _run(seed=2, users=3, clients=2, duration=20.0)
     assert _dumps(a) != _dumps(b)
 
 
@@ -60,16 +64,26 @@ def _cli_sha(report):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+#: ``repro serve --simulate --storm 4 --clients 3 --duration 60
+#: --kill-at 25 --seed 11``, the configuration CI used to run twice and diff.
+CI_SHA = "413e78aec4af3d46e5b2a64afe1797e75d1f98c452dbc2abd6aab668f3c4deaa"
+
+
 def test_ci_twin_report_is_pinned_byte_for_byte():
-    """``repro serve --simulate --storm 4 --clients 3 --duration 60
-    --kill-at 25 --seed 11`` — the configuration CI used to run twice and
-    diff. Pinning the digest proves determinism *and* that a refactor of
-    the twin, the gateway or the user mix changed no byte of it."""
-    report = run_sim_serve(seed=11, users=4, workers=3, duration=60.0,
-                           restart_after=25.0)
+    """Pinning the digest proves determinism *and* that a refactor of the
+    twin, the gateway or the user mix changed no byte of it."""
+    report = _run(seed=11, users=4, clients=3, duration=60.0, fault_at=25.0)
     assert report["violations"] == []
     assert report["gateway"]["restarts"] == 1
-    assert report["jobs_lost"] == []
-    assert report["accepted_total"] > 0
-    assert _cli_sha(report) == (
-        "366e784c6c57d438d1c0350011cea4c68bd315314bce96d03cbef00862b6eef3")
+    assert report["jobs"]["lost"] == []
+    assert report["jobs"]["accepted"] > 0
+    assert _cli_sha(report) == CI_SHA
+
+
+def test_cli_writes_the_pinned_bytes(tmp_path, capsys):
+    assert main(["serve", "--simulate", "--storm", "4", "--clients", "3",
+                 "--duration", "60", "--kill-at", "25", "--seed", "11",
+                 "--out", str(tmp_path)]) == 0
+    assert "invariants: OK" in capsys.readouterr().out
+    data = (tmp_path / "report.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == CI_SHA

@@ -156,6 +156,29 @@ def test_replay_return_value_counts_requeued(tmp_path):
     assert reborn.replay() == 1
 
 
+def test_a_reborn_queue_recounts_its_journaled_meters(tmp_path):
+    """A respawned gateway and an in-place replay mean the same thing by
+    ``submitted``/``completed``/``cancelled``: the journal's history."""
+    path = str(tmp_path / "q.jsonl")
+    work = WorkQueue(journal=FileJournal(path), prefix="t")
+    for _ in range(5):
+        work.submit({}, now=0.0)
+    for _ in range(4):
+        work.complete(str(work.next_unit()["id"]), {"ok": 1}, now=1.0)
+    work.cancel("t-5", now=2.0)
+    before = work.stats()
+    work.close()
+    reborn = WorkQueue(journal=FileJournal(path), prefix="t")
+    meters = ("submitted", "completed", "cancelled")
+    assert [reborn.stats()[m] for m in meters] == [5, 4, 1]
+    assert [before[m] for m in meters] == [5, 4, 1]
+    work = WorkQueue(journal=MemoryJournal(), prefix="t")
+    work.submit({}, now=0.0)
+    work.complete(str(work.next_unit()["id"]), {"ok": 1}, now=1.0)
+    work.replay()
+    assert [work.stats()[m] for m in meters] == [1, 1, 0]
+
+
 def test_file_journal_survives_torn_tail_write(tmp_path):
     path = str(tmp_path / "q.jsonl")
     journal = FileJournal(path)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.control import GatewayCore, MemoryJournal, WorkQueue
+from repro.control import GatewayCore, HttpError, MemoryJournal, WorkQueue
 from repro.explore import ExploreQueue, make_eval_spec
 from repro.explore.evals import execute_unit
 from repro.obs.events import EventLog
@@ -261,6 +261,44 @@ def test_seq_gap_probes_at_once(world):
     assert [call[1] for call in _job_calls(queue)] == ids
 
 
+class Down:
+    """Wraps a CoreClient: its next ``fails`` calls raise the error a
+    GatewayClient raises for a gateway that is down (``cause``)."""
+
+    def __init__(self, client, fails, cause):
+        self.client, self.fails, self.cause = client, fails, cause
+
+    def __getattr__(self, name):
+        call = getattr(self.client, name)
+
+        def maybe_down(*args, **kwargs):
+            if self.fails:
+                self.fails -= 1
+                raise HttpError("gateway unreachable") from self.cause
+            return call(*args, **kwargs)
+        return maybe_down
+
+
+def test_an_unreachable_gateway_is_a_missed_poll(world):
+    work, queue = world
+    ids = queue.push_tasks(_specs(3))
+    _finish(work)
+    queue.client = Down(queue.client, 3, ConnectionRefusedError())
+    results = queue.pop_results(min_results=3, timeout=5.0)
+    assert sorted(r["id"] for r in results) == ids
+
+
+def test_a_push_is_retried_only_when_the_connection_was_refused(world):
+    _, queue = world
+    client = queue.client
+    queue.client = Down(client, 2, ConnectionRefusedError())
+    assert queue.push_tasks(_specs(2)) == ["t-1", "t-2"]
+    queue.client = Down(client, 1, ConnectionResetError())  # maybe sent
+    with pytest.raises(HttpError):
+        queue.push_tasks(_specs(1))
+    assert queue.pushed == 2
+
+
 def test_gateway_restart_mid_generation_loses_and_duplicates_nothing():
     journal = MemoryJournal()
     work = WorkQueue(journal=journal, prefix="t")
@@ -282,7 +320,8 @@ def test_gateway_restart_mid_generation_loses_and_duplicates_nothing():
         popped += queue.pop_results(min_results=1, timeout=1.0)
     assert sorted(r["id"] for r in popped) == sorted(ids)
     assert all(r["state"] == "done" for r in popped)
-    assert work.completed + reborn.completed == 20
+    # The reborn queue counts the journal's history: every one, once.
+    assert (work.completed, reborn.completed) == (12, 20)
     # Eight rode the reborn feed; only the five whose events died with the
     # old process needed asking about.
     assert len(_job_calls(queue)) == 5

@@ -1,6 +1,6 @@
 """The deterministic twin: byte-identical worlds, chaos included.
 
-This is the tentpole's sim gate: the full ME subsystem — driver
+The explore scenario on the twin: the full ME subsystem — driver
 component, gateway, scheduler, workers — runs under simulated time, and
 same-seed runs must serialize to identical bytes even with a mid-run
 gateway restart and corrupted worker results in the schedule.
@@ -11,11 +11,12 @@ import json
 
 import pytest
 
-from repro.control import GatewayCore, WorkQueue
+from repro.cli import main
+from repro.control import GatewayCore, Scenario, WorkQueue, run_scenario
 from repro.control.sim import GW_RES
 from repro.core.component import NullRuntime, Send
 from repro.core.linguafranca.messages import Message
-from repro.explore import make_eval_spec, run_sim_explore
+from repro.explore import make_eval_spec
 from repro.explore.evals import execute_unit
 from repro.explore.sim import MEDriverComponent
 
@@ -24,13 +25,17 @@ def _canon(report):
     return json.dumps(report, sort_keys=True)
 
 
+def _explore(**fields):
+    return run_scenario(Scenario(**fields))
+
+
 @pytest.fixture(scope="module")
 def chaos_pair():
     """Two same-seed hill runs with a gateway restart AND a corrupted
     result in the schedule."""
     kwargs = dict(seed=7, algo="hill", duration=240.0, scale=0.5,
-                  restart_after=4.0, corrupt_first=1)
-    return run_sim_explore(**kwargs), run_sim_explore(**kwargs)
+                  fault_at=4.0, corrupt=1)
+    return _explore(**kwargs), _explore(**kwargs)
 
 
 def test_sim_twin_is_byte_identical_under_chaos(chaos_pair):
@@ -60,15 +65,16 @@ def test_sim_twin_rejects_corrupted_results_then_converges(chaos_pair):
 
 
 def test_sim_twin_sweep_consumes_whole_grid():
-    report = run_sim_explore(seed=3, algo="sweep", duration=120.0, scale=0.4)
+    report = _explore(seed=3, algo="sweep", clients=3, duration=120.0,
+                             scale=0.4)
     assert report["violations"] == []
     assert report["driver"]["evals"] == report["driver"]["expected"]
     assert report["me"]["rounds"] == []      # sweeps have no follow-ups
 
 
 def test_sim_twin_seed_changes_world():
-    a = run_sim_explore(seed=1, algo="sweep", duration=120.0, scale=0.4)
-    b = run_sim_explore(seed=2, algo="sweep", duration=120.0, scale=0.4)
+    a = _explore(seed=1, algo="sweep", duration=120.0, scale=0.4)
+    b = _explore(seed=2, algo="sweep", duration=120.0, scale=0.4)
     assert _canon(a) != _canon(b)
 
 
@@ -156,29 +162,46 @@ def _cli_sha(report):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+#: ``repro explore --simulate --algo sweep --scale 0.4 --duration 120
+#: --seed 3`` (the CLI's defaults: 2 clients, ops budget 20,000).
+SWEEP_ARGS = ["--algo", "sweep", "--scale", "0.4", "--duration", "120",
+              "--seed", "3"]
+SWEEP_SHA = "d60444e2f722af51bac91b40fb2566d2b7a8fb8357fd79ec1b200f78f1a03dad"
+#: ``... --algo hill --scale 0.5 --duration 240 --seed 7 --kill-at 4
+#: --corrupt-first 1``: a gateway restart and a corrupted result.
+HILL_ARGS = ["--algo", "hill", "--scale", "0.5", "--duration", "240",
+             "--seed", "7", "--kill-at", "4", "--corrupt-first", "1"]
+HILL_SHA = "1bbbaf1ea8067212d9bf9a1979c07cee79eeae08e71185bcc753271367f7b0fe"
+
+
 def test_ci_sweep_twin_report_is_pinned_byte_for_byte():
-    """``repro explore --simulate --algo sweep --scale 0.4 --duration 120
-    --seed 3`` (the CLI's defaults: 2 workers, ops budget 20,000)."""
-    report = run_sim_explore(seed=3, algo="sweep", workers=2, scale=0.4,
+    report = _explore(seed=3, algo="sweep", clients=2, scale=0.4,
                              duration=120.0)
     assert report["violations"] == []
     assert report["driver"]["evals"] == report["driver"]["expected"]
-    assert _cli_sha(report) == (
-        "36cf4272e0e102f46368c9adf43fb4710cb4f77ba09002c77ee06476544756d2")
+    assert _cli_sha(report) == SWEEP_SHA
 
 
 def test_ci_hill_twin_report_is_pinned_byte_for_byte():
-    """``repro explore --simulate --algo hill --scale 0.5 --duration 240
-    --seed 7 --kill-at 4 --corrupt-first 1``: a gateway restart and a
-    corrupted result in the schedule, and still not a byte moves."""
-    report = run_sim_explore(seed=7, algo="hill", workers=2, scale=0.5,
-                             duration=240.0, restart_after=4.0,
-                             corrupt_first=1)
+    """A gateway restart and a corrupted result in the schedule, and
+    still not a byte moves."""
+    report = _explore(seed=7, algo="hill", clients=2, scale=0.5,
+                             duration=240.0, fault_at=4.0, corrupt=1)
     assert report["violations"] == []
     work = report["gateway"]["work"]
     assert work["completed"] == report["me"]["pushed"]
     assert work["results_rejected"] == 1
     assert report["gateway"]["restarts"] == 1
     assert report["driver"]["failed"] == 0   # the ME never saw a bad value
-    assert _cli_sha(report) == (
-        "5bd91bb38742bdff1dff06676cb29df16e7a011bd3f9daae75583ccd684aec8b")
+    assert _cli_sha(report) == HILL_SHA
+
+
+@pytest.mark.parametrize("args,sha", [(SWEEP_ARGS, SWEEP_SHA),
+                                      (HILL_ARGS, HILL_SHA)],
+                         ids=["sweep", "hill"])
+def test_cli_writes_the_pinned_bytes(args, sha, tmp_path, capsys):
+    assert main(["explore", "--simulate", *args, "--out",
+                 str(tmp_path)]) == 0
+    assert "invariants: OK" in capsys.readouterr().out
+    data = (tmp_path / "report.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == sha

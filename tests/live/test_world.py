@@ -1,7 +1,8 @@
 """The live world lifecycle, driven directly — no OS processes.
 
-:class:`~repro.live.harness.LiveWorld` is what ``repro live``, ``repro
-serve`` and ``repro explore`` all run on; the slow live-world tests reach
+:class:`~repro.live.harness.LiveWorld` is what ``repro live`` and every
+live scenario (``repro serve``, ``repro explore``) run on; the slow
+live-world tests reach
 it only through real processes. Here a stub supervisor (fake clock that
 advances one tick per ``poll``) and a stub collector stand in, so the
 kill schedule, the 1 Hz health check, the respawn wait and the cleanup
@@ -41,7 +42,8 @@ class StubSupervisor:
                  restart=None, log_dir=None):
         self.manifest_path = manifest_path
         self.deadline = deadline
-        self.nodes = {spec.name: SimpleNamespace(state="running")
+        self.nodes = {spec.name: SimpleNamespace(state="running",
+                                                 incarnation=0)
                       for spec in manifest.topology.nodes}
         self.clock = 0.0
         self.spawned = False
@@ -197,7 +199,7 @@ def test_out_directory_is_kept(stubs, tmp_path):
 
 
 def test_drain_waits_for_a_pending_respawn(stubs):
-    """ISSUE 21 regression: ``run_serve`` drained a world whose killed
+    """Regression: the serve harness drained a world whose killed
     client was still in restart backoff, ``Supervisor.drain`` cancelled
     the respawn, and the report said "killed but never restarted". The
     wait is the lifecycle's, so every harness has it."""
@@ -213,6 +215,27 @@ def test_drain_waits_for_a_pending_respawn(stubs):
     assert supervisor.now() >= 9.0
     assert nodes["cli0"]["role"] == "client"
     assert set(nodes) == {spec.name for spec in _topology().nodes}
+
+
+def test_drain_waits_for_a_respawned_nodes_hello(stubs):
+    """A node SIGTERMed before its new life says hello ships no final
+    report; the drain waits until the collector has heard from it."""
+    with LiveWorld(_topology(), duration=2.0, grace=30.0) as world:
+        supervisor = world.supervisor
+        supervisor.nodes["cli0"].incarnation = 1
+        rec = SimpleNamespace(incarnation=0, hellos=1, reports=1,
+                              stop_reason=None, stats={})
+        world.collector.nodes["cli0"] = rec
+        poll = supervisor.poll
+
+        def hello_at_six():
+            poll()
+            if supervisor.clock >= 6.0:
+                rec.incarnation = 1
+
+        supervisor.poll = hello_at_six
+        world.drain()
+    assert 6.0 <= supervisor.now() < 6.0 + 40 * TICK
 
 
 def test_respawn_wait_is_bounded_by_the_nodes_deadline(stubs):

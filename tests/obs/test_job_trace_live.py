@@ -1,8 +1,9 @@
 """One job's trace across a SIGKILLed client's two incarnations, live.
 
-The serve world as real OS processes with one worker client, SIGKILLed
-mid-unit. The supervisor recovers the dead incarnation's flight-recorder
-spool, the reaper requeues the orphaned unit, and the merged span set
+The users scenario as real OS processes with one worker client,
+SIGKILLed mid-unit. The supervisor recovers the dead incarnation's
+flight-recorder spool, the reaper requeues the orphaned unit, and the
+merged span set
 must hold one connected trace whose work spans come from both
 incarnations of the client, merged onto one timeline around the
 requeue. Cancels are off: a cancelled in-flight job is (correctly)
@@ -11,20 +12,19 @@ dropped on requeue.
 The unit is sized so the kill always lands mid-unit. On K_18 there is
 no R(4,4) counter-example (R(4,4) = 18), so a unit never ends early: it
 runs its whole ops budget, 600k ops or 2 s at the topology's 300k
-ops/s. The client takes its first unit about 0.5 s in, so it is still
-working on it at the 2 s kill; the replacement restarts after the 3 s
-backoff and finishes the requeued unit near 8 s in.
+ops/s. The client takes its first unit about 0.5 s into the storm, so
+it is still working on it at the kill 1.5 s into the storm; the
+replacement restarts after the 3 s backoff and finishes the requeued
+unit about 7 s into the storm, inside the 9 s run.
 """
 
 import collections
-import functools
 import json
 
 import pytest
 
-import repro.control.serve as serve
 from repro.cli import main as cli_main
-from repro.control import ServeConfig, run_serve
+from repro.control import Scenario, run_scenario
 from repro.obs.jobtrace import span_origin
 
 LIFECYCLE = {"job ingress", "journal flush", "job assign", "job requeue",
@@ -34,14 +34,10 @@ LIFECYCLE = {"job ingress", "journal flush", "job assign", "job requeue",
 @pytest.fixture(scope="module")
 def run(tmp_path_factory):
     out = tmp_path_factory.mktemp("tracekill")
-    config = ServeConfig(clients=1, storm_clients=10, duration=9.0,
-                         kill_at=2.0, kill_node="cli0", cancel_fraction=0.0,
-                         k=18, n=4, seed=0)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(serve, "ramsey_job_spec", functools.partial(
-            serve.ramsey_job_spec, ops_budget=600_000.0))
-        report = run_serve(config, out=str(out))
-    return report, out
+    scenario = Scenario(users=10, clients=1, duration=9.0, fault_at=1.5,
+                        victim="client", cancel_fraction=0.0, k=18, n=4,
+                        ops_budget=600_000.0)
+    return run_scenario(scenario, live=True, out=str(out)), out
 
 
 def _crossing_trace(spans):
@@ -67,8 +63,8 @@ def _crossing_trace(spans):
 
 def test_one_trace_crosses_both_incarnations_around_the_requeue(run):
     report, out = run
-    assert report.ok, report.violations
-    assert [c["node"] for c in report.chaos] == ["cli0"]
+    assert report["violations"] == []
+    assert [c["node"] for c in report["chaos"]] == ["cli0"]
     spans = json.loads((out / "spans.json").read_text())["spans"]
     crossing = _crossing_trace(spans)
     assert crossing is not None, (
@@ -80,7 +76,7 @@ def test_one_trace_crosses_both_incarnations_around_the_requeue(run):
 def test_killed_incarnation_spool_recovered(run):
     _, out = run
     report = json.loads((out / "report.json").read_text())
-    assert 0 in report["nodes"]["cli0"]["flights_recovered"]
+    assert 0 in report["world"]["nodes"]["cli0"]["flights_recovered"]
 
 
 def test_trace_job_renders_the_requeue_and_second_incarnation(run, capsys):
