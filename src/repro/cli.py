@@ -3,6 +3,7 @@
 Commands
 --------
 ``sc98``    run the SC98 scenario and print/export the paper's figures
+``claims``  run every claim EXPERIMENTS.md states and check it holds
 ``ramsey``  run a counter-example search locally (real kernels)
 ``pet``     run the distributed PET reconstruction demo
 ``trace``   run a scenario with causal tracing on; export Chrome trace
@@ -104,6 +105,21 @@ def _cmd_sc98(args: argparse.Namespace) -> int:
         paths = write_results(results, args.out)
         print("\nwrote: " + ", ".join(paths))
     return 0
+
+
+def _cmd_claims(args: argparse.Namespace) -> int:
+    from .experiments.claims import render_tables, run_claims, write_outputs
+
+    print(f"running the paper's claims (SC98 scale {args.scale:g}) ...\n")
+    doc = run_claims(scale=args.scale)
+    print(render_tables(doc))
+    for record in doc["claims"]:
+        for check, ok in record["checks"].items():
+            if not ok:
+                print(f"FAILED {record['id']}: {check}")
+    if args.out:
+        print("\nwrote: " + ", ".join(write_outputs(doc, args.out)))
+    return 0 if all(record["holds"] for record in doc["claims"]) else 1
 
 
 def _cmd_ramsey(args: argparse.Namespace) -> int:
@@ -512,6 +528,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--figures", action="store_true",
                    help="print the full figure tables")
     p.set_defaults(func=_cmd_sc98)
+
+    p = sub.add_parser("claims", help="run and check the paper's claims")
+    p.add_argument("--scale", type=float, default=0.25,
+                   help="host scale of the shared SC98 run (default 0.25; "
+                        "1 is the full ~350-host run)")
+    p.add_argument("--out", type=str, default=None,
+                   help="directory for claims.json, the figure texts and "
+                        "the A3 table")
+    p.set_defaults(func=_cmd_claims)
 
     p = sub.add_parser("ramsey", help="run a local counter-example search")
     p.add_argument("--k", type=int, default=10)

@@ -13,8 +13,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .metrics import SeriesBundle, coefficient_of_variation
 from .sc98 import SC98Results, offset_to_clock
+from .stats import shape_metrics
 
 __all__ = [
     "sparkline",
@@ -122,16 +122,14 @@ def render_headlines(results: SC98Results) -> str:
 def render_grid_criteria(results: SC98Results) -> str:
     """§7: quantify 'consistent' — total CV vs per-infrastructure CVs —
     plus the pervasive/dependable evidence."""
-    s = results.series
-    skip = max(2, len(s.total_rate) // 12)  # ignore start-up transient
-    total_cv = coefficient_of_variation(s.total_rate, skip=skip)
+    shape = shape_metrics(results)
     lines = ["Grid criteria (§7):"]
-    lines.append(f"  consistent: total-rate CV = {total_cv:.3f}")
-    for name in sorted(s.rate_by_infra):
-        cv = coefficient_of_variation(s.rate_by_infra[name], skip=skip)
+    lines.append(f"  consistent: total-rate CV = {shape.total_cv:.3f}")
+    for name, cv in shape.part_cvs.items():
         lines.append(f"    {name:>9} CV = {cv:.3f}")
     infra_count = sum(
-        1 for v in s.rate_by_infra.values() if float(np.nansum(v)) > 0)
+        1 for v in results.series.rate_by_infra.values()
+        if float(np.nansum(v)) > 0)
     lines.append(f"  pervasive: {infra_count} infrastructures delivered cycles")
     return "\n".join(lines)
 

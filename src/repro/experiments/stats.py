@@ -8,8 +8,8 @@ on the derived quantities (dip ratio, recovery ratio, smoothness CV).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -53,6 +53,10 @@ class SweepOutcome:
     recovery: float
     total_cv: float
     median_part_cv: float
+    #: Per-infrastructure rate CVs (same start-up skip as ``total_cv``).
+    part_cvs: dict[str, float] = field(default_factory=dict)
+    #: Share of post-start-up windows in which work was delivered.
+    delivering: float = float("nan")
 
     @property
     def dip_ratio(self) -> float:
@@ -66,11 +70,12 @@ class SweepOutcome:
 
 
 def shape_metrics(results: SC98Results) -> SweepOutcome:
-    """Extract the seed-comparable shape quantities from one run."""
+    """Extract the seed-comparable shape quantities from one run; the
+    first twelfth (at least two windows) is the deployment transient."""
     s = results.series
     skip = max(2, len(s.total_rate) // 12)
-    part_cvs = [coefficient_of_variation(v, skip=skip)
-                for v in s.rate_by_infra.values()]
+    part_cvs = {name: coefficient_of_variation(v, skip=skip)
+                for name, v in sorted(s.rate_by_infra.items())}
     _, peak = results.peak()
     return SweepOutcome(
         seed=results.config.seed,
@@ -78,24 +83,18 @@ def shape_metrics(results: SC98Results) -> SweepOutcome:
         dip=results.judging_dip(),
         recovery=results.recovery(),
         total_cv=coefficient_of_variation(s.total_rate, skip=skip),
-        median_part_cv=float(np.median(part_cvs)) if part_cvs else float("nan"),
+        median_part_cv=(float(np.median(list(part_cvs.values())))
+                        if part_cvs else float("nan")),
+        part_cvs=part_cvs,
+        delivering=float(np.mean(s.total_rate[skip:] > 0)),
     )
 
 
 def seed_sweep(
     seeds: Sequence[int],
     scale: float = 0.15,
-    duration: Optional[float] = None,
-    config_overrides: Optional[dict] = None,
+    duration: float = SC98Config.duration,
 ) -> list[SweepOutcome]:
     """Replay the SC98 scenario once per seed, collecting shape metrics."""
-    outcomes = []
-    for seed in seeds:
-        kwargs = dict(scale=scale, seed=seed)
-        if duration is not None:
-            kwargs["duration"] = duration
-        if config_overrides:
-            kwargs.update(config_overrides)
-        results = build_sc98(SC98Config(**kwargs)).run()
-        outcomes.append(shape_metrics(results))
-    return outcomes
+    return [shape_metrics(build_sc98(SC98Config(
+        scale=scale, seed=seed, duration=duration)).run()) for seed in seeds]
