@@ -18,10 +18,14 @@ Exercises the digest/delta anti-entropy sync plane (DESIGN §15) on
 * a **determinism** cell — the 64-host scenario runs twice with the same
   seed and must produce byte-identical state exports;
 * a **pool-4096** cell — ``repro pool --hosts 4096 --json`` in a child
-  process, which must converge; its peak RSS is read from
-  ``RUSAGE_CHILDREN`` (membership views are shared, so a member holds
-  O(1) of the pool: about 290 MB on 2 CPUs, 1,131 MB when every member
-  kept its own copies).
+  process, which must converge; its peak RSS is the child's own, read
+  with ``wait4`` (membership views and the contact list are shared, so a
+  member holds O(1) of the pool: about 160 MB on 2 CPUs; 290 MB while
+  every member copied the contact list, 1,131 MB when every member kept
+  its own views too);
+* a **pool-10000** cell (full runs only) — the same at 10,000 hosts,
+  about 330 MB and a minute on 2 CPUs; its wall time is recorded, not
+  gated.
 
 Speed against the parent commit is the end-to-end suite's job
 (``benchmarks/e2e``, workload ``pool_converge``); this script gates the
@@ -31,7 +35,7 @@ The gate (``--check``) asserts the acceptance floors: convergence within
 ``1.5*log2(N) + 4`` rounds at every size, per-node bytes/round at the
 largest pool within 1.5x of the 64-host cell, digest bytes staying within
 1.5x over the state sweep, the same-seed exports identical, and 4,096
-hosts converging within 450 MB.
+(and, on full runs, 10,000) hosts converging within 450 MB.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import resource
 import subprocess
 import sys
 import time
@@ -51,7 +54,7 @@ CONVERGENCE_ROUNDS_FACTOR = 1.5  # rounds <= factor * log2(N) + slack
 CONVERGENCE_ROUNDS_SLACK = 4.0
 BYTES_FLAT_RATIO = 1.5  # per-node bytes/round, largest pool vs smallest
 DIGEST_STATE_RATIO = 1.5  # bytes/node/round, largest state vs smallest
-POOL_RSS_MB_CEILING = 450  # child peak RSS converging 4,096 hosts
+POOL_RSS_MB_CEILING = 450  # child peak RSS converging 4,096 or 10,000 hosts
 
 
 def _convergence_cell(n_hosts: int, seed: int = 11,
@@ -129,21 +132,27 @@ def _determinism_cell(n_hosts: int = 64) -> dict:
     }
 
 
-def _pool_cell(n_hosts: int = 4096) -> dict:
-    """``repro pool`` in a child process; peak RSS as the kernel saw it.
-    No other child runs before it, so ``RUSAGE_CHILDREN`` is this one."""
+def _pool_cell(n_hosts: int) -> dict:
+    """``repro pool`` in a child process; peak RSS as the kernel saw it
+    (``wait4`` reports that one child's usage)."""
     wall0 = time.monotonic()
-    out = subprocess.run(
-        [sys.executable, "-m", "repro", "pool", "--hosts", str(n_hosts),
-         "--json"], env={**os.environ, "PYTHONPATH": str(SRC)},
-        capture_output=True, check=True).stdout
-    doc = json.loads(out)
-    rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    args = [sys.executable, "-m", "repro", "pool", "--hosts", str(n_hosts),
+            "--json"]
+    child = subprocess.Popen(args, env={**os.environ, "PYTHONPATH": str(SRC)},
+                             stdout=subprocess.PIPE)
+    with child.stdout:
+        out = child.stdout.read()
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    if child.returncode:
+        raise subprocess.CalledProcessError(child.returncode, args)
+    convergence = json.loads(out)["convergence"]
     return {
-        "cell": "pool-4096",
+        "cell": f"pool-{n_hosts}",
         "n_hosts": n_hosts,
-        "converged": doc["convergence"]["converged"],
-        "peak_rss_mb": round(rss, 1),
+        "converged": convergence["converged"],
+        "rounds": convergence["rounds"],
+        "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
         "wall_s": round(time.monotonic() - wall0, 2),
     }
 
@@ -151,7 +160,7 @@ def _pool_cell(n_hosts: int = 4096) -> dict:
 def check(rows: list[dict]) -> list[str]:
     failures: list[str] = []
     conv = [row for row in rows if row["cell"] == "convergence"]
-    for row in conv:
+    for row in [*conv, *(r for r in rows if r["cell"].startswith("pool-"))]:
         if not row["converged"]:
             failures.append(f"{row['n_hosts']} hosts: did not converge")
             continue
@@ -182,9 +191,7 @@ def check(rows: list[dict]) -> list[str]:
     for row in rows:
         if row["cell"] == "determinism" and not row["identical"]:
             failures.append("same-seed runs produced different exports")
-        if row["cell"] == "pool-4096":
-            if not row["converged"]:
-                failures.append(f"{row['n_hosts']} hosts: did not converge")
+        if row["cell"].startswith("pool-"):
             if row["peak_rss_mb"] > POOL_RSS_MB_CEILING:
                 failures.append(f"{row['n_hosts']} hosts: child peak RSS "
                                 f"{row['peak_rss_mb']:.0f} MB > "
@@ -214,14 +221,17 @@ def main(argv: list[str] | None = None) -> int:
     rows.append(row)
     print(f"determinism: identical={row['identical']} "
           f"({row['export_bytes']} export bytes)")
-    row = _pool_cell()
-    rows.append(row)
-    print(f"pool {row['n_hosts']} hosts: converged={row['converged']} "
-          f"peak RSS {row['peak_rss_mb']:.0f} MB, wall {row['wall_s']}s")
+    pool_hosts = [4096] if args.quick else [4096, 10_000]
+    for n in pool_hosts:
+        row = _pool_cell(n)
+        rows.append(row)
+        print(f"pool {n} hosts: converged={row['converged']} "
+              f"rounds={row['rounds']} peak RSS {row['peak_rss_mb']:.0f} MB, "
+              f"wall {row['wall_s']}s")
 
     config = {"convergence_hosts": sizes, "state_size_hosts": 64,
               "state_size_records": n_records, "determinism_hosts": 64,
-              "pool_hosts": 4096}
+              "pool_hosts": pool_hosts}
     floors = {
         "convergence_rounds": f"<= {CONVERGENCE_ROUNDS_FACTOR}*log2(N)"
                               f" + {CONVERGENCE_ROUNDS_SLACK}",

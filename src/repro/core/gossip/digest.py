@@ -15,8 +15,8 @@ message, a Gossip summarizes its state as
 
 Hashes are XOR-accumulated CRC32s of each record's version triple
 ``(stamp, seq, origin)``, so adopting or replacing one record is an O(1)
-incremental update (XOR out the old hash, XOR in the new) — building a
-digest each round reads :data:`DIGEST_BUCKETS` integers regardless of how
+incremental update (XOR out the old hash, XOR in the new) — the root is
+one integer kept beside the buckets, so reading it costs the same however
 much state is registered.
 
 :func:`plan_exchange` computes the actual delta: given the local freshest
@@ -79,7 +79,7 @@ class StateDigest:
     accounting.
     """
 
-    __slots__ = ("buckets", "count", "entry_bytes", "_hashes", "_sizes")
+    __slots__ = ("buckets", "count", "entry_bytes", "_hashes", "_sizes", "_xor")
 
     def __init__(self) -> None:
         self.buckets = [0] * DIGEST_BUCKETS
@@ -87,16 +87,15 @@ class StateDigest:
         self.entry_bytes = 0
         self._hashes: dict[str, int] = {}
         self._sizes: dict[str, int] = {}
+        #: XOR of every record hash, i.e. of every bucket hash.
+        self._xor = 0
 
     @property
     def root(self) -> int:
         """Order-independent root hash: XOR of bucket hashes mixed with
         the record count (so an empty bucket vector with different counts
         still differs)."""
-        acc = self.count
-        for h in self.buckets:
-            acc ^= h
-        return acc
+        return self.count ^ self._xor
 
     def adopt(self, record: "StateRecord", size: int) -> None:
         """Fold ``record`` in (replacing any prior record of its tag).
@@ -106,11 +105,13 @@ class StateDigest:
         old = self._hashes.get(tag)
         if old is not None:
             self.buckets[bucket] ^= old
+            self._xor ^= old
             self.entry_bytes -= self._sizes[tag]
         else:
             self.count += 1
         h = freshness_hash(tag, record.stamp, record.seq, record.origin)
         self.buckets[bucket] ^= h
+        self._xor ^= h
         self._hashes[tag] = h
         self._sizes[tag] = size
         self.entry_bytes += size
@@ -121,6 +122,7 @@ class StateDigest:
         if old is None:
             return
         self.buckets[bucket_of(mtype)] ^= old
+        self._xor ^= old
         self.entry_bytes -= self._sizes.pop(mtype)
         self.count -= 1
 

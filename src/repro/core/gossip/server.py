@@ -47,13 +47,13 @@ import json
 import math
 import zlib
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..component import CancelTimer, Component, Effect, LogLine, Send, SetTimer, Stop
 from ..forecasting.benchmarking import EventTimer, ForecastRegistry, event_tag
 from ..policy import TimeoutPolicy
 from ..linguafranca.messages import Message
-from .clique import CLIQUE_MTYPES, CliqueState, _in_view
+from .clique import CLIQUE_MTYPES, CliqueState, _in_view, _shared
 from .digest import StateDigest, plan_exchange
 from .state import (MALFORMED, ComparatorRegistry, StateRecord, wire_int,
                     wire_list, wire_stamp)
@@ -153,7 +153,9 @@ class GossipServer(Component):
         tombstone_ttl: Optional[float] = None,
     ) -> None:
         super().__init__(name)
-        self.well_known = list(well_known)
+        #: The caller's contact list, held (never copied or edited) so a
+        #: pool of N members holds one list, not N (DESIGN §15).
+        self.well_known = well_known
         self.comparators = comparators or ComparatorRegistry()
         self.poll_period = poll_period
         self.sync_period = sync_period
@@ -223,6 +225,15 @@ class GossipServer(Component):
         #: regime changes this member witnessed — elections, joins,
         #: partitions shrinking the pool).
         self._members_view: list[str] = []
+        #: ``_piggyback_budget()`` and the view it was derived from.
+        self._budget_view: Optional[list[str]] = None
+        self._budget = 0
+        #: ``_membership()``: derived from this view object and this
+        #: ``SuspicionTable.dead_version``, reused until either moves.
+        self._derived_view: Optional[list[str]] = None
+        self._derived_dead = -1
+        self._alive: Sequence[str] = ()
+        self._peers: tuple[str, ...] = ()
 
     # -- lifecycle ------------------------------------------------------------
     def on_start(self, now: float) -> list[Effect]:
@@ -239,7 +250,7 @@ class GossipServer(Component):
             on_transition=self._on_liveness_transition,
         )
         effects: list[Effect] = []
-        if contact not in self.well_known:
+        if not _in_view(_shared(self.well_known)[0], contact):
             effects.extend(self.clique.join_effects(self.well_known))
         effects.extend(self.clique.start(now))
         effects.append(SetTimer(T_POLL, self.poll_period))
@@ -277,14 +288,28 @@ class GossipServer(Component):
     def alive_members(self) -> list[str]:
         """Pool members not currently declared dead by the failure
         detector (suspects stay in: suspicion is a hint, not a verdict)."""
-        susp = self.suspicion
-        return [m for m in self.pool_members()
-                if m == (self.clique.self_id if self.clique else None)
-                or susp is None or susp.is_usable(m)]
+        return list(self._membership()[0])
+
+    def _membership(self) -> tuple[Sequence[str], tuple[str, ...]]:
+        """``(alive members, usable shard peers but self)``, derived once
+        per membership view and per move of the suspicion table's DEAD
+        set. The first may be the shared view itself: do not edit."""
+        clique, susp = self.clique, self.suspicion
+        assert clique is not None and susp is not None
+        view = clique.members
+        if view is not self._derived_view or susp.dead_version != self._derived_dead:
+            me = clique.self_id
+            dead = {m for m, mv in susp.members.items()
+                    if mv.state == DEAD and m != me and _in_view(view, m)}
+            self._alive = tuple(m for m in view if m not in dead) if dead else view
+            self._peers = tuple(p for p in clique.my_shard(self.shard_size)
+                                if p != me and p not in dead)
+            self._derived_view, self._derived_dead = view, susp.dead_version
+        return self._alive, self._peers
 
     def responsible_for(self, contact: str) -> bool:
         """Consistent assignment of components across the current clique."""
-        members = self.alive_members()
+        members = self._membership()[0]
         if not members:
             return True
         idx = zlib.crc32(contact.encode("utf-8")) % len(members)
@@ -335,15 +360,17 @@ class GossipServer(Component):
 
     def _piggyback_budget(self) -> int:
         """Retransmission budget for piggybacked claims/tombstones/
-        registrations: O(log pool) rounds spreads a claim epidemic-wide."""
-        pool = max(len(self._members_view), 2)
-        return int(math.ceil(math.log2(pool))) + 3
+        registrations: O(log pool) rounds spreads a claim epidemic-wide.
+        Derived once per membership view."""
+        if self._budget_view is not self._members_view:
+            self._budget_view = view = self._members_view
+            self._budget = int(math.ceil(math.log2(max(len(view), 2)))) + 3
+        return self._budget
 
     def _rumor_budget(self) -> int:
         if self.rumor_rounds is not None:
             return max(int(self.rumor_rounds), 1)
-        pool = max(len(self._members_view), 2)
-        return int(math.ceil(math.log2(pool))) + 4
+        return self._piggyback_budget() + 1
 
     # -- registration ---------------------------------------------------------
     def _on_register(self, message: Message, now: float) -> list[Effect]:
@@ -367,13 +394,9 @@ class GossipServer(Component):
         self._reg_queue[contact] = self._piggyback_budget()
         return effects
 
-    def _shard_peers(self) -> list[str]:
+    def _shard_peers(self) -> tuple[str, ...]:
         """Usable members of this node's sync shard, excluding self."""
-        assert self.clique is not None
-        susp = self.suspicion
-        me = self.clique.self_id
-        return [p for p in self.clique.my_shard(self.shard_size)
-                if p != me and (susp is None or susp.is_usable(p))]
+        return self._membership()[1]
 
     def _on_newcomp(self, message: Message, now: float) -> list[Effect]:
         contact = message.body["contact"]
@@ -575,8 +598,7 @@ class GossipServer(Component):
         one peer from a rotating foreign shard."""
         assert self.clique is not None and self.runtime is not None
         targets: list[str] = []
-        shard_peers = self._shard_peers()
-        pool = list(shard_peers)
+        pool = list(self._shard_peers())
         for _ in range(min(self.fanout, len(pool))):
             idx = int(self.runtime.random() * len(pool)) % len(pool)
             targets.append(pool.pop(idx))

@@ -82,6 +82,11 @@ class SuspicionTable:
         self._dirty: dict[str, int] = {}
         #: Transition counters by target state (telemetry mirrors these).
         self.transitions: dict[str, int] = {ALIVE: 0, SUSPECT: 0, DEAD: 0}
+        #: Moves exactly when a member enters or leaves DEAD (a ``forget``
+        #: of a dead member included): owners derive membership lists
+        #: once per move instead of filtering on every call.
+        self.dead_version = 0
+        self._suspects = 0
 
     # -- helpers -----------------------------------------------------------
     def _timeout(self) -> float:
@@ -111,6 +116,9 @@ class SuspicionTable:
         mv.state = state
         mv.since = now
         self.transitions[state] += 1
+        self._suspects += (state == SUSPECT) - (old == SUSPECT)
+        if DEAD in (old, state):
+            self.dead_version += 1
         self._dirty[member] = budget
         if self.on_transition is not None:
             self.on_transition(member, old, state)
@@ -163,12 +171,17 @@ class SuspicionTable:
         return True
 
     def forget(self, member: str) -> None:
-        self.members.pop(member, None)
+        mv = self.members.pop(member, None)
         self._dirty.pop(member, None)
+        if mv is not None:
+            self._suspects -= mv.state == SUSPECT
+            self.dead_version += mv.state == DEAD
 
     def tick(self, now: float) -> list[str]:
         """Expire suspicions: suspects older than the suspicion timeout
         become dead. Returns the newly-dead members, sorted."""
+        if not self._suspects:
+            return []
         deadline = self._timeout()
         newly_dead = [m for m in sorted(self.members)
                       if self.members[m].state == SUSPECT

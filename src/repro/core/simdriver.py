@@ -17,6 +17,7 @@ were killed without warning.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Callable, Optional
 
 from ..simgrid.engine import (PRIORITY_URGENT, Environment, Event,
@@ -93,6 +94,12 @@ class SimDriver(ComponentDriver):
         #: The armed wake-up (or its zero-delay hop); any other wake-up
         #: still on the event queue is superseded and ignored when it fires.
         self._wake: Optional[Event] = None
+        #: The armed wake-up's time (None for a hop), the sequence number
+        #: it is queued under, and the one it must fire under: the number
+        #: taken by the latest re-arm at that same time (DESIGN §7 rule 2).
+        self._wake_at: Optional[float] = None
+        self._wake_queued = 0
+        self._wake_seq = 0
         # Worlds hand the shared Telemetry over explicitly, or implicitly
         # via Network.attach_telemetry (so the many driver construction
         # sites inherit it without plumbing).
@@ -140,8 +147,9 @@ class SimDriver(ComponentDriver):
     # Same-instant ordering is part of the determinism contract (same seed,
     # same bytes), so these keep the event-queue positions the generator
     # loop they replace had: on_start from an urgent zero-delay event, a
-    # fresh wake-up Timeout after every handled event, and one zero-delay
-    # hop between a wake-up firing and the timers it fires.
+    # wake-up re-armed after every handled event (at the sequence number a
+    # fresh Timeout would take), and one zero-delay hop between a wake-up
+    # firing and the timers it fires.
     def _on_start(self, _event: Event) -> None:
         self._start_component(self.env.now)
         self._stop_or_rearm()
@@ -160,9 +168,18 @@ class SimDriver(ComponentDriver):
     def _on_wake(self, event: Event) -> None:
         """The wake-up Timeout fired: hop once more through the queue, so
         everything already scheduled for this instant runs first."""
-        if event is self._wake:
-            hop = self._wake = self.env.timeout(0.0)
-            hop.callbacks.append(self._on_due)
+        if event is not self._wake:
+            return
+        if self._wake_queued != self._wake_seq:
+            # Re-armed at this time since it was queued: fire from the
+            # position the latest re-arm took, as a fresh Timeout would.
+            event.callbacks = [self._on_wake]
+            self._wake_queued = self._wake_seq
+            heappush(self.env._queue, (self._wake_at, self._wake_seq, event))
+            return
+        hop = self._wake = self.env.timeout(0.0)
+        self._wake_at = None
+        hop.callbacks.append(self._on_due)
 
     def _on_due(self, event: Event) -> None:
         if event is self._wake:
@@ -171,17 +188,27 @@ class SimDriver(ComponentDriver):
 
     def _stop_or_rearm(self) -> None:
         """After every handled event: finish if the component asked to
-        stop, else arm a fresh wake-up for the next deadline."""
+        stop, else re-arm the wake-up for the next deadline."""
         if self._stopped:
             self._finish(self.stop_reason or "stopped")
             return
         deadline = self._next_deadline()
         if deadline is None:
             self._wake = None
-        else:
-            wake = self._wake = self.env.timeout(
-                max(deadline - self.env.now, 0.0))
-            wake.callbacks.append(self._on_wake)
+            return
+        env = self.env
+        delay = max(deadline - env.now, 0.0)
+        at = env.now + delay
+        if at == self._wake_at and self._wake is not None:
+            # Unchanged deadline: take the sequence number a fresh wake-up
+            # would, but queue nothing (_on_wake moves the queued one).
+            env._seq += 1
+            self._wake_seq = env._seq
+            return
+        wake = self._wake = env.timeout(delay)
+        wake.callbacks.append(self._on_wake)
+        self._wake_at = at
+        self._wake_queued = self._wake_seq = env._seq
 
     def _on_interrupt(self, cause: Any) -> None:
         if self.process.is_alive:  # else it ended before the kill landed

@@ -301,6 +301,39 @@ def test_wakeup_is_rearmed_with_a_fresh_timeout_after_every_handled_event():
     assert order(with_message=True) == ["b", "a"]
 
 
+def test_an_unchanged_rearm_keeps_its_position_and_queues_nothing():
+    """Re-arming at an unchanged deadline takes the sequence number a fresh
+    wake-up would, without a queue entry: b's wake-up, queued before c's,
+    still fires after it because b handled messages after c was armed."""
+    def run(with_messages):
+        env, streams, net, hosts = build(n_hosts=3)
+        log = []
+        drivers = [SimDriver(env, net, hosts[i], "p", comp, streams)
+                   for i, comp in enumerate([Periodic("a", log),
+                                             Periodic("b", log),
+                                             Periodic("c", log, period=29.0)])]
+        drivers[0].start(), drivers[1].start()
+        env.run(until=1)
+        drivers[2].start()  # armed for 1 + 29 = 30, the same instant
+        queued = []
+        for t in (10, 20):
+            env.run(until=t)
+            if with_messages:
+                net.send(Address("h0", "tx"), drivers[1].address,
+                         Message(mtype="HI", sender="h0/tx").encode())
+            queued.append(len(env._queue))
+            env.run(until=t + 1)
+            queued.append(len(env._queue))
+        env.run(until=31)
+        return [e[0] for e in log if e[1] == "timer"], queued
+
+    order, queued = run(with_messages=True)
+    assert order == ["a", "c", "b"]
+    # The arrival left the queue and b's unchanged re-arm added nothing.
+    assert queued == [4, 3, 4, 3]
+    assert run(with_messages=False) == (["a", "b", "c"], [3, 3, 3, 3])
+
+
 def test_host_death_with_a_delivery_in_flight_then_respawn():
     env, streams, net, hosts = build()
     log = []

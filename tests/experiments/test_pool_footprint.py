@@ -1,10 +1,9 @@
 """A pool member holds O(1) of the pool (DESIGN §15): every member with the
-same membership view holds the same list, per-member memory does not grow
-with the pool, and a token round is encoded once however many members it
+same membership view holds the same list, the whole pool holds one contact
+list, per-member memory does not grow with the pool, and a token round is encoded once however many members it
 reaches."""
 
 import gc
-import sys
 import tracemalloc
 from unittest import mock
 
@@ -15,8 +14,8 @@ from repro.experiments.bigpool import build_pool
 
 def retained_per_host(n_hosts):
     """Bytes still allocated per host after build + 30 simulated seconds,
-    less each member's ``well_known`` list: a private copy of the contact
-    list the caller handed in, the one O(pool) part a member still owns."""
+    everything counted: the contact list included, which the whole pool
+    shares."""
     # Start from empty process-wide caches, so what earlier pools left in
     # them is not credited to this one.
     messages._encode_cache.clear()
@@ -30,7 +29,6 @@ def retained_per_host(n_hosts):
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    retained -= sum(sys.getsizeof(g.well_known) for g in pool.servers)
     return pool, retained / n_hosts
 
 
@@ -44,6 +42,7 @@ def test_per_member_memory_is_flat_in_pool_size():
         f"{large / 1024:.1f} KiB/host at 512")
     assert len({id(g.clique.members) for g in pool.servers}) == 1
     assert len({id(g.clique.universe) for g in pool.servers}) == 1
+    assert len({id(g.well_known) for g in pool.servers}) == 1
     assert pool.servers[0].pool_members() is pool.servers[1].clique.members
 
 
