@@ -15,7 +15,7 @@ Run: ``python examples/forecasting_demo.py``
 
 import numpy as np
 
-from repro.api import ForecastRegistry, ForecasterBank, default_bank
+from repro.api import ForecastRegistry, ForecasterBank
 
 
 def make_trace(n=1200, seed=3):

@@ -32,7 +32,6 @@ _EXPORTS = {
     # dynamic benchmarking / forecasting (§2.2)
     "..core.forecasting.benchmarking": ("ForecastRegistry", "event_tag"),
     "..core.forecasting.selector": ("ForecasterBank",),
-    "..core.forecasting.forecasters": ("default_bank",),
     # gossip and services
     "..core.gossip.state": ("ComparatorRegistry", "StateStore"),
     "..core.gossip.agent": ("GossipAgent",),

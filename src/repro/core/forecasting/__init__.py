@@ -4,9 +4,6 @@ from ..._exports import lazy_exports
 
 _EXPORTS = {
     ".benchmarking": ("EventTimer", "ForecastRegistry", "event_tag"),
-    ".forecasters": ("AdaptiveMean", "ExponentialSmoothing", "Forecaster",
-                     "LastValue", "RunningMean", "SlidingMean",
-                     "SlidingMedian", "TrimmedMean", "default_bank"),
     ".selector": ("Forecast", "ForecasterBank"),
     ".sensors": ("NWSSensor", "NWS_PING", "NWS_PONG", "NWS_QUERY",
                  "NWS_FORECAST"),

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
-from typing import Callable, Hashable, Optional, Sequence, Union
+from typing import Hashable, Optional, Union
 
-from .forecasters import Forecaster
 from .selector import Forecast, ForecasterBank
 
 __all__ = ["EventTimer", "ForecastRegistry", "event_tag"]
@@ -30,7 +29,7 @@ def event_tag(address: str, mtype: str) -> str:
 
 
 #: An unread stream is materialised once its sample log reaches the
-#: longest forecaster window in the default bank, so the log stays bounded.
+#: bank's ring (its longest window), so the log stays bounded.
 _LOG_CAP = 50
 
 
@@ -45,10 +44,7 @@ class ForecastRegistry:
     to updating eagerly; a stream nobody reads costs one list.
     """
 
-    def __init__(
-        self, bank_factory: Optional[Callable[[], Sequence[Forecaster]]] = None
-    ) -> None:
-        self._bank_factory = bank_factory
+    def __init__(self) -> None:
         #: tag -> its bank, or the list of samples recorded so far for a
         #: stream nobody has read yet.
         self._streams: dict[Hashable, Union[ForecasterBank, list[float]]] = {}
@@ -57,11 +53,13 @@ class ForecastRegistry:
         stream = self._streams.get(tag)
         if stream is not None and type(stream) is not list:
             return stream
-        forecasters = self._bank_factory() if self._bank_factory else None
-        b = ForecasterBank(forecasters)
-        for value in stream or ():
+        return self._replay(tag, stream or ())
+
+    def _replay(self, tag: Hashable, log) -> ForecasterBank:
+        """Build the tag's bank and feed it its unread log."""
+        b = self._streams[tag] = ForecasterBank()
+        for value in log:
             b.update(value)
-        self._streams[tag] = b
         return b
 
     def record(self, tag: Hashable, value: float) -> None:
@@ -75,12 +73,15 @@ class ForecastRegistry:
         elif isfinite(value):
             stream.append(value)
             if len(stream) >= _LOG_CAP:
-                self.bank(tag)
+                self._replay(tag, stream)
 
     def forecast(self, tag: Hashable) -> Optional[Forecast]:
-        if tag in self._streams:
-            return self.bank(tag).forecast()
-        return None
+        stream = self._streams.get(tag)
+        if stream is None:
+            return None
+        if type(stream) is list:
+            stream = self._replay(tag, stream)
+        return stream.forecast()
 
     def timeout(
         self,
@@ -95,7 +96,12 @@ class ForecastRegistry:
         forecast x multiplier, clamped to [floor, ceiling]; ``default``
         before any measurement exists.
         """
-        fc = self.forecast(tag)
+        stream = self._streams.get(tag)
+        if stream is None:
+            return default
+        if type(stream) is list:
+            stream = self._replay(tag, stream)
+        fc = stream.forecast()
         if fc is None:
             return default
         return min(max(fc.value * multiplier, floor), ceiling)

@@ -44,6 +44,8 @@ class NWSSensor(Component):
         self.registry = ForecastRegistry()
         self.timer = EventTimer(self.registry)
         self._seq = itertools.count(1)
+        #: peer -> the seq of its outstanding probe.
+        self._probe_seq: dict[str, int] = {}
         self.probes_sent = 0
         self.pongs_received = 0
         self.queries_served = 0
@@ -62,10 +64,11 @@ class NWSSensor(Component):
             seq = next(self._seq)
             tag = event_tag(peer, "RTT")
             # One outstanding probe per peer: a lost probe is abandoned,
-            # never recorded (losses surface as missing samples, as in NWS).
-            self.timer.abandon(tag)
-            self.timer.begin(tag, now, token=None)
-            self._pending_seq = seq
+            # never recorded (losses surface as missing samples, as in NWS),
+            # and its late PONG no longer matches.
+            self.timer.abandon(tag, self._probe_seq.get(peer))
+            self.timer.begin(tag, now, token=seq)
+            self._probe_seq[peer] = seq
             self.probes_sent += 1
             effects.append(Send(peer, Message(
                 mtype=NWS_PING, sender=self.contact, body={"seq": seq})))
@@ -77,8 +80,10 @@ class NWSSensor(Component):
                 mtype=NWS_PONG, sender=self.contact,
                 body={"seq": message.body.get("seq")}))]
         if message.mtype == NWS_PONG:
-            tag = event_tag(message.sender, "RTT")
-            if self.timer.end(tag, now) is not None:
+            seq = message.body.get("seq")
+            if type(seq) is int and self._probe_seq.get(message.sender) == seq:
+                del self._probe_seq[message.sender]
+                self.timer.end(event_tag(message.sender, "RTT"), now, token=seq)
                 self.pongs_received += 1
             return []
         if message.mtype == NWS_QUERY:

@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.core.component import NullRuntime, Send
 from repro.core.forecasting.sensors import (
     NWS_FORECAST,
+    NWS_PONG,
     NWS_QUERY,
+    T_PROBE,
     NWSSensor,
 )
 from repro.core.linguafranca.endpoint import SimEndpoint
@@ -122,3 +125,28 @@ def test_forecast_tracks_congestion_change():
     env.run(until=1500)
     congested = sensors[0].forecast_for(contacts[1]).value
     assert congested > 2 * quiet
+
+
+def test_late_pong_is_not_recorded_against_the_next_probe():
+    """Probes at t=0 and t=10; probe 1's PONG arrives at 10.5, probe 2's
+    at 11.1. Probe 1 was abandoned, so the only RTT is probe 2's 1.1 s
+    (keyed on the peer alone, the late PONG closed probe 2's timer with
+    0.5 s and the real one was dropped)."""
+    peer = "b/nws"
+    sensor = NWSSensor("a", ["a/nws", peer], probe_period=10)
+    sensor.bind_runtime(NullRuntime("a/nws"))
+    seqs = [eff.message.body["seq"] for now in (0.0, 10.0)
+            for eff in sensor.on_timer(T_PROBE, now) if isinstance(eff, Send)]
+
+    def pong(seq, now):
+        sensor.on_message(Message(mtype=NWS_PONG, sender=peer,
+                                  body={"seq": seq}), now)
+
+    for junk in (None, "2", 2.0, True, [2]):  # not an int: ignored
+        pong(junk, 10.2)
+    pong(seqs[0], 10.5)
+    pong(seqs[1], 11.1)
+    pong(seqs[1], 11.4)  # a duplicate: already closed
+    fc = sensor.forecast_for(peer)
+    assert (fc.samples, fc.value) == (1, pytest.approx(1.1))
+    assert sensor.pongs_received == 1 and sensor.timer.open_count == 0
