@@ -13,14 +13,9 @@ Run: ``python examples/gossip_cluster.py``
 from repro.api import (
     ComparatorRegistry,
     Component,
-    Environment,
     GossipAgent,
     GossipServer,
-    Host,
-    HostSpec,
-    Network,
-    RngStreams,
-    SimDriver,
+    SimWorld,
     StateStore,
 )
 
@@ -52,30 +47,25 @@ class Worker(Component):
 
 
 def main() -> None:
-    env = Environment()
-    streams = RngStreams(seed=5)
-    net = Network(env, streams, jitter=0.1)
+    world = SimWorld(seed=5, jitter=0.1)
+    env, net = world.env, world.network
     well_known = [f"g{i}/gossip" for i in range(3)]
     sites = ["east", "east", "west"]
 
     gossips = []
     for i in range(3):
-        h = Host(env, HostSpec(name=f"g{i}", site=sites[i]), streams)
-        net.add_host(h)
         g = GossipServer(f"g{i}", well_known,
                          comparators=ComparatorRegistry(),
                          poll_period=5, sync_period=8,
                          token_period=8, token_timeout=25)
-        SimDriver(env, net, h, "gossip", g, streams).start()
+        world.spawn(world.host(f"g{i}", site=sites[i]), "gossip", g)
         gossips.append(g)
 
     workers = []
     wsites = ["east", "east", "west", "west"]
     for i in range(4):
-        h = Host(env, HostSpec(name=f"w{i}", site=wsites[i]), streams)
-        net.add_host(h)
         w = Worker(f"w{i}", well_known)
-        SimDriver(env, net, h, "app", w, streams).start()
+        world.spawn(world.host(f"w{i}", site=wsites[i]), "app", w)
         workers.append(w)
 
     def show(label):

@@ -19,20 +19,15 @@ from repro.api import (
     Coloring,
     ComparatorRegistry,
     ConstantLoad,
-    Environment,
     GossipServer,
-    Host,
-    HostSpec,
     LoggingServer,
     MeanRevertingLoad,
-    Network,
     PersistentStateServer,
     QueueWorkSource,
     RamseyClient,
     RealEngine,
-    RngStreams,
     SchedulerServer,
-    SimDriver,
+    SimWorld,
     counter_example_validator,
     is_counter_example,
     ramsey_comparator,
@@ -44,14 +39,11 @@ N_CLIENTS = 4
 
 
 def main() -> None:
-    env = Environment()
-    streams = RngStreams(seed=1998)
-    net = Network(env, streams, jitter=0.1)
+    world = SimWorld(seed=1998, jitter=0.1)
+    env = world.env
 
     def host(name, speed=2e6, load=None):
-        h = Host(env, HostSpec(name=name, speed=speed,
-                               load_model=load or ConstantLoad(1.0)), streams)
-        net.add_host(h)
+        h = world.host(name, speed=speed, load_model=load or ConstantLoad(1.0))
         h.start()
         return h
 
@@ -59,19 +51,19 @@ def main() -> None:
     comparators.register(RAMSEY_BEST, ramsey_comparator)
     gossip = GossipServer("gossip", ["gossip/gossip"], comparators=comparators,
                           poll_period=10, sync_period=15)
-    SimDriver(env, net, host("gossip"), "gossip", gossip, streams).start()
+    world.spawn(host("gossip"), "gossip", gossip)
 
     work = QueueWorkSource(generator=unit_generator(K, N, base_seed=42,
                                                     ops_budget=2e9))
     sched = SchedulerServer("sched", work, report_period=30)
-    SimDriver(env, net, host("sched"), "sched", sched, streams).start()
+    world.spawn(host("sched"), "sched", sched)
 
     pst = PersistentStateServer("pst")
     pst.add_validator(counter_example_validator)
-    SimDriver(env, net, host("pst"), "pst", pst, streams).start()
+    world.spawn(host("pst"), "pst", pst)
 
     logsrv = LoggingServer("log")
-    SimDriver(env, net, host("log"), "log", logsrv, streams).start()
+    world.spawn(host("log"), "log", logsrv)
 
     clients = []
     for i in range(N_CLIENTS):
@@ -90,7 +82,7 @@ def main() -> None:
             report_period=30,
             seed=i,
         )
-        SimDriver(env, net, h, "cli", client, streams).start()
+        world.spawn(h, "cli", client)
         clients.append(client)
 
     print(f"searching K_{K} for colorings with no monochromatic K_{N} "

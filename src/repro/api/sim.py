@@ -2,7 +2,8 @@
 
 :class:`SimDriver` runs :mod:`repro.api.core` components under
 simulated time on the simgrid fabric (:class:`Environment`,
-:class:`Host`, :class:`Network`, load models, fault injectors), the
+:class:`Host`, :class:`Network`, load models, fault injectors), one
+:class:`SimWorld` assembles that fabric for every topology, the
 compute plane offloads their heuristic kernels to worker pools with
 bit-identical results, and the prebuilt experiment harnesses
 (:func:`build_sc98`, :func:`run_chaos`, :func:`run_observe`) assemble
@@ -15,7 +16,7 @@ from .._exports import lazy_exports
 
 _EXPORTS = {
     # the simulated-time driver
-    "..core.simdriver": ("SimDriver",),
+    "..core.simdriver": ("SimDriver", "SimWorld"),
     # simulated grid
     "..simgrid.engine": ("Environment",),
     "..simgrid.host": ("Host", "HostSpec"),
@@ -32,8 +33,6 @@ _EXPORTS = {
                            "RecountResult", "StepBatch", "StepBatchResult",
                            "run_task"),
     # scenarios and experiment harnesses
-    "..experiments.scenario": ("ServiceCore", "build_core",
-                               "model_client_factory"),
     "..experiments.sc98": ("SC98Config", "SC98Results", "SC98World",
                            "build_sc98"),
     "..experiments.report": ("render_fig2", "render_fig3a", "render_fig3b",

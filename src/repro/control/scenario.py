@@ -211,12 +211,12 @@ def _run_twin(s: Scenario, telemetry) -> dict:
                             spec_factory=s.user_spec)
                  for i in range(s.users)]
         for user in users:
-            world.spawn(user.name, "usr", user)
+            world.add(user.name, "usr", user)
     elif s.algo is not None:
         from ..explore.sim import MEDriverComponent
 
         me = MEDriverComponent("me0", world.CONTACT, s.driver())
-        world.spawn("me0", "me", me)
+        world.add("me0", "me", me)
     else:
         status, doc, _ = world.gateway.core.handle(
             "POST", "/jobs/batch",
@@ -225,8 +225,7 @@ def _run_twin(s: Scenario, telemetry) -> dict:
             raise ValueError(f"batch refused: {doc.get('error')}")
         ids = doc["ids"]
     if s.victim == "client" and s.fault_at is not None:
-        FaultPlan().crash(s.fault_at, clients[0].name).install(
-            world.env, world.network)
+        world.install(FaultPlan().crash(s.fault_at, clients[0].name))
 
     if s.specs:
         def retired() -> bool:  # by id: a restart rebuilds every Job

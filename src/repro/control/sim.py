@@ -26,15 +26,12 @@ from ..core.forecasting.benchmarking import ForecastRegistry
 from ..core.linguafranca.messages import Message
 from ..core.services.kinds import KindEngine
 from ..core.services.scheduler import SchedulerServer
-from ..core.simdriver import SimDriver
+from ..core.simdriver import SimWorld
 from ..core.telemetry import Telemetry
 from ..ramsey.client import ModelEngine, RamseyClient
 from ..ramsey.tasks import ramsey_job_spec
-from ..simgrid.engine import Environment
-from ..simgrid.host import Host, HostSpec
+from ..simgrid.host import Host
 from ..simgrid.load import ConstantLoad
-from ..simgrid.network import Network
-from ..simgrid.rand import RngStreams
 from .gateway import GatewayCore
 from .loadgen import UserMix
 from .workqueue import MemoryJournal, WorkQueue
@@ -226,9 +223,9 @@ class ForgingEngine:
         return result
 
 
-class TwinWorld:
-    """Engine, seeded streams, telemetry, network and one
-    :class:`GatewayComponent` at :attr:`CONTACT`; :meth:`spawn` adds a
+class TwinWorld(SimWorld):
+    """A :class:`~repro.core.simdriver.SimWorld` with telemetry and one
+    :class:`GatewayComponent` at :attr:`CONTACT`; :meth:`add` adds a
     scenario's actors and :meth:`spawn_client` its clients."""
 
     CONTACT = "gw0/gw"
@@ -236,28 +233,22 @@ class TwinWorld:
 
     def __init__(self, seed: int, restart_after: Optional[float],
                  telemetry: Optional[Telemetry]) -> None:
-        self.env = Environment()
-        self.streams = RngStreams(seed=seed)
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self.network = Network(self.env, self.streams,
-                               base_latency=0.01, jitter=0.1)
-        self.network.attach_telemetry(self.telemetry)
-        self._spawned = 0
+        super().__init__(
+            seed, telemetry if telemetry is not None else Telemetry(),
+            base_latency=0.01, jitter=0.1)
+        self._added = 0
         self.gateway = GatewayComponent("gw0", restart_after=restart_after)
-        self.spawn("gw0", "gw", self.gateway)
+        self.add("gw0", "gw", self.gateway)
 
-    def spawn(self, name: str, port: str, component: Component,
-              speed: float = 2e7) -> Host:
-        """One host per component, sites dealt round-robin in spawn order."""
-        host = Host(self.env, HostSpec(
-            name=name, site=self.SITES[self._spawned % len(self.SITES)],
-            infra="service", speed=speed, load_model=ConstantLoad(1.0)),
-            self.streams)
-        self._spawned += 1
-        self.network.add_host(host)
+    def add(self, name: str, port: str, component: Component,
+            speed: float = 2e7) -> Host:
+        """One host per component, sites dealt round-robin in add order."""
+        host = self.host(
+            name, site=self.SITES[self._added % len(self.SITES)],
+            infra="service", speed=speed, load_model=ConstantLoad(1.0))
+        self._added += 1
         host.start()
-        SimDriver(self.env, self.network, host, port, component,
-                  self.streams).start()
+        self.spawn(host, port, component)
         return host
 
     def spawn_client(self, name: str, speed: float = 2e6,
@@ -270,7 +261,7 @@ class TwinWorld:
             KindEngine(engines={"ramsey": ModelEngine(), **(engines or {})}),
             infra="sim", work_period=0.25, report_period=0.5,
             hello_retry=1.0)
-        self.spawn(name, "cli", client, speed=speed)
+        self.add(name, "cli", client, speed=speed)
         return client
 
     def gateway_report(self) -> dict:

@@ -179,17 +179,14 @@ class GossipServer(Component):
         self.digest = StateDigest()
         self.forecasts = ForecastRegistry()
         self.timer = EventTimer(self.forecasts)
-        # Both flavors prebuilt so the ablation A1 switch (the mutable
-        # ``dynamic_timeouts`` flag, flipped post-construction by
-        # scenario code) just picks between them per call.
-        self._static_timeout = TimeoutPolicy.static(default_timeout)
-        self._dynamic_timeout = TimeoutPolicy.forecast(
+        #: The reply time-out policy in force (ablation A1 picks static).
+        self._reply_timeout = TimeoutPolicy.forecast(
             registry=self.forecasts,
             multiplier=4.0,
             default=default_timeout,
             floor=0.25,
             ceiling=4.0 * poll_period,
-        )
+        ) if dynamic_timeouts else TimeoutPolicy.static(default_timeout)
         #: Digest-ack dead-man policy: same forecast machinery, ceilinged
         #: by the sync cadence instead of the poll cadence.
         self._digest_timeout = TimeoutPolicy.forecast(
@@ -518,12 +515,8 @@ class GossipServer(Component):
             return self._sync_round(now) + [SetTimer(T_SYNC, self.sync_period)]
         return []
 
-    def timeout_policy(self) -> TimeoutPolicy:
-        """The reply time-out policy currently in force (A1 switch)."""
-        return self._dynamic_timeout if self.dynamic_timeouts else self._static_timeout
-
     def _component_timeout(self, contact: str) -> float:
-        return self.timeout_policy().timeout_for(event_tag(contact, GOS_POLL))
+        return self._reply_timeout.timeout_for(event_tag(contact, GOS_POLL))
 
     def _ack_timeout(self, peer: str) -> float:
         if not self.dynamic_timeouts:

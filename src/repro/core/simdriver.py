@@ -13,24 +13,34 @@ the driver's :attr:`~SimDriver.process` handle is interrupted with
 :class:`~repro.simgrid.host.HostDown`; the driver unbinds the endpoint and
 reports the death through ``on_stop`` — matching how SC98 guest processes
 were killed without warning.
+
+:class:`SimWorld` is the one place a simulated world is assembled: every
+experiment, twin and example lays its topology out on one with
+:meth:`~SimWorld.host` and :meth:`~SimWorld.spawn`, and arms its faults
+with :meth:`~SimWorld.install`.
 """
 
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
 
 from ..simgrid.engine import (PRIORITY_URGENT, Environment, Event,
                               SimulationError)
-from ..simgrid.host import Host
+from ..simgrid.faults import FaultPlan, HostCrash
+from ..simgrid.host import Host, HostSpec
 from ..simgrid.network import Address, AddressError, Delivery, Network
+from ..simgrid.rand import RngStreams
 from .component import Component, Send
 from .driver import ComponentDriver, LogSink
 from .linguafranca.endpoint import SimEndpoint
 from .policy import TimeoutPolicy
 from .telemetry import Telemetry
 
-__all__ = ["SimDriver"]
+if TYPE_CHECKING:  # pragma: no cover
+    from ..infra.base import InfraAdapter
+
+__all__ = ["SimDriver", "SimWorld"]
 
 
 def _urgently(env: Environment, callback: Callable[[Event], None]) -> None:
@@ -220,3 +230,63 @@ class SimDriver(ComponentDriver):
         self.endpoint.close()
         self.component.on_stop(self.env.now, reason)
         self.process.succeed(reason)
+
+
+class SimWorld:
+    """One simulated world: an engine, seeded RNG streams and a network
+    (``**net`` are :class:`Network` options), plus the service drivers
+    a fault plan relaunches after a reboot.
+
+    ``telemetry`` is attached to the network, so every driver inherits
+    it; a world without one records no metrics."""
+
+    def __init__(self, seed: int, telemetry: Optional[Telemetry] = None,
+                 **net) -> None:
+        self.env = Environment()
+        self.streams = RngStreams(seed=seed)
+        self.network = Network(self.env, self.streams, **net)
+        self.telemetry = telemetry
+        if telemetry is not None:
+            self.network.attach_telemetry(telemetry)
+        #: Service drivers by contact (replaced on relaunch).
+        self.services: dict[str, SimDriver] = {}
+
+    def host(self, name: str, **spec) -> Host:
+        """Add a host; its ambient load starts only with ``host.start()``."""
+        host = Host(self.env, HostSpec(name=name, **spec), self.streams)
+        self.network.add_host(host)
+        return host
+
+    def spawn(self, host: Host, port: str, component: Component,
+              service: bool = False) -> SimDriver:
+        """Start ``component`` on ``host``; a ``service`` is relaunched
+        after a planned reboot (:meth:`install`)."""
+        driver = SimDriver(self.env, self.network, host, port, component,
+                           self.streams)
+        driver.start()
+        if service:
+            self.services[driver.endpoint.contact] = driver
+        return driver
+
+    def install(self, plan: FaultPlan,
+                adapters: Iterable["InfraAdapter"] = ()) -> None:
+        """Arm ``plan`` (adapters relaunch their own clients). A service
+        host has no adapter, so each crash with a reboot also relaunches
+        that host's services 1 s after the reboot — the same component
+        object, with all of its in-memory state — if the host is up."""
+        plan.install(self.env, self.network, adapters=adapters)
+        for crash in plan.injectors:
+            if not isinstance(crash, HostCrash) or crash.reboot_after is None:
+                continue
+            at = crash.at + crash.reboot_after + 1.0
+            for driver in list(self.services.values()):
+                if driver.host.name == crash.host:
+                    self.env.process(self._relaunch(
+                        driver.host, driver.address.port, driver.component,
+                        at))
+
+    def _relaunch(self, host: Host, port: str, component: Component,
+                  at: float) -> Generator:
+        yield self.env.timeout(at)  # plan times count from installation
+        if host.up:
+            self.spawn(host, port, component, service=True)

@@ -11,9 +11,9 @@ _EXPORTS = {
     ".report": ("format_rate", "render_fig2", "render_fig3a", "render_fig3b",
                 "render_grid_criteria", "render_headlines",
                 "render_series_table", "sparkline"),
-    ".sc98": ("SC98Config", "SC98Results", "SC98World", "build_sc98",
-              "clock_to_offset", "offset_to_clock"),
-    ".scenario": ("ServiceCore", "build_core", "model_client_factory"),
+    ".sc98": ("SC98Config", "SC98Results", "SC98World", "ServiceCore",
+              "build_core", "build_sc98", "clock_to_offset",
+              "model_client_factory", "offset_to_clock"),
     ".stats": ("SweepOutcome", "bootstrap_ci", "seed_sweep", "shape_metrics"),
 }
 __all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

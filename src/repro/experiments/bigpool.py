@@ -30,18 +30,14 @@ Scale choices worth knowing about:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..core.gossip.server import GossipServer
 from ..core.gossip.state import ComparatorRegistry, StateRecord
-from ..core.simdriver import SimDriver
-from ..simgrid.engine import Environment
+from ..core.simdriver import SimDriver, SimWorld
 from ..simgrid.faults import FaultPlan
-from ..simgrid.host import Host, HostSpec
 from ..simgrid.load import ConstantLoad
-from ..simgrid.network import Network
-from ..simgrid.rand import RngStreams
 
 __all__ = [
     "PoolConfig",
@@ -79,19 +75,45 @@ class PoolConfig:
     jitter: float = 0.0
 
 
-@dataclass
-class BigPool:
-    """A built world plus handles to every pool member."""
+class BigPool(SimWorld):
+    """A pool world: one :class:`GossipServer` per host, every member
+    pre-seeded with the same shared records."""
 
-    config: PoolConfig
-    env: Environment
-    network: Network
-    streams: RngStreams
-    servers: list[GossipServer] = field(default_factory=list)
-    contacts: list[str] = field(default_factory=list)
-    hosts: list[Host] = field(default_factory=list)
-    drivers: list[SimDriver] = field(default_factory=list)
-    seeded: list[StateRecord] = field(default_factory=list)
+    def __init__(self, config: PoolConfig) -> None:
+        super().__init__(config.seed, jitter=config.jitter)
+        self.config = config
+        width = len(str(max(config.n_hosts - 1, 1)))
+        self.contacts = [f"pg{i:0{width}d}/gossip"
+                         for i in range(config.n_hosts)]
+        comparators = ComparatorRegistry()
+        records = [
+            StateRecord(mtype=f"POOL_STATE_{j:04d}",
+                        data={"v": j, "blob": "x" * 48},
+                        stamp=0.0, origin="seed/gossip", seq=1)
+            for j in range(config.n_records)
+        ]
+        self.servers: list[GossipServer] = []
+        self.drivers: list[SimDriver] = []
+        for i in range(config.n_hosts):
+            name = f"pg{i:0{width}d}"
+            host = self.host(name, site=f"site{i % config.n_sites:02d}",
+                             infra="pool", load_model=ConstantLoad(1.0))
+            server = GossipServer(
+                name,
+                well_known=self.contacts,
+                comparators=comparators,
+                poll_period=config.poll_period,
+                sync_period=config.sync_period,
+                token_period=config.token_period,
+                token_timeout=config.token_timeout,
+                fanout=config.fanout,
+                shard_size=config.shard_size,
+                intershard_period=config.intershard_period,
+            )
+            # Shared record objects: every member starts converged.
+            server.seed_records(records)
+            self.drivers.append(self.spawn(host, "gossip", server))
+            self.servers.append(server)
 
     def run(self, until: float) -> None:
         self.env.run(until=until)
@@ -101,11 +123,8 @@ class BigPool:
         frozen digest must not count against pool convergence."""
         return [g for g, d in zip(self.servers, self.drivers) if d.running]
 
-    def roots(self) -> list[int]:
-        return [g.digest.root for g in self.active_servers()]
-
     def converged(self) -> bool:
-        roots = self.roots()
+        roots = [g.digest.root for g in self.active_servers()]
         return all(r == roots[0] for r in roots)
 
 
@@ -116,50 +135,7 @@ def build_pool(config: Optional[PoolConfig] = None, **overrides) -> BigPool:
         config = PoolConfig(**overrides)
     elif overrides:
         raise ValueError("pass either a PoolConfig or keyword overrides")
-    env = Environment()
-    streams = RngStreams(seed=config.seed)
-    network = Network(env, streams, jitter=config.jitter)
-    pool = BigPool(config=config, env=env, network=network, streams=streams)
-    width = len(str(max(config.n_hosts - 1, 1)))
-    contacts = [f"pg{i:0{width}d}/gossip" for i in range(config.n_hosts)]
-    comparators = ComparatorRegistry()
-    records = [
-        StateRecord(mtype=f"POOL_STATE_{j:04d}",
-                    data={"v": j, "blob": "x" * 48},
-                    stamp=0.0, origin="seed/gossip", seq=1)
-        for j in range(config.n_records)
-    ]
-    for i in range(config.n_hosts):
-        name = f"pg{i:0{width}d}"
-        host = Host(env, HostSpec(
-            name=name,
-            site=f"site{i % config.n_sites:02d}",
-            infra="pool",
-            load_model=ConstantLoad(1.0),
-        ), streams)
-        network.add_host(host)
-        pool.hosts.append(host)
-        server = GossipServer(
-            name,
-            well_known=contacts,
-            comparators=comparators,
-            poll_period=config.poll_period,
-            sync_period=config.sync_period,
-            token_period=config.token_period,
-            token_timeout=config.token_timeout,
-            fanout=config.fanout,
-            shard_size=config.shard_size,
-            intershard_period=config.intershard_period,
-        )
-        # Shared record objects: every member starts converged.
-        server.seed_records(records)
-        driver = SimDriver(env, network, host, "gossip", server, streams)
-        driver.start()
-        pool.drivers.append(driver)
-        pool.servers.append(server)
-    pool.contacts = contacts
-    pool.seeded = records
-    return pool
+    return BigPool(config)
 
 
 def inject_write(pool: BigPool, node: int = 0, tag: str = "POOL_HOT",

@@ -25,22 +25,18 @@ from __future__ import annotations
 
 import argparse
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Generator, Optional
 
-from ..core.component import Component
 from ..core.services.persistent import ValidationError
-from ..core.simdriver import SimDriver
+from ..core.simdriver import SimWorld
 from ..core.telemetry import Telemetry
 from ..infra.netsolve import NetSolveFarm
 from ..infra.unixpool import UnixPool
 from ..ramsey.client import RealEngine
 from ..ramsey.verify import verify_counter_example_object
-from ..simgrid.engine import Environment
-from ..simgrid.faults import FaultPlan, HostCrash
-from ..simgrid.network import Network
-from ..simgrid.rand import RngStreams
-from .scenario import ServiceCore, build_core, model_client_factory
+from ..simgrid.faults import FaultPlan
+from .sc98 import ServiceCore, build_core, model_client_factory
 
 __all__ = ["ChaosConfig", "ChaosReport", "ChaosWorld", "PROFILES",
            "build_plan", "run_chaos", "run_chaos_matrix"]
@@ -139,28 +135,10 @@ class ChaosReport:
     persistent: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "profile": self.profile,
-            "seed": self.seed,
-            "duration": self.duration,
-            "faults": dict(self.faults),
-            "counter_example_keys": list(self.counter_example_keys),
-            "counter_examples_preserved": self.counter_examples_preserved,
-            "counter_examples_corrupted": self.counter_examples_corrupted,
-            "work_lost": self.work_lost,
-            "units_assigned": self.units_assigned,
-            "units_completed": self.units_completed,
-            "resync_time": self.resync_time,
-            "clients_started": self.clients_started,
-            "clients_lost": self.clients_lost,
-            "active_hosts_end": self.active_hosts_end,
-            "reliable": dict(self.reliable),
-            "network": dict(self.network),
-            "persistent": dict(self.persistent),
-        }
+        return asdict(self)
 
 
-class ChaosWorld:
+class ChaosWorld(SimWorld):
     """A reduced EveryWare world with a fault plan armed against it."""
 
     def __init__(
@@ -172,20 +150,16 @@ class ChaosWorld:
     ) -> None:
         self.profile = profile
         self.cfg = cfg = cfg or ChaosConfig()
-        self.env = Environment()
-        self.streams = RngStreams(seed=cfg.seed)
         # One shared metrics registry + tracer for the whole world; every
         # driver inherits it through the network (``trace=True`` turns the
         # causal tracer on — note the trace header changes wire bytes, so
         # traced and untraced runs diverge; determinism holds per mode).
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
+        telemetry = telemetry if telemetry is not None else Telemetry()
         if trace:
-            self.telemetry.tracer.enabled = True
-        self.network = Network(self.env, self.streams,
-                               base_latency=0.05, jitter=0.2)
-        self.network.attach_telemetry(self.telemetry)
+            telemetry.tracer.enabled = True
+        super().__init__(cfg.seed, telemetry, base_latency=0.05, jitter=0.2)
         self.core: ServiceCore = build_core(
-            self.env, self.network, self.streams,
+            self,
             n_schedulers=cfg.n_schedulers,
             n_gossips=cfg.n_gossips,
             n_loggers=1,
@@ -219,58 +193,19 @@ class ChaosWorld:
             adapter.deploy()
         self.network.start()
 
+        # Service hosts come back with their in-memory state, which is
+        # exactly what the crash-recovery assertions exercise.
         self.plan = build_plan(profile, cfg)
-        self.plan.install(self.env, self.network, adapters=self.adapters)
-        self._arm_service_supervisor()
+        self.install(self.plan, self.adapters)
         self.resync_time: Optional[float] = None
         self._arm_resync_monitor()
-
-    # -- service supervision ------------------------------------------------
-    def _service_components(self) -> dict[str, tuple[Component, str]]:
-        m: dict[str, tuple[Component, str]] = {}
-        for i, g in enumerate(self.core.gossips):
-            m[f"gossip{i}"] = (g, "gossip")
-        for i, s in enumerate(self.core.schedulers):
-            m[f"sched{i}"] = (s, "sched")
-        for i, lg in enumerate(self.core.loggers):
-            m[f"logger{i}"] = (lg, "log")
-        for i, p in enumerate(self.core.persistents):
-            m[f"pst{i}"] = (p, "pst")
-        return m
-
-    def _arm_service_supervisor(self) -> None:
-        """Service hosts have no adapter to relaunch their process after
-        a planned reboot, so schedule the restart explicitly — the
-        component object survives with all of its in-memory state, which
-        is exactly what the crash-recovery assertions exercise."""
-        services = self._service_components()
-        for inj in self.plan.injectors:
-            if not isinstance(inj, HostCrash) or inj.reboot_after is None:
-                continue
-            entry = services.get(inj.host)
-            if entry is None:
-                continue
-            component, port = entry
-            self.env.process(self._relaunch_service(
-                inj.host, component, port, inj.at + inj.reboot_after + 1.0))
-
-    def _relaunch_service(self, host_name: str, component: Component,
-                          port: str, at: float) -> Generator:
-        yield self.env.timeout(at)
-        host = self.network.host(host_name)
-        if not host.up:
-            return
-        driver = SimDriver(self.env, self.network, host, port,
-                           component, self.streams)
-        driver.start()
-        self.core.service_drivers[driver.endpoint.contact] = driver
 
     # -- recovery monitoring ---------------------------------------------------
     def _gossips_converged(self) -> bool:
         """All live Gossips agree on the pool membership."""
         views = []
         for contact in self.core.gossip_contacts:
-            driver = self.core.service_drivers.get(contact)
+            driver = self.services.get(contact)
             if driver is None or not driver.running:
                 continue
             gossip = driver.component
@@ -312,7 +247,7 @@ class ChaosWorld:
                 corrupted += 1
 
         reliable = {"tracked": 0, "retries": 0, "resolved": 0, "give_ups": 0}
-        drivers = list(self.core.service_drivers.values())
+        drivers = list(self.services.values())
         for adapter in self.adapters:
             drivers.extend(adapter.drivers[name]
                            for name in sorted(adapter.drivers))

@@ -34,7 +34,7 @@ from ..core.gossip.server import T_SYNC
 from ..core.linguafranca.messages import Message
 from ..core.services.logging import LoggingServer
 from ..core.services.scheduler import QueueWorkSource, SchedulerServer
-from ..core.simdriver import SimDriver
+from ..core.simdriver import SimWorld
 from ..infra.condor import CondorPool
 from ..infra.nt import NTSupercluster
 from ..infra.speeds import JAVA_INTERP_IOPS, JAVA_JIT_IOPS, speed_for
@@ -43,12 +43,9 @@ from ..ramsey.graphs import Coloring, OpCounter, count_mono_cliques
 from ..ramsey.heuristics import Annealing, MinConflicts, TabuSearch
 from ..ramsey.parallel import ParallelEvaluator, ParallelTabuCoordinator
 from ..ramsey.tasks import make_unit, unit_generator
-from ..simgrid.engine import Environment
-from ..simgrid.host import Host, HostSpec
+from ..simgrid.host import Host
 from ..simgrid.load import (ComposedLoad, ConstantLoad, EventSchedule,
                             MeanRevertingLoad, ScheduledEvent)
-from ..simgrid.network import Network
-from ..simgrid.rand import RngStreams
 from .metrics import collect_rate_series
 from .report import (render_fig2, render_fig3a, render_fig3b,
                      render_grid_criteria, render_headlines, sparkline)
@@ -397,18 +394,19 @@ def _timeouts_world(dynamic: bool, seed: int) -> dict:
     duration = 3 * 3600.0
     storms = [ScheduledEvent(s, s + 300, factor=0.15, ramp=120)
               for s in range(900, int(duration), 1200)]
-    w = _World(seed, start_net=True, base_latency=4.0, jitter=0.4,
-               congestion_model=ComposedLoad(
-                   MeanRevertingLoad(mean=0.9, sigma=0.002),
-                   EventSchedule(storms)))
+    w = SimWorld(seed, base_latency=4.0, jitter=0.4,
+                 congestion_model=ComposedLoad(
+                     MeanRevertingLoad(mean=0.9, sigma=0.002),
+                     EventSchedule(storms)))
+    w.network.start()
     gossip = GossipServer(
         "gos0", ["gos0/gossip"], comparators=ComparatorRegistry(),
         poll_period=30.0,
         default_timeout=5.0,  # tuned for the quiet network's ~10s responses
         dead_factor=2.0, dynamic_timeouts=dynamic)
-    w.start(w.host("gos0", site="west"), "gossip", gossip)
+    w.spawn(w.host("gos0", site="west"), "gossip", gossip)
     for i in range(6):
-        w.start(w.host(f"w{i}", site="east"), "app",
+        w.spawn(w.host(f"w{i}", site="east"), "app",
                 _Worker(f"w{i}", ["gos0/gossip"], register_period=120))
     w.env.run(until=duration)
     st = gossip.stats
@@ -460,16 +458,16 @@ def _gossip_world(n: int, cls: type, pool: int, seed: int) -> int:
     workers that all write before every poll (the poll plane).
     ``pool=2``: two Gossips sync N registered types, 4 of whose writers
     keep writing (the sync plane)."""
-    w = _World(seed, jitter=0.1)
+    w = SimWorld(seed, jitter=0.1)
     well_known = [f"gos{g}/gossip" for g in range(pool)]
     gossips = []
     for g in range(pool):
         gossips.append(cls(f"gos{g}", well_known,
                            comparators=ComparatorRegistry(), poll_period=30.0,
                            sync_period=1e9 if pool == 1 else 10.0))
-        w.start(w.host(f"gos{g}"), "gossip", gossips[-1])
+        w.spawn(w.host(f"gos{g}"), "gossip", gossips[-1])
     for i in range(n):
-        w.start(w.host(f"w{i}"), "app",
+        w.spawn(w.host(f"w{i}"), "app",
                 _Worker(f"w{i}", well_known, chatty=True) if pool == 1 else
                 _Worker(f"w{i}", well_known, mtype=f"STATE_{i:03d}",
                         chatty=i < 4))
@@ -509,41 +507,20 @@ def _gossip_scale_holds(v):
 
 # -- A2, A5, A7, A8: a service host, a scheduler, a logger, model clients -----
 
-class _World:
-    """One simulated world: an engine, seeded streams and a network."""
-
-    def __init__(self, seed: int, start_net: bool = False, **net):
-        self.env = Environment()
-        self.streams = RngStreams(seed=seed)
-        self.net = Network(self.env, self.streams, **net)
-        if start_net:
-            self.net.start()
-
-    def host(self, name: str, **spec) -> Host:
-        host = Host(self.env, HostSpec(name=name, **spec), self.streams)
-        self.net.add_host(host)
-        return host
-
-    def start(self, host: Host, port: str, component: Component):
-        return SimDriver(self.env, self.net, host, port, component,
-                         self.streams).start()
-
-
-class _ServiceWorld(_World):
+class _ServiceWorld(SimWorld):
     """A 1e7-iops service host carrying the logger and (given ``work``)
     one scheduler; model clients report to both."""
 
-    def __init__(self, seed: int, work=None, jitter=0.1, start_net=False,
-                 **sched):
-        super().__init__(seed, start_net, jitter=jitter)
+    def __init__(self, seed: int, work=None, jitter=0.1, **sched):
+        super().__init__(seed, jitter=jitter)
         self.svc = self.server("svc")
         self.sched = None
         if work is not None:
             self.sched = SchedulerServer("sched", work, report_period=60,
                                          **sched)
-            self.start(self.svc, "sched", self.sched)
+            self.spawn(self.svc, "sched", self.sched)
         self.log = LoggingServer("log")
-        self.start(self.svc, "log", self.log)
+        self.spawn(self.svc, "log", self.log)
 
     def server(self, name: str, speed: float = 1e7) -> Host:
         return self.host(name, speed=speed, load_model=ConstantLoad(1.0))
@@ -559,7 +536,8 @@ def _condor_sched_world(in_pool: bool, seed: int) -> dict:
     """4 h of a churning 16-workstation Condor pool of clients whose
     two schedulers sit inside it (dying with every reclamation and
     resubmitted when the machine idles) or on dedicated hosts."""
-    w = _ServiceWorld(seed, jitter=0.2, start_net=True)
+    w = _ServiceWorld(seed, jitter=0.2)
+    w.network.start()  # the logger's start schedules nothing
     # ~5 min units: clients keep returning to a live scheduler.
     work = QueueWorkSource(generator=unit_generator(43, 5, ops_budget=1e9))
     contacts, clients = [], []
@@ -574,7 +552,7 @@ def _condor_sched_world(in_pool: bool, seed: int) -> dict:
         return SchedulerServer(f"sched{i}", work, report_period=60,
                                reap_period=120)
 
-    pool = CondorPool(w.env, w.net, w.streams, factory, n_hosts=16,
+    pool = CondorPool(w.env, w.network, w.streams, factory, n_hosts=16,
                       idle_mean=900, busy_mean=1800, start_delay=15)
     if in_pool:
         pool.deploy()
@@ -585,13 +563,13 @@ def _condor_sched_world(in_pool: bool, seed: int) -> dict:
             def keeper(host=host, i=i):
                 while True:
                     if host.up:  # ends when the owner reclaims
-                        yield w.start(host, "sched", scheduler(i))
+                        yield w.spawn(host, "sched", scheduler(i)).process
                     yield w.env.timeout(30)
 
             w.env.process(keeper())
     else:
         for i in range(2):
-            w.start(w.server(f"sched{i}"), "sched", scheduler(i))
+            w.spawn(w.server(f"sched{i}"), "sched", scheduler(i))
             contacts.append(f"sched{i}/sched")
         pool.deploy()
     w.env.run(until=4 * 3600.0)
@@ -615,7 +593,7 @@ def _lsf_sleep_world(sleep_max: float, seed: int) -> dict:
 
     w.sched.on_message = counting
     nt = NTSupercluster(
-        w.env, w.net, w.streams,
+        w.env, w.network, w.streams,
         lambda host, infra, idx: w.client(f"nt-{idx}", infra, idx),
         clusters={"ncsa": 48}, startup_sleep_max=sleep_max,
         lsf_kill_threshold=45.0, mtbf=1e12)
@@ -645,7 +623,7 @@ def _migration_world(migration: bool, seed: int) -> float:
     for i in range(6):
         h = w.server(f"cli{i}", speed=5e5 if i == 5 else 5e6)
         h.start()
-        w.start(h, "cli", w.client(f"cli{i}", "unix", i))
+        w.spawn(h, "cli", w.client(f"cli{i}", "unix", i))
     while len(work.completed) < len(units) and w.env.now < 48 * 3600.0:
         w.env.run(until=w.env.now + 120)
     return w.env.now if len(work.completed) == len(units) else math.inf
@@ -657,7 +635,7 @@ def _universe_world(universe: str, seed: int) -> dict:
     w = _ServiceWorld(seed, work, reap_period=120,
                       migrate_fraction=0.0)  # isolate the universes
     pool = CondorPool(
-        w.env, w.net, w.streams,
+        w.env, w.network, w.streams,
         lambda host, infra, idx: w.client(f"{infra}-{idx}", infra, idx),
         n_hosts=12, idle_mean=900, busy_mean=600, start_delay=15,
         universe=universe, n_types=2)
@@ -773,12 +751,12 @@ def _barrier_regime(base_latency: float, jitter: float, storms: bool,
                   for s in range(10, 7200, 35)]
         congestion = ComposedLoad(
             MeanRevertingLoad(mean=0.85, sigma=0.003), EventSchedule(events))
-    w = _World(seed, start_net=True, base_latency=base_latency,
-               jitter=jitter, congestion_model=congestion,
-               congestion_period=2.0)
+    w = SimWorld(seed, base_latency=base_latency, jitter=jitter,
+                 congestion_model=congestion, congestion_period=2.0)
+    w.network.start()
     contacts = [f"eval{i}/eval" for i in range(4)]
     for i in range(4):
-        w.start(w.host(f"eval{i}", site=f"site{i}"), "eval",
+        w.spawn(w.host(f"eval{i}", site=f"site{i}"), "eval",
                 ParallelEvaluator(f"eval{i}"))
     coord_host = w.host("coord", site="home")
     # K_6 / n=3 cannot terminate early: every regime does all rounds.
@@ -786,7 +764,7 @@ def _barrier_regime(base_latency: float, jitter: float, storms: bool,
                                     candidates_per_eval=8, seed=seed,
                                     tenure=4,  # K_6 has only 15 edges
                                     max_rounds=rounds, default_timeout=10.0)
-    w.start(coord_host, "coord", coord)
+    w.spawn(coord_host, "coord", coord)
     w.env.run(until=4 * 3600.0)
     done = coord.finished_at
     return {"rounds_closed": coord.rounds_closed, "finished": done is not None,

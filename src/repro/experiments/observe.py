@@ -26,16 +26,13 @@ from typing import Optional
 
 from ..core.services.logging import LoggingServer
 from ..core.services.scheduler import QueueWorkSource, SchedulerServer
-from ..core.simdriver import SimDriver
+from ..core.simdriver import SimWorld
 from ..core.telemetry import Span, Telemetry
 from ..ramsey.client import ModelEngine, RamseyClient
 from ..ramsey.tasks import unit_generator
-from ..simgrid.engine import Environment
 from ..simgrid.faults import FaultPlan
-from ..simgrid.host import Host, HostSpec
+from ..simgrid.host import Host
 from ..simgrid.load import ConstantLoad
-from ..simgrid.network import Network
-from ..simgrid.rand import RngStreams
 
 __all__ = ["ObserveConfig", "ObserveWorld", "run_observe", "requeue_chains"]
 
@@ -57,7 +54,7 @@ class ObserveConfig:
     unit_ops_budget: float = 1e9
 
 
-class ObserveWorld:
+class ObserveWorld(SimWorld):
     """Scheduler + logger + clients, one of them doomed."""
 
     def __init__(
@@ -67,20 +64,14 @@ class ObserveWorld:
         trace: bool = True,
     ) -> None:
         self.cfg = cfg = cfg or ObserveConfig()
-        self.env = Environment()
-        self.streams = RngStreams(seed=cfg.seed)
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
+        telemetry = telemetry if telemetry is not None else Telemetry()
         if trace:
-            self.telemetry.tracer.enabled = True
-        self.network = Network(self.env, self.streams,
-                               base_latency=0.05, jitter=0.2)
-        self.network.attach_telemetry(self.telemetry)
+            telemetry.tracer.enabled = True
+        super().__init__(cfg.seed, telemetry, base_latency=0.05, jitter=0.2)
 
         def add_host(name: str, site: str) -> Host:
-            host = Host(self.env, HostSpec(
-                name=name, site=site, infra="observe", speed=2e7,
-                load_model=ConstantLoad(1.0)), self.streams)
-            self.network.add_host(host)
+            host = self.host(name, site=site, infra="observe", speed=2e7,
+                             load_model=ConstantLoad(1.0))
             host.start()
             return host
 
@@ -91,14 +82,10 @@ class ObserveWorld:
             report_period=cfg.report_period,
             reap_period=4 * cfg.report_period,
         )
-        sched_host = add_host("sched0", "ucsd")
-        SimDriver(self.env, self.network, sched_host, "sched",
-                  self.scheduler, self.streams).start()
+        self.spawn(add_host("sched0", "ucsd"), "sched", self.scheduler)
 
         self.logger = LoggingServer("logger0")
-        log_host = add_host("logger0", "ucsd")
-        SimDriver(self.env, self.network, log_host, "log",
-                  self.logger, self.streams).start()
+        self.spawn(add_host("logger0", "ucsd"), "log", self.logger)
 
         self.clients: list[RamseyClient] = []
         for i in range(cfg.n_clients):
@@ -114,16 +101,16 @@ class ObserveWorld:
                 hello_retry=60.0,
                 seed=i,
             )
-            SimDriver(self.env, self.network, host, "cli",
-                      client, self.streams).start()
+            self.spawn(host, "cli", client)
             self.clients.append(client)
         self.network.start()
 
         # cli0 dies in the window between its HELLO leaving and the
-        # scheduler's reliable SCH_WORK reply arriving.
+        # scheduler's reliable SCH_WORK reply arriving; it is no service,
+        # so it stays dead after the reboot.
         self.plan = FaultPlan().crash(
             at=cfg.crash_at, host="cli0", reboot_after=cfg.reboot_after)
-        self.plan.install(self.env, self.network)
+        self.install(self.plan)
 
     def run(self) -> dict:
         self.env.run(until=self.cfg.duration)

@@ -1,9 +1,12 @@
 """The SC98 High-Performance Computing Challenge scenario (§4).
 
-Builds the full experiment the paper reports: the Figure-1 service
-topology, all seven infrastructure adapters, the ambient-load story of
-the twelve hours leading up to the judging (23:36:56 → 11:36:56 PST), and
-the measurement plane that regenerates Figures 2, 3(a–c) and 4(a–c).
+Builds the full experiment the paper reports as a topology on one
+:class:`~repro.core.simdriver.SimWorld`: the Figure-1 service topology
+(:func:`build_core`, which the chaos scenarios reuse), the computational
+clients the adapters launch (:func:`model_client_factory`), all seven
+infrastructure adapters, the ambient-load story of the twelve hours
+leading up to the judging (23:36:56 → 11:36:56 PST), and the measurement
+plane that regenerates Figures 2, 3(a–c) and 4(a–c).
 
 The judging-time forcing function follows §4.1: at 11:00 competing
 projects claimed resources and SCInet load spiked, halving-and-worse the
@@ -15,12 +18,18 @@ the floor stayed busier than overnight.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
+from ..core.gossip.server import GossipServer
+from ..core.gossip.state import ComparatorRegistry
+from ..core.services.logging import LoggingServer
+from ..core.services.persistent import PersistentStateServer
+from ..core.services.scheduler import QueueWorkSource, SchedulerServer
+from ..core.simdriver import SimWorld
 from ..core.telemetry import Telemetry
-from ..infra.base import InfraAdapter
+from ..infra.base import ClientFactory, InfraAdapter
 from ..infra.condor import CondorPool
 from ..infra.globus import GlobusSites
 from ..infra.java import JavaApplets
@@ -28,14 +37,16 @@ from ..infra.legion import LegionNet
 from ..infra.netsolve import NetSolveFarm
 from ..infra.nt import NTSupercluster
 from ..infra.unixpool import UnixPool
-from ..simgrid.engine import Environment
-from ..simgrid.load import ComposedLoad, EventSchedule, MeanRevertingLoad, ScheduledEvent
-from ..simgrid.network import Network
-from ..simgrid.rand import RngStreams
+from ..ramsey.client import (RAMSEY_BEST, ModelEngine, RamseyClient,
+                             ramsey_comparator, rotated)
+from ..ramsey.tasks import unit_generator
+from ..ramsey.verify import counter_example_validator
+from ..simgrid.host import Host
+from ..simgrid.load import ComposedLoad, ConstantLoad, EventSchedule, MeanRevertingLoad, ScheduledEvent
 from .metrics import HostCountSampler, SeriesBundle, collect_rate_series
-from .scenario import ServiceCore, build_core, model_client_factory
 
-__all__ = ["SC98Config", "SC98World", "build_sc98", "clock_to_offset", "offset_to_clock"]
+__all__ = ["SC98Config", "SC98World", "ServiceCore", "build_core", "build_sc98",
+           "clock_to_offset", "model_client_factory", "offset_to_clock"]
 
 #: The run starts at 23:36:56 PST (first x label of Fig. 2).
 START_CLOCK = (23, 36, 56)
@@ -71,7 +82,6 @@ class SC98Config:
     n: int = 5
     report_period: float = 150.0
     work_period: float = 150.0
-    judging: bool = True
     #: Client compute engine: "model" burns simulated cycles (SC98-scale
     #: runs), "real" executes the op-counted search kernels.
     engine: str = "model"
@@ -81,13 +91,6 @@ class SC98Config:
     compute_pool: int = 0
     #: Step cap per real-engine advance (lowered for smoke runs).
     max_steps_per_advance: int = 2000
-    #: Ablation A1: forecast-driven vs static service time-outs.
-    dynamic_timeouts: bool = True
-    #: Ablation A2: place schedulers inside the Condor pool.
-    condor_scheduler_in_pool: bool = False
-    #: Ablation A5: NT startup sleep spread (seconds).
-    nt_startup_sleep_max: float = 40.0
-    nt_lsf_kill_threshold: float = 45.0
 
     @property
     def n_buckets(self) -> int:
@@ -137,72 +140,167 @@ class SC98Results:
         return float(self.series.total_rate[mask].max())
 
 
-class SC98World:
+@dataclass
+class ServiceCore:
+    """Handles to the deployed well-known services of Figure 1."""
+
+    schedulers: list[SchedulerServer] = field(default_factory=list)
+    scheduler_contacts: list[str] = field(default_factory=list)
+    gossips: list[GossipServer] = field(default_factory=list)
+    gossip_contacts: list[str] = field(default_factory=list)
+    loggers: list[LoggingServer] = field(default_factory=list)
+    logger_contacts: list[str] = field(default_factory=list)
+    persistents: list[PersistentStateServer] = field(default_factory=list)
+    persistent_contacts: list[str] = field(default_factory=list)
+
+
+def build_core(
+    world: SimWorld,
+    n_schedulers: int = 3,
+    n_gossips: int = 3,
+    n_loggers: int = 2,
+    n_persistents: int = 1,
+    k: int = 43,
+    n: int = 5,
+    unit_ops_budget: float = 1e12,
+    report_period: float = 150.0,
+    gossip_poll_period: float = 120.0,
+    gossip_sync_period: float = 90.0,
+    ks: Optional[list[int]] = None,
+) -> ServiceCore:
+    """Deploy the application-specific services — schedulers ("S"),
+    Gossips ("G"), logging servers ("L") and persistent state managers
+    ("P") — as ``world`` services on dedicated, reliable hosts (the
+    paper stationed its Gossips "at well-known addresses around the
+    country" and kept persistent state at SDSC).
+
+    ``ks`` optionally gives each scheduler its own problem size
+    (scheduler ``i`` mints units for ``ks[i % len(ks)]``); the chaos
+    scenarios use it to spread the search over several small targets so
+    distinct counter-example keys reach the persistent store.
+    """
+    core = ServiceCore()
+    sites = ["ucsd", "utk", "uva", "ncsa"]
+
+    def deploy(i: int, port: str, component, roster: list,
+               contacts: list) -> None:
+        host = world.host(component.name, site=sites[i % len(sites)],
+                          infra="service", speed=2e7,
+                          load_model=ConstantLoad(1.0))
+        host.start()
+        world.spawn(host, port, component, service=True)
+        roster.append(component)
+        contacts.append(f"{host.name}/{port}")
+
+    comparators = ComparatorRegistry()
+    comparators.register(RAMSEY_BEST, ramsey_comparator)
+    well_known = [f"gossip{i}/gossip" for i in range(n_gossips)]
+    for i in range(n_gossips):
+        deploy(i, "gossip", GossipServer(
+            f"gossip{i}",
+            well_known=well_known,
+            comparators=comparators,
+            poll_period=gossip_poll_period,
+            sync_period=gossip_sync_period,
+        ), core.gossips, core.gossip_contacts)
+
+    for i in range(n_schedulers):
+        sched_k = ks[i % len(ks)] if ks else k
+        work = QueueWorkSource(generator=unit_generator(
+            sched_k, n, base_seed=1000 * (i + 1), ops_budget=unit_ops_budget))
+        deploy(i, "sched", SchedulerServer(
+            f"sched{i}", work,
+            report_period=report_period,
+            reap_period=2 * report_period,
+        ), core.schedulers, core.scheduler_contacts)
+
+    for i in range(n_loggers):
+        deploy(i, "log", LoggingServer(f"logger{i}"),
+               core.loggers, core.logger_contacts)
+
+    for i in range(n_persistents):
+        pst = PersistentStateServer(f"pst{i}")
+        pst.add_validator(counter_example_validator)
+        deploy(i, "pst", pst, core.persistents, core.persistent_contacts)
+
+    return core
+
+
+def model_client_factory(
+    core: ServiceCore,
+    work_period: float = 150.0,
+    report_period: float = 150.0,
+    engine_factory: Optional[Callable[[], object]] = None,
+    via: Optional[str] = None,
+) -> ClientFactory:
+    """The computational clients ("A") the infrastructure adapters launch
+    and relaunch by their own semantics, wired into the service core.
+
+    Clients spread across schedulers and loggers round-robin by index;
+    ``via`` routes their scheduler, logger and persistent-state traffic
+    through one contact instead (Legion's translator)."""
+
+    def factory(host: Host, infra: str, idx: int) -> RamseyClient:
+        persistent = via or (
+            core.persistent_contacts[0] if core.persistent_contacts else None)
+        engine = engine_factory() if engine_factory is not None else ModelEngine()
+        return RamseyClient(
+            name=f"{infra}-cli{idx}",
+            schedulers=[via] if via else rotated(core.scheduler_contacts, idx),
+            engine=engine,
+            infra=infra,
+            loggers=[via] if via else [
+                core.logger_contacts[idx % len(core.logger_contacts)]],
+            persistent=persistent,
+            gossip_well_known=core.gossip_contacts,
+            work_period=work_period,
+            report_period=report_period,
+            hello_retry=60.0,
+            seed=idx,
+        )
+
+    return factory
+
+
+class SC98World(SimWorld):
     """A fully wired SC98 experiment ready to run."""
 
     def __init__(self, config: SC98Config,
                  telemetry: Optional[Telemetry] = None) -> None:
-        self.config = config
-        self.env = Environment()
-        self.streams = RngStreams(seed=config.seed)
-        # Shared world registry/tracer (drivers inherit via the network).
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
-        c = config
+        self.config = c = config
 
         # --- ambient stories -------------------------------------------------
-        judging_events = []
-        if c.judging:
-            t_judge = clock_to_offset(11, 0)
-            t_test = clock_to_offset(9, 36)
-            judging_events = [
-                # §4.1: the best sustained rate came "during a test an hour
-                # before the competition" (09:51–09:56) — competitors idled
-                # between overnight runs and the demo, freeing resources.
-                ScheduledEvent(t_test, t_test + 24 * 60, factor=1.18, ramp=300),
-                # Judging at 11:00: competitors claim resources — sharp
-                # loss, partial recovery over ~8 minutes...
-                ScheduledEvent(t_judge, t_judge + 300, factor=0.42, ramp=480),
-                # ...onto a busier-than-overnight floor for the rest of the
-                # morning.
-                ScheduledEvent(t_judge + 300, max(c.duration, t_judge + 600),
-                               factor=0.95),
-            ]
-        self.judging_schedule = EventSchedule(judging_events)
-
-        congestion_events = []
-        if c.judging:
-            t_judge = clock_to_offset(11, 0)
-            congestion_events = [
-                # SCInet reconfigured on the fly; latencies ballooned.
-                ScheduledEvent(t_judge - 120, t_judge + 600, factor=0.3, ramp=300),
-            ]
-        self.network = Network(
-            self.env,
-            self.streams,
+        t_judge = clock_to_offset(11, 0)
+        t_test = clock_to_offset(9, 36)
+        ambient = EventSchedule([
+            # §4.1: the best sustained rate came "during a test an hour
+            # before the competition" (09:51–09:56) — competitors idled
+            # between overnight runs and the demo, freeing resources.
+            ScheduledEvent(t_test, t_test + 24 * 60, factor=1.18, ramp=300),
+            # Judging at 11:00: competitors claim resources — sharp
+            # loss, partial recovery over ~8 minutes...
+            ScheduledEvent(t_judge, t_judge + 300, factor=0.42, ramp=480),
+            # ...onto a busier-than-overnight floor for the rest of the
+            # morning.
+            ScheduledEvent(t_judge + 300, max(c.duration, t_judge + 600),
+                           factor=0.95),
+        ])
+        # Shared world registry/tracer (drivers inherit via the network).
+        super().__init__(
+            c.seed, telemetry if telemetry is not None else Telemetry(),
             base_latency=0.08,
             jitter=0.3,
             congestion_model=ComposedLoad(
                 MeanRevertingLoad(mean=0.85, sigma=0.002),
-                EventSchedule(congestion_events),
+                # SCInet reconfigured on the fly; latencies ballooned.
+                EventSchedule([ScheduledEvent(
+                    t_judge - 120, t_judge + 600, factor=0.3, ramp=300)]),
             ),
         )
-        self.network.attach_telemetry(self.telemetry)
 
         # --- the Figure-1 service topology ------------------------------------
         self.core: ServiceCore = build_core(
-            self.env,
-            self.network,
-            self.streams,
-            n_schedulers=3,
-            n_gossips=3,
-            n_loggers=2,
-            n_persistents=1,
-            k=c.k,
-            n=c.n,
-            report_period=c.report_period,
-        )
-        for gossip in self.core.gossips:
-            gossip.dynamic_timeouts = c.dynamic_timeouts
+            self, k=c.k, n=c.n, report_period=c.report_period)
 
         # --- the compute plane ------------------------------------------------
         # Real-engine clients offload tabu step batches to this lane;
@@ -231,22 +329,20 @@ class SC98World:
         )
 
         # --- the seven infrastructures ---------------------------------------
-        common = dict(ambient=self.judging_schedule)
+        fabric = (self.env, self.network, self.streams)
+        common = dict(ambient=ambient)
         self.unix = UnixPool(
-            self.env, self.network, self.streams, factory, site="paci",
+            *fabric, factory, site="paci",
             n_workstations=c.scaled(32), n_mpp_nodes=c.scaled(32),
             with_tera_mta=True, **common)
         self.condor = CondorPool(
-            self.env, self.network, self.streams, factory, site="wisc",
-            n_hosts=c.scaled(120), **common)
+            *fabric, factory, site="wisc", n_hosts=c.scaled(120), **common)
         self.nt = NTSupercluster(
-            self.env, self.network, self.streams, factory, site="nt",
+            *fabric, factory, site="nt",
             clusters={"ncsa": c.scaled(64), "ucsd": c.scaled(32)},
-            startup_sleep_max=c.nt_startup_sleep_max,
-            lsf_kill_threshold=c.nt_lsf_kill_threshold,
-            **common)
+            startup_sleep_max=40.0, lsf_kill_threshold=45.0, **common)
         self.globus = GlobusSites(
-            self.env, self.network, self.streams, factory, site="globus",
+            *fabric, factory, site="globus",
             sites={"isi": c.scaled(6), "anl": c.scaled(6)}, **common)
 
         legion_routes = {
@@ -255,22 +351,19 @@ class SC98World:
             "LOG": self.core.logger_contacts[0],
         }
         self.legion = LegionNet(
-            self.env, self.network, self.streams,
+            *fabric,
             model_client_factory(
                 self.core,
                 work_period=c.work_period,
                 report_period=c.report_period,
-                scheduler_override=["legion-gateway/xlate"],
-                logger_override=["legion-gateway/xlate"],
-                persistent_override="legion-gateway/xlate",
+                via="legion-gateway/xlate",
             ),
             site="uva",
             n_hosts=c.scaled(20),
             translator_routes=legion_routes,
             **common)
         self.netsolve = NetSolveFarm(
-            self.env, self.network, self.streams, factory, site="utk",
-            n_servers=c.scaled(3), **common)
+            *fabric, factory, site="utk", n_servers=c.scaled(3), **common)
 
         def java_rate(t: float) -> float:
             # Overnight trickle; a crowd once the exhibit floor opens.
@@ -278,7 +371,7 @@ class SC98World:
             return base * max(c.scale, 0.05)
 
         self.java = JavaApplets(
-            self.env, self.network, self.streams, factory, site="internet",
+            *fabric, factory, site="internet",
             rate_fn=java_rate, session_mean=30 * 60.0, jit_fraction=0.5,
             **common)
 
@@ -287,25 +380,13 @@ class SC98World:
             self.legion, self.netsolve, self.java,
         ]
 
-        if c.condor_scheduler_in_pool:
-            self._move_schedulers_into_condor_pool()
-
         self.sampler = HostCountSampler(
             self.env, self.adapters, start=0.0, width=c.bucket, n=c.n_buckets)
-
-    def _move_schedulers_into_condor_pool(self) -> None:
-        """Ablation A2: schedulers live on (reclaimable) Condor hosts.
-
-        Deployed during :meth:`run` after the Condor hosts exist; clients
-        are rewired to the in-pool contacts."""
-        self._condor_sched_pending = True
 
     def run(self) -> SC98Results:
         self.network.start()
         for adapter in self.adapters:
             adapter.deploy()
-        if getattr(self, "_condor_sched_pending", False):
-            self._deploy_condor_schedulers()
         self.sampler.start_sampling()
         if self.compute_lane is not None and self.compute_lane.workers > 0:
             # Harvest pool completions (and refresh queue-depth gauges)
@@ -322,24 +403,6 @@ class SC98World:
         """Release the compute lane (worker processes, shared memory)."""
         if self.compute_lane is not None:
             self.compute_lane.close()
-
-    def _deploy_condor_schedulers(self) -> None:
-        from ..core.services.scheduler import SchedulerServer
-        from ..core.simdriver import SimDriver
-        from ..ramsey.tasks import unit_generator
-        from ..core.services.scheduler import QueueWorkSource
-
-        contacts = []
-        for i, host in enumerate(self.condor.hosts[: len(self.core.schedulers)]):
-            work = QueueWorkSource(generator=unit_generator(
-                self.config.k, self.config.n, base_seed=5000 + i, ops_budget=1e12))
-            sched = SchedulerServer(
-                f"condor-sched{i}", work, report_period=self.config.report_period)
-            SimDriver(self.env, self.network, host, "sched", sched, self.streams).start()
-            self.core.schedulers.append(sched)
-            contacts.append(f"{host.name}/sched")
-        # Rewire: future clients use only the in-pool schedulers.
-        self.core.scheduler_contacts = contacts
 
     def results(self) -> SC98Results:
         c = self.config

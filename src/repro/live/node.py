@@ -204,7 +204,7 @@ def build_component(manifest: Manifest, name: str,
                     data_dir: Optional[str] = None) -> Component:
     """Build the sans-IO component for node ``name`` from the manifest.
 
-    The same classes the simulation deploys (`scenario.build_core` /
+    The same classes the simulation deploys (`sc98.build_core` /
     `model_client_factory`), wired with live ``host:port`` contacts.
     ``data_dir`` is where durable node state lives (the gateway's job
     journal); without it a gateway runs journal-less, losing accepted

@@ -13,9 +13,10 @@ from repro.core.component import (
 )
 from repro.core.linguafranca.messages import Message
 from repro.core.policy import RetryPolicy
-from repro.core.simdriver import SimDriver
+from repro.core.simdriver import SimDriver, SimWorld
 from repro.core.telemetry import Telemetry
 from repro.simgrid.engine import Environment, SimulationError
+from repro.simgrid.faults import FaultPlan
 from repro.simgrid.host import Host, HostDown, HostSpec
 from repro.simgrid.load import LoadModel
 from repro.simgrid.network import Address, Network
@@ -530,3 +531,57 @@ def test_hostile_contacts_leave_the_contact_table_bounded():
     # A route the table holds is the very object every later send uses.
     dst = next(iter(net._routes))
     assert driver._resolve(dst) is net._routes[dst]
+
+
+# -- SimWorld: relaunch after a planned reboot -------------------------------
+
+class Starts(Component):
+    """Records every on_start time (the same object across relaunches)."""
+
+    def __init__(self, name):
+        super().__init__(name)
+        self.starts = []
+
+    def on_start(self, now):
+        self.starts.append(now)
+        return []
+
+
+def _rebooting_world(*crashes):
+    world = SimWorld(seed=3)
+    host = world.host("svc")
+    service, guest = Starts("svc"), Starts("guest")
+    first = world.spawn(host, "svc", service, service=True)
+    world.spawn(host, "guest", guest)
+    plan = FaultPlan()
+    for at, reboot_after in crashes:
+        plan.crash(at, "svc", reboot_after=reboot_after)
+    world.install(plan)
+    return world, service, guest, first
+
+
+def test_a_service_is_relaunched_one_second_after_its_host_reboots():
+    world, service, guest, first = _rebooting_world((10.0, 20.0))
+    world.env.run(until=30.5)  # rebooted at 30, not yet relaunched
+    assert world.network.host("svc").up and service.starts == [0.0]
+    world.env.run(until=40.0)
+    assert service.starts == [0.0, 31.0]
+    driver = world.services["svc/svc"]
+    assert driver is not first and driver.running
+    assert driver.component is service
+
+
+def test_a_non_service_driver_is_not_relaunched():
+    world, service, guest, _ = _rebooting_world((10.0, 20.0))
+    world.env.run(until=100.0)
+    assert guest.starts == [0.0]
+    assert list(world.services) == ["svc/svc"]
+
+
+def test_a_host_down_again_at_relaunch_time_gets_nothing():
+    world, service, guest, first = _rebooting_world((10.0, 20.0),
+                                                    (30.5, None))
+    world.env.run(until=100.0)
+    assert not world.network.host("svc").up
+    assert service.starts == [0.0]
+    assert world.services["svc/svc"] is first and not first.running

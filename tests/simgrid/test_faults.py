@@ -4,8 +4,8 @@ import pytest
 
 from repro.core.linguafranca.endpoint import SimEndpoint
 from repro.core.linguafranca.messages import Message
-from repro.core.simdriver import SimDriver
-from repro.experiments.scenario import build_core, model_client_factory
+from repro.core.simdriver import SimWorld
+from repro.experiments.sc98 import build_core, model_client_factory
 from repro.infra.unixpool import UnixPool
 from repro.simgrid.engine import Environment
 from repro.simgrid.faults import FaultPlan, HostCrash, MessageChaos, SitePartition
@@ -176,22 +176,20 @@ def test_chaos_duplicates_deliver_twice():
 
 # -- infra outage + adapter integration ------------------------------------
 
-def build_grid_world(**core_kw):
-    env = Environment()
-    streams = RngStreams(seed=23)
-    net = Network(env, streams, jitter=0.0)
+def build_grid_world():
+    world = SimWorld(seed=23, jitter=0.0)
     core = build_core(
-        env, net, streams,
+        world,
         n_schedulers=1, n_gossips=3, n_loggers=1, n_persistents=1,
         ks=[8], n=4, unit_ops_budget=1e5,
         report_period=60.0, gossip_poll_period=60.0, gossip_sync_period=45.0,
-        **core_kw,
     )
-    return env, streams, net, core
+    return world, core
 
 
 def test_infra_outage_darkens_and_restores_pool():
-    env, streams, net, core = build_grid_world()
+    world, core = build_grid_world()
+    env, streams, net = world.env, world.streams, world.network
     factory = model_client_factory(core, work_period=20.0, report_period=60.0)
     pool = UnixPool(env, net, streams, factory, site="paci",
                     n_workstations=3, n_mpp_nodes=0, with_tera_mta=False,
@@ -213,7 +211,8 @@ def test_infra_outage_darkens_and_restores_pool():
 
 
 def test_crash_reboot_respawns_adapter_client():
-    env, streams, net, core = build_grid_world()
+    world, core = build_grid_world()
+    env, streams, net = world.env, world.streams, world.network
     factory = model_client_factory(core, work_period=20.0, report_period=60.0)
     pool = UnixPool(env, net, streams, factory, site="paci",
                     n_workstations=2, n_mpp_nodes=0, with_tera_mta=False,
@@ -238,7 +237,8 @@ def clique_views(core):
 
 
 def test_partition_splits_and_remerges_gossip_cliques():
-    env, streams, net, core = build_grid_world()
+    world, core = build_grid_world()
+    env, net = world.env, world.network
     net.start()
     # gossip0 sits at ucsd; gossip1/gossip2 at utk/uva.
     plan = FaultPlan().partition(
@@ -260,28 +260,18 @@ def test_partition_splits_and_remerges_gossip_cliques():
 
 
 def test_crash_during_sync_preserves_registered_state():
-    env, streams, net, core = build_grid_world()
+    world, core = build_grid_world()
+    env = world.env
     factory = model_client_factory(core, work_period=20.0, report_period=60.0)
-    host = Host(env, HostSpec(name="cli0", site="ucsd"), streams)
-    net.add_host(host)
+    host = world.host("cli0", site="ucsd")
     host.start()
-    client = factory(host, "test", 0)
-    SimDriver(env, net, host, "ramsey", client, streams).start()
-    net.start()
+    world.spawn(host, "ramsey", factory(host, "test", 0))
+    world.network.start()
 
-    # Crash one gossip mid-run (amid its poll/sync rounds) and reboot it.
-    plan = FaultPlan().crash(200.0, "gossip1", reboot_after=120.0)
-    plan.install(env, net)
+    # Crash one gossip mid-run (amid its poll/sync rounds) and reboot it;
+    # the world relaunches the same component just after the reboot.
+    world.install(FaultPlan().crash(200.0, "gossip1", reboot_after=120.0))
     crashed = core.gossips[1]
-
-    def relaunch(env):
-        yield env.timeout(321.0)  # just after the reboot
-        drv = SimDriver(env, net, net.host("gossip1"), "gossip",
-                        crashed, streams)
-        drv.start()
-        core.service_drivers[drv.endpoint.contact] = drv
-
-    env.process(relaunch(env))
 
     env.run(until=150.0)
     assert any("cli0/ramsey" in g.registry for g in core.gossips)
@@ -296,3 +286,5 @@ def test_crash_during_sync_preserves_registered_state():
     full = tuple(sorted(core.gossip_contacts))
     assert clique_views(core) == [full, full, full]
     assert any("cli0/ramsey" in g.registry for g in core.gossips)
+    relaunched = world.services["gossip1/gossip"]
+    assert relaunched.running and relaunched.component is crashed
