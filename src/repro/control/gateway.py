@@ -29,12 +29,16 @@ context is journaled with the submission and stamped into the work unit
 so every downstream actor parents on it.
 
 Text routes (/metrics, /events) return a ``str`` payload instead of a
-JSON document; I/O wrappers render either with :func:`render_payload`.
+JSON document, and ``GET /jobs/{id}`` of a finished job on a line
+journal returns the ``bytes`` body the job already holds (DESIGN §13,
+"What a finished job holds"); I/O wrappers render any of the three with
+:func:`render_payload`.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import islice
 from typing import Optional, Union
 from urllib.parse import unquote_plus
 
@@ -80,12 +84,13 @@ MAX_LISTED_JOBS = 100
 MAX_BATCH_JOBS = 10_000
 
 
-def render_payload(status: int, payload: Union[dict, str], route: str,
-                   close: bool = False) -> bytes:
-    """One response frame for either payload kind the router returns:
-    a JSON document (dict) or pre-rendered text (str, content type per
-    :data:`TEXT_ROUTES`). Every I/O wrapper — live node, bench child,
-    HTTP tests — renders through this, so text routes can't drift."""
+def render_payload(status: int, payload: Union[dict, str, bytes],
+                   route: str, close: bool = False) -> bytes:
+    """One response frame for any payload kind the router returns: a
+    JSON document (dict), a pre-rendered JSON body (bytes, served as is)
+    or pre-rendered text (str, content type per :data:`TEXT_ROUTES`).
+    Every I/O wrapper — live node, bench child, HTTP tests — renders
+    through this, so text routes can't drift."""
     if isinstance(payload, str):
         return text_response(
             status, payload,
@@ -170,12 +175,13 @@ class GatewayCore:
 
     # -- routing --------------------------------------------------------------
     def handle(self, method: str, path: str, body: bytes,
-               now: float) -> tuple[int, Union[dict, str], str]:
+               now: float) -> tuple[int, Union[dict, str, bytes], str]:
         """Route one request; returns ``(status, payload, route_label)``.
 
-        ``payload`` is a JSON document (dict) for most routes, or
-        pre-rendered text (str) for the routes in :data:`TEXT_ROUTES` —
-        render either with :func:`render_payload`.
+        ``payload`` is a JSON document (dict) for most routes, the
+        rendered JSON body (bytes) of a finished job the queue holds as
+        bytes, or pre-rendered text (str) for the routes in
+        :data:`TEXT_ROUTES` — render any with :func:`render_payload`.
         """
         path, _, query = path.partition("?")
         path = path.rstrip("/") or "/"
@@ -187,7 +193,7 @@ class GatewayCore:
 
     def _route(self, method: str, path: str, segments: list[str],
                body: bytes, query: str, now: float
-               ) -> tuple[int, Union[dict, str], str]:
+               ) -> tuple[int, Union[dict, str, bytes], str]:
         if path == "/jobs":
             if method == "POST":
                 return (*self._submit(body, now), "POST /jobs")
@@ -296,18 +302,20 @@ class GatewayCore:
                      "state": "queued", "submitted_at": now}
 
     def _list_jobs(self) -> tuple[int, dict]:
-        ids = list(self.work.jobs)
+        jobs = self.work.jobs
+        newest = list(islice(reversed(jobs), MAX_LISTED_JOBS))
+        newest.reverse()
         return 200, {
             "counts": self.work.counts(),
-            "jobs": ids[-MAX_LISTED_JOBS:],
-            "truncated": len(ids) > MAX_LISTED_JOBS,
+            "jobs": newest,
+            "truncated": len(jobs) > MAX_LISTED_JOBS,
         }
 
-    def _get_job(self, job_id: str) -> tuple[int, dict]:
+    def _get_job(self, job_id: str) -> tuple[int, Union[dict, bytes]]:
         job = self.work.get(job_id)
         if job is None:
             return 404, {"error": f"no job {job_id!r}"}
-        return 200, job.to_dict()
+        return 200, self.work.document(job)
 
     def _cancel(self, job_id: str, now: float) -> tuple[int, dict]:
         job = self.work.get(job_id)

@@ -27,6 +27,7 @@ import json
 from typing import Callable, Optional
 
 from ..core.linguafranca.tcp import TcpServer, _Connection
+from ..obs.recordlog import _encode
 
 __all__ = [
     "HttpError",
@@ -256,9 +257,11 @@ def _render(status: int, body: bytes, content_type: str,
 
 
 def json_response(status: int, obj, close: bool = False) -> bytes:
-    """A complete JSON response frame (sorted keys: byte-stable)."""
-    body = (json.dumps(obj, sort_keys=True, separators=(",", ":"))
-            .encode("utf-8") + b"\n")
+    """A complete JSON response frame (sorted keys: byte-stable). ``obj``
+    is a JSON document, or ``bytes``: a body this function would have
+    rendered, newline included, served as is."""
+    body = (obj if isinstance(obj, bytes)
+            else (_encode(obj) + "\n").encode("ascii"))
     return _render(status, body, "application/json", close)
 
 

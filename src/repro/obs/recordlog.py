@@ -7,7 +7,9 @@ are the paper's "message typing, record boundaries" over a byte stream
 The three decisions they share are made here and nowhere else:
 
 * **line format** — :func:`encode_line`: sorted keys, compact
-  separators, ``"\\n"``; byte-stable for equal records.
+  separators, ``"\\n"``; byte-stable for equal records. A writer that
+  already rendered a record's values with the same encoder (the job
+  store splices its lines from them) appends the line itself.
 * **durability point** — :class:`RecordLog` writes everything a call was
   given, then calls ``flush()`` once. No fsync: the threat model is the
   *process* dying (chaos SIGKILL, supervisor restart), and flushed bytes
@@ -28,16 +30,41 @@ from __future__ import annotations
 
 import json
 import os
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from typing import Union
 
 __all__ = ["RecordLog", "encode_line", "read_records"]
 
-# Built once: json.dumps with non-default arguments builds one per call.
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+#: The one sort-keys compact encoder, built at import and shared by the
+#: record log, the job store's rendered fragments and every JSON response
+#: (``json.dumps`` with non-default arguments builds a ``JSONEncoder`` per
+#: call, and ``JSONEncoder.encode`` a C encoder per call). ``"".join(
+#: _iterencode(value, 0))`` is ``json.dumps(value, sort_keys=True,
+#: separators=(",", ":"))`` to the byte. Built without the per-call
+#: circular-reference markers, a circular value fails as a RecursionError
+#: instead of a ValueError. Without json's C accelerator the encoder's
+#: own pure-Python path serves.
+_iterencode = (
+    json.JSONEncoder(sort_keys=True, separators=(",", ":")).iterencode
+    if c_make_encoder is None else c_make_encoder(
+        None, json.JSONEncoder().default, encode_basestring_ascii, None,
+        ":", ",", True, False, True))
+
+
+def _encode(value) -> str:
+    """``value`` as compact sort-keys JSON (ASCII: non-ASCII escaped)."""
+    return "".join(_iterencode(value, 0))
 
 
 def encode_line(record: dict) -> str:
     """One record as its log line (byte-stable key order)."""
     return _encode(record) + "\n"
+
+
+def _line(record: Union[dict, str]) -> str:
+    """A record's log line; a ``str`` is a line already rendered (by
+    :func:`encode_line` or spliced from fragments it rendered)."""
+    return record if isinstance(record, str) else encode_line(record)
 
 
 def read_records(path: str) -> tuple[list[dict], int]:
@@ -100,15 +127,17 @@ class RecordLog:
         self._fh.write(lines.encode("utf-8"))
         self._fh.flush()
 
-    def append(self, record: dict) -> None:
-        self._write(encode_line(record))
+    def append(self, record: Union[dict, str]) -> None:
+        """Append one record: a dict, or its line already rendered."""
+        self._write(_line(record))
 
-    def append_many(self, records: list[dict]) -> None:
-        """Append N records with ONE flush — the batch durability point.
-        All-or-nothing to the same degree as ``append``: every line is
-        in the userspace buffer before the single flush."""
+    def append_many(self, records: list) -> None:
+        """Append N records (dicts or rendered lines) with ONE flush —
+        the batch durability point. All-or-nothing to the same degree as
+        ``append``: every line is in the userspace buffer before the
+        single flush."""
         if records:
-            self._write("".join(map(encode_line, records)))
+            self._write("".join(map(_line, records)))
 
     def close(self) -> None:
         if self._fh is not None:

@@ -41,6 +41,24 @@ def test_submit_rejects_malformed_bodies(core):
     assert len(core.work.jobs) == 0
 
 
+@pytest.mark.parametrize("n", [0, 1, 100, 101, 250])
+def test_list_jobs_returns_the_newest_hundred_ids_oldest_first(n):
+    from repro.control.gateway import MAX_LISTED_JOBS
+
+    core = GatewayCore("gw-test", WorkQueue(prefix="t"))
+    core.work.submit_batch([{"i": i} for i in range(n)], now=0.0)
+    for job_id in list(core.work.jobs)[::3]:
+        core.work.cancel(job_id, now=1.0)
+    status, doc, _ = core.handle("GET", "/jobs", b"", now=2.0)
+    ids = list(core.work.jobs)
+    assert status == 200
+    assert doc["jobs"] == ids[-MAX_LISTED_JOBS:]
+    assert doc["truncated"] is (n > MAX_LISTED_JOBS)
+    assert doc["counts"] == {"queued": n - len(ids[::3]), "assigned": 0,
+                             "done": 0, "cancelled": len(ids[::3]),
+                             "total": n}
+
+
 def test_get_job_roundtrip_and_404(core):
     core.handle("POST", "/jobs", _json({"k": 8}), now=1.0)
     status, doc, route = core.handle("GET", "/jobs/t-1", b"", now=2.0)

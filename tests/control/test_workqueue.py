@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.control import FileJournal, MemoryJournal, WorkQueue
+from repro.control import (JOB_STATES, FileJournal, MemoryJournal,
+                           WorkQueue)
 
 
 def test_submit_assign_complete_lifecycle():
@@ -293,6 +294,14 @@ def _lines(path) -> int:
         return fh.read().count(b"\n")
 
 
+def _recount(work: WorkQueue) -> dict:
+    """``counts()`` the slow way: walk every job."""
+    out = {state: 0 for state in JOB_STATES}
+    for job in work.jobs.values():
+        out[job.state] += 1
+    return {**out, "total": len(work.jobs)}
+
+
 @given(ops=_OPS, cut=st.integers(min_value=0))
 @settings(max_examples=60, deadline=None)
 def test_replayed_queue_equals_live_queue_and_no_crash_point_loses_a_job(
@@ -316,12 +325,14 @@ def test_replayed_queue_equals_live_queue_and_no_crash_point_loses_a_job(
             live.complete(job_id, {"r": arg}, now=now)
         else:
             live.cancel(job_id, now=now)
+        assert live.counts() == _recount(live)
     live.close()
 
     # Replay == live: same ids in submit order, terminal jobs identical,
     # everything else back in the queue in submit order, next id unused.
     reborn = WorkQueue(journal=FileJournal(path), prefix="t")
     assert list(reborn.jobs) == list(live.jobs)
+    assert reborn.counts() == _recount(reborn)
     terminal = ("done", "cancelled")
     for job_id, job in live.jobs.items():
         twin = reborn.jobs[job_id]
@@ -346,6 +357,7 @@ def test_replayed_queue_equals_live_queue_and_no_crash_point_loses_a_job(
     final = WorkQueue(journal=FileJournal(path), prefix="t")
     assert final.get(accepted.id).spec == {"after": "crash"}
     assert final.journal.skipped == 0
+    assert final.counts() == _recount(final)
     assert _lines(path) == complete + 1
 
 
@@ -519,3 +531,93 @@ def test_unregistered_kind_results_accepted_unchecked():
     work.complete(unit["id"], {"bad": True}, now=1.0)
     assert work.get("t-1").state == "done"
     assert work.results_rejected == 0
+
+
+# -- render once: journal lines and finished GET bodies ----------------------
+
+_SCALARS = (st.none() | st.booleans() | st.integers(-2**80, 2**80)
+            | st.floats(allow_nan=False) | st.text(max_size=6))
+_VALUES = st.recursive(
+    _SCALARS, lambda kids: (st.lists(kids, max_size=3)
+                            | st.dictionaries(st.text(max_size=4), kids,
+                                              max_size=3)),
+    max_leaves=8)
+#: An unregistered kind, so no result check refuses a random result.
+_SPECS = st.dictionaries(
+    st.text(max_size=6).filter(lambda key: key not in ("id", "kind")),
+    _VALUES, max_size=4).map(lambda spec: {**spec, "kind": "bench.inert"})
+_JOBS = st.lists(st.tuples(
+    _SPECS, st.sampled_from(["done", "cancelled", "queued"]),
+    st.dictionaries(st.text(max_size=6), _VALUES, max_size=4),
+    st.integers(0, 2), st.booleans()), min_size=1, max_size=6)
+
+
+def _body(frame: bytes) -> bytes:
+    return frame.partition(b"\r\n\r\n")[2]
+
+
+@given(jobs=_JOBS)
+@settings(max_examples=60, deadline=None)
+def test_lines_and_finished_bodies_render_once_byte_identically(
+        tmp_path_factory, jobs):
+    import repro.control.workqueue as workqueue
+    from repro.control import GatewayCore, json_response, render_payload
+    from repro.obs.recordlog import encode_line
+
+    path = str(tmp_path_factory.mktemp("q") / "q.jsonl")
+    live = WorkQueue(journal=FileJournal(path), prefix="t")
+    lines, expected = [], {}
+    for i, (spec, fate, result, requeues, traced) in enumerate(jobs):
+        trace = (i + 1, 2 ** 40 + i) if traced else None
+        job = live.submit(spec, now=i + 0.25, trace=trace)
+        record = {"op": "submit", "id": job.id, "spec": spec, "t": i + 0.25}
+        if traced:
+            record["trace"] = list(trace)
+        lines.append(encode_line(record))
+        for _ in range(requeues):
+            live.requeue({"id": job.id})
+        doc = {"id": job.id, "state": fate, "spec": spec,
+               "submitted_at": i + 0.25, "finished_at": None,
+               "result": None, "requeues": requeues}
+        if fate == "done":
+            live.complete(job.id, result, now=i + 0.5)
+            lines.append(encode_line({"op": "done", "id": job.id,
+                                      "result": result, "t": i + 0.5}))
+            doc.update(finished_at=i + 0.5, result=result)
+        elif fate == "cancelled":
+            live.cancel(job.id, now=i + 0.75)
+            lines.append(encode_line({"op": "cancel", "id": job.id,
+                                      "t": i + 0.75}))
+            doc["finished_at"] = i + 0.75
+        expected[job.id] = doc
+    live.close()
+    with open(path, encoding="ascii") as fh:
+        assert fh.read() == "".join(lines)
+
+    encodes = []
+    real = workqueue._encode
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(workqueue, "_encode",
+                      lambda value: encodes.append(value) or real(value))
+        reborn = WorkQueue(journal=FileJournal(path), prefix="t")
+        assert encodes == []  # replay renders nothing
+        for work in (live, reborn):
+            core = GatewayCore("gw", work)
+            for job_id, doc in expected.items():
+                job = work.get(job_id)
+                if work is reborn:  # requeues are not journaled
+                    doc = {**doc, "requeues": 0}
+                assert (job.spec, job.result, job.to_dict()) == (
+                    doc["spec"], doc["result"], doc)
+                del encodes[:]
+                for _ in range(2):
+                    got = render_payload(
+                        *core.handle("GET", f"/jobs/{job_id}", b"", 9.0))
+                    assert _body(got) == _body(json_response(200, doc))
+                if doc["state"] != "queued":
+                    # A finished job is rendered once, ever: live at its
+                    # transition, replayed at its first GET.
+                    assert len(encodes) == (work is reborn), encodes
+                assert (job.spec, job.result, job.to_dict()) == (
+                    doc["spec"], doc["result"], doc)
+        reborn.close()
