@@ -30,15 +30,14 @@ so every downstream actor parents on it.
 
 Text routes (/metrics, /events) return a ``str`` payload instead of a
 JSON document, and ``GET /jobs/{id}`` of a finished job on a line
-journal returns the ``bytes`` body the job already holds (DESIGN §13,
-"What a finished job holds"); I/O wrappers render any of the three with
-:func:`render_payload`.
+journal returns the ``bytes`` body its terminal record carries (DESIGN
+§13, "What a finished job holds"); I/O wrappers render any of the three
+with :func:`render_payload`.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import islice
 from typing import Optional, Union
 from urllib.parse import unquote_plus
 
@@ -47,7 +46,7 @@ from ..obs.events import EventLog, render_jsonl
 from ..obs.prom import CONTENT_TYPE as PROM_CONTENT_TYPE
 from ..obs.prom import render_prometheus
 from .http import json_response, text_response
-from .workqueue import WorkQueue
+from .workqueue import JOB_STATES, MAX_LISTED_JOBS, WorkQueue
 
 __all__ = ["GatewayCore", "ROUTES", "TEXT_ROUTES", "render_payload"]
 
@@ -76,9 +75,6 @@ TEXT_ROUTES = {
 #: Latency buckets for the per-route histograms (milliseconds).
 LATENCY_BUCKETS_MS = (0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0,
                       100.0, 250.0, 1000.0)
-
-#: ``GET /jobs`` returns at most this many recent ids.
-MAX_LISTED_JOBS = 100
 
 #: ``POST /jobs/batch`` accepts at most this many specs per request.
 MAX_BATCH_JOBS = 10_000
@@ -221,8 +217,7 @@ class GatewayCore:
         if path == "/health" and method == "GET":
             return (*self._health(now), "GET /health")
         if path == "/metrics" and method == "GET":
-            return (200, render_prometheus(self.telemetry.metrics.snapshot()),
-                    "GET /metrics")
+            return (*self._metrics(), "GET /metrics")
         if path == "/events" and method == "GET":
             return (*self._events(query), "GET /events")
         if path == "/telemetry/sites" and method == "POST":
@@ -302,13 +297,11 @@ class GatewayCore:
                      "state": "queued", "submitted_at": now}
 
     def _list_jobs(self) -> tuple[int, dict]:
-        jobs = self.work.jobs
-        newest = list(islice(reversed(jobs), MAX_LISTED_JOBS))
-        newest.reverse()
+        counts = self.work.counts()
         return 200, {
-            "counts": self.work.counts(),
-            "jobs": newest,
-            "truncated": len(jobs) > MAX_LISTED_JOBS,
+            "counts": counts,
+            "jobs": self.work.newest(),
+            "truncated": counts["total"] > MAX_LISTED_JOBS,
         }
 
     def _get_job(self, job_id: str) -> tuple[int, Union[dict, bytes]]:
@@ -409,6 +402,17 @@ class GatewayCore:
                 except (TypeError, ValueError):
                     pass
         return 200, {"ok": True}
+
+    def _metrics(self) -> tuple[int, str]:
+        """The exposition, with the queue's size set at scrape time: jobs
+        per state, and how many of them the process holds in memory (a
+        finished job on a line journal is a range of the journal)."""
+        metrics = self.telemetry.metrics
+        counts = self.work.counts()
+        for state in JOB_STATES:
+            metrics.gauge("workqueue.jobs", state=state).set(counts[state])
+        metrics.gauge("workqueue.jobs_held").set(len(self.work.jobs))
+        return 200, render_prometheus(metrics.snapshot())
 
     def _queue(self) -> tuple[int, dict]:
         return 200, {"depth": len(self.work), **self.work.stats()}

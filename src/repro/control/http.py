@@ -99,7 +99,8 @@ class HttpDecoder:
     """Incremental HTTP/1.1 *request* parser with bounded buffers.
 
     Mirrors the :class:`~repro.core.linguafranca.packets.PacketDecoder`
-    contract the reactor expects: ``feed(bytes)`` appends to the stream
+    contract the reactor expects: ``feed(data)`` copies ``data`` (bytes
+    or a view of the reactor's reused read buffer) onto the stream
     buffer, ``next_request()`` returns one complete request (or ``None``
     while more bytes are needed). A framing violation yields a request
     whose ``error`` is set and poisons the decoder — the server answers

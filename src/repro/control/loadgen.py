@@ -173,6 +173,8 @@ class GatewayStorm:
         self.stats = StormStats()
         self.accepted: list[str] = []
         self._sel = selectors.DefaultSelector()
+        #: One read buffer for every client; decoders copy what they are fed.
+        self._rbuf = memoryview(bytearray(262144))
         self._clients = [
             _Client(UserMix(random.Random(f"{seed}:{i}"), self.stats,
                             submit_fraction, cancel_fraction, spec_factory))
@@ -273,16 +275,16 @@ class GatewayStorm:
 
     def _read(self, client: _Client) -> None:
         try:
-            data = client.sock.recv(262144)
+            n = client.sock.recv_into(self._rbuf)
         except (BlockingIOError, InterruptedError):
             return
         except OSError:
             self._fail(client)
             return
-        if not data:
+        if not n:
             self._fail(client)
             return
-        client.decoder.feed(data)
+        client.decoder.feed(self._rbuf[:n])
         while client.inflight is not None:
             try:
                 response = client.decoder.next_response()

@@ -229,13 +229,13 @@ def _run_twin(s: Scenario, telemetry) -> dict:
 
     if s.specs:
         def retired() -> bool:  # by id: a restart rebuilds every Job
-            return all(work.jobs[job_id].state in _TERMINAL
+            return all(work.get(job_id).state in _TERMINAL
                        for job_id in ids)
 
         # A batch ends once every job is terminal (or at the duration).
         while world.env.now < s.duration and not retired():
             world.env.run(until=min(world.env.now + 1.0, s.duration))
-        blocks = {"results": [work.jobs[job_id].result for job_id in ids]}
+        blocks = {"results": [work.get(job_id).result for job_id in ids]}
         finished = retired()
     else:
         world.env.run(until=s.duration)
@@ -257,8 +257,8 @@ def _run_twin(s: Scenario, telemetry) -> dict:
                  else [{"t": s.fault_at, "node": clients[0].name}])
     return _report(
         s, {"name": "twin", "seconds": round(world.env.now, 6)}, ids,
-        {job_id: work.jobs[job_id].to_dict() for job_id in ids
-         if job_id in work.jobs}, finished,
+        {job_id: job.to_dict() for job_id in ids
+         if (job := work.get(job_id)) is not None}, finished,
         gateway=world.gateway_report(),
         workers={client.name: client.units_done if forger is None else {
             "units_done": client.units_done,

@@ -23,9 +23,10 @@ cancelled.
 
 On a line journal (:class:`FileJournal`) every job value is rendered to
 JSON once, when it is journaled: the spec at acceptance, the result at
-completion. Record lines are spliced from those fragments, and a job
-that reaches a terminal state keeps only the bytes ``GET /jobs/{id}``
-serves (DESIGN §13, "What a finished job holds").
+completion. Record lines are spliced from those fragments. A job's
+terminal record carries the whole body ``GET /jobs/{id}`` serves, and
+from then on the job *is* that byte range of the journal: the heap
+holds live jobs only (DESIGN §13, "What a finished job holds").
 
 Job lifecycle::
 
@@ -37,6 +38,7 @@ Job lifecycle::
 from __future__ import annotations
 
 import json
+from array import array
 from collections import deque
 from typing import Optional, Union
 
@@ -54,22 +56,28 @@ _TERMINAL = ("done", "cancelled")
 _FIELDS = ("id", "state", "spec", "submitted_at", "finished_at", "result",
            "requeues")
 
+#: ``GET /jobs`` lists at most this many ids, the newest; the queue
+#: remembers no more than that of its submit order.
+MAX_LISTED_JOBS = 100
+
+#: Index slots a finished job may open past the end of the index beyond
+#: one per live job. An id further out (``job-10**12`` in a hand-edited
+#: journal) is held in a dict instead, so no id can size the index.
+_MAX_GAP = 4096
+
 
 class Job:
-    """One submitted job and its lifecycle bookkeeping.
+    """One submitted job and its lifecycle bookkeeping, held in memory:
+    a live job, or a finished one where no line journal holds it."""
 
-    ``spec`` and ``result`` are the job's values. A *compact* job — one
-    that finished on a line journal — no longer holds them: it holds the
-    JSON body of ``GET /jobs/{id}``, and ``spec``, ``result`` and
-    :meth:`to_dict` read back from it: equal to what they were, as JSON
-    reads them (a tuple comes back a list)."""
-
-    __slots__ = ("id", "state", "submitted_at", "finished_at", "requeues",
-                 "trace", "_spec", "_result", "_text")
+    __slots__ = ("id", "state", "spec", "result", "submitted_at",
+                 "finished_at", "requeues", "trace", "_text")
 
     def __init__(self, job_id: str, spec: dict, submitted_at: float) -> None:
         self.id = job_id
         self.state = "queued"
+        self.spec = spec
+        self.result: Optional[dict] = None
         self.submitted_at = submitted_at
         self.finished_at: Optional[float] = None
         self.requeues = 0
@@ -77,58 +85,73 @@ class Job:
         #: this job — the root every downstream span parents on. Journaled
         #: with the submit record so the causal chain survives a restart.
         self.trace: Optional[tuple[int, int]] = None
-        #: Both None once compact.
-        self._spec = spec
-        self._result: Optional[dict] = None
-        #: The spec's JSON (str) as rendered for its submit record, while
-        #: the job is live on a line journal; the whole ``GET /jobs/{id}``
-        #: body (bytes, newline included) once compact; else None.
-        self._text: Union[str, bytes, None] = None
-
-    @property
-    def spec(self) -> dict:
-        doc = self._doc()
-        return self._spec if doc is None else doc["spec"]
-
-    @property
-    def result(self) -> Optional[dict]:
-        doc = self._doc()
-        return self._result if doc is None else doc["result"]
-
-    def _doc(self) -> Optional[dict]:
-        """A compact job's body, parsed; None while it holds values."""
-        text = self._text
-        return json.loads(text) if isinstance(text, bytes) else None
-
-    def _compact(self, id_text: str, t_text: str, result_text: str) -> None:
-        """Become compact: splice the ``GET /jobs/{id}`` body (the bytes
-        ``json_response(200, self.to_dict())`` carries) from rendered
-        fragments and drop the values. ``finished_at`` must be the time
-        ``t_text`` renders; the spec is rendered here only if it was not
-        at acceptance (a job replay brought back queued)."""
-        spec_text = (self._text if self._text is not None
-                     else _encode(self._spec))
-        self._text = (
-            f'{{"finished_at":{t_text},"id":{id_text},'
-            f'"requeues":{_encode(self.requeues)},"result":{result_text},'
-            f'"spec":{spec_text},"state":"{self.state}",'
-            f'"submitted_at":{_encode(self.submitted_at)}}}\n'
-        ).encode("ascii")
-        self._spec = self._result = None
+        #: The spec's JSON as rendered for its submit record (line
+        #: journal only; None for a job replay brought back).
+        self._text: Optional[str] = None
 
     def to_dict(self) -> dict:
-        doc = self._doc()
-        if doc is not None:
-            return {key: doc[key] for key in _FIELDS}
         return {
             "id": self.id,
             "state": self.state,
-            "spec": self._spec,
+            "spec": self.spec,
             "submitted_at": self.submitted_at,
             "finished_at": self.finished_at,
-            "result": self._result,
+            "result": self.result,
             "requeues": self.requeues,
         }
+
+
+def _field(name: str) -> property:
+    return property(lambda self: json.loads(self.body)[name],
+                    doc=f"The job's {name!r}, read back from its body.")
+
+
+class _Finished:
+    """A finished job as the bytes ``GET /jobs/{id}`` serves (``body``,
+    newline included), built without parsing them. ``state`` is found in
+    the body; the other fields read back from it, equal to what they
+    were as JSON reads them (a tuple comes back a list)."""
+
+    __slots__ = ("id", "body")
+    spec = _field("spec")
+    result = _field("result")
+    submitted_at = _field("submitted_at")
+    finished_at = _field("finished_at")
+    requeues = _field("requeues")
+
+    def __init__(self, job_id: str, body: bytes) -> None:
+        self.id = job_id
+        self.body = body
+
+    @property
+    def state(self) -> str:
+        # Keys are sorted: only "submitted_at", a number, follows the
+        # top-level "state", so the last match is the job's own.
+        body = self.body
+        at = body.rfind(b',"state":"') + 10
+        return "done" if body.startswith(b'done"', at) else "cancelled"
+
+    def to_dict(self) -> dict:
+        doc = json.loads(self.body)
+        return {key: doc[key] for key in _FIELDS}
+
+
+def _body_span(line: bytes, record: dict) -> Optional[tuple[int, int]]:
+    """Where a terminal record's ``job`` body lies in its ``line``:
+    ``(start, length)``, or None for a record without one (written
+    before bodies were journaled, or not in the shape this module
+    writes). The shape is ``{"id":…,"op":…,"t":…,"job":{…}}``: id and op
+    are strings and t a number, none of which can hold ``,"job":{``, so
+    its first match is the body's key, and the body ends one ``}``
+    before the newline."""
+    if (len(record) != 4 or next(reversed(record)) != "job"
+            or not isinstance(record["job"], dict)
+            or not isinstance(record.get("op"), str)
+            or not isinstance(record.get("t"), (int, float))
+            or not line.endswith(b"}}\n")):
+        return None
+    start = line.find(b',"job":{') + 7
+    return (start, len(line) - 2 - start) if start > 6 else None
 
 
 class MemoryJournal:
@@ -163,15 +186,28 @@ class WorkQueue:
     def __init__(self, journal=None, prefix: str = "job") -> None:
         self.journal = journal
         self.prefix = prefix
+        #: Jobs held in memory: the live ones, plus finished ones where
+        #: no line journal holds them (or until the first GET renders a
+        #: job replayed from a record without its body).
         self.jobs: dict[str, Job] = {}
         self._queue: deque[str] = deque()
         self._seq = 0
         #: Jobs per state, kept by every transition (:meth:`_move`).
         self._counts = dict.fromkeys(JOB_STATES, 0)
+        #: The newest ids, submit order, for ``GET /jobs``.
+        self._recent: deque[str] = deque(maxlen=MAX_LISTED_JOBS)
         #: A line journal: render each job value once, splice record
-        #: lines from the fragments, keep finished jobs compact. The
-        #: in-memory twin journal keeps objects.
+        #: lines from the fragments, and hold a finished job as the range
+        #: of its body in the journal. The in-memory twin journal keeps
+        #: objects.
         self._lines = isinstance(journal, FileJournal)
+        #: Finished jobs on a line journal: the body of ``prefix-N`` is
+        #: ``_lengths[N-1]`` bytes at ``_offsets[N-1]`` (-1: not held
+        #: here). Any other id maps to its ``(offset, length)``, or to its
+        #: rendered body if replay found no body in its record.
+        self._offsets = array("q")
+        self._lengths = array("q")
+        self._other: dict[str, Union[tuple[int, int], bytes]] = {}
         #: Clock for callers that can't pass ``now`` (the scheduler's
         #: ``complete(unit_id, result)`` two-arg protocol call). The
         #: owning driver installs its own clock — wall seconds live,
@@ -218,6 +254,58 @@ class WorkQueue:
         counts[state] += 1
         job.state = state
 
+    # -- where a job lives -----------------------------------------------------
+    def _slot(self, job_id: str) -> int:
+        """The index slot of an id this queue mints (``prefix-N`` ->
+        N - 1); -1 for any other id."""
+        head, _, tail = job_id.rpartition("-")
+        if (head == self.prefix and tail.isdigit() and tail.isascii()
+                and tail[0] != "0"):
+            return int(tail) - 1
+        return -1
+
+    def _held(self, job_id: str) -> Union[tuple[int, int], bytes, None]:
+        """Where a finished job's body is, if the index holds it."""
+        n = self._slot(job_id)
+        if 0 <= n < len(self._offsets) and self._offsets[n] >= 0:
+            return self._offsets[n], self._lengths[n]
+        return self._other.get(job_id)
+
+    def _index(self, job_id: str, offset: int, length: int) -> None:
+        """Hold a finished job as the range of its body in the journal."""
+        n, offsets, lengths = self._slot(job_id), self._offsets, self._lengths
+        gap = n - len(offsets)
+        if n < 0 or gap > len(self.jobs) + _MAX_GAP:
+            self._other[job_id] = (offset, length)
+            return
+        if gap > 0:  # ids between are live, or lost with a damaged line
+            pad = array("q", (-1,)) * gap
+            offsets += pad
+            lengths += pad
+        if gap >= 0:
+            offsets.append(offset)
+            lengths.append(length)
+        else:
+            offsets[n] = offset
+            lengths[n] = length
+
+    def _forget(self, job_id: str) -> None:
+        n = self._slot(job_id)
+        if 0 <= n < len(self._offsets) and self._offsets[n] >= 0:
+            self._offsets[n] = -1
+        else:
+            self._other.pop(job_id, None)
+
+    def _finished(self, job_id: str) -> Optional[_Finished]:
+        """A finished job the index holds, read back from the journal
+        with one positional read; None for any other id."""
+        held = self._held(job_id)
+        if held is None:
+            return None
+        if isinstance(held, tuple):
+            held = self.journal.read(*held) + b"\n"
+        return _Finished(job_id, held)
+
     def replay(self) -> int:
         """Rebuild the store from the journal; returns the number of
         jobs that came back *queued* (i.e. requeued-not-dropped).
@@ -227,14 +315,35 @@ class WorkQueue:
         durable history" whether the queue is reborn in a fresh process
         or replayed in place; the other meters are process-lifetime.
 
-        Replay renders nothing: a job that comes back finished keeps its
-        parsed values until its first :meth:`document` renders it."""
+        A line journal is streamed, one line in memory at a time, and
+        replay renders nothing: a job whose terminal record carries its
+        body goes back into the index as that body's range; one whose
+        record has none (written before bodies were journaled) keeps its
+        values until its first :meth:`document` renders it."""
         self.jobs.clear()
+        self._recent.clear()
+        self._other.clear()
+        self._offsets, self._lengths = array("q"), array("q")
         top = completed = cancelled = 0
-        for record in self.journal.records():
+        indexed = dict.fromkeys(_TERMINAL, 0)  # finished jobs not in .jobs
+        lines = self._lines
+        entries = (self.journal.scan() if lines else
+                   ((0, b"", record) for record in self.journal.records()))
+        for offset, line, record in entries:
             op = record.get("op")
             job_id = record.get("id")
-            if op == "submit" and isinstance(job_id, str):
+            if not isinstance(job_id, str):
+                continue
+            if op == "submit":
+                if job_id not in self.jobs:
+                    old = self._finished(job_id)
+                    if old is None:
+                        self._recent.append(job_id)
+                    else:
+                        # A second submit record reopens a finished job,
+                        # in the index as it always has in memory.
+                        indexed[old.state] -= 1
+                        self._forget(job_id)
                 spec = record.get("spec")
                 job = Job(job_id, spec if isinstance(spec, dict) else {},
                           float(record.get("t", 0.0)))
@@ -247,30 +356,37 @@ class WorkQueue:
                 tail = job_id.rpartition("-")[2]
                 if tail.isdigit():
                     top = max(top, int(tail))
-            elif job_id in self.jobs:
-                job = self.jobs[job_id]
-                if job.state in _TERMINAL:
+            elif op in ("done", "cancel"):
+                job = self.jobs.get(job_id)
+                if job is None or job.state in _TERMINAL:
                     # Terminal states are final on replay exactly as they
                     # are live: a stray "done" record landing after a
                     # cancel (torn journal, hostile edit) must not
                     # resurrect the job, and vice versa.
                     continue
+                state = "done" if op == "done" else "cancelled"
                 if op == "done":
-                    job.state = "done"
-                    job._result = record.get("result")
-                    job.finished_at = record.get("t")
                     completed += 1
-                elif op == "cancel":
-                    job.state = "cancelled"
-                    job.finished_at = record.get("t")
+                else:
                     cancelled += 1
+                span = _body_span(line, record) if lines else None
+                if span is not None:
+                    del self.jobs[job_id]
+                    self._index(job_id, offset + span[0], span[1])
+                    indexed[state] += 1
+                    continue
+                job.state = state
+                job.finished_at = record.get("t")
+                if op == "done":
+                    body = record.get("job")
+                    job.result = (body.get("result") if isinstance(body, dict)
+                                  else record.get("result"))
         self._seq = top
-        self.submitted = len(self.jobs)
         self.completed, self.cancelled = completed, cancelled
         # Everything not terminal goes back in the queue, submit order,
         # and the per-state counts are rebuilt on the way.
         self._queue = queue = deque()
-        counts = self._counts = dict.fromkeys(JOB_STATES, 0)
+        counts = self._counts = {**dict.fromkeys(JOB_STATES, 0), **indexed}
         for job in self.jobs.values():
             if job.state in _TERMINAL:
                 counts[job.state] += 1
@@ -278,6 +394,7 @@ class WorkQueue:
                 job.state = "queued"
                 queue.append(job.id)
         counts["queued"] = len(queue)
+        self.submitted = sum(counts.values())
         return len(queue)
 
     # -- job lifecycle (the HTTP routers' side) ------------------------------
@@ -324,12 +441,12 @@ class WorkQueue:
                 job.trace = (int(trace[0]), int(trace[1]))
             if self._lines:
                 # encode_line(record) to the byte: keys in sorted order.
-                job._text = _encode(job._spec)
+                job._text = _encode(job.spec)
                 records.append(
                     f'{{"id":{_encode(job.id)},"op":"submit",'
                     f'"spec":{job._text},"t":{t_text}{trace_text}}}\n')
             else:
-                record = {"op": "submit", "id": job.id, "spec": job._spec,
+                record = {"op": "submit", "id": job.id, "spec": job.spec,
                           "t": now}
                 if trace is not None:
                     record["trace"] = job.trace  # json renders it as a list
@@ -345,39 +462,50 @@ class WorkQueue:
                                parent=jobs[0].trace, args=span_args)
         for job in jobs:
             self.jobs[job.id] = job
+            self._recent.append(job.id)
             self._queue.append(job.id)
             self.submitted += 1
             self._event("submitted", job.id, now)
         self._counts["queued"] += len(jobs)
         return jobs
 
-    def get(self, job_id: str) -> Optional[Job]:
-        return self.jobs.get(job_id)
+    def get(self, job_id: str) -> Union[Job, _Finished, None]:
+        """The job ``job_id`` names, or None. A finished job on a line
+        journal comes back as a read-only view of its journaled body."""
+        return self.jobs.get(job_id) or self._finished(job_id)
 
-    def document(self, job: Job) -> Union[dict, bytes]:
+    def document(self, job: Union[Job, _Finished]) -> Union[dict, bytes]:
         """What ``GET /jobs/{id}`` serves for ``job``: a finished job's
-        body (bytes) on a line journal — rendered here, once, for a job
-        replay brought back finished — else :meth:`Job.to_dict`."""
+        body (bytes) on a line journal, else :meth:`Job.to_dict`."""
+        if isinstance(job, _Finished):
+            return job.body
         if self._lines and job.state in _TERMINAL:
-            if not isinstance(job._text, bytes):
-                job._text = (_encode(job.to_dict()) + "\n").encode("ascii")
-                job._spec = job._result = None
-            return job._text
+            # Replayed from a record without its body: render it once and
+            # hold the bytes instead of the values.
+            body = (_encode(job.to_dict()) + "\n").encode("ascii")
+            if self.jobs.get(job.id) is job:
+                del self.jobs[job.id]
+                self._other[job.id] = body
+            return body
         return job.to_dict()
 
     def _finish(self, job: Job, state: str, now: float,
                 result: Optional[dict] = None) -> None:
         """Journal and apply a terminal transition: ``done`` with
-        ``result``, or ``cancelled``. On a line journal the record line
-        and the compact job's body share one rendering of every value."""
+        ``result``, or ``cancelled``. On a line journal the record
+        carries the job's ``GET /jobs/{id}`` body as its last key, spliced
+        from rendered fragments, and the job leaves the heap for the
+        index."""
         op = "done" if state == "done" else "cancel"
         if self._lines:
             id_text, t_text = _encode(job.id), _encode(now)
-            result_text = _encode(result)
-            self.journal.append(
-                f'{{"id":{id_text},"op":"{op}",'
-                + (f'"result":{result_text},' if op == "done" else "")
-                + f'"t":{t_text}}}\n')
+            body = (
+                f'{{"finished_at":{t_text},"id":{id_text},'
+                f'"requeues":{job.requeues},"result":{_encode(result)},'
+                f'"spec":{job._text or _encode(job.spec)},"state":"{state}",'
+                f'"submitted_at":{_encode(job.submitted_at)}}}')
+            head = f'{{"id":{id_text},"op":"{op}","t":{t_text},"job":'
+            offset = self.journal.append(f"{head}{body}}}\n")
         elif self.journal is not None:
             record = {"op": op, "id": job.id}
             if op == "done":
@@ -390,17 +518,18 @@ class WorkQueue:
             except ValueError:
                 pass
         self._move(job, state)
-        job._result = result
+        job.result = result
         job.finished_at = now
         if self._lines:
-            job._compact(id_text, t_text, result_text)
+            del self.jobs[job.id]
+            self._index(job.id, offset + len(head), len(body))
 
     def cancel(self, job_id: str, now: float) -> Optional[Job]:
         """Cancel a job; idempotent (a second cancel is a no-op, not an
         error). Returns None for unknown ids. Cancelling a *done* job is
         also a no-op — the result already exists. An assigned job is
         marked cancelled here and its eventual completion is dropped."""
-        job = self.jobs.get(job_id)
+        job = self.jobs.get(job_id) or self._finished(job_id)
         if job is None:
             return None
         if job.state in _TERMINAL:
@@ -412,7 +541,11 @@ class WorkQueue:
         return job
 
     def counts(self) -> dict:
-        return {**self._counts, "total": len(self.jobs)}
+        return {**self._counts, "total": sum(self._counts.values())}
+
+    def newest(self) -> list[str]:
+        """The newest :data:`MAX_LISTED_JOBS` ids, oldest first."""
+        return list(self._recent)
 
     # -- WorkSource protocol (the scheduler's side) --------------------------
     def next_unit(self) -> Optional[dict]:
@@ -427,7 +560,7 @@ class WorkQueue:
             self._event("assigned", job.id, now)
             # The unit handed to clients is the spec plus the job id —
             # SCH_REPORT's unit_id is how completion finds its way back.
-            unit = {**job._spec, "id": job.id}
+            unit = {**job.spec, "id": job.id}
             if job.trace is not None:
                 # The trace context rides inside the unit dict itself, so
                 # it crosses the SCH_WORK wire frame (and any journal or
@@ -455,7 +588,8 @@ class WorkQueue:
                  now: Optional[float] = None) -> None:
         if now is None:
             now = self.clock() if self.clock is not None else 0.0
-        job = self.jobs.get(str(unit_id))
+        unit_id = str(unit_id)
+        job = self.jobs.get(unit_id) or self._finished(unit_id)
         if job is None:
             return
         if job.state == "cancelled":
@@ -464,10 +598,10 @@ class WorkQueue:
             return
         if job.state == "done":
             return  # duplicate completion report
-        check = kind_registry.checker_for(job._spec)
+        check = kind_registry.checker_for(job.spec)
         if check is not None:
             try:
-                check(job._spec, result)
+                check(job.spec, result)
             except ResultCheckError:
                 # §3.1: distrust remote results. A completion that fails
                 # its kind's sanity check is requeued for honest re-

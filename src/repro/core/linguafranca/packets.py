@@ -140,6 +140,8 @@ class PacketDecoder:
         return len(self._buf)
 
     def feed(self, data: bytes) -> None:
+        """Copy ``data`` onto the stream buffer; the caller may reuse it
+        (the reactor feeds views of one read buffer)."""
         self._buf.extend(data)
 
     def _frame(self) -> Optional[tuple[int, int]]:

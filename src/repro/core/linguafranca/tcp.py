@@ -172,6 +172,10 @@ class TcpServer:
         #: wire protocol on the same reactor (the HTTP gateway) install
         #: their own incremental decoder and override :meth:`_service`.
         self._decoder_factory = decoder_factory or PacketDecoder
+        #: Every read lands here and is fed to the connection's decoder
+        #: as a slice, which the decoder copies into its own stream
+        #: buffer: ``recv(n)`` would allocate n bytes per read.
+        self._rbuf = memoryview(bytearray(262144))
         self._loop = loop if loop is not None else EventLoop()
         self._owns_loop = loop is None
         self._listen = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -236,17 +240,17 @@ class TcpServer:
         if not (mask & selectors.EVENT_READ):
             return
         try:
-            data = conn.sock.recv(262144)
+            n = conn.sock.recv_into(self._rbuf)
         except (BlockingIOError, InterruptedError):
             return
         except OSError:
             self._drop(conn)
             return
-        if not data:
+        if not n:
             # recv of 0 bytes on a readable socket: peer closed.
             self._drop(conn)
             return
-        conn.decoder.feed(data)
+        conn.decoder.feed(self._rbuf[:n])
         self._service(conn)
 
     def _service(self, conn: _Connection) -> None:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import os
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Union
+from typing import Iterator, Union
 
 __all__ = ["RecordLog", "encode_line", "read_records"]
 
@@ -70,25 +70,9 @@ def _line(record: Union[dict, str]) -> str:
 def read_records(path: str) -> tuple[list[dict], int]:
     """Every record in the log at ``path`` plus the count of damaged
     lines skipped; a missing file is an empty log."""
-    records: list[dict] = []
-    skipped = 0
-    if not os.path.exists(path):
-        return records, skipped
-    with open(path, "rb") as fh:
-        for line in fh:
-            if not line.endswith(b"\n"):
-                break  # torn tail: only the final line can lack its "\n"
-            try:
-                # Decoding here, not in json.loads(bytes), which sniffs
-                # the encoding per call and replays measurably slower.
-                record = json.loads(line.decode("utf-8"))
-            except (ValueError, RecursionError):  # bad UTF-8 included
-                record = None
-            if isinstance(record, dict):
-                records.append(record)
-            else:
-                skipped += 1
-    return records, skipped
+    log = RecordLog(path)
+    records = [record for _, _, record in log.scan()]
+    return records, log.skipped
 
 
 def _open_after_last_record(path: str):
@@ -108,28 +92,69 @@ def _open_after_last_record(path: str):
 
 
 class RecordLog:
-    """Append-only record file, opened lazily, flushed once per call."""
+    """Append-only record file, opened lazily, flushed once per call.
+
+    Every line stays where it was written, so a record — or a byte range
+    inside one — is addressed by its file offset: :meth:`append` returns
+    it, :meth:`scan` yields it and :meth:`read` reads a range back with
+    one positional read."""
 
     def __init__(self, path: str) -> None:
         self.path = path
         self._fh = None
-        #: Damaged lines the last :meth:`records` skipped (the torn tail
+        self._fd = -1  # read-only, for read(); opened on first use
+        #: Damaged lines the last :meth:`scan` skipped (the torn tail
         #: aside): anything but 0 means the log is damaged mid-file.
         self.skipped = 0
 
-    def records(self) -> list[dict]:
-        out, self.skipped = read_records(self.path)
-        return out
+    def scan(self) -> Iterator[tuple[int, bytes, dict]]:
+        """``(offset, line, record)`` for every record, in file order,
+        one line in memory at a time; :attr:`skipped` is set once the
+        scan is done. A missing file is an empty log."""
+        skipped = offset = 0
+        if os.path.exists(self.path):
+            with open(self.path, "rb") as fh:
+                for line in fh:
+                    if not line.endswith(b"\n"):
+                        break  # torn tail: only the final line can lack "\n"
+                    try:
+                        # Decoding here, not in json.loads(bytes), which
+                        # sniffs the encoding per call and replays
+                        # measurably slower.
+                        record = json.loads(line.decode("utf-8"))
+                    except (ValueError, RecursionError):  # bad UTF-8 too
+                        record = None
+                    if isinstance(record, dict):
+                        yield offset, line, record
+                    else:
+                        skipped += 1
+                    offset += len(line)
+        self.skipped = skipped
 
-    def _write(self, lines: str) -> None:
+    def read(self, offset: int, length: int) -> bytes:
+        """``length`` bytes of the log from ``offset``: one ``pread``.
+        Every append is flushed before it returns, so any range an
+        append reported is readable."""
+        if self._fd < 0:
+            self._fd = os.open(self.path, os.O_RDONLY)
+        return os.pread(self._fd, length, offset)
+
+    def _write(self, lines: str) -> int:
+        """Write and flush ``lines``; returns the bytes written."""
         if self._fh is None:
             self._fh = _open_after_last_record(self.path)
-        self._fh.write(lines.encode("utf-8"))
+        data = lines.encode("utf-8")
+        self._fh.write(data)
         self._fh.flush()
+        return len(data)
 
-    def append(self, record: Union[dict, str]) -> None:
-        """Append one record: a dict, or its line already rendered."""
-        self._write(_line(record))
+    def append(self, record: Union[dict, str]) -> int:
+        """Append one record: a dict, or its line already rendered.
+        Returns the line's file offset."""
+        size = self._write(_line(record))
+        # The file is opened for append: the write landed at the end,
+        # wherever that was, and left the position after it.
+        return self._fh.tell() - size
 
     def append_many(self, records: list) -> None:
         """Append N records (dicts or rendered lines) with ONE flush —
@@ -143,3 +168,6 @@ class RecordLog:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
+        if self._fd >= 0:
+            os.close(self._fd)
+            self._fd = -1

@@ -295,6 +295,77 @@ def test_oversized_upload_refused_413_at_header():
         assert len(world.work.jobs) == 0
 
 
+def _pump_split(server, streams: list, step: int, replies: int) -> list:
+    """Send each byte stream on its own connection, ``step`` bytes at a
+    time and round-robin, reading between sends, so every request
+    reaches the server's one reused read buffer in pieces interleaved
+    with the other connection's; returns each connection's responses."""
+    host, port = server.address
+    socks = [socket.create_connection((host, port)) for _ in streams]
+    decoders = [HttpResponseDecoder() for _ in streams]
+    got = [[] for _ in streams]
+    try:
+        for sock in socks:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.setblocking(False)
+        at = 0
+        deadline = time.monotonic() + 20
+        while sum(map(len, got)) < replies:
+            assert time.monotonic() < deadline, got
+            for sock, stream in zip(socks, streams):
+                if at < len(stream):
+                    sock.sendall(stream[at:at + step])
+            at += step
+            server.step(0.001)
+            for sock, decoder, out in zip(socks, decoders, got):
+                try:
+                    decoder.feed(sock.recv(1 << 20))
+                except BlockingIOError:
+                    continue
+                out += iter(decoder.next_response, None)
+    finally:
+        for sock in socks:
+            sock.close()
+    return got
+
+
+@pytest.mark.parametrize("step", [1, 7, 1500, 65536])
+def test_requests_split_across_many_reads_decode_the_same(step):
+    import zlib
+
+    def app(request):
+        return json_response(200, {
+            "method": request.method, "path": request.path,
+            "len": len(request.body), "crc": zlib.crc32(request.body)})
+
+    big = bytes(range(256)) * 1200  # 300 KiB: more than one read buffer
+    requests = [
+        [_request("GET", "/one"), _request("POST", "/big", big),
+         _request("POST", "/two", b'{"a":1}') + _request("GET", "/three")],
+        [_request("POST", "/x", b"y" * 999) + _request("GET", "/z")
+         + _request("POST", "/big2", big[::-1])],
+    ]
+    streams = [b"".join(stream) for stream in requests]
+    if step == 1:  # a byte per read, for the small requests only
+        streams = [_request("GET", "/one") + _request("POST", "/two", b"ab"),
+                   _request("GET", "/z")]
+    server = HttpServer("127.0.0.1", 0, app, max_body=len(big))
+    try:
+        want = []
+        for stream in streams:
+            decoder = HttpDecoder(max_body=len(big))
+            decoder.feed(stream)
+            want.append([(200, {"method": r.method, "path": r.path,
+                                "len": len(r.body),
+                                "crc": zlib.crc32(r.body)})
+                         for r in iter(decoder.next_request, None)])
+        got = _pump_split(server, streams, step, sum(map(len, want)))
+    finally:
+        server.close()
+    assert [[(status, json.loads(body)) for status, _, body in out]
+            for out in got] == want
+
+
 def test_slowloris_does_not_stall_other_clients():
     with GatewayUnderTest() as world:
         host, port = world.server.address

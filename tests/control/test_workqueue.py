@@ -294,29 +294,62 @@ def _lines(path) -> int:
         return fh.read().count(b"\n")
 
 
-def _recount(work: WorkQueue) -> dict:
-    """``counts()`` the slow way: walk every job."""
+def _recount(work: WorkQueue, ids: list) -> dict:
+    """``counts()`` the slow way: look up every id ever accepted."""
     out = {state: 0 for state in JOB_STATES}
-    for job in work.jobs.values():
-        out[job.state] += 1
-    return {**out, "total": len(work.jobs)}
+    for job_id in ids:
+        out[work.get(job_id).state] += 1
+    return {**out, "total": len(ids)}
+
+
+def _served(work: WorkQueue, ids: list) -> dict:
+    """The ``GET /jobs/{id}`` body of every id the queue serves."""
+    from repro.control import GatewayCore, render_payload
+
+    core = GatewayCore("gw", work)
+    out = {}
+    for job_id in ids:
+        status, payload, route = core.handle("GET", f"/jobs/{job_id}", b"",
+                                             0.0)
+        if status == 200:
+            out[job_id] = render_payload(status, payload,
+                                         route).partition(b"\r\n\r\n")[2]
+    return out
+
+
+def _as_replayed(body: bytes) -> bytes:
+    """A live job's body as a restart serves it: back in the queue, its
+    requeue count (never journaled for a live job) reset."""
+    import json
+
+    from repro.control import json_response
+
+    doc = {**json.loads(body), "state": "queued", "requeues": 0}
+    return json_response(200, doc).partition(b"\r\n\r\n")[2]
 
 
 @given(ops=_OPS, cut=st.integers(min_value=0))
 @settings(max_examples=60, deadline=None)
 def test_replayed_queue_equals_live_queue_and_no_crash_point_loses_a_job(
         tmp_path_factory, ops, cut):
-    path = str(tmp_path_factory.mktemp("q") / "q.jsonl")
+    import os
+
+    tmp = tmp_path_factory.mktemp("q")
+    path = str(tmp / "q.jsonl")
     live = WorkQueue(journal=FileJournal(path), prefix="t")
-    now = 0.0
+    now, ids = 0.0, []
+    #: journal size after an operation -> every body the live queue then
+    #: served; a batch's lines land in one write, so a boundary inside it
+    #: was never acknowledged and has no entry.
+    points = {0: {}}
     for op, arg in ops:
         now += 1.0
-        known = list(live.jobs)
-        job_id = known[arg % len(known)] if known else "t-0"
+        job_id = ids[arg % len(ids)] if ids else "t-0"
         if op == "submit":
-            live.submit({"a": arg}, now=now)
+            ids.append(live.submit({"a": arg}, now=now).id)
         elif op == "submit_batch":
-            live.submit_batch([{"b": i} for i in range(arg)], now=now)
+            ids += [job.id for job in live.submit_batch(
+                [{"b": i} for i in range(arg)], now=now)]
         elif op == "next_unit":
             live.next_unit()
         elif op == "requeue":
@@ -325,30 +358,44 @@ def test_replayed_queue_equals_live_queue_and_no_crash_point_loses_a_job(
             live.complete(job_id, {"r": arg}, now=now)
         else:
             live.cancel(job_id, now=now)
-        assert live.counts() == _recount(live)
+        assert live.counts() == _recount(live, ids)
+        size = os.path.getsize(path) if os.path.exists(path) else 0
+        points[size] = _served(live, ids)
     live.close()
+    terminal = ("done", "cancelled")
+    # The heap holds exactly the live jobs, in submit order.
+    assert list(live.jobs) == [
+        j for j in ids if live.get(j).state not in terminal]
 
-    # Replay == live: same ids in submit order, terminal jobs identical,
-    # everything else back in the queue in submit order, next id unused.
+    # Replay == live at every acknowledged record boundary: a finished
+    # job serves the very bytes it served live, a live one comes back
+    # queued, and nothing else is served.
+    journal = open(path, "rb").read() if os.path.exists(path) else b""
+    for size, served in points.items():
+        cut_path = str(tmp / f"cut-{size}.jsonl")
+        with open(cut_path, "wb") as fh:
+            fh.write(journal[:size])
+        reborn = WorkQueue(journal=FileJournal(cut_path), prefix="t")
+        assert _served(reborn, ids) == {
+            job_id: body if b'"state":"queued"' not in body
+            and b'"state":"assigned"' not in body else _as_replayed(body)
+            for job_id, body in served.items()}, size
+        reborn.close()
+
+    # Replay == live: same live ids in submit order, back in the queue,
+    # counts and next id unused.
     reborn = WorkQueue(journal=FileJournal(path), prefix="t")
     assert list(reborn.jobs) == list(live.jobs)
-    assert reborn.counts() == _recount(reborn)
-    terminal = ("done", "cancelled")
-    for job_id, job in live.jobs.items():
-        twin = reborn.jobs[job_id]
-        if job.state in terminal:
-            assert ((twin.state, twin.result, twin.finished_at)
-                    == (job.state, job.result, job.finished_at))
-        else:
-            assert twin.state == "queued"
-    assert list(reborn._queue) == [
-        j for j, job in live.jobs.items() if job.state not in terminal]
-    assert reborn.submit({}, now=now).id not in live.jobs
+    assert list(reborn._queue) == list(live.jobs)
+    assert reborn.counts() == _recount(reborn, ids) == {
+        **live.counts(), "queued": len(live.jobs), "assigned": 0}
+    ids.append(reborn.submit({}, now=now).id)
+    assert ids[-1] not in ids[:-1]
     reborn.close()
 
     # Crash anywhere in the file: whatever survives, the next accepted
     # job is neither lost nor duplicated.
-    with open(path, "r+b") as fh:
+    with open(path, "a+b") as fh:
         fh.truncate(cut % (fh.seek(0, 2) + 1))
     complete = _lines(path)
     crashed = WorkQueue(journal=FileJournal(path), prefix="t")
@@ -357,7 +404,9 @@ def test_replayed_queue_equals_live_queue_and_no_crash_point_loses_a_job(
     final = WorkQueue(journal=FileJournal(path), prefix="t")
     assert final.get(accepted.id).spec == {"after": "crash"}
     assert final.journal.skipped == 0
-    assert final.counts() == _recount(final)
+    survivors = [j for j in dict.fromkeys(ids + [accepted.id])
+                 if final.get(j) is not None]
+    assert final.counts() == _recount(final, survivors)
     assert _lines(path) == complete + 1
 
 
@@ -581,14 +630,16 @@ def test_lines_and_finished_bodies_render_once_byte_identically(
                "result": None, "requeues": requeues}
         if fate == "done":
             live.complete(job.id, result, now=i + 0.5)
-            lines.append(encode_line({"op": "done", "id": job.id,
-                                      "result": result, "t": i + 0.5}))
             doc.update(finished_at=i + 0.5, result=result)
         elif fate == "cancelled":
             live.cancel(job.id, now=i + 0.75)
-            lines.append(encode_line({"op": "cancel", "id": job.id,
-                                      "t": i + 0.75}))
             doc["finished_at"] = i + 0.75
+        if fate != "queued":
+            # The terminal record carries the GET body as its last key.
+            op = "done" if fate == "done" else "cancel"
+            lines.append(encode_line(
+                {"id": job.id, "op": op, "t": doc["finished_at"]})[:-2]
+                + f',"job":{encode_line(doc)[:-1]}}}\n')
         expected[job.id] = doc
     live.close()
     with open(path, encoding="ascii") as fh:
@@ -605,7 +656,8 @@ def test_lines_and_finished_bodies_render_once_byte_identically(
             core = GatewayCore("gw", work)
             for job_id, doc in expected.items():
                 job = work.get(job_id)
-                if work is reborn:  # requeues are not journaled
+                if work is reborn and doc["state"] == "queued":
+                    # Requeues are journaled with the terminal record.
                     doc = {**doc, "requeues": 0}
                 assert (job.spec, job.result, job.to_dict()) == (
                     doc["spec"], doc["result"], doc)
@@ -615,9 +667,9 @@ def test_lines_and_finished_bodies_render_once_byte_identically(
                         *core.handle("GET", f"/jobs/{job_id}", b"", 9.0))
                     assert _body(got) == _body(json_response(200, doc))
                 if doc["state"] != "queued":
-                    # A finished job is rendered once, ever: live at its
-                    # transition, replayed at its first GET.
-                    assert len(encodes) == (work is reborn), encodes
+                    # A finished job is rendered once, ever, at its
+                    # transition; live or replayed, a GET reads it back.
+                    assert encodes == [], encodes
                 assert (job.spec, job.result, job.to_dict()) == (
                     doc["spec"], doc["result"], doc)
         reborn.close()

@@ -137,6 +137,52 @@ def test_server_survives_garbage_connection():
     assert server.decode_errors >= 1
 
 
+@pytest.mark.parametrize("step", [5, 1500, 65536])
+def test_packets_split_across_many_reads_decode_the_same(step):
+    # Two connections' frames reach the server's one reused read buffer
+    # in pieces, interleaved; each frame must decode as if sent whole.
+    server = TcpServer("127.0.0.1", 0, echo_handler)
+    big = "x" * (300 * 1024) if step > 5 else "x" * 3000
+    bodies = [[{"i": 0}, {"big": big}, {"i": 2, "s": "é" * 50}],
+              [{"i": 3, "big": big[:999]}, {"i": 4}]]
+    streams = []
+    for conn in bodies:
+        frames = []
+        for body in conn:
+            message = Message(mtype="PING", sender="", body=body)
+            message.req_id = fresh_req_id()
+            frames.append(message.encode())
+        streams.append(b"".join(frames))
+    socks = [socket.create_connection(server.address) for _ in streams]
+    decoders = [PacketDecoder() for _ in streams]
+    got = [[] for _ in streams]
+    try:
+        for sock in socks:
+            nodelay_on(sock)
+            sock.setblocking(False)
+        at, deadline = 0, time.monotonic() + 20
+        while sum(map(len, got)) < sum(map(len, bodies)):
+            assert time.monotonic() < deadline, got
+            for sock, stream in zip(socks, streams):
+                if at < len(stream):
+                    sock.sendall(stream[at:at + step])
+            at += step
+            server.step(0.001)
+            for sock, decoder, out in zip(socks, decoders, got):
+                try:
+                    decoder.feed(sock.recv(1 << 20))
+                except BlockingIOError:
+                    continue
+                out += iter(lambda: decoder.next_record(Message.from_parts),
+                            None)
+    finally:
+        for sock in socks:
+            sock.close()
+        server.close()
+    assert [[reply.body["echo"] for reply in out] for out in got] == bodies
+    assert server.decode_errors == 0
+
+
 # -- AsyncSender: one connection per peer, once-per-failure reconnect ---------
 
 
