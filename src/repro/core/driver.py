@@ -5,7 +5,8 @@ A :class:`~repro.core.component.Component` returns *effects*; this module
 is the single interpreter for them, and the single place a component hook
 is called. :class:`ComponentDriver` owns effect application, the
 ``msg.sent``/``msg.recv`` counters, the reliable-send ladder (track →
-resend → give-up → ``on_send_failed``), the timer wheel, the dispatch of
+resend → give-up → ``on_send_failed``), one deadline heap for timers and
+reliable sends (:class:`~repro.core.policy.Deadlines`), the dispatch of
 one arrived message with its §2.3 robustness boundary, the causal-tracing
 spans around every hook, and the :class:`Runtime` facade components see.
 
@@ -26,7 +27,7 @@ from typing import Any, Callable, Optional
 
 from .component import CancelTimer, Component, Effect, LogLine, Send, SetTimer, Stop
 from .linguafranca.messages import Message
-from .policy import ReliableSendTracker, TimeoutPolicy
+from .policy import TIMER, Deadlines, ReliableSendTracker, TimeoutPolicy
 from .telemetry import Counter, Telemetry
 
 __all__ = ["ComponentDriver", "LogSink"]
@@ -83,7 +84,8 @@ class ComponentDriver:
         # Created on the first reliable Send; None keeps the common
         # fire-and-forget path allocation-free.
         self.tracker: Optional[ReliableSendTracker] = None
-        self._timers: dict[str, float] = {}
+        # Armed timers and reliable-send deadlines, in one heap.
+        self._deadlines = Deadlines()
         self._stopped = False
         self.handler_errors = 0
         self.stop_reason: Optional[str] = None
@@ -169,14 +171,14 @@ class ComponentDriver:
                     counter = self._sent_counters[message.mtype] = (
                         self.telemetry.metrics.counter("msg.sent",
                                                        mtype=message.mtype))
-                counter.inc()
+                counter.value += 1
                 self._transmit(route, eff)
             elif isinstance(eff, SetTimer):
-                self._timers[eff.key] = now + eff.delay
+                self._deadlines.arm(TIMER, eff.key, now + eff.delay)
                 if tracer.enabled:
                     self._timer_ctx[eff.key] = tracer.current_ctx()
             elif isinstance(eff, CancelTimer):
-                self._timers.pop(eff.key, None)
+                self._deadlines.disarm(TIMER, eff.key)
                 self._timer_ctx.pop(eff.key, None)
             elif isinstance(eff, LogLine):
                 if self.log_sink is not None:
@@ -227,7 +229,7 @@ class ComponentDriver:
             counter = self._recv_counters[message.mtype] = (
                 self.telemetry.metrics.counter("msg.recv",
                                                mtype=message.mtype))
-        counter.inc()
+        counter.value += 1
         span = None
         if tracer.enabled:
             span = tracer.begin(f"recv {message.mtype}",
@@ -264,19 +266,13 @@ class ComponentDriver:
             rng = self._rng_for("retry")
             self.tracker = ReliableSendTracker(
                 self.timeout_policy, lambda: float(rng.random()),
-                metrics=self.telemetry.metrics)
+                metrics=self.telemetry.metrics, deadlines=self._deadlines)
         return self.tracker
 
     def _next_deadline(self) -> Optional[float]:
         """Earliest armed timer or reliable-send deadline, if any."""
-        deadline = min(self._timers.values()) if self._timers else None
-        if self.tracker is not None:
-            retry_deadline = self.tracker.next_deadline()
-            if retry_deadline is not None and (
-                deadline is None or retry_deadline < deadline
-            ):
-                deadline = retry_deadline
-        return deadline
+        heap = self._deadlines.heap
+        return heap[0][0] if heap else None
 
     def _service_reliable(self, now: float) -> None:
         tracer = self.telemetry.tracer
@@ -311,18 +307,18 @@ class ComponentDriver:
                              self.component.on_send_failed, eff)
 
     def _fire_due(self, now: float) -> None:
-        """Service every reliable-send deadline and timer due at ``now``."""
-        if self.tracker is not None and len(self.tracker):
+        """Service the reliable sends due at ``now`` (one batch, by
+        ``req_id``), then every due timer by ``(deadline, key)``."""
+        deadlines = self._deadlines
+        if deadlines.sends:
             self._service_reliable(now)
-        timers = self._timers
         tracer = self.telemetry.tracer
-        while not self._stopped:
-            due = [k for k, t in timers.items() if t <= now]
-            if not due:
+        heap = deadlines.heap
+        while not self._stopped and heap and heap[0][0] <= now:
+            entry = deadlines.pop_timer(now)
+            if entry is None:
                 return
-            # Deterministic order for same-deadline timers.
-            key = min(due, key=lambda k: (timers[k], k))
-            del timers[key]
+            key = entry[2]
             ctx = self._timer_ctx.pop(key, None)
             span = None
             if tracer.enabled:

@@ -228,7 +228,7 @@ class NetDriver(ComponentDriver):
         self._shutdown_done = True
         self._stopped = True
         self.stop_reason = reason
-        self._timers.clear()
+        self._deadlines.clear()
         self._timer_ctx.clear()
         # Outstanding reliable sends die with the process; their
         # give-up recovery is the restarted component's problem.

@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from .forecasting.benchmarking import ForecastRegistry, event_tag
-from .telemetry import MetricsRegistry
+from .telemetry import Counter, Histogram, MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (component->policy)
     from .component import Send
@@ -159,15 +160,102 @@ class PendingSend:
         self.span = None
 
 
+#: Kinds of :class:`Deadlines` entry. A reliable send sorts before a
+#: timer due at the same instant only inside the heap; the driver services
+#: every due send before any timer regardless.
+SEND, TIMER = 0, 1
+
+
+class Deadlines:
+    """Everything one driver waits for, in one heap.
+
+    Component timers (by key) and reliable-send deadlines (by ``req_id``)
+    are ``(at, kind, key)`` entries of :attr:`heap`. An entry is live while
+    its kind's table maps its key to that very tuple; re-arming or
+    disarming leaves the old tuple in the heap as a stale entry, dropped
+    when it reaches the top, and the heap is rebuilt from the tables when
+    stale entries outnumber live ones. The top entry is always live, so
+    "is anything due?" and "when is the next deadline?" read ``heap[0]``.
+    Live entries never tie (a key is armed once per kind), so the order
+    they leave the heap in does not depend on how it was built.
+    """
+
+    __slots__ = ("heap", "sends", "timers")
+
+    def __init__(self) -> None:
+        self.heap: list[tuple] = []
+        self.sends: dict[int, tuple] = {}
+        self.timers: dict[str, tuple] = {}
+
+    def arm(self, kind: int, key, at: float) -> None:
+        """(Re)arm ``key`` at ``at``; an unchanged deadline keeps its entry."""
+        table = self.timers if kind else self.sends
+        old = table.get(key)
+        if old is not None and old[0] == at:
+            return
+        entry = table[key] = (at, kind, key)
+        heap = self.heap
+        heappush(heap, entry)
+        if heap[0] is old:
+            self._settle()
+        elif len(heap) > 64 and len(heap) > 2 * (len(self.sends)
+                                                 + len(self.timers)):
+            heap[:] = [*self.sends.values(), *self.timers.values()]
+            heapify(heap)
+
+    def disarm(self, kind: int, key) -> None:
+        entry = (self.timers if kind else self.sends).pop(key, None)
+        if entry is not None and self.heap[0] is entry:
+            self._settle()
+
+    def pop_timer(self, now: float) -> Optional[tuple]:
+        """Disarm and return the earliest timer entry due at ``now``, if
+        any. Due reliable sends it passes stay armed: the driver services
+        those as one batch (see :meth:`ReliableSendTracker.due`)."""
+        heap, sends, timers = self.heap, self.sends, self.timers
+        found = held = None
+        while heap and heap[0][0] <= now:
+            entry = heappop(heap)
+            if not entry[1]:
+                if sends.get(entry[2]) is entry:
+                    held = (held or []) + [entry]
+            elif timers.get(entry[2]) is entry:
+                del timers[entry[2]]
+                found = entry
+                break
+        for entry in held or ():
+            heappush(heap, entry)
+        if heap:
+            top = heap[0]
+            if (timers if top[1] else sends).get(top[2]) is not top:
+                self._settle()
+        return found
+
+    def clear(self) -> None:
+        self.heap.clear()
+        self.sends.clear()
+        self.timers.clear()
+
+    def _settle(self) -> None:
+        """Drop stale entries from the top."""
+        heap, sends, timers = self.heap, self.sends, self.timers
+        while heap:
+            top = heap[0]
+            if (timers if top[1] else sends).get(top[2]) is top:
+                return
+            heappop(heap)
+
+
 class ReliableSendTracker:
     """Driver-side bookkeeping for ``Send`` effects carrying a policy.
 
     The driver calls :meth:`track` when it transmits a reliable send,
     :meth:`resolve` when any message with a matching ``reply_to``
-    arrives, and :meth:`due` from its timer machinery; :meth:`due` hands
-    back ``("resend", pending)`` / ``("give_up", pending)`` actions and
-    the driver does the I/O. Deadlines merge into the driver's existing
-    timer wheel through :meth:`next_deadline`.
+    arrives, and :meth:`due` when its :class:`Deadlines` say something is
+    due; :meth:`due` hands back ``("resend", pending)`` /
+    ``("give_up", pending)`` actions and the driver does the I/O. Every
+    outstanding send's deadline is an entry of ``deadlines`` (the
+    driver's, or a private one for a standalone tracker).
     """
 
     def __init__(
@@ -175,10 +263,12 @@ class ReliableSendTracker:
         timeout_policy: TimeoutPolicy,
         rand: Callable[[], float],
         metrics: Optional["MetricsRegistry"] = None,
+        deadlines: Optional[Deadlines] = None,
     ) -> None:
         self.timeout_policy = timeout_policy
         self._rand = rand
         self._pending: dict[int, PendingSend] = {}
+        self.deadlines = deadlines if deadlines is not None else Deadlines()
         # Correlation is per sender (replies come back to the driver that
         # issued the request), so req_ids only need to be unique within
         # one tracker. A per-instance counter — unlike the process-wide
@@ -193,6 +283,17 @@ class ReliableSendTracker:
         #: Optional world metrics registry: mirrors the counters above
         #: onto the scrapeable surface and records forecast error.
         self.metrics = metrics
+        # Registry handles, each looked up on its first use: a metric
+        # that never moved stays unregistered.
+        self._counters: dict[str, Counter] = {}
+        self._abs_error: Optional[Histogram] = None
+
+    def _count(self, name: str) -> None:
+        if self.metrics is not None:
+            counter = self._counters.get(name)
+            if counter is None:
+                counter = self._counters[name] = self.metrics.counter(name)
+            counter.value += 1
 
     def __len__(self) -> int:
         return len(self._pending)
@@ -208,9 +309,9 @@ class ReliableSendTracker:
         pending = PendingSend(eff, event_tag(eff.dst, message.mtype), now)
         pending.deadline = now + self._interval(pending)
         self._pending[message.req_id] = pending
+        self.deadlines.arm(SEND, message.req_id, pending.deadline)
         self.tracked += 1
-        if self.metrics is not None:
-            self.metrics.counter("reliable.tracked").inc()
+        self._count("reliable.tracked")
         return pending
 
     def _interval(self, pending: PendingSend) -> float:
@@ -232,10 +333,11 @@ class ReliableSendTracker:
         pending = self._pending.pop(reply_to, None)
         if pending is None:
             return None
+        self.deadlines.disarm(SEND, reply_to)
         self.resolved += 1
         rtt = max(now - pending.last_sent, 0.0)
+        self._count("reliable.resolved")
         if self.metrics is not None:
-            self.metrics.counter("reliable.resolved").inc()
             # Forecast error: compare the measured response time against
             # what the dynamic-benchmark history predicted *before* this
             # observation is folded in (§2.2 time-out discovery quality).
@@ -243,8 +345,10 @@ class ReliableSendTracker:
             if registry is not None:
                 fc = registry.forecast(pending.tag)
                 if fc is not None:
-                    self.metrics.histogram("forecast.abs_error").observe(
-                        abs(rtt - fc.value))
+                    if self._abs_error is None:
+                        self._abs_error = self.metrics.histogram(
+                            "forecast.abs_error")
+                    self._abs_error.observe(abs(rtt - fc.value))
         self.timeout_policy.observe(pending.tag, rtt)
         return pending
 
@@ -255,26 +359,24 @@ class ReliableSendTracker:
 
     def due(self, now: float) -> list[tuple[str, PendingSend]]:
         """Expired attempts, in deterministic (req_id) order."""
-        if not self._pending:
-            return []
         actions: list[tuple[str, PendingSend]] = []
-        for req_id in sorted(self._pending):
-            pending = self._pending[req_id]
-            if pending.deadline > now:
-                continue
+        pending_by_id = self._pending
+        for req_id in sorted(r for r, p in pending_by_id.items()
+                             if p.deadline <= now):
+            pending = pending_by_id[req_id]
             assert pending.eff.retry is not None
             if pending.eff.retry.should_retry(pending.attempt):
                 pending.attempt += 1
                 pending.last_sent = now
                 pending.deadline = now + self._interval(pending)
+                self.deadlines.arm(SEND, req_id, pending.deadline)
                 self.retries += 1
-                if self.metrics is not None:
-                    self.metrics.counter("reliable.retries").inc()
+                self._count("reliable.retries")
                 actions.append(("resend", pending))
             else:
-                del self._pending[req_id]
+                del pending_by_id[req_id]
+                self.deadlines.disarm(SEND, req_id)
                 self.give_ups += 1
-                if self.metrics is not None:
-                    self.metrics.counter("reliable.give_ups").inc()
+                self._count("reliable.give_ups")
                 actions.append(("give_up", pending))
         return actions

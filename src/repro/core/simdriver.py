@@ -4,15 +4,16 @@ What a driver does with a component — effects, timers, reliable sends,
 dispatch, spans — is :class:`~repro.core.driver.ComponentDriver`; this
 module is the simulated plane beneath it: the engine's clock, the
 :class:`SimEndpoint` transport, seeded RNG streams, and the lifecycle and
-wake-up scheduling on the event queue. There is no driver process: the network hands every arriving delivery to
-:meth:`SimDriver._on_delivery` from the arrival event itself, and timers
-and reliable-send deadlines share one wake-up ``Timeout`` that is re-armed
-after each handled event (DESIGN §7 has the three same-instant ordering
-rules this keeps). When the host dies (Condor reclamation, failure, ...)
-the driver's :attr:`~SimDriver.process` handle is interrupted with
-:class:`~repro.simgrid.host.HostDown`; the driver unbinds the endpoint and
-reports the death through ``on_stop`` — matching how SC98 guest processes
-were killed without warning.
+wake-up scheduling on the event queue. There is no driver process: the
+network hands every arriving delivery to :meth:`SimDriver._on_delivery`
+from the delivery's own queue entry, and timers and reliable-send
+deadlines share one wake-up — a queue entry that calls
+:meth:`SimDriver._on_wake` — re-armed after each handled event (DESIGN §7
+has the three same-instant ordering rules this keeps). When the host dies
+(Condor reclamation, failure, ...) the driver's :attr:`~SimDriver.process`
+handle is interrupted with :class:`~repro.simgrid.host.HostDown`; the
+driver unbinds the endpoint and reports the death through ``on_stop`` —
+matching how SC98 guest processes were killed without warning.
 
 :class:`SimWorld` is the one place a simulated world is assembled: every
 experiment, twin and example lays its topology out on one with
@@ -101,14 +102,13 @@ class SimDriver(ComponentDriver):
         #: Sends dropped for a malformed destination.
         self.send_errors = 0
         self.process: Optional[_DriverHandle] = None
-        #: The armed wake-up (or its zero-delay hop); any other wake-up
-        #: still on the event queue is superseded and ignored when it fires.
-        self._wake: Optional[Event] = None
-        #: The armed wake-up's time (None for a hop), the sequence number
-        #: it is queued under, and the one it must fire under: the number
-        #: taken by the latest re-arm at that same time (DESIGN §7 rule 2).
-        self._wake_at: Optional[float] = None
+        #: The wake-up's queue item (called with its entry's tag); the tag
+        #: of the one live wake-up entry, 0 when none (others are stale);
+        #: its time (None for the hop); and the sequence number it must
+        #: fire under, the latest re-arm's at that time (DESIGN §7 rule 2).
+        self._wake = self._on_wake
         self._wake_queued = 0
+        self._wake_at: Optional[float] = None
         self._wake_seq = 0
         # Worlds hand the shared Telemetry over explicitly, or implicitly
         # via Network.attach_telemetry (so the many driver construction
@@ -131,7 +131,11 @@ class SimDriver(ComponentDriver):
             return None
 
     def _transmit(self, route: Address, eff: Send) -> None:
-        self.endpoint.send(route, eff.message)
+        message = eff.message
+        if not message.sender:
+            message.sender = self.endpoint.contact
+        self.network.send(self.address, route, message.encode(),
+                          message.trace, message)
 
     def _rng_for(self, purpose: str):
         # One stream per purpose and address keeps runs reproducible.
@@ -167,34 +171,53 @@ class SimDriver(ComponentDriver):
     def _on_delivery(self, delivery: Delivery) -> None:
         if self.process is None:
             return  # bound at construction but never started
-        message = self.endpoint.message_of(delivery)
+        message = delivery.record
         if message is None:
-            return  # corrupt data on the wire: dropped, keep listening
-        now = self.env.now
-        self._dispatch(message, now, self.env.profiler)
-        self._fire_due(now)
-        self._stop_or_rearm()
-
-    def _on_wake(self, event: Event) -> None:
-        """The wake-up Timeout fired: hop once more through the queue, so
-        everything already scheduled for this instant runs first."""
-        if event is not self._wake:
-            return
-        if self._wake_queued != self._wake_seq:
-            # Re-armed at this time since it was queued: fire from the
-            # position the latest re-arm took, as a fresh Timeout would.
-            event.callbacks = [self._on_wake]
-            self._wake_queued = self._wake_seq
-            heappush(self.env._queue, (self._wake_at, self._wake_seq, event))
-            return
-        hop = self._wake = self.env.timeout(0.0)
-        self._wake_at = None
-        hop.callbacks.append(self._on_due)
-
-    def _on_due(self, event: Event) -> None:
-        if event is self._wake:
-            self._fire_due(self.env.now)
+            message = self.endpoint.message_of(delivery)
+            if message is None:
+                return  # corrupt data on the wire: dropped, keep listening
+        env = self.env
+        now = env._now
+        self._dispatch(message, now, env.profiler)
+        heap = self._deadlines.heap
+        if heap and heap[0][0] <= now:
+            self._fire_due(now)
+        if self._stopped or not heap:
             self._stop_or_rearm()
+            return
+        # _stop_or_rearm's re-arm, inline.
+        at = now + max(heap[0][0] - now, 0.0)
+        seq = env._seq = env._seq + 1
+        if at != self._wake_at or not self._wake_queued:
+            heappush(env._queue, (at, seq, self._wake))
+            self._wake_at = at
+            self._wake_queued = seq
+        self._wake_seq = seq
+
+    def _on_wake(self, tag: int) -> None:
+        """A wake-up hops once through the queue (rule 3); the hop fires
+        the due timers. An entry that would pop next is not queued: it
+        takes its sequence number and does its work at once."""
+        if tag != self._wake_queued:
+            return  # superseded
+        env = self.env
+        queue = env._queue
+        at = self._wake_at
+        if at is not None:  # the wake-up, not its hop
+            if tag != self._wake_seq and queue and \
+                    queue[0] < (at, self._wake_seq):
+                # Re-armed at this time since it was queued: fire from the
+                # position the latest re-arm took, as a fresh Timeout would.
+                self._wake_queued = self._wake_seq
+                heappush(queue, (at, self._wake_seq, self._wake))
+                return
+            seq = self._wake_queued = env._seq = env._seq + 1
+            self._wake_at = None
+            if queue and queue[0][0] == at:
+                heappush(queue, (at, seq, self._wake))
+                return
+        self._fire_due(env._now)
+        self._stop_or_rearm()
 
     def _stop_or_rearm(self) -> None:
         """After every handled event: finish if the component asked to
@@ -202,23 +225,20 @@ class SimDriver(ComponentDriver):
         if self._stopped:
             self._finish(self.stop_reason or "stopped")
             return
-        deadline = self._next_deadline()
-        if deadline is None:
-            self._wake = None
+        heap = self._deadlines.heap
+        if not heap:
+            self._wake_queued = 0
             return
         env = self.env
-        delay = max(deadline - env.now, 0.0)
-        at = env.now + delay
-        if at == self._wake_at and self._wake is not None:
-            # Unchanged deadline: take the sequence number a fresh wake-up
-            # would, but queue nothing (_on_wake moves the queued one).
-            env._seq += 1
-            self._wake_seq = env._seq
-            return
-        wake = self._wake = env.timeout(delay)
-        wake.callbacks.append(self._on_wake)
-        self._wake_at = at
-        self._wake_queued = self._wake_seq = env._seq
+        now = env._now
+        at = now + max(heap[0][0] - now, 0.0)
+        # Take a fresh wake-up's number; an unchanged time queues nothing.
+        seq = env._seq = env._seq + 1
+        if at != self._wake_at or not self._wake_queued:
+            heappush(env._queue, (at, seq, self._wake))
+            self._wake_at = at
+            self._wake_queued = seq
+        self._wake_seq = seq
 
     def _on_interrupt(self, cause: Any) -> None:
         if self.process.is_alive:  # else it ended before the kill landed
@@ -226,7 +246,7 @@ class SimDriver(ComponentDriver):
 
     def _finish(self, reason: str) -> None:
         self._stopped = True
-        self._wake = None
+        self._wake_queued = 0
         self.endpoint.close()
         self.component.on_stop(self.env.now, reason)
         self.process.succeed(reason)

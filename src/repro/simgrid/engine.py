@@ -26,7 +26,10 @@ loop, so the hot paths are deliberately low-level (see DESIGN.md §6):
   so the per-resume cost is a couple of attribute stores;
 * :meth:`Environment.run` inlines the event-pop loop with ``heappop`` and
   the queue bound to locals, and skips the deadline comparison entirely
-  when no ``until=<time>`` was given.
+  when no ``until=<time>`` was given;
+* two kinds of queue item are not events and cost the loop one call: an
+  *arrival* (see :meth:`Environment.on_arrival`) goes to its handler, and
+  a bound method (a driver's wake-up) is called with its entry's tag.
 
 None of this changes observable scheduling order: same seeds produce
 byte-identical simulation results.
@@ -47,6 +50,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from sys import getrefcount
+from types import MethodType
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -94,8 +98,8 @@ class _Deadline:
     ``stop_at`` are not processed — the same semantics as checking
     ``queue[0][0] >= stop_at`` before every pop, without paying for that
     comparison per event. ``callbacks`` is None so the run loop recognizes
-    it from the field it already loads. A stale sentinel (left queued when
-    a run aborted early) is skipped when eventually popped.
+    it from the field it already loads. A run that ends early (an
+    exception, an until-event) withdraws its sentinel.
     """
 
     __slots__ = ("callbacks",)
@@ -463,7 +467,7 @@ class Environment:
     """Execution environment: clock, event queue, and process management."""
 
     __slots__ = ("_now", "_queue", "_seq", "_active_process", "_free_timeouts",
-                 "profiler", "drain_hook")
+                 "profiler", "drain_hook", "_arrival_kind", "_arrive")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
@@ -486,6 +490,7 @@ class Environment:
         #: owning the run loop. ``None`` (the default) keeps run() on the
         #: inlined fast loops — one attribute check at run() entry.
         self.drain_hook = None
+        self._arrival_kind = self._arrive = None  # see on_arrival()
 
     @property
     def now(self) -> float:
@@ -552,15 +557,23 @@ class Environment:
                  (self._now + delay,
                   (priority - 1) * _PRIORITY_STRIDE + self._seq, event))
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
+    def on_arrival(self, kind: type, handler: Callable[[Any], None]) -> None:
+        """Hand every queue item of class ``kind`` (one per environment) to
+        ``handler`` when popped. Its owner pushes ``(time, env._seq + 1,
+        item)``, storing the number back, as a :class:`Timeout` would."""
+        if self._arrival_kind is not None:
+            raise SimulationError("this environment already has arrivals")
+        self._arrival_kind, self._arrive = kind, handler
 
-    def step(self) -> None:
-        """Process the next scheduled event."""
-        if not self._queue:
-            raise SimulationError("no more events")
-        self._now, _tag, event = heappop(self._queue)
+    def _fire(self, tag: int, event: Any) -> None:
+        """Process one popped queue item (the slow paths' step)."""
+        cls = type(event)
+        if cls is self._arrival_kind:
+            self._arrive(event)
+            return
+        if cls is MethodType:
+            event(tag)
+            return
         callbacks = event.callbacks
         event.callbacks = None
         for cb in callbacks:
@@ -569,15 +582,22 @@ class Environment:
             # An unhandled failure: surface it to the caller of run().
             raise event._value
 
+    def peek(self) -> float:
+        """Time of the next scheduled event, or ``inf`` if none."""
+        return self._queue[0][0] if self._queue else float("inf")
+
+    def step(self) -> None:
+        """Process the next scheduled event."""
+        if not self._queue:
+            raise SimulationError("no more events")
+        self._now, tag, event = heappop(self._queue)
+        self._fire(tag, event)
+
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run until the queue empties, time ``until`` passes, or the
         event ``until`` triggers (returning its value)."""
-        if self.profiler is not None or self.drain_hook is not None:
-            return self._run_observed(until)
-        stop_at = None
-        stop_event: Optional[Event] = None
-        if isinstance(until, Event):
-            stop_event = until
+        stop_event = until if isinstance(until, Event) else None
+        if stop_event is not None:
             if stop_event.callbacks is None:  # already processed
                 return stop_event._value
 
@@ -585,93 +605,85 @@ class Environment:
                 raise StopSimulation(event._value)
 
             stop_event.callbacks.append(_stop)
-        elif until is not None:
+        sentinel = None
+        if until is not None and stop_event is None:
             stop_at = float(until)
             if stop_at < self._now:
                 raise SimulationError(
                     f"until={stop_at} is in the past (now={self._now})"
                 )
-        # The loops below inline step() with `queue` and `heappop` bound to
-        # locals. A deadline is implemented as a queue sentinel rather than
-        # a per-event `queue[0][0] >= stop_at` comparison; the sentinel's
-        # negative tag sorts it before every real event scheduled at
-        # exactly `stop_at`, preserving the seed semantics (events at the
-        # deadline are not processed). Identical event ordering either way.
-        # After an event's callbacks have run, a refcount of exactly 2
-        # (the loop local + getrefcount's argument) proves no process,
-        # condition, or user variable can ever reach the event again; dead
-        # Timeout shells and their callback lists are recycled through
-        # timeout() instead of round-tripping the allocator. Purely an
-        # allocation optimization: scheduling order is untouched.
+            # A queue sentinel, not a per-event `stop_at` comparison (see
+            # _Deadline): events at exactly `stop_at` are not processed.
+            sentinel = (stop_at, _DEADLINE_TAG, _Deadline())
+            heappush(self._queue, sentinel)
+        try:
+            observed = self.profiler is not None or self.drain_hook is not None
+            if self._run_observed() if observed else self._run_fast():
+                sentinel = None  # popped: nothing to withdraw
+        except StopSimulation as stop:
+            if sentinel is None:
+                return stop.value
+            raise
+        finally:
+            if sentinel is not None:
+                try:  # an early end: withdraw it
+                    self._queue.remove(sentinel)
+                    heapify(self._queue)
+                except ValueError:
+                    pass
+        if stop_event is not None and stop_event.callbacks is not None:
+            raise SimulationError("run() until-event was never triggered")
+        return None
+
+    def _run_fast(self) -> bool:
+        """step() inlined with hot names bound to locals, until the queue
+        empties or the deadline sentinel pops (True). After an event's
+        callbacks, a refcount of exactly 2 (the loop local + getrefcount's
+        argument) proves nothing can reach it again: dead Timeout shells
+        and their callback lists are recycled through timeout(). Purely an
+        allocation optimization: scheduling order is untouched."""
         queue = self._queue
         pop = heappop
         refs = getrefcount
         free = self._free_timeouts
         timeout_cls = Timeout
-        if stop_at is None:
-            try:
-                while queue:
-                    self._now, _tag, event = pop(queue)
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    if len(callbacks) == 1:  # the overwhelmingly common case
-                        callbacks[0](event)
-                    else:
-                        for cb in callbacks:
-                            cb(event)
-                    # A Timeout can never fail (it is born triggered, so
-                    # fail() rejects it), which makes the failure check and
-                    # the recycle check mutually exclusive branches.
-                    if type(event) is timeout_cls:
-                        if refs(event) == 2:
-                            callbacks.clear()
-                            event.callbacks = callbacks
-                            event._value = None
-                            free.append(event)
-                    elif not event._ok and not event._defused:
-                        raise event._value
-            except StopSimulation as stop:
-                return stop.value
-            if stop_event is not None and stop_event.callbacks is not None:
-                raise SimulationError("run() until-event was never triggered")
-            return None
-        sentinel_entry = (stop_at, _DEADLINE_TAG, _Deadline())
-        heappush(queue, sentinel_entry)
-        try:
-            while True:
-                self._now, _tag, event = pop(queue)
-                callbacks = event.callbacks
-                if callbacks is None:
-                    # The deadline sentinel: _now is already stop_at.
-                    return None
-                event.callbacks = None
-                if len(callbacks) == 1:  # the overwhelmingly common case
-                    callbacks[0](event)
-                else:
-                    for cb in callbacks:
-                        cb(event)
-                if type(event) is timeout_cls:
-                    if refs(event) == 2:
-                        callbacks.clear()
-                        event.callbacks = callbacks
-                        event._value = None
-                        free.append(event)
-                elif not event._ok and not event._defused:
-                    raise event._value
-        except BaseException:
-            # Crash path (unhandled event failure, KeyboardInterrupt, ...):
-            # withdraw the sentinel so the queue is left clean for any
-            # subsequent run()/step() calls.
-            try:
-                queue.remove(sentinel_entry)
-                heapify(queue)
-            except ValueError:
-                pass
-            raise
+        arrival = self._arrival_kind
+        arrive = self._arrive
+        call = MethodType
+        while queue:
+            self._now, tag, event = pop(queue)
+            cls = type(event)
+            if cls is arrival:
+                arrive(event)
+                continue
+            if cls is call:
+                event(tag)
+                continue
+            callbacks = event.callbacks
+            if callbacks is None:
+                return True  # the deadline sentinel: _now is stop_at
+            event.callbacks = None
+            if len(callbacks) == 1:  # the overwhelmingly common case
+                callbacks[0](event)
+            else:
+                for cb in callbacks:
+                    cb(event)
+            # A Timeout can never fail (it is born triggered, so fail()
+            # rejects it), which makes the failure check and the recycle
+            # check mutually exclusive branches.
+            if cls is timeout_cls:
+                if refs(event) == 2:
+                    callbacks.clear()
+                    event.callbacks = callbacks
+                    event._value = None
+                    free.append(event)
+            elif not event._ok and not event._defused:
+                raise event._value
+        return False
 
-    def _run_observed(self, until: Optional[float | Event] = None) -> Any:
-        """run() twin taken when a profiler, a drain hook, or both are
-        attached: identical scheduling semantics. The profiler samples
+    def _run_observed(self) -> bool:
+        """_run_fast() twin taken when a profiler, a drain hook, or both
+        are attached: identical scheduling semantics. The profiler samples
         per-event-type counts and callback wall time; the hook is called
         between events so an external completion source (the compute
         plane's worker pool) is harvested at every event boundary. Skips
@@ -681,66 +693,27 @@ class Environment:
 
         profiler = self.profiler
         hook = self.drain_hook
-        stop_at = None
-        stop_event: Optional[Event] = None
-        if isinstance(until, Event):
-            stop_event = until
-            if stop_event.callbacks is None:  # already processed
-                return stop_event._value
-
-            def _stop(event: Event) -> None:
-                raise StopSimulation(event._value)
-
-            stop_event.callbacks.append(_stop)
-        elif until is not None:
-            stop_at = float(until)
-            if stop_at < self._now:
-                raise SimulationError(
-                    f"until={stop_at} is in the past (now={self._now})"
-                )
         queue = self._queue
-        sentinel_entry = None
-        if stop_at is not None:
-            sentinel_entry = (stop_at, _DEADLINE_TAG, _Deadline())
-            heappush(queue, sentinel_entry)
         by_type = None if profiler is None else profiler.events_by_type
         run_t0 = perf_counter()
         try:
             while queue:
-                self._now, _tag, event = heappop(queue)
-                callbacks = event.callbacks
-                if callbacks is None:
-                    if sentinel_entry is not None:
-                        sentinel_entry = None  # popped: nothing to withdraw
-                        return None  # the deadline sentinel ends the run
-                    continue  # stale sentinel from an aborted earlier run
-                event.callbacks = None
+                self._now, tag, event = heappop(queue)
+                if type(event) is _Deadline:
+                    return True
                 if profiler is None:
-                    for cb in callbacks:
-                        cb(event)
+                    self._fire(tag, event)
                 else:
-                    tname = type(event).__name__
+                    tname = (event.__qualname__ if type(event) is MethodType
+                             else type(event).__name__)
                     by_type[tname] = by_type.get(tname, 0) + 1
                     profiler.events += 1
                     t0 = perf_counter()
-                    for cb in callbacks:
-                        cb(event)
+                    self._fire(tag, event)
                     profiler.callback_time += perf_counter() - t0
-                if not event._ok and not event._defused:
-                    raise event._value
                 if hook is not None:
                     hook()
-        except StopSimulation as stop:
-            return stop.value
+            return False
         finally:
             if profiler is not None:
                 profiler.run_wall_time += perf_counter() - run_t0
-            if sentinel_entry is not None:
-                try:
-                    queue.remove(sentinel_entry)
-                    heapify(queue)
-                except ValueError:
-                    pass
-        if stop_event is not None and stop_event.callbacks is not None:
-            raise SimulationError("run() until-event was never triggered")
-        return None

@@ -16,7 +16,8 @@ varied dramatically").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterable, Optional
+from heapq import heappush
+from typing import Callable, Generator, Iterable, NamedTuple, Optional
 
 from .engine import Environment
 from .host import Host
@@ -38,9 +39,8 @@ class AddressError(ValueError):
     """
 
 
-@dataclass(frozen=True, order=True)
-class Address:
-    """Endpoint address: a host name and a named port."""
+class Address(NamedTuple):
+    """Endpoint address: a host name and a named port (hashed in C)."""
 
     host: str
     port: str
@@ -116,8 +116,8 @@ class Network:
         self._hosts: dict[str, Host] = {}
         self._sinks: dict[Address, Callable[[Delivery], object]] = {}
         self._routes: dict[str, Address] = {}
-        # Bound once: it is the callback of every in-flight message.
-        self._arrival = self._on_arrival
+        # Every in-flight message is its own queue entry, handed here.
+        env.on_arrival(Delivery, self._on_arrival)
         self._site_latency: dict[tuple[str, str], float] = {}
         self._partition_groups: list[frozenset[str]] = []
         #: Active message-chaos injector (duck-typed: anything with a
@@ -221,8 +221,6 @@ class Network:
         self._partition_groups = [frozenset(g) for g in groups]
 
     def _same_partition(self, site_a: str, site_b: str) -> bool:
-        if not self._partition_groups:
-            return True
         ga = gb = None
         for group in self._partition_groups:
             if site_a in group:
@@ -236,7 +234,7 @@ class Network:
              sink: Optional[Callable[[Delivery], object]] = None
              ) -> Optional[Store]:
         """Start listening at ``address``. Each arriving :class:`Delivery`
-        is handed to ``sink`` from the arrival event itself; without one
+        is handed to ``sink`` from its own queue entry; without one
         the sink is a fresh :class:`Store` mailbox's ``put``, and that
         mailbox is returned for process-style ``get`` callers."""
         if address.host not in self._hosts:
@@ -273,8 +271,12 @@ class Network:
     # -- transmission ---------------------------------------------------------
     def delay(self, src_host: str, dst_host: str, nbytes: int) -> float:
         """Transmission delay for ``nbytes`` between two hosts, now."""
-        a = self._hosts[src_host].site
-        b = self._hosts[dst_host].site
+        return self._delay(self._hosts[src_host], self._hosts[dst_host],
+                           nbytes)
+
+    def _delay(self, src_host: Host, dst_host: Host, nbytes: int) -> float:
+        a = src_host.site
+        b = dst_host.site
         if a == b:
             latency = self._site_latency.get((a, b), self.intra_site_latency)
         else:
@@ -289,36 +291,41 @@ class Network:
              trace: Optional[tuple[int, int]] = None,
              record: object = None) -> None:
         """Fire-and-forget datagram send; loss is silent by design."""
-        self.stats.sent += 1
-        src_host = self._hosts.get(src.host)
-        dst_host = self._hosts.get(dst.host)
+        stats = self.stats
+        stats.sent += 1
+        hosts = self._hosts
+        src_host = hosts.get(src.host)
+        dst_host = hosts.get(dst.host)
         if src_host is None or not src_host.up:
-            self.stats.dropped_down += 1
+            stats.dropped_down += 1
             self._note_drop("dropped_down", trace,
                             src_host.down_ctx if src_host is not None else None)
             return
         if dst_host is None:
-            self.stats.dropped_unbound += 1
+            stats.dropped_unbound += 1
             self._note_drop("dropped_unbound", trace)
             return
-        if not self._same_partition(src_host.site, dst_host.site):
-            self.stats.dropped_partition += 1
+        if self._partition_groups and not self._same_partition(
+                src_host.site, dst_host.site):
+            stats.dropped_partition += 1
             self._note_drop("dropped_partition", trace, self.partition_ctx)
             return
         if self.loss_rate > 0.0 and float(self._rng.random()) < self.loss_rate:
-            self.stats.dropped_loss += 1
+            stats.dropped_loss += 1
             self._note_drop("dropped_loss", trace)
             return
-        delay = self.delay(src.host, dst.host, len(payload))
+        delay = self._delay(src_host, dst_host, len(payload))
         if self.chaos is not None:
             self._send_chaotic(src, dst, payload, delay, trace, record)
             return
-        now = self.env.now
-        # Plain timeout + callback: cheaper than a process per message.
-        # The delivery rides as the timeout's value.
-        self.env.timeout(
-            delay, Delivery(src, dst, payload, now, now + delay, trace, record)
-        ).callbacks.append(self._arrival)
+        # The delivery is its own queue entry, under the sequence number
+        # a Timeout carrying it would take (see Environment.on_arrival).
+        env = self.env
+        now = env._now
+        at = now + delay
+        seq = env._seq = env._seq + 1
+        heappush(env._queue, (at, seq, Delivery(src, dst, payload, now, at,
+                                                 trace, record)))
 
     def _send_chaotic(self, src: Address, dst: Address, payload: bytes,
                       delay: float, trace: Optional[tuple[int, int]],
@@ -337,18 +344,20 @@ class Network:
             if self.telemetry is not None:
                 self.telemetry.metrics.counter(
                     "net.duplicated_fault").inc(len(fates) - 1)
+        env = self.env
         for extra in fates:
             if extra > 0.0:
                 self.stats.delayed_fault += 1
-            now = self.env.now
-            self.env.timeout(
-                delay + extra,
+            now = env._now
+            # As when a Timeout of delay + extra carried it: the queue
+            # time groups (delay + extra), the stamp adds left to right.
+            seq = env._seq = env._seq + 1
+            heappush(env._queue, (
+                now + (delay + extra), seq,
                 Delivery(src, dst, payload, now, now + delay + extra, trace,
-                         record),
-            ).callbacks.append(self._arrival)
+                         record)))
 
-    def _on_arrival(self, timer) -> None:
-        delivery: Delivery = timer._value
+    def _on_arrival(self, delivery: Delivery) -> None:
         dst_host = self._hosts.get(delivery.dst.host)
         if dst_host is None or not dst_host.up:
             self.stats.dropped_down += 1
@@ -360,8 +369,9 @@ class Network:
             self.stats.dropped_unbound += 1
             self._note_drop("dropped_unbound", delivery.trace)
             return
-        self.stats.delivered += 1
-        self.stats.bytes_delivered += len(delivery.payload)
+        stats = self.stats
+        stats.delivered += 1
+        stats.bytes_delivered += len(delivery.payload)
         if self._c_delivered is not None:
-            self._c_delivered.inc()
+            self._c_delivered.value += 1
         sink(delivery)

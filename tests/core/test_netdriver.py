@@ -235,9 +235,9 @@ def test_shutdown_runs_drain_hooks_once_and_survives_raising_hooks():
 def test_shutdown_cancels_timers_and_closes_sockets():
     driver = NetDriver(TickerComponent())
     driver.start()
-    assert driver._timers
+    assert driver._deadlines.timers
     driver.shutdown()
-    assert not driver._timers
+    assert not driver._deadlines.timers
     with pytest.raises(Exception):
         driver.server.step(0.01)  # server socket is gone
 

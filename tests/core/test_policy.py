@@ -6,7 +6,8 @@ import pytest
 from repro.core.component import Component, Send
 from repro.core.forecasting import ForecastRegistry, event_tag
 from repro.core.linguafranca.messages import Message
-from repro.core.policy import ReliableSendTracker, RetryPolicy, TimeoutPolicy
+from repro.core.policy import (SEND, TIMER, Deadlines, ReliableSendTracker,
+                               RetryPolicy, TimeoutPolicy)
 from repro.core.simdriver import SimDriver
 from repro.simgrid.engine import Environment
 from repro.simgrid.host import Host, HostSpec
@@ -148,6 +149,31 @@ def test_tracker_per_send_timeout_overrides():
     tr.track(policied, 0.0)
     deadlines = sorted(p.deadline for p in tr._pending.values())
     assert deadlines == [pytest.approx(1.0), pytest.approx(7.0)]
+
+
+def test_deadlines_pop_in_key_order_and_stay_compact():
+    dl = Deadlines()
+    dl.arm(TIMER, "b", 5.0)
+    dl.arm(TIMER, "a", 5.0)
+    dl.arm(TIMER, "c", 3.0)
+    dl.arm(SEND, 7, 4.0)
+    dl.arm(TIMER, "c", 6.0)  # later: the old entry goes stale
+    assert dl.heap[0] == (4.0, SEND, 7)  # the top is always live
+    dl.disarm(SEND, 7)
+    assert dl.heap[0] == (5.0, TIMER, "a")
+    # Re-arming one timer over and over leaves stale entries behind; the
+    # heap is rebuilt before they outnumber the live ones by much.
+    for i in range(1000):
+        dl.arm(TIMER, "busy", 100.0 + i)
+    assert len(dl.heap) <= max(64, 2 * len(dl.timers)) + 1
+    # A due send is passed over (the driver services sends as one batch).
+    dl.arm(SEND, 8, 5.0)
+    popped = []
+    while (entry := dl.pop_timer(6.0)) is not None:
+        popped.append(entry[2])
+    assert popped == ["a", "b", "c"]
+    assert dl.heap[0] == (5.0, SEND, 8) and dl.sends == {8: (5.0, SEND, 8)}
+    assert set(dl.timers) == {"busy"}
 
 
 def test_tracker_resolution_feeds_forecast_history():

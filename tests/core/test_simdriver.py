@@ -442,6 +442,29 @@ def test_at_most_three_queue_entries_per_delivered_message(timer):
     assert per_message <= (3 if timer else 1)
 
 
+def test_a_delivered_message_allocates_no_timeout(monkeypatch):
+    """A delivery is its own queue entry, not a Timeout carrying it, and a
+    driver with nothing armed queues no wake-up."""
+    timeouts = []
+    timeout = Environment.timeout
+
+    def counted(self, delay, value=None):
+        timeouts.append(delay)
+        return timeout(self, delay, value)
+
+    monkeypatch.setattr(Environment, "timeout", counted)
+    env, streams, net, hosts = build()
+    ping = PingPong("ping", peer="h1/p", rounds=200)
+    SimDriver(env, net, hosts[1], "p", PingPong("pong"), streams).start()
+    SimDriver(env, net, hosts[0], "p", ping, streams).start()
+    env.run(until=0.01)
+    before, delivered = len(timeouts), net.stats.delivered
+    env.run()
+    assert ping.left == 0
+    assert net.stats.delivered - delivered > 300
+    assert len(timeouts) == before
+
+
 def test_tracing_spans_and_handler_profile_still_fire():
     class Caller(PingPong):
         def on_start(self, now):

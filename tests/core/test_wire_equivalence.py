@@ -82,8 +82,7 @@ def arrivals(monkeypatch):
     sweep = Sweep()
     on_arrival = Network._on_arrival
 
-    def checked(self, timer):
-        delivery = timer._value
+    def checked(self, delivery):
         record = delivery.record
         if record is None:
             sweep.raw += 1
@@ -96,7 +95,7 @@ def arrivals(monkeypatch):
                 f"({record.mtype}): carried object is not what its bytes "
                 f"say: {found}")
             sweep.delivered[id(record), delivery.payload] = record
-        on_arrival(self, timer)
+        on_arrival(self, delivery)
 
     monkeypatch.setattr(Network, "_on_arrival", checked)
     return sweep
