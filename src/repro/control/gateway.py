@@ -29,10 +29,10 @@ context is journaled with the submission and stamped into the work unit
 so every downstream actor parents on it.
 
 Text routes (/metrics, /events) return a ``str`` payload instead of a
-JSON document, and ``GET /jobs/{id}`` of a finished job on a line
-journal returns the ``bytes`` body its terminal record carries (DESIGN
-§13, "What a finished job holds"); I/O wrappers render any of the three
-with :func:`render_payload`.
+JSON document, and ``GET /jobs/{id}`` of a finished job returns the
+``bytes`` body its terminal record carries (DESIGN §13, "What a finished
+job holds"); I/O wrappers render any of the three with
+:func:`render_payload`.
 """
 
 from __future__ import annotations
@@ -406,7 +406,7 @@ class GatewayCore:
     def _metrics(self) -> tuple[int, str]:
         """The exposition, with the queue's size set at scrape time: jobs
         per state, and how many of them the process holds in memory (a
-        finished job on a line journal is a range of the journal)."""
+        finished job is a range of the journal)."""
         metrics = self.telemetry.metrics
         counts = self.work.counts()
         for state in JOB_STATES:

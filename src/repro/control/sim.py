@@ -115,6 +115,8 @@ class GatewayComponent(SchedulerServer):
             status, doc, _route = self.core.handle(
                 str(body.get("method", "GET")), str(body.get("path", "/")),
                 data, now)
+            if isinstance(doc, bytes):  # a finished job's journaled body
+                doc = json.loads(doc)
             return [Send(message.sender, message.reply(
                 GW_RES, sender=self.contact,
                 body={"status": status, "body": doc,

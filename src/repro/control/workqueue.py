@@ -19,14 +19,15 @@ in the kernel when the 201 leaves. On restart :meth:`replay` rebuilds
 the store; jobs that were queued *or assigned* at the crash come back
 queued (requeued, not dropped — the in-flight assignment died with the
 scheduler's client table), finished and cancelled jobs stay finished and
-cancelled.
+cancelled. The journal is one record log: a file live
+(:class:`FileJournal`), bytes in memory on the twin (``MemoryJournal``).
 
-On a line journal (:class:`FileJournal`) every job value is rendered to
-JSON once, when it is journaled: the spec at acceptance, the result at
-completion. Record lines are spliced from those fragments. A job's
-terminal record carries the whole body ``GET /jobs/{id}`` serves, and
-from then on the job *is* that byte range of the journal: the heap
-holds live jobs only (DESIGN §13, "What a finished job holds").
+Every job value is rendered to JSON once, when it is journaled: the spec
+at acceptance, the result at completion. Record lines are spliced from
+those fragments. A job's terminal record carries the whole body ``GET
+/jobs/{id}`` serves, and from then on the job *is* that byte range of
+the journal: the heap holds live jobs only (DESIGN §13, "What a finished
+job holds").
 
 Job lifecycle::
 
@@ -67,8 +68,8 @@ _MAX_GAP = 4096
 
 
 class Job:
-    """One submitted job and its lifecycle bookkeeping, held in memory:
-    a live job, or a finished one where no line journal holds it."""
+    """One live job and its lifecycle bookkeeping, held in memory (a
+    finished job is the range of its body in the journal)."""
 
     __slots__ = ("id", "state", "spec", "result", "submitted_at",
                  "finished_at", "requeues", "trace", "_text")
@@ -85,8 +86,8 @@ class Job:
         #: this job — the root every downstream span parents on. Journaled
         #: with the submit record so the causal chain survives a restart.
         self.trace: Optional[tuple[int, int]] = None
-        #: The spec's JSON as rendered for its submit record (line
-        #: journal only; None for a job replay brought back).
+        #: The spec's JSON as rendered for its submit record (None for
+        #: a job replay brought back).
         self._text: Optional[str] = None
 
     def to_dict(self) -> dict:
@@ -154,41 +155,23 @@ def _body_span(line: bytes, record: dict) -> Optional[tuple[int, int]]:
     return (start, len(line) - 2 - start) if start > 6 else None
 
 
-class MemoryJournal:
-    """In-process journal for the simulated twin: same record stream as
-    :class:`FileJournal`, surviving a *simulated* gateway restart (the
-    deterministic analogue of kernel page cache surviving a SIGKILL)."""
-
-    def __init__(self) -> None:
-        self._records: list[dict] = []
-
-    def append(self, record: dict) -> None:
-        self._records.append(record)
-
-    def append_many(self, records: list[dict]) -> None:
-        self._records.extend(records)
-
-    def records(self) -> list[dict]:
-        return list(self._records)
-
-    def close(self) -> None:
-        pass
-
-
 #: The durable journal is the one record log (:mod:`repro.obs.recordlog`:
 #: line format, durability point, damage rule) under its public name.
 FileJournal = RecordLog
+#: The simulated twin's journal (and a queue's default): the same log,
+#: its bytes held in this process so a simulated restart replays them.
+MemoryJournal = RecordLog.in_memory
 
 
 class WorkQueue:
     """Durable job store + scheduler-facing work source (see module doc)."""
 
-    def __init__(self, journal=None, prefix: str = "job") -> None:
-        self.journal = journal
+    def __init__(self, journal: Optional[RecordLog] = None,
+                 prefix: str = "job") -> None:
+        self.journal = MemoryJournal() if journal is None else journal
         self.prefix = prefix
-        #: Jobs held in memory: the live ones, plus finished ones where
-        #: no line journal holds them (or until the first GET renders a
-        #: job replayed from a record without its body).
+        #: Jobs held in memory: the live ones (and a finished job replayed
+        #: from a record without its body, until a GET renders it).
         self.jobs: dict[str, Job] = {}
         self._queue: deque[str] = deque()
         self._seq = 0
@@ -196,17 +179,11 @@ class WorkQueue:
         self._counts = dict.fromkeys(JOB_STATES, 0)
         #: The newest ids, submit order, for ``GET /jobs``.
         self._recent: deque[str] = deque(maxlen=MAX_LISTED_JOBS)
-        #: A line journal: render each job value once, splice record
-        #: lines from the fragments, and hold a finished job as the range
-        #: of its body in the journal. The in-memory twin journal keeps
-        #: objects.
-        self._lines = isinstance(journal, FileJournal)
-        #: Finished jobs on a line journal: the body of ``prefix-N`` is
-        #: ``_lengths[N-1]`` bytes at ``_offsets[N-1]`` (-1: not held
-        #: here). Any other id maps to its ``(offset, length)``, or to its
-        #: rendered body if replay found no body in its record.
-        self._offsets = array("q")
-        self._lengths = array("q")
+        #: Finished jobs: the body of ``prefix-N`` is ``_lengths[N-1]``
+        #: bytes at ``_offsets[N-1]`` (-1: not held here). Any other id
+        #: maps to its ``(offset, length)``, or to its rendered body if
+        #: replay found no body in its record.
+        self._offsets, self._lengths = array("q"), array("q")
         self._other: dict[str, Union[tuple[int, int], bytes]] = {}
         #: Clock for callers that can't pass ``now`` (the scheduler's
         #: ``complete(unit_id, result)`` two-arg protocol call). The
@@ -227,8 +204,7 @@ class WorkQueue:
         self.requeued = 0
         self.results_dropped = 0
         self.results_rejected = 0
-        if journal is not None:
-            self.replay()
+        self.replay()
 
     # -- observability hooks --------------------------------------------------
     def _now(self) -> float:
@@ -315,7 +291,7 @@ class WorkQueue:
         durable history" whether the queue is reborn in a fresh process
         or replayed in place; the other meters are process-lifetime.
 
-        A line journal is streamed, one line in memory at a time, and
+        The journal is streamed, one line in memory at a time, and
         replay renders nothing: a job whose terminal record carries its
         body goes back into the index as that body's range; one whose
         record has none (written before bodies were journaled) keeps its
@@ -326,10 +302,7 @@ class WorkQueue:
         self._offsets, self._lengths = array("q"), array("q")
         top = completed = cancelled = 0
         indexed = dict.fromkeys(_TERMINAL, 0)  # finished jobs not in .jobs
-        lines = self._lines
-        entries = (self.journal.scan() if lines else
-                   ((0, b"", record) for record in self.journal.records()))
-        for offset, line, record in entries:
+        for offset, line, record in self.journal.scan():
             op = record.get("op")
             job_id = record.get("id")
             if not isinstance(job_id, str):
@@ -369,7 +342,7 @@ class WorkQueue:
                     completed += 1
                 else:
                     cancelled += 1
-                span = _body_span(line, record) if lines else None
+                span = _body_span(line, record)
                 if span is not None:
                     del self.jobs[job_id]
                     self._index(job_id, offset + span[0], span[1])
@@ -429,31 +402,22 @@ class WorkQueue:
         """The one acceptance path: mint ids, journal every submit record
         with one flush, then — and only then — enqueue and announce."""
         jobs: list[Job] = []
-        records: list = []
-        if self._lines:
-            t_text = _encode(now)
-            trace_text = ("" if trace is None else
-                          f',"trace":{_encode([int(trace[0]), int(trace[1])])}')
+        records: list[str] = []
+        t_text = _encode(now)
+        trace_text = ("" if trace is None else
+                      f',"trace":{_encode([int(trace[0]), int(trace[1])])}')
         for spec in specs:
             self._seq += 1
             job = Job(f"{self.prefix}-{self._seq}", dict(spec), now)
             if trace is not None:
                 job.trace = (int(trace[0]), int(trace[1]))
-            if self._lines:
-                # encode_line(record) to the byte: keys in sorted order.
-                job._text = _encode(job.spec)
-                records.append(
-                    f'{{"id":{_encode(job.id)},"op":"submit",'
-                    f'"spec":{job._text},"t":{t_text}{trace_text}}}\n')
-            else:
-                record = {"op": "submit", "id": job.id, "spec": job.spec,
-                          "t": now}
-                if trace is not None:
-                    record["trace"] = job.trace  # json renders it as a list
-                records.append(record)
+            # encode_line(record) to the byte: keys in sorted order.
+            job._text = _encode(job.spec)
+            records.append(
+                f'{{"id":{_encode(job.id)},"op":"submit",'
+                f'"spec":{job._text},"t":{t_text}{trace_text}}}\n')
             jobs.append(job)
-        if self.journal is not None:
-            self.journal.append_many(records)
+        self.journal.append_many(records)
         tel = self.telemetry
         if (jobs and tel is not None and jobs[0].trace is not None
                 and tel.tracer.enabled):
@@ -470,16 +434,16 @@ class WorkQueue:
         return jobs
 
     def get(self, job_id: str) -> Union[Job, _Finished, None]:
-        """The job ``job_id`` names, or None. A finished job on a line
-        journal comes back as a read-only view of its journaled body."""
+        """The job ``job_id`` names, or None. A finished job comes back
+        as a read-only view of its journaled body."""
         return self.jobs.get(job_id) or self._finished(job_id)
 
     def document(self, job: Union[Job, _Finished]) -> Union[dict, bytes]:
         """What ``GET /jobs/{id}`` serves for ``job``: a finished job's
-        body (bytes) on a line journal, else :meth:`Job.to_dict`."""
+        body (bytes), a live job's :meth:`Job.to_dict`."""
         if isinstance(job, _Finished):
             return job.body
-        if self._lines and job.state in _TERMINAL:
+        if job.state in _TERMINAL:
             # Replayed from a record without its body: render it once and
             # hold the bytes instead of the values.
             body = (_encode(job.to_dict()) + "\n").encode("ascii")
@@ -492,26 +456,18 @@ class WorkQueue:
     def _finish(self, job: Job, state: str, now: float,
                 result: Optional[dict] = None) -> None:
         """Journal and apply a terminal transition: ``done`` with
-        ``result``, or ``cancelled``. On a line journal the record
-        carries the job's ``GET /jobs/{id}`` body as its last key, spliced
-        from rendered fragments, and the job leaves the heap for the
-        index."""
+        ``result``, or ``cancelled``. The record carries the job's
+        ``GET /jobs/{id}`` body as its last key, spliced from rendered
+        fragments, and the job leaves the heap for the index."""
         op = "done" if state == "done" else "cancel"
-        if self._lines:
-            id_text, t_text = _encode(job.id), _encode(now)
-            body = (
-                f'{{"finished_at":{t_text},"id":{id_text},'
-                f'"requeues":{job.requeues},"result":{_encode(result)},'
-                f'"spec":{job._text or _encode(job.spec)},"state":"{state}",'
-                f'"submitted_at":{_encode(job.submitted_at)}}}')
-            head = f'{{"id":{id_text},"op":"{op}","t":{t_text},"job":'
-            offset = self.journal.append(f"{head}{body}}}\n")
-        elif self.journal is not None:
-            record = {"op": op, "id": job.id}
-            if op == "done":
-                record["result"] = result
-            record["t"] = now
-            self.journal.append(record)
+        id_text, t_text = _encode(job.id), _encode(now)
+        body = (
+            f'{{"finished_at":{t_text},"id":{id_text},'
+            f'"requeues":{job.requeues},"result":{_encode(result)},'
+            f'"spec":{job._text or _encode(job.spec)},"state":"{state}",'
+            f'"submitted_at":{_encode(job.submitted_at)}}}')
+        head = f'{{"id":{id_text},"op":"{op}","t":{t_text},"job":'
+        offset = self.journal.append(f"{head}{body}}}\n")
         if state == "cancelled" and job.state == "queued":
             try:
                 self._queue.remove(job.id)
@@ -520,9 +476,8 @@ class WorkQueue:
         self._move(job, state)
         job.result = result
         job.finished_at = now
-        if self._lines:
-            del self.jobs[job.id]
-            self._index(job.id, offset + len(head), len(body))
+        del self.jobs[job.id]
+        self._index(job.id, offset + len(head), len(body))
 
     def cancel(self, job_id: str, now: float) -> Optional[Job]:
         """Cancel a job; idempotent (a second cancel is a no-op, not an
@@ -587,7 +542,7 @@ class WorkQueue:
     def complete(self, unit_id: str, result: dict,
                  now: Optional[float] = None) -> None:
         if now is None:
-            now = self.clock() if self.clock is not None else 0.0
+            now = self._now()
         unit_id = str(unit_id)
         job = self.jobs.get(unit_id) or self._finished(unit_id)
         if job is None:
@@ -629,8 +584,7 @@ class WorkQueue:
         return len(self._queue)
 
     def close(self) -> None:
-        if self.journal is not None:
-            self.journal.close()
+        self.journal.close()
 
     def stats(self) -> dict:
         return {
@@ -641,6 +595,6 @@ class WorkQueue:
             "results_dropped": self.results_dropped,
             "results_rejected": self.results_rejected,
             "depth": len(self._queue),
-            "journal_skipped": getattr(self.journal, "skipped", 0),
+            "journal_skipped": self.journal.skipped,
             **{f"state_{k}": v for k, v in self.counts().items()},
         }

@@ -231,7 +231,9 @@ class LiveWorld(AbstractContextManager):
     the temp dir. In between, the harness calls :meth:`pump` from its own
     loop: the 1 Hz health check and the one scheduled SIGKILL ride on it
     (``kill_node`` — default: the first ``victim_role`` node — at
-    ``kill_at`` seconds, inside the ``duration`` window). Nodes live for
+    ``kill_at`` seconds, inside the ``duration`` window; a client victim
+    at the first turn from then on that it is mid-unit, so the kill
+    always orphans work). Nodes live for
     ``duration + grace``, so a verify sweep runs against a live (possibly
     restarted) gateway instead of racing their deadline.
     """
@@ -319,7 +321,8 @@ class LiveWorld(AbstractContextManager):
         if now >= self._health_at:
             self.supervisor.check_health()
             self._health_at = now + 1.0
-        if self.kill_at is not None and self.kill_at <= now < self.duration:
+        if (self.kill_at is not None and self.kill_at <= now < self.duration
+                and self._victim_busy()):
             self.kill_at = None
             pid = self.supervisor.kill(self.kill_node)
             if pid is not None:
@@ -327,6 +330,17 @@ class LiveWorld(AbstractContextManager):
                                    "pid": pid})
                 self.say(f"chaos: killed {self.kill_node} (pid {pid}) "
                          f"at t={now:.1f}s")
+
+    def _victim_busy(self) -> bool:
+        """Whether a kill now orphans work. A client that said hello to
+        an empty queue idles until its next hello (``hello_retry``
+        later), so a client victim is busy once its last shipped stats
+        name a unit in hand and ops run; any other node always is."""
+        if self.topology.named(self.kill_node).role != "client":
+            return True
+        rec = self.collector.nodes.get(self.kill_node)
+        return (rec is not None and rec.stats.get("unit_id") is not None
+                and rec.stats.get("total_ops", 0) > 0)
 
     def wait_healthy(self, client, timeout: float = 15.0) -> None:
         """Pump until the gateway behind ``client`` answers ``/health``

@@ -1,9 +1,11 @@
-"""The one on-disk record log: line codec, flushed appender, reader.
+"""The one record log: line codec, flushed appender, reader.
 
 The job journal (:class:`~repro.control.workqueue.FileJournal` *is*
-:class:`RecordLog`), the flight-recorder spool and the ``/events`` body
-are the paper's "message typing, record boundaries" over a byte stream
-(PAPER.md §1) in one form: a JSON object per newline-terminated line.
+:class:`RecordLog`; the twin's ``MemoryJournal`` is its
+:meth:`~RecordLog.in_memory` form), the flight-recorder spool and the
+``/events`` body are the paper's "message typing, record boundaries"
+over a byte stream (PAPER.md §1) in one form: a JSON object per
+newline-terminated line.
 The three decisions they share are made here and nowhere else:
 
 * **line format** — :func:`encode_line`: sorted keys, compact
@@ -28,10 +30,11 @@ The three decisions they share are made here and nowhere else:
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Iterator, Union
+from typing import Iterator, Optional, Union
 
 __all__ = ["RecordLog", "encode_line", "read_records"]
 
@@ -75,19 +78,25 @@ def read_records(path: str) -> tuple[list[dict], int]:
     return records, log.skipped
 
 
+def _last_record_end(fh) -> int:
+    """Where the last newline-terminated line of the binary file ``fh``
+    ends, looking at the tail only — restart cost must not grow with
+    history."""
+    keep = fh.seek(0, os.SEEK_END)
+    while keep > 0:
+        start = max(keep - 4096, 0)
+        fh.seek(start)
+        keep = start + fh.read(keep - start).rfind(b"\n") + 1
+        if keep > start:
+            break  # found the last newline; else keep == start, go on
+    return keep
+
+
 def _open_after_last_record(path: str):
-    """Open ``path`` for append with any torn tail cut off, looking at
-    the tail only — restart cost must not grow with history."""
+    """Open ``path`` for append with any torn tail cut off."""
     fh = open(path, "ab")  # write-only: "a+b" pays a seek per flush
     with open(path, "rb") as tail:
-        keep = tail.seek(0, os.SEEK_END)
-        while keep > 0:
-            start = max(keep - 4096, 0)
-            tail.seek(start)
-            keep = start + tail.read(keep - start).rfind(b"\n") + 1
-            if keep > start:
-                break  # found the last newline; else keep == start, go on
-    fh.truncate(keep)
+        fh.truncate(_last_record_end(tail))
     return fh
 
 
@@ -97,9 +106,11 @@ class RecordLog:
     Every line stays where it was written, so a record — or a byte range
     inside one — is addressed by its file offset: :meth:`append` returns
     it, :meth:`scan` yields it and :meth:`read` reads a range back with
-    one positional read."""
+    one positional read. :meth:`in_memory` builds the same log over
+    bytes held in this process."""
 
-    def __init__(self, path: str) -> None:
+    def __init__(self, path: Optional[str]) -> None:
+        #: The file; None for a log whose bytes live in :attr:`_fh`.
         self.path = path
         self._fh = None
         self._fd = -1  # read-only, for read(); opened on first use
@@ -107,34 +118,49 @@ class RecordLog:
         #: aside): anything but 0 means the log is damaged mid-file.
         self.skipped = 0
 
+    @classmethod
+    def in_memory(cls, data: bytes = b"") -> "RecordLog":
+        """A log whose bytes live in this process (the twin's journal: a
+        simulated restart keeps them as the kernel keeps a killed
+        process's flushed writes). Built from ``data``, a log's bytes cut
+        anywhere, it drops the torn tail by the same rule as a file."""
+        log = cls(None)
+        log._fh = buf = io.BytesIO(data)
+        buf.seek(buf.truncate(_last_record_end(buf)))  # append at the end
+        return log
+
     def scan(self) -> Iterator[tuple[int, bytes, dict]]:
         """``(offset, line, record)`` for every record, in file order,
         one line in memory at a time; :attr:`skipped` is set once the
         scan is done. A missing file is an empty log."""
         skipped = offset = 0
-        if os.path.exists(self.path):
-            with open(self.path, "rb") as fh:
-                for line in fh:
-                    if not line.endswith(b"\n"):
-                        break  # torn tail: only the final line can lack "\n"
-                    try:
-                        # Decoding here, not in json.loads(bytes), which
-                        # sniffs the encoding per call and replays
-                        # measurably slower.
-                        record = json.loads(line.decode("utf-8"))
-                    except (ValueError, RecursionError):  # bad UTF-8 too
-                        record = None
-                    if isinstance(record, dict):
-                        yield offset, line, record
-                    else:
-                        skipped += 1
-                    offset += len(line)
+        source = (io.BytesIO(self._fh.getvalue()) if self.path is None
+                  else open(self.path, "rb") if os.path.exists(self.path)
+                  else io.BytesIO())
+        with source as fh:
+            for line in fh:
+                if not line.endswith(b"\n"):
+                    break  # torn tail: only the final line can lack "\n"
+                try:
+                    # Decoding here, not in json.loads(bytes), which
+                    # sniffs the encoding per call and replays
+                    # measurably slower.
+                    record = json.loads(line.decode("utf-8"))
+                except (ValueError, RecursionError):  # bad UTF-8 too
+                    record = None
+                if isinstance(record, dict):
+                    yield offset, line, record
+                else:
+                    skipped += 1
+                offset += len(line)
         self.skipped = skipped
 
     def read(self, offset: int, length: int) -> bytes:
-        """``length`` bytes of the log from ``offset``: one ``pread``.
-        Every append is flushed before it returns, so any range an
-        append reported is readable."""
+        """``length`` bytes of the log from ``offset``: one ``pread`` (a
+        slice in memory). Every append is flushed before it returns, so
+        any range an append reported is readable."""
+        if self.path is None:
+            return self._fh.getbuffer()[offset:offset + length].tobytes()
         if self._fd < 0:
             self._fd = os.open(self.path, os.O_RDONLY)
         return os.pread(self._fd, length, offset)
@@ -165,7 +191,8 @@ class RecordLog:
             self._write("".join(map(_line, records)))
 
     def close(self) -> None:
-        if self._fh is not None:
+        """Release the file's handles; an in-memory log keeps its bytes."""
+        if self._fh is not None and self.path is not None:
             self._fh.close()
             self._fh = None
         if self._fd >= 0:

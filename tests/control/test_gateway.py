@@ -46,11 +46,11 @@ def test_list_jobs_returns_the_newest_hundred_ids_oldest_first(n):
     from repro.control.gateway import MAX_LISTED_JOBS
 
     core = GatewayCore("gw-test", WorkQueue(prefix="t"))
-    core.work.submit_batch([{"i": i} for i in range(n)], now=0.0)
-    for job_id in list(core.work.jobs)[::3]:
+    ids = [job.id for job in core.work.submit_batch(
+        [{"i": i} for i in range(n)], now=0.0)]
+    for job_id in ids[::3]:
         core.work.cancel(job_id, now=1.0)
     status, doc, _ = core.handle("GET", "/jobs", b"", now=2.0)
-    ids = list(core.work.jobs)
     assert status == 200
     assert doc["jobs"] == ids[-MAX_LISTED_JOBS:]
     assert doc["truncated"] is (n > MAX_LISTED_JOBS)

@@ -92,7 +92,7 @@ def test_terminal_events_are_self_contained():
                                   now=3.0)
     assert status == 200
     assert [e for e in parse_jsonl(text) if e["event"] == "done"] == [done]
-    record = core.handle("GET", "/jobs/t-1", b"", now=3.0)[1]
+    record = json.loads(core.handle("GET", "/jobs/t-1", b"", now=3.0)[1])
     assert (done["result"], done["requeues"]) == (record["result"],
                                                   record["requeues"])
 

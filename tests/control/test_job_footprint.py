@@ -8,13 +8,17 @@ import json
 import random
 import tracemalloc
 
-from repro.control import FileJournal, GatewayCore, WorkQueue
+from repro.control import FileJournal, GatewayCore, MemoryJournal, WorkQueue
 
 #: Retained bytes per finished job as this test measures them on CPython
 #: 3.11: 960 while a job kept its spec and result objects, 496 holding
 #: the bytes GET /jobs/{id} serves, 72 as a range of the journal (16 B of
 #: index; the rest is this test's own list of ids).
 BYTES_PER_JOB = 100
+#: The same on the twin's in-memory log, whose bytes (submit and
+#: terminal lines, about 480 B per job here) are heap: 1,353 B while it
+#: kept record dicts and a ``Job`` per finished job.
+TWIN_BYTES_PER_JOB = 700
 
 
 def _bodies(n: int, seed: int = 1998) -> list:
@@ -44,9 +48,9 @@ def _serve(core: GatewayCore, bodies: list, t0: float) -> list:
     return ids
 
 
-def test_a_finished_job_retains_at_most_100_bytes(tmp_path):
-    work = WorkQueue(journal=FileJournal(str(tmp_path / "j.jsonl")),
-                     prefix="e2e")
+def _retained_per_job(work: WorkQueue) -> float:
+    """Traced bytes ``work`` retains per finished job over 2,000 jobs,
+    after a warm-up; the heap holds no finished job."""
     core = GatewayCore("gw", work)
     _serve(core, _bodies(10, seed=1), 0.0)  # imports, the kinds registry
     warm, bodies = _bodies(500, seed=2), _bodies(2000)
@@ -65,7 +69,21 @@ def test_a_finished_job_retains_at_most_100_bytes(tmp_path):
         tracemalloc.stop()
     work.close()
     assert work.counts()["done"] == 2510
+    assert len(work.jobs) == 0  # the live jobs: none
+    return per_job
+
+
+def test_a_finished_job_retains_at_most_100_bytes(tmp_path):
+    per_job = _retained_per_job(WorkQueue(
+        journal=FileJournal(str(tmp_path / "j.jsonl")), prefix="e2e"))
     assert per_job <= BYTES_PER_JOB, f"{per_job:.0f} B per finished job"
+
+
+def test_a_finished_job_on_the_twins_log_retains_at_most_700_bytes():
+    # The log's own bytes count here: they are the twin's heap.
+    per_job = _retained_per_job(WorkQueue(journal=MemoryJournal(),
+                                          prefix="e2e"))
+    assert per_job <= TWIN_BYTES_PER_JOB, f"{per_job:.0f} B per finished job"
 
 
 def test_replay_holds_only_live_jobs(tmp_path):

@@ -8,8 +8,8 @@ import json
 
 import pytest
 
-from repro.control import (FileJournal, GatewayCore, WorkQueue,
-                           json_response, render_payload)
+from repro.control import (FileJournal, GatewayCore, MemoryJournal,
+                           WorkQueue, json_response, render_payload)
 from repro.obs.prom import parse_prometheus, sample_value
 from repro.obs.recordlog import encode_line
 
@@ -38,17 +38,21 @@ def _fates(work: WorkQueue) -> list:
     return [queued, requeued_done, done, cancelled, requeued_cancelled]
 
 
-def test_get_bytes_are_the_same_before_and_after_a_restart(tmp_path):
+@pytest.mark.parametrize("kind", ["file", "memory"])
+def test_get_bytes_are_the_same_before_and_after_a_restart(tmp_path, kind):
     # A requeued job's finished body used to say "requeues":1 live and
-    # "requeues":0 once replayed: requeues were not journaled.
+    # "requeues":0 once replayed: requeues were not journaled. The twin's
+    # in-memory journal said 0 for longer, kept apart on its own path.
     path = str(tmp_path / "q.jsonl")
-    live = WorkQueue(journal=FileJournal(path), prefix="t")
+    journal = FileJournal(path) if kind == "file" else MemoryJournal()
+    live = WorkQueue(journal=journal, prefix="t")
     ids = _fates(live)
     before = {job_id: _get(GatewayCore("gw", live), job_id) for job_id in ids}
     assert b'"requeues":1' in before[ids[1]]
     assert b'"requeues":2' in before[ids[4]]
     live.close()
-    reborn = WorkQueue(journal=FileJournal(path), prefix="t")
+    reborn = WorkQueue(journal=FileJournal(path) if kind == "file"
+                       else journal, prefix="t")
     core = GatewayCore("gw", reborn)
     assert {job_id: _get(core, job_id) for job_id in ids} == before
     assert list(reborn.jobs) == [ids[0]]  # the heap holds the live job only

@@ -142,7 +142,7 @@ def test_a_spec_no_client_may_run_ends_refused_and_is_never_recomputed(
         "POST", "/jobs", json.dumps(OVERSIZED[name]).encode(), 0.0)
     assert status == 201, doc
     world.env.run(until=5.0)
-    job = world.gateway.work.jobs[doc["id"]]
+    job = world.gateway.work.get(doc["id"])
     assert job.state == "done" and "error" in job.result
     assert world.gateway.work.results_rejected == 0
     assert recomputed == [] and client.units_done == 0

@@ -66,7 +66,10 @@ def _cli_sha(report):
 
 #: ``repro serve --simulate --storm 4 --clients 3 --duration 60
 #: --kill-at 25 --seed 11``, the configuration CI used to run twice and diff.
-CI_SHA = "413e78aec4af3d46e5b2a64afe1797e75d1f98c452dbc2abd6aab668f3c4deaa"
+#: ``jobs.requeues`` is 1: gw0-job-27, requeued once and done at 13.0 s,
+#: keeps its requeue across the restart at 25 s (it said 0 while the
+#: twin's journal kept record dicts without the finished body).
+CI_SHA = "1ab7e53c28af2d09b5b218537437f0520bdab357a8b5db958ba41b01c960cec0"
 
 
 def test_ci_twin_report_is_pinned_byte_for_byte():

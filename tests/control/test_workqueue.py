@@ -5,6 +5,8 @@ from above, an unmodified SchedulerServer drains it from below, and the
 journal is the reason a SIGKILLed gateway never loses an accepted job.
 """
 
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,7 +55,7 @@ def test_duplicate_completion_is_counted_once():
     work.complete(job.id, {"v": 2}, now=2.0)
     assert (job.result, job.finished_at) == ({"v": 1}, 1.0)
     assert work.stats()["completed"] == 1
-    assert [r["op"] for r in work.journal.records()] == ["submit", "done"]
+    assert [r["op"] for _, _, r in work.journal.scan()] == ["submit", "done"]
 
 
 def test_cancel_is_idempotent_and_unknown_is_none():
@@ -288,10 +290,14 @@ _OPS = st.lists(st.one_of(
 ), max_size=25)
 
 
-def _lines(path) -> int:
-    """Complete (newline-terminated) lines in the file."""
-    with open(path, "rb") as fh:
-        return fh.read().count(b"\n")
+def _bytes(journal) -> bytes:
+    """Every byte ``journal`` holds, as a restart finds them."""
+    if journal.path is None:
+        return journal._fh.getvalue()
+    if not os.path.exists(journal.path):
+        return b""
+    with open(journal.path, "rb") as fh:
+        return fh.read()
 
 
 def _recount(work: WorkQueue, ids: list) -> dict:
@@ -328,16 +334,34 @@ def _as_replayed(body: bytes) -> bytes:
     return json_response(200, doc).partition(b"\r\n\r\n")[2]
 
 
+@pytest.mark.parametrize("kind", ["file", "memory"])
 @given(ops=_OPS, cut=st.integers(min_value=0))
 @settings(max_examples=60, deadline=None)
 def test_replayed_queue_equals_live_queue_and_no_crash_point_loses_a_job(
-        tmp_path_factory, ops, cut):
+        tmp_path_factory, kind, ops, cut):
+    import itertools
     import json
-    import os
 
     tmp = tmp_path_factory.mktemp("q")
-    path = str(tmp / "q.jsonl")
-    live = WorkQueue(journal=FileJournal(path), prefix="t")
+    names = itertools.count()
+
+    def log(data: bytes):
+        """A journal holding ``data``, as a restart after a crash finds
+        it: a file of those bytes (none for none), or the twin's log
+        built from them."""
+        if kind == "memory":
+            return MemoryJournal(data)
+        path = str(tmp / f"q-{next(names)}.jsonl")
+        if data:
+            with open(path, "wb") as fh:
+                fh.write(data)
+        return FileJournal(path)
+
+    def reopen(journal):
+        """The same journal after a restart."""
+        return journal if journal.path is None else FileJournal(journal.path)
+
+    live = WorkQueue(journal=log(b""), prefix="t")
     now, ids = 0.0, []
     #: journal size after an operation -> every body the live queue then
     #: served; a batch's lines land in one write, so a boundary inside it
@@ -360,8 +384,7 @@ def test_replayed_queue_equals_live_queue_and_no_crash_point_loses_a_job(
         else:
             live.cancel(job_id, now=now)
         assert live.counts() == _recount(live, ids)
-        size = os.path.getsize(path) if os.path.exists(path) else 0
-        points[size] = _served(live, ids)
+        points[len(_bytes(live.journal))] = _served(live, ids)
     live.close()
     terminal = ("done", "cancelled")
     # The heap holds exactly the live jobs, in submit order.
@@ -371,12 +394,9 @@ def test_replayed_queue_equals_live_queue_and_no_crash_point_loses_a_job(
     # Replay == live at every acknowledged record boundary: a finished
     # job serves the very bytes it served live, a live one comes back
     # queued, and nothing else is served.
-    journal = open(path, "rb").read() if os.path.exists(path) else b""
+    journal = _bytes(live.journal)
     for size, served in points.items():
-        cut_path = str(tmp / f"cut-{size}.jsonl")
-        with open(cut_path, "wb") as fh:
-            fh.write(journal[:size])
-        reborn = WorkQueue(journal=FileJournal(cut_path), prefix="t")
+        reborn = WorkQueue(journal=log(journal[:size]), prefix="t")
         assert _served(reborn, ids) == {
             job_id: body if json.loads(body)["state"] in terminal
             else _as_replayed(body)
@@ -385,7 +405,7 @@ def test_replayed_queue_equals_live_queue_and_no_crash_point_loses_a_job(
 
     # Replay == live: same live ids in submit order, back in the queue,
     # counts and next id unused.
-    reborn = WorkQueue(journal=FileJournal(path), prefix="t")
+    reborn = WorkQueue(journal=reopen(live.journal), prefix="t")
     assert list(reborn.jobs) == list(live.jobs)
     assert list(reborn._queue) == list(live.jobs)
     assert reborn.counts() == _recount(reborn, ids) == {
@@ -394,21 +414,21 @@ def test_replayed_queue_equals_live_queue_and_no_crash_point_loses_a_job(
     assert ids[-1] not in ids[:-1]
     reborn.close()
 
-    # Crash anywhere in the file: whatever survives, the next accepted
-    # job is neither lost nor duplicated.
-    with open(path, "a+b") as fh:
-        fh.truncate(cut % (fh.seek(0, 2) + 1))
-    complete = _lines(path)
-    crashed = WorkQueue(journal=FileJournal(path), prefix="t")
+    # Crash anywhere in the journal: whatever survives, the next
+    # accepted job is neither lost nor duplicated.
+    journal = _bytes(reborn.journal)
+    journal = journal[:cut % (len(journal) + 1)]
+    complete = journal.count(b"\n")
+    crashed = WorkQueue(journal=log(journal), prefix="t")
     accepted = crashed.submit({"after": "crash"}, now=now)
     crashed.close()
-    final = WorkQueue(journal=FileJournal(path), prefix="t")
+    final = WorkQueue(journal=reopen(crashed.journal), prefix="t")
     assert final.get(accepted.id).spec == {"after": "crash"}
     assert final.journal.skipped == 0
     survivors = [j for j in dict.fromkeys(ids + [accepted.id])
                  if final.get(j) is not None]
     assert final.counts() == _recount(final, survivors)
-    assert _lines(path) == complete + 1
+    assert _bytes(final.journal).count(b"\n") == complete + 1
 
 
 def test_stats_are_json_safe_counters():
@@ -425,17 +445,14 @@ def test_stats_are_json_safe_counters():
 
 # -- batch submission (POST /jobs/batch) ------------------------------------
 
-class _SpyJournal(MemoryJournal):
+class _SpyJournal(FileJournal):
     """Counts journal calls: a batch must cost ONE append_many."""
 
-    def __init__(self):
-        super().__init__()
-        self.appends = 0
-        self.batches = 0
+    appends = batches = 0
 
     def append(self, record):
         self.appends += 1
-        super().append(record)
+        return super().append(record)
 
     def append_many(self, records):
         self.batches += 1
@@ -443,7 +460,7 @@ class _SpyJournal(MemoryJournal):
 
 
 def test_submit_batch_mints_ids_in_order_one_journal_call():
-    spy = _SpyJournal()
+    spy = _SpyJournal.in_memory()
     work = WorkQueue(journal=spy, prefix="t")
     jobs = work.submit_batch([{"i": 0}, {"i": 1}, {"i": 2}], now=1.0)
     assert [j.id for j in jobs] == ["t-1", "t-2", "t-3"]

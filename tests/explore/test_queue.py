@@ -49,7 +49,11 @@ class CoreClient:
     def job(self, job_id):
         self.calls.append(("job", job_id))
         status, doc, _ = self._handle("GET", f"/jobs/{job_id}")
-        return doc if status == 200 else None
+        if status != 200:
+            return None
+        # A finished job is served as its journaled body: parse it here,
+        # at the edge, as GatewayClient parses the HTTP body.
+        return json.loads(doc) if isinstance(doc, bytes) else doc
 
     def events(self, since=-1, wait=0.0, limit=500):
         self.calls.append(("events", since, wait))

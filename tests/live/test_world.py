@@ -116,18 +116,45 @@ def _released(stubs):
     return collector.closed and allocator._held == []
 
 
+def _shipped(**stats):
+    """A collector record whose last report carried ``stats``."""
+    return SimpleNamespace(stats=stats)
+
+
 def test_kill_fires_exactly_once_at_kill_at(stubs):
     said = []
     with LiveWorld(_topology(), duration=10.0, kill_at=3.0,
                    progress=said.append) as world:
         assert world.supervisor.spawned
         assert world.kill_node == "cli0"         # first victim_role node
+        world.collector.nodes["cli0"] = _shipped(unit_id="t-1", total_ops=1.0)
         while world.supervisor.now() < 10.0:
             world.pump()
         assert world.supervisor.kills == [("cli0", 3.0)]
         assert world.chaos == [{"t": 3.0, "node": "cli0", "pid": 4242}]
     assert [line for line in said if line.startswith("chaos:")] == [
         "chaos: killed cli0 (pid 4242) at t=3.0s"]
+
+
+def test_a_client_is_killed_only_mid_unit(stubs):
+    """A client that said hello to an empty queue idles until its next
+    hello, and a kill then orphans nothing: the kill waits for shipped
+    stats naming a unit in hand and ops run."""
+    with LiveWorld(_topology(), duration=10.0, kill_at=1.0) as world:
+        while world.supervisor.now() < 1.5:      # never heard from yet
+            world.pump()
+        world.collector.nodes["cli0"] = _shipped(unit_id=None, total_ops=0.0)
+        while world.supervisor.now() < 2.0:      # idle
+            world.pump()
+        world.collector.nodes["cli0"] = _shipped(unit_id="t-1", total_ops=0.0)
+        while world.supervisor.now() < 3.0:      # assigned, not worked on
+            world.pump()
+        assert world.supervisor.kills == []
+        world.collector.nodes["cli0"] = _shipped(unit_id="t-1",
+                                                 total_ops=75_000.0)
+        while world.supervisor.now() < 10.0:
+            world.pump()
+        assert world.supervisor.kills == [("cli0", 3.25)]
 
 
 def test_victim_defaults_to_the_first_node_of_the_harness_role(stubs):

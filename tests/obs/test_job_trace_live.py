@@ -9,13 +9,15 @@ incarnations of the client, merged onto one timeline around the
 requeue. Cancels are off: a cancelled in-flight job is (correctly)
 dropped on requeue.
 
-The unit is sized so the kill always lands mid-unit. On K_18 there is
-no R(4,4) counter-example (R(4,4) = 18), so a unit never ends early: it
-runs its whole ops budget, 600k ops or 2 s at the topology's 300k
-ops/s. The client takes its first unit about 0.5 s into the storm, so
-it is still working on it at the kill 1.5 s into the storm; the
+The kill lands mid-unit by construction. On K_18 there is no R(4,4)
+counter-example (R(4,4) = 18), so a unit never ends early: it runs its
+whole ops budget, 600k ops or 2 s at the topology's 300k ops/s. The
+world kills a client victim at 1.5 s into the storm or, if later, once
+the client's shipped stats show a unit in hand and ops run on it: a
+client that said hello before the first job arrived idles until its
+next hello, 2 s later, and a kill at 1.5 s would orphan nothing. The
 replacement restarts after the 3 s backoff and finishes the requeued
-unit about 7 s into the storm, inside the 9 s run.
+unit at most about 8 s into the storm, inside the 9 s run.
 """
 
 import collections
