@@ -174,32 +174,30 @@ def _cmd_pet(args: argparse.Namespace) -> int:
     return 0 if corr > 0.8 else 1
 
 
-def _run_observed(args: argparse.Namespace, trace: bool):
-    """Build and run the scenario named by ``args``; returns
-    (report dict, telemetry, engine profiler or None)."""
-    profiler = None
+def _run_scenario(args: argparse.Namespace, trace: bool):
+    """Build and run the scenario named by ``args``; returns (report
+    dict, telemetry). ``--profile-engine`` sets ``telemetry.profiler``."""
+    from .core.telemetry import Telemetry
+
+    telemetry = Telemetry()
     if getattr(args, "profile_engine", False):
         from .simgrid.profile import EngineProfiler
 
-        profiler = EngineProfiler()
+        telemetry.profiler = EngineProfiler()
     if args.scenario == "observe":
         from .experiments.observe import ObserveConfig, ObserveWorld
 
         cfg = ObserveConfig(seed=args.seed, duration=args.duration)
-        world = ObserveWorld(cfg, trace=trace)
-        world.env.profiler = profiler
-        report = world.run()
-        return report, world.telemetry, profiler
+        return ObserveWorld(cfg, telemetry, trace=trace).run(), telemetry
     from .experiments.chaos import ChaosConfig, ChaosWorld
     from .experiments.observe import requeue_chains
 
     cfg = ChaosConfig(seed=args.seed, duration=args.duration)
-    world = ChaosWorld(args.chaos_profile, cfg, trace=trace)
-    world.env.profiler = profiler
-    report = world.run().to_dict()
+    report = ChaosWorld(args.chaos_profile, cfg, telemetry,
+                        trace=trace).run().to_dict()
     if trace:
-        report["requeue_chains"] = requeue_chains(world.telemetry)
-    return report, world.telemetry, profiler
+        report["requeue_chains"] = requeue_chains(telemetry)
+    return report, telemetry
 
 
 def _observed_arguments(p: argparse.ArgumentParser) -> None:
@@ -208,7 +206,8 @@ def _observed_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--chaos-profile", default="crash-heavy",
                    help="fault profile when --scenario chaos")
     p.add_argument("--profile-engine", action="store_true",
-                   help="profile the event loop and handler latencies")
+                   help="time every message handler per (component, "
+                        "message type) and print the table")
 
 
 def _cmd_trace_job(args: argparse.Namespace) -> int:
@@ -244,7 +243,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     if args.job:
         return _cmd_trace_job(args)
-    report, telemetry, profiler = _run_observed(args, trace=True)
+    report, telemetry = _run_scenario(args, trace=True)
+    profiler = telemetry.profiler
     chains = report.get("requeue_chains", [])
     print(render_trace_summary(telemetry))
     print(f"\n{len(chains)} fault->requeue chain(s)")
@@ -285,12 +285,12 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
     from .core.telemetry import write_metrics_json
 
-    report, telemetry, profiler = _run_observed(args, trace=False)
+    report, telemetry = _run_scenario(args, trace=False)
     snapshot = telemetry.snapshot()
     print(json.dumps(snapshot, indent=1, sort_keys=True))
-    if profiler is not None:
+    if telemetry.profiler is not None:
         print()
-        print(profiler.render())
+        print(telemetry.profiler.render())
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = write_metrics_json(telemetry, os.path.join(args.out, "metrics.json"))

@@ -215,11 +215,13 @@ class ComponentDriver:
         self._invoke(span, "ok", now, self.component.on_start)
 
     # -- one arrived message --------------------------------------------------
-    def _dispatch(self, message: Message, now: float, timing=None) -> None:
-        """Hand one decoded message to the component. ``timing``, when
-        given, receives ``record_handler(component, mtype, wall_seconds)``
-        for the handler call alone."""
-        tracer = self.telemetry.tracer
+    def _dispatch(self, message: Message, now: float) -> None:
+        """Hand one decoded message to the component. The telemetry's
+        profiler, when set, receives ``record_handler(component, mtype,
+        wall_seconds)`` for the handler call alone."""
+        telemetry = self.telemetry
+        tracer = telemetry.tracer
+        timing = telemetry.profiler
         if self.tracker is not None:
             resolved = self.tracker.resolve(message.reply_to, now)
             if resolved is not None and resolved.span is not None:
@@ -227,8 +229,7 @@ class ComponentDriver:
         counter = self._recv_counters.get(message.mtype)
         if counter is None:
             counter = self._recv_counters[message.mtype] = (
-                self.telemetry.metrics.counter("msg.recv",
-                                               mtype=message.mtype))
+                telemetry.metrics.counter("msg.recv", mtype=message.mtype))
         counter.value += 1
         span = None
         if tracer.enabled:

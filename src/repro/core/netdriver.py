@@ -83,8 +83,7 @@ class NetDriver(ComponentDriver):
         #: to stop at the next reactor turn; drained by :meth:`step`.
         self._stop_requested: Optional[str] = None
         #: Invoked once per reactor turn (telemetry shippers, supervisors
-        #: piggybacking on the loop) — the wall-clock twin of the sim
-        #: engine's ``drain_hook``.
+        #: piggybacking on the loop).
         self.tick_hook: Optional[Callable[[], None]] = None
         #: Invoked (in order) during :meth:`shutdown` after timers are
         #: cancelled, before sockets close: flush pending telemetry/log

@@ -178,7 +178,7 @@ class SimDriver(ComponentDriver):
                 return  # corrupt data on the wire: dropped, keep listening
         env = self.env
         now = env._now
-        self._dispatch(message, now, env.profiler)
+        self._dispatch(message, now)
         heap = self._deadlines.heap
         if heap and heap[0][0] <= now:
             self._fire_due(now)

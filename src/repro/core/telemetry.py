@@ -429,11 +429,14 @@ class SpanCursor:
 
 
 class Telemetry:
-    """One world's observability handle: metrics + tracer."""
+    """One world's observability handle: metrics + tracer, and the
+    handler timing every driver sharing it feeds when ``profiler`` (a
+    :class:`repro.simgrid.profile.EngineProfiler`) is set."""
 
     def __init__(self, trace: bool = False, id_base: int = 0) -> None:
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(enabled=trace, id_base=id_base)
+        self.profiler = None
 
     def event(
         self,

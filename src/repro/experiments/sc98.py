@@ -388,14 +388,9 @@ class SC98World(SimWorld):
         for adapter in self.adapters:
             adapter.deploy()
         self.sampler.start_sampling()
-        if self.compute_lane is not None and self.compute_lane.workers > 0:
-            # Harvest pool completions (and refresh queue-depth gauges)
-            # at every event boundary while the world runs.
-            self.env.drain_hook = self.compute_lane.drain
         try:
             self.env.run(until=self.config.duration)
         finally:
-            self.env.drain_hook = None
             self.close()
         return self.results()
 

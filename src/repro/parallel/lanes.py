@@ -48,8 +48,6 @@ class ComputeLane(Protocol):
 
     def result(self, ticket: int): ...
 
-    def drain(self) -> list[tuple]: ...
-
     def close(self) -> None: ...
 
 
@@ -89,9 +87,6 @@ class InlineLane:
                 self._done.pop(i)
                 return result
         raise KeyError(f"ticket {ticket} is not pending on this lane")
-
-    def drain(self) -> list[tuple]:
-        return self.collect()
 
     def close(self) -> None:
         pass
@@ -152,10 +147,6 @@ class PoolLane:
         done = self._buffer + fresh
         self._buffer = []
         return done
-
-    def drain(self) -> list[tuple]:
-        """Non-blocking harvest — the engine drain hook's entry point."""
-        return self.collect(block=False)
 
     def run(self, task):
         """Submit and wait for this task; completions for other tickets

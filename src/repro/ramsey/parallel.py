@@ -47,24 +47,16 @@ class ParallelEvaluator(Component):
     """Evaluates candidate edge flips on the current coloring.
 
     With a compute lane the evaluation round runs as an
-    :class:`repro.parallel.EvalRound` kernel task — synchronously by
-    default, or (``defer=True``) submitted at message delivery and
-    harvested on a zero-delay timer, which lets every evaluator hit by
-    the same barrier round get its task in flight before the first
-    result is consumed. Either way the reply carries the same bytes the
-    inline loop produces: kernels are bit-identical and op-metered.
+    :class:`repro.parallel.EvalRound` kernel task, waited for inside the
+    handler (``lane.run``); the reply carries the same bytes the inline
+    loop produces: kernels are bit-identical and op-metered.
     """
 
-    #: Timer-key prefix for deferred lane completions.
-    T_TASK = "par:task:"
-
-    def __init__(self, name: str, lane=None, defer: bool = False) -> None:
+    def __init__(self, name: str, lane=None) -> None:
         super().__init__(name)
         self.ops = OpCounter()
         self.rounds_served = 0
         self.lane = lane
-        self.defer = bool(defer) and lane is not None
-        self._deferred: dict[int, tuple] = {}  # ticket -> (sender, round)
 
     def _evaluate_inline(
         self, coloring: Coloring, edges: list, n: int
@@ -109,30 +101,10 @@ class ParallelEvaluator(Component):
                                best_edge, best_delta)
         from ..parallel import EvalRound
 
-        task = EvalRound(k, n, coloring.red, edges)
-        if self.defer:
-            ticket = self.lane.submit(task)
-            self._deferred[ticket] = (message.sender, body.get("round"))
-            return [SetTimer(f"{self.T_TASK}{ticket}", 0.0)]
-        outcome = self.lane.run(task)
+        outcome = self.lane.run(EvalRound(k, n, coloring.red, edges))
         self.ops.add(outcome.ops)
         return self._reply(message.sender, body.get("round"),
                            outcome.best_move, outcome.best_delta)
-
-    def on_timer(self, key: str, now: float) -> list[Effect]:
-        if not key.startswith(self.T_TASK):
-            return []
-        ticket = int(key[len(self.T_TASK):])
-        pending = self._deferred.pop(ticket, None)
-        if pending is None:
-            return []
-        sender, round_no = pending
-        outcome = self.lane.result(ticket)
-        if outcome is None:  # skipped/crashed past all fallbacks
-            return []
-        self.ops.add(outcome.ops)
-        return self._reply(sender, round_no, outcome.best_move,
-                           outcome.best_delta)
 
 
 class ParallelTabuCoordinator(Component):

@@ -467,7 +467,7 @@ class Environment:
     """Execution environment: clock, event queue, and process management."""
 
     __slots__ = ("_now", "_queue", "_seq", "_active_process", "_free_timeouts",
-                 "profiler", "drain_hook", "_arrival_kind", "_arrive")
+                 "_arrival_kind", "_arrive")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
@@ -479,17 +479,6 @@ class Environment:
         #: queue, so the list never outgrows the peak number of timeouts
         #: that were ever simultaneously scheduled.
         self._free_timeouts: list[Timeout] = []
-        #: Optional :class:`repro.simgrid.profile.EngineProfiler`. ``None``
-        #: (the default) keeps run() on the inlined fast loops — the only
-        #: cost of the feature when disabled is this one attribute check at
-        #: run() entry plus one per driver-handled message.
-        self.profiler = None
-        #: Optional zero-arg callable invoked between events (after each
-        #: event's callbacks). Used by the compute plane to drain pool
-        #: completions and refresh queue-depth gauges without the lane
-        #: owning the run loop. ``None`` (the default) keeps run() on the
-        #: inlined fast loops — one attribute check at run() entry.
-        self.drain_hook = None
         self._arrival_kind = self._arrive = None  # see on_arrival()
 
     @property
@@ -566,7 +555,7 @@ class Environment:
         self._arrival_kind, self._arrive = kind, handler
 
     def _fire(self, tag: int, event: Any) -> None:
-        """Process one popped queue item (the slow paths' step)."""
+        """Process one popped queue item (step()'s body; run() inlines it)."""
         cls = type(event)
         if cls is self._arrival_kind:
             self._arrive(event)
@@ -617,8 +606,7 @@ class Environment:
             sentinel = (stop_at, _DEADLINE_TAG, _Deadline())
             heappush(self._queue, sentinel)
         try:
-            observed = self.profiler is not None or self.drain_hook is not None
-            if self._run_observed() if observed else self._run_fast():
+            if self._loop():
                 sentinel = None  # popped: nothing to withdraw
         except StopSimulation as stop:
             if sentinel is None:
@@ -635,7 +623,7 @@ class Environment:
             raise SimulationError("run() until-event was never triggered")
         return None
 
-    def _run_fast(self) -> bool:
+    def _loop(self) -> bool:
         """step() inlined with hot names bound to locals, until the queue
         empties or the deadline sentinel pops (True). After an event's
         callbacks, a refcount of exactly 2 (the loop local + getrefcount's
@@ -680,40 +668,3 @@ class Environment:
             elif not event._ok and not event._defused:
                 raise event._value
         return False
-
-    def _run_observed(self) -> bool:
-        """_run_fast() twin taken when a profiler, a drain hook, or both
-        are attached: identical scheduling semantics. The profiler samples
-        per-event-type counts and callback wall time; the hook is called
-        between events so an external completion source (the compute
-        plane's worker pool) is harvested at every event boundary. Skips
-        the Timeout-recycling micro-optimization — observed runs measure
-        (and the hook may retain event references), fast runs race."""
-        from time import perf_counter
-
-        profiler = self.profiler
-        hook = self.drain_hook
-        queue = self._queue
-        by_type = None if profiler is None else profiler.events_by_type
-        run_t0 = perf_counter()
-        try:
-            while queue:
-                self._now, tag, event = heappop(queue)
-                if type(event) is _Deadline:
-                    return True
-                if profiler is None:
-                    self._fire(tag, event)
-                else:
-                    tname = (event.__qualname__ if type(event) is MethodType
-                             else type(event).__name__)
-                    by_type[tname] = by_type.get(tname, 0) + 1
-                    profiler.events += 1
-                    t0 = perf_counter()
-                    self._fire(tag, event)
-                    profiler.callback_time += perf_counter() - t0
-                if hook is not None:
-                    hook()
-            return False
-        finally:
-            if profiler is not None:
-                profiler.run_wall_time += perf_counter() - run_t0

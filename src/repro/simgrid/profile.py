@@ -1,16 +1,17 @@
-"""Engine-level profiling: event-loop and handler latency sampling.
+"""Handler timing: wall latency per ``(component, message type)``.
 
-Attach an :class:`EngineProfiler` to :attr:`Environment.profiler
-<repro.simgrid.engine.Environment.profiler>` before calling ``run()`` and
-the engine switches to a sampling twin of its event loop; drivers feed
-per-component ``on_message`` wall latency through
-:meth:`EngineProfiler.record_handler`. Detached (the default), the only
-residual cost is one attribute check at ``run()`` entry and one per
-driver-handled message.
+The paper's dynamic benchmarking (§2) tags each program event by where
+it ran and what it was, and times it. Set an :class:`EngineProfiler` as
+:attr:`Telemetry.profiler <repro.core.telemetry.Telemetry.profiler>` and
+every driver sharing that telemetry — ``SimDriver`` on the simulated
+grid, ``NetDriver`` on real sockets — feeds
+:meth:`EngineProfiler.record_handler` around each
+``Component.on_message``. Unset (the default), the cost is one attribute
+check per handled message.
 
-All numbers here are *wall-clock* (they answer "where does the simulation
-spend host CPU?"), so they are intentionally excluded from the
-deterministic trace/metrics exports whose digests the tier-1 suite pins
+All numbers here are *wall-clock* (they answer "where does the host CPU
+go?"), so they are intentionally excluded from the deterministic
+trace/metrics exports whose digests the tier-1 suite pins
 (``tests/experiments/test_observe.py -k pinned``).
 """
 
@@ -20,17 +21,9 @@ __all__ = ["EngineProfiler"]
 
 
 class EngineProfiler:
-    """Accumulated event-loop statistics for one or more ``run()`` calls."""
+    """Accumulated handler timing over every run it was attached to."""
 
     def __init__(self) -> None:
-        #: Total events popped off the queue.
-        self.events = 0
-        #: Events by concrete event class name (Timeout, Process, ...).
-        self.events_by_type: dict[str, int] = {}
-        #: Wall seconds spent inside event callbacks.
-        self.callback_time = 0.0
-        #: Wall seconds spent inside ``run()`` overall.
-        self.run_wall_time = 0.0
         #: ``(component, mtype) -> [calls, total_seconds, max_seconds]``
         #: fed by the drivers around ``Component.on_message``.
         self.handlers: dict[tuple[str, str], list] = {}
@@ -44,18 +37,9 @@ class EngineProfiler:
         if seconds > cell[2]:
             cell[2] = seconds
 
-    @property
-    def events_per_second(self) -> float:
-        return self.events / self.run_wall_time if self.run_wall_time else 0.0
-
     def report(self) -> dict:
         """Structured profile (wall-clock values; not diff-stable)."""
         return {
-            "events": self.events,
-            "events_by_type": dict(sorted(self.events_by_type.items())),
-            "events_per_second": round(self.events_per_second, 1),
-            "callback_time_s": round(self.callback_time, 6),
-            "run_wall_time_s": round(self.run_wall_time, 6),
             "handlers": {
                 f"{comp}:{mtype}": {
                     "calls": calls,
@@ -118,14 +102,8 @@ class EngineProfiler:
 
     def render(self, top: int = 15) -> str:
         """Human-readable profile summary."""
-        lines = [
-            f"events processed : {self.events}",
-            f"events/s (wall)  : {self.events_per_second:,.0f}",
-            f"callback time    : {self.callback_time:.4f}s "
-            f"of {self.run_wall_time:.4f}s run wall time",
-            "events by type   : " + ", ".join(
-                f"{k}={v}" for k, v in sorted(self.events_by_type.items())),
-        ]
+        lines = [f"handled messages : "
+                 f"{sum(cell[0] for cell in self.handlers.values())}"]
         if self.handlers:
             lines.append("slowest handlers (by total wall time):")
             ranked = sorted(self.handlers.items(), key=lambda kv: -kv[1][1])

@@ -12,6 +12,8 @@ from repro.core.component import Component, Send, SetTimer, Stop
 from repro.core.gossip import ComparatorRegistry, GossipAgent, GossipServer, StateStore
 from repro.core.linguafranca.messages import Message
 from repro.core.netdriver import NetDriver
+from repro.core.telemetry import Telemetry
+from repro.simgrid.profile import EngineProfiler
 
 
 class DriverThread:
@@ -89,8 +91,12 @@ def test_timers_fire_on_wall_clock():
 
 
 def test_two_components_message_over_real_sockets():
+    """...and the live plane fills the same handler-timing table as the
+    simulated one: one cell per handled (component, mtype)."""
+    telemetry = Telemetry()
+    telemetry.profiler = EngineProfiler()
     echo = EchoComponent()
-    echo_driver = NetDriver(echo)
+    echo_driver = NetDriver(echo, telemetry=telemetry)
 
     class Caller(Component):
         def __init__(self, target):
@@ -108,10 +114,13 @@ def test_two_components_message_over_real_sockets():
 
     echo_driver.start()
     caller = Caller(echo_driver.contact)
-    caller_driver = NetDriver(caller)
+    caller_driver = NetDriver(caller, telemetry=telemetry)
     with DriverThread(echo_driver, caller_driver):
         assert wait_until(lambda: caller.got == ["PONG"])
     assert echo.seen == ["PING"]
+    handlers = telemetry.profiler.handlers
+    assert {cell: calls for cell, (calls, _, _) in handlers.items()} == {
+        ("echo", "PING"): 1, ("caller", "PONG"): 1}
 
 
 def test_send_to_dead_peer_is_silent():

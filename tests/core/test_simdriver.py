@@ -476,8 +476,8 @@ def test_tracing_spans_and_handler_profile_still_fire():
             return []
 
     env, streams, net, hosts = build()
-    env.profiler = EngineProfiler()
     tel = Telemetry(trace=True)
+    tel.profiler = EngineProfiler()
     caller = Caller("caller", peer="h1/p", rounds=1)
     SimDriver(env, net, hosts[1], "p", PingPong("pong"), streams,
               telemetry=tel).start()
@@ -492,8 +492,8 @@ def test_tracing_spans_and_handler_profile_still_fire():
     (timer,) = tracer.named("timer t")
     assert timer.start == 5.0
     assert timer.parent_id == tracer.named("start caller")[0].span_id
-    assert env.profiler.handlers[("pong", "PING")][0] == 1
-    assert env.profiler.handlers[("caller", "PONG")][0] == 1
+    assert tel.profiler.handlers[("pong", "PING")][0] == 1
+    assert tel.profiler.handlers[("caller", "PONG")][0] == 1
 
 
 def test_raw_bytes_to_a_driver_are_parsed_and_garbage_is_dropped_without_effects():

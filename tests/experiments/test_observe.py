@@ -5,6 +5,7 @@ same-seed exports."""
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -131,8 +132,23 @@ def test_cli_trace_writes_exports(tmp_path, capsys):
     assert report["scenario"] == "observe"
 
 
-def test_cli_metrics_prints_snapshot(capsys):
-    code = main(["metrics", "--scenario", "observe", "--duration", "120"])
+@pytest.mark.parametrize("flags", [[], ["--profile-engine"]],
+                         ids=["plain", "profile-engine"])
+def test_cli_metrics_prints_snapshot(capsys, flags):
+    code = main(["metrics", "--scenario", "observe", "--duration", "120",
+                 *flags])
     assert code == 0
-    snap = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    snapshot, _, table = out.partition("\n\nhandled messages : ")
+    snap = json.loads(snapshot)
     assert "counters" in snap and "gauges" in snap
+    assert bool(table) == bool(flags)
+    if flags:
+        # Every handled message is timed, in one row per (component,
+        # mtype) cell, e.g. the scheduler's handling of client reports.
+        handled = sum(v for k, v in snap["counters"].items()
+                      if k.startswith("msg.recv{"))
+        assert table.startswith(f"{handled}\n")
+        assert "slowest handlers (by total wall time):" in table
+        assert re.search(r"^  sched\S*\s+SCH_REPORT\s+calls=[1-9]", table,
+                         re.M), table

@@ -2,8 +2,8 @@
 
 The compute plane's whole claim is that offloading changes wall-clock
 time and nothing else. These tests run the same seeded scenarios with
-the inline lane, a worker pool, and (for the evaluator) deferred
-harvesting, and require identical simulation outcomes — results, world
+the inline lane and a worker pool, and require identical simulation
+outcomes — results, world
 metrics snapshots (message counters per type are a wire-traffic
 fingerprint), and search trajectories.
 """
@@ -50,8 +50,7 @@ def test_sc98_pool_run_twice_identical():
     assert first == second
 
 
-def _coordinator_world(k, n, lane=None, defer=False, n_evals=2, seed=2,
-                       max_rounds=30):
+def _coordinator_world(k, n, lane=None, n_evals=2, seed=2, max_rounds=30):
     env = Environment()
     streams = RngStreams(seed=seed)
     net = Network(env, streams, jitter=0.0)
@@ -64,7 +63,7 @@ def _coordinator_world(k, n, lane=None, defer=False, n_evals=2, seed=2,
 
     contacts = []
     for i in range(n_evals):
-        ev = ParallelEvaluator(f"eval{i}", lane=lane, defer=defer)
+        ev = ParallelEvaluator(f"eval{i}", lane=lane)
         SimDriver(env, net, add(f"eval{i}"), "eval", ev, streams).start()
         contacts.append(f"eval{i}/eval")
     coord = ParallelTabuCoordinator(
@@ -86,39 +85,9 @@ def test_evaluator_lane_modes_preserve_coordinator_trajectory():
 
     lane = make_lane(2)
     try:
-        env2, sync = _coordinator_world(14, 4, lane=lane)
-        env2.drain_hook = lane.drain
+        env2, pooled = _coordinator_world(14, 4, lane=lane)
         env2.run(until=3000)
-
-        env3, deferred = _coordinator_world(14, 4, lane=lane, defer=True)
-        env3.drain_hook = lane.drain
-        env3.run(until=3000)
     finally:
         lane.close()
 
-    assert _trajectory(sync) == _trajectory(baseline)
-    assert _trajectory(deferred) == _trajectory(baseline)
-
-
-def test_drain_hook_does_not_perturb_scheduling():
-    def clock_series(hook: bool) -> list[float]:
-        env = Environment()
-        seen: list[float] = []
-
-        def ticker(env, period):
-            for _ in range(50):
-                yield env.timeout(period)
-                seen.append(env.now)
-
-        for i in range(5):
-            env.process(ticker(env, 1.0 + 0.1 * i))
-        if hook:
-            calls = []
-            env.drain_hook = lambda: calls.append(env.now)
-            env.run()
-            assert calls, "drain hook never invoked"
-        else:
-            env.run()
-        return seen
-
-    assert clock_series(hook=True) == clock_series(hook=False)
+    assert _trajectory(pooled) == _trajectory(baseline)

@@ -1,7 +1,8 @@
-"""Engine profiler: the sampling run() twin must count events without
-changing what the simulation computes, and the report/render surfaces
-must be well-formed. Wall-clock values are asserted only as sane (>= 0),
-never exact — they are intentionally not deterministic.
+"""Handler timing: an :class:`EngineProfiler` set on the world's
+``Telemetry`` must count every handled message per ``(component, mtype)``
+without changing what the simulation computes, and the report/render
+surfaces must be well-formed. Wall-clock values are asserted only as sane
+(>= 0), never exact — they are intentionally not deterministic.
 """
 
 from repro.core.component import Component, Send
@@ -43,13 +44,13 @@ class Pong(Component):
 
 def _run(profiler, n=20):
     env = Environment()
-    env.profiler = profiler
     streams = RngStreams(seed=11)
     net = Network(env, streams, jitter=0.0)
     hosts = [Host(env, HostSpec(name=f"h{i}"), streams) for i in range(2)]
     for h in hosts:
         net.add_host(h)
     tel = Telemetry()
+    tel.profiler = profiler
     ping = Ping("h1/pong", n)
     SimDriver(env, net, hosts[1], "pong", Pong("pong"), streams,
               telemetry=tel).start()
@@ -74,64 +75,36 @@ def test_profiled_run_counts_events_and_preserves_outcome():
     baseline_env, baseline_ping = _run(profiler=None)
     profiler = EngineProfiler()
     env, ping = _run(profiler=profiler)
-    # Same simulated outcome: the profiler twin observes, never perturbs.
+    # Same simulated outcome: the profiler observes, never perturbs.
     assert ping.pongs == baseline_ping.pongs == 20
     assert env.now == baseline_env.now
-    # The loop counted real work.
-    assert profiler.events > 0
-    assert sum(profiler.events_by_type.values()) == profiler.events
-    assert profiler.run_wall_time >= profiler.callback_time >= 0.0
-    # Drivers fed handler latencies for both components.
-    components = {comp for comp, _ in profiler.handlers}
-    assert components == {"ping", "pong"}
-    assert profiler.handlers[("ping", "PONG")][0] == 20
+    # Both drivers fed one cell per handled (component, mtype).
+    assert {cell: calls for cell, (calls, _, _) in profiler.handlers.items()
+            } == {("pong", "PING"): 20, ("ping", "PONG"): 20}
+    for calls, total, mx in profiler.handlers.values():
+        assert total >= mx >= 0.0
 
 
 def test_report_and_render_are_well_formed():
     profiler = EngineProfiler()
     _run(profiler=profiler)
     report = profiler.report()
-    assert report["events"] == profiler.events
-    assert report["events_per_second"] >= 0.0
-    assert list(report["events_by_type"]) == sorted(report["events_by_type"])
+    assert list(report["handlers"]) == ["ping:PONG", "pong:PING"]
+    assert all(cell["calls"] == 20 and cell["mean_us"] >= 0.0
+               for cell in report["handlers"].values())
     text = profiler.render()
-    assert "events processed" in text
+    assert "handled messages : 40" in text
     assert "slowest handlers" in text
     assert "pong" in text
 
 
 def test_profiler_detached_by_default():
-    env = Environment()
-    assert env.profiler is None
+    assert Telemetry().profiler is None
 
 
 def test_accumulates_across_runs():
     profiler = EngineProfiler()
     _run(profiler=profiler, n=5)
-    first = profiler.events
+    assert profiler.handlers[("ping", "PONG")][0] == 5
     _run(profiler=profiler, n=5)
-    assert profiler.events > first
-
-
-def test_profiler_and_drain_hook_are_both_honoured():
-    """A pooled real-engine world under the profiler must keep harvesting
-    at event boundaries: the hook fires once per processed event, and the
-    profiler still counts every one of them."""
-    def ticks(profiler):
-        env = Environment()
-        env.profiler = profiler
-        calls: list[float] = []
-        env.drain_hook = lambda: calls.append(env.now)
-
-        def ticker(env):
-            for _ in range(5):
-                yield env.timeout(1.0)
-
-        env.process(ticker(env))
-        env.run(until=10)
-        return calls
-
-    profiler = EngineProfiler()
-    hooked = ticks(profiler)
-    assert hooked == ticks(None)
-    assert len(hooked) == profiler.events > 0
+    assert profiler.handlers[("ping", "PONG")][0] == 10
