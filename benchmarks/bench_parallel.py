@@ -6,23 +6,23 @@ Usage (from the repository root)::
     python benchmarks/bench_parallel.py --quick --check
 
 Runs the tabu step-batch workload (K_43, the R(5,5) search target)
-through the compute plane at 0/1/2/4 pool workers — 0 is the inline
-lane, the serial substrate every simulation run uses by default — and
-records aggregate kernel throughput (moves/s), speedup vs inline, and
-the per-worker-count parity hash. The hash digests the complete final
+through ``KernelPool`` at 0/1/2/4 workers — 0 runs the reference
+kernels inline, the serial substrate every simulation run uses by
+default — and records aggregate kernel throughput (moves/s), speedup vs
+inline, and the per-worker-count parity hash. The hash digests the complete final
 search states (colorings, energies, tabu lists, RNG positions), so equal
 hashes mean the pool produced *bit-identical* search trajectories, not
 just similar quality.
 
 Speedup composition: pool workers run the vectorized numpy batch kernels
-while the inline lane runs the pure-Python reference path, so the curve
+while zero workers run the pure-Python reference path, so the curve
 reflects vectorization x available cores. On a single-core host (CI)
 the curve is flat across worker counts but still far above inline;
 ``host_cpus`` is recorded so readers can interpret the curve.
 
 The gate (``--check``) asserts parity hashes matching serial at every
 worker count and, on a full run, the acceptance floor: >= 2.5x aggregate
-throughput at the top worker count vs the inline lane. ``--quick`` runs
+throughput at the top worker count vs zero workers. ``--quick`` runs
 a reduced workload (parity hash ``201347a903ba2d44``) and gates parity
 only.
 """
@@ -38,12 +38,11 @@ from typing import Optional, Sequence
 import numpy as np
 from common import bench_parser, finish
 
-from repro.parallel.kernels import StepBatch
-from repro.parallel.lanes import make_lane
+from repro.parallel import KernelPool, StepBatch
 from repro.ramsey.heuristics import TabuSearch
 
 #: Acceptance floor (full runs): aggregate moves/s at the top worker
-#: count vs the inline lane.
+#: count vs zero workers (inline).
 SPEEDUP_FLOOR = 2.5
 
 
@@ -51,7 +50,7 @@ def initial_states(
     searches: int, k: int, n: int, candidates: int, seed: int
 ) -> list[dict]:
     """One exported start state per search (built once, shared across
-    worker counts so every lane replays the identical workload)."""
+    worker counts so every pool replays the identical workload)."""
     return [
         TabuSearch(
             k, n, np.random.default_rng((seed, i)), candidates=candidates
@@ -69,13 +68,13 @@ def parity_hash(states: Sequence[dict]) -> str:
     return hashlib.sha256("\n".join(canon).encode()).hexdigest()[:16]
 
 
-def run_lane(
-    lane,
+def run_pool(
+    pool: KernelPool,
     states: Sequence[dict],
     batches: int,
     steps_per_batch: int,
 ) -> dict:
-    """Run ``batches`` step-batches per search through ``lane``; returns
+    """Run ``batches`` step-batches per search through ``pool``; returns
     throughput plus the parity hash of the final states."""
     current = [dict(s) for s in states]
     remaining = [batches] * len(current)
@@ -86,16 +85,16 @@ def run_lane(
     for i, state in enumerate(current):
         if remaining[i] > 0:
             remaining[i] -= 1
-            inflight[lane.submit(StepBatch(state, steps_per_batch))] = i
+            inflight[pool.submit(StepBatch(state, steps_per_batch))] = i
     while inflight:
-        for ticket, result in lane.collect(block=True):
+        for ticket, result in pool.collect(block=True):
             i = inflight.pop(ticket)
             current[i] = result.state
             moves += result.steps
             ops += result.ops
             if remaining[i] > 0:
                 remaining[i] -= 1
-                inflight[lane.submit(
+                inflight[pool.submit(
                     StepBatch(result.state, steps_per_batch))] = i
     wall = perf_counter() - t0
     return {
@@ -104,12 +103,10 @@ def run_lane(
         "wall_s": wall,
         "moves_per_s": moves / wall if wall > 0 else 0.0,
         "parity_hash": parity_hash(current),
-        "fallbacks": getattr(lane, "fallbacks", 0),
+        "fallbacks": pool.fallbacks,
         # Per-worker kernel wall seconds (measured inside each worker
-        # process). Empty for the inline lane — the parent did the work.
-        "worker_wall_s": [
-            round(s, 6) for s in getattr(lane, "worker_busy_s", [])
-        ],
+        # process). Empty at zero workers — the parent did the work.
+        "worker_wall_s": [round(s, 6) for s in pool.worker_busy_s],
     }
 
 
@@ -117,7 +114,7 @@ def run_scaling(
     worker_counts: Sequence[int],
     config: dict,
 ) -> list[dict]:
-    """The full curve: one row per worker count (0 = inline lane).
+    """The full curve: one row per worker count (0 = inline).
 
     ``speedup_vs_inline`` is against the inline row. Oversubscribed rows
     carry a warning because the measured speedup composes vectorization
@@ -131,12 +128,12 @@ def run_scaling(
     for workers in worker_counts:
         best: Optional[dict] = None
         for _ in range(max(config["rounds"], 1)):
-            lane = make_lane(workers)
+            pool = KernelPool(workers)
             try:
-                outcome = run_lane(lane, base, config["batches"],
+                outcome = run_pool(pool, base, config["batches"],
                                    config["steps_per_batch"])
             finally:
-                lane.close()
+                pool.close()
             if best is None or outcome["moves_per_s"] > best["moves_per_s"]:
                 if best is not None and outcome["parity_hash"] != best["parity_hash"]:
                     raise AssertionError("parity hash changed between rounds")
@@ -174,7 +171,7 @@ def check(rows: list[dict], quick: bool) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = bench_parser(__doc__, "parallel")
     parser.add_argument("--workers", type=str, default="0,1,2,4",
-                        help="comma-separated pool sizes (0 = inline lane)")
+                        help="comma-separated pool sizes (0 = inline)")
     parser.add_argument("--rounds", type=int, default=2,
                         help="best-of rounds per worker count")
     args = parser.parse_args(argv)

@@ -4,8 +4,9 @@
 simulated time on the simgrid fabric (:class:`Environment`,
 :class:`Host`, :class:`Network`, load models, fault injectors), one
 :class:`SimWorld` assembles that fabric for every topology, the
-compute plane offloads their heuristic kernels to worker pools with
-bit-identical results, and the prebuilt experiment harnesses
+compute plane runs their heuristic kernels on one
+:class:`KernelPool` (inline at zero workers, forked workers otherwise)
+with bit-identical results, and the prebuilt experiment harnesses
 (:func:`build_sc98`, :func:`run_chaos`, :func:`run_observe`) assemble
 whole deterministic worlds.
 """
@@ -27,11 +28,9 @@ _EXPORTS = {
     "..simgrid.faults": ("FaultPlan", "FaultStats", "HostCrash",
                          "InfraOutage", "MessageChaos", "SitePartition"),
     # compute plane
-    "..parallel.lanes": ("ComputeLane", "InlineLane", "PoolLane",
-                         "make_lane"),
-    "..parallel.kernels": ("EvalRound", "EvalResult", "Recount",
-                           "RecountResult", "StepBatch", "StepBatchResult",
-                           "run_task"),
+    "..parallel.pool": ("KernelPool",),
+    "..parallel.kernels": ("EvalRound", "EvalResult", "StepBatch",
+                           "StepBatchResult", "run_task"),
     # scenarios and experiment harnesses
     "..experiments.sc98": ("SC98Config", "SC98Results", "SC98World",
                            "build_sc98"),

@@ -82,12 +82,12 @@ def _cmd_sc98(args: argparse.Namespace) -> int:
         max_steps_per_advance=args.max_steps_per_advance,
     )
     world = build_sc98(cfg)
-    lane_desc = ""
+    engine_desc = ""
     if cfg.engine == "real":
-        lane_desc = (f", engine real, "
-                     f"{'pool=' + str(cfg.compute_pool) if cfg.compute_pool else 'inline lane'}")
+        engine_desc = (f", engine real, "
+                       f"{'pool=' + str(cfg.compute_pool) if cfg.compute_pool else 'inline kernels'}")
     print(f"running SC98 scenario (scale {args.scale}, seed {args.seed}"
-          f"{lane_desc}) ...")
+          f"{engine_desc}) ...")
     t0 = time.time()
     results = world.run()
     print(f"simulated {cfg.duration / 3600:.1f} h in {time.time() - t0:.1f} s\n")
@@ -522,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="client compute engine: cost-model or real kernels")
     p.add_argument("--compute-pool", type=int, default=0, metavar="N",
                    help="offload real-engine kernels to N pool workers "
-                        "(0 = inline lane; results are bit-identical)")
+                        "(0 = run them inline; results are bit-identical)")
     p.add_argument("--max-steps-per-advance", type=int, default=2000,
                    help="real-engine step cap per advance (smoke runs)")
     p.add_argument("--figures", action="store_true",

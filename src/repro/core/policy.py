@@ -352,11 +352,6 @@ class ReliableSendTracker:
         self.timeout_policy.observe(pending.tag, rtt)
         return pending
 
-    def next_deadline(self) -> Optional[float]:
-        if not self._pending:
-            return None
-        return min(p.deadline for p in self._pending.values())
-
     def due(self, now: float) -> list[tuple[str, PendingSend]]:
         """Expired attempts, in deterministic (req_id) order."""
         actions: list[tuple[str, PendingSend]] = []

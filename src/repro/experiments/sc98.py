@@ -85,7 +85,7 @@ class SC98Config:
     #: Client compute engine: "model" burns simulated cycles (SC98-scale
     #: runs), "real" executes the op-counted search kernels.
     engine: str = "model"
-    #: Compute-lane workers for the real engine (0 = inline lane, the
+    #: Compute-pool workers for the real engine (0 = inline, the
     #: default substrate). Kernel results are bit-identical either way,
     #: so this knob changes wall-clock speed only — never outcomes.
     compute_pool: int = 0
@@ -303,23 +303,23 @@ class SC98World(SimWorld):
             self, k=c.k, n=c.n, report_period=c.report_period)
 
         # --- the compute plane ------------------------------------------------
-        # Real-engine clients offload tabu step batches to this lane;
+        # Real-engine clients offload tabu step batches to this pool;
         # `compute_pool` workers execute the vectorized kernels on real
-        # OS processes. Outcomes are bit-identical to serial: simulated
-        # time is charged from exact op counts, never wall time.
-        self.compute_lane = None
+        # OS processes (none: inline). Outcomes are bit-identical to
+        # serial: simulated time is charged from exact op counts, never
+        # wall time.
+        self.kernel_pool = None
         engine_factory = None
         if c.engine == "real":
-            from ..parallel import make_lane
+            from ..parallel import KernelPool
             from ..ramsey.client import RealEngine
 
-            self.compute_lane = make_lane(
-                c.compute_pool, clock=lambda: self.env.now)
+            self.kernel_pool = KernelPool(c.compute_pool)
 
             def engine_factory() -> RealEngine:
                 return RealEngine(
                     max_steps_per_advance=c.max_steps_per_advance,
-                    lane=self.compute_lane)
+                    lane=self.kernel_pool)
 
         factory = model_client_factory(
             self.core,
@@ -395,9 +395,9 @@ class SC98World(SimWorld):
         return self.results()
 
     def close(self) -> None:
-        """Release the compute lane (worker processes, shared memory)."""
-        if self.compute_lane is not None:
-            self.compute_lane.close()
+        """Release the compute pool's worker processes."""
+        if self.kernel_pool is not None:
+            self.kernel_pool.close()
 
     def results(self) -> SC98Results:
         c = self.config

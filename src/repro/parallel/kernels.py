@@ -1,11 +1,10 @@
-"""Kernel slices: the units of work a compute lane executes.
+"""Kernel slices: the units of work the compute pool executes.
 
 Each task type captures the *expensive middle* of one heuristic
 operation with everything it needs to run in another process:
 
 * :class:`EvalRound` — one tabu candidate-evaluation round (the middle
   of ``TabuSearch.step`` / the body of ``ParallelEvaluator``);
-* :class:`Recount` — a full clique recount of one color class;
 * :class:`StepBatch` — a batch of complete tabu steps over migrated
   search state (``TabuSearch.export_state``), the unit ``RealEngine``
   offloads per advance.
@@ -14,7 +13,7 @@ Every task has two executors that return **identical** results and op
 meters:
 
 * the *reference* executor (``vectorized=False``) runs the same
-  pure-Python kernels the inline code paths use today;
+  pure-Python kernels ``TabuSearch.step`` uses;
 * the *vectorized* executor batches all candidate evaluations of a task
   through the numpy level-expansion kernels.
 
@@ -33,8 +32,6 @@ import numpy as np
 from ..ramsey.graphs import (
     OpCounter,
     _above_masks,
-    _count_cliques,
-    _count_cliques_np,
     _count_cliques_with_edge_in,
     _expand_bits,
 )
@@ -43,8 +40,6 @@ from ..ramsey.heuristics import TabuSearch
 __all__ = [
     "EvalRound",
     "EvalResult",
-    "Recount",
-    "RecountResult",
     "StepBatch",
     "StepBatchResult",
     "run_task",
@@ -68,7 +63,7 @@ class EvalRound:
 
     k: int
     n: int
-    red: object  # list[int] | uint64 ndarray (shm view)
+    red: list
     edges: list
     tabu: Optional[list] = None
     aspiration_below: int = 0
@@ -78,21 +73,6 @@ class EvalRound:
 class EvalResult:
     best_move: Optional[tuple]
     best_delta: int
-    ops: int
-
-
-@dataclass(slots=True)
-class Recount:
-    """Monochromatic clique count over both color classes."""
-
-    k: int
-    n: int
-    red: object  # list[int] | uint64 ndarray (shm view)
-
-
-@dataclass(slots=True)
-class RecountResult:
-    energy: int
     ops: int
 
 
@@ -154,16 +134,6 @@ def _eval_round_py(task: EvalRound) -> EvalResult:
         deltas.append(after - before)
     move, delta = _select(task.edges, task.tabu, task.aspiration_below, deltas)
     return EvalResult(move, delta, ops.ops)
-
-
-def _recount_py(task: Recount) -> RecountResult:
-    k, n = task.k, task.n
-    red = [int(m) for m in task.red]
-    blue = _blue_from_red(k, red)
-    ops = OpCounter()
-    energy = (_count_cliques(red, k, n, ops)
-              + _count_cliques(blue, k, n, ops))
-    return RecountResult(energy, ops.ops)
 
 
 # -- vectorized executors ---------------------------------------------------
@@ -230,19 +200,6 @@ def _eval_round_np(task: EvalRound) -> EvalResult:
     return EvalResult(move, delta, ops)
 
 
-def _recount_np(task: Recount) -> RecountResult:
-    k, n = task.k, task.n
-    if not (2 <= n and k <= _NP_MAX_K):
-        return _recount_py(task)
-    red = np.asarray(task.red, dtype=np.uint64)
-    full = np.uint64((1 << k) - 1)
-    self_bits = np.uint64(1) << np.arange(k, dtype=np.uint64)
-    blue = full & ~red & ~self_bits
-    red_total, red_ops = _count_cliques_np(red, k, n)
-    blue_total, blue_ops = _count_cliques_np(blue, k, n)
-    return RecountResult(red_total + blue_total, red_ops + blue_ops)
-
-
 # -- step batches -----------------------------------------------------------
 def _run_step_batch(task: StepBatch, vectorized: bool) -> StepBatchResult:
     ops = OpCounter()
@@ -269,8 +226,6 @@ def run_task(task, vectorized: bool = False):
     """Execute one kernel task; both executors are bit-identical."""
     if isinstance(task, EvalRound):
         return _eval_round_np(task) if vectorized else _eval_round_py(task)
-    if isinstance(task, Recount):
-        return _recount_np(task) if vectorized else _recount_py(task)
     if isinstance(task, StepBatch):
         return _run_step_batch(task, vectorized)
     raise TypeError(f"unknown kernel task {task!r}")

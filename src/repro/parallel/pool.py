@@ -1,28 +1,33 @@
-"""Persistent worker pool executing kernel tasks on real OS processes.
+"""The compute pool: where every kernel task executes.
+
+``KernelPool(0)`` starts no process: each task runs synchronously in
+the caller through the *reference* kernels (``run_task(task,
+vectorized=False)``), the serial substrate every simulation uses by
+default. ``KernelPool(n)`` forks ``n`` persistent workers that run the
+vectorized kernels. Both return identical results and op meters, and
+simulated time is charged from op counts, so which substrate ran is
+invisible to the simulation.
 
 Transport: one duplex pipe per worker (no feeder threads, no queue
 locks), drained with ``multiprocessing.connection.wait`` so the parent
 can poll, block, and detect dead workers (EOF) through one mechanism.
-Workers are forked, so they inherit the shared-memory arena mapping and
-the loaded kernel code — a task message is just ``(ticket, task)`` with
-the coloring rows replaced by an arena slot index when they fit.
+A task message is ``(ticket, task)``, pickled whole: a step batch is a
+few hundred ints against milliseconds of kernel work, so shipping the
+colorings any other way saves nothing measurable (DESIGN §10).
 
 Crash containment: a worker that dies mid-task takes nothing with it —
 the parent keeps every in-flight task and re-executes it inline through
-the *reference* kernels, which are bit-identical to the vectorized ones
-the worker would have run. Fallbacks are counted, never silent.
+the reference kernels. Fallbacks are counted, never silent.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import replace
 from multiprocessing import connection, get_context
 from time import perf_counter
 from typing import Optional
 
-from .kernels import EvalRound, Recount, StepBatch, StepBatchResult, run_task
-from .shm import ROW_WORDS, ShmArena
+from .kernels import run_task
 
 __all__ = ["KernelPool", "CRASH_TASK"]
 
@@ -30,84 +35,8 @@ __all__ = ["KernelPool", "CRASH_TASK"]
 #: simulating a segfault/OOM-kill for the crash-fallback path.
 CRASH_TASK = "__crash__"
 
-#: Row indices inside one arena slot.
-_ROW_RED = 0
-_ROW_BEST = 1
 
-#: Marker shipped in place of mask lists that live in an arena slot.
-_IN_SLOT = "__shm__"
-
-
-# -- arena packing ----------------------------------------------------------
-def _pack(task, arena: Optional[ShmArena], slot: Optional[int]):
-    """Move the task's mask rows into ``slot``; returns the wire task.
-
-    With no arena/slot the task ships whole (inline-payload fallback).
-    """
-    if arena is None or slot is None:
-        return task
-    if isinstance(task, (EvalRound, Recount)):
-        if task.k >= ROW_WORDS:
-            return task
-        arena.write_row(slot, _ROW_RED, task.red)
-        return replace(task, red=_IN_SLOT)
-    if isinstance(task, StepBatch):
-        state = task.state
-        if state["k"] >= ROW_WORDS:
-            return task
-        arena.write_row(slot, _ROW_RED, state["red"])
-        arena.write_row(slot, _ROW_BEST, state["best_red"])
-        trimmed = dict(state)
-        trimmed["red"] = trimmed["best_red"] = _IN_SLOT
-        return replace(task, state=trimmed)
-    return task
-
-
-def _unpack_task(task, arena: ShmArena, slot: Optional[int]):
-    """Worker side: rehydrate mask rows from the arena slot."""
-    if slot is None:
-        return task
-    # NB: marker tests use isinstance, not identity — the string is
-    # re-created by pickling on its way through the pipe.
-    if isinstance(task, (EvalRound, Recount)) and isinstance(task.red, str):
-        return replace(task, red=arena.row(slot, _ROW_RED)[: task.k])
-    if isinstance(task, StepBatch) and isinstance(task.state["red"], str):
-        k = task.state["k"]
-        state = dict(task.state)
-        state["red"] = arena.read_row(slot, _ROW_RED, k)
-        state["best_red"] = arena.read_row(slot, _ROW_BEST, k)
-        return replace(task, state=state)
-    return task
-
-
-def _pack_result(result, arena: ShmArena, slot: Optional[int]):
-    """Worker side: write result rows back into the slot it came in."""
-    if slot is None or not isinstance(result, StepBatchResult):
-        return result
-    state = dict(result.state)
-    arena.write_row(slot, _ROW_RED, state["red"])
-    arena.write_row(slot, _ROW_BEST, state["best_red"])
-    state["red"] = state["best_red"] = _IN_SLOT
-    return replace(result, state=state)
-
-
-def _unpack_result(result, arena: Optional[ShmArena], slot: Optional[int]):
-    """Parent side: rehydrate result rows before releasing the slot."""
-    if (
-        slot is None or arena is None
-        or not isinstance(result, StepBatchResult)
-        or not isinstance(result.state["red"], str)
-    ):
-        return result
-    k = result.state["k"]
-    state = dict(result.state)
-    state["red"] = arena.read_row(slot, _ROW_RED, k)
-    state["best_red"] = arena.read_row(slot, _ROW_BEST, k)
-    return replace(result, state=state)
-
-
-# -- worker loop ------------------------------------------------------------
-def _worker_main(conn, arena: ShmArena) -> None:
+def _worker_main(conn) -> None:
     while True:
         try:
             msg = conn.recv()
@@ -115,15 +44,14 @@ def _worker_main(conn, arena: ShmArena) -> None:
             break
         if msg is None:
             break
-        ticket, task, slot = msg
+        ticket, task = msg
         if task == CRASH_TASK:
             os._exit(1)
         t0 = perf_counter()
         try:
-            task = _unpack_task(task, arena, slot)
-            result = _pack_result(run_task(task, vectorized=True), arena, slot)
+            result = run_task(task, vectorized=True)
             conn.send((ticket, True, result, perf_counter() - t0))
-        except BaseException as exc:
+        except Exception as exc:
             try:
                 conn.send((ticket, False, repr(exc), perf_counter() - t0))
             except Exception:
@@ -132,33 +60,30 @@ def _worker_main(conn, arena: ShmArena) -> None:
 
 
 class KernelPool:
-    """N forked workers, a shared arena, and crash-safe task tracking."""
+    """``workers`` forked processes (none: inline) and crash-safe tickets."""
 
-    def __init__(self, workers: int, arena_slots: Optional[int] = None) -> None:
-        if workers <= 0:
-            raise ValueError("pool needs at least one worker")
-        ctx = get_context("fork")
+    def __init__(self, workers: int) -> None:
+        if workers < 0:
+            raise ValueError("worker count must be >= 0")
         self.workers = workers
-        self.arena = ShmArena(arena_slots or 4 * workers + 4)
+        #: Tasks a worker pool had to run inline (dead or failing worker).
         self.fallbacks = 0
         #: Cumulative wall seconds each worker spent executing kernels,
         #: measured inside the worker and shipped back with each reply.
-        #: Inline-fallback time (run in the parent) is tracked apart in
-        #: ``fallback_busy_s`` so oversubscription shows up honestly.
         self.worker_busy_s = [0.0] * workers
-        self.fallback_busy_s = 0.0
         self._next_ticket = 0
         self._conns: list = []
         self._procs: list = []
         self._alive: list[bool] = []
-        #: Per-worker in-flight tasks: ticket -> (original task, slot).
+        #: Per-worker in-flight tasks: ticket -> task.
         self._pending: list[dict] = []
         self._done: list[tuple] = []
         self._closed = False
+        ctx = get_context("fork")
         for _ in range(workers):
             parent_end, child_end = ctx.Pipe(duplex=True)
-            proc = ctx.Process(
-                target=_worker_main, args=(child_end, self.arena), daemon=True)
+            proc = ctx.Process(target=_worker_main, args=(child_end,),
+                               daemon=True)
             proc.start()
             child_end.close()
             self._conns.append(parent_end)
@@ -167,36 +92,28 @@ class KernelPool:
             self._pending.append({})
 
     # -- submission --------------------------------------------------------
-    def pending_counts(self) -> list[int]:
-        return [len(p) for p in self._pending]
-
     def submit(self, task) -> int:
         """Queue a task on the least-loaded live worker; returns a ticket.
 
         With no live workers the task runs inline immediately (reference
-        kernels) and its result is buffered for the next ``collect``.
+        kernels) and its result is buffered for ``collect``/``result``.
         """
         ticket = self._next_ticket
         self._next_ticket += 1
         wid = self._pick_worker()
         if wid is None:
-            self._fallback(ticket, task)
+            if self.workers:
+                self._fallback(ticket, task)
+            else:
+                self._run_inline(ticket, task)
             return ticket
-        slot = None if task == CRASH_TASK else self.arena.acquire()
-        wire_task = _pack(task, self.arena, slot)
-        if wire_task is task and slot is not None:
-            # Didn't fit the arena (k too wide): inline payload instead.
-            self.arena.release(slot)
-            slot = None
         try:
-            self._conns[wid].send((ticket, wire_task, slot))
+            self._conns[wid].send((ticket, task))
         except (BrokenPipeError, OSError):
-            if slot is not None:
-                self.arena.release(slot)
             self._reap(wid)
             self._fallback(ticket, task)
             return ticket
-        self._pending[wid][ticket] = (task, slot)
+        self._pending[wid][ticket] = task
         return ticket
 
     def _pick_worker(self) -> Optional[int]:
@@ -208,16 +125,14 @@ class KernelPool:
                 best = wid
         return best
 
-    def _fallback(self, ticket: int, task) -> None:
-        """Re-execute (or first-execute) a task inline, bit-identically."""
-        self.fallbacks += 1
-        if task == CRASH_TASK:
-            self._done.append((ticket, None))
-            return
-        t0 = perf_counter()
-        result = run_task(task, vectorized=False)
-        self.fallback_busy_s += perf_counter() - t0
+    def _run_inline(self, ticket: int, task) -> None:
+        result = None if task == CRASH_TASK else run_task(task, vectorized=False)
         self._done.append((ticket, result))
+
+    def _fallback(self, ticket: int, task) -> None:
+        """Re-execute (or first-execute) a worker's task inline."""
+        self.fallbacks += 1
+        self._run_inline(ticket, task)
 
     def _reap(self, wid: int) -> None:
         """A worker died: fall back every task it still held."""
@@ -228,9 +143,7 @@ class KernelPool:
             pass
         held = self._pending[wid]
         self._pending[wid] = {}
-        for ticket, (task, slot) in sorted(held.items()):
-            if slot is not None:
-                self.arena.release(slot)
+        for ticket, task in sorted(held.items()):
             self._fallback(ticket, task)
 
     # -- collection --------------------------------------------------------
@@ -238,22 +151,35 @@ class KernelPool:
         """Harvest finished tasks as ``(ticket, result)`` pairs.
 
         ``block=True`` waits until at least one completion is available
-        (buffered fallbacks count). Results arrive in completion order.
+        (buffered inline runs count). Results arrive in completion order.
         """
         while True:
-            self._drain(timeout=0.05 if block else 0)
-            if self._done or not block:
+            self._poll(timeout=0.05 if block else 0)
+            if self._done or not block or not any(self._pending):
                 done, self._done = self._done, []
                 return done
-            if not any(self._pending):
-                return []  # nothing in flight anywhere
 
-    def _drain(self, timeout: Optional[float]) -> None:
+    def result(self, ticket: int):
+        """Wait for one ticket's result; other completions stay buffered
+        for ``collect`` (several components can share one pool)."""
+        while True:
+            for i, (done_ticket, result) in enumerate(self._done):
+                if done_ticket == ticket:
+                    del self._done[i]
+                    return result
+            if not any(self._pending):
+                raise KeyError(f"ticket {ticket} is not pending")
+            self._poll(timeout=0.05)
+
+    def run(self, task):
+        """Submit one task and wait for its result."""
+        return self.result(self.submit(task))
+
+    def _poll(self, timeout: float) -> None:
         live = [self._conns[w] for w, ok in enumerate(self._alive) if ok]
         if not live:
             return
-        ready = connection.wait(live, timeout=timeout)
-        for conn in ready:
+        for conn in connection.wait(live, timeout=timeout):
             wid = self._conns.index(conn)
             try:
                 ticket, ok, payload, elapsed = conn.recv()
@@ -261,37 +187,15 @@ class KernelPool:
                 self._reap(wid)
                 continue
             self.worker_busy_s[wid] += elapsed
-            task, slot = self._pending[wid].pop(ticket)
+            task = self._pending[wid].pop(ticket)
             if ok:
-                result = _unpack_result(payload, self.arena, slot)
-                if slot is not None:
-                    self.arena.release(slot)
-                self._done.append((ticket, result))
+                self._done.append((ticket, payload))
             else:
-                if slot is not None:
-                    self.arena.release(slot)
                 self._fallback(ticket, task)
-
-    def run(self, task):
-        """Submit one task and wait for its result; completions for other
-        tickets are buffered for the next ``collect``."""
-        ticket = self.submit(task)
-        while True:
-            batch = self.collect(block=True)
-            mine = None
-            keep = []
-            for done_ticket, result in batch:
-                if done_ticket == ticket:
-                    mine = (result,)
-                else:
-                    keep.append((done_ticket, result))
-            self._done = keep + self._done
-            if mine is not None:
-                return mine[0]
 
     # -- teardown ----------------------------------------------------------
     def close(self) -> None:
-        """Stop workers and unlink the arena (idempotent)."""
+        """Stop the workers (idempotent)."""
         if self._closed:
             return
         self._closed = True
@@ -310,7 +214,6 @@ class KernelPool:
             if proc.is_alive():  # pragma: no cover - stuck worker
                 proc.terminate()
                 proc.join(timeout=1.0)
-        self.arena.close()
 
     def __del__(self) -> None:  # pragma: no cover - interpreter teardown
         try:

@@ -95,12 +95,14 @@ class RealEngine:
     slow (by design — it does the real math) for 300-host 12-hour
     simulations.
 
-    With a compute ``lane`` each tabu advance is offloaded as one
-    :class:`repro.parallel.StepBatch` — the search state migrates to a
-    pool worker, steps there through the vectorized kernels, and comes
-    back bit-identical to having stepped inline (the batch loop checks
-    the same ops/steps/found boundaries between steps that the inline
-    loop does). Non-tabu heuristics always step inline.
+    With a compute ``lane`` (a :class:`repro.parallel.KernelPool`) each
+    tabu advance is offloaded as one :class:`repro.parallel.StepBatch` —
+    the search state migrates to the pool (inline at zero workers, a
+    worker process otherwise), steps there, and comes back bit-identical
+    to having stepped inline (the batch loop checks the same
+    ops/steps/found boundaries between steps that the inline loop
+    does). Without a lane, and for non-tabu heuristics, ``step()`` runs
+    inline.
     """
 
     def __init__(self, max_steps_per_advance: int = 2000, lane=None) -> None:

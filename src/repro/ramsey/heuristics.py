@@ -258,7 +258,7 @@ class TabuSearch(_EdgeFlipSearch):
     # ``step()`` above is the reference implementation and stays the inline
     # path. ``prepare_round()`` + ``apply_round()`` split one step at the
     # kernel boundary so the candidate evaluation — the expensive middle —
-    # can run on a :class:`repro.parallel` compute lane. The split is
+    # can run on :class:`repro.parallel.KernelPool`. The split is
     # bit-exact: the RNG draws do not depend on any evaluation result, so
     # drawing every candidate up front replays the same stream, and the
     # tabu/aspiration filter is captured as per-candidate flags plus the

@@ -33,6 +33,7 @@ import numpy as np
 from ..core.component import CancelTimer, Component, Effect, LogLine, Send, SetTimer, Stop
 from ..core.forecasting.benchmarking import EventTimer, ForecastRegistry, event_tag
 from ..core.linguafranca.messages import Message
+from ..parallel.kernels import EvalRound, run_task
 from .graphs import Coloring, OpCounter, count_mono_cliques, count_mono_cliques_with_edge
 
 __all__ = ["ParallelTabuCoordinator", "ParallelEvaluator", "PAR_EVAL", "PAR_BEST"]
@@ -46,10 +47,11 @@ T_ROUND = "par:round"
 class ParallelEvaluator(Component):
     """Evaluates candidate edge flips on the current coloring.
 
-    With a compute lane the evaluation round runs as an
-    :class:`repro.parallel.EvalRound` kernel task, waited for inside the
-    handler (``lane.run``); the reply carries the same bytes the inline
-    loop produces: kernels are bit-identical and op-metered.
+    Each evaluation round is one :class:`repro.parallel.EvalRound`
+    kernel task: run inline through the reference kernel, or with a
+    ``lane`` (a :class:`repro.parallel.KernelPool`) waited for inside the
+    handler (``lane.run``). The reply carries the same bytes either way:
+    kernels are bit-identical and op-metered.
     """
 
     def __init__(self, name: str, lane=None) -> None:
@@ -57,31 +59,6 @@ class ParallelEvaluator(Component):
         self.ops = OpCounter()
         self.rounds_served = 0
         self.lane = lane
-
-    def _evaluate_inline(
-        self, coloring: Coloring, edges: list, n: int
-    ) -> tuple[Optional[tuple[int, int]], int]:
-        best_edge: Optional[tuple[int, int]] = None
-        best_delta = 0
-        for u, v in edges:
-            before = count_mono_cliques_with_edge(coloring, u, v, n, self.ops)
-            coloring.flip(u, v)
-            after = count_mono_cliques_with_edge(coloring, u, v, n, self.ops)
-            coloring.flip(u, v)
-            delta = after - before
-            if best_edge is None or delta < best_delta:
-                best_edge, best_delta = (u, v), delta
-        return best_edge, best_delta
-
-    def _reply(self, sender: str, round_no, best_edge, best_delta) -> list[Effect]:
-        reply_body = {
-            "round": round_no,
-            "edge": list(best_edge) if best_edge else None,
-            "delta": best_delta,
-            "ops": self.ops.reset(),
-        }
-        return [Send(sender, Message(
-            mtype=PAR_BEST, sender=self.contact, body=reply_body))]
 
     def on_message(self, message: Message, now: float) -> list[Effect]:
         if message.mtype != PAR_EVAL:
@@ -95,16 +72,17 @@ class ParallelEvaluator(Component):
         except (KeyError, TypeError, ValueError):
             return []
         self.rounds_served += 1
-        if self.lane is None:
-            best_edge, best_delta = self._evaluate_inline(coloring, edges, n)
-            return self._reply(message.sender, body.get("round"),
-                               best_edge, best_delta)
-        from ..parallel import EvalRound
-
-        outcome = self.lane.run(EvalRound(k, n, coloring.red, edges))
+        task = EvalRound(k, n, coloring.red, edges)
+        outcome = run_task(task) if self.lane is None else self.lane.run(task)
         self.ops.add(outcome.ops)
-        return self._reply(message.sender, body.get("round"),
-                           outcome.best_move, outcome.best_delta)
+        reply_body = {
+            "round": body.get("round"),
+            "edge": list(outcome.best_move) if outcome.best_move else None,
+            "delta": outcome.best_delta,
+            "ops": self.ops.reset(),
+        }
+        return [Send(message.sender, Message(
+            mtype=PAR_BEST, sender=self.contact, body=reply_body))]
 
 
 class ParallelTabuCoordinator(Component):

@@ -120,14 +120,12 @@ def test_tracker_assigns_req_id_and_resolves():
     pending = tr.resolve(eff.message.req_id, 1.0)
     assert pending is not None and pending.eff is eff
     assert len(tr) == 0 and tr.resolved == 1
-    assert tr.next_deadline() is None
 
 
 def test_tracker_resend_then_give_up():
     tr = make_tracker(default=4.0)
     eff = reliable_send()
     tr.track(eff, 0.0)
-    assert tr.next_deadline() == pytest.approx(4.0)
     assert tr.due(3.9) == []
 
     [(action, pending)] = tr.due(4.0)

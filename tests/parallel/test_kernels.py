@@ -13,11 +13,10 @@ import pytest
 from repro.parallel.kernels import (
     _NP_MAX_K,
     EvalRound,
-    Recount,
     StepBatch,
     run_task,
 )
-from repro.ramsey.graphs import Coloring, OpCounter, count_mono_cliques
+from repro.ramsey.graphs import Coloring, OpCounter
 from repro.ramsey.heuristics import TabuSearch
 
 
@@ -60,19 +59,6 @@ def test_eval_round_tabu_and_aspiration_filtering():
     vec = run_task(task, vectorized=True)
     assert (vec.best_move, vec.best_delta, vec.ops) == (
         ref.best_move, ref.best_delta, ref.ops)
-
-
-@pytest.mark.parametrize("k,n", [(12, 4), (43, 5), (9, 3)])
-def test_recount_vectorized_matches_reference(k, n):
-    coloring = _random_coloring(k, seed=k + n)
-    task = Recount(k, n, list(coloring.red))
-    ref = run_task(task, vectorized=False)
-    vec = run_task(task, vectorized=True)
-    assert vec.energy == ref.energy
-    assert vec.ops == ref.ops
-    ops = OpCounter()
-    assert ref.energy == count_mono_cliques(coloring, n, ops)
-    assert ref.ops == ops.ops
 
 
 def test_large_k_falls_back_to_reference():

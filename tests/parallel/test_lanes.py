@@ -1,27 +1,18 @@
-"""Lanes, pool transport, shared memory, crash recovery.
+"""The compute pool: inline at zero workers, ticket routing, crash recovery.
 
-These tests exercise the machinery around the kernels: ticket routing,
-the shm arena's slot lifecycle, worker-crash fallback, and the
-lane-private telemetry that keeps world metrics byte-identical between
-serial and pooled runs.
+These tests exercise :class:`KernelPool`, the one substrate kernel tasks
+run on: its zero-worker inline mode (no process, reference kernels),
+the forked workers' ticket routing, worker-crash fallback, and process
+cleanup on ``close``.
 """
 
-import glob
+import multiprocessing
 
 import numpy as np
-import pytest
 
-from repro.parallel import (
-    EvalRound,
-    InlineLane,
-    PoolLane,
-    Recount,
-    StepBatch,
-    make_lane,
-    run_task,
-)
-from repro.parallel.pool import CRASH_TASK, KernelPool
-from repro.parallel.shm import ROW_WORDS, ShmArena
+from repro.parallel import EvalRound, KernelPool, StepBatch, run_task
+from repro.parallel.kernels import _NP_MAX_K
+from repro.parallel.pool import CRASH_TASK
 from repro.ramsey.graphs import Coloring, OpCounter
 from repro.ramsey.heuristics import TabuSearch
 
@@ -35,33 +26,49 @@ def _eval_task(k=20, n=4, seed=0, edges=8):
     return EvalRound(k, n, list(coloring.red), pairs)
 
 
-def test_make_lane_selects_implementation():
-    inline = make_lane(0)
-    assert isinstance(inline, InlineLane)
-    assert inline.workers == 0
-    pooled = make_lane(2)
-    try:
-        assert isinstance(pooled, PoolLane)
-        assert pooled.workers == 2
-    finally:
-        pooled.close()
-    inline.close()
+def _step_task(k=30, n=5, seed=4, steps=15):
+    search = TabuSearch(k, n, np.random.default_rng(seed),
+                        ops=OpCounter(), candidates=8)
+    return StepBatch(search.export_state(), max_steps=steps)
+
+
+def _children() -> set:
+    return {p.pid for p in multiprocessing.active_children()}
 
 
 def test_inline_lane_matches_direct_run():
-    lane = make_lane(0)
-    task = _eval_task()
-    direct = run_task(task, vectorized=False)
-    via_lane = lane.run(task)
-    assert (via_lane.best_move, via_lane.best_delta, via_lane.ops) == (
+    before = _children()
+    pool = KernelPool(0)
+    eval_task, step_task = _eval_task(), _step_task()
+    direct = run_task(eval_task, vectorized=False)
+    via_pool = pool.run(eval_task)
+    assert (via_pool.best_move, via_pool.best_delta, via_pool.ops) == (
         direct.best_move, direct.best_delta, direct.ops)
+    ref = run_task(step_task, vectorized=False)
+    stepped = pool.run(step_task)
+    assert (stepped.state, stepped.ops, stepped.steps) == (
+        ref.state, ref.ops, ref.steps)
+    assert _children() == before  # zero workers: no process started
+    assert pool.fallbacks == 0 and pool.worker_busy_s == []
+    pool.close()
+
+
+def test_zero_workers_buffer_completions_for_collect():
+    pool = KernelPool(0)
+    tasks = {pool.submit(_eval_task(seed=s)): _eval_task(seed=s)
+             for s in range(3)}
+    done = dict(pool.collect())
+    assert done == {t: run_task(task) for t, task in tasks.items()}
+    assert pool.collect(block=True) == []
+    assert pool.fallbacks == 0
+    pool.close()
 
 
 def test_pool_lane_results_bit_identical_to_inline():
     tasks = [_eval_task(seed=s) for s in range(6)]
-    tasks.append(Recount(20, 4, tasks[0].red))
-    inline = make_lane(0)
-    pool = make_lane(2)
+    tasks.append(_step_task())
+    inline = KernelPool(0)
+    pool = KernelPool(2)
     try:
         for task in tasks:
             a = inline.run(task)
@@ -74,97 +81,72 @@ def test_pool_lane_results_bit_identical_to_inline():
 
 
 def test_result_routes_interleaved_tickets():
-    lane = make_lane(2)
+    pool = KernelPool(2)
     try:
-        t1 = lane.submit(_eval_task(seed=1))
-        t2 = lane.submit(_eval_task(seed=2))
-        # Ask for them in reverse submit order: the lane must buffer the
+        t1 = pool.submit(_eval_task(seed=1))
+        t2 = pool.submit(_eval_task(seed=2))
+        # Ask for them in reverse submit order: the pool must buffer the
         # non-matching completion instead of dropping or misrouting it.
-        r2 = lane.result(t2)
-        r1 = lane.result(t1)
+        r2 = pool.result(t2)
+        r1 = pool.result(t1)
         assert r1 == run_task(_eval_task(seed=1), vectorized=False)
         assert r2 == run_task(_eval_task(seed=2), vectorized=False)
     finally:
-        lane.close()
+        pool.close()
 
 
 def test_worker_crash_falls_back_inline():
-    lane = make_lane(2)
+    pool = KernelPool(2)
     try:
-        tasks = {lane.submit(_eval_task(seed=s)): _eval_task(seed=s)
+        tasks = {pool.submit(_eval_task(seed=s)): _eval_task(seed=s)
                  for s in range(5)}
-        crash_ticket = lane.submit(CRASH_TASK)
+        crash_ticket = pool.submit(CRASH_TASK)
+        done = {}
+        while len(done) < len(tasks) + 1:
+            done.update(pool.collect(block=True))
         for ticket, task in tasks.items():
-            outcome = lane.result(ticket)
-            assert outcome == run_task(task, vectorized=False)
-        assert lane.result(crash_ticket) is None
-        assert lane.fallbacks >= 1
-        counters = lane.metrics.snapshot()["counters"]
-        assert counters.get("parallel.fallback", 0) >= 1
+            assert done[ticket] == run_task(task, vectorized=False)
+        assert done[crash_ticket] is None
+        assert pool.fallbacks >= 1
+        # The surviving worker still serves.
+        assert pool.run(_eval_task(seed=9)) == run_task(_eval_task(seed=9))
     finally:
-        lane.close()
+        pool.close()
 
 
 def test_large_k_uses_inline_payload():
-    # k beyond the shm row width must still round-trip (pickled payload).
-    task = _eval_task(k=ROW_WORDS + 6, n=4, seed=3)
-    lane = make_lane(1)
+    # k beyond one machine word must still round-trip through a worker
+    # (the vectorized executor falls back to the reference kernel).
+    task = _eval_task(k=_NP_MAX_K + 7, n=4, seed=3)
+    pool = KernelPool(1)
     try:
-        outcome = lane.run(task)
-        assert outcome == run_task(task, vectorized=False)
-        assert lane.fallbacks == 0
+        ticket = pool.submit(task)
+        assert pool.collect(block=True) == [
+            (ticket, run_task(task, vectorized=False))]
+        assert pool.run(task) == run_task(task, vectorized=False)
+        assert pool.fallbacks == 0
     finally:
-        lane.close()
+        pool.close()
 
 
 def test_step_batch_through_pool_writes_state_back():
-    search = TabuSearch(30, 5, np.random.default_rng(4),
-                        ops=OpCounter(), candidates=8)
-    task = StepBatch(search.export_state(), max_steps=15)
+    task = _step_task()
     ref = run_task(task, vectorized=False)
-    lane = make_lane(1)
+    pool = KernelPool(1)
     try:
-        via_pool = lane.run(task)
+        via_pool = pool.run(task)
         assert via_pool.state == ref.state
         assert via_pool.ops == ref.ops
         assert via_pool.steps == ref.steps
     finally:
-        lane.close()
+        pool.close()
 
 
-def test_arena_slot_lifecycle():
-    arena = ShmArena(slots=2)
-    try:
-        s1 = arena.acquire()
-        s2 = arena.acquire()
-        assert arena.acquire() is None  # full: callers fall back inline
-        arena.write_row(s1, 0, [3, 5, 7])
-        assert arena.read_row(s1, 0, 3) == [3, 5, 7]
-        arena.release(s2)
-        assert arena.acquire() == s2
-    finally:
-        arena.close()
-
-
-def test_shm_released_across_repeated_worlds():
-    before = set(glob.glob("/dev/shm/*"))
+def test_close_twice_leaves_no_child_across_repeated_pools():
+    before = _children()
     for _ in range(4):
-        lane = make_lane(2)
-        lane.run(_eval_task())
-        lane.close()
-        lane.close()  # double-close must be safe
-    leaked = set(glob.glob("/dev/shm/*")) - before
-    assert not leaked, f"leaked shm segments: {leaked}"
-
-
-def test_lane_telemetry_records_submit_complete():
-    lane = make_lane(1, trace=True)
-    try:
-        lane.run(_eval_task())
-        snap = lane.metrics.snapshot()["counters"]
-        assert snap["parallel.submitted"] == 1
-        assert snap["parallel.completed"] == 1
-        spans = [s for s in lane.tracer.spans if s.name == "parallel.task"]
-        assert len(spans) == 1
-    finally:
-        lane.close()
+        pool = KernelPool(2)
+        pool.run(_eval_task())
+        pool.close()
+        pool.close()  # double-close must be safe
+    assert _children() == before

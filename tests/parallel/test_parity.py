@@ -13,7 +13,7 @@ import json
 from repro.core.simdriver import SimDriver
 from repro.experiments.export import headlines_json
 from repro.experiments.sc98 import SC98Config, SC98World
-from repro.parallel import make_lane
+from repro.parallel import KernelPool
 from repro.ramsey.parallel import ParallelEvaluator, ParallelTabuCoordinator
 from repro.simgrid.engine import Environment
 from repro.simgrid.host import Host, HostSpec
@@ -83,7 +83,7 @@ def test_evaluator_lane_modes_preserve_coordinator_trajectory():
     env, baseline = _coordinator_world(14, 4)
     env.run(until=3000)
 
-    lane = make_lane(2)
+    lane = KernelPool(2)
     try:
         env2, pooled = _coordinator_world(14, 4, lane=lane)
         env2.run(until=3000)

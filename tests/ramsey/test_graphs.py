@@ -13,6 +13,8 @@ from repro.ramsey.graphs import (
     RED,
     Coloring,
     OpCounter,
+    _count_cliques_np,
+    _count_cliques_py,
     count_mono_cliques,
     count_mono_cliques_with_edge,
 )
@@ -173,3 +175,20 @@ def test_op_count_scales_with_problem_size():
         count_mono_cliques(c, 4, ops)
         costs.append(ops.ops)
     assert costs[0] < costs[1] < costs[2]
+
+
+@pytest.mark.parametrize("k,n", [(12, 4), (43, 5), (9, 3)])
+def test_count_cliques_np_matches_reference(k, n):
+    """The vectorized clique count charges exactly the recursive
+    kernel's op meter, for both color classes of a coloring."""
+    coloring = Coloring.random(k, np.random.default_rng(k + n))
+    total = vec_ops = 0
+    ops = OpCounter()
+    for masks in (coloring.red, coloring.blue):
+        count, counted = _count_cliques_np(
+            np.array(masks, dtype=np.uint64), k, n)
+        assert count == _count_cliques_py(masks, k, n, ops)
+        total += count
+        vec_ops += counted
+    assert vec_ops == ops.ops
+    assert total == count_mono_cliques(coloring, n)

@@ -1,13 +1,13 @@
 """One engine run loop: ``Environment.run`` has no observed twin, and
 handler timing rides the world's ``Telemetry`` on both planes instead of
-a setting on the engine. Lanes are consumed synchronously, so nothing
-harvests them between events."""
+a setting on the engine. The compute pool is consumed synchronously, so
+nothing harvests it between events."""
 
 import ast
 import inspect
 import pathlib
 
-from repro.parallel import lanes
+from repro.parallel import pool
 from repro.simgrid.engine import Environment
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -28,10 +28,9 @@ def test_environment_has_exactly_one_run_loop():
 
 
 def test_no_lane_class_defines_drain():
-    classes = [cls for _, cls in inspect.getmembers(lanes, inspect.isclass)
-               if cls.__module__ == lanes.__name__]
-    assert {cls.__name__ for cls in classes} >= {
-        "ComputeLane", "InlineLane", "PoolLane"}
+    classes = [cls for _, cls in inspect.getmembers(pool, inspect.isclass)
+               if cls.__module__ == pool.__name__]
+    assert [cls.__name__ for cls in classes] == ["KernelPool"]
     assert [cls.__name__ for cls in classes if "drain" in vars(cls)] == []
 
 
