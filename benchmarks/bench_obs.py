@@ -14,10 +14,10 @@ Two questions, two cell families:
   is the price of tracing on the control plane's hot path; the gate
   caps it at 5% (12% under --quick, whose 8-second cells cannot
   resolve finer against CI scheduling noise).
-* **flight cells** — an in-process ``FlightRecorder`` at ring
-  capacities 1k and 10k is fed several rings' worth of spans, then
-  sealed and recovered with ``load_flight``. Reported: spool
-  throughput, seal/load latency, and on-disk dump size.
+* **spool cells** — an in-process ``FlightRecorder`` spools N spans
+  (3k and 30k), is sealed, and is recovered with ``load_flight``; every
+  one of the N must come back. Reported: spool throughput, seal/load
+  latency, and on-disk spool size.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ TRACE_DELTA_PCT_CEILING = 5.0
 #: exists to catch a gross regression (a span per request, an O(n) scan
 #: on the submit path), not to re-measure the committed baseline.
 QUICK_TRACE_DELTA_PCT_CEILING = 12.0
-FLIGHT_CAPACITIES = (1_000, 10_000)
+#: Spans spooled per spool cell.
+SPOOL_SPANS = (3_000, 30_000)
 
 
 def _trace_cells(clients: int, rounds: int, burst_s: float,
@@ -112,15 +113,14 @@ def _trace_cells(clients: int, rounds: int, burst_s: float,
                 child.kill()
 
 
-def _flight_cell(capacity: int) -> dict:
+def _spool_cell(spans: int) -> dict:
     from repro.core.telemetry import Telemetry
     from repro.obs.flight import FlightRecorder, flight_path, load_flight
 
-    spans = capacity * 3  # enough to force rotation twice over
     with tempfile.TemporaryDirectory(prefix="repro-bench-obs-") as tmp:
         tel = Telemetry(trace=True, id_base=1_000_000)
         rec = FlightRecorder(flight_path(tmp, "bench", 0), telemetry=tel,
-                             node="bench", capacity=capacity)
+                             node="bench")
         t0 = time.perf_counter()
         for i in range(spans):
             span = tel.tracer.begin("job work", component="bench",
@@ -134,17 +134,14 @@ def _flight_cell(capacity: int) -> dict:
         rec.seal("bench")
         seal_ms = (time.perf_counter() - t0) * 1e3
 
-        size = sum(os.path.getsize(p) for p in (rec.path, rec.path + ".1")
-                   if os.path.exists(p))
+        size = os.path.getsize(rec.path)
         t0 = time.perf_counter()
         dump = load_flight(rec.path)
         load_ms = (time.perf_counter() - t0) * 1e3
         return {
             "cell": "flight",
-            "capacity": capacity,
             "spans_fed": spans,
             "spool_spans_per_s": round(spans / spool_s, 0),
-            "rotations": rec.rotations,
             "seal_ms": round(seal_ms, 3),
             "load_ms": round(load_ms, 3),
             "dump_bytes": size,
@@ -207,25 +204,27 @@ def main(argv: list[str] | None = None) -> int:
     print(f"tracing cost: {delta_pct:+.1f}% submissions/s "
           f"(median of {paired} paired rounds, ceiling {ceiling:.0f}%)")
 
-    for capacity in FLIGHT_CAPACITIES:
-        row = _flight_cell(capacity)
+    for spans in SPOOL_SPANS:
+        row = _spool_cell(spans)
         rows.append(row)
-        print(f"flight cap {capacity:>6}: "
+        print(f"spool {spans:>6} spans: "
               f"{row['spool_spans_per_s']:>9,.0f} spans/s spooled, "
               f"dump {row['dump_bytes'] / 1024:.0f} KiB, "
               f"seal {row['seal_ms']:.1f} ms, load {row['load_ms']:.1f} ms")
 
+    config = {"clients": clients, "rounds": rounds, "burst": burst,
+              "seed": args.seed}
+    floors = {"trace_delta_pct": ceiling, "flight_spans_recovered": 1}
     failures = []
     if delta_pct > ceiling:
         failures.append(f"tracing costs {delta_pct:.1f}% submissions/s > "
                         f"ceiling {ceiling:.0f}%")
     for row in rows:
-        if row["cell"] == "flight" and row["spans_recovered"] == 0:
-            failures.append(f"flight dump at capacity {row['capacity']} "
-                            f"recovered no spans")
-    config = {"clients": clients, "rounds": rounds, "burst": burst,
-              "seed": args.seed}
-    floors = {"trace_delta_pct": ceiling, "flight_spans_recovered": 1}
+        # The floor is the recovered fraction: every spooled span.
+        if (row["cell"] == "flight" and row["spans_recovered"]
+                < row["spans_fed"] * floors["flight_spans_recovered"]):
+            failures.append(f"spool of {row['spans_fed']} spans recovered "
+                            f"only {row['spans_recovered']}")
     return finish(args, "obs", config, floors, rows, failures)
 
 

@@ -3,8 +3,9 @@
 Wall-clock observability over the control and deployment planes:
 end-to-end job tracing (:func:`job_trace` / :func:`render_job_trace`
 walk one submission's causal chain across processes and incarnations),
-the per-node :class:`FlightRecorder` black box recovered post-mortem by
-the supervisor, Prometheus text exposition for the gateway's
+the per-incarnation :class:`FlightRecorder` spool — the one carrier of
+a live node's spans and logs, recovered once by the supervisor when the
+process exits — Prometheus text exposition for the gateway's
 ``/metrics`` (:func:`render_prometheus` / :func:`parse_prometheus`),
 the job-lifecycle :class:`EventLog` behind ``GET /events``, and the
 ``repro top`` live dashboard (:func:`run_top`).

@@ -156,7 +156,7 @@ class GatewayCore:
             # Only anomalies become spans. Healthy traffic is already
             # covered by the counters/latency histograms and by the
             # per-job ingress trace; a span per request would roughly
-            # triple tracing's hot-path cost and flood the span shipper
+            # triple tracing's hot-path cost and flood the flight spool
             # at storm rates.
             span = tracer.begin(f"http {route}", component=self.name,
                                 start=now, mtype=route)

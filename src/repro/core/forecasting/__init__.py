@@ -3,7 +3,7 @@
 from ..._exports import lazy_exports
 
 _EXPORTS = {
-    ".benchmarking": ("EventTimer", "ForecastRegistry", "event_tag"),
+    ".benchmarking": ("ForecastRegistry", "event_tag"),
     ".selector": ("Forecast", "ForecasterBank"),
     ".sensors": ("NWSSensor", "NWS_PING", "NWS_PONG", "NWS_QUERY",
                  "NWS_FORECAST"),

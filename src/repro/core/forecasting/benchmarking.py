@@ -14,13 +14,12 @@ bounds, with a default before any history exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isfinite
 from typing import Hashable, Optional, Union
 
 from .selector import Forecast, ForecasterBank
 
-__all__ = ["EventTimer", "ForecastRegistry", "event_tag"]
+__all__ = ["ForecastRegistry", "event_tag"]
 
 
 def event_tag(address: str, mtype: str) -> str:
@@ -116,42 +115,3 @@ class ForecastRegistry:
 
     def __len__(self) -> int:
         return len(self._streams)
-
-
-@dataclass
-class _OpenEvent:
-    tag: Hashable
-    started: float
-
-
-class EventTimer:
-    """Times begin/end-delimited program events and feeds a registry.
-
-    Tokens distinguish concurrent events with the same tag (e.g. two
-    outstanding requests to the same server).
-    """
-
-    def __init__(self, registry: ForecastRegistry) -> None:
-        self.registry = registry
-        self._open: dict[Hashable, _OpenEvent] = {}
-
-    def begin(self, tag: Hashable, now: float, token: Hashable = None) -> None:
-        self._open[(tag, token)] = _OpenEvent(tag, now)
-
-    def end(self, tag: Hashable, now: float, token: Hashable = None) -> Optional[float]:
-        """Close the event; returns its duration (None if never opened —
-        e.g. the begin was lost to a failure, which is not an error)."""
-        ev = self._open.pop((tag, token), None)
-        if ev is None:
-            return None
-        duration = now - ev.started
-        self.registry.record(tag, duration)
-        return duration
-
-    def abandon(self, tag: Hashable, token: Hashable = None) -> None:
-        """Forget an open event without recording (request timed out)."""
-        self._open.pop((tag, token), None)
-
-    @property
-    def open_count(self) -> int:
-        return len(self._open)

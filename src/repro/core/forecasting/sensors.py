@@ -21,7 +21,7 @@ from typing import Optional
 
 from ..component import Component, Effect, Send, SetTimer
 from ..linguafranca.messages import Message
-from .benchmarking import EventTimer, ForecastRegistry, event_tag
+from .benchmarking import ForecastRegistry, event_tag
 from .selector import Forecast
 
 __all__ = ["NWSSensor", "NWS_PING", "NWS_PONG", "NWS_QUERY", "NWS_FORECAST"]
@@ -42,10 +42,9 @@ class NWSSensor(Component):
         self.peers = list(peers)
         self.probe_period = probe_period
         self.registry = ForecastRegistry()
-        self.timer = EventTimer(self.registry)
         self._seq = itertools.count(1)
-        #: peer -> the seq of its outstanding probe.
-        self._probe_seq: dict[str, int] = {}
+        #: peer -> (seq, sent_at) of its outstanding probe.
+        self.outstanding: dict[str, tuple[int, float]] = {}
         self.probes_sent = 0
         self.pongs_received = 0
         self.queries_served = 0
@@ -62,13 +61,10 @@ class NWSSensor(Component):
             if peer == self.contact:
                 continue
             seq = next(self._seq)
-            tag = event_tag(peer, "RTT")
-            # One outstanding probe per peer: a lost probe is abandoned,
+            # One outstanding probe per peer: a lost probe is replaced,
             # never recorded (losses surface as missing samples, as in NWS),
             # and its late PONG no longer matches.
-            self.timer.abandon(tag, self._probe_seq.get(peer))
-            self.timer.begin(tag, now, token=seq)
-            self._probe_seq[peer] = seq
+            self.outstanding[peer] = (seq, now)
             self.probes_sent += 1
             effects.append(Send(peer, Message(
                 mtype=NWS_PING, sender=self.contact, body={"seq": seq})))
@@ -81,9 +77,11 @@ class NWSSensor(Component):
                 body={"seq": message.body.get("seq")}))]
         if message.mtype == NWS_PONG:
             seq = message.body.get("seq")
-            if type(seq) is int and self._probe_seq.get(message.sender) == seq:
-                del self._probe_seq[message.sender]
-                self.timer.end(event_tag(message.sender, "RTT"), now, token=seq)
+            probe = self.outstanding.get(message.sender)
+            if type(seq) is int and probe is not None and probe[0] == seq:
+                del self.outstanding[message.sender]
+                self.registry.record(event_tag(message.sender, "RTT"),
+                                     now - probe[1])
                 self.pongs_received += 1
             return []
         if message.mtype == NWS_QUERY:

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..component import CancelTimer, Component, Effect, LogLine, Send, SetTimer, Stop
-from ..forecasting.benchmarking import EventTimer, ForecastRegistry, event_tag
+from ..forecasting.benchmarking import ForecastRegistry, event_tag
 from ..policy import TimeoutPolicy
 from ..linguafranca.messages import Message
 from .clique import CLIQUE_MTYPES, CliqueState, _in_view, _shared
@@ -178,7 +178,9 @@ class GossipServer(Component):
         #: Incremental digest over ``freshest`` (kept current by ``_adopt``).
         self.digest = StateDigest()
         self.forecasts = ForecastRegistry()
-        self.timer = EventTimer(self.forecasts)
+        #: Outstanding polls: contact -> send time. A GOS_STATE answering
+        #: one records the poll's response time, once.
+        self._polls: dict[str, float] = {}
         #: The reply time-out policy in force (ablation A1 picks static).
         self._reply_timeout = TimeoutPolicy.forecast(
             registry=self.forecasts,
@@ -429,8 +431,9 @@ class GossipServer(Component):
             # refuted component must never proceed to eviction.
             self.suspicion.confirm_alive(contact, now,
                                          budget=self._piggyback_budget())
-        tag = event_tag(contact, GOS_POLL)
-        self.timer.end(tag, now)
+        sent = self._polls.pop(contact, None)
+        if sent is not None:
+            self.forecasts.record(event_tag(contact, GOS_POLL), now - sent)
         remote = self._merge_records(message.body.get("records", []))
         # Push fresh state for every *registered* type the component holds a
         # stale copy of — or no copy at all (it may never have written one).
@@ -551,9 +554,8 @@ class GossipServer(Component):
                 # Keep polling meanwhile: a slow-but-live component's next
                 # GOS_STATE is the first-hand refutation.
                 self.suspicion.suspect(contact, now, budget=budget)
-            tag = event_tag(contact, GOS_POLL)
-            self.timer.abandon(tag)  # a lost previous poll must not skew stats
-            self.timer.begin(tag, now)
+            # Replaces a lost previous poll, which must not skew stats.
+            self._polls[contact] = now
             self.stats.polls_sent += 1
             effects.append(Send(contact, Message(
                 mtype=GOS_POLL, sender=self.contact, body={})))
@@ -730,7 +732,6 @@ class GossipServer(Component):
         for peer in sorted(self._pending_acks):
             if now - self._pending_acks[peer] > self._ack_timeout(peer):
                 del self._pending_acks[peer]
-                self.timer.abandon(event_tag(peer, GOS_DIGEST))
                 self.suspicion.suspect(peer, now, budget=budget)
         # Advance suspect -> dead; component evictions happen on the poll
         # plane (responsible member only), member deaths just leave the
@@ -753,10 +754,7 @@ class GossipServer(Component):
             message = Message(mtype=GOS_DIGEST, sender=self.contact, body=body)
             self._account_send(message)
             self.stats.digests_sent += 1
-            tag = event_tag(peer, GOS_DIGEST)
             if peer not in self._pending_acks:
-                self.timer.abandon(tag)
-                self.timer.begin(tag, now)
                 self._pending_acks[peer] = now
             effects.append(Send(peer, message))
         if self._rounds_counter is None:
@@ -795,9 +793,9 @@ class GossipServer(Component):
         if "a" in body:
             # The ack closes the dead-man window and feeds the forecast
             # that sizes the next one.
-            if peer in self._pending_acks:
-                del self._pending_acks[peer]
-                self.timer.end(event_tag(peer, GOS_DIGEST), now)
+            sent = self._pending_acks.pop(peer, None)
+            if sent is not None:
+                self.forecasts.record(event_tag(peer, GOS_DIGEST), now - sent)
             self.stats.digest_acks += 1
         if "ok" in body:
             return []

@@ -363,8 +363,8 @@ class Tracer:
 
         ``upto`` is an *absolute* span index (``dropped`` + position in
         ``spans``); spans before it leave memory. Long-lived traced
-        nodes call this after the shipper/flight recorder have taken a
-        span so the list — and with it gen-2 GC pressure — stays
+        nodes call this after the flight recorder has spooled a span
+        so the list — and with it gen-2 GC pressure — stays
         bounded; simulated runs never trim and keep the full record for
         export. Returns the number of spans dropped.
         """
@@ -404,9 +404,9 @@ class Tracer:
 
 
 class SpanCursor:
-    """One consumer's place in a tracer's span list (the telemetry
-    shipper and the flight recorder each hold one): every span is taken
-    exactly once, and only once it has closed. ``position`` is the
+    """One consumer's place in a tracer's span list (a live node's
+    flight recorder holds one): every span is taken exactly once, and
+    only once it has closed. ``position`` is the
     absolute index (``dropped`` + list position) of the first span not
     yet considered — the holder's bound for :meth:`Tracer.trim`."""
 

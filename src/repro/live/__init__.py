@@ -11,11 +11,12 @@ observes a complete EveryWare world on real sockets:
 * :mod:`.ports` — localhost port allocation for the manifest;
 * :mod:`.node` — the ``repro live-node`` entrypoint: build the node's
   sans-IO component from the manifest, run it under
-  :class:`~repro.core.netdriver.NetDriver`, ship telemetry;
-* :mod:`.collector` — the wire protocol nodes use to ship wall-clock
-  telemetry snapshots and log lines, and the supervisor-side state that
-  merges them into the same Chrome-trace/metrics/report formats the
-  simulation already emits;
+  :class:`~repro.core.netdriver.NetDriver`, send heartbeats and spool
+  spans and logs to the flight recorder;
+* :mod:`.collector` — the heartbeat wire protocol (metrics snapshots,
+  stats) and the supervisor-side state that merges heartbeats and
+  recovered flight spools into the same Chrome-trace/metrics/report
+  formats the simulation already emits;
 * :mod:`.supervisor` — process spawning, forecast-driven health checks,
   restart policies with backoff, chaos kills, graceful drain;
 * :mod:`.harness` — ``run_live``: topology in, merged report out.

@@ -1,21 +1,24 @@
 """The supervisor-side telemetry collector for live worlds.
 
-Every live node ships wall-clock observability to the supervisor over
-the same lingua franca the application speaks:
+Every live node reports to the supervisor over the same lingua franca
+the application speaks:
 
-* ``COL_HELLO`` — once per process incarnation: node name, pid,
-  incarnation number, and the node's wall-clock epoch (``time.time()``
-  at driver start), which the collector uses to place that node's span
-  timestamps on its own timeline;
-* ``COL_REPORT`` — periodic (and once more during graceful drain):
-  a sequence number, the node's full metrics snapshot, the spans opened
-  since the previous ship, buffered log lines, and role-specific stats.
+* ``COL_HELLO`` — once per process incarnation: node name, pid and
+  incarnation number;
+* ``COL_REPORT`` — the heartbeat, periodic (and once more during
+  graceful drain): a sequence number, the node's full metrics snapshot,
+  role-specific stats, driver counters, and on the last one the stop
+  reason.
 
-The :class:`Collector` merges these into the same artifact formats the
-simulation already emits — a metrics snapshot (:func:`merge_snapshots`
-shape), a :class:`~repro.core.telemetry.Tracer` whose spans live on one
-common timeline (so :func:`~repro.core.telemetry.export_chrome_trace`
-works unchanged), and a time-ordered log.
+A node's spans and log lines do not travel here: each incarnation
+spools them to its flight recorder (:mod:`repro.obs.flight`), and the
+supervisor hands every reaped spool to :meth:`Collector.ingest_flight`
+once. The :class:`Collector` merges both into the same artifact formats
+the simulation already emits — a metrics snapshot
+(:func:`merge_snapshots` shape), a :class:`~repro.core.telemetry.Tracer`
+whose spans live on one common timeline (so
+:func:`~repro.core.telemetry.export_chrome_trace` works unchanged), and
+a time-ordered log.
 
 Report interarrival gaps are fed to the forecasting machinery per node —
 :meth:`silent_nodes` is the paper's forecast-driven liveness test (§2.2)
@@ -52,25 +55,12 @@ class NodeRecord:
     contact: str = ""
     pid: int = 0
     incarnation: int = 0
-    #: Node wall epoch (``time.time()`` at driver start) per the latest
-    #: incarnation; span timestamps ship relative to it.
-    epoch: float = 0.0
-    #: Wall epoch per incarnation. Reports carry their incarnation, so a
-    #: straggler from a dead life that lands *after* the successor's
-    #: hello is still shifted by the epoch it was actually timed against.
-    epochs: dict = field(default_factory=dict)
     hellos: int = 0
     reports: int = 0
-    last_seq: int = -1
     #: Highest sequence number seen per incarnation: dedup (reconnect
     #: resends) is per-life, since every restart resets the counter.
     last_seqs: dict = field(default_factory=dict)
-    #: Every span id already merged — flight-dump recovery re-offers
-    #: spans the periodic shipper already delivered, and must be
-    #: idempotent.
-    span_ids: set = field(default_factory=set)
-    #: Log-line identity keys already merged (same idempotence story).
-    log_keys: set = field(default_factory=set)
+    #: Flight spools ingested, and the spans they brought.
     flight_dumps: int = 0
     flight_spans: int = 0
     #: Collector-clock time of the last report (for liveness).
@@ -81,10 +71,11 @@ class NodeRecord:
     #: counters, so earlier lives must be merged in, not overwritten —
     #: their sends were already counted by every peer that received them.
     metrics_history: dict = field(default_factory=dict)
-    #: Accumulated spans, already shifted onto the collector timeline.
+    #: Spans from every ingested spool, on the collector timeline.
     spans: list[Span] = field(default_factory=list)
-    #: Accumulated log lines: dicts ``{"t", "component", "level", "text"}``
-    #: with ``t`` on the collector timeline.
+    #: Log lines from every ingested spool: dicts ``{"t", "node",
+    #: "component", "level", "text"}`` with ``t`` on the collector
+    #: timeline.
     logs: list[dict] = field(default_factory=list)
     #: Role-specific stats from the latest report.
     stats: dict = field(default_factory=dict)
@@ -139,11 +130,6 @@ class Collector:
             rec.contact = message.sender
             rec.pid = int(body.get("pid", 0))
             rec.incarnation = int(body.get("incarnation", 0))
-            rec.epoch = float(body.get("epoch", time.time()))
-            rec.epochs[rec.incarnation] = rec.epoch
-            # A fresh incarnation restarts the node-side sequence space.
-            rec.last_seq = -1
-            rec.last_seqs.setdefault(rec.incarnation, -1)
             rec.stop_reason = None
             return None
         if message.mtype == COL_REPORT:
@@ -162,8 +148,6 @@ class Collector:
             rec.duplicate_reports += 1
             return
         rec.last_seqs[incarnation] = seq
-        if incarnation == rec.incarnation:
-            rec.last_seq = seq
         rec.reports += 1
         now = self.now()
         if rec.last_report is not None:
@@ -178,73 +162,44 @@ class Collector:
         stats = body.get("stats")
         if isinstance(stats, dict):
             rec.stats = stats
-        # Spans/logs ship with node-relative timestamps; place them on
-        # the collector timeline via the epoch of the incarnation that
-        # actually timed them.
-        shift = rec.epochs.get(incarnation, rec.epoch) - self.epoch
-        self._merge_spans(rec, body.get("spans", ()), shift)
-        self._merge_logs(rec, body.get("logs", ()), shift)
         if body.get("final"):
             rec.final_reports += 1
             rec.stop_reason = str(body.get("stop_reason", "") or "") or None
 
-    def _merge_spans(self, rec: NodeRecord, spans, shift: float) -> int:
-        merged = 0
-        for d in spans:
-            try:
-                span = Span.from_dict(d)
-            except (KeyError, TypeError, ValueError):
-                self.bad_messages += 1
-                continue
-            if span.span_id in rec.span_ids:
-                continue
-            rec.span_ids.add(span.span_id)
-            span.start += shift
-            if span.end is not None:
-                span.end += shift
-            rec.spans.append(span)
-            merged += 1
-        return merged
-
-    def _merge_logs(self, rec: NodeRecord, lines, shift: float) -> int:
-        merged = 0
-        for line in lines:
-            if not isinstance(line, dict):
-                continue
-            t = float(line.get("t", 0.0)) + shift
-            entry = {
-                "t": t,
-                "node": rec.name,
-                "component": str(line.get("component", rec.name)),
-                "level": str(line.get("level", "info")),
-                "text": str(line.get("text", "")),
-            }
-            key = (round(t, 6), entry["component"], entry["level"],
-                   entry["text"])
-            if key in rec.log_keys:
-                continue
-            rec.log_keys.add(key)
-            rec.logs.append(entry)
-            merged += 1
-        return merged
-
     def ingest_flight(self, dump: dict) -> int:
-        """Merge a dead incarnation's flight-recorder dump (the
-        :func:`~repro.obs.flight.load_flight` shape). Idempotent against
-        the periodic shipments: spans the collector already holds are
-        skipped by span id, so recovery only contributes the tail the
-        crash cut off. Returns the number of spans actually added."""
+        """Merge one incarnation's flight-recorder spool (the
+        :func:`~repro.obs.flight.load_flight` shape), the only source of
+        a node's spans and log lines. Timestamps are relative to the
+        epoch in the spool's header, so a life lands on the collector
+        timeline by its own clock whenever it is recovered. The
+        supervisor offers each spool once. Returns the spans added."""
         name = str(dump.get("node", "") or "")
         if not name:
             self.bad_messages += 1
             return 0
         rec = self._record(name)
-        incarnation = int(dump.get("incarnation", 0))
-        epoch = float(dump.get("epoch", 0.0) or 0.0)
-        rec.epochs.setdefault(incarnation, epoch or rec.epoch)
-        shift = rec.epochs[incarnation] - self.epoch
-        added = self._merge_spans(rec, dump.get("spans", ()), shift)
-        self._merge_logs(rec, dump.get("logs", ()), shift)
+        shift = float(dump.get("epoch", 0.0) or 0.0) - self.epoch
+        added = 0
+        for d in dump.get("spans", ()):
+            try:
+                span = Span.from_dict(d)
+            except (KeyError, TypeError, ValueError):
+                self.bad_messages += 1
+                continue
+            span.start += shift
+            if span.end is not None:
+                span.end += shift
+            rec.spans.append(span)
+            added += 1
+        for line in dump.get("logs", ()):
+            if isinstance(line, dict):
+                rec.logs.append({
+                    "t": float(line.get("t", 0.0)) + shift,
+                    "node": name,
+                    "component": str(line.get("component", name)),
+                    "level": str(line.get("level", "info")),
+                    "text": str(line.get("text", "")),
+                })
         rec.flight_dumps += 1
         rec.flight_spans += added
         return added

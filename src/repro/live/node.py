@@ -5,9 +5,10 @@ programming model: read the manifest, build this node's :class:`Component`
 exactly as the simulation's scenario builder would (same classes, same
 wiring — only the contact strings are ``host:port`` now), run it under
 :class:`~repro.core.netdriver.NetDriver` on the preallocated port, and
-piggyback a telemetry shipper on the driver's reactor loop. SIGTERM from
-the supervisor turns into a graceful drain: the reactor stops at the next
-turn, drain hooks flush one final ``COL_REPORT``, and the sockets close.
+piggyback a heartbeat shipper and a flight recorder on the driver's
+reactor loop. SIGTERM from the supervisor turns into a graceful drain:
+the reactor stops at the next turn, drain hooks send one final
+``COL_REPORT`` and seal the spool, and the sockets close.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 from ..core.component import Component
 from ..core.linguafranca.messages import Message
 from ..core.netdriver import NetDriver
-from ..core.telemetry import SpanCursor, Telemetry
+from ..core.telemetry import Telemetry
 # The id-partition constants live with the span-origin decoder so trace
 # tooling and the nodes that mint the ids can never drift apart.
 from ..obs.jobtrace import ID_BLOCK, MAX_INCARNATIONS
@@ -229,8 +230,9 @@ def node_stats(component: Component) -> dict:
 
 
 class _Shipper:
-    """Ships telemetry snapshots/spans/logs to the collector, riding the
-    driver's reactor loop (tick hook) and drain path (drain hook)."""
+    """Heartbeats the collector: metrics, stats and driver counters in a
+    ``COL_REPORT`` per ship period (tick hook) and a final one on drain
+    (drain hook). Spans and logs travel in the flight spool instead."""
 
     def __init__(self, driver: NetDriver, manifest: Manifest, name: str,
                  incarnation: int, ship_period: float) -> None:
@@ -240,21 +242,10 @@ class _Shipper:
         self.ship_period = ship_period
         host, _, port = manifest.collector.rpartition(":")
         self._col = (host, int(port)) if host and port else None
-        #: Wall clock matching the driver's t=0 (set just after driver
-        #: construction, so span timestamps map onto wall time).
-        self.epoch = time.time() - driver.now()
         self.seq = 0
-        self.sent = 0
-        self.errors = 0
-        self.spans = SpanCursor(driver.telemetry.tracer)
-        self._logs: list[dict] = []
         self._last_ship = driver.now()
 
     # -- driver hooks --------------------------------------------------------
-    def log_sink(self, now: float, component: str, level: str, text: str) -> None:
-        self._logs.append({"t": now, "component": component,
-                           "level": level, "text": text})
-
     def tick(self) -> None:
         if self.driver.now() - self._last_ship >= self.ship_period:
             self.ship()
@@ -268,20 +259,16 @@ class _Shipper:
             "node": self.name,
             "pid": os.getpid(),
             "incarnation": self.incarnation,
-            "epoch": self.epoch,
         })
 
     def ship(self, final: bool = False) -> None:
         self._last_ship = self.driver.now()
         self.seq += 1
-        logs, self._logs = self._logs, []
         body = {
             "node": self.name,
             "seq": self.seq,
             "incarnation": self.incarnation,
             "metrics": self.driver.telemetry.snapshot(),
-            "spans": [s.to_dict() for s in self.spans.take(final)],
-            "logs": logs,
             "stats": node_stats(self.driver.component),
             "driver": {
                 "send_errors": self.driver.send_errors,
@@ -305,7 +292,6 @@ class _Shipper:
             f"{self._col[0]}:{self._col[1]}",
             Message(mtype=mtype, sender=self.driver.contact, body=body),
             timeout=2.0)
-        self.sent += 1
 
 
 def _bind_driver(component: Component, host: str, port: int,
@@ -338,7 +324,7 @@ def run_node(
     idx = topo.index_of(name)
     host, _, port = manifest.contact(name).rpartition(":")
     telemetry = Telemetry(
-        trace=topo.trace,
+        trace=True,
         id_base=((idx + 1) * MAX_INCARNATIONS
                  + incarnation % MAX_INCARNATIONS) * ID_BLOCK)
     data_dir = os.path.dirname(os.path.abspath(manifest_path))
@@ -347,50 +333,39 @@ def run_node(
     driver = _bind_driver(component, host, int(port), telemetry, speed)
     shipper = _Shipper(driver, manifest, name, incarnation,
                        topo.ship_period)
-    tick_hooks = [shipper.tick]
-    flight: Optional[FlightRecorder] = None
-    if topo.trace:
-        # Flight recorder: the node's black box. Every closed span and
-        # log line also lands in a bounded on-disk spool, flushed per
-        # record, so a SIGKILLed incarnation leaves its last N records
-        # behind for the supervisor to recover (DESIGN §14).
-        flight = FlightRecorder(
-            flight_path(data_dir, name, incarnation),
-            telemetry=telemetry, node=name, incarnation=incarnation,
-            epoch=shipper.epoch, capacity=topo.flight_capacity)
-        tick_hooks.append(flight.tick)
-        driver.log_sink = _fan_out_logs(
-            [shipper.log_sink, flight.observe_log])
-    else:
-        driver.log_sink = shipper.log_sink
+    # Flight recorder: the node's black box and the one carrier of its
+    # spans and log lines. Every record is flushed as it is written, so
+    # a SIGKILLed incarnation leaves its whole life behind for the
+    # supervisor to recover (DESIGN §14). The epoch is the wall clock at
+    # the driver's t=0, which places span timestamps on wall time.
+    flight = FlightRecorder(
+        flight_path(data_dir, name, incarnation), telemetry=telemetry,
+        node=name, incarnation=incarnation,
+        epoch=time.time() - driver.now())
+    driver.log_sink = flight.observe_log
+
+    def _spool() -> None:
+        flight.tick()
+        # A spooled span can leave memory: without this a busy node
+        # grows its span list (and gen-2 GC pauses) for its whole life.
+        telemetry.tracer.trim(flight.cursor)
+
+    tick_hooks = [shipper.tick, _spool]
     if spec.role == "gateway":
         server = _attach_gateway(driver, manifest, name)
         tick_hooks.append(server.poll_parked)
-    if topo.trace:
-        # Once both cursor-holders have taken a span it can leave memory;
-        # without this a busy traced node grows its span list (and gen-2
-        # GC pauses) without bound for the life of the process.
-        def _trim_spans() -> None:
-            telemetry.tracer.trim(min(shipper.spans.position, flight.cursor))
-
-        tick_hooks.append(_trim_spans)
-    driver.tick_hook = (tick_hooks[0] if len(tick_hooks) == 1
-                        else _fan_out(tick_hooks))
-    driver.drain_hooks.insert(0, shipper.drain)
-    if flight is not None:
-        # After the shipper's final report (so the seal records spans the
-        # collector already has — recovery is idempotent), before the
-        # server/journal close hooks appended by _attach_gateway.
-        driver.drain_hooks.insert(
-            1, lambda: flight.seal(driver.stop_reason or "deadline"))
+    driver.tick_hook = _fan_out(tick_hooks)
+    # The final report, then the seal, before the server/journal close
+    # hooks appended by _attach_gateway.
+    driver.drain_hooks[:0] = [
+        shipper.drain, lambda: flight.seal(driver.stop_reason or "deadline")]
     driver.install_signal_handlers()
     shipper.hello()
     try:
         driver.run(deadline)
     finally:
         driver.shutdown()
-        if flight is not None:
-            flight.close()
+        flight.close()
     return 0
 
 
@@ -398,13 +373,6 @@ def _fan_out(hooks: list) -> "callable":
     def dispatch() -> None:
         for hook in hooks:
             hook()
-    return dispatch
-
-
-def _fan_out_logs(sinks: list) -> "callable":
-    def dispatch(now: float, component: str, level: str, text: str) -> None:
-        for sink in sinks:
-            sink(now, component, level, text)
     return dispatch
 
 

@@ -196,11 +196,10 @@ class Supervisor:
 
     def _recover_flight(self, node: ManagedNode) -> None:
         """Post-mortem: pull the reaped incarnation's flight-recorder
-        spool off disk and hand it to the sink (collector). A SIGKILLed
-        process never got to flush its final telemetry report — the
-        spool is where its last moments live. Idempotent downstream
-        (the collector dedups by span id), so recovering a *graceful*
-        exit's spool is harmless."""
+        spool off disk and hand it to the sink (collector). The spool is
+        the only carrier of that life's spans and logs, drained or
+        SIGKILLed alike, so every incarnation is recovered exactly once
+        (``flights_recovered``)."""
         if self.flight_sink is None:
             return
         if node.incarnation in node.flights_recovered:

@@ -82,11 +82,6 @@ class Topology:
     gossip_sync_period: float = 1.0
     #: How often nodes ship telemetry snapshots to the collector.
     ship_period: float = 0.5
-    #: Causal tracing on live nodes (wall-clock span timestamps).
-    trace: bool = True
-    #: Flight-recorder ring size per node (DESIGN §14): the most recent
-    #: N spans/logs recoverable from a dead incarnation's spool.
-    flight_capacity: int = 2048
     seed: int = 0
 
     def named(self, name: str) -> NodeSpec:
@@ -126,8 +121,6 @@ class Topology:
                 "gossip_poll_period": self.gossip_poll_period,
                 "gossip_sync_period": self.gossip_sync_period,
                 "ship_period": self.ship_period,
-                "trace": self.trace,
-                "flight_capacity": self.flight_capacity,
                 "seed": self.seed,
             },
         }

@@ -2,9 +2,10 @@
 
 Rides the deterministic :mod:`repro.core.telemetry` primitives across
 process boundaries: end-to-end job traces stitched from every node's
-shipped spans, a crash-surviving flight recorder per node, Prometheus
-text exposition + a long-poll /events feed on the gateway, and the
-``repro top`` terminal dashboard. Everything here is stdlib-only and
+flight spools (each incarnation's crash-surviving spool is the one
+carrier of its spans and logs), Prometheus text exposition + a
+long-poll /events feed on the gateway, and the ``repro top`` terminal
+dashboard. Everything here is stdlib-only and
 strictly additive — simulated-plane runs stay byte-identical and the
 telemetry-off overhead gate still holds.
 """

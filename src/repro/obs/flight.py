@@ -1,20 +1,16 @@
-"""Flight recorder: a crash-surviving ring of recent spans and logs.
+"""Flight recorder: a crash-surviving spool of one incarnation's spans and logs.
 
-The telemetry shipper loses whatever happened after the last
-``COL_REPORT`` when a node dies — exactly the seconds that explain the
-death. The flight recorder closes that gap: every closed span (and log
-line) is appended to a per-incarnation JSONL spool, flushed per record
-like the job journal, with ring semantics via two-segment rotation —
-once ``capacity`` records are written the segment rotates to ``*.1`` and
-a fresh one starts, so disk holds at most ~2x capacity records and the
-most recent ``capacity`` are always recoverable.
+Every closed span and every log line of a live node is appended to a
+per-incarnation JSONL spool, flushed per record like the job journal.
+The spool is the only carrier of a node's spans and logs: it keeps the
+whole incarnation, so a life's trace is complete whether the process
+drained or was SIGKILLed mid-flight.
 
 On a graceful SIGTERM the drain hook :meth:`FlightRecorder.seal` writes
 the still-open spans plus a footer naming the stop reason. On SIGKILL
 nothing runs — and nothing needs to: the spool already holds the
-history. The supervisor reaps the dump with :func:`load_flight` and
-feeds it to the collector, which dedups spans by id (tracer id blocks
-make span ids globally unique per incarnation).
+history. The supervisor reaps every incarnation's spool once with
+:func:`load_flight` and feeds it to the collector.
 """
 
 from __future__ import annotations
@@ -27,7 +23,6 @@ from .recordlog import RecordLog, read_records
 
 __all__ = ["FlightRecorder", "load_flight", "flight_path"]
 
-DEFAULT_FLIGHT_CAPACITY = 2048
 FLIGHT_SUFFIX = ".flight.jsonl"
 
 
@@ -42,21 +37,19 @@ class FlightRecorder:
     ``telemetry`` is the node's :class:`~repro.core.telemetry.Telemetry`;
     :meth:`tick` (called from the driver's reactor hook) takes every span
     closed since the last tick. Open spans wait in the cursor (finish
-    mutates in place) and are force-dumped by :meth:`seal`.
+    mutates in place) and are force-dumped by :meth:`seal`. ``epoch`` is
+    the wall clock at the node's t=0: the header carries it, and the
+    collector places the spool's timestamps on its timeline by it.
     """
 
     def __init__(self, path: str, telemetry=None, node: str = "",
-                 incarnation: int = 0, epoch: float = 0.0,
-                 capacity: int = DEFAULT_FLIGHT_CAPACITY) -> None:
+                 incarnation: int = 0, epoch: float = 0.0) -> None:
         self.path = path
         self.telemetry = telemetry
         self.node = node
         self.incarnation = incarnation
         self.epoch = epoch
-        self.capacity = max(1, int(capacity))
         self.records = 0          # total records ever spooled
-        self.rotations = 0
-        self._written = 0         # records in the current segment
         # Untelemetered, the cursor walks a tracer that never has spans.
         self._spans = SpanCursor(telemetry.tracer if telemetry is not None
                                  else Tracer())
@@ -66,27 +59,13 @@ class FlightRecorder:
         # The job journal's appender, flushed per record: the whole point
         # is that the bytes are on disk when the SIGKILL lands.
         self._log = RecordLog(path)
-        self._header()
-
-    # -- spool ----------------------------------------------------------------
-    def _header(self) -> None:
-        self._log.append({"kind": "hello", "node": self.node,
-                          "incarnation": self.incarnation,
-                          "epoch": self.epoch, "capacity": self.capacity})
+        self._log.append({"kind": "hello", "node": node,
+                          "incarnation": incarnation, "epoch": epoch})
 
     def _record(self, kind: str, payload: dict) -> None:
         if self._closed:
             return
-        if self._written >= self.capacity:
-            # Two-segment ring: the full segment becomes ``*.1`` and the
-            # lazily reopened log starts a fresh one.
-            self._log.close()
-            os.replace(self.path, self.path + ".1")
-            self._written = 0
-            self.rotations += 1
-            self._header()
         self._log.append({"kind": kind, **payload})
-        self._written += 1
         self.records += 1
 
     # -- driver hooks ---------------------------------------------------------
@@ -123,43 +102,42 @@ class FlightRecorder:
 
 
 def load_flight(path: str) -> Optional[dict]:
-    """Load a flight spool (current segment + rotated predecessor).
+    """Load one incarnation's flight spool.
 
     Returns ``{"node", "incarnation", "epoch", "spans", "logs",
-    "sealed", "reason", "skipped"}`` holding the most recent
-    ``capacity`` records (``skipped`` counts damaged lines, as
-    ``journal_skipped`` does for the journal), or ``None`` when no
-    readable spool exists at ``path``.
+    "sealed", "reason", "skipped"}`` holding every record the spool
+    kept (``skipped`` counts damaged lines, as ``journal_skipped`` does
+    for the journal), or ``None`` when no readable spool exists at
+    ``path``.
     """
-    rotated, rotated_skipped = read_records(path + ".1")
-    current, skipped = read_records(path)
-    records = rotated + current
-    header = next((r for r in records if r.get("kind") == "hello"), None)
+    records, skipped = read_records(path)
+    header = seal = None
+    spans: list[dict] = []
+    logs: list[dict] = []
+    for record in records:
+        kind = record.pop("kind", None)
+        if kind == "span":
+            spans.append(record)
+        elif kind == "log":
+            logs.append(record)
+        elif kind == "hello" and header is None:
+            header = record
+        elif kind == "seal":
+            seal = record
     if header is None:
         return None
     try:
-        capacity = int(header.get("capacity", DEFAULT_FLIGHT_CAPACITY))
         incarnation = int(header.get("incarnation", 0))
         epoch = float(header.get("epoch", 0.0))
     except (TypeError, ValueError, OverflowError):
         return None  # a header that parses but lies is no header
-    spans = [r for r in records if r.get("kind") == "span"]
-    logs = [r for r in records if r.get("kind") == "log"]
-    seal = next((r for r in reversed(records) if r.get("kind") == "seal"),
-                None)
-    keep = spans[-capacity:]
-    for record in keep:
-        record.pop("kind", None)
-    for record in logs:
-        record.pop("kind", None)
     return {
         "node": header.get("node", ""),
         "incarnation": incarnation,
         "epoch": epoch,
-        "capacity": capacity,
-        "spans": keep,
-        "logs": logs[-capacity:],
+        "spans": spans,
+        "logs": logs,
         "sealed": seal is not None,
         "reason": (seal or {}).get("reason", ""),
-        "skipped": rotated_skipped + skipped,
+        "skipped": skipped,
     }

@@ -1,7 +1,7 @@
 """Walk one job's causal span chain out of a merged trace.
 
-``repro serve`` writes every span the collector merged (epoch-shifted
-onto one wall-clock timeline, flight-recorder recoveries included) to
+``repro serve`` writes every span the collector merged from the nodes'
+flight spools (epoch-shifted onto one wall-clock timeline) to
 ``spans.json``. A job submitted over POST /jobs roots a trace there:
 the gateway's ingress span mints the TraceContext, the WorkQueue stamps
 it into the journal record and the outgoing work unit, and every

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from ..core.component import CancelTimer, Component, Effect, LogLine, Send, SetTimer, Stop
-from ..core.forecasting.benchmarking import EventTimer, ForecastRegistry, event_tag
+from ..core.forecasting.benchmarking import ForecastRegistry, event_tag
 from ..core.linguafranca.messages import Message
 from ..parallel.kernels import EvalRound, run_task
 from .graphs import Coloring, OpCounter, count_mono_cliques, count_mono_cliques_with_edge
@@ -124,7 +124,10 @@ class ParallelTabuCoordinator(Component):
         self.moves_applied = 0
         self.remote_ops = 0
         self.forecasts = ForecastRegistry()
-        self.timer = EventTimer(self.forecasts)
+        #: When the current round's PAR_EVALs left, and the evaluators
+        #: sent one whose PAR_BEST has not been timed yet.
+        self._round_started = 0.0
+        self._awaiting: set[str] = set()
         self.stopped = False
         #: Simulation time at which the search stopped (found or budget).
         self.finished_at: Optional[float] = None
@@ -162,6 +165,8 @@ class ParallelTabuCoordinator(Component):
     def _start_round(self, now: float) -> list[Effect]:
         self.round += 1
         self._responses = {}
+        self._round_started = now
+        self._awaiting = set()
         hexstr = self.coloring.to_hex()
         all_edges = self._random_edges(
             self.candidates_per_eval * len(self.evaluators))
@@ -171,8 +176,7 @@ class ParallelTabuCoordinator(Component):
             chunk = all_edges[i * per : (i + 1) * per]
             if not chunk:
                 continue
-            self.timer.abandon(event_tag(evaluator, PAR_EVAL))
-            self.timer.begin(event_tag(evaluator, PAR_EVAL), now)
+            self._awaiting.add(evaluator)
             effects.append(Send(evaluator, Message(
                 mtype=PAR_EVAL, sender=self.contact, body={
                     "round": self.round,
@@ -190,7 +194,10 @@ class ParallelTabuCoordinator(Component):
         if message.body.get("round") != self.round:
             return []  # straggler from a closed round
         evaluator = message.sender
-        self.timer.end(event_tag(evaluator, PAR_EVAL), now)
+        if evaluator in self._awaiting:  # each answer is timed once
+            self._awaiting.discard(evaluator)
+            self.forecasts.record(event_tag(evaluator, PAR_EVAL),
+                                  now - self._round_started)
         self._responses[evaluator] = message.body
         self.remote_ops += int(message.body.get("ops", 0))
         if len(self._responses) == len(self.evaluators):

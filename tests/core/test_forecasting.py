@@ -15,7 +15,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.forecasting import (
-    EventTimer,
     Forecast,
     ForecastRegistry,
     ForecasterBank,
@@ -467,42 +466,6 @@ def test_registry_timeout_clamped():
 
 def test_event_tag_format():
     assert event_tag("h1/svc", "PING") == "h1/svc#PING"
-
-
-# ---------------------------------------------------------------- timer
-
-
-def test_event_timer_records_duration():
-    reg = ForecastRegistry()
-    timer = EventTimer(reg)
-    timer.begin("t", now=10.0)
-    d = timer.end("t", now=12.5)
-    assert d == pytest.approx(2.5)
-    assert reg.forecast("t").value == pytest.approx(2.5)
-
-
-def test_event_timer_concurrent_tokens():
-    reg = ForecastRegistry()
-    timer = EventTimer(reg)
-    timer.begin("t", now=0.0, token=1)
-    timer.begin("t", now=1.0, token=2)
-    assert timer.end("t", now=5.0, token=2) == pytest.approx(4.0)
-    assert timer.end("t", now=5.0, token=1) == pytest.approx(5.0)
-    assert timer.open_count == 0
-
-
-def test_event_timer_end_without_begin_is_none():
-    timer = EventTimer(ForecastRegistry())
-    assert timer.end("ghost", now=1.0) is None
-
-
-def test_event_timer_abandon():
-    reg = ForecastRegistry()
-    timer = EventTimer(reg)
-    timer.begin("t", now=0.0)
-    timer.abandon("t")
-    assert timer.end("t", now=9.0) is None
-    assert reg.forecast("t") is None
 
 
 def test_registry_drop_forgets_stream():

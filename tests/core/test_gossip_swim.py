@@ -216,3 +216,49 @@ def test_static_timeout_mode_still_detects_death():
     w.install(plan)
     w.env.run(until=500)
     assert sum(g.stats.evictions for g in w.gossips) == 1
+
+
+def test_replies_are_timed_once_from_their_request_stamps():
+    """A poll's and a digest's response times feed the forecasts that
+    size the next time-out: a new poll replaces a lost one, a reply is
+    recorded once, an unsolicited GOS_STATE records nothing, and an
+    overdue digest is forgotten rather than timed."""
+    from repro.core.component import NullRuntime
+    from repro.core.forecasting.benchmarking import event_tag
+    from repro.core.gossip.server import (GOS_DELTA, GOS_DIGEST, GOS_POLL,
+                                          GOS_REG, GOS_STATE, T_POLL, T_SYNC)
+    from repro.core.linguafranca.messages import Message
+
+    server = GossipServer("g0", ["g0/gossip", "g1/gossip"],
+                          comparators=ComparatorRegistry())
+    server.bind_runtime(NullRuntime(contact="g0/gossip"))
+    server.on_start(0.0)
+    app = next(f"app{i}/app" for i in range(64)
+               if server.responsible_for(f"app{i}/app"))
+    server.on_message(Message(mtype=GOS_REG, sender=app, body={}), 0.0)
+
+    def state(now):
+        server.on_message(Message(mtype=GOS_STATE, sender=app, body={}), now)
+
+    def ack(now):
+        server.on_message(Message(mtype=GOS_DELTA, sender="g1/gossip",
+                                  body={"a": 1, "ok": 1}), now)
+
+    def samples(mtype, peer):
+        fc = server.forecasts.forecast(event_tag(peer, mtype))
+        return None if fc is None else (fc.samples, fc.value)
+
+    state(0.5)                      # unsolicited: no poll outstanding
+    server.on_timer(T_POLL, 1.0)    # lost
+    server.on_timer(T_POLL, 16.0)   # replaces it
+    state(16.5)
+    state(17.0)                     # a second answer
+    assert samples(GOS_POLL, app) == (1, pytest.approx(0.5))
+
+    server.on_timer(T_SYNC, 1.0)
+    ack(1.5)
+    ack(1.75)                       # a second ack
+    server.on_timer(T_SYNC, 2.0)    # never acked, overdue by the next round
+    server.on_timer(T_SYNC, 200.0)
+    ack(200.5)
+    assert samples(GOS_DIGEST, "g1/gossip") == (2, pytest.approx(0.5))

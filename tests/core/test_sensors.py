@@ -110,7 +110,7 @@ def test_sensor_survives_dead_peer():
     env.run(until=400)
     after = sensors[0].forecast_for(contacts[1])
     assert after.samples > before  # live peer still measured
-    assert sensors[0].timer.open_count <= len(contacts)  # no probe leak
+    assert len(sensors[0].outstanding) <= len(contacts)  # no probe leak
 
 
 def test_forecast_tracks_congestion_change():
@@ -149,4 +149,4 @@ def test_late_pong_is_not_recorded_against_the_next_probe():
     pong(seqs[1], 11.4)  # a duplicate: already closed
     fc = sensor.forecast_for(peer)
     assert (fc.samples, fc.value) == (1, pytest.approx(1.1))
-    assert sensor.pongs_received == 1 and sensor.timer.open_count == 0
+    assert sensor.pongs_received == 1 and sensor.outstanding == {}

@@ -1,4 +1,4 @@
-"""Flight recorder: crash-surviving spool of recent spans and logs."""
+"""Flight recorder: crash-surviving spool of one incarnation's spans and logs."""
 
 import json
 import os
@@ -58,21 +58,22 @@ def test_logs_are_recorded(tmp_path):
                              "text": "hello world"}]
 
 
-def test_rotation_bounds_disk_and_keeps_recent(tmp_path):
+def test_one_spool_keeps_the_whole_incarnation(tmp_path):
+    # The spool is the only carrier of a life's spans: nothing is
+    # capped, rotated or dropped, however long the life.
     tel = _telemetry()
     rec = FlightRecorder(flight_path(str(tmp_path), "n", 0), telemetry=tel,
-                         node="n", capacity=10)
-    for i in range(35):
+                         node="n")
+    for i in range(5_000):
         s = tel.tracer.begin(f"s{i}", component="n", start=float(i))
         tel.tracer.finish(s, float(i) + 0.1)
-        rec.tick()
-    assert rec.rotations >= 2
-    assert os.path.exists(rec.path + ".1")
-    rec.close()
+        if i % 100 == 99:
+            rec.tick()
+    rec.seal("deadline")
+    assert os.listdir(tmp_path) == [os.path.basename(rec.path)]
     dump = load_flight(rec.path)
-    # The most recent <= capacity spans survive, ending at the last one.
-    assert dump["spans"][-1]["name"] == "s34"
-    assert len(dump["spans"]) <= 10
+    assert [s["name"] for s in dump["spans"]] == [f"s{i}" for i in range(5_000)]
+    assert dump["sealed"] and dump["skipped"] == 0
 
 
 def test_load_tolerates_torn_tail_line(tmp_path):

@@ -98,3 +98,35 @@ def test_late_responses_from_closed_rounds_ignored():
     # However the rounds unfolded, the accounting must stay exact.
     assert coord.energy == count_mono_cliques(coord.coloring, 4)
     assert coord.rounds_closed >= 1
+
+
+def test_each_answer_is_timed_once_from_its_rounds_start():
+    """An evaluator's response time, which sizes the barrier time-out,
+    runs from its round's start: a duplicate answer and a straggler
+    from a closed round record nothing."""
+    from repro.core.component import NullRuntime
+    from repro.core.forecasting.benchmarking import event_tag
+    from repro.core.linguafranca.messages import Message
+    from repro.ramsey.parallel import PAR_BEST, PAR_EVAL, T_ROUND
+
+    evaluators = ["e0/eval", "e1/eval"]
+    coord = ParallelTabuCoordinator("coord", 17, 4, evaluators,
+                                    candidates_per_eval=4, seed=1)
+    coord.bind_runtime(NullRuntime(contact="coord/coord"))
+    coord.on_start(0.0)
+
+    def best(sender, rnd, now):
+        coord.on_message(Message(mtype=PAR_BEST, sender=sender, body={
+            "round": rnd, "edge": None, "delta": 0, "ops": 0}), now)
+
+    def timed(evaluator):
+        fc = coord.forecasts.forecast(event_tag(evaluator, PAR_EVAL))
+        return None if fc is None else (fc.samples, fc.value)
+
+    best("e0/eval", 1, 0.5)
+    best("e0/eval", 1, 0.75)        # a duplicate
+    coord.on_timer(T_ROUND, 5.0)    # e1 straggles; round 2 starts at 5.0
+    best("e1/eval", 1, 5.2)         # from the closed round
+    best("e1/eval", 2, 6.0)
+    assert timed("e0/eval") == (1, pytest.approx(0.5))
+    assert timed("e1/eval") == (1, pytest.approx(1.0))
