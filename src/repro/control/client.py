@@ -19,6 +19,7 @@ import json
 import socket
 from typing import Optional
 
+from ..obs.events import parse_jsonl
 from .http import HttpError
 
 __all__ = ["GatewayClient"]
@@ -157,11 +158,7 @@ class GatewayClient:
         status, payload = self.request_raw("GET", path)
         if status != 200:
             raise HttpError(f"events poll failed ({status})")
-        out = []
-        for line in payload.decode("utf-8").splitlines():
-            if line.strip():
-                out.append(json.loads(line))
-        return out
+        return parse_jsonl(payload.decode("utf-8"))
 
     def publish_sites(self, sites: dict) -> dict:
         """Push per-site utilisation gauges (the serve harness does this

@@ -42,7 +42,7 @@ from typing import Optional, Union
 from urllib.parse import unquote_plus
 
 from ..core.telemetry import Telemetry
-from ..obs.events import EventLog, render_jsonl
+from ..obs.events import render_jsonl
 from ..obs.prom import CONTENT_TYPE as PROM_CONTENT_TYPE
 from ..obs.prom import render_prometheus
 from .http import json_response, text_response
@@ -110,23 +110,19 @@ class GatewayCore:
 
     def __init__(self, name: str, work: WorkQueue,
                  telemetry: Optional[Telemetry] = None,
-                 started_at: float = 0.0,
-                 events: Optional[EventLog] = None) -> None:
+                 started_at: float = 0.0) -> None:
         self.name = name
         self.work = work
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
+        #: The queue owns the job lifecycle, so it owns the telemetry and
+        #: the /events feed: the router adopts both, or hands the queue
+        #: the caller's telemetry.
+        if telemetry is not None:
+            work.telemetry = telemetry
+        self.telemetry = work.telemetry
+        self.events = work.events
         self.started_at = started_at
         self.requests = 0
         self.rejected = 0
-        #: The /events feed. The WorkQueue is the producer (it owns the
-        #: job lifecycle); wire it up unless the caller already did.
-        if events is None:
-            events = work.events if work.events is not None else EventLog()
-        self.events = events
-        if work.events is None:
-            work.events = events
-        if work.telemetry is None:
-            work.telemetry = self.telemetry
         work.component = name
 
     @property

@@ -305,7 +305,6 @@ class HttpServer(TcpServer):
         port: int,
         app: HttpApp,
         loop=None,
-        backlog: int = 1024,
         max_body: int = MAX_BODY_BYTES,
     ) -> None:
         self.app = app
@@ -316,7 +315,6 @@ class HttpServer(TcpServer):
         self._parked: list[tuple[_Connection, HttpRequest]] = []
         super().__init__(
             host, port, handler=self._no_messages, loop=loop,
-            backlog=backlog,
             decoder_factory=lambda: HttpDecoder(max_body=max_body))
 
     @staticmethod

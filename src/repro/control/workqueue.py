@@ -45,6 +45,8 @@ from typing import Optional, Union
 
 from ..core.services.kinds import ResultCheckError
 from ..core.services.kinds import registry as kind_registry
+from ..core.telemetry import Telemetry
+from ..obs.events import EventLog
 from ..obs.recordlog import RecordLog, _encode
 
 __all__ = ["Job", "WorkQueue", "MemoryJournal", "FileJournal",
@@ -190,12 +192,11 @@ class WorkQueue:
         #: owning driver installs its own clock — wall seconds live,
         #: simulated seconds in the twin.
         self.clock = None
-        #: Observability hooks, both optional and off by default so the
-        #: queue costs nothing when untelemetered: ``telemetry`` emits
-        #: per-job lifecycle spans parented on the job's ingress trace,
-        #: ``events`` feeds the gateway's /events long-poll ring.
-        self.telemetry = None
-        self.events = None
+        #: ``telemetry`` emits per-job lifecycle spans parented on the
+        #: job's ingress trace when its tracer is on; ``events`` feeds
+        #: the gateway's /events long-poll ring.
+        self.telemetry = Telemetry()
+        self.events = EventLog()
         self.component = "workqueue"
         #: Lifecycle meters (JSON-safe; shipped in node stats).
         self.submitted = 0
@@ -212,17 +213,16 @@ class WorkQueue:
 
     def _span(self, name: str, now: float, parent, outcome: str = "ok",
               **args) -> None:
-        tel = self.telemetry
-        if tel is None or not tel.tracer.enabled or parent is None:
+        tracer = self.telemetry.tracer
+        if parent is None or not tracer.enabled:
             return
-        tel.tracer.instant(name, now, component=self.component,
-                           parent=tuple(parent), outcome=outcome,
-                           args=args or None)
+        tracer.instant(name, now, component=self.component,
+                       parent=tuple(parent), outcome=outcome,
+                       args=args or None)
 
     def _event(self, event: str, job_id: str, now: float, **extra) -> None:
-        if self.events is not None:
-            self.events.append({"event": event, "job": job_id,
-                                "t": round(now, 6), **extra})
+        self.events.append({"event": event, "job": job_id,
+                            "t": round(now, 6), **extra})
 
     def _move(self, job: Job, state: str) -> None:
         counts = self._counts
@@ -381,8 +381,7 @@ class WorkQueue:
         scheduler assignment, client work slices across incarnations,
         requeues, completion — joins one causal chain.
         """
-        # No span args: the hot path; the ingress span already names the job.
-        return self._accept([spec], now, trace, None)[0]
+        return self._accept([spec], now, trace)[0]
 
     def submit_batch(self, specs: list[dict], now: float,
                      trace: Optional[tuple[int, int]] = None) -> list[Job]:
@@ -394,13 +393,14 @@ class WorkQueue:
         Callers validate specs *before* calling — by the time we are
         here the whole batch is accepted.
         """
-        return self._accept(specs, now, trace, {"jobs": len(specs)})
+        return self._accept(specs, now, trace)
 
     def _accept(self, specs: list[dict], now: float,
-                trace: Optional[tuple[int, int]],
-                span_args: Optional[dict]) -> list[Job]:
+                trace: Optional[tuple[int, int]]) -> list[Job]:
         """The one acceptance path: mint ids, journal every submit record
-        with one flush, then — and only then — enqueue and announce."""
+        with one flush, then — and only then — enqueue and announce.
+        The caller's ingress span brackets the flush, so the flush
+        records no span of its own."""
         jobs: list[Job] = []
         records: list[str] = []
         t_text = _encode(now)
@@ -418,12 +418,6 @@ class WorkQueue:
                 f'"spec":{job._text},"t":{t_text}{trace_text}}}\n')
             jobs.append(job)
         self.journal.append_many(records)
-        tel = self.telemetry
-        if (jobs and tel is not None and jobs[0].trace is not None
-                and tel.tracer.enabled):
-            tel.tracer.instant("journal flush", now,
-                               component=self.component,
-                               parent=jobs[0].trace, args=span_args)
         for job in jobs:
             self.jobs[job.id] = job
             self._recent.append(job.id)

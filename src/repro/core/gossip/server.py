@@ -86,6 +86,10 @@ GOS_NEWCOMP = "GOS_NEWCOMP"
 T_POLL = "gos:poll"
 T_SYNC = "gos:sync"
 
+#: A suspect lives ``SUSPICION_FACTOR x (poll_period + default_timeout)``
+#: before it is declared dead.
+SUSPICION_FACTOR = 2.0
+
 
 @dataclass
 class GossipStats:
@@ -148,9 +152,6 @@ class GossipServer(Component):
         fanout: int = 2,
         shard_size: int = 32,
         intershard_period: int = 2,
-        rumor_rounds: Optional[int] = None,
-        suspicion_factor: float = 2.0,
-        tombstone_ttl: Optional[float] = None,
     ) -> None:
         super().__init__(name)
         #: The caller's contact list, held (never copied or edited) so a
@@ -168,11 +169,6 @@ class GossipServer(Component):
         self.fanout = max(int(fanout), 1)
         self.shard_size = max(int(shard_size), 2)
         self.intershard_period = max(int(intershard_period), 1)
-        #: Rounds a freshly-adopted record stays hot (rumor-mongered on
-        #: every digest). None = ceil(log2(pool)) + 4, derived per round.
-        self.rumor_rounds = rumor_rounds
-        self.suspicion_factor = suspicion_factor
-        self._tombstone_ttl = tombstone_ttl
         self.registry: dict[str, _Registration] = {}
         self.freshest: dict[str, StateRecord] = {}
         #: Incremental digest over ``freshest`` (kept current by ``_adopt``).
@@ -265,7 +261,7 @@ class GossipServer(Component):
         *entry* into suspicion is forecast-timed (missed digest-ack /
         poll deadline); the expiry window is a deterministic multiple of
         the detection cadence."""
-        return self.suspicion_factor * (self.poll_period + self.default_timeout)
+        return SUSPICION_FACTOR * (self.poll_period + self.default_timeout)
 
     def _on_liveness_transition(self, member: str, old: str, new: str) -> None:
         scope = "component" if member in self.registry else "member"
@@ -367,8 +363,8 @@ class GossipServer(Component):
         return self._budget
 
     def _rumor_budget(self) -> int:
-        if self.rumor_rounds is not None:
-            return max(int(self.rumor_rounds), 1)
+        """Rounds a freshly-adopted record stays hot (rumor-mongered on
+        every digest): ceil(log2(pool)) + 4."""
         return self._piggyback_budget() + 1
 
     # -- registration ---------------------------------------------------------
@@ -574,13 +570,8 @@ class GossipServer(Component):
         return [LogLine(f"evicting silent component {contact}")]
 
     # -- sync plane: digest/delta anti-entropy (DESIGN §15) --------------------
-    def _tombstone_ttl_value(self) -> float:
-        if self._tombstone_ttl is not None:
-            return self._tombstone_ttl
-        return 30.0 * self.sync_period
-
     def _gc_tombstones(self, now: float) -> None:
-        ttl = self._tombstone_ttl_value()
+        ttl = 30.0 * self.sync_period
         for contact in [c for c, t in self.tombstones.items()
                         if now - t > ttl]:
             del self.tombstones[contact]

@@ -4,7 +4,7 @@ from ..._exports import lazy_exports
 
 _EXPORTS = {
     ".endpoint": ("SimEndpoint",),
-    ".messages": ("Message", "MessageError", "TypeRegistry", "fresh_req_id"),
+    ".messages": ("Message", "MessageError", "fresh_req_id"),
     ".packets": ("PacketDecoder", "PacketError", "decode_packet",
                  "encode_packet"),
     ".tcp": ("AsyncSender", "EventLoop", "TcpServer", "TransportError"),

@@ -18,11 +18,11 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from .packets import PacketError, decode_packet_view, encode_packet
 
-__all__ = ["Message", "MessageError", "TypeRegistry", "fresh_req_id"]
+__all__ = ["Message", "MessageError", "fresh_req_id"]
 
 _req_counter = itertools.count(1)
 
@@ -187,39 +187,3 @@ class Message(_Framed):
             reply_to=self.req_id,
         )
 
-
-class TypeRegistry:
-    """Optional per-deployment registry of known message types.
-
-    Components can register a validator per type; endpoints with a registry
-    reject unknown or invalid messages at the edge instead of deep in
-    handler code.
-    """
-
-    def __init__(self) -> None:
-        self._validators: dict[str, Callable[[dict], None]] = {}
-
-    def register(
-        self, mtype: str, validator: Optional[Callable[[dict], None]] = None
-    ) -> None:
-        if mtype in self._validators:
-            raise MessageError(f"message type {mtype!r} already registered")
-        self._validators[mtype] = validator or (lambda body: None)
-
-    def known(self, mtype: str) -> bool:
-        return mtype in self._validators
-
-    def validate(self, message: Message) -> None:
-        """Raise MessageError if the message is unknown or invalid."""
-        validator = self._validators.get(message.mtype)
-        if validator is None:
-            raise MessageError(f"unknown message type {message.mtype!r}")
-        try:
-            validator(message.body)
-        except MessageError:
-            raise
-        except Exception as exc:
-            raise MessageError(f"invalid {message.mtype!r} body: {exc}") from exc
-
-    def types(self) -> list[str]:
-        return sorted(self._validators)

@@ -156,7 +156,6 @@ class TcpServer:
         port: int,
         handler: Handler,
         loop: Optional[EventLoop] = None,
-        backlog: int = 1024,
         raw_handler: Optional[Callable[[str, memoryview], bytes]] = None,
         decoder_factory: Optional[Callable[[], object]] = None,
     ) -> None:
@@ -181,7 +180,7 @@ class TcpServer:
         self._listen = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listen.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listen.bind((host, port))
-        self._listen.listen(backlog)
+        self._listen.listen(1024)
         self._listen.setblocking(False)
         self._loop.register(self._listen, selectors.EVENT_READ,
                             self._on_accept)

@@ -382,13 +382,6 @@ class Tracer:
     def named(self, name: str) -> list[Span]:
         return [s for s in self.spans if s.name == name]
 
-    def with_outcome(self, outcome: str) -> list[Span]:
-        return [s for s in self.spans if s.outcome == outcome]
-
-    def children(self, span: Span) -> list[Span]:
-        return [s for s in self.spans
-                if s.parent_id == span.span_id and s.trace_id == span.trace_id]
-
     def ancestry(self, span: Span) -> Iterator[Span]:
         """The span followed by its parents up to the trace root."""
         index = self.by_span_id()
@@ -398,9 +391,6 @@ class Tracer:
             seen.add(cur.span_id)
             yield cur
             cur = index.get(cur.parent_id) if cur.parent_id is not None else None
-
-    def to_dicts(self) -> list[dict]:
-        return [s.to_dict() for s in self.spans]
 
 
 class SpanCursor:

@@ -92,9 +92,6 @@ class SeriesBundle:
     rate_by_infra: dict[str, np.ndarray]
     hosts_by_infra: dict[str, np.ndarray]
 
-    def infra_names(self) -> list[str]:
-        return sorted(set(self.rate_by_infra) | set(self.hosts_by_infra))
-
 
 class HostCountSampler:
     """Simulation process sampling adapters' active host counts."""

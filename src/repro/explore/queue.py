@@ -35,6 +35,8 @@ _TERMINAL = ("done", "cancelled")
 #: How long a push keeps retrying a refused connection (a supervisor
 #: respawns a killed gateway within its restart backoff).
 REFUSED_RETRY_S = 15.0
+#: Outstanding jobs read directly per probe after the feed lost lines.
+PROBE_LIMIT = 64
 
 
 class FeedConsumer:
@@ -130,14 +132,12 @@ class ExploreQueue(FeedConsumer):
     LATENCY = ("latency_ms", 1000.0, 3)
 
     def __init__(self, client, batch: bool = True, poll: float = 0.05,
-                 probe_limit: int = 64,
                  clock: Callable[[], float] = time.monotonic,
                  pump: Optional[Callable[[], None]] = None) -> None:
         super().__init__()
         self.client = client
         self.batch = batch
         self.poll = poll
-        self.probe_limit = probe_limit
         self.clock = clock
         self.pump = pump
         self._ready: deque[dict] = deque()
@@ -197,7 +197,7 @@ class ExploreQueue(FeedConsumer):
         only per-job reader: the safety net for completions the feed lost
         (ring overflow, gateway restart)."""
         retired = 0
-        for job_id in list(self.outstanding)[:self.probe_limit]:
+        for job_id in list(self.outstanding)[:PROBE_LIMIT]:
             doc = self.client.job(job_id)
             if doc is not None and doc.get("state") in _TERMINAL:
                 self._ready.append(

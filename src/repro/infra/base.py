@@ -156,11 +156,3 @@ class InfraAdapter:
             1 for name, drv in self.drivers.items() if drv.host.up and drv.running
         )
 
-    def up_host_count(self) -> int:
-        return sum(1 for h in self.hosts if h.up)
-
-    def potential_speed(self) -> float:
-        """Sum of effective speeds of hosts with running clients."""
-        return sum(
-            drv.host.effective_speed() for drv in self.drivers.values() if drv.running
-        )

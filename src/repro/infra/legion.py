@@ -87,11 +87,6 @@ class LegionNet(InfraAdapter):
         self.gateway: Optional[Host] = None
         self.migrations = 0
 
-    @property
-    def translator_contact(self) -> str:
-        """Where Legion clients send their service traffic."""
-        return "legion-gateway/xlate"
-
     def deploy(self) -> None:
         rng = self._rng
         self.gateway = self._add_host(

@@ -87,8 +87,8 @@ class NodeRecord:
 class Collector:
     """Merges per-node telemetry shipments into world-level artifacts."""
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        self.server = TcpServer(host, port, self._handle)
+    def __init__(self, host: str = "127.0.0.1") -> None:
+        self.server = TcpServer(host, 0, self._handle)
         self.nodes: dict[str, NodeRecord] = {}
         self.forecasts = ForecastRegistry()
         #: Wall epoch of the collector itself: the merged timeline's zero.

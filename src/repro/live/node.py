@@ -27,7 +27,9 @@ from ..core.telemetry import Telemetry
 from ..obs.jobtrace import ID_BLOCK, MAX_INCARNATIONS
 from ..obs.flight import FlightRecorder, flight_path
 from .collector import COL_HELLO, COL_REPORT
-from .topology import Manifest
+from .topology import (GOSSIP_POLL_PERIOD, GOSSIP_SYNC_PERIOD, HELLO_RETRY,
+                       REPORT_PERIOD, SHIP_PERIOD, UNIT_OPS_BUDGET,
+                       WORK_PERIOD, Manifest)
 
 if TYPE_CHECKING:
     from ..control.http import HttpServer
@@ -47,31 +49,26 @@ def _build_gossip(manifest, name, idx, opts, data_dir):
     from ..core.gossip.state import ComparatorRegistry
     from ..ramsey.client import RAMSEY_BEST, ramsey_comparator
 
-    topo = manifest.topology
     comparators = ComparatorRegistry()
     comparators.register(RAMSEY_BEST, ramsey_comparator)
     return GossipServer(
         name,
         well_known=manifest.contacts_for("gossip"),
         comparators=comparators,
-        poll_period=topo.gossip_poll_period,
-        sync_period=topo.gossip_sync_period,
+        poll_period=GOSSIP_POLL_PERIOD,
+        sync_period=GOSSIP_SYNC_PERIOD,
     )
 
 
-def _scheduler_over(work, manifest, name, opts):
+def _scheduler_over(work, name):
     from ..core.services.scheduler import SchedulerServer
 
     # Reap checks every report period: with wall-clock restarts the
     # reap-the-dead-client deadline races the supervisor's restart
     # backoff, and a coarse reap tick would let the restarted client's
     # hello win and silently resume the orphaned unit.
-    return SchedulerServer(
-        name, work,
-        report_period=manifest.topology.report_period,
-        reap_period=manifest.topology.report_period,
-        dead_factor=float(opts.get("dead_factor", 4.0)),
-    )
+    return SchedulerServer(name, work, report_period=REPORT_PERIOD,
+                           reap_period=REPORT_PERIOD)
 
 
 def _build_scheduler(manifest, name, idx, opts, data_dir):
@@ -83,7 +80,7 @@ def _build_scheduler(manifest, name, idx, opts, data_dir):
     return _scheduler_over(QueueWorkSource(generator=unit_generator(
         int(opts.get("k", topo.k)), topo.n,
         base_seed=topo.seed + 1000 * (sched_rank + 1),
-        ops_budget=topo.unit_ops_budget)), manifest, name, opts)
+        ops_budget=UNIT_OPS_BUDGET)), name)
 
 
 def _build_gateway(manifest, name, idx, opts, data_dir):
@@ -97,7 +94,7 @@ def _build_gateway(manifest, name, idx, opts, data_dir):
     if data_dir is not None:
         journal = FileJournal(os.path.join(data_dir, f"{name}.journal.jsonl"))
     return _scheduler_over(WorkQueue(journal=journal, prefix=f"{name}-job"),
-                           manifest, name, opts)
+                           name)
 
 
 def _build_persistent(manifest, name, idx, opts, data_dir):
@@ -138,9 +135,9 @@ def _build_client(manifest, name, idx, opts, data_dir):
         loggers=rotated(manifest.contacts_for("logger"), idx)[:1],
         persistent=(manifest.contacts_for("persistent") or [None])[0],
         gossip_well_known=manifest.contacts_for("gossip"),
-        work_period=topo.work_period,
-        report_period=topo.report_period,
-        hello_retry=topo.hello_retry,
+        work_period=WORK_PERIOD,
+        report_period=REPORT_PERIOD,
+        hello_retry=HELLO_RETRY,
         seed=topo.seed + idx,
     )
     client.site = str(opts.get("site", ""))
@@ -235,11 +232,10 @@ class _Shipper:
     (drain hook). Spans and logs travel in the flight spool instead."""
 
     def __init__(self, driver: NetDriver, manifest: Manifest, name: str,
-                 incarnation: int, ship_period: float) -> None:
+                 incarnation: int) -> None:
         self.driver = driver
         self.name = name
         self.incarnation = incarnation
-        self.ship_period = ship_period
         host, _, port = manifest.collector.rpartition(":")
         self._col = (host, int(port)) if host and port else None
         self.seq = 0
@@ -247,7 +243,7 @@ class _Shipper:
 
     # -- driver hooks --------------------------------------------------------
     def tick(self) -> None:
-        if self.driver.now() - self._last_ship >= self.ship_period:
+        if self.driver.now() - self._last_ship >= SHIP_PERIOD:
             self.ship()
 
     def drain(self) -> None:
@@ -331,10 +327,10 @@ def run_node(
     component = build_component(manifest, name, data_dir=data_dir)
     speed = topo.speed if spec.role == "client" else 0.0
     driver = _bind_driver(component, host, int(port), telemetry, speed)
-    shipper = _Shipper(driver, manifest, name, incarnation,
-                       topo.ship_period)
+    shipper = _Shipper(driver, manifest, name, incarnation)
     # Flight recorder: the node's black box and the one carrier of its
-    # spans and log lines. Every record is flushed as it is written, so
+    # spans and log lines. A log line is flushed as it is written and a
+    # span by the tick that takes it, so
     # a SIGKILLed incarnation leaves its whole life behind for the
     # supervisor to recover (DESIGN §14). The epoch is the wall clock at
     # the driver's t=0, which places span timestamps on wall time.

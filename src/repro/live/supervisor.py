@@ -11,8 +11,8 @@ flushes a final telemetry report, SIGKILL only for stragglers.
 
 Health checking rides the collector's forecast-driven liveness test
 (§2.2): :meth:`check_health` asks the collector which nodes have been
-silent longer than their *forecast* report gap allows, and (optionally)
-treats a live-but-silent process as crashed.
+silent longer than their *forecast* report gap allows, and counts each
+live-but-silent process it finds.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ class RestartPolicy:
     """Bounded restarts with multiplicative backoff.
 
     The default first-restart backoff deliberately exceeds the
-    schedulers' reap deadline (``dead_factor * report_period``, 2s at
-    the default topology settings): a crashed client must be declared
+    schedulers' reap deadline (``dead_factor * REPORT_PERIOD``, 2s in
+    a live world): a crashed client must be declared
     dead — its unit requeued — *before* its replacement reappears at
     the same contact, or the hello would silently adopt the orphan.
     """
@@ -91,14 +91,12 @@ class Supervisor:
         collector: Optional[Collector] = None,
         restart: Optional[RestartPolicy] = None,
         log_dir: Optional[str] = None,
-        python: Optional[str] = None,
     ) -> None:
         self.manifest = manifest
         self.manifest_path = manifest_path
         self.collector = collector
         self.restart = restart if restart is not None else RestartPolicy()
         self.log_dir = log_dir
-        self.python = python or sys.executable
         self._t0 = time.monotonic()
         #: Supervisor-clock time the whole world should be gone.
         self.deadline = deadline
@@ -147,7 +145,7 @@ class Supervisor:
         node = self.nodes[name]
         remaining = max(self.deadline - self.now(), 0.5)
         cmd = [
-            self.python, "-m", "repro", "live-node",
+            sys.executable, "-m", "repro", "live-node",
             "--manifest", self.manifest_path,
             "--node", name,
             "--deadline", f"{remaining:.3f}",
@@ -214,23 +212,20 @@ class Supervisor:
         except Exception:
             pass  # recovery must never take the supervisor down
 
-    def check_health(self, restart_silent: bool = False, **forecast_kw) -> list[str]:
+    def check_health(self) -> list[str]:
         """Forecast-driven liveness sweep (needs a collector).
 
         Returns the nodes whose silence exceeds their forecast report
         gap *while their process is still alive* — a hung node, not a
-        crashed one (crashes are caught by :meth:`poll`). With
-        ``restart_silent`` the supervisor treats them as dead: kill,
-        then let :meth:`poll` restart under the normal policy.
+        crashed one (crashes are caught by :meth:`poll`) — and counts
+        each in :attr:`suspicions`.
         """
         if self.collector is None:
             return []
-        hung = [name for name in self.collector.silent_nodes(**forecast_kw)
+        hung = [name for name in self.collector.silent_nodes()
                 if name in self.nodes and self.nodes[name].alive()]
         for name in hung:
             self.suspicions[name] = self.suspicions.get(name, 0) + 1
-            if restart_silent:
-                self.kill(name)
         return hung
 
     def kill(self, name: str) -> Optional[int]:

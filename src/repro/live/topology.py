@@ -3,7 +3,8 @@
 A :class:`Topology` names the processes an EveryWare world is made of —
 which Gossips, schedulers, persistent state managers, logging servers,
 and computational clients — plus the world-wide run parameters (problem
-size, reporting periods, the clients' wall-clock compute budget).
+size, the clients' wall-clock compute budget, the seed); the periods
+every live world shares are module constants.
 :func:`build_manifest` turns a topology into a :class:`Manifest`: every
 node gets a concrete ``host:port`` contact *before any process exists*
 (clients need scheduler/gossip contacts at construction time, Gossips
@@ -42,6 +43,18 @@ ROLES = ("gossip", "scheduler", "persistent", "logger", "client", "gateway")
 #: paper's participating institutions.
 SITES = ("ucsd", "utk", "anl", "ncsa")
 
+# Wall-clock run parameters every live world shares (seconds).
+#: Ops budget per minted work unit (small: units should complete within
+#: a live run so assignment/completion/requeue all happen).
+UNIT_OPS_BUDGET = 250_000.0
+WORK_PERIOD = 0.25
+REPORT_PERIOD = 0.5
+HELLO_RETRY = 2.0
+GOSSIP_POLL_PERIOD = 1.5
+GOSSIP_SYNC_PERIOD = 1.0
+#: How often nodes ship telemetry snapshots to the collector.
+SHIP_PERIOD = 0.5
+
 
 @dataclass
 class NodeSpec:
@@ -72,16 +85,6 @@ class Topology:
     #: Per-client compute budget, ops of wall-clock second (the live
     #: twin of a simulated host's delivered speed).
     speed: float = 300_000.0
-    #: Ops budget per minted work unit (small: units should complete
-    #: within a live run so assignment/completion/requeue all happen).
-    unit_ops_budget: float = 250_000.0
-    work_period: float = 0.25
-    report_period: float = 0.5
-    hello_retry: float = 2.0
-    gossip_poll_period: float = 1.5
-    gossip_sync_period: float = 1.0
-    #: How often nodes ship telemetry snapshots to the collector.
-    ship_period: float = 0.5
     seed: int = 0
 
     def named(self, name: str) -> NodeSpec:
@@ -114,13 +117,6 @@ class Topology:
             "nodes": [asdict(spec) for spec in self.nodes],
             "params": {
                 "k": self.k, "n": self.n, "speed": self.speed,
-                "unit_ops_budget": self.unit_ops_budget,
-                "work_period": self.work_period,
-                "report_period": self.report_period,
-                "hello_retry": self.hello_retry,
-                "gossip_poll_period": self.gossip_poll_period,
-                "gossip_sync_period": self.gossip_sync_period,
-                "ship_period": self.ship_period,
                 "seed": self.seed,
             },
         }
@@ -132,6 +128,29 @@ class Topology:
             if hasattr(topo, key):
                 setattr(topo, key, value)
         return topo
+
+
+def _world(services: list[NodeSpec], clients: int, gossips: int,
+           persistents: int, loggers: int, params: dict) -> Topology:
+    """Gossips, ``services``, persistent managers, loggers, then clients
+    (services precede clients so a fresh world boots in manifest order),
+    with ``params`` overriding :class:`Topology` run parameters."""
+    nodes: list[NodeSpec] = []
+    nodes += [NodeSpec(f"gossip{i}", "gossip") for i in range(gossips)]
+    nodes += services
+    nodes += [NodeSpec(f"pst{i}", "persistent") for i in range(persistents)]
+    nodes += [NodeSpec(f"logger{i}", "logger") for i in range(loggers)]
+    nodes += [NodeSpec(f"cli{i}", "client",
+                       options={"infra": "live",
+                                "site": SITES[i % len(SITES)]})
+              for i in range(clients)]
+    topo = Topology(nodes=nodes)
+    for key, value in params.items():
+        if not hasattr(topo, key):
+            raise TypeError(f"unknown topology parameter {key!r}")
+        setattr(topo, key, value)
+    topo.validate()
+    return topo
 
 
 def sc98_topology(
@@ -147,22 +166,9 @@ def sc98_topology(
     Extra keyword arguments override :class:`Topology` run parameters
     (``k=7, speed=2e5, ...``).
     """
-    nodes: list[NodeSpec] = []
-    nodes += [NodeSpec(f"gossip{i}", "gossip") for i in range(gossips)]
-    nodes += [NodeSpec(f"sched{i}", "scheduler") for i in range(schedulers)]
-    nodes += [NodeSpec(f"pst{i}", "persistent") for i in range(persistents)]
-    nodes += [NodeSpec(f"logger{i}", "logger") for i in range(loggers)]
-    nodes += [NodeSpec(f"cli{i}", "client",
-                       options={"infra": "live",
-                                "site": SITES[i % len(SITES)]})
-              for i in range(clients)]
-    topo = Topology(nodes=nodes)
-    for key, value in params.items():
-        if not hasattr(topo, key):
-            raise TypeError(f"unknown topology parameter {key!r}")
-        setattr(topo, key, value)
-    topo.validate()
-    return topo
+    return _world([NodeSpec(f"sched{i}", "scheduler")
+                   for i in range(schedulers)],
+                  clients, gossips, persistents, loggers, params)
 
 
 def serve_topology(
@@ -180,22 +186,8 @@ def serve_topology(
 
     Extra keyword arguments override :class:`Topology` run parameters.
     """
-    nodes: list[NodeSpec] = []
-    nodes += [NodeSpec(f"gossip{i}", "gossip") for i in range(gossips)]
-    nodes += [NodeSpec(f"gw{i}", "gateway") for i in range(gateways)]
-    nodes += [NodeSpec(f"pst{i}", "persistent") for i in range(persistents)]
-    nodes += [NodeSpec(f"logger{i}", "logger") for i in range(loggers)]
-    nodes += [NodeSpec(f"cli{i}", "client",
-                       options={"infra": "live",
-                                "site": SITES[i % len(SITES)]})
-              for i in range(clients)]
-    topo = Topology(nodes=nodes)
-    for key, value in params.items():
-        if not hasattr(topo, key):
-            raise TypeError(f"unknown topology parameter {key!r}")
-        setattr(topo, key, value)
-    topo.validate()
-    return topo
+    return _world([NodeSpec(f"gw{i}", "gateway") for i in range(gateways)],
+                  clients, gossips, persistents, loggers, params)
 
 
 @dataclass

@@ -1,7 +1,8 @@
 """Flight recorder: a crash-surviving spool of one incarnation's spans and logs.
 
 Every closed span and every log line of a live node is appended to a
-per-incarnation JSONL spool, flushed per record like the job journal.
+per-incarnation JSONL spool, flushed like the job journal: a log line as
+it is written, the spans a tick takes with one write.
 The spool is the only carrier of a node's spans and logs: it keeps the
 whole incarnation, so a life's trace is complete whether the process
 drained or was SIGKILLed mid-flight.
@@ -79,21 +80,28 @@ class FlightRecorder:
         """Absolute index of the first span not yet spooled (trim bound)."""
         return self._spans.position
 
+    def _span_records(self, final: bool = False) -> list[dict]:
+        taken = self._spans.take(final=final)
+        self.records += len(taken)
+        return [{"kind": "span", **span.to_dict()} for span in taken]
+
     def tick(self) -> int:
-        """Spool every span closed since the last tick; returns count."""
-        taken = self._spans.take()
-        for span in taken:
-            self._record("span", span.to_dict())
-        return len(taken)
+        """Spool every span closed since the last tick with one flushed
+        write; returns count."""
+        if self._closed:
+            return len(self._spans.take())
+        spans = self._span_records()
+        self._log.append_many(spans)
+        return len(spans)
 
     def seal(self, reason: str = "") -> None:
-        """Graceful-exit path: dump open spans and a footer, then close."""
+        """Graceful-exit path: dump open spans and a footer with one
+        flushed write, then close."""
         if self._closed:
             return
-        for span in self._spans.take(final=True):
-            self._record("span", span.to_dict())
-        self._log.append({"kind": "seal", "reason": reason,
-                          "records": self.records})
+        spans = self._span_records(final=True)
+        self._log.append_many(spans + [{"kind": "seal", "reason": reason,
+                                        "records": self.records}])
         self.close()
 
     def close(self) -> None:

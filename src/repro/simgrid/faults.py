@@ -138,8 +138,8 @@ class FaultStats:
 class FaultPlan:
     """A deterministic, inspectable schedule of fault injectors."""
 
-    def __init__(self, injectors: Optional[Iterable[Injector]] = None) -> None:
-        self.injectors: list[Injector] = list(injectors or [])
+    def __init__(self) -> None:
+        self.injectors: list[Injector] = []
         self.stats = FaultStats()
         #: Chronological record of every action taken: (time, event).
         self.log: list[tuple[float, str]] = []

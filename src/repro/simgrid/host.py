@@ -63,9 +63,6 @@ class Host:
         self._rng = streams.get(f"load:{spec.name}")
         self._guests: dict[str, Event] = {}
         self._load_proc: Optional[Process] = None
-        #: cumulative (seconds up, seconds total) for dependability metrics
-        self.up_seconds = 0.0
-        self._last_state_change = env.now
         self._started = False
         #: Trace context of the fault-injector span that took this host
         #: down (set by :class:`repro.simgrid.faults.FaultPlan`, cleared on
@@ -94,8 +91,6 @@ class Host:
         """Take the host down, killing all guest processes."""
         if not self.up:
             return
-        self.up_seconds += self.env.now - self._last_state_change
-        self._last_state_change = self.env.now
         self.up = False
         self.availability = 0.0
         guests, self._guests = self._guests, {}
@@ -108,21 +103,9 @@ class Host:
         """Bring the host back up (guest processes must be respawned)."""
         if self.up:
             return
-        self._last_state_change = self.env.now
         self.up = True
         self.availability = 1.0
         self.down_ctx = None
-
-    @property
-    def uptime_fraction(self) -> float:
-        """Fraction of elapsed simulation time this host has been up."""
-        total = self.env.now
-        if total <= 0:
-            return 1.0
-        up = self.up_seconds
-        if self.up:
-            up += self.env.now - self._last_state_change
-        return up / total
 
     # -- computation ----------------------------------------------------------
     def effective_speed(self) -> float:

@@ -200,25 +200,6 @@ class TraceLoad(LoadModel):
         self.loop = loop
         self._span = float(self._times[-1] - self._times[0])
 
-    @classmethod
-    def from_csv(cls, path: str, **kwargs) -> "TraceLoad":
-        """Load a two-column (time, availability) CSV; '#' comments and a
-        header row are tolerated."""
-        times, values = [], []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split(",")
-                try:
-                    t, v = float(parts[0]), float(parts[1])
-                except (ValueError, IndexError):
-                    continue  # header or malformed row
-                times.append(t)
-                values.append(v)
-        return cls(times, values, **kwargs)
-
     def advance(self, t: float, dt: float, rng: np.random.Generator) -> float:
         rel = t - self.t0
         if self.loop and self._span > 0:

@@ -82,14 +82,6 @@ class Store:
         """Request an item; returns an event triggering with the item."""
         return StoreGet(self)
 
-    def try_get(self) -> Optional[Any]:
-        """Immediately pop an item if available, else None."""
-        if self.items:
-            item = self.items.popleft()
-            self._service()
-            return item
-        return None
-
     def _service(self) -> None:
         """Match queued putters to capacity and items to getters."""
         progress = True

@@ -224,8 +224,7 @@ def test_submit_roots_trace_and_unit_carries_context():
 
     names = [s.name for s in tel.tracer.spans
              if s.trace_id == ingress.trace_id]
-    assert "journal flush" in names
-    assert "job assign" in names
+    assert names == ["job ingress", "job assign"]
 
     core.work.requeue(unit)
     core.work.complete(doc["id"], {"ok": 1}, now=5.0)
@@ -235,6 +234,23 @@ def test_submit_roots_trace_and_unit_carries_context():
     assert "job done" in names
     requeue = next(s for s in tel.tracer.spans if s.name == "job requeue")
     assert requeue.outcome == "requeue"
+
+
+def test_one_span_per_accepted_job_or_batch():
+    # The ingress span brackets the journal flush and names the job (or
+    # the batch size), so accepting work records nothing else.
+    tel = Telemetry(trace=True, id_base=1000)
+    core = _core(telemetry=tel)
+    singles = 5
+    for _ in range(singles):
+        status, _, _ = core.handle("POST", "/jobs", _json({"k": 8}), now=1.0)
+        assert status == 201
+    status, doc, _ = core.handle(
+        "POST", "/jobs/batch", _json({"specs": [{"k": 8}] * 3}), now=2.0)
+    assert status == 201 and doc["count"] == 3
+    assert [s.name for s in tel.tracer.spans] == ["job ingress"] * (
+        singles + 1)
+    assert tel.tracer.spans[-1].args["jobs"] == 3
 
 
 def test_trace_disabled_emits_no_spans_and_no_trace_field():

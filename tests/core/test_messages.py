@@ -1,4 +1,4 @@
-"""Tests for typed messages and the type registry."""
+"""Tests for typed messages."""
 
 import pytest
 from hypothesis import given
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.core.linguafranca.messages import (
     Message,
     MessageError,
-    TypeRegistry,
     fresh_req_id,
 )
 
@@ -84,33 +83,6 @@ def test_from_parts_accepts_memoryview_payload():
 def test_from_parts_rejects_bad_utf8_in_view():
     with pytest.raises(MessageError):
         Message.from_parts("X", memoryview(b"\xff\xfe not json"))
-
-
-def test_registry_validates():
-    reg = TypeRegistry()
-
-    def check_report(body):
-        if "rate" not in body:
-            raise ValueError("missing rate")
-
-    reg.register("REPORT", check_report)
-    reg.register("PING")
-    assert reg.known("REPORT")
-    assert not reg.known("NOPE")
-    reg.validate(Message(mtype="REPORT", sender="a/b", body={"rate": 1}))
-    reg.validate(Message(mtype="PING", sender="a/b"))
-    with pytest.raises(MessageError, match="invalid"):
-        reg.validate(Message(mtype="REPORT", sender="a/b", body={}))
-    with pytest.raises(MessageError, match="unknown"):
-        reg.validate(Message(mtype="NOPE", sender="a/b"))
-
-
-def test_registry_duplicate_rejected():
-    reg = TypeRegistry()
-    reg.register("A")
-    with pytest.raises(MessageError):
-        reg.register("A")
-    assert reg.types() == ["A"]
 
 
 json_scalars = st.one_of(

@@ -97,7 +97,6 @@ def test_parenting_and_ancestry():
     assert leaf.trace_id == root.trace_id
     names = [s.name for s in t.ancestry(leaf)]
     assert names == ["leaf", "mid", "root"]
-    assert [s.name for s in t.children(root)] == ["mid"]
 
 
 def test_fresh_trace_per_root():

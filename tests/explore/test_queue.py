@@ -364,7 +364,8 @@ def test_every_pushed_id_pops_exactly_once_whatever_the_feed_does(ops, seed):
     fresh one (a restart): every pushed id still pops exactly once, with
     the fields of its job record, and done() never raises."""
     work = WorkQueue(prefix="t")
-    core = GatewayCore("gw", work, events=EventLog(capacity=8))
+    work.events = EventLog(capacity=8)
+    core = GatewayCore("gw", work)
     client = ScrambledFeed(core, random.Random(seed))
     ticks = itertools.count()
     queue = ExploreQueue(client, poll=0.0, clock=lambda: next(ticks))

@@ -42,11 +42,12 @@ def build(n=2, **kw):
 def test_deploy_and_accounting():
     env, net, adapter = build(n=3)
     env.run(until=10)
-    assert adapter.up_host_count() == 3
+    assert all(h.up for h in adapter.hosts)
     assert adapter.active_host_count() == 3
     assert adapter.clients_started == 3
     # Effective speed: 1e6 * 0.5 availability each.
-    assert adapter.potential_speed() == pytest.approx(3 * 5e5)
+    assert sum(h.effective_speed() for h in adapter.hosts) == pytest.approx(
+        3 * 5e5)
 
 
 def test_launch_is_idempotent_per_host():

@@ -36,6 +36,37 @@ def test_tick_spools_closed_spans_only(tmp_path):
     assert dump["sealed"] is False
 
 
+def _count_writes(rec) -> list:
+    writes = []
+    write = rec._log._write
+
+    def counted(lines):
+        writes.append(lines.count("\n"))
+        return write(lines)
+
+    rec._log._write = counted
+    return writes
+
+
+def test_a_tick_spools_its_spans_with_one_write(tmp_path):
+    tel = _telemetry()
+    rec = FlightRecorder(flight_path(str(tmp_path), "n", 0), telemetry=tel,
+                         node="n")
+    writes = _count_writes(rec)
+    for i in range(5):
+        tel.tracer.finish(tel.tracer.begin("job work", component="n",
+                                           start=float(i)), i + 0.5)
+    assert rec.tick() == 5
+    assert writes == [5]
+    tel.tracer.begin("job work", component="n", start=9.0)  # stays open
+    tel.tracer.finish(tel.tracer.begin("job work", component="n",
+                                       start=8.0), 8.5)
+    rec.seal("deadline")
+    assert writes == [5, 3]  # one closed span, one open, the footer
+    dump = load_flight(rec.path)
+    assert len(dump["spans"]) == 7 and dump["sealed"]
+
+
 def test_seal_dumps_open_spans_and_reason(tmp_path):
     tel = _telemetry()
     rec = FlightRecorder(flight_path(str(tmp_path), "n", 1), telemetry=tel,

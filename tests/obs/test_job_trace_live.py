@@ -29,8 +29,7 @@ from repro.cli import main as cli_main
 from repro.control import Scenario, run_scenario
 from repro.obs.jobtrace import span_origin
 
-LIFECYCLE = {"job ingress", "journal flush", "job assign", "job requeue",
-             "job done"}
+LIFECYCLE = {"job ingress", "job assign", "job requeue", "job done"}
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,8 @@
 """End-to-end job trace assembly from recorded spans.
 
 The synthetic span sets here mirror what the live plane actually emits:
-gateway ingress roots the trace, WorkQueue instants (journal flush,
-assign, requeue, done) and client work spans parent on it, and span ids
+gateway ingress roots the trace, WorkQueue instants (assign, requeue,
+done) and client work spans parent on it, and span ids
 carry (node index, incarnation) provenance via the id-block layout.
 """
 
@@ -37,9 +37,6 @@ def _gateway_trace():
         {"trace_id": trace, "span_id": gw + 1, "parent_id": None,
          "name": "job ingress", "component": "gw0", "start": 0.0,
          "end": 0.001, "outcome": "ok", "args": {"job_id": "gw0-job-1"}},
-        {"trace_id": trace, "span_id": gw + 2, "parent_id": gw + 1,
-         "name": "journal flush", "component": "gw0", "start": 0.0005,
-         "end": 0.0005, "outcome": "ok", "args": {"id": "gw0-job-1"}},
         {"trace_id": trace, "span_id": gw + 3, "parent_id": gw + 1,
          "name": "job assign", "component": "gw0", "start": 0.1,
          "end": 0.1, "outcome": "ok", "args": {"id": "gw0-job-1"}},
@@ -66,7 +63,7 @@ def test_job_trace_collects_one_causal_chain():
     trace = job_trace(_gateway_trace(), "gw0-job-1")
     assert trace["job"] == "gw0-job-1"
     assert [s["name"] for s in trace["spans"]] == [
-        "job ingress", "journal flush", "job assign", "job work",
+        "job ingress", "job assign", "job work",
         "job requeue", "job work", "job done"]
     assert trace["requeues"] == 1
     # The kill/restart story: the chain crosses two client incarnations.

@@ -176,22 +176,6 @@ def test_host_guest_deregisters_on_exit():
     assert host.guest_names() == []
 
 
-def test_host_uptime_fraction():
-    env = Environment()
-    host = make_host(env)
-    host.start()
-
-    def cycle(env):
-        yield env.timeout(50)
-        host.go_down()
-        yield env.timeout(50)
-        host.go_up()
-
-    env.process(cycle(env))
-    env.run(until=100)
-    assert host.uptime_fraction == pytest.approx(0.5)
-
-
 def test_host_go_down_idempotent():
     env = Environment()
     host = make_host(env)
@@ -366,17 +350,6 @@ def test_trace_load_clips_and_validates():
         TraceLoad(times=[0, 1], values=[0.5])
     with pytest.raises(ValueError):
         TraceLoad(times=[5, 1], values=[0.5, 0.5])
-
-
-def test_trace_load_from_csv(tmp_path):
-    from repro.simgrid.load import TraceLoad
-
-    path = tmp_path / "trace.csv"
-    path.write_text("time,avail\n# comment\n0,0.25\n30,0.75\nbadrow\n")
-    m = TraceLoad.from_csv(str(path))
-    rng = np.random.default_rng(0)
-    assert m.advance(10, 1, rng) == pytest.approx(0.25)
-    assert m.advance(31, 1, rng) == pytest.approx(0.75)
 
 
 def test_trace_load_drives_a_host():

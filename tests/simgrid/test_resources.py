@@ -88,20 +88,6 @@ def test_store_invalid_capacity():
         Store(env, capacity=0)
 
 
-def test_try_get():
-    env = Environment()
-    store = Store(env)
-    assert store.try_get() is None
-
-    def producer(env):
-        yield store.put(1)
-
-    env.process(producer(env))
-    env.run()
-    assert store.try_get() == 1
-    assert store.try_get() is None
-
-
 def test_get_with_timeout_receives_in_time():
     env = Environment()
     store = Store(env)

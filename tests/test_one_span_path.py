@@ -39,7 +39,7 @@ def test_col_report_is_only_the_heartbeat():
     tracer = driver.telemetry.tracer
     tracer.finish(tracer.begin("work", component="n1", start=0.0), 0.5)
     shipper = _Shipper(driver, SimpleNamespace(collector="127.0.0.1:9"),
-                       "n1", 0, ship_period=0.5)
+                       "n1", 0)
     shipper.hello()
     shipper.ship()
     shipper.ship(final=True)
