@@ -23,11 +23,11 @@ with :meth:`~SimWorld.install`.
 
 from __future__ import annotations
 
+from functools import partial
 from heapq import heappush
-from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Optional
 
-from ..simgrid.engine import (PRIORITY_URGENT, Environment, Event,
-                              SimulationError)
+from ..simgrid.engine import Environment, Event, SimulationError
 from ..simgrid.faults import FaultPlan, HostCrash
 from ..simgrid.host import Host, HostSpec
 from ..simgrid.network import Address, AddressError, Delivery, Network
@@ -42,15 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..infra.base import InfraAdapter
 
 __all__ = ["SimDriver", "SimWorld"]
-
-
-def _urgently(env: Environment, callback: Callable[[Event], None]) -> None:
-    """Run ``callback`` at the current instant, ahead of every
-    normal-priority event — where a process's first step and an
-    interrupt's delivery sit."""
-    event = Event(env)
-    event.callbacks.append(callback)
-    env.schedule(event, priority=PRIORITY_URGENT)
 
 
 class _DriverHandle(Event):
@@ -74,7 +65,7 @@ class _DriverHandle(Event):
         ``host_down:<cause.reason>``."""
         if self.triggered:
             raise SimulationError(f"{self!r} has terminated and cannot be interrupted")
-        _urgently(self.env, lambda _event: self._driver._on_interrupt(cause))
+        self.env.call(partial(self._driver._on_interrupt, cause), urgent=True)
 
 
 class SimDriver(ComponentDriver):
@@ -150,7 +141,7 @@ class SimDriver(ComponentDriver):
         handle = _DriverHandle(self)
         self.host.adopt(handle, name=f"drv:{self.address.port}")
         self.process = handle
-        _urgently(self.env, self._on_start)
+        self.env.call(self._on_start, urgent=True)
         return handle
 
     @property
@@ -160,11 +151,11 @@ class SimDriver(ComponentDriver):
     # -- event entry points -----------------------------------------------------
     # Same-instant ordering is part of the determinism contract (same seed,
     # same bytes), so these keep the event-queue positions the generator
-    # loop they replace had: on_start from an urgent zero-delay event, a
+    # loop they replace had: on_start from an urgent entry, a
     # wake-up re-armed after every handled event (at the sequence number a
     # fresh Timeout would take), and one zero-delay hop between a wake-up
     # firing and the timers it fires.
-    def _on_start(self, _event: Event) -> None:
+    def _on_start(self, _tag: int) -> None:
         self._start_component(self.env.now)
         self._stop_or_rearm()
 
@@ -240,7 +231,7 @@ class SimDriver(ComponentDriver):
             self._wake_queued = seq
         self._wake_seq = seq
 
-    def _on_interrupt(self, cause: Any) -> None:
+    def _on_interrupt(self, cause: Any, _tag: int) -> None:
         if self.process.is_alive:  # else it ended before the kill landed
             self._finish(f"host_down:{getattr(cause, 'reason', cause)}")
 
@@ -301,12 +292,10 @@ class SimWorld:
             at = crash.at + crash.reboot_after + 1.0
             for driver in list(self.services.values()):
                 if driver.host.name == crash.host:
-                    self.env.process(self._relaunch(
-                        driver.host, driver.address.port, driver.component,
-                        at))
+                    # Plan times count from installation.
+                    self.env.start(partial(self._relaunch, driver), at)
 
-    def _relaunch(self, host: Host, port: str, component: Component,
-                  at: float) -> Generator:
-        yield self.env.timeout(at)  # plan times count from installation
-        if host.up:
-            self.spawn(host, port, component, service=True)
+    def _relaunch(self, driver: SimDriver, _tag: int) -> None:
+        if driver.host.up:
+            self.spawn(driver.host, driver.address.port, driver.component,
+                       service=True)

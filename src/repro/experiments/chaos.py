@@ -26,7 +26,8 @@ from __future__ import annotations
 import argparse
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Generator, Optional
+from functools import partial
+from typing import Optional
 
 from ..core.services.persistent import ValidationError
 from ..core.simdriver import SimWorld
@@ -218,16 +219,18 @@ class ChaosWorld(SimWorld):
         heal_at = self.plan.last_heal_time()
         if heal_at is None or heal_at >= self.cfg.duration:
             return
+        self.env.start(partial(self._resync_wait, heal_at), heal_at)
 
-        def monitor() -> Generator:
-            yield self.env.timeout(heal_at)
-            while self.env.now < self.cfg.duration:
-                yield self.env.timeout(self.cfg.sample_period)
-                if self._gossips_converged():
-                    self.resync_time = self.env.now - heal_at
-                    return
+    def _resync_wait(self, heal_at: float, _tag: int) -> None:
+        if self.env.now < self.cfg.duration:
+            self.env.call(partial(self._resync_check, heal_at),
+                          self.cfg.sample_period)
 
-        self.env.process(monitor())
+    def _resync_check(self, heal_at: float, tag: int) -> None:
+        if self._gossips_converged():
+            self.resync_time = self.env.now - heal_at
+        else:
+            self._resync_wait(heal_at, tag)
 
     # -- running / reporting ------------------------------------------------
     def run(self) -> "ChaosReport":

@@ -556,17 +556,22 @@ def _condor_sched_world(in_pool: bool, seed: int) -> dict:
                       idle_mean=900, busy_mean=1800, start_delay=15)
     if in_pool:
         pool.deploy()
+
+        def keep(host, i, _tag):
+            """Run the scheduler whenever the workstation is up; look
+            again 30 s after it dies (the owner reclaims it) or, while
+            the owner holds the machine, 30 s later."""
+            later = functools.partial(keep, host, i)
+            if host.up:
+                w.spawn(host, "sched", scheduler(i)).process.callbacks.append(
+                    lambda _handle: w.env.call(later, 30))
+            else:
+                w.env.call(later, 30)
+
         for i in range(2):
             host = pool.hosts[i]
             contacts.append(f"{host.name}/sched")
-
-            def keeper(host=host, i=i):
-                while True:
-                    if host.up:  # ends when the owner reclaims
-                        yield w.spawn(host, "sched", scheduler(i)).process
-                    yield w.env.timeout(30)
-
-            w.env.process(keeper())
+            w.env.call(functools.partial(keep, host, i), urgent=True)
     else:
         for i in range(2):
             w.spawn(w.server(f"sched{i}"), "sched", scheduler(i))
@@ -600,12 +605,13 @@ def _lsf_sleep_world(sleep_max: float, seed: int) -> dict:
     nt.deploy()
     full_at = [None]
 
-    def watcher():
-        while nt.active_host_count() < 48:
-            yield w.env.timeout(5)
-        full_at[0] = w.env.now
+    def watch(_tag):
+        if nt.active_host_count() < 48:
+            w.env.call(functools.partial(watch), 5)
+        else:
+            full_at[0] = w.env.now
 
-    w.env.process(watcher())
+    w.env.call(functools.partial(watch), urgent=True)
     w.env.run(until=3600)
     burst = max((sum(1 for t in hellos if s <= t < s + 10)
                  for s in range(0, 3600, 10)), default=0)

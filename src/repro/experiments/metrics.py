@@ -11,7 +11,7 @@ cadence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -94,7 +94,7 @@ class SeriesBundle:
 
 
 class HostCountSampler:
-    """Simulation process sampling adapters' active host counts."""
+    """Samples adapters' active host counts, one engine entry per sample."""
 
     def __init__(
         self,
@@ -114,19 +114,23 @@ class HostCountSampler:
         self._n = n
 
     def start_sampling(self, samples_per_bucket: int = 5) -> None:
-        self.env.process(self._run(samples_per_bucket))
+        self._interval = self._width / samples_per_bucket
+        self.env.call(self._begin, urgent=True)
 
-    def _run(self, samples_per_bucket: int) -> Generator:
-        interval = self._width / samples_per_bucket
+    def _begin(self, tag: int) -> None:
         if self.env.now < self._start:
-            yield self.env.timeout(self._start - self.env.now)
-        end = self._start + self._width * self._n
-        while self.env.now < end:
-            for adapter in self.adapters:
-                self.buckets[adapter.name].add(
-                    self.env.now, float(adapter.active_host_count())
-                )
-            yield self.env.timeout(interval)
+            self.env.call(self._sample, self._start - self.env.now)
+        else:
+            self._sample(tag)
+
+    def _sample(self, _tag: int) -> None:
+        if self.env.now >= self._start + self._width * self._n:
+            return
+        for adapter in self.adapters:
+            self.buckets[adapter.name].add(
+                self.env.now, float(adapter.active_host_count())
+            )
+        self.env.call(self._sample, self._interval)
 
     def counts_by_infra(self) -> dict[str, np.ndarray]:
         """Average active host count per bucket, per infrastructure."""

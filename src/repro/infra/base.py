@@ -13,11 +13,12 @@ the host-count figures (Fig. 3b/4b).
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Optional
+from functools import partial
+from typing import Callable, Optional
 
 from ..core.simdriver import SimDriver
 from ..ramsey.client import RamseyClient
-from ..simgrid.engine import Environment, Process
+from ..simgrid.engine import Environment
 from ..simgrid.host import Host, HostSpec
 from ..simgrid.load import LoadModel
 from ..simgrid.network import Network
@@ -34,6 +35,10 @@ class InfraAdapter:
 
     #: Infrastructure tag recorded on hosts and in perf records.
     name: str = "base"
+    #: Mean seconds up and down of each host's failure cycle
+    #: (:meth:`_start_failure_cycle`); subclasses with one set both.
+    mtbf: float
+    mttr: float
 
     def __init__(
         self,
@@ -114,15 +119,37 @@ class InfraAdapter:
     def on_client_exit(self, host: Host) -> None:
         """Policy hook: called when a client dies (host death or stop)."""
 
+    def relaunch(self, host: Host) -> None:
+        """Policy hook: bring a client back to ``host`` once its failure
+        cycle has repaired it (each adapter's launch path, started from
+        an urgent entry at this instant)."""
+
     def respawn_later(self, host: Host, delay: float) -> None:
         """Schedule a relaunch attempt after ``delay`` seconds."""
+        self.env.start(partial(self._respawn, host), delay)
 
-        def waiter() -> Generator:
-            yield self.env.timeout(delay)
-            if host.up and host.name not in self.drivers:
-                self.launch_client(host)
+    def _respawn(self, host: Host, _tag: int) -> None:
+        if host.up and host.name not in self.drivers:
+            self.launch_client(host)
 
-        self.env.process(waiter())
+    # -- failure cycle ------------------------------------------------------------
+    def _start_failure_cycle(self, host: Host) -> None:
+        """Exponential MTBF/MTTR churn on the host's ``fail:<host>``
+        stream; each repair ends in :meth:`relaunch`."""
+        rng = self.streams.get(f"fail:{host.name}")
+        self.env.start(partial(self._fail, host, rng),
+                       float(rng.exponential(self.mtbf)))
+
+    def _fail(self, host: Host, rng, _tag: int) -> None:
+        host.go_down("failure")
+        self.env.call(partial(self._repair, host, rng),
+                      float(rng.exponential(self.mttr)))
+
+    def _repair(self, host: Host, rng, _tag: int) -> None:
+        host.go_up()
+        self.relaunch(host)
+        self.env.call(partial(self._fail, host, rng),
+                      float(rng.exponential(self.mtbf)))
 
     # -- fault injection ---------------------------------------------------------
     def go_dark(self, reason: str = "fault:outage") -> int:

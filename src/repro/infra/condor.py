@@ -18,7 +18,7 @@ exposes its hosts for service placement.
 
 from __future__ import annotations
 
-from typing import Generator
+from functools import partial
 
 from ..simgrid.host import Host
 from ..simgrid.load import ConstantLoad
@@ -70,7 +70,10 @@ class CondorPool(InfraAdapter):
                 load_model=ConstantLoad(0.95),
             )
             self.host_type[host.name] = i % self.n_types
-            self.env.process(self._owner_cycle(host))
+            owner = self.streams.get(f"owner:{host.name}")
+            # Stagger: hosts start at random points of their cycle.
+            self.env.start(partial(self._idle, host, owner),
+                           float(owner.uniform(0, self.idle_mean)))
 
     # -- standard-universe checkpointing -------------------------------------
     def _capture_checkpoint(self, host) -> dict | None:
@@ -92,50 +95,57 @@ class CondorPool(InfraAdapter):
         return checkpoint
 
     def _migrate_checkpoint(self, checkpoint: dict, host_type: int) -> None:
-        """Restore the image on an idle workstation of the same type."""
+        """Restore the image on an idle workstation of the same type,
+        trying once a minute, 120 times."""
+        self.env.start(partial(self._restore, checkpoint, host_type, 120),
+                       self.start_delay)
 
-        def attempt():
-            yield self.env.timeout(self.start_delay)
-            for _ in range(120):
-                candidates = [
-                    h for h in self.hosts
-                    if h.up and h.name not in self.drivers
-                    and self.host_type[h.name] == host_type
-                ]
-                if candidates:
-                    idx = int(self._rng.integers(len(candidates)))
-                    driver = self.launch_client(candidates[idx])
-                    if driver is not None:
-                        # Condor restores the checkpointed image: the new
-                        # process resumes the unit where it left off.
-                        driver.component._take_unit(checkpoint, self.env.now)
-                        self.checkpoint_migrations += 1
-                        return
-                yield self.env.timeout(60.0)
+    def _restore(self, checkpoint: dict, host_type: int, tries: int,
+                 _tag: int) -> None:
+        if not tries:
             self.checkpoints_lost += 1
+            return
+        candidates = [
+            h for h in self.hosts
+            if h.up and h.name not in self.drivers
+            and self.host_type[h.name] == host_type
+        ]
+        if candidates:
+            idx = int(self._rng.integers(len(candidates)))
+            driver = self.launch_client(candidates[idx])
+            if driver is not None:
+                # Condor restores the checkpointed image: the new
+                # process resumes the unit where it left off.
+                driver.component._take_unit(checkpoint, self.env.now)
+                self.checkpoint_migrations += 1
+                return
+        self.env.call(partial(self._restore, checkpoint, host_type, tries - 1),
+                      60.0)
 
-        self.env.process(attempt())
+    # -- the owner's cycle ------------------------------------------------------
+    def _idle(self, host: Host, rng, _tag: int) -> None:
+        """The owner is away: claim the workstation for a guest job."""
+        if host.up:
+            self.respawn_later(host, self.start_delay)
+        self.env.call(partial(self._reclaim, host, rng),
+                      float(rng.exponential(self.idle_mean)))
 
-    def _owner_cycle(self, host: Host) -> Generator:
-        rng = self.streams.get(f"owner:{host.name}")
-        # Stagger: hosts start at random points of their cycle.
-        yield self.env.timeout(float(rng.uniform(0, self.idle_mean)))
-        while True:
-            # Idle: claim it for a guest job.
-            if host.up:
-                self.respawn_later(host, self.start_delay)
-            yield self.env.timeout(float(rng.exponential(self.idle_mean)))
-            # Owner returns. Standard universe: checkpoint and migrate to a
-            # same-type machine; vanilla: the guest dies with its state.
-            self.reclamations += 1
-            checkpoint = None
-            if self.universe == "standard":
-                checkpoint = self._capture_checkpoint(host)
-            host.go_down("reclaimed")
-            if checkpoint is not None:
-                self._migrate_checkpoint(checkpoint, self.host_type[host.name])
-            yield self.env.timeout(float(rng.exponential(self.busy_mean)))
-            host.go_up()
+    def _reclaim(self, host: Host, rng, _tag: int) -> None:
+        """The owner returns. Standard universe: checkpoint and migrate to
+        a same-type machine; vanilla: the guest dies with its state."""
+        self.reclamations += 1
+        checkpoint = None
+        if self.universe == "standard":
+            checkpoint = self._capture_checkpoint(host)
+        host.go_down("reclaimed")
+        if checkpoint is not None:
+            self._migrate_checkpoint(checkpoint, self.host_type[host.name])
+        self.env.call(partial(self._release, host, rng),
+                      float(rng.exponential(self.busy_mean)))
+
+    def _release(self, host: Host, rng, tag: int) -> None:
+        host.go_up()
+        self._idle(host, rng, tag)
 
     def on_client_exit(self, host: Host) -> None:
         # Reclaimed: nothing to do — the owner cycle restarts the client

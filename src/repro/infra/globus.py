@@ -14,7 +14,7 @@ The Ramsey application used three Globus services:
 
 from __future__ import annotations
 
-from typing import Generator
+from functools import partial
 
 from ..simgrid.host import Host, HostDown
 from ..simgrid.load import MeanRevertingLoad
@@ -65,9 +65,9 @@ class GlobusSites(InfraAdapter):
                     load_model=MeanRevertingLoad(mean=0.75, sigma=0.005),
                     site=f"{self.site}-{sitename}",
                 )
-                self._start_failure_process(host)
+                self._start_failure_cycle(host)
                 if self.switched_on:
-                    self.env.process(self._gram_launch(host))
+                    self.relaunch(host)
 
     # -- the light switch (Fig. 5) ------------------------------------------
     def switch_off(self) -> int:
@@ -91,36 +91,38 @@ class GlobusSites(InfraAdapter):
         self.switched_on = True
         for host in self.hosts:
             if host.up and host.name not in self.drivers:
-                self.env.process(self._gram_launch(host))
+                self.relaunch(host)
 
-    def _gram_launch(self, host: Host) -> Generator:
-        """MDS discovery + authenticate-only + GRAM submit + GASS fetch."""
+    def relaunch(self, host: Host) -> None:
+        """MDS discovery + authenticate-only + GRAM submit + GASS fetch,
+        one engine entry per stage."""
+        self.env.call(partial(self._mds, host), urgent=True)
+
+    def _mds(self, host: Host, _tag: int) -> None:
         self.mds_queries += 1
-        yield self.env.timeout(self.mds_latency)
+        self.env.call(partial(self._gram, host), self.mds_latency)
+
+    def _gram(self, host: Host, _tag: int) -> None:
         self.gram_launches += 1
-        yield self.env.timeout(self.gram_latency)
-        if host.name not in self._fetched:
-            # First launch on this platform: pull the binary through GASS.
-            self.gass_fetches += 1
-            yield self.env.timeout(self.gass_fetch)
-            self._fetched.add(host.name)
+        self.env.call(partial(self._gass, host), self.gram_latency)
+
+    def _gass(self, host: Host, tag: int) -> None:
+        if host.name in self._fetched:
+            self._launch(host, tag)
+            return
+        # First launch on this platform: pull the binary through GASS.
+        self.gass_fetches += 1
+        self.env.call(partial(self._fetched_launch, host), self.gass_fetch)
+
+    def _fetched_launch(self, host: Host, tag: int) -> None:
+        self._fetched.add(host.name)
+        self._launch(host, tag)
+
+    def _launch(self, host: Host, _tag: int) -> None:
         if self.switched_on and host.up and host.name not in self.drivers:
             self.launch_client(host)
-
-    def _start_failure_process(self, host: Host) -> None:
-        rng = self.streams.get(f"fail:{host.name}")
-
-        def cycle() -> Generator:
-            while True:
-                yield self.env.timeout(float(rng.exponential(self.mtbf)))
-                host.go_down("failure")
-                yield self.env.timeout(float(rng.exponential(self.mttr)))
-                host.go_up()
-                self.env.process(self._gram_launch(host))
-
-        self.env.process(cycle())
 
     def on_client_exit(self, host: Host) -> None:
         if host.up and self.switched_on:
             # Still switched on: GRAM relights the client automatically.
-            self.env.process(self._gram_launch(host))
+            self.relaunch(host)

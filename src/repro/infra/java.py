@@ -11,7 +11,8 @@ cycles still aid computation".
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Optional
+from functools import partial
+from typing import Callable, Optional
 
 from ..simgrid.host import Host
 from ..simgrid.load import ConstantLoad
@@ -45,25 +46,29 @@ class JavaApplets(InfraAdapter):
         self.jit_count = 0
 
     def deploy(self) -> None:
-        self.env.process(self._arrival_process())
+        self._bound = max(self._rate(0.0), self.arrival_rate, 1.0 / 60.0)
+        self.env.call(self._await_arrival, urgent=True)
 
     def _rate(self, t: float) -> float:
         return self.rate_fn(t) if self.rate_fn is not None else self.arrival_rate
 
-    def _arrival_process(self) -> Generator:
+    def _await_arrival(self, _tag: int) -> None:
+        if self.arrivals < self.max_arrivals:
+            rng = self.streams.get("arrivals")
+            self.env.call(self._arrival,
+                          float(rng.exponential(1.0 / self._bound)))
+
+    def _arrival(self, tag: int) -> None:
         """Non-homogeneous Poisson arrivals by thinning: sample candidate
         events at an upper-bound rate and accept each with probability
         rate(t) / bound — so rate changes take effect immediately."""
         rng = self.streams.get("arrivals")
-        bound = max(self._rate(0.0), self.arrival_rate, 1.0 / 60.0)
-        while self.arrivals < self.max_arrivals:
-            yield self.env.timeout(float(rng.exponential(1.0 / bound)))
-            rate = self._rate(self.env.now)
-            if rate > bound:  # keep the bound an upper bound
-                bound = rate
-                continue
-            if rng.random() < rate / bound:
-                self._browser_arrives(rng)
+        rate = self._rate(self.env.now)
+        if rate > self._bound:  # keep the bound an upper bound
+            self._bound = rate
+        elif rng.random() < rate / self._bound:
+            self._browser_arrives(rng)
+        self._await_arrival(tag)
 
     def _browser_arrives(self, rng) -> None:
         self.arrivals += 1
@@ -78,10 +83,13 @@ class JavaApplets(InfraAdapter):
             load_model=ConstantLoad(0.8),
         )
         self.launch_client(host)
-        self.env.process(self._session(host, rng))
+        self.env.call(partial(self._session, host, rng), urgent=True)
 
-    def _session(self, host: Host, rng) -> Generator:
-        yield self.env.timeout(float(rng.exponential(self.session_mean)))
+    def _session(self, host: Host, rng, _tag: int) -> None:
+        self.env.call(partial(self._leave, host),
+                      float(rng.exponential(self.session_mean)))
+
+    def _leave(self, host: Host, _tag: int) -> None:
         host.go_down("browser closed")  # permanent: the visitor left
 
     def on_client_exit(self, host: Host) -> None:

@@ -21,7 +21,7 @@ Two Legion behaviors from the paper are modeled:
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Optional
 
 from ..core.component import Component, Effect, Send
 from ..core.linguafranca.messages import Message
@@ -104,40 +104,25 @@ class LegionNet(InfraAdapter):
                 speed=speed_for("legion_node", jitter=0.25, rng=rng),
                 load_model=MeanRevertingLoad(mean=0.7, sigma=0.006),
             )
-            self._start_failure_process(host)
+            self._start_failure_cycle(host)
             if i < n_active:
                 self.launch_client(host)
-
-    def _start_failure_process(self, host: Host) -> None:
-        rng = self.streams.get(f"fail:{host.name}")
-
-        def cycle() -> Generator:
-            while True:
-                yield self.env.timeout(float(rng.exponential(self.mtbf)))
-                host.go_down("failure")
-                yield self.env.timeout(float(rng.exponential(self.mttr)))
-                host.go_up()
-
-        self.env.process(cycle())
 
     def on_client_exit(self, host: Host) -> None:
         """Automatic migration of the stateless object to a live host.
 
         Legion's resource discovery keeps looking until a host is free —
         an object outlives any particular machine."""
+        self.env.start(self._migrate, self.migrate_delay)
 
-        def migrate() -> Generator:
-            yield self.env.timeout(self.migrate_delay)
-            while True:
-                candidates = [
-                    h for h in self.hosts
-                    if h.up and h.name not in self.drivers and h is not self.gateway
-                ]
-                if candidates:
-                    idx = int(self._rng.integers(len(candidates)))
-                    self.migrations += 1
-                    self.launch_client(candidates[idx])
-                    return
-                yield self.env.timeout(60.0)
-
-        self.env.process(migrate())
+    def _migrate(self, _tag: int) -> None:
+        candidates = [
+            h for h in self.hosts
+            if h.up and h.name not in self.drivers and h is not self.gateway
+        ]
+        if not candidates:
+            self.env.call(self._migrate, 60.0)
+            return
+        idx = int(self._rng.integers(len(candidates)))
+        self.migrations += 1
+        self.launch_client(candidates[idx])

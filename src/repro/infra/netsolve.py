@@ -9,7 +9,7 @@ latency and automatic reassignment when a server dies.
 
 from __future__ import annotations
 
-from typing import Generator
+from functools import partial
 
 from ..simgrid.host import Host
 from ..simgrid.load import MeanRevertingLoad
@@ -46,29 +46,18 @@ class NetSolveFarm(InfraAdapter):
                 speed=speed_for("netsolve_server", jitter=0.2, rng=rng),
                 load_model=MeanRevertingLoad(mean=0.7, sigma=0.005),
             )
-            self._start_failure_process(host)
-            self.env.process(self._broker(host))
+            self._start_failure_cycle(host)
+            self.relaunch(host)
 
-    def _broker(self, host: Host) -> Generator:
+    def relaunch(self, host: Host) -> None:
         """Agent brokering: match the request to a capable server."""
-        yield self.env.timeout(self.agent_latency)
+        self.env.start(partial(self._broker, host), self.agent_latency)
+
+    def _broker(self, host: Host, _tag: int) -> None:
         if host.up and host.name not in self.drivers:
             self.brokered += 1
             self.launch_client(host)
 
-    def _start_failure_process(self, host: Host) -> None:
-        rng = self.streams.get(f"fail:{host.name}")
-
-        def cycle() -> Generator:
-            while True:
-                yield self.env.timeout(float(rng.exponential(self.mtbf)))
-                host.go_down("failure")
-                yield self.env.timeout(float(rng.exponential(self.mttr)))
-                host.go_up()
-                self.env.process(self._broker(host))
-
-        self.env.process(cycle())
-
     def on_client_exit(self, host: Host) -> None:
         if host.up:
-            self.env.process(self._broker(host))
+            self.relaunch(host)

@@ -16,7 +16,7 @@ Models the two quirks the paper hit at SC98:
 
 from __future__ import annotations
 
-from typing import Generator
+from functools import partial
 
 from ..simgrid.host import Host
 from ..simgrid.load import MeanRevertingLoad
@@ -60,40 +60,37 @@ class NTSupercluster(InfraAdapter):
                     load_model=MeanRevertingLoad(mean=0.85, sigma=0.003),
                     site=f"{self.site}-{cluster}",
                 )
-                self._start_failure_process(host)
-                self.env.process(self._startup(host))
+                self._start_failure_cycle(host)
+                self.relaunch(host)
 
-    def _startup(self, host: Host) -> Generator:
+    def relaunch(self, host: Host) -> None:
         """Wait for DNS, then survive the LSF sleep gauntlet."""
+        self.env.call(partial(self._startup, host), urgent=True)
+
+    def _startup(self, host: Host, tag: int) -> None:
         if self.env.now < self.dns_fix_time:
-            yield self.env.timeout(self.dns_fix_time - self.env.now)
-        rng = self.streams.get(f"lsf:{host.name}")
-        while host.up and host.name not in self.drivers:
-            sleep = float(rng.uniform(0, self.startup_sleep_max))
-            if sleep > self.lsf_kill_threshold:
-                # LSF reclaims the "dead" sleeper at the threshold; the
-                # worker must be resubmitted and sleeps again.
-                self.lsf_kills += 1
-                yield self.env.timeout(self.lsf_kill_threshold)
-                continue
-            yield self.env.timeout(sleep)
-            if host.up:
-                self.launch_client(host)
+            self.env.call(partial(self._sleep, host),
+                          self.dns_fix_time - self.env.now)
+        else:
+            self._sleep(host, tag)
+
+    def _sleep(self, host: Host, _tag: int) -> None:
+        if not host.up or host.name in self.drivers:
             return
+        rng = self.streams.get(f"lsf:{host.name}")
+        sleep = float(rng.uniform(0, self.startup_sleep_max))
+        if sleep > self.lsf_kill_threshold:
+            # LSF reclaims the "dead" sleeper at the threshold; the
+            # worker must be resubmitted and sleeps again.
+            self.lsf_kills += 1
+            self.env.call(partial(self._sleep, host), self.lsf_kill_threshold)
+            return
+        self.env.call(partial(self._wake, host), sleep)
 
-    def _start_failure_process(self, host: Host) -> None:
-        rng = self.streams.get(f"fail:{host.name}")
-
-        def cycle() -> Generator:
-            while True:
-                yield self.env.timeout(float(rng.exponential(self.mtbf)))
-                host.go_down("failure")
-                yield self.env.timeout(float(rng.exponential(self.mttr)))
-                host.go_up()
-                self.env.process(self._startup(host))
-
-        self.env.process(cycle())
+    def _wake(self, host: Host, _tag: int) -> None:
+        if host.up:
+            self.launch_client(host)
 
     def on_client_exit(self, host: Host) -> None:
         if host.up:
-            self.env.process(self._startup(host))
+            self.relaunch(host)

@@ -10,8 +10,6 @@ clients are relaunched when their host returns.
 
 from __future__ import annotations
 
-from typing import Generator
-
 from ..simgrid.host import Host
 from ..simgrid.load import ComposedLoad, ConstantLoad, DiurnalLoad, MeanRevertingLoad
 from .base import InfraAdapter
@@ -50,7 +48,7 @@ class UnixPool(InfraAdapter):
                 speed=speed_for("unix_workstation", jitter=0.3, rng=rng),
                 load_model=DiurnalLoad(day_trough=0.35, night_peak=0.9),
             )
-            self._start_failure_process(host)
+            self._start_failure_cycle(host)
             self.launch_client(host)
         for i in range(self.n_mpp_nodes):
             host = self._add_host(
@@ -59,7 +57,7 @@ class UnixPool(InfraAdapter):
                 load_model=MeanRevertingLoad(mean=0.8, sigma=0.004),
                 site=f"{self.site}-mpp",
             )
-            self._start_failure_process(host)
+            self._start_failure_cycle(host)
             self.launch_client(host)
         if self.with_tera_mta:
             host = self._add_host(
@@ -68,24 +66,14 @@ class UnixPool(InfraAdapter):
                 load_model=MeanRevertingLoad(mean=0.6, sigma=0.006),
                 site=f"{self.site}-tera",
             )
-            self._start_failure_process(host)
+            self._start_failure_cycle(host)
             self.launch_client(host)
 
-    def _start_failure_process(self, host: Host) -> None:
-        rng = self.streams.get(f"fail:{host.name}")
-
-        def cycle() -> Generator:
-            while True:
-                yield self.env.timeout(float(rng.exponential(self.mtbf)))
-                host.go_down("failure")
-                yield self.env.timeout(float(rng.exponential(self.mttr)))
-                host.go_up()
-                self.respawn_later(host, self.restart_delay)
-
-        self.env.process(cycle())
+    def relaunch(self, host: Host) -> None:
+        self.respawn_later(host, self.restart_delay)
 
     def on_client_exit(self, host: Host) -> None:
-        # Transient failure: try again shortly; the failure process also
+        # Transient failure: try again shortly; the failure cycle also
         # relaunches after recoveries.
         if host.up:
-            self.respawn_later(host, self.restart_delay)
+            self.relaunch(host)

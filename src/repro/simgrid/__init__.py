@@ -3,11 +3,11 @@
 from .._exports import lazy_exports
 
 _EXPORTS = {
-    ".engine": ("AllOf", "AnyOf", "Condition", "Environment", "Event",
-                "Interrupt", "Process", "SimulationError", "Timeout"),
+    ".engine": ("Environment", "Event", "Process", "SimulationError",
+                "Timeout"),
     ".faults": ("FaultPlan", "FaultStats", "HostCrash", "InfraOutage",
                 "MessageChaos", "SitePartition"),
     ".network": ("Address", "AddressError", "Network"),
-    ".resources": ("Gate", "Store", "get_with_timeout"),
+    ".resources": ("Store", "get_with_timeout"),
 }
 __all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

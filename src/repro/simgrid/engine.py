@@ -1,16 +1,26 @@
 """Discrete-event simulation engine.
 
 This is the substrate on which the SC98-scale EveryWare experiments run.
-It is a small, deterministic, generator-coroutine event simulator in the
-style of SimPy: simulated processes are Python generators that ``yield``
-events (timeouts, other processes, store gets, conditions) and are resumed
-when those events trigger.
+Its model is the callback entry: a queue item that is a bound method (or
+a ``functools.partial`` of one) is called with its entry's tag when it
+pops. Every EveryWare component is driven this way (a driver's
+deliveries and wake-ups), and so is every other periodic or one-shot
+activity of a simulated world: a host's ambient load, the network's
+congestion, fault injectors, infrastructure churn and the experiments'
+samplers. :meth:`Environment.call` queues such an entry, and
+:meth:`Environment.start` begins a loop whose first step is a wait.
+
+:class:`Process` (a simpy-style generator waiting on :class:`Event`
+objects), :class:`Initialize` and :class:`Timeout` survive only for the
+end-to-end benchmark's ladder, which still drives the engine, a mailbox
+and an endpoint with them; nothing in the product starts a process.
 
 Determinism guarantees
 ----------------------
-Events scheduled for the same simulated time are processed in FIFO order of
-scheduling (a monotonically increasing sequence number breaks ties), so a
-simulation driven by a seeded RNG replays identically.
+Entries scheduled for the same simulated time are processed in FIFO order
+of scheduling (a monotonically increasing sequence number breaks ties),
+urgent entries first, so a simulation driven by a seeded RNG replays
+identically.
 
 Performance notes
 -----------------
@@ -18,18 +28,14 @@ Every experiment in this reproduction is bounded by this module's event
 loop, so the hot paths are deliberately low-level (see DESIGN.md §6):
 
 * every event class declares ``__slots__`` (no per-event ``__dict__``);
-* :class:`Timeout` — the dominant event type by far — schedules itself
-  inline instead of going through the generic :meth:`Environment.schedule`
-  state checks (a fresh timeout is pending by construction);
-* :meth:`Process._resume` never scans callback lists; the rare
-  ``interrupt()`` path detaches the process from its old target instead,
-  so the per-resume cost is a couple of attribute stores;
+* :class:`Timeout` schedules itself inline: a fresh timeout is pending
+  by construction, so it needs no state check;
 * :meth:`Environment.run` inlines the event-pop loop with ``heappop`` and
   the queue bound to locals, and skips the deadline comparison entirely
   when no ``until=<time>`` was given;
 * two kinds of queue item are not events and cost the loop one call: an
   *arrival* (see :meth:`Environment.on_arrival`) goes to its handler, and
-  a bound method (a driver's wake-up) is called with its entry's tag.
+  a callback entry is called with its entry's tag.
 
 None of this changes observable scheduling order: same seeds produce
 byte-identical simulation results.
@@ -37,31 +43,31 @@ byte-identical simulation results.
 Example
 -------
 >>> env = Environment()
->>> def proc(env):
-...     yield env.timeout(5)
-...     return env.now
->>> p = env.process(proc(env))
->>> env.run()
->>> p.value
-5
+>>> class Ticker:
+...     ticks = 0
+...     def tick(self, _tag):
+...         self.ticks += 1
+...         env.call(self.tick, 5.0)
+>>> ticker = Ticker()
+>>> env.call(ticker.tick, urgent=True)
+>>> env.run(until=12)
+>>> ticker.ticks
+3
 """
 
 from __future__ import annotations
 
+from functools import partial
 from heapq import heapify, heappop, heappush
 from sys import getrefcount
 from types import MethodType
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 __all__ = [
     "Environment",
     "Event",
     "Timeout",
     "Process",
-    "Condition",
-    "AnyOf",
-    "AllOf",
-    "Interrupt",
     "SimulationError",
     "StopSimulation",
     "PRIORITY_URGENT",
@@ -125,20 +131,6 @@ class StopSimulation(Exception):
     def __init__(self, value: Any = None) -> None:
         super().__init__(value)
         self.value = value
-
-
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted.
-
-    ``cause`` carries the value passed to :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0]
 
 
 class Event:
@@ -236,8 +228,7 @@ class Timeout(Event):
     """An event that triggers ``delay`` simulated seconds after creation.
 
     The constructor schedules inline: a fresh timeout is pending by
-    construction, so the generic :meth:`Environment.schedule` state check
-    is unnecessary on what is by far the most common event type.
+    construction, so it needs no state check.
     """
 
     __slots__ = ("_delay",)
@@ -277,17 +268,18 @@ class Process(Event):
     """A running simulated process wrapping a generator.
 
     The process is itself an event that triggers when the generator
-    returns (value = return value) or raises (failure).
+    returns (value = return value) or raises (failure). Only the
+    end-to-end benchmark's ladder still starts one (see the module
+    docstring).
     """
 
-    __slots__ = ("_generator", "_target", "_bound_resume")
+    __slots__ = ("_generator", "_bound_resume")
 
     def __init__(self, env: "Environment", generator: Generator) -> None:
         if not hasattr(generator, "throw"):
             raise SimulationError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
-        self._target: Optional[Event] = None  # event we are waiting on
         # Bind once: `self._resume` creates a fresh bound-method object on
         # every attribute access, and _resume registers itself as a callback
         # on every wait — reuse one binding instead.
@@ -299,45 +291,8 @@ class Process(Event):
         """True while the generator has not finished."""
         return self._state == _PENDING
 
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting on, if any."""
-        return self._target
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self._state != _PENDING:
-            raise SimulationError(f"{self!r} has terminated and cannot be interrupted")
-        if self.env._active_process is self:
-            raise SimulationError("a process cannot interrupt itself")
-        event = Event(self.env)
-        event._ok = False
-        event._value = Interrupt(cause)
-        event._defused = True
-        event.callbacks.append(self._deliver_interrupt)
-        self.env.schedule(event, delay=0, priority=PRIORITY_URGENT)
-
-    def _deliver_interrupt(self, event: Event) -> None:
-        """Detach from the interrupted wait, then resume with the failure.
-
-        Doing the (linear) callback-list removal here — on the rare
-        interrupt path — is what lets :meth:`_resume` skip detach checks
-        entirely on every normal wakeup.
-        """
-        if self._state != _PENDING:
-            return  # the process ended before the interrupt was delivered
-        target = self._target
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._bound_resume)
-            except ValueError:
-                pass
-        self._resume(event)
-
     def _resume(self, event: Event) -> None:
         """Advance the generator with the triggered event's outcome."""
-        env = self.env
-        env._active_process = self
         generator = self._generator
         while True:
             try:
@@ -347,133 +302,36 @@ class Process(Event):
                     event._defused = True
                     next_event = generator.throw(event._value)
             except StopIteration as exc:
-                env._active_process = None
-                self._target = None
                 self.succeed(exc.value)
                 return
             except BaseException as exc:
-                env._active_process = None
-                self._target = None
                 self.fail(exc)
                 return
 
-            if type(next_event) is Timeout or isinstance(next_event, Event):
+            if isinstance(next_event, Event):
                 callbacks = next_event.callbacks
                 if callbacks is None:
                     # Already happened: loop and resume immediately.
                     event = next_event
                     continue
-                # Wait for it.
-                self._target = next_event
                 callbacks.append(self._bound_resume)
-                break
+                return
 
-            env._active_process = None
-            self._target = None
-            err = SimulationError(
-                f"process yielded a non-event: {next_event!r}"
-            )
-            self.fail(err)
+            self.fail(SimulationError(
+                f"process yielded a non-event: {next_event!r}"))
             return
-        env._active_process = None
-
-
-class Condition(Event):
-    """Waits on several events; triggers when ``evaluate`` is satisfied.
-
-    The value of a condition is a dict mapping each *triggered* constituent
-    event to its value, in trigger order.
-
-    Empty conditions are resolved at construction time: ``evaluate`` is
-    consulted once with ``(events=[], count=0)`` and, if satisfied, the
-    condition succeeds immediately with ``{}``. Both built-in evaluators
-    accept the empty set — ``AllOf([])`` is vacuously satisfied and
-    ``AnyOf([])`` triggers immediately rather than deadlocking.
-    """
-
-    __slots__ = ("_evaluate", "_events", "_count")
-
-    def __init__(
-        self,
-        env: "Environment",
-        evaluate: Callable[[list[Event], int], bool],
-        events: Iterable[Event],
-    ) -> None:
-        super().__init__(env)
-        self._evaluate = evaluate
-        self._events = list(events)
-        self._count = 0
-        for e in self._events:
-            if e.env is not env:
-                raise SimulationError("events from different environments")
-        if not self._events:
-            # No constituents: settle now if the evaluator accepts the
-            # empty set (both built-ins do), else stay pending forever.
-            if self._evaluate(self._events, 0):
-                self.succeed({})
-            return
-        for e in self._events:
-            if e.callbacks is None:
-                self._check(e)
-            else:
-                e.callbacks.append(self._check)
-        # Handle the case where enough events were already processed.
-        if self._state == _PENDING and self._evaluate(self._events, self._count):
-            self.succeed(self._collect())
-
-    def _collect(self) -> dict:
-        return {e: e._value for e in self._events if e.callbacks is None and e._ok}
-
-    def _check(self, event: Event) -> None:
-        if self._state != _PENDING:
-            return
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            return
-        self._count += 1
-        if self._evaluate(self._events, self._count):
-            self.succeed(self._collect())
-
-    @staticmethod
-    def any_events(events: list[Event], count: int) -> bool:
-        return count > 0 or not events
-
-    @staticmethod
-    def all_events(events: list[Event], count: int) -> bool:
-        return count >= len(events)
-
-
-class AnyOf(Condition):
-    """Triggers when any constituent event triggers (immediately if empty)."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, Condition.any_events, events)
-
-
-class AllOf(Condition):
-    """Triggers when all constituent events have triggered (vacuously true
-    for an empty set)."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, Condition.all_events, events)
 
 
 class Environment:
     """Execution environment: clock, event queue, and process management."""
 
-    __slots__ = ("_now", "_queue", "_seq", "_active_process", "_free_timeouts",
-                 "_arrival_kind", "_arrive")
+    __slots__ = ("_now", "_queue", "_seq", "_free_timeouts", "_arrival_kind",
+                 "_arrive")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, Event]] = []
         self._seq = 0
-        self._active_process: Optional[Process] = None
         #: Dead Timeout shells recycled by run(); see timeout(). Needs no
         #: size cap: a shell is only parked here after being popped off the
         #: queue, so the list never outgrows the peak number of timeouts
@@ -486,14 +344,7 @@ class Environment:
         """Current simulation time in seconds."""
         return self._now
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
-
     # -- event construction ------------------------------------------------
-    def event(self) -> Event:
-        return Event(self)
-
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         # Inlined twin of Timeout.__init__ (kept in sync): building the
         # dominant event type through type.__call__ -> __init__ costs an
@@ -528,23 +379,30 @@ class Environment:
     def process(self, generator: Generator) -> Process:
         return Process(self, generator)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
     # -- scheduling & execution ---------------------------------------------
-    def schedule(self, event: Event, delay: float = 0.0,
-                 priority: int = PRIORITY_NORMAL) -> None:
-        """Place a triggered event on the queue ``delay`` seconds from now."""
-        if event._state != _PENDING:
-            raise SimulationError(f"{event!r} already scheduled")
-        event._state = _TRIGGERED
-        self._seq += 1
-        heappush(self._queue,
-                 (self._now + delay,
-                  (priority - 1) * _PRIORITY_STRIDE + self._seq, event))
+    def call(self, method: Callable[[int], Any], delay: float = 0.0,
+             urgent: bool = False) -> None:
+        """Queue a callback entry: ``method`` (a bound method, or a
+        ``functools.partial`` of one) is called with its entry's tag
+        ``delay`` seconds from now, under the sequence number a
+        :class:`Timeout` made here would take. An ``urgent`` entry sorts
+        ahead of every normal one at its instant: a loop's first step
+        (DESIGN §7 rule 1)."""
+        seq = self._seq = self._seq + 1
+        heappush(self._queue, (self._now + delay,
+                               seq - _PRIORITY_STRIDE if urgent else seq,
+                               method))
+
+    def start(self, method: Callable[[int], Any], delay: float) -> None:
+        """Begin a loop whose first step is a wait: an urgent entry now
+        queues ``method`` ``delay`` seconds later, so the wait is numbered
+        after everything the current step goes on to queue, the position
+        every loop's first step has (DESIGN §7 rule 1)."""
+        self.call(partial(self._then, method, delay), urgent=True)
+
+    def _then(self, method: Callable[[int], Any], delay: float,
+              _tag: int) -> None:
+        self.call(method, delay)
 
     def on_arrival(self, kind: type, handler: Callable[[Any], None]) -> None:
         """Hand every queue item of class ``kind`` (one per environment) to
@@ -560,7 +418,7 @@ class Environment:
         if cls is self._arrival_kind:
             self._arrive(event)
             return
-        if cls is MethodType:
+        if cls is MethodType or cls is partial:
             event(tag)
             return
         callbacks = event.callbacks
@@ -637,14 +495,15 @@ class Environment:
         timeout_cls = Timeout
         arrival = self._arrival_kind
         arrive = self._arrive
-        call = MethodType
+        method = MethodType
+        bound = partial
         while queue:
             self._now, tag, event = pop(queue)
             cls = type(event)
             if cls is arrival:
                 arrive(event)
                 continue
-            if cls is call:
+            if cls is method or cls is bound:
                 event(tag)
                 continue
             callbacks = event.callbacks

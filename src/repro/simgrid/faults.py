@@ -17,15 +17,17 @@ The SC98 run survived precisely the failures this module lets a scenario
   kept running on everything else).
 
 A :class:`FaultPlan` is a deterministic schedule of such injectors.
-``install`` arms it against a world (environment + network + adapters);
-every action is recorded in ``plan.log`` and counted in ``plan.stats``
-so experiments can assert exactly what was injected.
+``install`` arms it against a world (environment + network + adapters):
+each injector's onset, and its end if it has one, is a timed engine
+entry. Every action is recorded in ``plan.log`` and counted in
+``plan.stats`` so experiments can assert exactly what was injected.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Generator, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from functools import partial
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .engine import Environment
 from .network import Network
@@ -203,25 +205,22 @@ class FaultPlan:
         adapters: Iterable["InfraAdapter"] = (),
         telemetry=None,
     ) -> None:
-        """Arm every injector as a simulation process. Idempotent per
-        plan instance (a plan installs once)."""
+        """Arm every injector: its onset is an engine entry ``at``
+        seconds after installation, and its end (reboot, heal, restore,
+        chaos off) one more entry after that. A plan installs once."""
         if self._installed:
             raise RuntimeError("fault plan already installed")
         self._installed = True
         self.telemetry = telemetry if telemetry is not None else network.telemetry
-        adapter_by_name = {a.name: a for a in adapters}
-        self._adapters = adapter_by_name
+        self._adapters = {a.name: a for a in adapters}
+        self._env, self._network = env, network
+        onsets = {HostCrash: self._crash, SitePartition: self._partition,
+                  InfraOutage: self._outage, MessageChaos: self._chaos}
         for injector in self.injectors:
-            if isinstance(injector, HostCrash):
-                env.process(self._run_crash(env, network, injector))
-            elif isinstance(injector, SitePartition):
-                env.process(self._run_partition(env, network, injector))
-            elif isinstance(injector, InfraOutage):
-                env.process(self._run_outage(env, adapter_by_name, injector))
-            elif isinstance(injector, MessageChaos):
-                env.process(self._run_chaos(env, network, injector))
-            else:  # pragma: no cover - construction guards against this
+            onset = onsets.get(type(injector))
+            if onset is None:  # pragma: no cover - construction guards
                 raise TypeError(f"unknown injector {injector!r}")
+            env.start(partial(onset, injector), injector.at)
 
     def _note(self, now: float, event: str) -> None:
         self.log.append((now, event))
@@ -242,75 +241,80 @@ class FaultPlan:
                               component="faults", outcome="fault")
         return span.ctx
 
-    def _run_crash(self, env: Environment, network: Network,
-                   inj: HostCrash) -> Generator:
-        yield env.timeout(inj.at)
+    def _crash(self, inj: HostCrash, _tag: int) -> None:
+        now = self._env.now
         try:
-            host = network.host(inj.host)
+            host = self._network.host(inj.host)
         except KeyError:
             self.stats.skipped += 1
-            self._fire(env.now, "skipped", inj.host)
-            self._note(env.now, f"skip crash {inj.host} (unknown host)")
+            self._fire(now, "skipped", inj.host)
+            self._note(now, f"skip crash {inj.host} (unknown host)")
             return
         host.go_down(inj.reason)
-        host.down_ctx = self._fire(env.now, "crashes", inj.host)
+        host.down_ctx = self._fire(now, "crashes", inj.host)
         self.stats.crashes += 1
-        self._note(env.now, f"crash {inj.host}")
+        self._note(now, f"crash {inj.host}")
         if inj.reboot_after is not None:
-            yield env.timeout(inj.reboot_after)
-            host.go_up()
-            self._fire(env.now, "reboots", inj.host)
-            self.stats.reboots += 1
-            self._note(env.now, f"reboot {inj.host}")
-            # The machine is back but its guest processes are not; if an
-            # adapter owns the host, have it relaunch a client (the
-            # adapter's own failure cycle only handles its own downs).
-            adapter = self._adapters.get(host.infra)
-            if adapter is not None:
-                adapter.respawn_later(host, 0.0)
+            self._env.call(partial(self._reboot, host), inj.reboot_after)
 
-    def _run_partition(self, env: Environment, network: Network,
-                       inj: SitePartition) -> Generator:
-        yield env.timeout(inj.at)
+    def _reboot(self, host, _tag: int) -> None:
+        now = self._env.now
+        host.go_up()
+        self._fire(now, "reboots", host.name)
+        self.stats.reboots += 1
+        self._note(now, f"reboot {host.name}")
+        # The machine is back but its guest processes are not; if an
+        # adapter owns the host, have it relaunch a client (the
+        # adapter's own failure cycle only handles its own downs).
+        adapter = self._adapters.get(host.infra)
+        if adapter is not None:
+            adapter.respawn_later(host, 0.0)
+
+    def _partition(self, inj: SitePartition, _tag: int) -> None:
+        now = self._env.now
+        network = self._network
         network.set_partitions([list(g) for g in inj.groups])
         network.partition_ctx = self._fire(
-            env.now, "partitions", "|".join(",".join(g) for g in inj.groups))
+            now, "partitions", "|".join(",".join(g) for g in inj.groups))
         self.stats.partitions += 1
-        self._note(env.now, f"partition {inj.groups!r}")
+        self._note(now, f"partition {inj.groups!r}")
         if inj.heal_after is not None:
-            yield env.timeout(inj.heal_after)
-            network.set_partitions([])
-            network.partition_ctx = None
-            self._fire(env.now, "heals", "partition")
-            self.stats.heals += 1
-            self._note(env.now, "heal partition")
+            self._env.call(self._heal, inj.heal_after)
 
-    def _run_outage(self, env: Environment, adapters: dict,
-                    inj: InfraOutage) -> Generator:
-        yield env.timeout(inj.at)
-        adapter = adapters.get(inj.infra)
+    def _heal(self, _tag: int) -> None:
+        self._network.set_partitions([])
+        self._network.partition_ctx = None
+        self._fire(self._env.now, "heals", "partition")
+        self.stats.heals += 1
+        self._note(self._env.now, "heal partition")
+
+    def _outage(self, inj: InfraOutage, _tag: int) -> None:
+        now = self._env.now
+        adapter = self._adapters.get(inj.infra)
         if adapter is None:
             self.stats.skipped += 1
-            self._note(env.now, f"skip outage {inj.infra} (unknown adapter)")
+            self._note(now, f"skip outage {inj.infra} (unknown adapter)")
             return
         downed = adapter.go_dark(reason=f"fault:outage:{inj.infra}")
-        ctx = self._fire(env.now, "outages", inj.infra)
+        ctx = self._fire(now, "outages", inj.infra)
         if ctx is not None:
             for host in adapter.hosts:
                 if not host.up:
                     host.down_ctx = ctx
         self.stats.outages += 1
-        self._note(env.now, f"outage {inj.infra} ({downed} hosts)")
+        self._note(now, f"outage {inj.infra} ({downed} hosts)")
         if inj.restore_after is not None:
-            yield env.timeout(inj.restore_after)
-            restored = adapter.relight()
-            self._fire(env.now, "restores", inj.infra)
-            self.stats.restores += 1
-            self._note(env.now, f"restore {inj.infra} ({restored} hosts)")
+            self._env.call(partial(self._restore, adapter), inj.restore_after)
 
-    def _run_chaos(self, env: Environment, network: Network,
-                   inj: MessageChaos) -> Generator:
-        yield env.timeout(inj.at)
+    def _restore(self, adapter: "InfraAdapter", _tag: int) -> None:
+        restored = adapter.relight()
+        self._fire(self._env.now, "restores", adapter.name)
+        self.stats.restores += 1
+        self._note(self._env.now, f"restore {adapter.name} ({restored} hosts)")
+
+    def _chaos(self, inj: MessageChaos, _tag: int) -> None:
+        now = self._env.now
+        network = self._network
         network.chaos = inj
         self.stats.chaos_windows += 1
         span = None
@@ -322,15 +326,18 @@ class FaultPlan:
                 # The chaos window is a *duration* span: every drop during
                 # it points back here via network.chaos_ctx.
                 span = tracer.begin("fault chaos_window", component="faults",
-                                    start=env.now)
+                                    start=now)
                 network.chaos_ctx = span.ctx
-        self._note(env.now, f"chaos on (drop={inj.drop} dup={inj.duplicate} "
-                            f"delay={inj.delay})")
-        yield env.timeout(inj.duration)
+        self._note(now, f"chaos on (drop={inj.drop} dup={inj.duplicate} "
+                        f"delay={inj.delay})")
+        self._env.call(partial(self._chaos_off, inj, span), inj.duration)
+
+    def _chaos_off(self, inj: MessageChaos, span, _tag: int) -> None:
+        network = self._network
         if network.chaos is inj:
             network.chaos = None
         if span is not None:
-            telemetry.tracer.finish(span, env.now, "fault")
+            self.telemetry.tracer.finish(span, self._env.now, "fault")
             if network.chaos_ctx == span.ctx:
                 network.chaos_ctx = None
-        self._note(env.now, "chaos off")
+        self._note(self._env.now, "chaos off")

@@ -2,21 +2,22 @@
 
 A :class:`Host` models one machine in the resource pool: a peak speed in
 "useful integer operations per second" (the paper's delivered-performance
-metric, §4), an ambient-load process that modulates what fraction of that
-speed a guest obtains, and an up/down/reclaimed lifecycle driven by the
-infrastructure adapters (Condor reclamation, LSF kills, churn, ...).
+metric, §4), an ambient load, updated by one engine entry per
+``load_period``, that modulates what fraction of that speed a guest
+obtains, and an up/down/reclaimed lifecycle driven by the infrastructure
+adapters (Condor reclamation, LSF kills, churn, ...).
 
-Processes started via :meth:`Host.spawn` are interrupted with a
-:class:`HostDown` cause when the host dies, mirroring how guest processes
-at SC98 were killed without warning.
+Guests adopted via :meth:`Host.adopt` (driver handles) are interrupted
+with a :class:`HostDown` cause when the host dies, mirroring how guest
+processes at SC98 were killed without warning.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Optional
 
-from .engine import Environment, Event, Process
+from .engine import Environment, Event
 from .load import ConstantLoad, LoadModel
 from .rand import PrefixedStreams, RngStreams
 
@@ -24,7 +25,7 @@ __all__ = ["Host", "HostDown", "HostSpec"]
 
 
 class HostDown(Exception):
-    """Interrupt cause delivered to guest processes when their host dies."""
+    """Interrupt cause delivered to guests when their host dies."""
 
     def __init__(self, host: "Host", reason: str) -> None:
         super().__init__(f"{host.name} down: {reason}")
@@ -62,7 +63,6 @@ class Host:
         self.availability = 1.0
         self._rng = streams.get(f"load:{spec.name}")
         self._guests: dict[str, Event] = {}
-        self._load_proc: Optional[Process] = None
         self._started = False
         #: Trace context of the fault-injector span that took this host
         #: down (set by :class:`repro.simgrid.faults.FaultPlan`, cleared on
@@ -72,23 +72,23 @@ class Host:
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> None:
-        """Begin the ambient-load process. Idempotent."""
+        """Begin the ambient load: one engine entry per period, the first
+        urgent at this instant. Idempotent."""
         if self._started:
             return
         self._started = True
-        self._load_proc = self.env.process(self._load_loop())
+        self.env.call(self._load_step, urgent=True)
 
-    def _load_loop(self) -> Generator:
+    def _load_step(self, _tag: int) -> None:
         period = self.spec.load_period
-        model = self.spec.load_model
-        while True:
-            if self.up:
-                value = model.advance(self.env.now, period, self._rng)
-                self.availability = min(max(value, 0.0), 1.0)
-            yield self.env.timeout(period)
+        if self.up:
+            value = self.spec.load_model.advance(self.env.now, period,
+                                                 self._rng)
+            self.availability = min(max(value, 0.0), 1.0)
+        self.env.call(self._load_step, period)
 
     def go_down(self, reason: str = "failure") -> None:
-        """Take the host down, killing all guest processes."""
+        """Take the host down, killing all guests."""
         if not self.up:
             return
         self.up = False
@@ -100,7 +100,7 @@ class Host:
                 proc.interrupt(cause)
 
     def go_up(self) -> None:
-        """Bring the host back up (guest processes must be respawned)."""
+        """Bring the host back up (guests must be relaunched)."""
         if self.up:
             return
         self.up = True
@@ -112,22 +112,13 @@ class Host:
         """Deliverable ops/second right now."""
         return self.spec.speed * self.availability if self.up else 0.0
 
-    # -- guest processes --------------------------------------------------------
-    def spawn(self, generator: Generator, name: str) -> Process:
-        """Run a guest process; it is interrupted with HostDown if the host
-        dies. A second spawn with the same name replaces the registry entry
-        (the older process keeps running but is no longer tracked)."""
-        if not self.up:
-            raise RuntimeError(f"cannot spawn {name!r} on down host {self.name}")
-        proc = self.env.process(generator)
-        self.adopt(proc, name)
-        return proc
-
+    # -- guests -----------------------------------------------------------------
     def adopt(self, guest: Event, name: str) -> None:
-        """Track ``guest`` until it triggers: a :class:`Process`, or any
-        pending event with the same ``is_alive``/``interrupt(cause)`` pair
-        (a callback-driven driver's handle). :meth:`go_down` interrupts
-        it with :class:`HostDown`."""
+        """Track ``guest`` — a driver's handle: a pending event with an
+        ``is_alive``/``interrupt(cause)`` pair — until it triggers.
+        :meth:`go_down` interrupts it with :class:`HostDown`. A second
+        guest with the same name replaces the registry entry (the older
+        one keeps running but is no longer tracked)."""
         if not self.up:
             raise RuntimeError(f"cannot spawn {name!r} on down host {self.name}")
         self._guests[name] = guest
@@ -138,9 +129,6 @@ class Host:
 
         assert guest.callbacks is not None
         guest.callbacks.append(_deregister)
-
-    def guest_names(self) -> list[str]:
-        return sorted(self._guests)
 
     def __repr__(self) -> str:
         state = "up" if self.up else "down"

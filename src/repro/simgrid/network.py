@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappush
-from typing import Callable, Generator, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .engine import Environment
 from .host import Host
@@ -158,20 +158,20 @@ class Network:
         self._site_latency[(b, a)] = latency
 
     def start(self) -> None:
-        """Begin the congestion process. Idempotent."""
+        """Begin the congestion updates: one engine entry per period, the
+        first urgent at this instant. Idempotent."""
         if self._started:
             return
         self._started = True
-        self.env.process(self._congestion_loop())
+        self.env.call(self._congestion_step, urgent=True)
 
-    def _congestion_loop(self) -> Generator:
-        while True:
-            avail = self._congestion_model.advance(
-                self.env.now, self._congestion_period, self._rng
-            )
-            # availability 1.0 -> congestion 1.0; availability 0.1 -> 10x.
-            self._congestion = 1.0 / max(avail, 0.05)
-            yield self.env.timeout(self._congestion_period)
+    def _congestion_step(self, _tag: int) -> None:
+        avail = self._congestion_model.advance(
+            self.env.now, self._congestion_period, self._rng
+        )
+        # availability 1.0 -> congestion 1.0; availability 0.1 -> 10x.
+        self._congestion = 1.0 / max(avail, 0.05)
+        self.env.call(self._congestion_step, self._congestion_period)
 
     @property
     def congestion(self) -> float:
@@ -236,7 +236,8 @@ class Network:
         """Start listening at ``address``. Each arriving :class:`Delivery`
         is handed to ``sink`` from its own queue entry; without one
         the sink is a fresh :class:`Store` mailbox's ``put``, and that
-        mailbox is returned for process-style ``get`` callers."""
+        mailbox is returned for process-style ``get`` callers (the
+        benchmark ladder's only)."""
         if address.host not in self._hosts:
             raise ValueError(f"unknown host {address.host!r}")
         if address in self._sinks:

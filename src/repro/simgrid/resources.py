@@ -1,18 +1,22 @@
-"""Waitable resources for the simulation engine: mailboxes and gates.
+"""A mailbox for generator processes: :class:`Store` and
+:func:`get_with_timeout`.
 
-:class:`Store` is the FIFO mailbox used by simulated transports; it is the
-rendezvous point between message-delivery events and processes blocked in
-``recv``. :class:`Gate` is a broadcast signal usable by many waiters.
+:class:`Store` is the FIFO rendezvous between message-delivery entries and
+processes blocked in ``recv`` (:meth:`Network.bind`'s default sink and
+:class:`~repro.core.linguafranca.endpoint.SimEndpoint`'s ``recv`` and
+``request``). Nothing in the product blocks on one: the end-to-end
+benchmark's ladder is its only caller.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Any, Generator, Optional
 
-from .engine import AnyOf, Environment, Event, SimulationError
+from .engine import Environment, Event
 
-__all__ = ["Store", "StoreGet", "StorePut", "Gate", "get_with_timeout"]
+__all__ = ["Store", "StoreGet", "get_with_timeout"]
 
 
 class StoreGet(Event):
@@ -24,7 +28,7 @@ class StoreGet(Event):
         super().__init__(store.env)
         self.store = store
         store._getters.append(self)
-        store._service()
+        store._serve()
 
     def cancel(self) -> None:
         """Withdraw this get request (e.g. after a timeout won the race)."""
@@ -35,87 +39,33 @@ class StoreGet(Event):
                 pass
 
 
-class StorePut(Event):
-    """Event that triggers when the item has been accepted by the store."""
-
-    __slots__ = ("store", "item")
-
-    def __init__(self, store: "Store", item: Any) -> None:
-        super().__init__(store.env)
-        self.store = store
-        self.item = item
-        store._putters.append(self)
-        store._service()
-
-    def cancel(self) -> None:
-        if self._state == 0:
-            try:
-                self.store._putters.remove(self)
-            except ValueError:
-                pass
-
-
 class Store:
-    """An unordered-capacity FIFO store of items.
+    """An unbounded FIFO store of items."""
 
-    ``capacity`` bounds the number of queued items; puts beyond capacity
-    block until space frees up (capacity ``inf`` by default).
-    """
-
-    def __init__(self, env: Environment, capacity: float = float("inf")) -> None:
-        if capacity <= 0:
-            raise SimulationError("capacity must be positive")
+    def __init__(self, env: Environment) -> None:
         self.env = env
-        self.capacity = capacity
         self.items: deque[Any] = deque()
         self._getters: deque[StoreGet] = deque()
-        self._putters: deque[StorePut] = deque()
 
     def __len__(self) -> int:
         return len(self.items)
 
-    def put(self, item: Any) -> StorePut:
-        """Offer ``item``; returns an event triggering on acceptance."""
-        return StorePut(self, item)
+    def put(self, item: Any) -> Event:
+        """Add ``item``; returns an event, already triggered, for a
+        process to yield."""
+        self.items.append(item)
+        accepted = Event(self.env).succeed()
+        self._serve()
+        return accepted
 
     def get(self) -> StoreGet:
         """Request an item; returns an event triggering with the item."""
         return StoreGet(self)
 
-    def _service(self) -> None:
-        """Match queued putters to capacity and items to getters."""
-        progress = True
-        while progress:
-            progress = False
-            while self._putters and len(self.items) < self.capacity:
-                put = self._putters.popleft()
-                self.items.append(put.item)
-                put.succeed()
-                progress = True
-            while self._getters and self.items:
-                get = self._getters.popleft()
-                get.succeed(self.items.popleft())
-                progress = True
-
-
-class Gate:
-    """A broadcast signal: many processes wait; one ``fire`` wakes all."""
-
-    def __init__(self, env: Environment) -> None:
-        self.env = env
-        self._waiters: list[Event] = []
-
-    def wait(self) -> Event:
-        ev = Event(self.env)
-        self._waiters.append(ev)
-        return ev
-
-    def fire(self, value: Any = None) -> int:
-        """Wake all current waiters; returns how many were woken."""
-        waiters, self._waiters = self._waiters, []
-        for ev in waiters:
-            ev.succeed(value)
-        return len(waiters)
+    def _serve(self) -> None:
+        """Hand queued items to waiting getters, oldest first."""
+        while self._getters and self.items:
+            self._getters.popleft().succeed(self.items.popleft())
 
 
 def get_with_timeout(
@@ -129,12 +79,14 @@ def get_with_timeout(
         item = yield from get_with_timeout(env, mailbox, 5.0)
     """
     get_ev = store.get()
-    if timeout is None:
-        item = yield get_ev
-        return item
-    to_ev = env.timeout(timeout)
-    yield AnyOf(env, [get_ev, to_ev])
-    if get_ev.triggered:
-        return get_ev.value
-    get_ev.cancel()
-    return None
+    if timeout is not None:
+        env.call(partial(_expire, get_ev), timeout)
+    item = yield get_ev
+    return item
+
+
+def _expire(get_ev: StoreGet, _tag: int) -> None:
+    """The timeout won the race: withdraw the get, which yields None."""
+    if not get_ev.triggered:
+        get_ev.cancel()
+        get_ev.succeed(None)

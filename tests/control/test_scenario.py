@@ -18,6 +18,7 @@ import pytest
 
 import repro
 from repro.control import Scenario, check_scenario, run_scenario
+from repro.control.scenario import _report
 from repro.live.supervisor import RestartPolicy
 
 SRC = pathlib.Path(repro.__file__).resolve().parents[1]
@@ -116,7 +117,8 @@ def test_a_double_completion_is_flagged():
     (lambda r: r["jobs"].update(lost=["j-1"]), "1 accepted job(s) lost"),
     (lambda r: r["jobs"].update(accepted=0), "never got a single job"),
     (lambda r: r["jobs"].update(finished=False), "did not finish"),
-    (lambda r: r["jobs"].update(not_done=["j-2"]), "1 pushed job(s) not done"),
+    (lambda r: r["jobs"].update(states={"done": 7}, not_done=["j-2"]),
+     "1 pushed job(s) not done"),
     (lambda r: r["config"].update(corrupt=1), "expected 1 rejected"),
     (lambda r: r["chaos"].append({"t": 1.0, "node": "cli0",
                                   "restarted": False}),
@@ -132,9 +134,21 @@ def test_each_broken_promise_is_named(breakage, expected):
 
 def test_users_need_not_retire_what_they_submit():
     report = _clean("users")
-    report["jobs"]["not_done"] = ["j-1"]
+    report["jobs"].update(states={"done": 7}, not_done=["j-1"])
     report["gateway"]["work"]["completed"] = 3
     assert check_scenario(report) == []
+
+
+def test_a_report_names_five_unfinished_jobs_and_counts_them_all():
+    ids = [f"j-{i:02d}" for i in range(30)]
+    records = {job_id: {"state": "done" if i < 3 else "queued"}
+               for i, job_id in enumerate(ids)}
+    report = _report(Scenario(algo="sweep"), {"name": "twin"}, ids, records,
+                     True, gateway={"work": {"completed": 30}}, chaos=[])
+    assert report["jobs"]["not_done"] == ["j-03", "j-04", "j-05", "j-06",
+                                          "j-07"]
+    assert ("27 pushed job(s) not done: ['j-03', 'j-04', 'j-05', 'j-06', "
+            "'j-07']") in check_scenario(report)
 
 
 # -- what a world cannot run ---------------------------------------------------

@@ -6,7 +6,7 @@ from repro.core.linguafranca.endpoint import SimEndpoint
 from repro.core.linguafranca.messages import Message
 from repro.core.services.scheduler import QueueWorkSource, SchedulerServer
 from repro.core.component import NullRuntime, Send
-from repro.simgrid.engine import Environment
+from repro.simgrid.engine import Environment, Event
 from repro.simgrid.host import Host, HostSpec
 from repro.simgrid.network import Address, Network
 from repro.simgrid.rand import PrefixedStreams, RngStreams
@@ -54,23 +54,27 @@ def test_spawn_same_name_replaces_registry_entry():
     env, streams, net, hosts = fabric()
     host = hosts[0]
 
-    from repro.simgrid.engine import Interrupt
+    class Guest(Event):
+        """The handle pair a host kills through: is_alive, interrupt."""
+        cause = None
 
-    def guest(env):
-        try:
-            yield env.timeout(1000)
-        except Interrupt:
-            pass
+        @property
+        def is_alive(self):
+            return not self.triggered
 
-    first = host.spawn(guest(env), "w")
-    second = host.spawn(guest(env), "w")
-    assert host.guest_names() == ["w"]
-    # Killing the host interrupts only registry-tracked processes.
+        def interrupt(self, cause):
+            self.cause = cause
+
+    first, second = Guest(env), Guest(env)
+    host.adopt(first, "w")
+    host.adopt(second, "w")
+    assert sorted(host._guests) == ["w"]
+    # Killing the host interrupts only registry-tracked guests.
     host.go_down()
-    env.run(until=1)
-    assert not second.is_alive or second.processed
-    # The first (orphaned) process is no longer tracked.
-    assert host.guest_names() == []
+    assert second.cause is not None and second.cause.host is host
+    # The first (orphaned) guest is no longer tracked.
+    assert first.cause is None
+    assert host._guests == {}
 
 
 # ---------------------------------------------------------------- endpoint

@@ -353,7 +353,7 @@ def test_host_death_with_a_delivery_in_flight_then_respawn():
     assert ("v", "LATE", pytest.approx(1.05, abs=0.1)) not in log
     assert net.stats.dropped_down == 1
     assert not net.is_bound(drv.address) and not drv.running
-    assert hosts[1].guest_names() == []
+    assert hosts[1]._guests == {}
     with pytest.raises(SimulationError):
         drv.process.interrupt(HostDown(hosts[1], "again"))
 
@@ -365,7 +365,7 @@ def test_host_death_with_a_delivery_in_flight_then_respawn():
     env.run(until=10)
     assert [e[:2] for e in log if e[0] == "v2"] == [("v2", "start"), ("v2", "HI")]
     assert victim.stops == [(1, "host_down:reclaimed")]  # exactly once
-    assert drv2.running and hosts[1].guest_names() == ["drv:p"]
+    assert drv2.running and sorted(hosts[1]._guests) == ["drv:p"]
 
 
 def test_gram_style_kill_interrupts_through_the_process_handle():

@@ -178,7 +178,7 @@ def test_globus_refetch_not_needed_after_failure():
     gl.hosts[0].go_down("failure")
     rig.env.run(until=130)
     gl.hosts[0].go_up()
-    gl.env.process(gl._gram_launch(gl.hosts[0]))
+    gl.relaunch(gl.hosts[0])
     rig.env.run(until=200)
     assert gl.gass_fetches == 1  # binary cached on the host
     assert gl.active_host_count() == 1
@@ -231,7 +231,7 @@ def test_netsolve_brokered_launch_and_reassign():
     ns.hosts[0].go_down("failure")
     rig.env.run(until=180)
     ns.hosts[0].go_up()
-    ns.env.process(ns._broker(ns.hosts[0]))
+    ns.relaunch(ns.hosts[0])
     rig.env.run(until=300)
     assert ns.active_host_count() == 3
 

@@ -3,7 +3,7 @@
 The reproduction's headline claim — same seed, same Fig. 2 curve — rests
 on the engine resolving every scheduling ambiguity the same way on every
 run: simultaneous timeouts fire in creation order, interrupts preempt
-normal events at the same timestamp, and resuming on an already-processed
+normal entries at the same timestamp, and resuming on an already-processed
 event continues immediately. These tests pin those rules down so the
 hot-path work in the engine cannot silently reorder anything.
 """
@@ -13,13 +13,13 @@ from unittest import mock
 
 import pytest
 
+from repro.core.component import Component, SetTimer
+from repro.core.simdriver import SimDriver
 from repro.experiments.sc98 import SC98Config, build_sc98
-from repro.simgrid.engine import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Interrupt,
-)
+from repro.simgrid.engine import Environment, Event, SimulationError
+from repro.simgrid.host import Host, HostDown, HostSpec
+from repro.simgrid.network import Network
+from repro.simgrid.rand import RngStreams
 
 
 def _run_mini_sc98():
@@ -80,29 +80,52 @@ def test_staggered_creation_same_deadline_is_fifo():
     assert order == ["early", "late"]
 
 
+class _Sleeper(Component):
+    """Arms one 5 s timer at start and logs what ends its wait."""
+
+    def __init__(self, log):
+        super().__init__("sleeper")
+        self.log = log
+
+    def on_start(self, now):
+        return [SetTimer("t", 5.0)]
+
+    def on_timer(self, key, now):
+        self.log.append("timeout")
+        return []
+
+    def on_stop(self, now, reason):
+        self.log.append(("interrupted", reason))
+
+
+def _sleeper_driver(env, log):
+    streams = RngStreams(seed=1)
+    net = Network(env, streams)
+    host = Host(env, HostSpec(name="h"), streams)
+    net.add_host(host)
+    return SimDriver(env, net, host, "p", _Sleeper(log), streams), host
+
+
+class _Kill:
+    def __init__(self, driver, host):
+        self.driver, self.host = driver, host
+
+    def fire(self, _tag):
+        self.driver.process.interrupt(HostDown(self.host, "now"))
+
+
 def test_interrupt_preempts_same_time_timeout():
     env = Environment()
     log = []
-
-    def sleeper(env):
-        try:
-            yield env.timeout(5.0)
-            log.append("timeout")
-        except Interrupt as exc:
-            log.append(("interrupted", exc.cause))
-
-    def interrupter(env):
-        yield env.timeout(5.0)
-        victim.interrupt(cause="now")
-
-    # Created first, so the interrupter wakes before the victim's timeout
-    # fires at the shared t=5 deadline.
-    env.process(interrupter(env))
-    victim = env.process(sleeper(env))
+    victim, host = _sleeper_driver(env, log)
+    # Queued first, so the kill fires before the victim's timer at the
+    # shared t=5 deadline.
+    env.call(_Kill(victim, host).fire, 5.0)
+    victim.start()
     env.run()
-    # Both the victim's timeout and the interrupt land at t=5; the urgent
-    # interrupt must be delivered, not the timeout.
-    assert log == [("interrupted", "now")]
+    # Both the victim's timer and the interrupt land at t=5; the urgent
+    # interrupt must be delivered, not the timer.
+    assert log == [("interrupted", "host_down:now")]
     assert env.now == 5.0
 
 
@@ -118,7 +141,7 @@ def test_yielding_processed_event_resumes_immediately():
         value = yield ev
         seen.append((env.now, value))
 
-    ev = env.event()
+    ev = Event(env)
 
     def trigger(env):
         yield env.timeout(1.0)
@@ -132,52 +155,6 @@ def test_yielding_processed_event_resumes_immediately():
     assert seen == [(3.0, "ready")]
 
 
-def test_empty_allof_succeeds_immediately():
-    env = Environment()
-    results = []
-
-    def proc(env):
-        value = yield AllOf(env, [])
-        results.append((env.now, value))
-
-    env.process(proc(env))
-    env.run()
-    assert results == [(0, {})]
-
-
-def test_empty_anyof_succeeds_immediately():
-    env = Environment()
-    results = []
-
-    def proc(env):
-        value = yield AnyOf(env, [])
-        results.append((env.now, value))
-
-    env.process(proc(env))
-    env.run()
-    assert results == [(0, {})]
-
-
-def test_condition_with_already_processed_constituents():
-    env = Environment()
-    results = []
-
-    def stage_one(env):
-        yield env.timeout(1.0)
-
-    def late_waiter(env, t1, t2):
-        yield env.timeout(5.0)
-        value = yield AllOf(env, [t1, t2])
-        results.append((env.now, value))
-
-    t1 = env.timeout(1.0, value="one")
-    t2 = env.timeout(2.0, value="two")
-    env.process(stage_one(env))
-    env.process(late_waiter(env, t1, t2))
-    env.run()
-    assert results == [(5.0, {t1: "one", t2: "two"})]
-
-
 def test_run_until_processed_event_returns_its_value():
     env = Environment()
     t = env.timeout(1.0, value=42)
@@ -187,25 +164,23 @@ def test_run_until_processed_event_returns_its_value():
 
 
 def test_interrupt_terminated_process_raises():
-    from repro.simgrid.engine import SimulationError
-
     env = Environment()
-
-    def quick(env):
-        yield env.timeout(1.0)
-
-    proc = env.process(quick(env))
+    driver, host = _sleeper_driver(env, [])
+    driver.start()
+    env.run()  # the timer fires; the sleeper stays idle, alive
+    host.go_down()
     env.run()
     with pytest.raises(SimulationError):
-        proc.interrupt()
+        driver.process.interrupt()
 
 
 def test_ci_mini_sc98_is_pinned_byte_for_byte():
     """The reduced SC98 world's Fig. 2 series, to the bit: a forecast,
-    a delivery order or a byte count that moves changes this digest."""
+    a delivery order or a byte count that moves changes this digest.
+    The last figure counts the queue's sequence numbers."""
     assert _run_mini_sc98() == (
         "a52e637d26e2626744931a1f629d0178be2aaa5d9985101043cbcde0191112d6",
-        1800.0, 7934)
+        1800.0, 7928)
 
 
 def test_mini_sc98_makes_no_more_real_json_encodes():

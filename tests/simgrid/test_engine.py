@@ -1,17 +1,35 @@
 """Unit tests for the discrete-event simulation engine."""
 
+from functools import partial
+
 import pytest
 
-from repro.simgrid.engine import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    Interrupt,
-    Process,
-    SimulationError,
-    Timeout,
-)
+from repro.core.component import Component
+from repro.core.simdriver import SimDriver
+from repro.simgrid.engine import Environment, Event, SimulationError
+from repro.simgrid.host import Host, HostDown, HostSpec
+from repro.simgrid.network import Network
+from repro.simgrid.rand import RngStreams
+
+
+class _Idle(Component):
+    def __init__(self):
+        super().__init__("idle")
+        self.stops = []
+
+    def on_stop(self, now, reason):
+        self.stops.append((now, reason))
+
+
+def _started_driver(env):
+    """An idle component on a one-host world; returns (driver, host)."""
+    streams = RngStreams(seed=1)
+    net = Network(env, streams)
+    host = Host(env, HostSpec(name="h"), streams)
+    net.add_host(host)
+    driver = SimDriver(env, net, host, "p", _Idle(), streams)
+    driver.start()
+    return driver, host
 
 
 def test_timeout_advances_clock():
@@ -109,82 +127,73 @@ def test_unhandled_process_exception_raises_from_run():
 
 def test_interrupt_delivers_cause():
     env = Environment()
-
-    def victim(env):
-        try:
-            yield env.timeout(100)
-        except Interrupt as i:
-            return ("interrupted", i.cause, env.now)
-
-    def attacker(env, target):
-        yield env.timeout(7)
-        target.interrupt("reclaimed")
-
-    v = env.process(victim(env))
-    env.process(attacker(env, v))
+    driver, host = _started_driver(env)
+    env.run(until=7)
+    driver.process.interrupt(HostDown(host, "reclaimed"))
     env.run()
-    assert v.value == ("interrupted", "reclaimed", 7)
+    assert driver.component.stops == [(7, "host_down:reclaimed")]
+    assert driver.process.value == "host_down:reclaimed"
 
 
 def test_interrupt_terminated_process_is_error():
     env = Environment()
-
-    def quick(env):
-        yield env.timeout(1)
-
-    p = env.process(quick(env))
+    driver, host = _started_driver(env)
+    host.go_down()
     env.run()
     with pytest.raises(SimulationError):
-        p.interrupt()
+        driver.process.interrupt()
 
 
-def test_interrupted_process_can_keep_waiting():
+def test_call_entries_share_timeouts_fifo_order():
     env = Environment()
+    order = []
 
-    def victim(env):
-        try:
-            yield env.timeout(10)
-        except Interrupt:
-            pass
-        yield env.timeout(10)
-        return env.now
+    class Probe:
+        def __init__(self, name):
+            self.name = name
 
-    def attacker(env, target):
-        yield env.timeout(4)
-        target.interrupt()
+        def fire(self, tag):
+            order.append((env.now, self.name))
 
-    v = env.process(victim(env))
-    env.process(attacker(env, v))
+    env.call(Probe("a").fire, 1.0)
+    t = env.timeout(1.0)
+    t.callbacks.append(lambda _ev: order.append((env.now, "timeout")))
+    env.call(partial(Probe.fire, Probe("b")), 1.0)
     env.run()
-    assert v.value == 14
+    assert order == [(1.0, "a"), (1.0, "timeout"), (1.0, "b")]
 
 
-def test_any_of_first_wins():
+def test_urgent_call_runs_ahead_of_same_instant_entries():
     env = Environment()
+    order = []
 
-    def proc(env):
-        fast = env.timeout(1, value="fast")
-        slow = env.timeout(5, value="slow")
-        result = yield AnyOf(env, [fast, slow])
-        return (list(result.values()), env.now)
+    class Probe:
+        def fire(self, name, tag):
+            order.append((name, tag < 0))
 
-    p = env.process(proc(env))
+    probe = Probe()
+    env.call(partial(probe.fire, "normal"))
+    env.call(partial(probe.fire, "urgent"), urgent=True)
     env.run()
-    assert p.value == (["fast"], 1)
+    assert order == [("urgent", True), ("normal", False)]
 
 
-def test_all_of_waits_for_all():
+def test_start_takes_its_wait_number_at_the_urgent_entry():
+    """A loop begun with start() queues its first wait from an urgent
+    entry: an entry queued after start() for the same time, but before
+    that urgent entry ran, still fires first."""
     env = Environment()
+    order = []
 
-    def proc(env):
-        a = env.timeout(2, value="a")
-        b = env.timeout(5, value="b")
-        result = yield AllOf(env, [a, b])
-        return (sorted(result.values()), env.now)
+    class Probe:
+        def fire(self, name, tag):
+            order.append(name)
 
-    p = env.process(proc(env))
+    probe = Probe()
+    env.start(partial(probe.fire, "loop"), 5.0)
+    env.call(partial(probe.fire, "entry"), 5.0)
     env.run()
-    assert p.value == (["a", "b"], 5)
+    assert order == ["entry", "loop"]
 
 
 def test_run_until_time_stops_clock_exactly():
@@ -220,7 +229,7 @@ def test_run_until_past_time_is_error():
 
 def test_event_succeed_only_once():
     env = Environment()
-    ev = env.event()
+    ev = Event(env)
     ev.succeed(1)
     with pytest.raises(SimulationError):
         ev.succeed(2)
@@ -228,7 +237,7 @@ def test_event_succeed_only_once():
 
 def test_event_value_before_trigger_is_error():
     env = Environment()
-    ev = env.event()
+    ev = Event(env)
     with pytest.raises(SimulationError):
         _ = ev.value
 
@@ -243,20 +252,6 @@ def test_yield_non_event_fails_process():
     with pytest.raises(SimulationError):
         env.run()
     assert not p.ok
-
-
-def test_process_cannot_interrupt_itself():
-    env = Environment()
-
-    def selfharm(env, box):
-        box.append(env.active_process)
-        with pytest.raises(SimulationError):
-            box[0].interrupt()
-        yield env.timeout(0)
-
-    box = []
-    env.process(selfharm(env, box))
-    env.run()
 
 
 def test_waiting_on_already_processed_event():

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.simgrid.engine import (
-    AllOf,
-    AnyOf,
     Environment,
     Event,
     PRIORITY_URGENT,
@@ -12,52 +10,9 @@ from repro.simgrid.engine import (
 )
 
 
-def test_failed_event_propagates_into_anyof():
-    env = Environment()
-
-    def proc(env):
-        ev = env.event()
-
-        def fail_later(env, ev):
-            yield env.timeout(1)
-            ev.fail(ValueError("boom"))
-
-        env.process(fail_later(env, ev))
-        try:
-            yield AnyOf(env, [ev, env.timeout(100)])
-        except ValueError as exc:
-            return f"caught {exc}"
-
-    p = env.process(proc(env))
-    env.run()
-    assert p.value == "caught boom"
-
-
-def test_failed_event_propagates_into_allof():
-    env = Environment()
-
-    def proc(env):
-        ok = env.timeout(1)
-        bad = env.event()
-
-        def fail_later(env, ev):
-            yield env.timeout(2)
-            ev.fail(RuntimeError("nope"))
-
-        env.process(fail_later(env, bad))
-        try:
-            yield AllOf(env, [ok, bad])
-        except RuntimeError:
-            return "failed as expected"
-
-    p = env.process(proc(env))
-    env.run()
-    assert p.value == "failed as expected"
-
-
 def test_unwaited_failed_event_raises_from_run():
     env = Environment()
-    ev = env.event()
+    ev = Event(env)
     ev.fail(KeyError("unobserved"))
     with pytest.raises(KeyError):
         env.run()
@@ -66,15 +21,15 @@ def test_unwaited_failed_event_raises_from_run():
 def test_fail_requires_exception():
     env = Environment()
     with pytest.raises(SimulationError):
-        env.event().fail("not an exception")  # type: ignore[arg-type]
+        Event(env).fail("not an exception")  # type: ignore[arg-type]
 
 
 def test_urgent_priority_processed_first():
     env = Environment()
     order = []
 
-    normal = env.event()
-    urgent = env.event()
+    normal = Event(env)
+    urgent = Event(env)
     normal.callbacks.append(lambda e: order.append("normal"))
     urgent.callbacks.append(lambda e: order.append("urgent"))
     normal.succeed()
@@ -85,52 +40,14 @@ def test_urgent_priority_processed_first():
 
 def test_event_trigger_chaining():
     env = Environment()
-    src = env.event()
-    dst = env.event()
+    src = Event(env)
+    dst = Event(env)
     src.succeed("payload")
     env.run()
     dst.trigger(src)
     assert dst.triggered
     env.run()
     assert dst.value == "payload"
-
-
-def test_anyof_empty_event_list_triggers_immediately():
-    env = Environment()
-
-    def proc(env):
-        result = yield AnyOf(env, [])
-        return result
-
-    p = env.process(proc(env))
-    env.run()
-    assert p.value == {}
-
-
-def test_allof_empty_event_list_triggers_immediately():
-    env = Environment()
-
-    def proc(env):
-        result = yield AllOf(env, [])
-        return result
-
-    p = env.process(proc(env))
-    env.run()
-    assert p.value == {}
-
-
-def test_condition_with_already_processed_events():
-    env = Environment()
-    t = env.timeout(1, value="early")
-
-    def proc(env):
-        yield env.timeout(5)
-        result = yield AllOf(env, [t])
-        return list(result.values())
-
-    p = env.process(proc(env))
-    env.run()
-    assert p.value == ["early"]
 
 
 def test_nested_process_chains():
@@ -153,25 +70,6 @@ def test_nested_process_chains():
     env.run()
     assert p.value == 50
     assert env.now == 5
-
-
-def test_interrupt_during_condition_wait():
-    env = Environment()
-
-    def victim(env):
-        try:
-            yield AllOf(env, [env.timeout(100), env.timeout(200)])
-        except BaseException as exc:
-            return type(exc).__name__
-
-    def attacker(env, target):
-        yield env.timeout(5)
-        target.interrupt()
-
-    v = env.process(victim(env))
-    env.process(attacker(env, v))
-    env.run(until=300)
-    assert v.value == "Interrupt"
 
 
 def test_run_until_triggered_event_already_processed():

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.simgrid.engine import Environment, Interrupt
-from repro.simgrid.host import Host, HostDown, HostSpec
+from repro.core.component import Component, SetTimer, Stop
+from repro.core.simdriver import SimDriver
+from repro.simgrid.engine import Environment
+from repro.simgrid.host import Host, HostSpec
 from repro.simgrid.load import (
     ComposedLoad,
     ConstantLoad,
@@ -125,29 +127,43 @@ def test_host_effective_speed_tracks_load():
     assert host.effective_speed() == pytest.approx(250.0)
 
 
+class _Guest(Component):
+    """Stops itself after ``life`` seconds; records how it ended."""
+
+    def __init__(self, life=1000.0):
+        super().__init__("guest")
+        self.life = life
+        self.stops = []
+
+    def on_start(self, now):
+        return [SetTimer("life", self.life)]
+
+    def on_timer(self, key, now):
+        return [Stop("done")]
+
+    def on_stop(self, now, reason):
+        self.stops.append((now, reason))
+
+
+def _guest_driver(env, host, life=1000.0):
+    """A driver for a :class:`_Guest` on ``host`` (not yet started)."""
+    streams = RngStreams(seed=1)
+    net = Network(env, streams)
+    net.add_host(host)
+    return SimDriver(env, net, host, "w", _Guest(life), streams)
+
+
 def test_host_down_kills_guests_with_cause():
     env = Environment()
     host = make_host(env)
     host.start()
-    outcome = []
-
-    def guest(env):
-        try:
-            yield env.timeout(1000)
-        except Interrupt as i:
-            outcome.append(i.cause)
-
-    host.spawn(guest(env), "worker")
-
-    def killer(env):
-        yield env.timeout(10)
-        host.go_down("reclaimed")
-
-    env.process(killer(env))
+    driver = _guest_driver(env, host)
+    driver.start()
+    env.run(until=10)
+    host.go_down("reclaimed")
     env.run(until=20)
-    assert len(outcome) == 1
-    assert isinstance(outcome[0], HostDown)
-    assert outcome[0].reason == "reclaimed"
+    assert driver.component.stops == [(10, "host_down:reclaimed")]
+    assert driver.process.value == "host_down:reclaimed"
     assert host.effective_speed() == 0.0
 
 
@@ -155,25 +171,20 @@ def test_host_spawn_on_down_host_rejected():
     env = Environment()
     host = make_host(env)
     host.go_down()
-
-    def guest(env):
-        yield env.timeout(1)
-
+    driver = _guest_driver(env, host)
     with pytest.raises(RuntimeError):
-        host.spawn(guest(env), "w")
+        driver.start()
 
 
 def test_host_guest_deregisters_on_exit():
     env = Environment()
     host = make_host(env)
-
-    def guest(env):
-        yield env.timeout(5)
-
-    host.spawn(guest(env), "w")
-    assert host.guest_names() == ["w"]
+    driver = _guest_driver(env, host, life=5.0)
+    driver.start()
+    assert sorted(host._guests) == ["drv:w"]
     env.run()
-    assert host.guest_names() == []
+    assert driver.component.stops == [(5.0, "done")]
+    assert host._guests == {}
 
 
 def test_host_go_down_idempotent():

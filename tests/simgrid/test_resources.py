@@ -1,9 +1,7 @@
-"""Unit tests for Store, Gate and get_with_timeout."""
+"""Unit tests for Store and get_with_timeout."""
 
-import pytest
-
-from repro.simgrid.engine import Environment, SimulationError
-from repro.simgrid.resources import Gate, Store, get_with_timeout
+from repro.simgrid.engine import Environment
+from repro.simgrid.resources import Store, get_with_timeout
 
 
 def test_store_put_then_get():
@@ -59,33 +57,6 @@ def test_store_fifo_item_order():
     env.process(consumer(env))
     env.run()
     assert got == [0, 1, 2, 3, 4]
-
-
-def test_store_capacity_blocks_putter():
-    env = Environment()
-    store = Store(env, capacity=1)
-    times = []
-
-    def producer(env):
-        yield store.put("a")
-        times.append(env.now)
-        yield store.put("b")  # blocks until a consumed
-        times.append(env.now)
-
-    def consumer(env):
-        yield env.timeout(5)
-        yield store.get()
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert times == [0, 5]
-
-
-def test_store_invalid_capacity():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        Store(env, capacity=0)
 
 
 def test_get_with_timeout_receives_in_time():
@@ -161,30 +132,3 @@ def test_get_with_timeout_none_blocks_forever_until_item():
     c = env.process(consumer(env))
     env.run()
     assert c.value == ("eventually", 50)
-
-
-def test_gate_broadcast():
-    env = Environment()
-    gate = Gate(env)
-    woken = []
-
-    def waiter(env, name):
-        value = yield gate.wait()
-        woken.append((name, value, env.now))
-
-    def firer(env):
-        yield env.timeout(3)
-        n = gate.fire("go")
-        assert n == 2
-
-    env.process(waiter(env, "a"))
-    env.process(waiter(env, "b"))
-    env.process(firer(env))
-    env.run()
-    assert woken == [("a", "go", 3), ("b", "go", 3)]
-
-
-def test_gate_fire_with_no_waiters():
-    env = Environment()
-    gate = Gate(env)
-    assert gate.fire() == 0
