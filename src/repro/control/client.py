@@ -19,6 +19,7 @@ import json
 import socket
 from typing import Optional
 
+from ..core.linguafranca.messages import _iterencode
 from ..obs.events import parse_jsonl
 from .http import HttpError
 
@@ -72,7 +73,10 @@ class GatewayClient:
         the one transparent retry on a fresh connection) or answers with
         something that is not JSON.
         """
-        body = (json.dumps(obj).encode("utf-8")
+        # Compact JSON through the codec's encoder, built once at import
+        # (json.dumps(obj) writes ", " and ": "): the gateway parses every
+        # byte of a push while the generation waits.
+        body = ("".join(_iterencode(obj, 0)).encode("ascii")
                 if obj is not None else None)
         status, payload = self.request_raw(method, path, body)
         try:

@@ -24,10 +24,10 @@ cancelled. The journal is one record log: a file live
 
 Every job value is rendered to JSON once, when it is journaled: the spec
 at acceptance, the result at completion. Record lines are spliced from
-those fragments. A job's terminal record carries the whole body ``GET
-/jobs/{id}`` serves, and from then on the job *is* that byte range of
-the journal: the heap holds live jobs only (DESIGN §13, "What a finished
-job holds").
+those fragments, and so is the ``done`` line of the ``/events`` feed. A
+job's terminal record carries the whole body ``GET /jobs/{id}`` serves,
+and from then on the job *is* that byte range of the journal: the heap
+holds live jobs only (DESIGN §13, "What a finished job holds").
 
 Job lifecycle::
 
@@ -47,7 +47,7 @@ from ..core.services.kinds import ResultCheckError
 from ..core.services.kinds import registry as kind_registry
 from ..core.telemetry import Telemetry
 from ..obs.events import EventLog
-from ..obs.recordlog import RecordLog, _encode
+from ..obs.recordlog import RecordLog, _encode, _encode_str
 
 __all__ = ["Job", "WorkQueue", "MemoryJournal", "FileJournal",
            "JOB_STATES"]
@@ -220,9 +220,11 @@ class WorkQueue:
                        parent=tuple(parent), outcome=outcome,
                        args=args or None)
 
-    def _event(self, event: str, job_id: str, now: float, **extra) -> None:
-        self.events.append({"event": event, "job": job_id,
-                            "t": round(now, 6), **extra})
+    def _event(self, event: str, job_id: str, now: float,
+               extra: str = "") -> None:
+        """Feed one lifecycle event; ``extra`` is its further members,
+        rendered (:meth:`EventLog.append`)."""
+        self.events.append(event, job_id, round(now, 6), extra)
 
     def _move(self, job: Job, state: str) -> None:
         counts = self._counts
@@ -414,7 +416,7 @@ class WorkQueue:
             # encode_line(record) to the byte: keys in sorted order.
             job._text = _encode(job.spec)
             records.append(
-                f'{{"id":{_encode(job.id)},"op":"submit",'
+                f'{{"id":{_encode_str(job.id)},"op":"submit",'
                 f'"spec":{job._text},"t":{t_text}{trace_text}}}\n')
             jobs.append(job)
         self.journal.append_many(records)
@@ -448,16 +450,18 @@ class WorkQueue:
         return job.to_dict()
 
     def _finish(self, job: Job, state: str, now: float,
-                result: Optional[dict] = None) -> None:
+                result: Optional[dict] = None) -> str:
         """Journal and apply a terminal transition: ``done`` with
         ``result``, or ``cancelled``. The record carries the job's
         ``GET /jobs/{id}`` body as its last key, spliced from rendered
-        fragments, and the job leaves the heap for the index."""
+        fragments, and the job leaves the heap for the index. Returns
+        the result as rendered there."""
         op = "done" if state == "done" else "cancel"
-        id_text, t_text = _encode(job.id), _encode(now)
+        id_text, t_text = _encode_str(job.id), _encode(now)
+        result_text = _encode(result)
         body = (
             f'{{"finished_at":{t_text},"id":{id_text},'
-            f'"requeues":{job.requeues},"result":{_encode(result)},'
+            f'"requeues":{job.requeues},"result":{result_text},'
             f'"spec":{job._text or _encode(job.spec)},"state":"{state}",'
             f'"submitted_at":{_encode(job.submitted_at)}}}')
         head = f'{{"id":{id_text},"op":"{op}","t":{t_text},"job":'
@@ -472,6 +476,7 @@ class WorkQueue:
         job.finished_at = now
         del self.jobs[job.id]
         self._index(job.id, offset + len(head), len(body))
+        return result_text
 
     def cancel(self, job_id: str, now: float) -> Optional[Job]:
         """Cancel a job; idempotent (a second cancel is a no-op, not an
@@ -486,7 +491,8 @@ class WorkQueue:
         self._finish(job, "cancelled", now)
         self.cancelled += 1
         self._span("job cancel", now, job.trace, id=job.id)
-        self._event("cancelled", job.id, now, requeues=job.requeues)
+        self._event("cancelled", job.id, now,
+                    f',"requeues":{job.requeues}')
         return job
 
     def counts(self) -> dict:
@@ -529,7 +535,8 @@ class WorkQueue:
         now = self._now()
         self._span("job requeue", now, job.trace, outcome="requeue",
                    id=job.id, requeues=job.requeues)
-        self._event("requeued", job.id, now, requeues=job.requeues)
+        self._event("requeued", job.id, now,
+                    f',"requeues":{job.requeues}')
         # Front of the queue: requeued units represent in-flight work.
         self._queue.appendleft(job.id)
 
@@ -566,13 +573,15 @@ class WorkQueue:
                            outcome="rejected", id=job.id)
                 self._event("rejected", job.id, now)
                 return
-        self._finish(job, "done", now, result)
+        result_text = self._finish(job, "done", now, result)
         self.completed += 1
         self._span("job done", now, job.trace, id=job.id)
-        # Terminal events are self-contained (by reference, not copied):
-        # a feed consumer retires the job without a GET /jobs/{id}.
-        self._event("done", job.id, now, result=result,
-                    requeues=job.requeues)
+        # Terminal events are self-contained: a feed consumer retires the
+        # job without a GET /jobs/{id}. The line carries the result text
+        # the journal record holds, whatever the caller does with its
+        # dict afterwards.
+        self._event("done", job.id, now,
+                    f',"requeues":{job.requeues},"result":{result_text}')
 
     def __len__(self) -> int:
         return len(self._queue)

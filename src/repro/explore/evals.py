@@ -32,13 +32,14 @@ explores a genuinely different landscape):
 
 from __future__ import annotations
 
-import json
 import math
 import zlib
 from functools import lru_cache
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from ..core.services.kinds import ResultCheckError
+from ..obs.recordlog import _encode
 
 __all__ = [
     "EVAL_FUNCTIONS",
@@ -64,20 +65,23 @@ def _unit_hash(*parts) -> float:
     return (zlib.crc32(key) & 0xFFFFFFFF) / 4294967296.0
 
 
-def _offsets(fn: str, seed: int, names) -> dict:
+@lru_cache(maxsize=256, typed=True)
+def _offsets(fn: str, seed: int, names: tuple) -> Mapping[str, float]:
     """Per-parameter optimum shifts in [-1, 1] — the seed moves the
-    landscape so independent sweeps/restarts are not redundant."""
-    return {name: _unit_hash(fn, seed, name) * 2.0 - 1.0
-            for name in names}
+    landscape so independent sweeps/restarts are not redundant. A
+    constant of ``(fn, seed, names)``, memoised like :func:`_shocks`
+    and handed out read-only, since every caller shares it."""
+    return MappingProxyType({name: _unit_hash(fn, seed, name) * 2.0 - 1.0
+                             for name in names})
 
 
 def _sphere(params: dict, seed: int) -> float:
-    off = _offsets("sphere", seed, sorted(params))
+    off = _offsets("sphere", seed, tuple(sorted(params)))
     return sum((float(v) - off[k]) ** 2 for k, v in params.items())
 
 
 def _rastrigin(params: dict, seed: int) -> float:
-    off = _offsets("rastrigin", seed, sorted(params))
+    off = _offsets("rastrigin", seed, tuple(sorted(params)))
     total = 10.0 * len(params)
     for k, v in params.items():
         x = float(v) - off[k]
@@ -101,19 +105,30 @@ def _shocks(seed: int) -> tuple:
                  for t in range(_FORECAST_STEPS))
 
 
+@lru_cache(maxsize=64, typed=True)
+def _truth(seed: int) -> tuple:
+    """``(truth, observed shock)`` per step: the truth series and what
+    the forecaster sees of each shock depend on the seed alone, so only
+    the model's own recursion runs per evaluation."""
+    truth = 0.0
+    series = []
+    for shock in _shocks(seed):
+        truth = _TRUTH_PERSISTENCE * truth + shock
+        series.append((truth, _OBS_QUALITY * shock))
+    return tuple(series)
+
+
 def _forecast(params: dict, seed: int) -> float:
     """RMSE of a damped-persistence forecast against a seeded synthetic
     truth series — minimize over bias/damping/nudging."""
     bias = float(params.get("bias", 0.0))
     damping = float(params.get("damping", 0.5))
     nudging = float(params.get("nudging", 0.0))
-    truth = 0.0
     model = 0.0
     err = 0.0
-    for shock in _shocks(seed):
-        truth = _TRUTH_PERSISTENCE * truth + shock
+    for truth, observed in _truth(seed):
         model = (damping * model + nudging * (truth - model) + bias
-                 + _OBS_QUALITY * shock)
+                 + observed)
         err += (model - truth) ** 2
     return math.sqrt(err / _FORECAST_STEPS)
 
@@ -164,9 +179,11 @@ def validate_eval(spec: dict) -> None:
 
 
 def _digest(fn: str, params: dict, seed: int, value: float) -> str:
-    payload = json.dumps(
-        {"fn": fn, "params": params, "seed": seed, "value": value},
-        sort_keys=True, separators=(",", ":"))
+    # The record log's shared sort-keys compact encoder: the bytes of
+    # json.dumps(sort_keys=True, separators=(",", ":")) without building
+    # an encoder per call.
+    payload = _encode(
+        {"fn": fn, "params": params, "seed": seed, "value": value})
     return format(zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF, "08x")
 
 

@@ -11,12 +11,12 @@ sans-IO mirror of :class:`~repro.explore.queue.ExploreQueue` +
 
 from __future__ import annotations
 
-import json
 from typing import Optional
 
 from ..core.component import Component, Effect, Send, SetTimer
 from ..core.linguafranca.messages import Message
 from ..control.sim import GW_REQ, GW_RES
+from ..obs.events import parse_jsonl
 from .queue import FeedConsumer
 
 __all__ = ["MEDriverComponent"]
@@ -106,7 +106,7 @@ class MEDriverComponent(Component, FeedConsumer):
         if status != 200 or not isinstance(doc, str):
             return []
         effects: list[Effect] = []
-        events = [json.loads(line) for line in doc.splitlines()]
+        events = parse_jsonl(doc)
         for record in self.ingest(events, now):
             self.driver.observe(record["spec"], record["result"])
             follow_up = self.driver.next_tasks()

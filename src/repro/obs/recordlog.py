@@ -59,6 +59,11 @@ def _encode(value) -> str:
     return "".join(_iterencode(value, 0))
 
 
+#: What :func:`_encode` writes for a ``str`` (the encoder is built with
+#: it), called without the encoder's per-call set-up.
+_encode_str = encode_basestring_ascii
+
+
 def encode_line(record: dict) -> str:
     """One record as its log line (byte-stable key order)."""
     return _encode(record) + "\n"

@@ -72,9 +72,9 @@ def test_events_feed_tails_job_lifecycle():
 
 
 def test_terminal_events_are_self_contained():
-    """`done` carries the result and the requeue count (by reference),
-    `cancelled` the requeue count: a feed consumer never needs
-    GET /jobs/{id}. A `wait=` read is answered at once, never parked."""
+    """`done` carries the result and the requeue count, `cancelled` the
+    requeue count: a feed consumer never needs GET /jobs/{id}. A `wait=`
+    read is answered at once, never parked."""
     core = _core()
     core.handle("POST", "/jobs", _json({}), now=1.0)
     core.handle("POST", "/jobs", _json({}), now=1.0)
@@ -83,9 +83,9 @@ def test_terminal_events_are_self_contained():
     core.work.complete(core.work.next_unit()["id"], result, now=2.0)
     core.work.cancel("t-2", now=2.5)
 
-    done, cancelled = (e for e in core.events.since(-1)
+    done, cancelled = (e for e in parse_jsonl("".join(core.events.since(-1)))
                        if e["event"] in ("done", "cancelled"))
-    assert done["result"] is result and done["requeues"] == 1
+    assert done["result"] == result and done["requeues"] == 1
     assert cancelled["job"] == "t-2" and cancelled["requeues"] == 0
     assert "result" not in cancelled
     status, text, _ = core.handle("GET", "/events?since=-1&wait=30", b"",
@@ -95,6 +95,80 @@ def test_terminal_events_are_self_contained():
     record = json.loads(core.handle("GET", "/jobs/t-1", b"", now=3.0)[1])
     assert (done["result"], done["requeues"]) == (record["result"],
                                                   record["requeues"])
+
+
+def _value_text(text, key):
+    """The exact JSON text of the first ``key`` member in ``text``."""
+    start = text.index(f'"{key}":') + len(key) + 3
+    return text[start:json.JSONDecoder().raw_decode(text, start)[1]]
+
+
+def test_feed_lines_are_the_dict_form_and_carry_the_journaled_result():
+    """A scripted lifecycle emits every event kind under a prefix that
+    needs escaping. The /events body is ``render_jsonl`` of each event's
+    dict form to the byte, and a ``done`` line's result is the text the
+    journal holds (``GET /jobs/{id}``), even after the caller mutated the
+    dict it completed with."""
+    from copy import deepcopy
+
+    from repro.explore import evaluate, make_eval_spec
+    from repro.obs.events import render_jsonl
+
+    prefix = 'q"\\é\n'
+    work = WorkQueue(prefix=prefix)
+    core = _core(work=work)
+    clock = [0.0]
+    work.clock = lambda: clock[0]
+    specs = [make_eval_spec("forecast", {"bias": 0.1 * i, "damping": 0.5},
+                            seed=i) for i in range(3)]
+    j1, j2, j3 = (job.id for job in work.submit_batch(specs, 1.25))
+    expected = [{"event": "submitted", "job": j, "t": 1.25}
+                for j in (j1, j2, j3)]
+
+    def at(t, event, job, **extra):
+        clock[0] = t
+        expected.append({"event": event, "job": job, "t": round(t, 6),
+                         **extra})
+
+    at(2.0, "assigned", j1)
+    unit = work.next_unit()
+    at(2.5, "requeued", j1, requeues=1)
+    work.requeue(unit)
+    at(3.0, "assigned", j1)
+    work.next_unit()
+    honest1, honest3 = evaluate(specs[0]), evaluate(specs[2])
+    at(3.5, "rejected", j1)
+    work.complete(j1, {**honest1, "value": 0.0}, now=3.5)
+    at(4.0, "assigned", j1)
+    work.next_unit()
+    at(4.5, "done", j1, requeues=1, result=deepcopy(honest1))
+    work.complete(j1, honest1, now=4.5)
+    at(5.0, "cancelled", j2, requeues=0)
+    work.cancel(j2, now=5.0)
+    at(7.123456789, "assigned", j3)
+    assert work.next_unit()["id"] == j3
+    at(7.5, "done", j3, requeues=0, result=deepcopy(honest3))
+    work.complete(j3, honest3, now=7.5)
+    honest1["value"] = -1.0                 # the caller reuses its dicts
+    honest3.clear()
+    assert work.results_rejected == 1
+    for seq, event in enumerate(expected):
+        event["seq"] = seq
+
+    status, body, _ = core.handle("GET", "/events?since=-1&limit=0", b"",
+                                  now=8.0)
+    assert status == 200 and body == render_jsonl(expected)
+    assert {e["event"] for e in expected} == {
+        "submitted", "assigned", "requeued", "rejected", "done", "cancelled"}
+    done = [line for line in body.splitlines() if '"event":"done"' in line]
+    assert len(done) == 2
+    for line in done:
+        job_id = json.loads(line)["job"]
+        status, record, _ = core.handle("GET", f"/jobs/{job_id}", b"",
+                                        now=8.0)
+        assert status == 200
+        record = record.decode("ascii")
+        assert _value_text(line, "result") == _value_text(record, "result")
 
 
 def test_request_counters_are_cached_per_route_and_follow_the_registry():

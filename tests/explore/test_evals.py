@@ -5,8 +5,11 @@ spec must evaluate to the same value (and digest) on any host, any
 plane, any number of times.
 """
 
+import json
 import math
 import random
+import struct
+import zlib
 
 import pytest
 
@@ -142,3 +145,90 @@ def test_forecast_memo_is_bit_identical_and_bounded():
     params = {"bias": 0.1, "damping": 0.6, "nudging": 0.4}
     for seed in (1, 1.0, True):
         assert _forecast(params, seed) == _forecast_uncached(params, seed)
+
+
+def _offsets_uncached(fn, seed, names):
+    from repro.explore import evals
+
+    return {name: evals._unit_hash(fn, seed, name) * 2.0 - 1.0
+            for name in names}
+
+
+def _objective_uncached(fn, params, seed):
+    """The three objectives as they were before any memo: every shift
+    and shock re-derived from its CRC on every call."""
+    if fn == "forecast":
+        return _forecast_uncached(params, seed)
+    off = _offsets_uncached(fn, seed, sorted(params))
+    if fn == "sphere":
+        return sum((float(v) - off[k]) ** 2 for k, v in params.items())
+    total = 10.0 * len(params)
+    for k, v in params.items():
+        x = float(v) - off[k]
+        total += x * x - 10.0 * math.cos(2.0 * math.pi * x)
+    return total
+
+
+def _evaluate_uncached(spec):
+    """`evaluate` without memo or shared encoder: the digest payload is
+    rendered by json.dumps itself."""
+    params = {str(k): float(v) for k, v in sorted(spec["params"].items())}
+    seed, fn = int(spec["seed"]), str(spec["fn"])
+    value = round(_objective_uncached(fn, params, seed), 12)
+    payload = json.dumps(
+        {"fn": fn, "params": params, "seed": seed, "value": value},
+        sort_keys=True, separators=(",", ":"))
+    return value, format(zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF,
+                         "08x")
+
+
+def _bits(value):
+    """A float's exact bits (NaN compares equal to itself here)."""
+    return struct.pack("<d", value)
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except ValueError as exc:       # math.cos(inf): both sides must raise
+        return type(exc)
+
+
+def test_memos_and_shared_encoder_are_bit_identical_and_bounded():
+    from repro.explore import evals
+
+    rng = random.Random(48)
+    odd = [float("nan"), float("inf"), float("-inf")]
+    names = ["x", "y", "bias", "damping", "nudging", "é", "ßeta", "日"]
+    for i in range(600):
+        fn = ("sphere", "rastrigin", "forecast")[i % 3]
+        keys = rng.sample(names, rng.randint(1, 4))
+        if fn == "forecast" and i % 2:
+            keys = ["bias", "damping", "nudging"]
+        params = {k: (rng.choice(odd) if rng.random() < 0.1
+                      else rng.uniform(-3, 3)) for k in keys}
+        spec = make_eval_spec(fn, params, seed=rng.randrange(-3, 40))
+        expected = _outcome(_evaluate_uncached, spec)
+        for _ in range(2):          # a miss, then a hit
+            got = _outcome(evaluate, spec)
+            if isinstance(expected, tuple):
+                got = (got["value"], got["digest"])
+                assert (_bits(got[0]), got[1]) == (_bits(expected[0]),
+                                                   expected[1]), spec
+            else:
+                assert got is expected, spec
+    # The memos key on the seed as the hash sees it (its str()): 1, 1.0
+    # and True are three different landscapes, cached or not.
+    params = {"bias": 0.1, "damping": 0.6, "nudging": 0.4, "é": 0.2}
+    for seed in (1, 1.0, True) * 2:
+        for fn in ("sphere", "rastrigin", "forecast"):
+            assert (evals._offsets(fn, seed, tuple(sorted(params)))
+                    == _offsets_uncached(fn, seed, sorted(params)))
+            assert _bits(EVAL_FUNCTIONS[fn](params, seed)) == _bits(
+                _objective_uncached(fn, params, seed))
+        assert evals._shocks(seed) == tuple(
+            evals._unit_hash("forecast", seed, t) * 2.0 - 1.0
+            for t in range(evals._FORECAST_STEPS))
+    for memo in (evals._offsets, evals._shocks, evals._truth):
+        info = memo.cache_info()
+        assert 0 < info.currsize <= info.maxsize, memo

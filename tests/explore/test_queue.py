@@ -393,8 +393,14 @@ def test_every_pushed_id_pops_exactly_once_whatever_the_feed_does(ops, seed):
                 work._event("noise", f"x-{i}", now=2.0)
         elif op == "replay_event" and len(core.events):
             # An old line delivered again, later and under a new seq.
-            ring = core.events._events
-            core.events.append(dict(ring[n % len(ring)]))
+            log = core.events
+            seq = log.next_seq - len(log) + n % len(log)
+            old = json.loads(log.since(seq - 1, limit=1)[0])
+            extra = "".join(
+                f',"{k}":'
+                + json.dumps(old[k], sort_keys=True, separators=(",", ":"))
+                for k in ("requeues", "result") if k in old)
+            log.append(old["event"], old["job"], old["t"], extra)
         elif op == "scramble":
             client.scramble = not client.scramble
         elif op == "restart":
