@@ -387,7 +387,7 @@ class CliqueState:
             self.version = max(self.version, self._seen_version) + 1
             self._seen_version = self.version
             self.members = new_members
-        # One token object for the whole round: encoded once, not per peer.
+        # One token object for the whole round: rendered once, not per peer.
         token = self._token()
         effects: list[Effect] = [
             Send(peer, token) for peer in self.members if peer != self.self_id

@@ -689,7 +689,7 @@ class GossipServer(Component):
         return sent
 
     def _account_send(self, message: Message) -> None:
-        size = len(message.encode())
+        size = message.wire_size()
         self.stats.bytes_sent += size
         # What the SC98-style path would have shipped for the same send:
         # the entire freshest state, plus framing.

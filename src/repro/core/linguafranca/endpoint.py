@@ -1,12 +1,12 @@
 """Simulated-network endpoint for the lingua franca.
 
-The endpoint encodes every message through the real wire codec
-(:mod:`.packets` / :mod:`.messages`) before handing the bytes to the
-simulated network: transmission delay and every byte counter are computed
-from the true encoded size, the same framing the TCP transport writes.
-The typed record rides along with its bytes, and the receiving side
-parses bytes only when nobody typed them (raw sends: fuzz, hostile
-peers). A sent :class:`Message` is therefore immutable (DESIGN §7).
+The endpoint hands the simulated network each message with its wire
+size (:meth:`Message.wire_size`, equal to the length of the frame the
+TCP transport writes): transmission delay and every byte counter come
+from it, and no frame is built. The typed record travels instead of
+bytes, and the receiving side parses bytes only when a raw send supplied
+them (fuzz, hostile peers). A sent :class:`Message` is therefore
+immutable (DESIGN §7).
 
 Receive follows the paper's discipline (§2.1): blocking receive with a
 time-out (their ``select()`` idiom); connection failure is never signalled,
@@ -60,15 +60,15 @@ class SimEndpoint:
 
     # -- sending ---------------------------------------------------------
     def send(self, dst: AddressLike, message: Message) -> None:
-        """Encode and transmit; fire-and-forget."""
+        """Size and transmit; fire-and-forget."""
         if not message.sender:
             message.sender = self.contact
         # The trace context rides along out-of-band too, so the network
         # can attribute in-flight drops to the causing fault without
         # decoding payloads.
         route = dst if isinstance(dst, Address) else self.network.route(dst)
-        self.network.send(self.address, route, message.encode(),
-                          trace=message.trace, record=message)
+        self.network.send(self.address, route, trace=message.trace,
+                          record=message, size=message.wire_size())
 
     # -- receiving ---------------------------------------------------------
     def message_of(self, delivery: Delivery) -> Optional[Message]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Optional
 
-from .packets import PacketError, decode_packet_view, encode_packet
+from .packets import PacketError, decode_packet_view, encode_packet, packet_size
 
 __all__ = ["Message", "MessageError", "fresh_req_id"]
 
@@ -32,23 +32,22 @@ def fresh_req_id() -> int:
     return next(_req_counter)
 
 
-#: Encoded-bytes cache for identical control messages built afresh each
-#: period (gossip polls, scheduler polls, registry heartbeats); one object
-#: sent again keeps its own frame instead. Keyed on every field that feeds
-#: the wire bytes — including the body's *insertion order*, since the
-#: encoder preserves it — so a hit returns exactly the bytes a fresh
-#: encode would produce. Only a body (string-keyed, as JSON objects are)
-#: whose values are all scalars of a ``_KEYABLE`` type is keyed, with
-#: those types in the key, so equal keys mean equal JSON (``True == 1 ==
-#: 1.0`` encode three ways); a float body holding a zero is not keyed,
-#: since ``0.0 == -0.0``. Deciding it raises nothing. Anything carrying a
-#: ``req_id``/``reply_to`` skips the cache: correlated messages are unique
-#: per conversation, so caching them would be pure miss overhead. Trace
-#: contexts are likewise unique per send, so traced messages skip the
-#: cache too.
-_encode_cache: dict[tuple, bytes] = {}
-_ENCODE_CACHE_MAX = 2048
+#: Body text by content: a body built afresh each period (gossip digests
+#: and their acks, polls, heartbeats) renders once, whoever sends it and
+#: whatever header it carries — the header is spliced around the text.
+#: Only a string-keyed body whose values are all scalars of a
+#: ``_KEYABLE`` type is keyed, with those types in the key, so equal keys
+#: mean equal JSON (``True == 1 == 1.0`` render three ways); a float body
+#: holding a zero is not keyed, since ``0.0 == -0.0``. Deciding it raises
+#: nothing. Building the key costs about what rendering a flat body
+#: does: the cache saves renders, and sizing a send instead of framing
+#: it (:meth:`Message.wire_size`) is where the time goes.
+_body_cache: dict[tuple, str] = {}
+_BODY_CACHE_MAX = 2048
 _KEYABLE = frozenset((str, int, float, bool, type(None)))
+_STR = frozenset((str,))
+#: ``len('{"s":' ',"b":' '}')``: the record text around its parts.
+_RECORD_BRACES = 11
 
 #: The one compact JSON encoder every record goes through, built at
 #: import: ``json.dumps`` with ``separators=`` builds a ``JSONEncoder`` per
@@ -68,8 +67,43 @@ class MessageError(Exception):
     """Malformed message content."""
 
 
+def _render(value: Any) -> str:
+    try:
+        return "".join(_iterencode(value, 0))
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise MessageError(f"unserializable message body: {exc}") from exc
+
+
+def _body_text(body: dict) -> str:
+    """``body`` as JSON text, from :data:`_body_cache` when keyable."""
+    values = body.values()
+    if not _KEYABLE.issuperset(map(type, values)):
+        return _render(body)
+    types = tuple(map(type, values))
+    if float in types and 0.0 in values:
+        return _render(body)
+    key = (tuple(body.items()), types)
+    text = _body_cache.get(key)
+    if text is None:
+        text = _render(body)
+        # Only string-keyed bodies are stored, so a lookup under other
+        # keys always misses: 1, 1.0 and True are one dict key but three
+        # JSON keys.
+        if _STR.issuperset(map(type, body)):
+            if len(_body_cache) >= _BODY_CACHE_MAX:
+                _body_cache.clear()
+            _body_cache[key] = text
+    return text
+
+
+def _header_value(value: Any) -> str:
+    return repr(value) if type(value) is int else _render(value)
+
+
 class _Framed:
-    __slots__ = ("_frame",)  # no dataclass field: eq/repr/pickle skip it
+    #: ``(header, size, frame or None)``, kept per header. No dataclass
+    #: field: eq/repr/copy/pickle skip it.
+    __slots__ = ("_frame",)
 
 
 @dataclass(slots=True)
@@ -78,9 +112,10 @@ class Message(_Framed):
 
     ``sender`` is the string form of the sender's contact address
     ("host/port"); components use it to reply. ``body`` must be
-    JSON-serializable and is frozen once encoded (DESIGN §7): the frame
-    is kept until a header field (``sender``, ``req_id``, ``reply_to``,
-    ``trace``) changes, so one message sent N times is encoded once.
+    JSON-serializable and is frozen once sent (DESIGN §7): its size and
+    frame are kept until a header field (``sender``, ``req_id``,
+    ``reply_to``, ``trace``) changes, so one message sent N times is
+    rendered once.
     """
 
     mtype: str
@@ -93,47 +128,62 @@ class Message(_Framed):
     #: :mod:`repro.core.telemetry`.
     trace: Optional[tuple[int, int]] = None
 
+    def __post_init__(self) -> None:
+        self._frame = None
+
     def __getstate__(self):  # the fields only: the frame is a cache
-        return None, {name: getattr(self, name) for name in Message.__slots__}
+        return None, {"_frame": None, **{name: getattr(self, name)
+                                         for name in Message.__slots__}}
+
+    def wire_size(self) -> int:
+        """``len(self.encode())``, raising what it raises, without
+        building the frame: what the simulated network charges a send."""
+        header = (self.sender, self.req_id, self.reply_to, self.trace)
+        kept = self._frame
+        if kept is None or kept[0] != header:
+            sender, body, fields = self._parts()
+            kept = self._frame = (header, packet_size(
+                self.mtype, _RECORD_BRACES + len(sender) + len(body)
+                + len(fields)), None)
+        return kept[1]
 
     def encode(self) -> bytes:
         """Serialize to a framed packet."""
         header = (self.sender, self.req_id, self.reply_to, self.trace)
-        frame = getattr(self, "_frame", None)
-        if frame is None or frame[0] != header:
-            frame = self._frame = (header, self._encode())
-        return frame[1]
+        kept = self._frame
+        if kept is None or kept[0] != header or kept[2] is None:
+            sender, body, fields = self._parts()
+            data = encode_packet(self.mtype, f'{{"s":{sender},"b":{body}'
+                                             f'{fields}}}'.encode("ascii"))
+            kept = self._frame = (header, len(data), data)
+        return kept[2]
 
-    def _encode(self) -> bytes:
-        key = None
-        values = self.body.values()
-        if (self.req_id is None and self.reply_to is None
-                and self.trace is None and _KEYABLE.issuperset(map(type, values))):
-            # Built only for a keyable body: a tuple per list-bearing body
-            # as well cost the SC98 world 2 MB of peak RSS.
-            types = tuple(map(type, values))
-            if float not in types or 0.0 not in values:
-                key = (self.mtype, self.sender, tuple(self.body.items()), types)
-                cached = _encode_cache.get(key)
-                if cached is not None:
-                    return cached
-        record: dict[str, Any] = {"s": self.sender, "b": self.body}
-        if self.req_id is not None:
-            record["q"] = self.req_id
-        if self.reply_to is not None:
-            record["r"] = self.reply_to
-        if self.trace is not None:
-            record["t"] = [self.trace[0], self.trace[1]]
-        try:
-            payload = "".join(_iterencode(record, 0)).encode("utf-8")
-        except (TypeError, ValueError, RecursionError) as exc:
-            raise MessageError(f"unserializable message body: {exc}") from exc
-        data = encode_packet(self.mtype, payload)
-        if key is not None:
-            if len(_encode_cache) >= _ENCODE_CACHE_MAX:
-                _encode_cache.clear()
-            _encode_cache[key] = data
-        return data
+    def _parts(self) -> tuple[str, str, str]:
+        """The record ``{"s":SENDER,"b":BODY FIELDS}``'s sender, body and
+        optional fields (``,"q":…``, ``,"r":…``, ``,"t":[…]``) as text.
+        The text is ASCII (the encoder escapes the rest), so its length
+        is its byte count."""
+        body = _body_text(self.body)
+        sender = self.sender
+        sender = (encode_basestring_ascii(sender) if type(sender) is str
+                  else _render(sender))
+        req_id, reply_to, trace = self.req_id, self.reply_to, self.trace
+        if req_id is None and reply_to is None and trace is None:
+            return sender, body, ""
+        fields = ""
+        try:  # an int too long for str() fails as it does in the body
+            if req_id is not None:
+                fields += ',"q":' + _header_value(req_id)
+            if reply_to is not None:
+                fields += ',"r":' + _header_value(reply_to)
+            if trace is not None:
+                first, second = trace[0], trace[1]
+                fields += (f',"t":[{first},{second}]'
+                           if type(first) is int and type(second) is int
+                           else ',"t":' + _render([first, second]))
+        except ValueError as exc:
+            raise MessageError(f"unserializable message header: {exc}") from exc
+        return sender, body, fields
 
     @classmethod
     def decode(cls, data: bytes) -> "Message":

@@ -38,6 +38,7 @@ __all__ = [
     "MAX_PAYLOAD_LEN",
     "PacketError",
     "encode_packet",
+    "packet_size",
     "decode_packet",
     "decode_packet_view",
     "PacketDecoder",
@@ -49,26 +50,40 @@ HEADER = struct.Struct("!4sBHI")  # magic, version, type length, payload length
 TRAILER = struct.Struct("!I")  # crc32
 MAX_TYPE_LEN = 256
 MAX_PAYLOAD_LEN = 16 * 1024 * 1024
+_FRAMING = HEADER.size + TRAILER.size
 
 
 class PacketError(Exception):
     """Malformed or oversized packet data."""
 
 
-def encode_packet(mtype: str, payload: bytes) -> bytes:
-    """Frame one typed record."""
+def _type_bytes(mtype: str, plen: int) -> bytes:
+    """``mtype`` as framed, once the type and a ``plen``-byte payload
+    pass the limits."""
     tbytes = mtype.encode("utf-8")
     if not tbytes:
         raise PacketError("empty message type")
     if len(tbytes) > MAX_TYPE_LEN:
         raise PacketError(f"message type too long ({len(tbytes)} bytes)")
-    if len(payload) > MAX_PAYLOAD_LEN:
-        raise PacketError(f"payload too large ({len(payload)} bytes)")
+    if plen > MAX_PAYLOAD_LEN:
+        raise PacketError(f"payload too large ({plen} bytes)")
+    return tbytes
+
+
+def encode_packet(mtype: str, payload: bytes) -> bytes:
+    """Frame one typed record."""
+    tbytes = _type_bytes(mtype, len(payload))
     head = HEADER.pack(MAGIC, VERSION, len(tbytes), len(payload))
     # Run the crc over the parts and join once, instead of materializing
     # the unframed body just to checksum it and then copying it again.
     crc = zlib.crc32(payload, zlib.crc32(tbytes, zlib.crc32(head)))
     return b"".join((head, tbytes, payload, TRAILER.pack(crc & 0xFFFFFFFF)))
+
+
+def packet_size(mtype: str, plen: int) -> int:
+    """``len(encode_packet(mtype, payload))`` for any ``plen``-byte
+    payload, with the same checks, without building the frame."""
+    return _FRAMING + len(_type_bytes(mtype, plen)) + plen
 
 
 def decode_packet_view(data: bytes) -> tuple[str, memoryview]:

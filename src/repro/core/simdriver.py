@@ -125,8 +125,8 @@ class SimDriver(ComponentDriver):
         message = eff.message
         if not message.sender:
             message.sender = self.endpoint.contact
-        self.network.send(self.address, route, message.encode(),
-                          message.trace, message)
+        self.network.send(self.address, route, None, message.trace,
+                          message, message.wire_size())
 
     def _rng_for(self, purpose: str):
         # One stream per purpose and address keeps runs reproducible.

@@ -36,7 +36,7 @@ import math
 import zlib
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Any, Mapping, Optional
 
 from ..core.services.kinds import ResultCheckError
 from ..obs.recordlog import _encode
@@ -211,9 +211,14 @@ def execute_unit(unit: dict) -> dict:
                      if k not in ("id", "trace")})
 
 
+def _is_nan(value: Any) -> bool:
+    return isinstance(value, float) and math.isnan(value)
+
+
 def check_eval_result(spec: dict, result: Optional[dict]) -> None:
     """The kind's §3.1 sanity check: recompute the evaluation and reject
-    any completion whose value or digest disagrees."""
+    any completion whose value or digest disagrees. A NaN value agrees
+    with a NaN re-evaluation: a spec with a NaN param evaluates to NaN."""
     if not isinstance(result, dict):
         raise ResultCheckError("evaluation result is not an object")
     try:
@@ -225,9 +230,11 @@ def check_eval_result(spec: dict, result: Optional[dict]) -> None:
         if "error" in result:
             return
         raise ResultCheckError("a value for a spec no client can evaluate")
-    if result.get("value") != expected["value"]:
+    value = result.get("value")
+    if value != expected["value"] and not (_is_nan(value)
+                                           and _is_nan(expected["value"])):
         raise ResultCheckError(
-            f"value {result.get('value')!r} disagrees with independent "
+            f"value {value!r} disagrees with independent "
             f"re-evaluation {expected['value']!r}")
     if result.get("digest") != expected["digest"]:
         raise ResultCheckError(

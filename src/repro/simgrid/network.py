@@ -77,16 +77,18 @@ class Delivery:
 
     src: Address
     dst: Address
-    payload: bytes
+    #: Bytes on the wire: what the delay and ``bytes_delivered`` count.
+    size: int
     sent_at: float
     delivered_at: float
     #: Sender's trace context, carried out-of-band so delivery-time drops
     #: can be attributed to their cause without decoding the payload.
     trace: Optional[tuple[int, int]] = None
-    #: The typed record ``payload`` was encoded from, when the sender had
-    #: one: opaque here, it spares the receiver a parse. ``None`` for raw
-    #: bytes. Lengths and delays are always taken from ``payload``.
+    #: The typed record a sender sent, opaque here: the receiver uses it
+    #: as is. ``None`` for raw bytes.
     record: object = None
+    #: The bytes of a raw send, parsed on arrival; ``None`` for a record.
+    payload: Optional[bytes] = None
 
 
 class Network:
@@ -288,10 +290,18 @@ class Network:
         xfer = nbytes / (self.bandwidth / self._congestion)
         return latency + xfer
 
-    def send(self, src: Address, dst: Address, payload: bytes,
+    def send(self, src: Address, dst: Address,
+             payload: Optional[bytes] = None,
              trace: Optional[tuple[int, int]] = None,
-             record: object = None) -> None:
-        """Fire-and-forget datagram send; loss is silent by design."""
+             record: object = None, size: int = 0) -> None:
+        """Fire-and-forget datagram send; loss is silent by design.
+
+        Raw ``payload`` bytes travel, are sized by their length and are
+        parsed on arrival (fuzzers, hostile peers). A typed sender passes
+        its ``record`` and the ``size`` of the frame it stands for
+        instead: no bytes are built for it."""
+        if record is None:
+            size = len(payload)
         stats = self.stats
         stats.sent += 1
         hosts = self._hosts
@@ -315,9 +325,9 @@ class Network:
             stats.dropped_loss += 1
             self._note_drop("dropped_loss", trace)
             return
-        delay = self._delay(src_host, dst_host, len(payload))
+        delay = self._delay(src_host, dst_host, size)
         if self.chaos is not None:
-            self._send_chaotic(src, dst, payload, delay, trace, record)
+            self._send_chaotic(src, dst, size, delay, trace, record, payload)
             return
         # The delivery is its own queue entry, under the sequence number
         # a Timeout carrying it would take (see Environment.on_arrival).
@@ -325,12 +335,12 @@ class Network:
         now = env._now
         at = now + delay
         seq = env._seq = env._seq + 1
-        heappush(env._queue, (at, seq, Delivery(src, dst, payload, now, at,
-                                                 trace, record)))
+        heappush(env._queue, (at, seq, Delivery(src, dst, size, now, at,
+                                                 trace, record, payload)))
 
-    def _send_chaotic(self, src: Address, dst: Address, payload: bytes,
+    def _send_chaotic(self, src: Address, dst: Address, size: int,
                       delay: float, trace: Optional[tuple[int, int]],
-                      record: object) -> None:
+                      record: object, payload: Optional[bytes]) -> None:
         """Slow path behind an active fault injector: the chaos hook maps
         one logical send to zero (drop), one, or several (duplicate)
         physical deliveries, each with an optional extra delay — extra
@@ -355,8 +365,8 @@ class Network:
             seq = env._seq = env._seq + 1
             heappush(env._queue, (
                 now + (delay + extra), seq,
-                Delivery(src, dst, payload, now, now + delay + extra, trace,
-                         record)))
+                Delivery(src, dst, size, now, now + delay + extra, trace,
+                         record, payload)))
 
     def _on_arrival(self, delivery: Delivery) -> None:
         dst_host = self._hosts.get(delivery.dst.host)
@@ -372,7 +382,7 @@ class Network:
             return
         stats = self.stats
         stats.delivered += 1
-        stats.bytes_delivered += len(delivery.payload)
+        stats.bytes_delivered += delivery.size
         if self._c_delivered is not None:
             self._c_delivered.value += 1
         sink(delivery)

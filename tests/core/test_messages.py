@@ -1,5 +1,8 @@
 """Tests for typed messages."""
 
+import dataclasses
+from unittest import mock
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,6 +12,7 @@ from repro.core.linguafranca.messages import (
     MessageError,
     fresh_req_id,
 )
+from repro.core.linguafranca.packets import PacketError
 
 
 def test_message_roundtrip():
@@ -119,6 +123,7 @@ def test_encode_follows_every_header_field_a_transport_stamps():
         setattr(m, name, value)
         fresh = Message(mtype=m.mtype, sender=m.sender, body=m.body,
                         req_id=m.req_id, reply_to=m.reply_to, trace=m.trace)
+        assert m.wire_size() == len(fresh.encode()), name
         assert m.encode() == fresh.encode(), name
         assert Message.decode(m.encode()) == m
 
@@ -200,13 +205,20 @@ def test_circular_body_rejected():
 ], ids=["empty", "int", "float-bool", "mixed"])
 def test_scalar_bodies_built_afresh_hit_the_module_cache(body):
     """Every scalar body the cache keyed before still hits it: a message
-    rebuilt with an equal body gets the very bytes object of the first."""
+    rebuilt with an equal body splices the text the first one rendered,
+    from any sender and under any correlation or trace header."""
     from repro.core.linguafranca import messages
 
-    messages._encode_cache.clear()
-    first = Message(mtype="POLL", sender="a/b", body=dict(body)).encode()
-    again = Message(mtype="POLL", sender="a/b", body=dict(body)).encode()
-    assert again is first and len(messages._encode_cache) == 1
+    messages._body_cache.clear()
+    with mock.patch.object(messages, "_iterencode",
+                           wraps=messages._iterencode) as renders:
+        first = Message(mtype="POLL", sender="a/b", body=dict(body)).encode()
+        again = Message(mtype="POLL", sender="a/b", body=dict(body)).encode()
+        correlated = Message(mtype="POLL", sender="c/d", body=dict(body),
+                             req_id=9, reply_to=4, trace=(1, 2))
+        assert correlated.wire_size() == len(correlated.encode())
+    assert again == first and len(messages._body_cache) == 1
+    assert renders.call_count == 1
 
 
 @pytest.mark.parametrize("first, second", [
@@ -216,7 +228,90 @@ def test_scalar_bodies_built_afresh_hit_the_module_cache(body):
 def test_equal_values_that_encode_differently_never_share_a_frame(first, second):
     from repro.core.linguafranca import messages
 
-    messages._encode_cache.clear()
+    messages._body_cache.clear()
     for value in (first, second, first):
-        m = Message(mtype="POLL", sender="a/b", body={"v": value, "n": 2})
+        for header in ({}, {"req_id": 3}):
+            m = Message(mtype="POLL", sender="a/b", body={"v": value, "n": 2},
+                        **header)
+            assert m.wire_size() == len(_reference_frame(m))
+            assert m.encode() == _reference_frame(m)
+
+
+def test_equal_keys_that_encode_differently_never_share_a_text():
+    """JSON turns every key into a string: ``1``, ``1.0`` and ``True``
+    are one dict key but three object keys, so only string-keyed bodies
+    are cached."""
+    from repro.core.linguafranca import messages
+
+    messages._body_cache.clear()
+    for key in (1, 1.0, True, "1", 1):
+        m = Message(mtype="POLL", sender="a/b", body={key: 5})
         assert m.encode() == _reference_frame(m)
+    assert len(messages._body_cache) == 1
+
+
+# -- the simulated network's size: len(encode()) without the frame ----------
+
+_EDGE_SCALARS = st.sampled_from([
+    0, 0.0, -0.0, 1, 1.0, True, False, None, 2**53, float(2**53),
+    float("nan"), float("inf"), float("-inf"), "", "é", "日本", "\x00"])
+_SCALARS = st.one_of(_EDGE_SCALARS, st.integers(), st.floats(), st.text(max_size=6))
+_KEYS = st.one_of(st.text(max_size=6), st.sampled_from(["ключ", 1, 1.0, True]))
+_VALUES = st.recursive(_SCALARS, lambda children: st.one_of(
+    st.lists(children, max_size=3), st.tuples(children, children),
+    st.dictionaries(_KEYS, children, max_size=3)), max_leaves=10)
+_UNSERIALIZABLE = st.sampled_from([object(), {1, 2}, b"raw"])
+_ANY_HEADER = st.one_of(st.integers(), st.sampled_from([0, -1, 2**64, True,
+                                                        1.5, "q", None]))
+_STAMPS = st.fixed_dictionaries({}, optional={
+    "sender": st.text(max_size=6),
+    "req_id": _ANY_HEADER, "reply_to": _ANY_HEADER,
+    "trace": st.one_of(st.none(), st.tuples(st.integers(), st.integers()),
+                       st.tuples(_ANY_HEADER, _ANY_HEADER))})
+
+
+def _outcome(call):
+    """What ``call()`` returns, or the class and text of what it raises."""
+    try:
+        return call()
+    except (MessageError, PacketError) as exc:
+        return type(exc), str(exc)
+
+
+@given(mtype=st.one_of(st.sampled_from(["T", "GOS_DIGEST", "tipo-ñ", "",
+                                        "x" * 257]), st.text(max_size=4)),
+       body=st.dictionaries(_KEYS, st.one_of(_VALUES, _VALUES, _VALUES,
+                                             _UNSERIALIZABLE), max_size=4),
+       headers=_STAMPS, stamps=st.lists(_STAMPS.filter(bool), min_size=1,
+                                        max_size=2),
+       size_first=st.booleans())
+def test_wire_size_is_the_encoded_length_and_raises_what_encode_raises(
+        mtype, body, headers, stamps, size_first):
+    """On a fresh copy, on the same object in either order, and again
+    after each header stamp: the size is the frame's length, the frame is
+    a fresh ``json.dumps`` encode, and a failure is the same failure."""
+    sender = headers.pop("sender", "h/p")
+    m = Message(mtype=mtype, sender=sender, body=body, **headers)
+    for stamp in [{}] + stamps:
+        for name, value in stamp.items():
+            setattr(m, name, value)
+        size = _outcome(dataclasses.replace(m).wire_size)
+        data = _outcome(dataclasses.replace(m).encode)
+        if size_first:
+            kept = [_outcome(m.wire_size), _outcome(m.encode)]
+        else:
+            kept = [_outcome(m.encode), _outcome(m.wire_size)][::-1]
+        if isinstance(data, bytes):
+            assert data == _reference_frame(m)
+            assert size == len(data)
+        else:
+            assert size == data
+        assert kept == [size, data]
+
+
+def test_an_oversized_payload_fails_both_calls_alike():
+    from repro.core.linguafranca.packets import MAX_PAYLOAD_LEN
+
+    m = Message(mtype="T", sender="a/b", body={"x": "y" * MAX_PAYLOAD_LEN})
+    assert _outcome(m.wire_size) == _outcome(m.encode) == (
+        PacketError, f"payload too large ({MAX_PAYLOAD_LEN + 24} bytes)")

@@ -1,7 +1,9 @@
-"""A simulated delivery carries the sender's ``Message`` beside its bytes,
-and the receiver uses the object without parsing (DESIGN §7). That is only
-sound while the object *is* what the bytes say — at the moment it arrives,
-for every delivery. This sweep checks exactly that in three whole worlds.
+"""A simulated delivery carries the sender's ``Message`` and its wire
+size, not its bytes, and the receiver uses the object without parsing
+(DESIGN §7). That is only sound while the object *is* what its bytes
+would say — the frame it encoded to when it was sent — at the moment it
+arrives, for every delivery. This sweep captures that frame at send time
+and checks exactly that in three whole worlds, along with the size.
 
 It fails on: a sender mutating a message after sending it; a handler
 mutating a body that a duplicate or a retransmit delivers again; a body
@@ -23,6 +25,7 @@ from repro.experiments.sc98 import SC98Config, build_sc98
 from repro.simgrid.engine import Environment
 from repro.simgrid.faults import FaultPlan
 from repro.simgrid.host import Host, HostSpec
+from repro.simgrid import network
 from repro.simgrid.network import Network
 from repro.simgrid.rand import RngStreams
 
@@ -76,6 +79,17 @@ class Sweep:
                 f"delivered: {found}")
 
 
+class SentDelivery(network.Delivery):
+    """A delivery that also holds its record's frame, encoded when the
+    delivery was made: at send time, duplicates included."""
+
+    __slots__ = ("frame",)
+
+    def __init__(self, *fields):
+        super().__init__(*fields)
+        self.frame = None if self.record is None else self.record.encode()
+
+
 @pytest.fixture
 def arrivals(monkeypatch):
     """Check every arrival of every Network built inside the test."""
@@ -88,15 +102,20 @@ def arrivals(monkeypatch):
             sweep.raw += 1
         else:
             sweep.typed += 1
-            found = message_difference(record,
-                                       Message.decode(delivery.payload))
+            frame = delivery.frame
+            assert delivery.size == len(frame), (
+                f"{record.mtype}: sized {delivery.size}, framed {len(frame)}")
+            found = message_difference(record, Message.decode(frame))
             assert found is None, (
                 f"{delivery.src} -> {delivery.dst} at t={self.env.now:.3f} "
                 f"({record.mtype}): carried object is not what its bytes "
                 f"say: {found}")
-            sweep.delivered[id(record), delivery.payload] = record
+            sweep.delivered[id(record), frame] = record
         on_arrival(self, delivery)
 
+    # Both before any Network is built: it registers the arrival class and
+    # its handler at construction.
+    monkeypatch.setattr(network, "Delivery", SentDelivery)
     monkeypatch.setattr(Network, "_on_arrival", checked)
     return sweep
 

@@ -1,7 +1,7 @@
 """A pool member holds O(1) of the pool (DESIGN §15): every member with the
 same membership view holds the same list, the whole pool holds one contact
-list, per-member memory does not grow with the pool, and a token round is encoded once however many members it
-reaches."""
+list, per-member memory does not grow with the pool, and a token round's
+body is rendered once however many members it reaches."""
 
 import gc
 import tracemalloc
@@ -18,7 +18,7 @@ def retained_per_host(n_hosts):
     shares."""
     # Start from empty process-wide caches, so what earlier pools left in
     # them is not credited to this one.
-    messages._encode_cache.clear()
+    messages._body_cache.clear()
     clique._VIEWS.clear()
     gc.collect()
     tracemalloc.start()
@@ -47,13 +47,14 @@ def test_per_member_memory_is_flat_in_pool_size():
 
 
 def test_one_token_round_is_encoded_once_for_every_member():
-    with mock.patch.object(messages, "encode_packet",
-                           wraps=messages.encode_packet) as framed:
+    with mock.patch.object(messages, "_iterencode",
+                           wraps=messages._iterencode) as rendered:
         pool = build_pool(n_hosts=64, n_sites=4, n_records=8, seed=5)
         pool.run(until=30.0)
     sent = sum(d.telemetry.metrics.counter("msg.sent", mtype="CLQ_TOKEN").value
                for d in pool.drivers)
-    tokens = [c for c in framed.call_args_list if c.args[0] == "CLQ_TOKEN"]
+    tokens = [c for c in rendered.call_args_list
+              if isinstance(c.args[0], dict) and "universe" in c.args[0]]
     assert sent == 63
     assert len(tokens) == 1
     assert all(len(g.pool_members()) == 64 for g in pool.servers)

@@ -109,6 +109,40 @@ def test_check_eval_result_rejects_a_value_off_by_one_ulp():
             check_eval_result(spec, {**honest, "value": neighbour})
 
 
+def test_a_nan_spec_is_done_after_one_honest_round():
+    """NaN never equals NaN: unless the value check lets a NaN result
+    agree with a NaN re-evaluation, every honest result of a spec with a
+    NaN param is rejected and requeued at the front, forever. The digest
+    is still compared."""
+    from repro.control.workqueue import WorkQueue
+
+    queue = WorkQueue()
+    job = queue.submit({"kind": EVAL_KIND, "fn": "sphere",
+                        "params": {"x": math.nan}, "seed": 1,
+                        "ops_budget": 1.0}, 0.0)
+    honest = execute_unit(queue.next_unit())
+    assert math.isnan(honest["value"])
+    queue.complete(job.id, honest, 1.0)
+    assert job.state == "done" and queue.results_rejected == 0
+    spec = make_eval_spec("sphere", {"x": math.nan}, seed=1)
+    for forged in ({**honest, "digest": "00000000"}, {**honest, "value": 0.0}):
+        with pytest.raises(ResultCheckError):
+            check_eval_result(spec, forged)
+
+
+def test_a_nan_value_for_a_finite_spec_is_rejected():
+    from repro.explore.evals import _digest
+
+    spec = make_eval_spec("sphere", {"x": 1.0, "y": 1.0}, seed=2)
+    honest = evaluate(spec)
+    for forged in ({**honest, "value": math.nan},
+                   {**honest, "value": math.nan,
+                    "digest": _digest(honest["fn"], honest["params"],
+                                      honest["seed"], math.nan)}):
+        with pytest.raises(ResultCheckError):
+            check_eval_result(spec, forged)
+
+
 def _forecast_uncached(params, seed):
     """`_forecast` as it was before the per-seed memo: every shock
     re-derived from its CRC on every call."""

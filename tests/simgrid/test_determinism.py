@@ -184,12 +184,12 @@ def test_ci_mini_sc98_is_pinned_byte_for_byte():
 
 
 def test_mini_sc98_makes_no_more_real_json_encodes():
-    """Every JSON encode the module cache saves stays saved: the frames
-    built from scratch in the reduced world, counted at the one encoder
-    (1,363 before the cache stopped trying unhashable bodies)."""
+    """Every JSON render the body cache saves stays saved: the bodies
+    rendered from scratch in the reduced world, counted at the one
+    encoder (1,363 before the cache stopped trying unhashable bodies)."""
     from repro.core.linguafranca import messages
 
-    messages._encode_cache.clear()  # what earlier tests cached is not ours
+    messages._body_cache.clear()  # what earlier tests cached is not ours
     with mock.patch.object(messages, "_iterencode",
                            wraps=messages._iterencode) as encoder:
         _run_mini_sc98()

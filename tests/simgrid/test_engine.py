@@ -1,5 +1,6 @@
 """Unit tests for the discrete-event simulation engine."""
 
+import gc
 from functools import partial
 
 import pytest
@@ -323,3 +324,69 @@ def test_process_is_alive():
     assert p.is_alive
     env.run()
     assert not p.is_alive
+
+
+# -- a run freezes the heap it found, and only while it runs ----------------
+
+def _gc_state():
+    return gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()
+
+
+class _Ticker:
+    """Ticks every second until ``stop``; records the freeze count it
+    sees, and raises at ``fail_at`` if given."""
+
+    def __init__(self, env, stop=5.0, fail_at=None):
+        self.env, self.stop, self.fail_at = env, stop, fail_at
+        self.frozen = []
+        env.call(self.tick, urgent=True)
+
+    def tick(self, _tag):
+        self.frozen.append(gc.get_freeze_count())
+        if self.env.now == self.fail_at:
+            raise RuntimeError("handler failed")
+        if self.env.now < self.stop:
+            self.env.call(self.tick, 1.0)
+
+
+def test_a_run_leaves_the_collector_as_it_found_it():
+    before = _gc_state()
+    ticker = _Ticker(Environment())
+    ticker.env.run()
+    assert _gc_state() == before
+    assert len(ticker.frozen) == 6 and min(ticker.frozen) > 0
+
+
+def test_a_run_whose_callback_raises_unfreezes():
+    before = _gc_state()
+    ticker = _Ticker(Environment(), fail_at=2.0)
+    with pytest.raises(RuntimeError, match="handler failed"):
+        ticker.env.run(until=10.0)
+    assert _gc_state() == before and ticker.frozen[-1] > 0
+
+
+def test_worlds_run_back_to_back_each_restore_the_collector():
+    before = _gc_state()
+    first, second = _Ticker(Environment()), _Ticker(Environment(), stop=3.0)
+    first.env.run(until=2.5)
+    assert _gc_state() == before
+    second.env.run()
+    assert _gc_state() == before
+    first.env.run()
+    assert _gc_state() == before
+    assert len(first.frozen) == 6 and len(second.frozen) == 4
+    assert min(first.frozen + second.frozen) > 0
+
+
+def test_a_run_inside_a_frozen_heap_keeps_the_callers_freeze():
+    before = _gc_state()
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        ticker = _Ticker(Environment())
+        ticker.env.run()
+        assert gc.get_freeze_count() == frozen
+        assert len(ticker.frozen) == 6
+    finally:
+        gc.unfreeze()
+    assert _gc_state() == before
