@@ -27,8 +27,8 @@ for callers that want exactly one plane:
   tracing, the per-node flight recorder, Prometheus text exposition,
   and the ``repro top`` dashboard.
 * :mod:`repro.api.explore` — the model-exploration plane: the
-  EMEWS-style :class:`ExploreQueue`, the ME algorithms, and their
-  simulated-time framing, :class:`MEDriverComponent`.
+  EMEWS-style :class:`ExploreQueue` and the ME algorithms, which the
+  simulated twin runs over the same HTTP (:class:`HttpUser`).
 
 Importing a name from ``repro.api`` directly keeps working for every
 previously public name (the flat-module compatibility contract, frozen

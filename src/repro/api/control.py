@@ -2,11 +2,12 @@
 
 The HTTP/JSON job gateway (ROADMAP item 2): a durable
 :class:`WorkQueue` behind diracx-style job routes, served on the live
-reactor by :class:`HttpServer` + :class:`GatewayCore` and under
-simulated time by :class:`GatewayComponent`. A :class:`Scenario` — synthetic
-users (:class:`GatewayStorm`), an ME driver or a batch of specs, plus
-one fault — runs on either world through :func:`run_scenario`, judged
-by :func:`check_scenario`.
+reactor by :class:`HttpServer` + :class:`GatewayCore` and, over the
+same HTTP in simulated segments, by :class:`GatewayComponent` under
+simulated time. A :class:`Scenario` — synthetic users
+(:class:`GatewayStorm` live, :class:`HttpUser` on the twin), an ME
+driver or a batch of specs, plus one fault — runs on either world
+through :func:`run_scenario`, judged by :func:`check_scenario`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ _EXPORTS = {
                        "json_response", "text_response"),
     "..control.loadgen": ("GatewayStorm", "StormStats"),
     "..control.scenario": ("Scenario", "check_scenario", "run_scenario"),
-    "..control.sim": ("GatewayComponent", "SimJobUser"),
+    "..control.sim": ("GatewayComponent", "HttpUser"),
     "..control.workqueue": ("FileJournal", "JOB_STATES", "Job",
                             "MemoryJournal", "WorkQueue"),
 }

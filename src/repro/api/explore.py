@@ -4,8 +4,9 @@ The toolkit's second first-class application (ROADMAP item 4, DESIGN
 §16): an EMEWS EQ/Py-style :class:`ExploreQueue` through which ME
 algorithms (:class:`GridSweep`, :class:`HillClimber`) push black-box
 evaluation tasks to the unchanged gateway/scheduler/WorkQueue stack and
-consume results asynchronously. :class:`MEDriverComponent` frames the
-same driver under simulated time; ``repro explore`` is a
+consume results asynchronously. On the simulated twin the same driver
+rides the same HTTP, as a :class:`~repro.explore.queue.FeedPump` on an
+:class:`~repro.control.sim.HttpUser`; ``repro explore`` is a
 :class:`~repro.control.scenario.Scenario` with an ``algo``.
 """
 
@@ -20,6 +21,5 @@ _EXPORTS = {
                         "evaluate", "execute_unit", "make_eval_spec",
                         "validate_eval"),
     "..explore.queue": ("ExploreQueue",),
-    "..explore.sim": ("MEDriverComponent",),
 }
 __all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

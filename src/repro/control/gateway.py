@@ -4,9 +4,10 @@
 document)`` over a :class:`~repro.control.workqueue.WorkQueue` — and
 *only* that: no sockets, no clocks of its own. The live plane wraps it
 in :class:`~repro.control.http.HttpServer` on the node's reactor; the
-simulated twin drives the identical router from lingua-franca messages
-under simulated time. One routing table, two planes — the same
-sim/live contract every other EveryWare component honors.
+simulated twin feeds the identical router the same HTTP bytes, carried
+in simulated segments. Both answer through :func:`http_app`. One
+routing table, one protocol, two transports — the same sim/live
+contract every other EveryWare component honors.
 
 Routes (diracx-style job management + health, ROADMAP item 2)::
 
@@ -38,17 +39,19 @@ job holds"); I/O wrappers render any of the three with
 from __future__ import annotations
 
 import json
-from typing import Optional, Union
+import math
+from typing import Callable, Optional, Union
 from urllib.parse import unquote_plus
 
 from ..core.telemetry import Telemetry
 from ..obs.events import render_jsonl
 from ..obs.prom import CONTENT_TYPE as PROM_CONTENT_TYPE
 from ..obs.prom import render_prometheus
-from .http import json_response, text_response
+from .http import HttpApp, json_response, text_response
 from .workqueue import JOB_STATES, MAX_LISTED_JOBS, WorkQueue
 
-__all__ = ["GatewayCore", "ROUTES", "TEXT_ROUTES", "render_payload"]
+__all__ = ["GatewayCore", "ROUTES", "TEXT_ROUTES", "http_app",
+           "render_payload"]
 
 #: Route keys as they appear in telemetry labels.
 ROUTES = (
@@ -78,6 +81,8 @@ LATENCY_BUCKETS_MS = (0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0,
 
 #: ``POST /jobs/batch`` accepts at most this many specs per request.
 MAX_BATCH_JOBS = 10_000
+#: Cap on ``GET /events?wait=`` long-polls, seconds of the app's clock.
+MAX_EVENT_WAIT = 30.0
 
 
 def render_payload(status: int, payload: Union[dict, str, bytes],
@@ -103,6 +108,19 @@ def _query_params(query: str) -> dict:
         key, _, value = pair.partition("=")
         params[unquote_plus(key)] = unquote_plus(value)
     return params
+
+
+def _events_query(query: str) -> tuple[int, int, float]:
+    """``(since, limit, wait)`` of a ``GET /events`` query; ``ValueError``
+    unless since and limit are integers, limit ≥ 0, and wait a finite
+    number ≥ 0 (a NaN wait would never pass its deadline)."""
+    params = _query_params(query)
+    since = int(params.get("since", "-1"))
+    limit = int(params.get("limit", "500"))
+    wait = float(params.get("wait", "0"))
+    if limit < 0 or not (math.isfinite(wait) and wait >= 0):
+        raise ValueError("negative limit or wait")
+    return since, limit, wait
 
 
 class GatewayCore:
@@ -318,12 +336,11 @@ class GatewayCore:
                      "finished_at": job.finished_at}
 
     def _events(self, query: str) -> tuple[int, Union[dict, str]]:
-        params = _query_params(query)
         try:
-            since = int(params.get("since", "-1"))
-            limit = int(params.get("limit", "500"))
+            since, limit, _ = _events_query(query)
         except ValueError:
-            return 400, {"error": "since/limit must be integers"}
+            return 400, {"error": "since/limit must be integers, limit "
+                                  "and wait not negative, wait finite"}
         return 200, render_jsonl(self.events.since(since, limit=limit))
 
     def _sites(self, body: bytes) -> tuple[int, dict]:
@@ -422,3 +439,38 @@ class GatewayCore:
             "rejected": self.rejected,
             "jobs": self.work.counts(),
         }
+
+
+def http_app(core: GatewayCore, clock: Callable[[], float],
+             timer: Callable[[], float]) -> HttpApp:
+    """The gateway's HTTP app, live and on the twin: ``core`` routes each
+    request at ``clock``'s time and ``timer`` times it for the latency
+    histograms. A ``GET /events?wait=`` long-poll with nothing new parks
+    (returns ``None``) until the feed moves or its wait, capped at
+    :data:`MAX_EVENT_WAIT`, runs out; the server re-offers it."""
+
+    def parks(request, now: float) -> bool:
+        path, _, query = request.path.partition("?")
+        if request.method != "GET" or path.rstrip("/") != "/events":
+            return False
+        try:
+            since, _, wait = _events_query(query)
+        except ValueError:
+            return False  # the router answers 400
+        if wait == 0 or core.events.since(since, limit=1):
+            return False
+        if request.deadline is None:
+            request.deadline = now + min(wait, MAX_EVENT_WAIT)
+        return now < request.deadline
+
+    def app(request) -> Optional[bytes]:
+        now = clock()
+        if parks(request, now):
+            return None
+        t0 = timer()
+        status, payload, route = core.handle(
+            request.method, request.path, request.body, now)
+        core.observe_latency(route, (timer() - t0) * 1000.0)
+        return render_payload(status, payload, route, close=request.close)
+
+    return app

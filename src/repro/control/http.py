@@ -36,6 +36,8 @@ __all__ = [
     "HttpResponseDecoder",
     "HttpServer",
     "json_response",
+    "render_request",
+    "respond",
     "text_response",
     "error_response",
     "REASONS",
@@ -70,7 +72,8 @@ class HttpRequest:
     """One parsed inbound request (or a framing error standing in for
     one: ``error`` carries the status/reason to answer with)."""
 
-    __slots__ = ("method", "path", "headers", "body", "error", "close")
+    __slots__ = ("method", "path", "headers", "body", "error", "close",
+                 "deadline")
 
     def __init__(self, method: str = "", path: str = "",
                  headers: Optional[dict] = None, body: bytes = b"",
@@ -84,6 +87,8 @@ class HttpRequest:
         self.error = error
         #: Client asked for ``Connection: close`` (or spoke HTTP/1.0).
         self.close = close
+        #: When a parked long-poll stops waiting (the app sets it).
+        self.deadline: Optional[float] = None
 
     def json(self):
         """The body as JSON, or None if it is not a valid JSON document."""
@@ -230,11 +235,11 @@ class HttpResponseDecoder:
         for line in lines[1:]:
             name, _, value = line.partition(":")
             headers[name.lower()] = value.strip()
-        try:
-            length = int(headers.get("content-length", "0"))
-        except ValueError:
+        length = headers.get("content-length", "0")
+        if not (length.isascii() and length.isdigit()):  # RFC 9110 1*DIGIT
             self._dead = True
             raise HttpError("malformed content-length")
+        length = int(length)
         if length > self.max_body:
             self._dead = True
             raise HttpError("response body too large")
@@ -255,6 +260,22 @@ def _render(status: int, body: bytes, content_type: str,
             f"Connection: {'close' if close else 'keep-alive'}\r\n"
             f"\r\n")
     return head.encode("latin-1") + body
+
+
+def render_request(method: str, path: str, doc: Optional[dict],
+                   host: str) -> bytes:
+    """One request frame: a JSON ``doc`` as its body, a
+    ``Content-Length`` on every POST. The one request renderer, for
+    real sockets and simulated segments alike."""
+    head = f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
+    if doc is not None:
+        body = json.dumps(doc).encode("utf-8")
+        head += "Content-Type: application/json\r\n"
+    else:
+        body = b""
+    if method == "POST":
+        head += f"Content-Length: {len(body)}\r\n"
+    return (head + "\r\n").encode("latin-1") + body
 
 
 def json_response(status: int, obj, close: bool = False) -> bytes:
@@ -285,6 +306,18 @@ def error_response(status: int, reason: str) -> bytes:
 #: long-polling: the server holds the connection open and re-invokes the
 #: app from :meth:`HttpServer.poll_parked` until it returns a frame.
 HttpApp = Callable[[HttpRequest], Optional[bytes]]
+
+
+def respond(app: HttpApp, request: HttpRequest) -> Optional[bytes]:
+    """The frame answering one decoded ``request``: its framing error's
+    4xx, else the app's frame, a 500 if the app raised, or ``None`` when
+    the app parks it. Every server of the gateway answers through this."""
+    if request.error is not None:
+        return error_response(*request.error)
+    try:
+        return app(request)
+    except Exception:  # noqa: BLE001 — robustness boundary
+        return error_response(500, "internal error")
 
 
 class HttpServer(TcpServer):
@@ -333,16 +366,8 @@ class HttpServer(TcpServer):
                 break
             self.messages_handled += 1
             self._step_handled += 1
-            if request.error is not None:
-                status, reason = request.error
-                self.protocol_errors += 1
-                conn.out.append(error_response(status, reason))
-                conn.close_when_flushed = True
-                break
-            try:
-                response = self.app(request)
-            except Exception:  # noqa: BLE001 — robustness boundary
-                response = error_response(500, "internal error")
+            self.protocol_errors += request.error is not None
+            response = respond(self.app, request)
             if response is None:
                 # Parked: stop draining this connection — HTTP/1.1
                 # responses must go back in request order, so pipelined
@@ -367,10 +392,7 @@ class HttpServer(TcpServer):
         for conn, request in waiting:
             if conn not in self._conns:
                 continue  # peer hung up while parked
-            try:
-                response = self.app(request)
-            except Exception:  # noqa: BLE001 — robustness boundary
-                response = error_response(500, "internal error")
+            response = respond(self.app, request)
             if response is None:
                 self._parked.append((conn, request))
                 continue

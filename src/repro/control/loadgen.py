@@ -28,7 +28,7 @@ import socket
 import time
 from typing import Callable, Optional
 
-from .http import HttpResponseDecoder, HttpError
+from .http import HttpResponseDecoder, HttpError, render_request
 
 __all__ = ["GatewayStorm", "StormStats"]
 
@@ -49,11 +49,11 @@ class UserMix:
 
     :meth:`next_request` rolls the user's own RNG for the next
     submit/query/cancel — the same draws in the same order on every
-    plane — and :meth:`outcome` classifies the answer, remembering an
+    plane — and :meth:`answer` classifies the reply, remembering an
     accepted id and counting the outcome on ``tally`` (anything with
     ``submitted``/``queried``/``cancelled``/``rejected`` counters).
-    :class:`GatewayStorm` frames the requests as HTTP over real sockets,
-    :class:`~repro.control.sim.SimJobUser` as ``GW_REQ`` messages.
+    :class:`GatewayStorm` carries the conversation over real sockets,
+    :class:`~repro.control.sim.HttpUser` over simulated segments.
     """
 
     __slots__ = ("rng", "tally", "submit_fraction", "cancel_fraction",
@@ -97,6 +97,19 @@ class UserMix:
             name = "cancelled"
         setattr(self.tally, name, getattr(self.tally, name) + 1)
         return name
+
+    def answer(self, kind: str, status: int, body: bytes,
+               now: float) -> str:
+        """:meth:`outcome` of a raw reply; only a submit's body is read.
+        (``now`` is the conversation's common signature: a mix keeps no
+        clock.)"""
+        doc = None
+        if kind == "submit":
+            try:
+                doc = json.loads(body)
+            except ValueError:
+                pass
+        return self.outcome(kind, status, doc)
 
 
 class StormStats:
@@ -149,9 +162,8 @@ class _Client:
 class GatewayStorm:
     """Pumpable storm of ``clients`` concurrent gateway users.
 
-    Call :meth:`step` from the harness loop (or :meth:`run_for` to pump
-    flat out); stats accumulate in :attr:`stats` and every accepted job
-    id lands in :attr:`accepted`.
+    Call :meth:`step` from the harness loop; stats accumulate in
+    :attr:`stats` and every accepted job id lands in :attr:`accepted`.
     """
 
     def __init__(
@@ -236,18 +248,10 @@ class GatewayStorm:
 
     # -- request generation ---------------------------------------------------
     def _issue(self, client: _Client) -> None:
-        """Frame the mix's next request as HTTP/1.1 and start writing."""
+        """Frame the mix's next request and start writing."""
         kind, method, path, spec = client.mix.next_request()
-        head = f"{method} {path} HTTP/1.1\r\nHost: {self.host}\r\n"
-        if spec is not None:
-            body = json.dumps(spec).encode("utf-8")
-            head += "Content-Type: application/json\r\n"
-        else:
-            body = b""
-        if method == "POST":
-            head += f"Content-Length: {len(body)}\r\n"
         client.inflight = (kind, time.monotonic())
-        client.outbuf += (head + "\r\n").encode("latin-1") + body
+        client.outbuf += render_request(method, path, spec, self.host)
         self._write(client)
 
     # -- I/O ------------------------------------------------------------------
@@ -299,14 +303,9 @@ class GatewayStorm:
                 body: bytes) -> None:
         kind, t0 = client.inflight
         client.inflight = None
-        elapsed_ms = (time.monotonic() - t0) * 1000.0
-        doc = None
-        if kind == "submit":  # the one body the mix reads
-            try:
-                doc = json.loads(body)
-            except ValueError:
-                pass
-        outcome = client.mix.outcome(kind, status, doc)
+        now = time.monotonic()
+        outcome = client.mix.answer(kind, status, body, now)
+        elapsed_ms = (now - t0) * 1000.0
         if outcome == "submitted":
             self.stats.submit_latencies.append(elapsed_ms)
             self.accepted.append(client.mix.ids[-1])
@@ -356,11 +355,6 @@ class GatewayStorm:
                 self._write(client)
             if client.sock is not None and mask & selectors.EVENT_READ:
                 self._read(client)
-
-    def run_for(self, seconds: float, poll: float = 0.05) -> None:
-        deadline = time.monotonic() + seconds
-        while time.monotonic() < deadline:
-            self.step(poll)
 
     def quiesce(self, grace: float = 2.0) -> None:
         """Stop issuing new requests; drain in-flight responses."""

@@ -5,10 +5,11 @@ A :class:`Scenario` says a run once: the clients, one workload actor
 ``specs``), one fault (the first ``victim`` node killed at ``fault_at``
 seconds), the seed and the duration. :func:`run_scenario` runs it on the
 deterministic :class:`~repro.control.sim.TwinWorld` or, ``live``, as
-real processes in a :class:`~repro.live.harness.LiveWorld`; each world
-frames the actor in its own transport and names the victim its own way
-(``gw0``; ``wrk0`` on the twin, ``cli0`` live), and both return one
-report shape, judged by one checklist, :func:`check_scenario`.
+real processes in a :class:`~repro.live.harness.LiveWorld`. Both
+worlds speak HTTP to the gateway, over simulated segments or real
+sockets, and name the victim their own way (``gw0``; ``wrk0`` on the
+twin, ``cli0`` live), and both return one report shape, judged by one
+checklist, :func:`check_scenario`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ USER_OPS_BUDGET, EVAL_OPS_BUDGET = 250_000.0, 20_000.0
 TWIN_EVAL_SPEED = 40_000.0
 #: Live users publish per-site utilisation to the gateway this often.
 SITES_PERIOD = 0.5
-_TERMINAL = ("done", "cancelled")
+#: Simulated seconds between a twin user's answer and its next request,
+#: and between two reads of the twin ME pump.
+USER_PERIOD, PUMP_PERIOD = 1.0, 0.25
 
 
 @dataclass
@@ -191,11 +194,22 @@ def _report(s: Scenario, world: dict, ids: list[str], records: dict,
 def _run_twin(s: Scenario, telemetry) -> dict:
     from ..core.services.kinds import registry
     from ..explore.evals import EVAL_KIND
+    from ..explore.queue import FeedPump
     from ..simgrid.faults import FaultPlan
-    from .sim import ForgingEngine, SimJobUser, TwinWorld
+    from .loadgen import StormStats, UserMix
+    from .sim import ForgingEngine, HttpUser, TwinWorld
 
     world = TwinWorld(s.seed, s.fault_at if s.victim == "gateway" else None,
                       telemetry)
+    if s.specs:
+        # The batch is queued before any client says hello, as live.
+        pump = FeedPump(specs=s.specs)
+        world.add("me0", "me", HttpUser("me0", world.CONTACT, pump,
+                                        PUMP_PERIOD))
+        while not (pump.pushed or pump.refused):
+            world.env.step()
+        if pump.refused:
+            raise ValueError(f"batch refused: {pump.refused[0]}")
     forger = None
     if s.algo is not None or s.corrupt:
         # A falsified value with a now-stale digest: what a liar sends.
@@ -208,49 +222,41 @@ def _run_twin(s: Scenario, telemetry) -> dict:
                                   **speed)
                for i in range(s.clients)]
     work = world.gateway.work
-    if s.users:
-        users = [SimJobUser(f"user{i}", world.CONTACT, idx=i, seed=s.seed,
-                            submit_fraction=SUBMIT_FRACTION,
-                            cancel_fraction=s.cancel_fraction,
-                            spec_factory=s.user_spec)
-                 for i in range(s.users)]
-        for user in users:
-            world.add(user.name, "usr", user)
-    elif s.algo is not None:
-        from ..explore.sim import MEDriverComponent
-
-        me = MEDriverComponent("me0", world.CONTACT, s.driver())
-        world.add("me0", "me", me)
-    else:
-        status, doc, _ = world.gateway.core.handle(
-            "POST", "/jobs/batch",
-            json.dumps({"specs": s.specs}).encode("utf-8"), 0.0)
-        if status != 201:
-            raise ValueError(f"batch refused: {doc.get('error')}")
-        ids = doc["ids"]
+    users = []
+    for i in range(s.users):
+        mix = UserMix(random.Random(f"{s.seed}:{i}"), StormStats(),
+                      SUBMIT_FRACTION, s.cancel_fraction, s.user_spec)
+        # Users start staggered inside their first period.
+        users.append(HttpUser(
+            f"user{i}", world.CONTACT, mix, USER_PERIOD,
+            start=USER_PERIOD * (0.1 + 0.8 * mix.rng.random())))
+        world.add(users[-1].name, "usr", users[-1])
+    if s.algo is not None:
+        pump = FeedPump(s.driver())
+        world.add("me0", "me", HttpUser("me0", world.CONTACT, pump,
+                                        PUMP_PERIOD))
     if s.victim == "client" and s.fault_at is not None:
         world.install(FaultPlan().crash(s.fault_at, clients[0].name))
 
     if s.specs:
-        def retired() -> bool:  # by id: a restart rebuilds every Job
-            return all(work.get(job_id).state in _TERMINAL
-                       for job_id in ids)
-
-        # A batch ends once every job is terminal (or at the duration).
-        while world.env.now < s.duration and not retired():
+        # A batch ends once every job retired (or at the duration).
+        while world.env.now < s.duration and pump.finished_at is None:
             world.env.run(until=min(world.env.now + 1.0, s.duration))
-        blocks = {"results": [work.get(job_id).result for job_id in ids]}
-        finished = retired()
     else:
         world.env.run(until=s.duration)
-        if s.users:
-            ids = [job_id for user in users for job_id in user.accepted]
-            blocks = {"users": {user.name: user.stats() for user in users}}
-            finished = True
-        else:
-            ids = me.pushed_ids
-            blocks = {"me": me.stats(), "driver": me.driver.summary()}
-            finished = me.finished_at is not None and not me.outstanding
+    if s.users:
+        mixes = [user.conversation for user in users]
+        ids = [job_id for mix in mixes for job_id in mix.ids]
+        blocks = {"users": {user.name: {
+            **mix.tally.to_dict(), "requests": user.requests,
+            "accepted": mix.ids} for user, mix in zip(users, mixes)}}
+        finished = True
+    else:
+        ids = pump.pushed_ids
+        blocks = ({"results": [work.get(job_id).result for job_id in ids]}
+                  if s.specs else
+                  {"me": pump.stats(), "driver": pump.driver.summary()})
+        finished = pump.finished_at is not None and not pump.outstanding
 
     chaos = []
     if s.fault_at is not None and s.fault_at <= world.env.now:

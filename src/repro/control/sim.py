@@ -1,11 +1,13 @@
-"""The gateway's simulated-time world: same router, deterministic run.
+"""The gateway's simulated-time world: same HTTP, deterministic run.
 
-The live gateway is an :class:`~repro.control.http.HttpServer` feeding a
-:class:`~repro.control.gateway.GatewayCore` on a real reactor. Its twin
-here is :class:`GatewayComponent`, the same routing table over
-lingua-franca messages (``GW_REQ`` carries ``{method, path, body}``,
-``GW_RES`` ``{status, body}``) under simulated time; :class:`SimJobUser`
-plays an external HTTP user and the real
+The live gateway is an :class:`~repro.control.http.HttpServer` feeding
+the gateway's :func:`~repro.control.gateway.http_app` on a real reactor.
+Its twin here is :class:`GatewayComponent`: the same decoder and the
+same app, fed HTTP/1.1 bytes that ride the simulated network as
+segments (``HTTP`` messages whose body is the bytes and nothing else).
+:class:`HttpUser` is the client end of one keep-alive connection,
+carrying a user's :class:`~repro.control.loadgen.UserMix` or the ME's
+:class:`~repro.explore.queue.FeedPump`; the real
 :class:`~repro.ramsey.client.RamseyClient` pulls jobs of any kind over
 SCH_*. :class:`TwinWorld` is where a
 :class:`~repro.control.scenario.Scenario` runs when it is not run as
@@ -16,8 +18,6 @@ the control plane's logic hides no nondeterminism.
 
 from __future__ import annotations
 
-import json
-import random
 from dataclasses import asdict
 from typing import Callable, Optional
 
@@ -29,40 +29,49 @@ from ..core.services.scheduler import SchedulerServer
 from ..core.simdriver import SimWorld
 from ..core.telemetry import Telemetry
 from ..ramsey.client import ModelEngine, RamseyClient
-from ..ramsey.tasks import ramsey_job_spec
 from ..simgrid.host import Host
 from ..simgrid.load import ConstantLoad
-from .gateway import GatewayCore
-from .loadgen import UserMix
+from .gateway import GatewayCore, http_app
+from .http import (HttpDecoder, HttpRequest, HttpResponseDecoder,
+                   render_request, respond)
 from .workqueue import MemoryJournal, WorkQueue
 
 __all__ = [
-    "GW_REQ",
-    "GW_RES",
     "ForgingEngine",
     "GatewayComponent",
-    "SimJobUser",
+    "HttpUser",
     "TwinWorld",
 ]
 
-GW_REQ = "GW_REQ"
-GW_RES = "GW_RES"
+#: The message type of a simulated TCP segment.
+HTTP = "HTTP"
 
 T_RESTART = "gw:restart"
-T_NEXT = "usr:next"
+T_PARKED = "gw:parked"
+T_NEXT = "http:next"
+
+
+def segment(sender: str, data: bytes) -> Message:
+    """One simulated TCP segment carrying ``data``."""
+    return Message(mtype=HTTP, sender=sender,
+                   body={"d": data.decode("latin-1")})
 
 
 class GatewayComponent(SchedulerServer):
     """The control-plane gateway as a sans-IO component.
 
     Downward it *is* a :class:`SchedulerServer` (workers pull jobs over
-    SCH_*); upward it answers ``GW_REQ`` messages through the identical
-    :class:`GatewayCore` router the live HTTP wrapper uses. The work
-    source is a journal-backed :class:`WorkQueue`; ``restart_after``
-    schedules the deterministic analogue of a SIGKILL + supervisor
-    respawn at that many simulated seconds: scheduler state and in-flight
-    assignments die, and the store is rebuilt from the journal, accepted
-    jobs requeued-not-dropped exactly like the live journal replay.
+    SCH_*); upward it serves HTTP segments as the live
+    :class:`~repro.control.http.HttpServer` serves sockets: one
+    :class:`HttpDecoder` per peer, requests answered in order through
+    :func:`~repro.control.gateway.http_app` on simulated time, a parked
+    long-poll re-offered on every event the gateway handles and at its
+    deadline. The work source is a journal-backed :class:`WorkQueue`;
+    ``restart_after`` schedules the deterministic analogue of a SIGKILL +
+    supervisor respawn at that many simulated seconds: scheduler state,
+    in-flight assignments and every connection die, and the store is
+    rebuilt from the journal, accepted jobs requeued-not-dropped exactly
+    like the live journal replay.
     """
 
     def __init__(self, name: str,
@@ -73,8 +82,13 @@ class GatewayComponent(SchedulerServer):
         self.restarts = 0
         self.requeued_on_restart = 0
         self._now = 0.0
-        work.clock = lambda: self._now
+        clock = work.clock = lambda: self._now
         self.core = GatewayCore(name, work, telemetry=self.telemetry)
+        self.app = http_app(self.core, clock, clock)
+        #: Peer contact -> its connection's request decoder, and -> the
+        #: long-poll it has parked.
+        self._decoders: dict[str, HttpDecoder] = {}
+        self._parked: dict[str, HttpRequest] = {}
 
     def bind_telemetry(self, telemetry: Telemetry) -> None:
         super().bind_telemetry(telemetry)
@@ -93,11 +107,13 @@ class GatewayComponent(SchedulerServer):
         self._now = now
         if key == T_RESTART:
             return self._restart(now)
-        return super().on_timer(key, now)
+        return super().on_timer(key, now) + self._unpark()
 
     def _restart(self, now: float) -> list[Effect]:
         self.restarts += 1
         self.clients.clear()
+        self._decoders.clear()
+        self._parked.clear()
         self.forecasts = ForecastRegistry()
         self.requeued_on_restart = self.work.replay()
         return [LogLine(
@@ -107,100 +123,94 @@ class GatewayComponent(SchedulerServer):
     # -- messages -------------------------------------------------------------
     def on_message(self, message: Message, now: float) -> list[Effect]:
         self._now = now
-        if message.mtype == GW_REQ:
-            body = message.body
-            raw = body.get("body")
-            data = (b"" if raw is None
-                    else json.dumps(raw, sort_keys=True).encode("utf-8"))
-            status, doc, _route = self.core.handle(
-                str(body.get("method", "GET")), str(body.get("path", "/")),
-                data, now)
-            if isinstance(doc, bytes):  # a finished job's journaled body
-                doc = json.loads(doc)
-            return [Send(message.sender, message.reply(
-                GW_RES, sender=self.contact,
-                body={"status": status, "body": doc,
-                      "rid": body.get("rid")}))]
-        return super().on_message(message, now)
+        if message.mtype != HTTP:
+            return super().on_message(message, now) + self._unpark()
+        peer = message.sender
+        decoder = self._decoders.get(peer)
+        if decoder is None:  # a new connection
+            decoder = self._decoders[peer] = HttpDecoder()
+        decoder.feed(message.body["d"].encode("latin-1"))
+        return self._serve(peer) + self._unpark()
+
+    def _serve(self, peer: str) -> list[Effect]:
+        """Answer ``peer``'s parked request, then each request its
+        connection holds, in order, until one parks or one closes it;
+        the answers leave in one segment, as one flush does live."""
+        frames = []
+        while (decoder := self._decoders.get(peer)) is not None:
+            request = self._parked.pop(peer, None) or decoder.next_request()
+            if request is None:
+                break
+            response = respond(self.app, request)
+            if response is None:
+                self._parked[peer] = request
+                break
+            frames.append(response)
+            if request.close:
+                del self._decoders[peer]
+        if not frames:
+            return []
+        return [Send(peer, segment(self.contact, b"".join(frames)))]
+
+    def _unpark(self) -> list[Effect]:
+        """Re-offer every parked long-poll, as the live reactor does each
+        turn, and wake at the first deadline still to come."""
+        if not self._parked:
+            return []
+        effects = [effect for peer in list(self._parked)
+                   for effect in self._serve(peer)]
+        if self._parked:
+            first = min(request.deadline for request in self._parked.values())
+            effects.append(SetTimer(T_PARKED, first - self._now))
+        return effects
 
 
-class SimJobUser(Component):
-    """One synthetic external user under simulated time.
+class HttpUser(Component):
+    """One keep-alive HTTP/1.1 connection under simulated time, the twin
+    of one :class:`~repro.control.loadgen.GatewayStorm` user: one request
+    in flight, one timer. It carries a sans-IO ``conversation`` (a
+    :class:`~repro.control.loadgen.UserMix`, or the ME's
+    :class:`~repro.explore.queue.FeedPump`): ``next_request()`` gives
+    ``(kind, method, path, doc)``, or ``None`` to end it, and
+    ``answer(kind, status, body, now)`` takes the reply. The first
+    request goes out ``start`` simulated seconds in, each next one
+    ``period`` after the last answer."""
 
-    The deterministic analogue of one :class:`GatewayStorm` client: a
-    seeded submit/query/cancel loop, one request in flight, the next one
-    :attr:`PERIOD` simulated seconds after each answer.
-    """
-
-    PERIOD = 1.0
-
-    def __init__(
-        self,
-        name: str,
-        gateway: str,
-        idx: int = 0,
-        seed: int = 0,
-        submit_fraction: float = 0.6,
-        cancel_fraction: float = 0.1,
-        spec_factory: Callable[[random.Random], dict] = ramsey_job_spec,
-    ) -> None:
+    def __init__(self, name: str, gateway: str, conversation,
+                 period: float, start: float = 0.0) -> None:
         super().__init__(name)
         self.gateway = gateway
-        self.submitted = 0
-        self.queried = 0
-        self.cancelled = 0
-        self.rejected = 0
-        self.done_seen = 0
-        #: The request mix itself — the core GatewayStorm's clients run —
-        #: counting its outcomes on this component.
-        self.mix = UserMix(random.Random(f"{seed}:{idx}"), self,
-                           submit_fraction, cancel_fraction, spec_factory)
-        self.accepted = self.mix.ids
-        self._rid = 0
-        #: (kind, rid) of the request awaiting its GW_RES.
-        self._inflight: Optional[tuple[str, int]] = None
+        self.conversation = conversation
+        self.period = period
+        self.start = start
+        self.requests = 0
+        self._host = gateway.partition("/")[0]
+        self._decoder = HttpResponseDecoder()
+        #: The kind of the request awaiting its answer.
+        self._inflight: Optional[str] = None
 
     def on_start(self, now: float) -> list[Effect]:
-        # Stagger users deterministically inside the first period.
-        return [SetTimer(
-            T_NEXT, self.PERIOD * (0.1 + 0.8 * self.mix.rng.random()))]
+        return [SetTimer(T_NEXT, self.start)]
 
     def on_timer(self, key: str, now: float) -> list[Effect]:
-        if key != T_NEXT or self._inflight is not None:
+        request = self.conversation.next_request()
+        if request is None:
             return []
-        self._rid += 1
-        kind, method, path, body = self.mix.next_request()
-        self._inflight = (kind, self._rid)
-        return [Send(self.gateway, Message(
-            mtype=GW_REQ, sender=self.contact,
-            body={"method": method, "path": path, "body": body,
-                  "rid": self._rid}))]
+        self._inflight, method, path, doc = request
+        self.requests += 1
+        return [Send(self.gateway, segment(
+            self.contact, render_request(method, path, doc, self._host)))]
 
     def on_message(self, message: Message, now: float) -> list[Effect]:
-        if message.mtype != GW_RES or self._inflight is None:
+        self._decoder.feed(message.body["d"].encode("latin-1"))
+        response = self._decoder.next_response()
+        if response is None:
             return []
-        kind, rid = self._inflight
-        if message.body.get("rid") != rid:
-            return []  # stale response from a previous conversation
-        self._inflight = None
-        doc = message.body.get("body")
-        outcome = self.mix.outcome(
-            kind, int(message.body.get("status", 0)), doc)
-        if (outcome == "queried" and isinstance(doc, dict)
-                and doc.get("state") == "done"):
-            self.done_seen += 1
-        return [SetTimer(T_NEXT, self.PERIOD)]
-
-    def stats(self) -> dict:
-        return {
-            "submitted": self.submitted,
-            "queried": self.queried,
-            "cancelled": self.cancelled,
-            "rejected": self.rejected,
-            "done_seen": self.done_seen,
-            "accepted": list(self.accepted),
-            "requests": self._rid,
-        }
+        status, headers, body = response
+        if headers.get("connection") == "close":  # a new connection next
+            self._decoder = HttpResponseDecoder()
+        self.conversation.answer(self._inflight, status, body, now)
+        return [SetTimer(T_NEXT, self.period)]
 
 
 class ForgingEngine:

@@ -17,9 +17,8 @@ scheduler/gateway/WorkQueue stack. The pieces:
   :class:`HillClimber`) and the blocking EMEWS pump
   (:func:`run_driver`).
 * :mod:`~repro.explore.queue` — :class:`ExploreQueue` over the HTTP
-  gateway.
-* :mod:`~repro.explore.sim` — :class:`MEDriverComponent`, the same
-  pump under simulated time.
+  gateway, and :class:`~repro.explore.queue.FeedPump`, the same pump as
+  a sans-IO conversation the simulated twin carries over the same HTTP.
 
 ``repro explore`` is a :class:`~repro.control.scenario.Scenario` with an
 ``algo``, run on the twin or as real processes.
@@ -32,6 +31,5 @@ _EXPORTS = {
     ".evals": ("EVAL_FUNCTIONS", "EVAL_KIND", "check_eval_result", "evaluate",
                "execute_unit", "make_eval_spec", "validate_eval"),
     ".queue": ("ExploreQueue",),
-    ".sim": ("MEDriverComponent",),
 }
 __all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -12,11 +12,11 @@ to push next and feeds it consumed results:
 
 The same driver object runs everywhere: the blocking live pump
 (:func:`run_driver` over an :class:`~repro.explore.queue.ExploreQueue`)
-and the deterministic simulated twin (an event-driven component feeding
-it from GW_RES frames). Determinism contract: a driver's decisions
-depend only on its constructor arguments and the *set* of results
-observed per round — never on arrival order or on any ambient clock —
-so same-seed runs are byte-identical on both planes.
+and the deterministic simulated twin (a sans-IO pump feeding it from
+``/events`` pages over simulated HTTP). Determinism contract: a
+driver's decisions depend only on its constructor arguments and the
+*set* of results observed per round — never on arrival order or on any
+ambient clock — so same-seed runs are byte-identical on both planes.
 
 Two algorithms ship, deliberately spanning the two ME shapes:
 

@@ -22,13 +22,15 @@ Per-result submit→pop latency is recorded for the bench.
 
 from __future__ import annotations
 
+import json
 import time
 from collections import deque
 from typing import Callable, Optional
 
 from ..control.http import HttpError
+from ..obs.events import parse_jsonl
 
-__all__ = ["ExploreQueue"]
+__all__ = ["ExploreQueue", "FeedPump"]
 
 #: Terminal job states: a feed line or record in one retires its job.
 _TERMINAL = ("done", "cancelled")
@@ -43,10 +45,10 @@ class FeedConsumer:
     """The ME side of the feed protocol, sans-IO (DESIGN §16): what was
     pushed, what is still outstanding, where the ``/events`` cursor
     stands, and the push→retire accounting. A subclass supplies the
-    transport — :class:`ExploreQueue` blocks on a ``GatewayClient``,
-    :class:`~repro.explore.sim.MEDriverComponent` exchanges
-    ``GW_REQ``/``GW_RES`` under simulated time — and hands every answer
-    here with its own clock reading."""
+    requests — :class:`ExploreQueue` blocks on a ``GatewayClient``,
+    :class:`FeedPump` is a conversation for a simulated
+    :class:`~repro.control.sim.HttpUser` — and hands every answer here
+    with its own clock reading."""
 
     #: How push→retire latency is reported: (result key, clock units →
     #: reported unit, digits kept).
@@ -117,6 +119,70 @@ class FeedConsumer:
     def latency_quantile(self, p: float) -> Optional[float]:
         lat = sorted(self.latencies)
         return lat[min(len(lat) - 1, int(p * len(lat)))] if lat else None
+
+
+class FeedPump(FeedConsumer):
+    """The EMEWS pump as a conversation for a simulated
+    :class:`~repro.control.sim.HttpUser` (DESIGN §16): push each
+    generation ``driver`` mints as one ``POST /jobs/batch``, read the
+    ``/events`` feed in between, feed the driver what it retires, end
+    once the driver is finished. With no driver it pushes ``specs`` and
+    ends once they all retired."""
+
+    def __init__(self, driver=None, specs: list = ()) -> None:
+        super().__init__()
+        self.driver = driver
+        #: The generation waiting to be pushed.
+        self._pending = list(specs) if driver is None \
+            else driver.initial_tasks()
+        #: When follow-up generations were minted (ME round trips), and
+        #: when the pump finished.
+        self.rounds: list[float] = []
+        self.finished_at: Optional[float] = None
+        #: The gateway's error for each refused push.
+        self.refused: list[str] = []
+
+    def next_request(self) -> Optional[tuple[str, str, str, Optional[dict]]]:
+        if self._pending:
+            return "push", "POST", "/jobs/batch", {"specs": self._pending}
+        if self.finished_at is not None:
+            return None
+        return "events", "GET", f"/events?since={self.since}&limit=500", None
+
+    def answer(self, kind: str, status: int, body: bytes,
+               now: float) -> None:
+        if kind == "push":
+            specs, self._pending = self._pending, []
+            doc = json.loads(body)
+            if status == 201:
+                self.record_push(doc["ids"], specs, now)
+            else:
+                self.refused.append(doc["error"])
+            return
+        records = self.ingest(parse_jsonl(body.decode("utf-8")), now)
+        if self.driver is None:  # a batch
+            done = self.pushed and not self.outstanding
+        else:
+            for record in records:
+                self.driver.observe(record["spec"], record["result"])
+            self._pending = self.driver.next_tasks()
+            if self._pending:
+                self.rounds.append(round(now, 6))
+            done = self.driver.finished()
+        if done:
+            self.finished_at = round(now, 6)
+
+    def stats(self) -> dict:
+        return {
+            "pushed": self.pushed,
+            "popped": self.popped,
+            "outstanding": len(self.outstanding),
+            "batch_rejected": len(self.refused),
+            "rounds": self.rounds,
+            "finished_at": self.finished_at,
+            "pop_p50": self.latency_quantile(0.5),
+            "pop_max": self.latency_quantile(1.0),
+        }
 
 
 class ExploreQueue(FeedConsumer):

@@ -372,65 +372,24 @@ def _fan_out(hooks: list) -> "callable":
     return dispatch
 
 
-#: Cap on ``GET /events?wait=`` long-polls, seconds of driver time.
-MAX_EVENT_WAIT = 30.0
-
-
 def _attach_gateway(driver: NetDriver, manifest: Manifest,
                     name: str) -> HttpServer:
     """Hang the HTTP listener off the gateway node's reactor loop.
 
     One process, one selector loop, two protocols: lingua-franca SCH_*
     frames on the node's world port, HTTP/1.1 on its second preallocated
-    port. The router is the sans-IO :class:`GatewayCore`; this wrapper
-    owns the clocks (wall latency for histograms, driver time for job
-    timestamps) and the ``GET /events?wait=`` long-poll: a poll with
-    nothing new returns ``None`` to park the connection, and the reactor
-    retries parked requests every tick (``server.poll_parked``) until
-    fresh events arrive or the wait deadline passes."""
-    from ..control.gateway import GatewayCore, render_payload
+    port. The app is the gateway's one :func:`http_app`, on driver time
+    for job timestamps and wall time for latency; the reactor re-offers
+    a parked ``/events?wait=`` long-poll every tick
+    (``server.poll_parked``)."""
+    from ..control.gateway import GatewayCore, http_app
     from ..control.http import HttpServer
 
     work = driver.component.work
     work.clock = driver.now
     core = GatewayCore(name, work, telemetry=driver.telemetry,
                        started_at=driver.now())
-    #: Long-poll deadlines keyed by id(request) — HttpRequest is
-    #: __slots__-frozen, so the park state lives here, not on it.
-    poll_deadlines: dict[int, float] = {}
-
-    def _long_poll_wait(request) -> bool:
-        """True when this request should park instead of answering."""
-        path, _, query = request.path.partition("?")
-        if request.method != "GET" or path.rstrip("/") != "/events":
-            return False
-        params = {}
-        for pair in query.split("&"):
-            key, _, value = pair.partition("=")
-            params[key] = value
-        try:
-            since = int(params.get("since", "-1"))
-            wait = float(params.get("wait", "0"))
-        except ValueError:
-            return False  # let the router 400 it
-        if wait <= 0 or core.events.since(since, limit=1):
-            poll_deadlines.pop(id(request), None)
-            return False
-        deadline = poll_deadlines.setdefault(
-            id(request), driver.now() + min(wait, MAX_EVENT_WAIT))
-        if driver.now() >= deadline:
-            poll_deadlines.pop(id(request), None)
-            return False  # waited long enough: answer empty
-        return True
-
-    def app(request):
-        if _long_poll_wait(request):
-            return None
-        t0 = time.monotonic()
-        status, payload, route = core.handle(
-            request.method, request.path, request.body, driver.now())
-        core.observe_latency(route, (time.monotonic() - t0) * 1000.0)
-        return render_payload(status, payload, route, close=request.close)
+    app = http_app(core, driver.now, time.monotonic)
 
     http_host, _, http_port = manifest.http_contact(name).rpartition(":")
     last: Optional[OSError] = None

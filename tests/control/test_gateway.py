@@ -7,7 +7,8 @@ idempotency rule proven here holds there too.
 
 import pytest
 
-from repro.control import GatewayCore, WorkQueue
+from repro.control import GatewayCore, HttpRequest, WorkQueue
+from repro.control.gateway import MAX_EVENT_WAIT, http_app
 
 
 @pytest.fixture()
@@ -194,3 +195,40 @@ def test_batch_route_methods_and_id_routing(core):
     core.handle("POST", "/jobs", _json({}), now=0.0)
     status, doc, route = core.handle("GET", "/jobs/t-1", b"", now=0.0)
     assert (status, route) == (200, "GET /jobs/{id}")
+
+
+@pytest.mark.parametrize("query", ["wait=nan", "wait=inf", "wait=-1",
+                                   "limit=-1", "since=x", "wait=1&limit=-3"])
+def test_events_query_is_checked_once_for_router_and_long_poll(core, query):
+    """A NaN wait never reaches its deadline and a negative limit pages
+    nothing: the router answers 400, and the app never parks them."""
+    status, doc, route = core.handle("GET", f"/events?{query}", b"", 0.0)
+    assert (status, route) == (400, "GET /events") and "error" in doc
+    app = http_app(core, lambda: 0.0, lambda: 0.0)
+    assert app(HttpRequest("GET", f"/events?{query}")).startswith(
+        b"HTTP/1.1 400 ")
+
+
+def test_events_query_takes_a_quoted_wait_and_a_zero_limit(core):
+    core.handle("POST", "/jobs", _json({"kind": "noop"}), now=0.0)
+    status, page, _ = core.handle("GET", "/events?wait=%2E5&limit=0", b"",
+                                  0.0)
+    assert status == 200 and '"event":"submitted"' in page  # 0: no limit
+
+
+def test_a_long_poll_keeps_its_deadline_on_the_request(core):
+    """Park state rides the request: a later request (which may reuse a
+    freed one's ``id()``) waits its own time, not an expired deadline."""
+    now = [0.0]
+    app = http_app(core, lambda: now[0], lambda: now[0])
+    first = HttpRequest("GET", "/events?wait=5")
+    assert app(first) is None and first.deadline == 5.0
+    now[0] = 4.0
+    assert app(first) is None
+    now[0] = 6.0
+    assert app(first).startswith(b"HTTP/1.1 200 ")   # waited long enough
+    second = HttpRequest("GET", "/events?wait=100")
+    assert app(second) is None and second.deadline == 6.0 + MAX_EVENT_WAIT
+    core.handle("POST", "/jobs", _json({"kind": "noop"}), now=7.0)
+    now[0] = 7.0
+    assert b'"event":"submitted"' in app(second)     # the feed moved

@@ -208,6 +208,18 @@ def test_response_decoder_roundtrips_server_frames():
         decoder.next_response()
 
 
+def test_response_decoder_takes_only_digits_as_content_length():
+    """RFC 9110 ``1*DIGIT``, as the request decoder: ``int()`` alone read
+    -5 as an empty body and left the rest to misparse the stream."""
+    for length in ("-5", "+3", "1_0", "\u00b2"):   # the last: superscript 2
+        decoder = HttpResponseDecoder()
+        decoder.feed(f"HTTP/1.1 200 OK\r\nContent-Length: {length}\r\n"
+                     "\r\nhello world".encode("latin-1"))
+        for _ in range(2):                  # and the stream stays refused
+            with pytest.raises(HttpError):
+                decoder.next_response()
+
+
 # -- server: real sockets -----------------------------------------------------
 
 class GatewayUnderTest:

@@ -1,7 +1,7 @@
 """The users scenario on the twin: deterministic, byte-stable.
 
-Simulated users submit/query/cancel jobs through the same GatewayCore
-routing table the live HTTP plane serves, simulated workers execute
+Simulated users submit/query/cancel jobs over HTTP through the same
+decoder and app the live gateway serves, simulated workers execute
 them through the same unmodified SchedulerServer — and the whole run is
 a pure function of the scenario, including a mid-run gateway restart.
 """
@@ -69,7 +69,7 @@ def _cli_sha(report):
 #: ``jobs.requeues`` is 1: gw0-job-27, requeued once and done at 13.0 s,
 #: keeps its requeue across the restart at 25 s (it said 0 while the
 #: twin's journal kept record dicts without the finished body).
-CI_SHA = "1ab7e53c28af2d09b5b218537437f0520bdab357a8b5db958ba41b01c960cec0"
+CI_SHA = "29d3a8257a86b2f40b298ac1533158fd3ba7dfb8d9c0e671ed8cbc97fc193d5a"
 
 
 def test_ci_twin_report_is_pinned_byte_for_byte():

@@ -1,23 +1,22 @@
-"""The synthetic user's request mix: one core, two framings.
+"""The synthetic user's request mix: one core, one framing, two transports.
 
 :class:`~repro.control.loadgen.UserMix` decides what a user asks next and
-what the answer meant; :class:`GatewayStorm` frames it as HTTP over real
-sockets, :class:`SimJobUser` as ``GW_REQ`` messages. The core is tested
-once here; the adapters only for what they add — and for the property
-that makes the simulated twin a twin: same seed, same answers, same
-requests.
+what the answer meant; :class:`GatewayStorm` carries it over real
+sockets, :class:`HttpUser` over simulated segments, both writing each
+request with the one renderer. The core is tested once here; the
+carriers for the property that makes the simulated twin a twin: same
+seed, same answers, same request bytes.
 """
 
-import json
 import random
+import socket
 from types import SimpleNamespace
 
-from repro.control import GatewayStorm, HttpServer, SimJobUser
+from repro.control import GatewayStorm, HttpDecoder, HttpUser
 from repro.control.http import json_response
 from repro.control.loadgen import StormStats, UserMix
-from repro.control.sim import GW_REQ, GW_RES
+from repro.control.sim import segment
 from repro.core.component import NullRuntime, Send
-from repro.core.linguafranca.messages import Message
 from repro.ramsey.tasks import ramsey_job_spec
 
 
@@ -102,77 +101,74 @@ def _kind(method, path):
     return "cancel" if method == "POST" else "query"
 
 
-def test_seeded_storm_and_sim_user_emit_the_same_requests():
-    n_requests, seed = 60, 21
-    fractions = dict(submit_fraction=0.4, cancel_fraction=0.2)
-
-    # -- the HTTP adapter, against a scripted server on a real socket ------
-    seen_http = []
-
-    def app(request):
-        kind = _kind(request.method, request.path)
-        status, doc = _answer(len(seen_http), kind)
-        seen_http.append((kind, request.method, request.path, request.json()))
-        return json_response(status, doc)
-
-    server = HttpServer("127.0.0.1", 0, app)
-    storm = GatewayStorm("127.0.0.1", int(server.contact.rpartition(":")[2]),
-                         clients=1, seed=seed, spec_factory=ramsey_job_spec,
-                         **fractions)
+def _storm_frames(n_requests, seed, fractions):
+    """The raw request frames one storm user writes to a scripted server
+    on a real socket, and the storm."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.setblocking(False)
+    storm = GatewayStorm("127.0.0.1", listener.getsockname()[1], clients=1,
+                         seed=seed, spec_factory=ramsey_job_spec, **fractions)
+    conn, frames, raw, decoder = None, [], b"", HttpDecoder()
     try:
         # One request in flight per user: seeing request n+1 means the
         # storm has digested exactly n answers.
         for _ in range(20_000):
-            if len(seen_http) > n_requests:
+            if len(frames) > n_requests:
                 break
             storm.step(0.001)
-            server.step(0.001)
+            try:
+                if conn is None:
+                    conn = listener.accept()[0]
+                    conn.setblocking(False)
+                chunk = conn.recv(65536)
+            except BlockingIOError:
+                continue
+            raw += chunk
+            decoder.feed(chunk)
+            request = decoder.next_request()
+            if request is not None:
+                frames.append(raw)
+                raw = b""
+                kind = _kind(request.method, request.path)
+                conn.sendall(json_response(*_answer(len(frames) - 1, kind)))
     finally:
         storm.close()
-        server.close()
-    assert len(seen_http) == n_requests + 1
-    del seen_http[n_requests:]
+        if conn is not None:
+            conn.close()
+        listener.close()
+    assert len(frames) == n_requests + 1
+    return frames[:n_requests], storm
 
-    # -- the GW_REQ adapter, answered by hand with the same script ----------
-    user = SimJobUser("user0", "gw0/gw", idx=0, seed=seed, **fractions)
+
+def test_seeded_storm_and_sim_user_emit_the_same_requests():
+    n_requests, seed = 60, 21
+    fractions = dict(submit_fraction=0.4, cancel_fraction=0.2)
+    frames_http, storm = _storm_frames(n_requests, seed, fractions)
+
+    # -- the simulated user, answered by hand with the same script --------
+    mix = UserMix(random.Random(f"{seed}:0"), StormStats(),
+                  fractions["submit_fraction"], fractions["cancel_fraction"],
+                  ramsey_job_spec)
+    user = HttpUser("user0", "127.0.0.1/gw", mix, period=1.0)
     user.bind_runtime(NullRuntime("user0/usr"))
-    seen_sim = []
-    for n in range(n_requests):              # (on_start's stagger draw skipped)
-        (send,) = user.on_timer("usr:next", float(n))
-        assert isinstance(send, Send) and send.message.mtype == GW_REQ
-        body = send.message.body
-        kind = _kind(body["method"], body["path"])
-        seen_sim.append((kind, body["method"], body["path"], body["body"]))
-        status, doc = _answer(n, kind)
-        user.on_message(Message(
-            mtype=GW_RES, sender="gw0/gw",
-            body={"status": status, "body": doc, "rid": body["rid"]}),
-            n + 0.5)
+    frames_sim, kinds = [], set()
+    for n in range(n_requests):
+        (send,) = user.on_timer("http:next", float(n))
+        assert isinstance(send, Send) and send.message.mtype == "HTTP"
+        frames_sim.append(send.message.body["d"].encode("latin-1"))
+        decoder = HttpDecoder()
+        decoder.feed(frames_sim[-1])
+        request = decoder.next_request()
+        kinds.add(kind := _kind(request.method, request.path))
+        user.on_message(segment("127.0.0.1/gw", json_response(
+            *_answer(n, kind))), n + 0.5)
 
-    assert seen_sim == seen_http
-    assert {kind for kind, *_ in seen_sim} == {"submit", "query", "cancel"}
-    # ...and both adapters drew the same conclusions from the answers.
-    sim, http = user.stats(), storm.stats.to_dict()
-    assert user.accepted == storm.accepted
-    assert sim["requests"] == n_requests
-    for name in ("submitted", "queried", "cancelled", "rejected"):
-        assert sim[name] == http[name], name
+    assert frames_sim == frames_http
+    assert kinds == {"submit", "query", "cancel"}
+    # ...and both carriers drew the same conclusions from the answers.
+    sim, http = mix.tally.to_dict(), storm.stats.to_dict()
+    assert mix.ids == storm.accepted
+    assert user.requests == n_requests
+    assert sim == http
     assert sum(sim[name] for name in (
         "submitted", "queried", "cancelled", "rejected")) == n_requests
-    assert sim["done_seen"] > 0              # the sim adapter's own extra
-
-
-def test_sim_user_counts_done_only_on_a_queried_answer():
-    user = SimJobUser("user0", "gw0/gw", seed=2, submit_fraction=0.0)
-    user.bind_runtime(NullRuntime("user0/usr"))
-    user.accepted.append("j-1")              # so the next request is a read
-    (send,) = user.on_timer("usr:next", 0.0)
-    assert send.message.body["path"].startswith("/jobs/j-1")
-    is_query = send.message.body["method"] == "GET"
-    user.on_message(Message(
-        mtype=GW_RES, sender="gw0/gw",
-        body={"status": 200, "body": {"state": "done"},
-              "rid": send.message.body["rid"]}), 0.1)
-    assert user.done_seen == (1 if is_query else 0)
-    assert user.queried + user.cancelled == 1
-    assert json.dumps(user.stats())          # JSON-safe

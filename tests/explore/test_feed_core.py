@@ -3,13 +3,12 @@
 :class:`~repro.explore.queue.FeedConsumer` is everything the ME side
 knows about the gateway's ``/events`` feed: the cursor, what is still
 outstanding, and how a terminal line retires a job. ``ExploreQueue``
-(live, over ``GatewayClient``) and ``MEDriverComponent`` (simulated, over
-``GW_REQ``/``GW_RES``) only move bytes to and from it, so the contract is
+(live, over ``GatewayClient``) and ``FeedPump`` (the twin's conversation,
+over simulated HTTP) only move bytes to and from it, so the contract is
 pinned here once, with hand-written feed lines.
 """
 
-from repro.explore.queue import ExploreQueue, FeedConsumer
-from repro.explore.sim import MEDriverComponent
+from repro.explore.queue import ExploreQueue, FeedConsumer, FeedPump
 
 
 def _line(seq, event, job, **extra):
@@ -85,7 +84,7 @@ def test_seq_gap_is_flagged_once_per_gap():
 
 
 def test_latency_unit_is_the_adapters_only_say_in_the_record():
-    assert FeedConsumer.LATENCY == MEDriverComponent.LATENCY
+    assert FeedConsumer.LATENCY == FeedPump.LATENCY
     key, scale, digits = ExploreQueue.LATENCY
     assert (key, scale, digits) == ("latency_ms", 1000.0, 3)
     queue = ExploreQueue(client=None)

@@ -1,7 +1,7 @@
 """The deterministic twin: byte-identical worlds, chaos included.
 
-The explore scenario on the twin: the full ME subsystem — driver
-component, gateway, scheduler, workers — runs under simulated time, and
+The explore scenario on the twin: the full ME subsystem — the pump on
+an HTTP user, gateway, scheduler, workers — runs under simulated time, and
 same-seed runs must serialize to identical bytes even with a mid-run
 gateway restart and corrupted worker results in the schedule.
 """
@@ -13,12 +13,12 @@ import pytest
 
 from repro.cli import main
 from repro.control import GatewayCore, Scenario, WorkQueue, run_scenario
-from repro.control.sim import GW_RES
-from repro.core.component import NullRuntime, Send
-from repro.core.linguafranca.messages import Message
+from repro.control.gateway import http_app
+from repro.control.http import (HttpDecoder, HttpResponseDecoder,
+                                render_request, respond)
 from repro.explore import make_eval_spec
 from repro.explore.evals import execute_unit
-from repro.explore.sim import MEDriverComponent
+from repro.explore.queue import FeedPump
 
 
 def _canon(report):
@@ -89,7 +89,7 @@ def test_sim_twin_never_asks_about_a_job(chaos_pair):
     assert sum(requests.values()) == a["gateway"]["requests"]
 
 
-# -- the ME component against the real router, message by message -----------
+# -- the ME pump against the real app, request by request -------------------
 
 class _Observed:
     """A driver that only records what the ME feeds it."""
@@ -110,18 +110,17 @@ class _Observed:
         return False                        # keep the ME polling
 
 
-def _answer(me, core, effects, now):
-    """Route every GW_REQ in ``effects`` and hand the ME the GW_RES."""
-    for effect in effects:
-        if not isinstance(effect, Send):
-            continue
-        body = effect.message.body
-        raw = json.dumps(body["body"]).encode() if body["body"] else b""
-        status, doc, _ = core.handle(body["method"], body["path"], raw, now)
-        assert me.on_message(Message(
-            mtype=GW_RES, sender="gw0/gw",
-            body={"status": status, "body": doc, "rid": body["rid"]}),
-            now) == []
+def _exchange(pump, core, now):
+    """The pump's next request through the gateway's app as bytes, and
+    the answer back."""
+    kind, method, path, doc = pump.next_request()
+    requests = HttpDecoder()
+    requests.feed(render_request(method, path, doc, "gw0"))
+    responses = HttpResponseDecoder()
+    responses.feed(respond(http_app(core, lambda: now, lambda: now),
+                           requests.next_request()))
+    status, _, body = responses.next_response()
+    pump.answer(kind, status, body, now)
 
 
 def test_me_component_retires_jobs_from_feed_lines_field_by_field():
@@ -129,31 +128,30 @@ def test_me_component_retires_jobs_from_feed_lines_field_by_field():
     core = GatewayCore("gw0", work)
     specs = [make_eval_spec("sphere", {"x": float(i)}, seed=0)
              for i in range(5)]
-    me = MEDriverComponent("me0", "gw0/gw", _Observed(specs))
-    me.bind_runtime(NullRuntime("me0/me"))
-    _answer(me, core, me.on_start(0.0), 0.0)
-    assert me.pushed == 5 and sorted(me.outstanding) == me.pushed_ids
+    pump = FeedPump(_Observed(specs))
+    _exchange(pump, core, 0.0)
+    assert pump.pushed == 5 and sorted(pump.outstanding) == pump.pushed_ids
 
     work.requeue(work.next_unit())          # a requeue before completion
-    work.cancel(me.pushed_ids[4], now=0.5)
+    work.cancel(pump.pushed_ids[4], now=0.5)
     for _ in range(4):
         unit = work.next_unit()
         work.complete(str(unit["id"]), execute_unit(unit))
-    _answer(me, core, me.on_timer("me:poll", 1.0), 1.0)
-    assert me.popped == 5 and not me.outstanding
+    _exchange(pump, core, 1.0)
+    assert pump.popped == 5 and not pump.outstanding
     assert core.requests == 2               # one batch, one /events read
-    records = [work.get(job_id).to_dict() for job_id in me.pushed_ids]
-    assert sorted(me.driver.seen, key=lambda pair: pair[0]["params"]["x"]) \
+    records = [work.get(job_id).to_dict() for job_id in pump.pushed_ids]
+    assert sorted(pump.driver.seen, key=lambda pair: pair[0]["params"]["x"]) \
         == [(record["spec"], record["result"]) for record in records]
 
     # A reborn feed numbers from 0: the cursor adopts it, and lines read
     # a second time are deduped on `outstanding`.
-    stranded = me.since
+    stranded = pump.since
     core.events = work.events = type(core.events)()
     work._event("noise", "x", now=2.0)
-    _answer(me, core, me.on_timer("me:poll", 2.0), 2.0)
-    assert me.since == 0 < stranded
-    assert me.popped == 5
+    _exchange(pump, core, 2.0)
+    assert pump.since == 0 < stranded
+    assert pump.popped == 5
 
 
 def _cli_sha(report):
@@ -166,12 +164,12 @@ def _cli_sha(report):
 #: --seed 3`` (the CLI's defaults: 2 clients, ops budget 20,000).
 SWEEP_ARGS = ["--algo", "sweep", "--scale", "0.4", "--duration", "120",
               "--seed", "3"]
-SWEEP_SHA = "d60444e2f722af51bac91b40fb2566d2b7a8fb8357fd79ec1b200f78f1a03dad"
+SWEEP_SHA = "fdaeb2dde6fefaf97bcfe3777ff98a0153cbacb3ea9760ad1d6fe276a7e9a84e"
 #: ``... --algo hill --scale 0.5 --duration 240 --seed 7 --kill-at 4
 #: --corrupt-first 1``: a gateway restart and a corrupted result.
 HILL_ARGS = ["--algo", "hill", "--scale", "0.5", "--duration", "240",
              "--seed", "7", "--kill-at", "4", "--corrupt-first", "1"]
-HILL_SHA = "1bbbaf1ea8067212d9bf9a1979c07cee79eeae08e71185bcc753271367f7b0fe"
+HILL_SHA = "4ad26c8c5f18f6f5a875440d5166af1f35a045fe6fb83d70dece9116b89e01ce"
 
 
 def test_ci_sweep_twin_report_is_pinned_byte_for_byte():
