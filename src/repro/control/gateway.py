@@ -2,12 +2,13 @@
 
 :class:`GatewayCore` maps ``(method, path, body)`` to ``(status, JSON
 document)`` over a :class:`~repro.control.workqueue.WorkQueue` — and
-*only* that: no sockets, no clocks of its own. The live plane wraps it
-in :class:`~repro.control.http.HttpServer` on the node's reactor; the
-simulated twin feeds the identical router the same HTTP bytes, carried
-in simulated segments. Both answer through :func:`http_app`. One
-routing table, one protocol, two transports — the same sim/live
-contract every other EveryWare component honors.
+*only* that: no sockets, no clocks of its own. :func:`http_app` puts
+HTTP around it, and :class:`~repro.control.component.GatewayComponent`
+serves that app on both planes: on the live gateway node under
+``NetDriver``, whose HTTP connections reach it as byte-stream segments,
+and on the simulated twin, whose segments carry the same bytes. One
+routing table, one protocol, one server, two transports — the same
+sim/live contract every other EveryWare component honors.
 
 Routes (diracx-style job management + health, ROADMAP item 2)::
 
@@ -441,13 +442,12 @@ class GatewayCore:
         }
 
 
-def http_app(core: GatewayCore, clock: Callable[[], float],
-             timer: Callable[[], float]) -> HttpApp:
+def http_app(core: GatewayCore, clock: Callable[[], float]) -> HttpApp:
     """The gateway's HTTP app, live and on the twin: ``core`` routes each
-    request at ``clock``'s time and ``timer`` times it for the latency
+    request at ``clock``'s time, which also times it for the latency
     histograms. A ``GET /events?wait=`` long-poll with nothing new parks
     (returns ``None``) until the feed moves or its wait, capped at
-    :data:`MAX_EVENT_WAIT`, runs out; the server re-offers it."""
+    :data:`MAX_EVENT_WAIT`, runs out; its connection re-offers it."""
 
     def parks(request, now: float) -> bool:
         path, _, query = request.path.partition("?")
@@ -467,10 +467,9 @@ def http_app(core: GatewayCore, clock: Callable[[], float],
         now = clock()
         if parks(request, now):
             return None
-        t0 = timer()
         status, payload, route = core.handle(
             request.method, request.path, request.body, now)
-        core.observe_latency(route, (timer() - t0) * 1000.0)
+        core.observe_latency(route, (clock() - now) * 1000.0)
         return render_payload(status, payload, route, close=request.close)
 
     return app

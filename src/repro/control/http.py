@@ -1,17 +1,12 @@
-"""Stdlib-only HTTP/1.1 on the lingua-franca reactor.
+"""Stdlib-only HTTP/1.1, sans-IO, on any stream transport.
 
 The control plane's wire format is HTTP/JSON — external users should
-need nothing but ``curl`` — but the transport underneath is the exact
-same single-threaded :class:`~repro.core.linguafranca.tcp.EventLoop` /
-:class:`~repro.core.linguafranca.tcp.TcpServer` reactor every other
-EveryWare service rides (DESIGN.md §12). No new dependencies, no
-``http.server`` thread pools: :class:`HttpDecoder` is an incremental
-request parser fed straight from the reactor's read buffer (so a
-slowloris client dribbling one byte per select() turn costs buffered
-bytes, never a stalled reactor), and :class:`HttpServer` subclasses the
-TCP reactor, swapping the CRC packet decoder for the HTTP one via the
-``decoder_factory`` seam and reusing the batched ``sendmsg`` flush path
-for responses.
+need nothing but ``curl`` — and nothing here owns a thread (DESIGN.md
+§12). :class:`HttpDecoder` is an incremental request parser (a
+slowloris client dribbling bytes costs buffer, never a stalled reactor)
+and :class:`HttpConnection` one server connection, answered in request
+order: :class:`~repro.control.component.GatewayComponent` keeps one per
+peer on either plane, :class:`HttpServer` one per socket of its own.
 
 Scope is deliberately the gateway's needs, not the RFC's: request line +
 headers + ``Content-Length`` bodies, keep-alive by default, bounded
@@ -26,13 +21,14 @@ from __future__ import annotations
 import json
 from typing import Callable, Optional
 
-from ..core.linguafranca.tcp import TcpServer, _Connection
+from ..core.linguafranca.tcp import StreamServer, _Connection
 from ..obs.recordlog import _encode
 
 __all__ = [
     "HttpError",
     "HttpRequest",
     "HttpDecoder",
+    "HttpConnection",
     "HttpResponseDecoder",
     "HttpServer",
     "json_response",
@@ -103,36 +99,38 @@ class HttpRequest:
 class HttpDecoder:
     """Incremental HTTP/1.1 *request* parser with bounded buffers.
 
-    Mirrors the :class:`~repro.core.linguafranca.packets.PacketDecoder`
-    contract the reactor expects: ``feed(data)`` copies ``data`` (bytes
-    or a view of the reactor's reused read buffer) onto the stream
-    buffer, ``next_request()`` returns one complete request (or ``None``
-    while more bytes are needed). A framing violation yields a request
-    whose ``error`` is set and poisons the decoder — the server answers
-    it and closes; no resynchronisation is attempted on a byte stream
-    with no record boundaries to resynchronise on.
+    ``feed(data)`` copies ``data`` (bytes or a view of a reused read
+    buffer) onto the stream buffer, ``next_request()`` returns one
+    complete request (or ``None`` while more bytes are needed). A framing
+    violation yields a request whose ``error`` is set and poisons the
+    decoder (:attr:`failed`) — the server answers it and closes; a byte
+    stream has no record boundaries to resynchronise on.
     """
 
-    __slots__ = ("_buf", "_dead", "max_header", "max_body")
+    __slots__ = ("_buf", "failed", "max_header", "max_body")
 
     def __init__(self, max_header: int = MAX_HEADER_BYTES,
                  max_body: int = MAX_BODY_BYTES) -> None:
         self._buf = bytearray()
-        self._dead = False
+        self.failed = False
         self.max_header = max_header
         self.max_body = max_body
 
     def feed(self, data: bytes) -> None:
-        if not self._dead:
+        if not self.failed:
             self._buf += data
 
+    def buffered(self) -> int:
+        """Bytes held, not yet returned as requests."""
+        return len(self._buf)
+
     def _fail(self, status: int, reason: str) -> HttpRequest:
-        self._dead = True
+        self.failed = True
         self._buf.clear()
         return HttpRequest(error=(status, reason), close=True)
 
     def next_request(self) -> Optional[HttpRequest]:
-        if self._dead:
+        if self.failed:
             return None
         head_end = self._buf.find(b"\r\n\r\n")
         if head_end < 0:
@@ -303,15 +301,15 @@ def error_response(status: int, reason: str) -> bytes:
 #: The application callback: a complete request in, a complete response
 #: frame out (build it with :func:`json_response` /
 #: :func:`text_response`) — or ``None`` to *park* the request for
-#: long-polling: the server holds the connection open and re-invokes the
-#: app from :meth:`HttpServer.poll_parked` until it returns a frame.
+#: long-polling: its connection holds it and offers it to the app again
+#: on its next :meth:`HttpConnection.serve`, until the app answers.
 HttpApp = Callable[[HttpRequest], Optional[bytes]]
 
 
 def respond(app: HttpApp, request: HttpRequest) -> Optional[bytes]:
     """The frame answering one decoded ``request``: its framing error's
     4xx, else the app's frame, a 500 if the app raised, or ``None`` when
-    the app parks it. Every server of the gateway answers through this."""
+    the app parks it."""
     if request.error is not None:
         return error_response(*request.error)
     try:
@@ -320,88 +318,72 @@ def respond(app: HttpApp, request: HttpRequest) -> Optional[bytes]:
         return error_response(500, "internal error")
 
 
-class HttpServer(TcpServer):
-    """The HTTP face of the reactor.
+class HttpConnection:
+    """One server-side HTTP/1.1 connection, sans-IO: the bytes fed to
+    :attr:`decoder`, and at most one :attr:`parked` request. Answers go
+    back in request order: :meth:`serve` answers the parked request,
+    then each pipelined one, and stops at the first the app parks or
+    that ends the connection (:attr:`closed`)."""
 
-    Identical accept/read/flush/drop machinery as every lingua-franca
-    server — one ``select()`` per turn, per-connection write queues,
-    batched vectored flushes — with the CRC packet decoder swapped for
-    :class:`HttpDecoder` and record servicing swapped for request
-    dispatch. Protocol errors are answered (400/413) and the connection
-    is closed *after* the response flushes (``close_when_flushed``);
-    keep-alive connections serve any number of pipelined requests.
-    """
+    __slots__ = ("decoder", "parked", "closed")
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        app: HttpApp,
-        loop=None,
-        max_body: int = MAX_BODY_BYTES,
-    ) -> None:
-        self.app = app
-        self.protocol_errors = 0
-        #: Long-poll requests awaiting an answer: the app returned None,
-        #: so the connection idles here until :meth:`poll_parked` gets a
-        #: frame out of the app (or the peer goes away).
-        self._parked: list[tuple[_Connection, HttpRequest]] = []
-        super().__init__(
-            host, port, handler=self._no_messages, loop=loop,
-            decoder_factory=lambda: HttpDecoder(max_body=max_body))
+    def __init__(self) -> None:
+        self.decoder = HttpDecoder()
+        self.parked: Optional[HttpRequest] = None
+        self.closed = False
 
-    @staticmethod
-    def _no_messages(message):  # pragma: no cover - decoder never parses one
-        return None
-
-    @property
-    def parked(self) -> int:
-        return len(self._parked)
-
-    def _service(self, conn: _Connection) -> None:
-        decoder = conn.decoder
-        while not conn.close_when_flushed:
-            request = decoder.next_request()
+    def serve(self, app: HttpApp) -> list:
+        """The response frames ready to go, in request order. Nothing
+        drains the decoder while a request is parked: past one request's
+        bounds behind it, the parked request is answered 400 and the
+        connection closes."""
+        frames = []
+        request, self.parked = self.parked, None
+        decoder = self.decoder
+        if request is not None and (decoder.buffered()
+                                    > decoder.max_header + decoder.max_body):
+            request = decoder._fail(
+                400, "too many bytes pipelined behind a parked request")
+        while not self.closed:
+            request = request or decoder.next_request()
             if request is None:
                 break
-            self.messages_handled += 1
-            self._step_handled += 1
-            self.protocol_errors += request.error is not None
-            response = respond(self.app, request)
+            response = respond(app, request)
             if response is None:
-                # Parked: stop draining this connection — HTTP/1.1
-                # responses must go back in request order, so pipelined
-                # follow-ups wait until this one is answered.
-                self._parked.append((conn, request))
-                return
-            conn.out.append(response)
-            if request.close:
-                conn.close_when_flushed = True
-        self._flush(conn)
+                self.parked = request
+                break
+            frames.append(response)
+            self.closed = request.close
+            request = None
+        return frames
 
-    def poll_parked(self) -> int:
-        """Re-offer every parked request to the app; returns the number
-        answered this call. The reactor owner (the gateway node's tick
-        hook, a bench loop) calls this once per turn — the app decides
-        per request whether to answer (new data / deadline hit) or keep
-        waiting by returning None again."""
-        if not self._parked:
-            return 0
-        waiting, self._parked = self._parked, []
-        answered = 0
-        for conn, request in waiting:
-            if conn not in self._conns:
-                continue  # peer hung up while parked
-            response = respond(self.app, request)
-            if response is None:
-                self._parked.append((conn, request))
-                continue
-            answered += 1
-            conn.out.append(response)
-            if request.close:
-                conn.close_when_flushed = True
-            if self._flush(conn) and conn in self._conns:
-                # Drain any requests the client pipelined behind the
-                # long-poll while it was parked.
-                self._service(conn)
-        return answered
+
+class HttpServer(StreamServer):
+    """An HTTP listener with a reactor of its own: one
+    :class:`HttpConnection` per socket, served through ``app`` as its
+    bytes arrive, one batched flush per read; a closing answer closes
+    the socket once flushed. It does not hold long-polls: a request the
+    app parks is answered 500 and its connection closed (the gateway
+    node parks under ``GatewayComponent``)."""
+
+    def __init__(self, host: str, port: int, app: HttpApp) -> None:
+        self.app = app
+        self.protocol_errors = 0
+        super().__init__(host, port)
+
+    def _open(self, conn: _Connection) -> HttpConnection:
+        return HttpConnection()
+
+    def _received(self, conn: _Connection, data: memoryview) -> None:
+        if conn.close_when_flushed:  # bytes after the last answer: dropped
+            return
+        http = conn.decoder
+        http.decoder.feed(data)
+        conn.out.extend(http.serve(self.app))
+        if http.parked is not None:
+            http.parked, http.closed = None, True
+            conn.out.append(error_response(500, "long-poll not served here"))
+        if http.closed:
+            conn.close_when_flushed = True
+            self.protocol_errors += http.decoder.failed
+        self._flush(conn)

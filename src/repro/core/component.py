@@ -38,6 +38,8 @@ __all__ = [
     "LogLine",
     "Stop",
     "NullRuntime",
+    "SEGMENT",
+    "segment",
 ]
 
 
@@ -95,6 +97,19 @@ class Stop:
 
 
 Effect = Union[Send, SetTimer, CancelTimer, LogLine, Stop]
+
+#: The message type of a byte-stream segment (the one protocol streams
+#: carry here; a simulated segment's size counts the string).
+SEGMENT = "HTTP"
+
+
+def segment(sender: str, data, fin: bool = False) -> Message:
+    """A segment of ``sender``'s byte stream carrying ``data`` (any
+    bytes-like); ``fin`` marks the stream's end."""
+    body = {"d": str(data, "latin-1")}
+    if fin:
+        body["fin"] = True
+    return Message(mtype=SEGMENT, sender=sender, body=body)
 
 
 class Runtime(Protocol):

@@ -25,7 +25,8 @@ from dataclasses import replace
 from time import perf_counter as _perf_counter
 from typing import Any, Callable, Optional
 
-from .component import CancelTimer, Component, Effect, LogLine, Send, SetTimer, Stop
+from .component import (SEGMENT, CancelTimer, Component, Effect, LogLine,
+                        Send, SetTimer, Stop)
 from .linguafranca.messages import Message
 from .policy import TIMER, Deadlines, ReliableSendTracker, TimeoutPolicy
 from .telemetry import Counter, Telemetry
@@ -158,7 +159,8 @@ class ComponentDriver:
                         if message.trace is None:
                             message.trace = (span.trace_id, span.span_id)
                         pending.span = span
-                elif tracer.enabled and message.trace is None:
+                elif (tracer.enabled and message.trace is None
+                      and message.mtype != SEGMENT):
                     # Stamp a copy: a sent Message is immutable (DESIGN §7).
                     span = tracer.instant(
                         f"send {message.mtype}", now,
@@ -232,7 +234,9 @@ class ComponentDriver:
                 telemetry.metrics.counter("msg.recv", mtype=message.mtype))
         counter.value += 1
         span = None
-        if tracer.enabled:
+        # A byte-stream segment, received or sent, is transport: the
+        # component reading it traces what it carries, if anything.
+        if tracer.enabled and message.mtype != SEGMENT:
             span = tracer.begin(f"recv {message.mtype}",
                                 component=self.component.name,
                                 parent=message.trace,

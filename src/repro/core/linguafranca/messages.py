@@ -213,6 +213,8 @@ class Message(_Framed):
         body = record["b"]
         if not isinstance(body, dict):
             raise MessageError("message body must be an object")
+        if record["s"].__class__ is not str:  # the contact replies go to
+            raise MessageError("message sender must be a string")
         trace = None
         raw_trace = record.get("t")
         if raw_trace is not None:  # rare: only traced runs pay validation

@@ -12,12 +12,13 @@ wrapper) that several endpoints can share, so a live node multiplexes its
 listening socket, every accepted connection, and every outbound
 connection through a single ``select`` call per reactor turn:
 
-* :class:`TcpServer` is a reactor: callers pump it with :meth:`step`,
-  and a handler callback maps each inbound :class:`~.messages.Message`
-  to an optional reply sent on the same connection. Reads are parsed in place (zero-copy
-  ``PacketDecoder.next_record``); replies accumulate in a per-connection
-  write queue and leave in one ``sendmsg`` (writev-style) batch per ready
-  cycle instead of one ``send`` per packet.
+* :class:`StreamServer` is a reactor's listener for any wire protocol:
+  callers pump it with :meth:`step`; replies accumulate in a
+  per-connection write queue and leave in one ``sendmsg`` (writev-style)
+  batch per ready cycle instead of one ``send`` per packet.
+  :class:`TcpServer` is the lingua franca's: reads are parsed in place
+  (zero-copy ``PacketDecoder.next_record``) and a handler maps each
+  inbound :class:`~.messages.Message` to an optional reply.
 * :class:`AsyncSender` is the non-blocking outbound half: fire-and-forget
   frames are queued per peer and flushed in ``sendmsg`` batches as the
   connection becomes writable, with transparent once-per-failure
@@ -49,6 +50,7 @@ from .packets import PacketDecoder, PacketError
 
 __all__ = [
     "EventLoop",
+    "StreamServer",
     "TcpServer",
     "AsyncSender",
     "TransportError",
@@ -126,14 +128,17 @@ class EventLoop:
 
 
 class _Connection:
-    """Server-side connection state: an incremental decoder per socket
-    plus a frame queue flushed in batched vectored writes."""
+    """Server-side connection state: the listener's decoder (from
+    :meth:`StreamServer._open`) and its name for the peer, if any, plus
+    a frame queue flushed in batched vectored writes."""
 
-    __slots__ = ("sock", "decoder", "out", "want_write", "close_when_flushed")
+    __slots__ = ("sock", "decoder", "peer", "out", "want_write",
+                 "close_when_flushed")
 
-    def __init__(self, sock: socket.socket, decoder=None) -> None:
+    def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
-        self.decoder = decoder if decoder is not None else PacketDecoder()
+        self.decoder = None
+        self.peer: Optional[str] = None
         self.out: deque = deque()  # bytes/memoryview frames awaiting flush
         self.want_write = False
         #: Half-close discipline for protocols that end a conversation
@@ -142,38 +147,19 @@ class _Connection:
         self.close_when_flushed = False
 
 
-class TcpServer:
-    """Single-threaded lingua-franca server over TCP.
-
-    Pass ``loop=`` to multiplex the listener and its connections on a
-    shared :class:`EventLoop` (the NetDriver does); without it the server
-    owns a private loop and :meth:`step` pumps it.
+class StreamServer:
+    """One listening socket's accept/read/flush/drop machinery, whatever
+    the bytes mean: a subclass opens each accepted connection
+    (:meth:`_open`) and handles each read (:meth:`_received`). Pass
+    ``loop=`` to share an :class:`EventLoop` (the NetDriver does);
+    without it the server owns a private loop and :meth:`step` pumps it.
     """
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        handler: Handler,
-        loop: Optional[EventLoop] = None,
-        raw_handler: Optional[Callable[[str, memoryview], bytes]] = None,
-        decoder_factory: Optional[Callable[[], object]] = None,
-    ) -> None:
-        self.handler = handler
-        #: Transport-level fast path: when set, inbound records bypass
-        #: Message parsing entirely — ``raw_handler(mtype, payload_view)``
-        #: returns the reply *frame bytes* to queue (b"" for none). For
-        #: relay-style services (and the transport benchmark) that don't
-        #: need message semantics. The view is only valid for the call.
-        self.raw_handler = raw_handler
-        #: Per-connection wire parser. The default is the lingua franca's
-        #: CRC-framed :class:`PacketDecoder`; subclasses serving another
-        #: wire protocol on the same reactor (the HTTP gateway) install
-        #: their own incremental decoder and override :meth:`_service`.
-        self._decoder_factory = decoder_factory or PacketDecoder
-        #: Every read lands here and is fed to the connection's decoder
-        #: as a slice, which the decoder copies into its own stream
-        #: buffer: ``recv(n)`` would allocate n bytes per read.
+    def __init__(self, host: str, port: int,
+                 loop: Optional[EventLoop] = None) -> None:
+        #: Every read lands here and is handed on as a slice, which a
+        #: decoder copies into its own stream buffer: ``recv(n)`` would
+        #: allocate n bytes per read.
         self._rbuf = memoryview(bytearray(262144))
         self._loop = loop if loop is not None else EventLoop()
         self._owns_loop = loop is None
@@ -186,28 +172,32 @@ class TcpServer:
                             self._on_accept)
         self.address = self._listen.getsockname()
         self._conns: set[_Connection] = set()
-        self.messages_handled = 0
-        self.decode_errors = 0
-        self._step_handled = 0
         self._closed = False
 
     @property
     def contact(self) -> str:
         return f"{self.address[0]}:{self.address[1]}"
 
-    def step(self, timeout: float = 0.1) -> int:
-        """Process ready I/O once; returns messages handled this step.
+    def step(self, timeout: float = 0.1) -> None:
+        """Process ready I/O once.
 
         Only meaningful for a server that owns its loop — with a shared
         loop the owner pumps, and this pumps the shared loop too.
         """
         if self._closed:
             raise TransportError("server is closed")
-        self._step_handled = 0
         self._loop.step(timeout)
-        return self._step_handled
 
-    # -- accept/read/dispatch ----------------------------------------------
+    # -- what a protocol supplies -------------------------------------------
+    def _open(self, conn: _Connection):
+        """The decoder for a newly accepted connection."""
+        raise NotImplementedError
+
+    def _received(self, conn: _Connection, data: memoryview) -> None:
+        """Handle one read; ``data`` is only valid for the call."""
+        raise NotImplementedError
+
+    # -- accept/read --------------------------------------------------------
     def _on_accept(self, mask: int) -> None:
         # Accept everything pending: under a connection storm one ready
         # event may stand for hundreds of queued handshakes, and one
@@ -225,7 +215,8 @@ class TcpServer:
             return False
         sock.setblocking(False)
         _nodelay(sock)
-        conn = _Connection(sock, self._decoder_factory())
+        conn = _Connection(sock)
+        conn.decoder = self._open(conn)
         self._conns.add(conn)
         self._loop.register(
             sock, selectors.EVENT_READ,
@@ -249,70 +240,9 @@ class TcpServer:
             # recv of 0 bytes on a readable socket: peer closed.
             self._drop(conn)
             return
-        conn.decoder.feed(self._rbuf[:n])
-        self._service(conn)
+        self._received(conn, self._rbuf[:n])
 
-    def _service(self, conn: _Connection) -> None:
-        """Drain every complete buffered record and queue replies.
-
-        Subclasses speaking another wire protocol (HTTP) override this
-        together with ``decoder_factory``; the accept/read/flush/drop
-        machinery is protocol-agnostic and shared.
-        """
-        if self.raw_handler is not None:
-            self._service_raw(conn)
-            return
-        while True:
-            try:
-                # Zero-copy: the record is parsed straight out of the
-                # stream buffer, no per-packet payload bytes.
-                message = conn.decoder.next_record(Message.from_parts)
-            except MessageError:
-                # Malformed record in a well-framed packet: count it,
-                # keep the connection.
-                self.decode_errors += 1
-                continue
-            except PacketError:
-                # Corrupt stream: the only safe recovery is to drop it.
-                self.decode_errors += 1
-                self._drop(conn)
-                return
-            if message is None:
-                break
-            self._dispatch(conn, message)
-        # One batched flush for every reply this ready cycle produced.
-        self._flush(conn)
-
-    def _service_raw(self, conn: _Connection) -> None:
-        raw = self.raw_handler
-        decoder = conn.decoder
-        out = conn.out
-        while True:
-            try:
-                reply = decoder.next_record(raw)
-            except PacketError:
-                self.decode_errors += 1
-                self._drop(conn)
-                return
-            if reply is None:
-                break
-            self.messages_handled += 1
-            self._step_handled += 1
-            if reply:
-                out.append(reply)
-        self._flush(conn)
-
-    def _dispatch(self, conn: _Connection, message: Message) -> None:
-        self.messages_handled += 1
-        self._step_handled += 1
-        reply = self.handler(message)
-        if reply is not None:
-            if reply.reply_to is None:
-                reply.reply_to = message.req_id
-            if not reply.sender:
-                reply.sender = self.contact
-            conn.out.append(reply.encode())
-
+    # -- flush/drop ---------------------------------------------------------
     def _flush(self, conn: _Connection) -> bool:
         """Vectored flush of the connection's frame queue; False if the
         connection died. Registers/unregisters write interest so an
@@ -375,6 +305,77 @@ class TcpServer:
             self._listen.close()
         except OSError:
             pass
+
+
+class TcpServer(StreamServer):
+    """Single-threaded lingua-franca server over TCP: each connection
+    parses CRC-framed records (:class:`PacketDecoder`) and ``handler``
+    maps each inbound message to an optional reply on the same
+    connection."""
+
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        handler: Handler,
+        loop: Optional[EventLoop] = None,
+        raw_handler: Optional[Callable[[str, memoryview], bytes]] = None,
+    ) -> None:
+        self.handler = handler
+        #: Transport-level fast path: when set, inbound records bypass
+        #: Message parsing entirely — ``raw_handler(mtype, payload_view)``
+        #: returns the reply *frame bytes* to queue (b"" for none). For
+        #: relay-style services (and the transport benchmark) that don't
+        #: need message semantics. The view is only valid for the call.
+        self.raw_handler = raw_handler
+        self.messages_handled = 0
+        self.decode_errors = 0
+        super().__init__(host, port, loop)
+
+    def _open(self, conn: _Connection) -> PacketDecoder:
+        return PacketDecoder()
+
+    def _received(self, conn: _Connection, data: memoryview) -> None:
+        """Drain every complete buffered record — a reply frame from
+        ``raw_handler``, or a message for ``handler`` — then one batched
+        flush for every reply this ready cycle produced."""
+        decoder = conn.decoder
+        decoder.feed(data)
+        raw = self.raw_handler
+        while True:
+            try:
+                # Zero-copy: the record is parsed straight out of the
+                # stream buffer, no per-packet payload bytes.
+                record = decoder.next_record(raw or Message.from_parts)
+            except MessageError:
+                # Malformed record in a well-framed packet: count it,
+                # keep the connection.
+                self.decode_errors += 1
+                continue
+            except PacketError:
+                # Corrupt stream: the only safe recovery is to drop it.
+                self.decode_errors += 1
+                self._drop(conn)
+                return
+            if record is None:
+                break
+            if raw is None:
+                self._dispatch(conn, record)
+                continue
+            self.messages_handled += 1
+            if record:
+                conn.out.append(record)
+        self._flush(conn)
+
+    def _dispatch(self, conn: _Connection, message: Message) -> None:
+        self.messages_handled += 1
+        reply = self.handler(message)
+        if reply is not None:
+            if reply.reply_to is None:
+                reply.reply_to = message.req_id
+            if not reply.sender:
+                reply.sender = self.contact
+            conn.out.append(reply.encode())
 
 
 class _Frame:

@@ -18,10 +18,16 @@ never blocks in ``connect()`` or ``send()``, so one driver sustains
 thousands of concurrent peers. Unreachable peers cost
 :attr:`send_errors`, never an exception, and recovery is the component's
 time-out/retry ladder — exactly how EveryWare survives transports that
-drop connections without notice. The server, every accepted connection,
-and every outbound connection share one
-:class:`~repro.core.linguafranca.tcp.EventLoop`, i.e. one ``select()``
-per reactor turn.
+drop connections without notice.
+
+A driver given a ``stream`` address also listens there for byte
+streams (the gateway's HTTP): each connection is a peer contact, each
+read a :func:`~repro.core.component.segment` from it (its EOF one
+marked FIN), and a segment sent to the contact is written down the
+connection, which a FIN closes once flushed; a send to a connection
+that is gone is a metered drop. The listeners and every connection
+share one :class:`~repro.core.linguafranca.tcp.EventLoop`, i.e. one
+``select()`` per reactor turn.
 """
 
 from __future__ import annotations
@@ -29,22 +35,72 @@ from __future__ import annotations
 import random
 import signal
 import time
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
-from .component import Component, Send
+from .component import SEGMENT, Component, Send, segment
 from .driver import ComponentDriver
 from .forecasting.benchmarking import event_tag
 from .linguafranca.messages import Message
 from .linguafranca.tcp import (
     AsyncSender,
     EventLoop,
+    StreamServer,
     TcpServer,
     TransportError,
+    _Connection,
 )
 from .policy import TimeoutPolicy
 from .telemetry import Telemetry
 
 __all__ = ["NetDriver"]
+
+#: The prefix of a stream peer's contact.
+STREAM = "stream:"
+
+
+class _Streams(StreamServer):
+    """The driver's byte-stream listener (module doc): ``deliver`` takes
+    each segment; ``peers`` maps a contact to its connection while the
+    component may still write, and ``dropped`` counts writes that are
+    too late or not a segment."""
+
+    def __init__(self, address: str, loop: EventLoop,
+                 deliver: Callable[[Message], object]) -> None:
+        self._deliver = deliver
+        self.peers: dict[str, _Connection] = {}
+        self._accepted = 0
+        self.dropped = 0
+        host, _, port = address.rpartition(":")
+        super().__init__(host, int(port), loop)
+
+    def _open(self, conn: _Connection) -> None:
+        self._accepted += 1
+        conn.peer = f"{STREAM}{self._accepted}"
+        self.peers[conn.peer] = conn
+
+    def _received(self, conn: _Connection, data: memoryview) -> None:
+        if not conn.close_when_flushed:  # after a FIN, bytes reach no one
+            self._deliver(segment(conn.peer, data))
+
+    def write(self, contact: str, message: Message) -> None:
+        conn = self.peers.get(contact)
+        if conn is None or message.mtype != SEGMENT:
+            self.dropped += 1
+            return
+        data = message.body["d"].encode("latin-1")
+        if data:
+            conn.out.append(data)
+        if message.body.get("fin"):
+            # The component has let go: no FIN goes back to it.
+            del self.peers[contact]
+            conn.close_when_flushed = True
+        self._flush(conn)
+
+    def _drop(self, conn: _Connection) -> None:
+        super()._drop(conn)
+        if self.peers.pop(conn.peer, None) is not None:
+            # EOF, a reset or a failed write: the peer hung up.
+            self._deliver(segment(conn.peer, b"", fin=True))
 
 
 class NetDriver(ComponentDriver):
@@ -60,11 +116,20 @@ class NetDriver(ComponentDriver):
         timeout_policy: Optional[TimeoutPolicy] = None,
         telemetry: Optional[Telemetry] = None,
         speed: float = 0.0,
+        stream: Optional[str] = None,
     ) -> None:
-        #: One selector shared by the listening socket, every accepted
+        #: One selector shared by the listening sockets, every accepted
         #: connection, and every outbound connection.
         self.loop = EventLoop()
         self.server = TcpServer(host, port, self._handle, loop=self.loop)
+        #: The byte-stream listener at ``stream`` ("host:port"), if any.
+        self.streams: Optional[_Streams] = None
+        if stream is not None:
+            try:
+                self.streams = _Streams(stream, self.loop, self._segment)
+            except OSError:
+                self.loop.close()  # frees the world port for a retry
+                raise
         self.contact = self.server.contact
         self.sender = AsyncSender(self.loop, sender=self.contact,
                                   observer=self._observe_send)
@@ -74,6 +139,9 @@ class NetDriver(ComponentDriver):
         #: transport failures are metered by the async sender and the two
         #: are summed by :attr:`send_errors`.
         self._address_errors = 0
+        #: World-port frames dropped for posing as a stream peer: only
+        #: the stream listener speaks for one.
+        self.impostors = 0
         self._started = False
         # Real mode has no simulated host to meter a client against; this
         # budget (ops/second of wall time, default 0) lets self-metering
@@ -106,7 +174,8 @@ class NetDriver(ComponentDriver):
     def send_errors(self) -> int:
         """Frames that could not be delivered (unreachable peer, stuck
         connection expired past its deadline, malformed address)."""
-        return self._address_errors + self.sender.errors
+        dropped = self.streams.dropped if self.streams is not None else 0
+        return self._address_errors + self.sender.errors + dropped
 
     @property
     def reconnects(self) -> int:
@@ -118,7 +187,9 @@ class NetDriver(ComponentDriver):
         # future budgets track observed behavior.
         self.timeout_policy.observe(tag, elapsed)
 
-    def _resolve(self, dst: str) -> Optional[tuple[str, int]]:
+    def _resolve(self, dst: str) -> Union[tuple[str, int], str, None]:
+        if dst.startswith(STREAM):
+            return dst
         host, _, port = dst.rpartition(":")
         try:
             return host, int(port)
@@ -126,13 +197,16 @@ class NetDriver(ComponentDriver):
             self._address_errors += 1
             return None
 
-    def _transmit(self, route: tuple[str, int], eff: Send) -> None:
-        self._enqueue(route, eff.dst, eff.message, eff.timeout)
-
-    def _enqueue(self, route: tuple[str, int], dst: str, message: Message,
-                 timeout, tag: Optional[str] = None) -> None:
-        if tag is None:
-            tag = event_tag(dst, message.mtype)
+    def _transmit(self, route: Union[tuple[str, int], str],
+                  eff: Send) -> None:
+        if route.__class__ is str:  # a stream peer
+            if self.streams is None:
+                self._address_errors += 1
+            else:
+                self.streams.write(route, eff.message)
+            return
+        tag = event_tag(eff.dst, eff.message.mtype)
+        timeout = eff.timeout
         if isinstance(timeout, TimeoutPolicy):
             timeout = timeout.timeout_for(tag)
         elif timeout is None:
@@ -140,16 +214,17 @@ class NetDriver(ComponentDriver):
         # Queued, not sent: the frame leaves (in a batched vectored
         # write) once the peer connection is writable. Unreachable peers
         # surface asynchronously as sender errors.
-        self.sender.post(*route, message, timeout=float(timeout), tag=tag)
+        self.sender.post(*route, eff.message, timeout=float(timeout),
+                         tag=tag)
 
     def post(self, dst: str, message: Message,
-             timeout: Optional[float] = None, tag: Optional[str] = None) -> None:
+             timeout: Optional[float] = None) -> None:
         """Fire-and-forget send outside the effect system (shippers,
         supervisors riding the driver loop). Same failure semantics as a
         ``Send`` effect: errors are metered, never raised."""
         route = self._resolve(dst)
         if route is not None:
-            self._enqueue(route, dst, message, timeout, tag)
+            self._transmit(route, Send(dst, message, timeout=timeout))
 
     def _rng_for(self, purpose: str) -> random.Random:
         return self._rng  # one seeded source serves every purpose
@@ -158,8 +233,14 @@ class NetDriver(ComponentDriver):
         return self.speed
 
     def _handle(self, message: Message) -> Optional[Message]:
-        self._dispatch(message, self.now())
+        if message.mtype == SEGMENT or message.sender.startswith(STREAM):
+            self.impostors += 1
+        else:
+            self._dispatch(message, self.now())
         return None  # all replies travel as explicit Send effects
+
+    def _segment(self, message: Message) -> None:
+        self._dispatch(message, self.now())
 
     # -- lifecycle ------------------------------------------------------------
     def start(self) -> None:
@@ -254,6 +335,8 @@ class NetDriver(ComponentDriver):
             self.sender.service()
 
     def close(self) -> None:
+        if self.streams is not None:
+            self.streams.close()  # no request is read while the rest drains
         self._flush_outbound()
         self.sender.close()
         self.server.close()

@@ -104,9 +104,9 @@ class Collector:
         """Seconds since the collector started (the merged timeline)."""
         return time.monotonic() - self._t0
 
-    def step(self, timeout: float = 0.05) -> int:
+    def step(self, timeout: float = 0.05) -> None:
         """Pump the collector's reactor once."""
-        return self.server.step(timeout)
+        self.server.step(timeout)
 
     def close(self) -> None:
         self.server.close()

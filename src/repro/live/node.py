@@ -6,9 +6,10 @@ exactly as the simulation's scenario builder would (same classes, same
 wiring — only the contact strings are ``host:port`` now), run it under
 :class:`~repro.core.netdriver.NetDriver` on the preallocated port, and
 piggyback a heartbeat shipper and a flight recorder on the driver's
-reactor loop. SIGTERM from the supervisor turns into a graceful drain:
-the reactor stops at the next turn, drain hooks send one final
-``COL_REPORT`` and seal the spool, and the sockets close.
+reactor loop (a gateway's driver also listens on its HTTP address).
+SIGTERM from the supervisor turns into a graceful drain: the reactor
+stops at the next turn, drain hooks send one final ``COL_REPORT``, seal
+the spool and close a gateway's journal, and the sockets close.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import asdict
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from ..core.component import Component
 from ..core.linguafranca.messages import Message
@@ -30,9 +31,6 @@ from .collector import COL_HELLO, COL_REPORT
 from .topology import (GOSSIP_POLL_PERIOD, GOSSIP_SYNC_PERIOD, HELLO_RETRY,
                        REPORT_PERIOD, SHIP_PERIOD, UNIT_OPS_BUDGET,
                        WORK_PERIOD, Manifest)
-
-if TYPE_CHECKING:
-    from ..control.http import HttpServer
 
 __all__ = ["build_component", "run_node", "node_stats",
            "ID_BLOCK", "MAX_INCARNATIONS"]
@@ -60,41 +58,33 @@ def _build_gossip(manifest, name, idx, opts, data_dir):
     )
 
 
-def _scheduler_over(work, name):
-    from ..core.services.scheduler import SchedulerServer
-
-    # Reap checks every report period: with wall-clock restarts the
-    # reap-the-dead-client deadline races the supervisor's restart
-    # backoff, and a coarse reap tick would let the restarted client's
-    # hello win and silently resume the orphaned unit.
-    return SchedulerServer(name, work, report_period=REPORT_PERIOD,
-                           reap_period=REPORT_PERIOD)
-
-
 def _build_scheduler(manifest, name, idx, opts, data_dir):
-    from ..core.services.scheduler import QueueWorkSource
+    from ..core.services.scheduler import QueueWorkSource, SchedulerServer
     from ..ramsey.tasks import unit_generator
 
     topo = manifest.topology
     sched_rank = [s.name for s in topo.by_role("scheduler")].index(name)
-    return _scheduler_over(QueueWorkSource(generator=unit_generator(
+    # Reap checks every report period: with wall-clock restarts the
+    # reap-the-dead-client deadline races the supervisor's restart
+    # backoff, and a coarse reap tick would let the restarted client's
+    # hello win and silently resume the orphaned unit.
+    return SchedulerServer(name, QueueWorkSource(generator=unit_generator(
         int(opts.get("k", topo.k)), topo.n,
         base_seed=topo.seed + 1000 * (sched_rank + 1),
-        ops_budget=UNIT_OPS_BUDGET)), name)
+        ops_budget=UNIT_OPS_BUDGET)), report_period=REPORT_PERIOD,
+        reap_period=REPORT_PERIOD)
 
 
 def _build_gateway(manifest, name, idx, opts, data_dir):
-    from ..control.workqueue import FileJournal, WorkQueue
+    from ..control.component import GatewayComponent
+    from ..control.workqueue import FileJournal
 
-    # A gateway IS a scheduler downward: its work source is the durable
-    # WorkQueue the HTTP routers fill, and clients pull via the usual
-    # SCH_* protocol. The journal (replayed in the constructor) is what
-    # makes a SIGKILL lose no accepted job.
+    # The twin's gateway on the node's journal, which (replayed in the
+    # constructor) is what makes a SIGKILL lose no accepted job.
     journal = None
     if data_dir is not None:
         journal = FileJournal(os.path.join(data_dir, f"{name}.journal.jsonl"))
-    return _scheduler_over(WorkQueue(journal=journal, prefix=f"{name}-job"),
-                           name)
+    return GatewayComponent(name, journal)
 
 
 def _build_persistent(manifest, name, idx, opts, data_dir):
@@ -189,7 +179,7 @@ class _Role(NamedTuple):
 _ROLES = {
     "gossip": _Role(_build_gossip, "GossipServer", _gossip_stats),
     "scheduler": _Role(_build_scheduler, "SchedulerServer", _scheduler_stats),
-    "gateway": _Role(_build_gateway, "SchedulerServer", _scheduler_stats),
+    "gateway": _Role(_build_gateway, "GatewayComponent", _scheduler_stats),
     "persistent": _Role(_build_persistent, "PersistentStateServer",
                         _persistent_stats),
     "logger": _Role(_build_logger, "LoggingServer",
@@ -292,14 +282,15 @@ class _Shipper:
 
 def _bind_driver(component: Component, host: str, port: int,
                  telemetry: Telemetry, speed: float,
+                 stream: Optional[str] = None,
                  attempts: int = 20, delay: float = 0.1) -> NetDriver:
-    """Bind the node's preallocated port, riding out the window where a
-    crashed predecessor's socket is still being torn down."""
+    """Bind the node's preallocated port (and HTTP ``stream`` address),
+    riding out a crashed predecessor's socket teardown."""
     last: Optional[OSError] = None
     for _ in range(attempts):
         try:
             return NetDriver(component, host=host, port=port,
-                             telemetry=telemetry, speed=speed)
+                             telemetry=telemetry, speed=speed, stream=stream)
         except OSError as exc:
             last = exc
             time.sleep(delay)
@@ -326,7 +317,10 @@ def run_node(
     data_dir = os.path.dirname(os.path.abspath(manifest_path))
     component = build_component(manifest, name, data_dir=data_dir)
     speed = topo.speed if spec.role == "client" else 0.0
-    driver = _bind_driver(component, host, int(port), telemetry, speed)
+    gateway = spec.role == "gateway"
+    driver = _bind_driver(
+        component, host, int(port), telemetry, speed,
+        stream=manifest.http_contact(name) if gateway else None)
     shipper = _Shipper(driver, manifest, name, incarnation)
     # Flight recorder: the node's black box and the one carrier of its
     # spans and log lines. A log line is flushed as it is written and a
@@ -340,21 +334,19 @@ def run_node(
         epoch=time.time() - driver.now())
     driver.log_sink = flight.observe_log
 
-    def _spool() -> None:
+    def _tick() -> None:
+        shipper.tick()
         flight.tick()
         # A spooled span can leave memory: without this a busy node
         # grows its span list (and gen-2 GC pauses) for its whole life.
         telemetry.tracer.trim(flight.cursor)
 
-    tick_hooks = [shipper.tick, _spool]
-    if spec.role == "gateway":
-        server = _attach_gateway(driver, manifest, name)
-        tick_hooks.append(server.poll_parked)
-    driver.tick_hook = _fan_out(tick_hooks)
-    # The final report, then the seal, before the server/journal close
-    # hooks appended by _attach_gateway.
-    driver.drain_hooks[:0] = [
+    driver.tick_hook = _tick
+    # The final report, then the seal, then the journal.
+    driver.drain_hooks += [
         shipper.drain, lambda: flight.seal(driver.stop_reason or "deadline")]
+    if gateway:
+        driver.drain_hooks.append(component.work.close)
     driver.install_signal_handlers()
     shipper.hello()
     try:
@@ -363,46 +355,3 @@ def run_node(
         driver.shutdown()
         flight.close()
     return 0
-
-
-def _fan_out(hooks: list) -> "callable":
-    def dispatch() -> None:
-        for hook in hooks:
-            hook()
-    return dispatch
-
-
-def _attach_gateway(driver: NetDriver, manifest: Manifest,
-                    name: str) -> HttpServer:
-    """Hang the HTTP listener off the gateway node's reactor loop.
-
-    One process, one selector loop, two protocols: lingua-franca SCH_*
-    frames on the node's world port, HTTP/1.1 on its second preallocated
-    port. The app is the gateway's one :func:`http_app`, on driver time
-    for job timestamps and wall time for latency; the reactor re-offers
-    a parked ``/events?wait=`` long-poll every tick
-    (``server.poll_parked``)."""
-    from ..control.gateway import GatewayCore, http_app
-    from ..control.http import HttpServer
-
-    work = driver.component.work
-    work.clock = driver.now
-    core = GatewayCore(name, work, telemetry=driver.telemetry,
-                       started_at=driver.now())
-    app = http_app(core, driver.now, time.monotonic)
-
-    http_host, _, http_port = manifest.http_contact(name).rpartition(":")
-    last: Optional[OSError] = None
-    for _ in range(20):
-        try:
-            server = HttpServer(http_host, int(http_port), app,
-                                loop=driver.loop)
-            break
-        except OSError as exc:  # predecessor's socket still tearing down
-            last = exc
-            time.sleep(0.1)
-    else:
-        raise last if last is not None else OSError("http bind failed")
-    driver.drain_hooks.append(server.close)
-    driver.drain_hooks.append(work.close)
-    return server

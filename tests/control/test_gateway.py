@@ -204,7 +204,7 @@ def test_events_query_is_checked_once_for_router_and_long_poll(core, query):
     nothing: the router answers 400, and the app never parks them."""
     status, doc, route = core.handle("GET", f"/events?{query}", b"", 0.0)
     assert (status, route) == (400, "GET /events") and "error" in doc
-    app = http_app(core, lambda: 0.0, lambda: 0.0)
+    app = http_app(core, lambda: 0.0)
     assert app(HttpRequest("GET", f"/events?{query}")).startswith(
         b"HTTP/1.1 400 ")
 
@@ -220,7 +220,7 @@ def test_a_long_poll_keeps_its_deadline_on_the_request(core):
     """Park state rides the request: a later request (which may reuse a
     freed one's ``id()``) waits its own time, not an expired deadline."""
     now = [0.0]
-    app = http_app(core, lambda: now[0], lambda: now[0])
+    app = http_app(core, lambda: now[0])
     first = HttpRequest("GET", "/events?wait=5")
     assert app(first) is None and first.deadline == 5.0
     now[0] = 4.0

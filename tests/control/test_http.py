@@ -27,6 +27,8 @@ from repro.control import (
     WorkQueue,
     json_response,
 )
+from repro.control.http import (MAX_BODY_BYTES, MAX_HEADER_BYTES,
+                                HttpConnection)
 
 
 def _request(method="GET", path="/health", body=b"", version="HTTP/1.1",
@@ -222,6 +224,75 @@ def test_response_decoder_takes_only_digits_as_content_length():
 
 # -- server: real sockets -----------------------------------------------------
 
+# -- one connection: answers in order, bounded while parked ------------------
+def _parking_app(request):
+    if request.path == "/events":
+        return None
+    return json_response(200, {"path": request.path})
+
+
+def test_a_connection_fails_bytes_pipelined_past_bounds_behind_a_park():
+    """While a request is parked nothing drains the decoder: one
+    request's bounds is all it may hold, then the parked request is
+    answered 400, the connection closes and later bytes are not kept."""
+    cap = MAX_HEADER_BYTES + MAX_BODY_BYTES
+    conn = HttpConnection()
+    conn.decoder.feed(_request(path="/events"))
+    assert conn.serve(_parking_app) == [] and conn.parked is not None
+    conn.decoder.feed(b"x" * cap)
+    assert conn.serve(_parking_app) == [] and conn.decoder.buffered() == cap
+    conn.decoder.feed(b"x")
+    (frame,) = conn.serve(_parking_app)
+    decoder = HttpResponseDecoder()
+    decoder.feed(frame)
+    status, headers, body = decoder.next_response()
+    assert status == 400 and b"parked" in body
+    assert headers["connection"] == "close" and conn.closed
+    conn.decoder.feed(b"more")
+    assert conn.decoder.buffered() == 0 and conn.serve(_parking_app) == []
+
+
+def test_a_connection_with_nothing_parked_takes_any_pipeline():
+    """The bound is the parked case's: served as they arrive, pipelined
+    requests beyond it are all answered, in order."""
+    requests = [_request(path=f"/{i}") for i in range(
+        (MAX_HEADER_BYTES + MAX_BODY_BYTES) // 40)]
+    conn = HttpConnection()
+    conn.decoder.feed(b"".join(requests))
+    frames = conn.serve(_parking_app)
+    assert len(frames) == len(requests) and not conn.closed
+    assert b'"path":"/7"' in frames[7]
+
+
+def test_http_server_answers_a_parked_request_500_and_closes():
+    """``HttpServer`` holds no long-poll: a request its app parks is
+    answered at once, never left waiting for the socket's next read."""
+    server = HttpServer("127.0.0.1", 0, _parking_app)
+    try:
+        with socket.create_connection(server.address, timeout=2) as sock:
+            sock.setblocking(False)
+            sock.sendall(_request(path="/events") + _request())
+            data, deadline = b"", time.monotonic() + 3.0
+            while time.monotonic() < deadline:
+                server.step(0.01)
+                try:
+                    chunk = sock.recv(65536)
+                except BlockingIOError:
+                    continue
+                if not chunk:
+                    break
+                data += chunk
+            else:
+                pytest.fail("the connection stayed open")
+    finally:
+        server.close()
+    decoder = HttpResponseDecoder()
+    decoder.feed(data)
+    status, headers, _ = decoder.next_response()
+    assert status == 500 and headers["connection"] == "close"
+    assert decoder.next_response() is None   # nothing after the close
+
+
 class GatewayUnderTest:
     """An HttpServer wrapping a GatewayCore, pumped from a thread."""
 
@@ -350,7 +421,9 @@ def test_requests_split_across_many_reads_decode_the_same(step):
             "method": request.method, "path": request.path,
             "len": len(request.body), "crc": zlib.crc32(request.body)})
 
-    big = bytes(range(256)) * 1200  # 300 KiB: more than one read buffer
+    # The largest body the server takes: with its head, more than one
+    # read buffer.
+    big = bytes(range(256)) * (MAX_BODY_BYTES // 256)
     requests = [
         [_request("GET", "/one"), _request("POST", "/big", big),
          _request("POST", "/two", b'{"a":1}') + _request("GET", "/three")],
@@ -361,11 +434,11 @@ def test_requests_split_across_many_reads_decode_the_same(step):
     if step == 1:  # a byte per read, for the small requests only
         streams = [_request("GET", "/one") + _request("POST", "/two", b"ab"),
                    _request("GET", "/z")]
-    server = HttpServer("127.0.0.1", 0, app, max_body=len(big))
+    server = HttpServer("127.0.0.1", 0, app)
     try:
         want = []
         for stream in streams:
-            decoder = HttpDecoder(max_body=len(big))
+            decoder = HttpDecoder()
             decoder.feed(stream)
             want.append([(200, {"method": r.method, "path": r.path,
                                 "len": len(r.body),

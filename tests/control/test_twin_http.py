@@ -16,8 +16,8 @@ import pytest
 import repro.control.gateway as gateway
 from repro.control import (HttpDecoder, HttpResponseDecoder, HttpUser,
                            Scenario, run_scenario)
-from repro.control.sim import TwinWorld, segment
-from repro.core.component import Component, Send, SetTimer
+from repro.control.sim import TwinWorld
+from repro.core.component import Component, Send, SetTimer, segment
 
 
 class _Peer(Component):

@@ -15,8 +15,7 @@ from types import SimpleNamespace
 from repro.control import GatewayStorm, HttpDecoder, HttpUser
 from repro.control.http import json_response
 from repro.control.loadgen import StormStats, UserMix
-from repro.control.sim import segment
-from repro.core.component import NullRuntime, Send
+from repro.core.component import NullRuntime, Send, segment
 from repro.ramsey.tasks import ramsey_job_spec
 
 

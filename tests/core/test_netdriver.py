@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro.core.component import Component, Send, SetTimer, Stop
+from repro.core.component import Component, Send, SetTimer, Stop, segment
 from repro.core.gossip import ComparatorRegistry, GossipAgent, GossipServer, StateStore
 from repro.core.linguafranca.messages import Message
 from repro.core.netdriver import NetDriver
@@ -276,3 +276,114 @@ def test_tick_hook_rides_the_reactor_loop():
         assert ticks, "tick hook never ran"
     finally:
         driver.shutdown()
+
+
+# -- the byte-stream listener -------------------------------------------------
+
+class ShoutComponent(Component):
+    """Answers each segment with its bytes upper-cased; a ``!`` ends the
+    stream (a FIN on the answer, a million times over: more than one
+    flush)."""
+
+    def __init__(self):
+        super().__init__("shout")
+        self.segments = []
+
+    def on_message(self, message, now):
+        self.segments.append((message.sender, message.body))
+        data = message.body["d"]
+        if message.body.get("fin") or not data:
+            return []
+        fin = "!" in data
+        return [Send(message.sender, segment(
+            self.contact, data.upper().encode("latin-1") * (
+                1_000_000 if fin else 1), fin=fin))]
+
+
+def _stream_driver():
+    import socket
+
+    component = ShoutComponent()
+    driver = NetDriver(component, stream="127.0.0.1:0")
+    sock = socket.socket()
+    # A small window keeps a long answer in the driver's queue.
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    sock.connect(driver.streams.address)
+    sock.settimeout(0.01)
+    return component, driver, sock
+
+
+def _pump_until(driver, done, budget=3.0):
+    deadline = time.monotonic() + budget
+    while not done() and time.monotonic() < deadline:
+        driver.step(0.002)
+    assert done()
+
+
+def _recv(sock):
+    try:
+        return sock.recv(4096)
+    except TimeoutError:
+        return None
+
+
+def test_a_stream_peer_is_a_contact_its_reads_segments_its_sends_writes():
+    component, driver, sock = _stream_driver()
+    try:
+        sock.sendall(b"hello")
+        got = []
+        _pump_until(driver, lambda: got.append(_recv(sock))
+                    or b"".join(filter(None, got)) == b"HELLO")
+        ((peer, body),) = component.segments
+        assert peer.startswith("stream:") and body == {"d": "hello"}
+        sock.close()                      # the peer hangs up: a FIN
+        _pump_until(driver, lambda: len(component.segments) == 2)
+        assert component.segments[1] == (peer, {"d": "", "fin": True})
+        # The connection is gone: a late send is a metered drop, never a
+        # connect to somewhere.
+        driver._apply([Send(peer, segment("x", b"late"))], driver.now())
+        assert driver.send_errors == 1 and driver.sender.pending() == 0
+    finally:
+        driver.close()
+
+
+def test_only_a_segment_is_written_down_a_stream():
+    """A message of another kind sent to a stream contact (a scheduler
+    answering a contact it was handed) is a metered drop, and the
+    connection stays as it was."""
+    component, driver, sock = _stream_driver()
+    try:
+        sock.sendall(b"hi")
+        _pump_until(driver, lambda: component.segments)
+        ((peer, _),) = component.segments
+        driver._apply([Send(peer, Message("SCH_WORK", "x", {"unit": None}))],
+                      driver.now())
+        assert driver.send_errors == 1
+        sock.sendall(b"again")
+        got = []
+        _pump_until(driver, lambda: got.append(_recv(sock))
+                    or b"".join(filter(None, got)) == b"HIAGAIN")
+    finally:
+        sock.close()
+        driver.close()
+
+
+def test_a_fin_on_a_sent_segment_closes_the_connection_once_flushed():
+    component, driver, sock = _stream_driver()
+    try:
+        sock.sendall(b"bye!")
+        _pump_until(driver, lambda: component.segments)
+        (conn,) = driver.streams._conns
+        assert conn.out                  # the answer is still flushing ...
+        sock.sendall(b"more")            # ... when more bytes arrive
+        got = []
+        _pump_until(driver, lambda: got.append(_recv(sock)) or b"" in got)
+        assert b"".join(filter(None, got)) == b"BYE!" * 1_000_000
+        # The component let go of the connection itself: neither the
+        # late bytes nor a FIN come back to it.
+        for _ in range(10):
+            driver.step(0.002)
+        assert [body for _, body in component.segments] == [{"d": "bye!"}]
+    finally:
+        sock.close()
+        driver.close()

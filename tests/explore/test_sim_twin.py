@@ -117,7 +117,7 @@ def _exchange(pump, core, now):
     requests = HttpDecoder()
     requests.feed(render_request(method, path, doc, "gw0"))
     responses = HttpResponseDecoder()
-    responses.feed(respond(http_app(core, lambda: now, lambda: now),
+    responses.feed(respond(http_app(core, lambda: now),
                            requests.next_request()))
     status, _, body = responses.next_response()
     pump.answer(kind, status, body, now)

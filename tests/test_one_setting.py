@@ -65,6 +65,9 @@ def test_a_scheduler_node_has_no_dead_factor_option():
     (FaultPlan, {"injectors"}),
     (GatewayCore, {"events"}),
     (ExploreQueue, {"probe_limit"}),
+    (HttpServer, {"loop"}),
+    (HttpServer, {"max_body"}),
+    (TcpServer, {"decoder_factory"}),
 ])
 def test_removed_settings_stay_removed(fn, gone):
     assert not _params(fn) & gone
