@@ -10,7 +10,9 @@ gateway children.) A
 :class:`Scenario` — synthetic users (:class:`GatewayStorm` live,
 :class:`HttpUser` on the twin), an ME driver or a batch of specs, plus
 one fault — runs on either world through :func:`run_scenario`, judged by
-:func:`check_scenario`.
+:func:`check_scenario`. Every client — a user, the ME pump,
+:class:`GatewayClient` — is one :class:`HttpClientConnection` carrying a
+conversation, on a socket or in simulated segments.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ _EXPORTS = {
     "..control.client": ("GatewayClient",),
     "..control.component": ("GatewayComponent",),
     "..control.gateway": ("GatewayCore", "render_payload"),
-    "..control.http": ("HttpDecoder", "HttpError", "HttpRequest",
-                       "HttpResponseDecoder", "HttpServer", "error_response",
-                       "json_response", "text_response"),
+    "..control.http": ("HttpClientConnection", "HttpDecoder", "HttpError",
+                       "HttpRequest", "HttpResponseDecoder", "HttpServer",
+                       "error_response", "json_response", "text_response"),
     "..control.loadgen": ("GatewayStorm", "StormStats"),
     "..control.scenario": ("Scenario", "check_scenario", "run_scenario"),
     "..control.sim": ("HttpUser",),

@@ -4,8 +4,9 @@ The toolkit's second first-class application (ROADMAP item 4, DESIGN
 §16): an EMEWS EQ/Py-style :class:`ExploreQueue` through which ME
 algorithms (:class:`GridSweep`, :class:`HillClimber`) push black-box
 evaluation tasks to the unchanged gateway/scheduler/WorkQueue stack and
-consume results asynchronously. On the simulated twin the same driver
-rides the same HTTP, as a :class:`~repro.explore.queue.FeedPump` on an
+consume results asynchronously. :class:`ExploreQueue` is the one ME
+pump, a :class:`~repro.explore.queue.FeedPump`, run to completion; on
+the simulated twin the same pump rides the same HTTP on an
 :class:`~repro.control.sim.HttpUser`; ``repro explore`` is a
 :class:`~repro.control.scenario.Scenario` with an ``algo``.
 """

@@ -20,9 +20,9 @@ _EXPORTS = {
     ".client": ("GatewayClient",),
     ".component": ("GatewayComponent",),
     ".gateway": ("GatewayCore", "ROUTES", "TEXT_ROUTES", "render_payload"),
-    ".http": ("HttpDecoder", "HttpError", "HttpRequest",
-              "HttpResponseDecoder", "HttpServer", "error_response",
-              "json_response", "text_response"),
+    ".http": ("HttpClientConnection", "HttpDecoder", "HttpError",
+              "HttpRequest", "HttpResponseDecoder", "HttpServer",
+              "error_response", "json_response", "text_response"),
     ".loadgen": ("GatewayStorm", "StormStats"),
     ".scenario": ("Scenario", "check_scenario", "run_scenario"),
     ".sim": ("HttpUser",),

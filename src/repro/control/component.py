@@ -76,12 +76,16 @@ class GatewayComponent(SchedulerServer):
 
     def _restart(self, now: float) -> list[Effect]:
         self.restarts += 1
+        # A parked long-poll dies unanswered, and its peer sees the reset.
+        resets: list[Effect] = [Send(peer, segment(self.contact, b"",
+                                                   fin=True))
+                                for peer in self.parked]
         self.clients.clear()
         self.conns.clear()
         self.parked.clear()
         self.forecasts = ForecastRegistry()
         self.requeued_on_restart = self.work.replay()
-        return [LogLine(
+        return resets + [LogLine(
             f"simulated restart #{self.restarts}: "
             f"{self.requeued_on_restart} job(s) requeued from the journal")]
 

@@ -7,6 +7,10 @@ slowloris client dribbling bytes costs buffer, never a stalled reactor)
 and :class:`HttpConnection` one server connection, answered in request
 order: :class:`~repro.control.component.GatewayComponent` keeps one per
 peer on either plane, :class:`HttpServer` one per socket of its own.
+Its mirror, :class:`HttpClientConnection`, is every client's connection:
+a user's, the ME pump's and the blocking client's, on a real socket
+(:class:`~repro.control.client.HttpSocket`) or in simulated segments
+(:class:`~repro.control.sim.HttpUser`).
 
 Scope is deliberately the gateway's needs, not the RFC's: request line +
 headers + ``Content-Length`` bodies, keep-alive by default, bounded
@@ -28,6 +32,7 @@ __all__ = [
     "HttpError",
     "HttpRequest",
     "HttpDecoder",
+    "HttpClientConnection",
     "HttpConnection",
     "HttpResponseDecoder",
     "HttpServer",
@@ -61,7 +66,8 @@ _KNOWN_METHODS = {"GET", "POST", "PUT", "DELETE", "HEAD", "OPTIONS", "PATCH"}
 
 
 class HttpError(Exception):
-    """Client-side protocol failure (GatewayClient/response parsing)."""
+    """Client-side failure: a corrupt answer, or a gateway that could
+    not be reached or did not answer (``__cause__`` says why)."""
 
 
 class HttpRequest:
@@ -195,9 +201,10 @@ class HttpDecoder:
 
 
 class HttpResponseDecoder:
-    """Incremental HTTP/1.1 *response* parser (client side: the storm
-    load generator and the blocking gateway client). Same contract as
-    :class:`HttpDecoder`; returns ``(status, headers, body)`` tuples."""
+    """Incremental HTTP/1.1 *response* parser, the one a
+    :class:`HttpClientConnection` reads its answers with. Same contract
+    as :class:`HttpDecoder`; returns ``(status, headers, body)``
+    tuples."""
 
     __slots__ = ("_buf", "_dead", "max_body")
 
@@ -356,6 +363,51 @@ class HttpConnection:
             self.closed = request.close
             request = None
         return frames
+
+
+class HttpClientConnection:
+    """One client-side HTTP/1.1 keep-alive connection, sans-IO: the
+    mirror of :class:`HttpConnection`. A *conversation* says what to ask
+    and takes the answers: ``next_request()`` gives ``(kind, method,
+    path, doc)``, or ``None`` once it has nothing more to ask, and
+    ``answer(kind, status, body, now)`` takes the reply. One request is
+    in flight at a time; a closing answer starts a fresh decoder, for
+    the next connection."""
+
+    __slots__ = ("host", "decoder", "inflight")
+
+    def __init__(self, host: str) -> None:
+        self.host = host
+        self.decoder = HttpResponseDecoder()
+        #: ``(conversation, kind)`` of the request awaiting its answer.
+        self.inflight: Optional[tuple] = None
+
+    def request(self, conversation) -> Optional[bytes]:
+        """The frame of ``conversation``'s next request, or ``None``."""
+        request = conversation.next_request()
+        if request is None:
+            return None
+        kind, method, path, doc = request
+        self.inflight = (conversation, kind)
+        return render_request(method, path, doc, self.host)
+
+    def receive(self, data, now: float) -> Optional[tuple]:
+        """Feed bytes of the answer. Once it is whole, hand it to the
+        conversation that asked and return ``(what its answer returned,
+        whether the answer closes the connection)``; ``None`` until then.
+        A corrupt answer raises :class:`HttpError`."""
+        if self.inflight is None:
+            raise HttpError("bytes with no request in flight")
+        self.decoder.feed(data)
+        response = self.decoder.next_response()
+        if response is None:
+            return None
+        status, headers, body = response
+        (conversation, kind), self.inflight = self.inflight, None
+        closing = headers.get("connection", "").lower() == "close"
+        if closing:
+            self.decoder = HttpResponseDecoder()
+        return conversation.answer(kind, status, body, now), closing
 
 
 class HttpServer(StreamServer):

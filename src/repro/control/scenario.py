@@ -33,8 +33,8 @@ TWIN_EVAL_SPEED = 40_000.0
 #: Live users publish per-site utilisation to the gateway this often.
 SITES_PERIOD = 0.5
 #: Simulated seconds between a twin user's answer and its next request,
-#: and between two reads of the twin ME pump.
-USER_PERIOD, PUMP_PERIOD = 1.0, 0.25
+#: and the twin ME pump's ``poll`` (a twin evaluation takes about one).
+USER_PERIOD, PUMP_POLL = 1.0, 1.0
 
 
 @dataclass
@@ -203,9 +203,8 @@ def _run_twin(s: Scenario, telemetry) -> dict:
                       telemetry)
     if s.specs:
         # The batch is queued before any client says hello, as live.
-        pump = FeedPump(specs=s.specs)
-        world.add("me0", "me", HttpUser("me0", world.CONTACT, pump,
-                                        PUMP_PERIOD))
+        pump = FeedPump(specs=s.specs, poll=PUMP_POLL)
+        world.add("me0", "me", HttpUser("me0", world.CONTACT, pump, 0.0))
         while not (pump.pushed or pump.refused):
             world.env.step()
         if pump.refused:
@@ -232,9 +231,8 @@ def _run_twin(s: Scenario, telemetry) -> dict:
             start=USER_PERIOD * (0.1 + 0.8 * mix.rng.random())))
         world.add(users[-1].name, "usr", users[-1])
     if s.algo is not None:
-        pump = FeedPump(s.driver())
-        world.add("me0", "me", HttpUser("me0", world.CONTACT, pump,
-                                        PUMP_PERIOD))
+        pump = FeedPump(s.driver(), poll=PUMP_POLL)
+        world.add("me0", "me", HttpUser("me0", world.CONTACT, pump, 0.0))
     if s.victim == "client" and s.fault_at is not None:
         world.install(FaultPlan().crash(s.fault_at, clients[0].name))
 

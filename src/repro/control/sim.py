@@ -4,15 +4,12 @@
 :class:`~repro.control.component.GatewayComponent`, under simulated
 time, with HTTP/1.1 bytes riding the simulated network as segments
 (:func:`~repro.core.component.segment`: the bytes are the protocol).
-:class:`HttpUser` is the client end of one keep-alive connection,
-carrying a user's :class:`~repro.control.loadgen.UserMix` or the ME's
-:class:`~repro.explore.queue.FeedPump`; the real
-:class:`~repro.ramsey.client.RamseyClient` pulls jobs of any kind over
-SCH_*. :class:`TwinWorld` is where a
-:class:`~repro.control.scenario.Scenario` runs when it is not run as
-real processes: seeded streams and the virtual clock make its report a
-pure function of the scenario, which is what lets a pinned digest prove
-the control plane's logic hides no nondeterminism.
+:class:`HttpUser` carries the conversations live clients carry on
+sockets, and the real :class:`~repro.ramsey.client.RamseyClient` pulls
+jobs of any kind over SCH_*. A :class:`~repro.control.scenario.Scenario`
+not run as processes runs here: seeded streams and the virtual clock
+make its report a pure function of the scenario, so a pinned digest
+proves the control plane's logic hides no nondeterminism.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from ..ramsey.client import ModelEngine, RamseyClient
 from ..simgrid.host import Host
 from ..simgrid.load import ConstantLoad
 from .component import GatewayComponent
-from .http import HttpResponseDecoder, render_request
+from .http import HttpClientConnection
 
 __all__ = ["ForgingEngine", "HttpUser", "TwinWorld"]
 
@@ -37,15 +34,13 @@ T_NEXT = "http:next"
 
 
 class HttpUser(Component):
-    """One keep-alive HTTP/1.1 connection under simulated time, the twin
-    of one :class:`~repro.control.loadgen.GatewayStorm` user: one request
-    in flight, one timer. It carries a sans-IO ``conversation`` (a
-    :class:`~repro.control.loadgen.UserMix`, or the ME's
-    :class:`~repro.explore.queue.FeedPump`): ``next_request()`` gives
-    ``(kind, method, path, doc)``, or ``None`` to end it, and
-    ``answer(kind, status, body, now)`` takes the reply. The first
-    request goes out ``start`` simulated seconds in, each next one
-    ``period`` after the last answer."""
+    """The twin of a :class:`~repro.control.client.HttpSocket`: an
+    :class:`~repro.control.http.HttpClientConnection` carrying a
+    ``conversation`` (a :class:`~repro.control.loadgen.UserMix`, or the
+    ME's :class:`~repro.explore.queue.FeedPump`) in simulated segments.
+    The first request goes out ``start`` simulated seconds in, each next
+    one ``period`` after the last answer (or the pump's ``resume_at``),
+    or after a hang-up that left it unanswered, on a new connection."""
 
     def __init__(self, name: str, gateway: str, conversation,
                  period: float, start: float = 0.0) -> None:
@@ -55,33 +50,26 @@ class HttpUser(Component):
         self.period = period
         self.start = start
         self.requests = 0
-        self._host = gateway.partition("/")[0]
-        self._decoder = HttpResponseDecoder()
-        #: The kind of the request awaiting its answer.
-        self._inflight: Optional[str] = None
+        self.http = HttpClientConnection(gateway.partition("/")[0])
 
     def on_start(self, now: float) -> list[Effect]:
         return [SetTimer(T_NEXT, self.start)]
 
     def on_timer(self, key: str, now: float) -> list[Effect]:
-        request = self.conversation.next_request()
-        if request is None:
+        frame = self.http.request(self.conversation)
+        if frame is None:
             return []
-        self._inflight, method, path, doc = request
         self.requests += 1
-        return [Send(self.gateway, segment(
-            self.contact, render_request(method, path, doc, self._host)))]
+        return [Send(self.gateway, segment(self.contact, frame))]
 
     def on_message(self, message: Message, now: float) -> list[Effect]:
-        self._decoder.feed(message.body["d"].encode("latin-1"))
-        response = self._decoder.next_response()
-        if response is None:
-            return []
-        status, headers, body = response
-        if headers.get("connection") == "close":  # a new connection next
-            self._decoder = HttpResponseDecoder()
-        self.conversation.answer(self._inflight, status, body, now)
-        return [SetTimer(T_NEXT, self.period)]
+        if self.http.receive(message.body["d"].encode("latin-1"),
+                             now) is None:
+            if not message.body.get("fin"):
+                return []
+            self.http = HttpClientConnection(self.http.host)
+        return [SetTimer(T_NEXT, max(self.period, getattr(
+            self.conversation, "resume_at", now) - now))]
 
 
 class ForgingEngine:
@@ -90,9 +78,7 @@ class ForgingEngine:
 
     def __init__(self, engine, forge: Callable[[dict], dict],
                  first: int = 1) -> None:
-        self.engine = engine
-        self.forge = forge
-        self.first = first
+        self.engine, self.forge, self.first = engine, forge, first
         self.forged = 0
 
     def __getattr__(self, name: str):
@@ -149,11 +135,9 @@ class TwinWorld(SimWorld):
 
     def gateway_report(self) -> dict:
         gateway = self.gateway
-        return {
-            "requests": gateway.core.requests,
-            "rejected": gateway.core.rejected,
-            "restarts": gateway.restarts,
-            "requeued_on_restart": gateway.requeued_on_restart,
-            "scheduler": asdict(gateway.stats),
-            "work": gateway.work.stats(),
-        }
+        return {"requests": gateway.core.requests,
+                "rejected": gateway.core.rejected,
+                "restarts": gateway.restarts,
+                "requeued_on_restart": gateway.requeued_on_restart,
+                "scheduler": asdict(gateway.stats),
+                "work": gateway.work.stats()}

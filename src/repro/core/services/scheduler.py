@@ -122,6 +122,9 @@ class _ClientState:
     contact: str
     infra: str
     unit: Optional[dict] = None
+    #: Id of the unit last completed for this client: a repeat of its
+    #: done report must not complete or assign again.
+    last_done: Optional[str] = None
     last_seen: float = 0.0
     last_rate: float = 0.0
     last_best_energy: Optional[float] = None
@@ -272,10 +275,18 @@ class SchedulerServer(Component):
         unit_id = message.body.get("unit_id")
         action = "continue"
         unit_payload = None
-        if done:
+        held = (client.unit or {}).get("id")
+        if (done and unit_id is not None and str(unit_id) == client.last_done
+                and str(unit_id) != str(held)):
+            # A repeated report of a unit already answered (the client
+            # sends done until a directive arrives): the unit assigned in
+            # between stays with the client, which is told again.
+            action, unit_payload = "new_work", client.unit
+        elif done:
             if unit_id is not None:
                 self.work.complete(str(unit_id), message.body.get("result", {}))
                 self.stats.units_completed += 1
+                client.last_done = str(unit_id)
             client.unit = None
             new_unit = self._assign(client, now)
             action, unit_payload = "new_work", new_unit

@@ -16,9 +16,10 @@ scheduler/gateway/WorkQueue stack. The pieces:
 * :mod:`~repro.explore.drivers` — the ME algorithms (:class:`GridSweep`,
   :class:`HillClimber`) and the blocking EMEWS pump
   (:func:`run_driver`).
-* :mod:`~repro.explore.queue` — :class:`ExploreQueue` over the HTTP
-  gateway, and :class:`~repro.explore.queue.FeedPump`, the same pump as
-  a sans-IO conversation the simulated twin carries over the same HTTP.
+* :mod:`~repro.explore.queue` — the ME pump, one sans-IO conversation
+  (:class:`~repro.explore.queue.FeedPump`): :class:`ExploreQueue` runs it
+  over the HTTP gateway, the simulated twin carries it over the same
+  HTTP.
 
 ``repro explore`` is a :class:`~repro.control.scenario.Scenario` with an
 ``algo``, run on the twin or as real processes.

@@ -169,7 +169,7 @@ def run_top(contact: str, interval: float = 1.0,
                 try:
                     samples = parse_prometheus(client.metrics_text())
                     queue = client.queue()
-                    events = client.events(since=since, wait=0.0)
+                    events = client.events(since=since)
                 except (HttpError, ValueError) as exc:
                     print(f"gateway {contact} unreachable: {exc}",
                           file=out)

@@ -515,3 +515,57 @@ def test_a_refusal_is_reported_only_when_nothing_was_sent():
     with pytest.raises(HttpError) as fresh:
         client.submit({"kind": "noop"})      # no cached connection left
     assert isinstance(fresh.value.__cause__, ConnectionRefusedError)
+
+
+class Mute:
+    """A scripted server that reads whole requests and closes each
+    connection without answering; ``requests`` lists what it read."""
+
+    def __init__(self):
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.listener.settimeout(0.2)
+        self.contact = "127.0.0.1:%d" % self.listener.getsockname()[1]
+        self.requests = []
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._run, daemon=True)
+
+    def _run(self):
+        while not self._stop.is_set():
+            try:
+                conn, _ = self.listener.accept()
+            except socket.timeout:
+                continue
+            with conn:
+                decoder = HttpDecoder()
+                conn.settimeout(2)
+                while (request := decoder.next_request()) is None:
+                    chunk = conn.recv(65536)
+                    if not chunk:
+                        break
+                    decoder.feed(chunk)
+                if request is not None:
+                    self.requests.append((request.method, request.path))
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self._stop.set()
+        self._thread.join(timeout=2)
+        self.listener.close()
+
+
+def test_a_post_written_and_unanswered_is_never_sent_twice():
+    """It may have been accepted: the client raises instead of sending
+    it again. A GET is safe to send again, once, on a fresh connection."""
+    with Mute() as server:
+        client = GatewayClient(server.contact, timeout=2.0)
+        with pytest.raises(HttpError) as lost:
+            client.submit({"kind": "noop"})
+        assert not isinstance(lost.value.__cause__, ConnectionRefusedError)
+        with pytest.raises(HttpError):
+            client.health()
+        client.close()
+    assert server.requests == [("POST", "/jobs"), ("GET", "/health"),
+                               ("GET", "/health")]

@@ -5,17 +5,22 @@ what the answer meant; :class:`GatewayStorm` carries it over real
 sockets, :class:`HttpUser` over simulated segments, both writing each
 request with the one renderer. The core is tested once here; the
 carriers for the property that makes the simulated twin a twin: same
-seed, same answers, same request bytes.
+seed, same answers, same request bytes. The ME pump keeps the same
+property: ``ExploreQueue`` on a socket and the twin's ``HttpUser`` write
+the same frames for the same feed.
 """
 
+import json
 import random
 import socket
+import threading
 from types import SimpleNamespace
 
-from repro.control import GatewayStorm, HttpDecoder, HttpUser
-from repro.control.http import json_response
+from repro.control import GatewayClient, GatewayStorm, HttpDecoder, HttpUser
+from repro.control.http import json_response, text_response
 from repro.control.loadgen import StormStats, UserMix
 from repro.core.component import NullRuntime, Send, segment
+from repro.explore.queue import ExploreQueue, FeedPump
 from repro.ramsey.tasks import ramsey_job_spec
 
 
@@ -171,3 +176,95 @@ def test_seeded_storm_and_sim_user_emit_the_same_requests():
     assert sim == http
     assert sum(sim[name] for name in (
         "submitted", "queried", "cancelled", "rejected")) == n_requests
+
+
+# -- the ME pump: the same conversation on both planes ----------------------
+
+def _line(seq, event, job, **extra):
+    return json.dumps({"seq": seq, "t": 0.0, "event": event, "job": job,
+                       **extra}) + "\n"
+
+
+#: The scripted gateway, answer by answer: a push, a page retiring one
+#: job, a quiet page (its turn probes the two outstanding), a page whose
+#: seq breaks (its turn probes the one still outstanding).
+FEED = [
+    (201, {"ids": ["j-1", "j-2", "j-3"]}),
+    (200, _line(0, "submitted", "j-1") + _line(1, "submitted", "j-2")
+     + _line(2, "done", "j-1", result={"value": 1.0}, requeues=0)),
+    (200, ""),
+    (200, {"id": "j-2", "state": "done", "result": {"value": 2.0},
+           "requeues": 1}),
+    (200, {"id": "j-3", "state": "assigned"}),
+    (200, _line(9, "assigned", "j-3")),
+    (200, {"id": "j-3", "state": "done", "result": {"value": 3.0},
+           "requeues": 0}),
+]
+
+
+def _feed_answer(n):
+    status, payload = FEED[n]
+    if isinstance(payload, str):
+        return text_response(status, payload)
+    return json_response(status, payload)
+
+
+def _live_pump_frames(specs, poll):
+    """The request frames an ExploreQueue over a GatewayClient writes to
+    a scripted socket server, and the results it popped."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    frames = []
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn:
+            decoder, raw = HttpDecoder(), b""
+            while len(frames) < len(FEED):
+                chunk = conn.recv(65536)
+                if not chunk:
+                    return
+                raw += chunk
+                decoder.feed(chunk)
+                if decoder.next_request() is not None:
+                    frames.append(raw)
+                    raw = b""
+                    conn.sendall(_feed_answer(len(frames) - 1))
+
+    server = threading.Thread(target=serve, daemon=True)
+    server.start()
+    contact = "127.0.0.1:%d" % listener.getsockname()[1]
+    try:
+        with GatewayClient(contact, timeout=5.0) as client:
+            queue = ExploreQueue(client, poll=poll)
+            queue.push_tasks(specs)
+            popped = queue.pop_results(min_results=3, timeout=10.0)
+    finally:
+        server.join(timeout=5)
+        listener.close()
+    return frames, popped
+
+
+def test_the_live_and_twin_me_pumps_write_the_same_requests():
+    specs = [{"kind": "explore.eval", "x": i} for i in range(3)]
+    frames_http, popped = _live_pump_frames(specs, poll=0.25)
+
+    pump = FeedPump(specs=specs, poll=0.25)
+    user = HttpUser("me0", "127.0.0.1/gw", pump, period=0.0)
+    user.bind_runtime(NullRuntime("me0/me"))
+    frames_sim = []
+    for n in range(len(FEED) + 1):
+        effects = user.on_timer("http:next", float(n))
+        if not effects:
+            break
+        frames_sim.append(effects[0].message.body["d"].encode("latin-1"))
+        user.on_message(segment("127.0.0.1/gw", _feed_answer(n)), n + 0.5)
+
+    assert len(frames_http) == len(FEED)
+    assert frames_sim == frames_http
+    assert b"&wait=0.25 " in frames_sim[1]
+    assert [frame.split(b" ")[1] for frame in frames_sim[3:5]] == [
+        b"/jobs/j-2", b"/jobs/j-3"]
+    assert pump.finished_at is not None and pump.seq_breaks == 1
+    assert sorted(r["id"] for r in popped) == ["j-1", "j-2", "j-3"]
+    assert [r["requeues"] for r in sorted(popped, key=lambda r: r["id"])] \
+        == [0, 1, 0]

@@ -97,6 +97,24 @@ def test_report_done_gets_new_work_and_completes():
     assert sched.stats.units_completed == 1
 
 
+def test_a_repeated_done_report_keeps_the_unit_assigned_in_between():
+    """A client repeats its done report until a directive arrives: the
+    repeat must not complete or assign again, or the unit the first
+    answer carried is held by no one."""
+    sched, work = make_scheduler()
+    sched.on_message(msg(SCH_HELLO), 1.0)                       # holds u0
+    done = {"unit_id": "u0", "rate": 1e6, "done": True, "result": {"b": 2}}
+    (first,) = sends_of(sched.on_message(msg(SCH_REPORT, body=done), 30.0))
+    (again,) = sends_of(sched.on_message(msg(SCH_REPORT, body=done), 30.5))
+    assert first.message.body["unit"]["id"] == "u1"
+    assert again.message.body["action"] == "new_work"
+    assert again.message.body["unit"]["id"] == "u1"
+    assert sched.clients["cli/1"].unit["id"] == "u1"
+    assert sched.stats.units_assigned == 2                      # no third
+    assert sched.stats.units_completed == 1
+    assert work.completed == {"u0": {"b": 2}}
+
+
 def test_slow_client_migrated_to_fresh_unit():
     sched, work = make_scheduler(migrate_fraction=0.25, min_rate_samples=3)
     # Three fast clients and one painfully slow one.

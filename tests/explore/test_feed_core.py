@@ -1,14 +1,14 @@
 """The feed contract, against the sans-IO core both planes run.
 
-:class:`~repro.explore.queue.FeedConsumer` is everything the ME side
+:class:`~repro.explore.queue.FeedPump` is everything the ME side
 knows about the gateway's ``/events`` feed: the cursor, what is still
 outstanding, and how a terminal line retires a job. ``ExploreQueue``
-(live, over ``GatewayClient``) and ``FeedPump`` (the twin's conversation,
-over simulated HTTP) only move bytes to and from it, so the contract is
-pinned here once, with hand-written feed lines.
+(live, over ``GatewayClient``) and the twin's ``HttpUser`` only move
+bytes to and from it, so the contract is pinned here once, with
+hand-written feed lines.
 """
 
-from repro.explore.queue import ExploreQueue, FeedConsumer, FeedPump
+from repro.explore.queue import ExploreQueue, FeedPump
 
 
 def _line(seq, event, job, **extra):
@@ -16,7 +16,7 @@ def _line(seq, event, job, **extra):
 
 
 def _pushed(n=3, now=10.0):
-    feed = FeedConsumer()
+    feed = FeedPump()
     specs = [{"x": i} for i in range(n)]
     feed.record_push([f"t-{i}" for i in range(n)], specs, now)
     return feed, specs
@@ -84,7 +84,7 @@ def test_seq_gap_is_flagged_once_per_gap():
 
 
 def test_latency_unit_is_the_adapters_only_say_in_the_record():
-    assert FeedConsumer.LATENCY == FeedPump.LATENCY
+    assert FeedPump.LATENCY == ("latency_s", 1.0, 6)
     key, scale, digits = ExploreQueue.LATENCY
     assert (key, scale, digits) == ("latency_ms", 1000.0, 3)
     queue = ExploreQueue(client=None)
@@ -93,4 +93,4 @@ def test_latency_unit_is_the_adapters_only_say_in_the_record():
     assert record["latency_ms"] == 250.0
     assert queue.pop_latencies_ms == [250.0]
     assert queue.latency_quantile(0.99) == 250.0
-    assert FeedConsumer().latency_quantile(0.5) is None
+    assert FeedPump().latency_quantile(0.5) is None

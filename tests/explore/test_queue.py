@@ -21,7 +21,9 @@ from repro.obs.events import EventLog
 
 
 class CoreClient:
-    """GatewayClient-shaped adapter over a sans-IO GatewayCore."""
+    """GatewayClient-shaped adapter over a sans-IO GatewayCore: its one
+    method, ``request_raw``, answers what the queue asks through the
+    router, reading the feed and job records through ``events``/``job``."""
 
     def __init__(self, core):
         self.core = core
@@ -33,18 +35,22 @@ class CoreClient:
         self.now += 0.001
         return self.core.handle(method, path, body, self.now)
 
-    def submit(self, spec):
-        status, doc, _ = self._handle(
-            "POST", "/jobs", json.dumps(spec).encode())
-        assert status == 201, doc
-        return doc
-
-    def submit_batch(self, specs):
-        status, doc, _ = self._handle(
-            "POST", "/jobs/batch",
-            json.dumps({"specs": list(specs)}).encode())
-        assert status == 201, doc
-        return [str(job_id) for job_id in doc["ids"]]
+    def request_raw(self, method, path, doc=None):
+        route, _, query = path.partition("?")
+        if route == "/events":
+            params = dict(pair.split("=") for pair in query.split("&"))
+            events = self.events(int(params["since"]),
+                                 float(params.get("wait", 0)),
+                                 int(params["limit"]))
+            return 200, "".join(json.dumps(e) + "\n"
+                                for e in events).encode()
+        if method == "GET":
+            record = self.job(route.rsplit("/", 1)[1])
+            return (404, b"{}") if record is None \
+                else (200, json.dumps(record).encode())
+        status, payload, _ = self._handle(method, path,
+                                          json.dumps(doc).encode())
+        return status, json.dumps(payload).encode()
 
     def job(self, job_id):
         self.calls.append(("job", job_id))

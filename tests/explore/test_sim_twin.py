@@ -164,12 +164,21 @@ def _cli_sha(report):
 #: --seed 3`` (the CLI's defaults: 2 clients, ops budget 20,000).
 SWEEP_ARGS = ["--algo", "sweep", "--scale", "0.4", "--duration", "120",
               "--seed", "3"]
-SWEEP_SHA = "fdaeb2dde6fefaf97bcfe3777ff98a0153cbacb3ea9760ad1d6fe276a7e9a84e"
+#: Re-pinned when the twin's pump took the live feed rule (a long-poll
+#: with ``wait``, paced by the pump): 9 ``/events`` reads instead of 19,
+#: so ``gateway.requests`` 20 -> 10 and the HTTP message and delivery
+#: counts with them; results retire as their lines arrive, so
+#: ``me.finished_at`` 5.185 -> 5.043, ``pop_p50``/``pop_max`` move, and
+#: ``forecast.abs_error.total`` follows the changed network traffic.
+SWEEP_SHA = "b88727e26733f24ddd5bf955565a0404591d828b9e547de02e8acadd15f8de37"
 #: ``... --algo hill --scale 0.5 --duration 240 --seed 7 --kill-at 4
 #: --corrupt-first 1``: a gateway restart and a corrupted result.
 HILL_ARGS = ["--algo", "hill", "--scale", "0.5", "--duration", "240",
              "--seed", "7", "--kill-at", "4", "--corrupt-first", "1"]
-HILL_SHA = "4ad26c8c5f18f6f5a875440d5166af1f35a045fe6fb83d70dece9116b89e01ce"
+#: Re-pinned with SWEEP_SHA, for the same fields: 14 ``/events`` reads
+#: instead of 32 (``gateway.requests`` 35 -> 17), ``me.rounds`` [3.279,
+#: 6.266] -> [3.022, 6.044], ``me.finished_at`` 9.252 -> 9.043.
+HILL_SHA = "03b56365e66f6f2caf4ee87a92ca05551628c40dfc7c5d2d37c3fd81a5202985"
 
 
 def test_ci_sweep_twin_report_is_pinned_byte_for_byte():

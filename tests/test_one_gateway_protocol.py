@@ -6,7 +6,11 @@ http_app`; there is no second, message-shaped protocol for the twin,
 and no twin-only client for a user or for the ME pump. And one class is
 the gateway on both planes: the live gateway node runs the twin's
 :class:`~repro.control.component.GatewayComponent` under ``NetDriver``,
-so no server of its own parks or re-offers a long-poll.
+so no server of its own parks or re-offers a long-poll. On the client
+side, one :class:`~repro.control.http.HttpClientConnection` is every
+client's connection — a storm user's, the ME pump's, the blocking
+client's — on a socket or in simulated segments: the standard library's
+``http.client`` has no place in ``src/``.
 """
 
 import ast
@@ -91,3 +95,45 @@ def test_only_the_benchmark_children_build_a_server_of_their_own():
                     if _constructs(ast.parse(path.read_text(
                         encoding="utf-8")), name)]
         assert builders == sorted(keepers)
+
+
+#: ``repro.api`` at 170 names, and each deliberate change since: the
+#: one client connection joined the control layer.
+API_ADDED = {"HttpClientConnection"}
+API_REMOVED: set = set()
+
+
+def _imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_no_module_imports_the_stdlib_http_client():
+    users = [name for name, text in _sources()
+             if "http.client" in _imports(ast.parse(text))]
+    assert users == []
+
+
+def _decoder_owners(tree):
+    """The top-level class or function around each
+    ``HttpResponseDecoder(...)`` call (``<module>`` outside any)."""
+    for top in tree.body:
+        if _constructs(top, "HttpResponseDecoder"):
+            yield getattr(top, "name", "<module>")
+
+
+def test_the_client_connection_alone_reads_responses():
+    owners = sorted({f"{name}:{owner}" for name, text in _sources()
+                     for owner in _decoder_owners(ast.parse(text))})
+    assert owners == ["control/http.py:HttpClientConnection"]
+
+
+def test_the_api_changed_only_as_listed():
+    names = set(api.surface()["names"])
+    assert API_ADDED <= names and not API_REMOVED & names
+    assert len(names) == 170 + len(API_ADDED) - len(API_REMOVED)
+    assert "HttpClientConnection" in api.surface()["layers"]["control"]
