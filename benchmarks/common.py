@@ -6,11 +6,13 @@ flat dict naming its ``cell``. :func:`finish` writes the file and, under
 ``--check``, prints each floor failure and sets the exit code.
 
 **One gateway child.** ``python benchmarks/common.py PORT JOURNAL
-[--trace] [--execute]`` runs the ``HttpServer`` + ``GatewayCore`` +
-journal-backed ``WorkQueue`` stack ``repro serve`` deploys, as its own
-process, until killed. ``--trace`` turns on end-to-end job tracing;
-``--execute`` makes the child run evaluation units between I/O steps (a
-one-process grid, so a bench measures the queue, not worker placement).
+[--trace] [--execute]`` runs the live gateway node's stack —
+``GatewayComponent`` on a ``FileJournal`` under ``NetDriver``, its HTTP
+on the driver's stream listener at ``PORT`` — as its own process, until
+killed: the ``/events?wait=`` long-poll and ``http.latency_ms`` included.
+``--trace`` turns on end-to-end job tracing; ``--execute`` makes the
+child run evaluation units between driver steps (a one-process grid, so
+a bench measures the queue, not worker placement).
 :class:`GatewayProcess` spawns, health-checks, kills and respawns it.
 """
 
@@ -81,8 +83,8 @@ def free_port() -> int:
 def serve_gateway(port: int, journal: str, trace: bool = False,
                   execute: bool = False) -> None:
     """Child mode: one gateway process, pumped until killed."""
-    from repro.control import (FileJournal, GatewayCore, HttpServer,
-                               WorkQueue, render_payload)
+    from repro.control import FileJournal, GatewayComponent
+    from repro.live.node import _bind_driver
 
     telemetry = None
     if trace:
@@ -90,32 +92,17 @@ def serve_gateway(port: int, journal: str, trace: bool = False,
         from repro.obs.jobtrace import ID_BLOCK
 
         telemetry = Telemetry(trace=True, id_base=ID_BLOCK)
-    work = WorkQueue(journal=FileJournal(journal), prefix="bench-job")
-    work.clock = time.monotonic
-    core = GatewayCore("bench-gw", work, telemetry=telemetry,
-                       started_at=time.monotonic())
-
-    def app(request):
-        status, payload, route = core.handle(
-            request.method, request.path, request.body, time.monotonic())
-        return render_payload(status, payload, route, close=request.close)
-
-    last: Exception | None = None
-    for _ in range(100):  # the port may linger briefly after a SIGKILL
-        try:
-            server = HttpServer("127.0.0.1", port, app)
-            break
-        except OSError as exc:
-            last = exc
-            time.sleep(0.05)
-    else:
-        raise SystemExit(f"gateway bind failed: {last}")
+    gateway = GatewayComponent("bench", FileJournal(journal))
+    # The port may linger briefly after a SIGKILL: bind as a node does.
+    driver = _bind_driver(gateway, "127.0.0.1", 0, telemetry, 0.0,
+                          stream=f"127.0.0.1:{port}")
     if execute:
         from repro.core.services.kinds import registry
         from repro.explore.evals import execute_unit
+    work = gateway.work
     tracer = telemetry.tracer if telemetry is not None else None
     while True:
-        server.step(0.002 if execute else 0.05)
+        driver.step(0.002 if execute else 0.05)
         if tracer is not None:
             # Model a healthy span shipper: everything taken, list bounded.
             tracer.trim(tracer.dropped + len(tracer.spans))

@@ -22,6 +22,13 @@ Routes (diracx-style job management + health, ROADMAP item 2)::
     GET  /metrics           Prometheus text exposition (DESIGN §14)
     GET  /events            job-lifecycle feed, JSONL (long-poll capable)
     POST /telemetry/sites   per-site utilisation gauges (collector push)
+    POST /telemetry/gossip  pool-wide gossip sync-plane gauges (DESIGN §15)
+
+Each route is one row of one table, keyed by ``(method, path
+template)``: its handler, its telemetry label, its content type, whether
+it takes a JSON body and whether it may park. Dispatch, :data:`ROUTES`,
+:data:`TEXT_ROUTES`, the long-poll and the answer to a known path asked
+with another method (405) all read that table.
 
 Every request lands in per-route telemetry: a request counter labelled
 ``{route, status}``, a latency histogram per route (observed by the I/O
@@ -41,8 +48,8 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Callable, Optional, Union
-from urllib.parse import unquote_plus
+from typing import Callable, NamedTuple, Optional, Union
+from urllib.parse import parse_qsl
 
 from ..core.telemetry import Telemetry
 from ..obs.events import render_jsonl
@@ -53,28 +60,6 @@ from .workqueue import JOB_STATES, MAX_LISTED_JOBS, WorkQueue
 
 __all__ = ["GatewayCore", "ROUTES", "TEXT_ROUTES", "http_app",
            "render_payload"]
-
-#: Route keys as they appear in telemetry labels.
-ROUTES = (
-    "POST /jobs",
-    "POST /jobs/batch",
-    "GET /jobs",
-    "GET /jobs/{id}",
-    "POST /jobs/{id}/cancel",
-    "GET /queue",
-    "GET /health",
-    "GET /metrics",
-    "GET /events",
-    "POST /telemetry/sites",
-    "POST /telemetry/gossip",
-)
-
-#: Routes whose payload is pre-rendered text, and the content type each
-#: is served under.
-TEXT_ROUTES = {
-    "GET /metrics": PROM_CONTENT_TYPE,
-    "GET /events": "application/x-ndjson",
-}
 
 #: Latency buckets for the per-route histograms (milliseconds).
 LATENCY_BUCKETS_MS = (0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0,
@@ -101,21 +86,11 @@ def render_payload(status: int, payload: Union[dict, str, bytes],
     return json_response(status, payload, close=close)
 
 
-def _query_params(query: str) -> dict:
-    params: dict[str, str] = {}
-    for pair in query.split("&"):
-        if not pair:
-            continue
-        key, _, value = pair.partition("=")
-        params[unquote_plus(key)] = unquote_plus(value)
-    return params
-
-
 def _events_query(query: str) -> tuple[int, int, float]:
     """``(since, limit, wait)`` of a ``GET /events`` query; ``ValueError``
     unless since and limit are integers, limit ≥ 0, and wait a finite
     number ≥ 0 (a NaN wait would never pass its deadline)."""
-    params = _query_params(query)
+    params = dict(parse_qsl(query, keep_blank_values=True))
     since = int(params.get("since", "-1"))
     limit = int(params.get("limit", "500"))
     wait = float(params.get("wait", "0"))
@@ -155,29 +130,6 @@ class GatewayCore:
         #: never resets, so the references stay good until it is swapped.
         self._request_counters: dict = {}
 
-    # -- bookkeeping ----------------------------------------------------------
-    def _account(self, route: str, status: int, now: float) -> None:
-        self.requests += 1
-        if status >= 400:
-            self.rejected += 1
-        counter = self._request_counters.get((route, status))
-        if counter is None:
-            counter = self._request_counters[route, status] = (
-                self.telemetry.metrics.counter(
-                    "http.requests", route=route, status=str(status)))
-        counter.inc()
-        tracer = self.telemetry.tracer
-        if tracer.enabled and status >= 400:
-            # Only anomalies become spans. Healthy traffic is already
-            # covered by the counters/latency histograms and by the
-            # per-job ingress trace; a span per request would roughly
-            # triple tracing's hot-path cost and flood the flight spool
-            # at storm rates.
-            span = tracer.begin(f"http {route}", component=self.name,
-                                start=now, mtype=route)
-            span.args["status"] = status
-            tracer.finish(span, now, "rejected")
-
     def observe_latency(self, route: str, elapsed_ms: float) -> None:
         """Called by the I/O wrapper, which owns the request clock."""
         self.telemetry.metrics.histogram(
@@ -194,59 +146,73 @@ class GatewayCore:
         bytes, or pre-rendered text (str) for the routes in
         :data:`TEXT_ROUTES` — render any with :func:`render_payload`.
         """
-        path, _, query = path.partition("?")
-        path = path.rstrip("/") or "/"
-        segments = [s for s in path.split("/") if s]
-        status, doc, route = self._route(method, path, segments, body,
-                                         query, now)
-        self._account(route, status, now)
-        return status, doc, route
+        return self.dispatch(self.resolve(method, path, body), now)
 
-    def _route(self, method: str, path: str, segments: list[str],
-               body: bytes, query: str, now: float
-               ) -> tuple[int, Union[dict, str, bytes], str]:
-        if path == "/jobs":
-            if method == "POST":
-                return (*self._submit(body, now), "POST /jobs")
-            if method == "GET":
-                return (*self._list_jobs(), "GET /jobs")
-            return 405, {"error": f"{method} not allowed on {path}"}, "/jobs"
-        if path == "/jobs/batch":
-            if method != "POST":
-                return (405, {"error": f"{method} not allowed on {path}"},
-                        "POST /jobs/batch")
-            return (*self._submit_batch(body, now), "POST /jobs/batch")
-        if len(segments) == 2 and segments[0] == "jobs":
-            if method != "GET":
-                return (405, {"error": f"{method} not allowed on {path}"},
-                        "GET /jobs/{id}")
-            return (*self._get_job(segments[1]), "GET /jobs/{id}")
-        if (len(segments) == 3 and segments[0] == "jobs"
-                and segments[2] == "cancel"):
-            if method != "POST":
-                return (405, {"error": f"{method} not allowed on {path}"},
-                        "POST /jobs/{id}/cancel")
-            return (*self._cancel(segments[1], now), "POST /jobs/{id}/cancel")
-        if path == "/queue" and method == "GET":
-            return (*self._queue(), "GET /queue")
-        if path == "/health" and method == "GET":
-            return (*self._health(now), "GET /health")
-        if path == "/metrics" and method == "GET":
-            return (*self._metrics(), "GET /metrics")
-        if path == "/events" and method == "GET":
-            return (*self._events(query), "GET /events")
-        if path == "/telemetry/sites" and method == "POST":
-            return (*self._sites(body), "POST /telemetry/sites")
-        if path == "/telemetry/gossip" and method == "POST":
-            return (*self._gossip(body), "POST /telemetry/gossip")
-        return 404, {"error": f"no route for {method} {path}"}, "none"
+    def resolve(self, method: str, path: str, body: bytes) -> tuple:
+        """One request, parsed once: ``(label, route, arg)``. ``route`` is
+        its row of :data:`_TABLE`, and ``arg`` the JSON body of a body
+        route, the feed query of a route that parks, else the job id of
+        the path. Or ``route`` is None and ``arg`` the ``(status, doc)``
+        refusing it: 404 for an unknown path, 405 for a known path and
+        another method, 400 for a body or feed query that does not
+        parse."""
+        target, _, query = path.partition("?")
+        segments = [s for s in target.split("/") if s]
+        path = template = "/" + "/".join(segments)
+        job_id = segments[1] if len(segments) > 1 else None
+        if path not in _TEMPLATES and job_id is not None:
+            # The one path parameter: a job id, the second segment.
+            template = "/".join(("", segments[0], "{id}", *segments[2:]))
+        route = _TABLE.get((method, template))
+        if route is None:
+            if template in _TEMPLATES:
+                return template, None, (
+                    405, {"error": f"{method} not allowed on {path}"})
+            return "none", None, (
+                404, {"error": f"no route for {method} {path}"})
+        try:
+            if route.body:
+                return route.label, route, json.loads(body) if body else None
+            if route.parks:
+                return route.label, route, _events_query(query)
+        except ValueError:  # a UnicodeDecodeError is one too
+            return route.label, None, (400, {"error": (
+                "body is not valid JSON" if route.body else
+                "since/limit must be integers, limit and wait not "
+                "negative, wait finite")})
+        return route.label, route, job_id
+
+    def dispatch(self, call: tuple, now: float
+                 ) -> tuple[int, Union[dict, str, bytes], str]:
+        """Answer and account a request :meth:`resolve` parsed; returns
+        what :meth:`handle` does."""
+        label, route, arg = call
+        status, payload = arg if route is None else route.handler(
+            self, arg, now)
+        self.requests += 1
+        if status >= 400:
+            self.rejected += 1
+        counter = self._request_counters.get((label, status))
+        if counter is None:
+            counter = self._request_counters[label, status] = (
+                self.telemetry.metrics.counter(
+                    "http.requests", route=label, status=str(status)))
+        counter.inc()
+        tracer = self.telemetry.tracer
+        if tracer.enabled and status >= 400:
+            # Only anomalies become spans. Healthy traffic is already
+            # covered by the counters/latency histograms and by the
+            # per-job ingress trace; a span per request would roughly
+            # triple tracing's hot-path cost and flood the flight spool
+            # at storm rates.
+            span = tracer.begin(f"http {label}", component=self.name,
+                                start=now, mtype=label)
+            span.args["status"] = status
+            tracer.finish(span, now, "rejected")
+        return status, payload, label
 
     # -- handlers -------------------------------------------------------------
-    def _submit(self, body: bytes, now: float) -> tuple[int, dict]:
-        try:
-            spec = json.loads(body) if body else None
-        except (ValueError, UnicodeDecodeError):
-            return 400, {"error": "body is not valid JSON"}
+    def _submit(self, spec, now: float) -> tuple[int, dict]:
         if not isinstance(spec, dict):
             return 400, {"error": "job spec must be a JSON object"}
         if "id" in spec:
@@ -273,14 +239,10 @@ class GatewayCore:
         return 201, {"id": job.id, "state": job.state,
                      "submitted_at": job.submitted_at}
 
-    def _submit_batch(self, body: bytes, now: float) -> tuple[int, dict]:
+    def _submit_batch(self, doc, now: float) -> tuple[int, dict]:
         """N specs, one journal flush. Validation is atomic: a single
         bad spec 400s the whole batch and nothing is journaled — an ME
         pushing a generation either gets every task accepted or none."""
-        try:
-            doc = json.loads(body) if body else None
-        except (ValueError, UnicodeDecodeError):
-            return 400, {"error": "body is not valid JSON"}
         specs = doc.get("specs") if isinstance(doc, dict) else None
         if not isinstance(specs, list) or not specs:
             return 400, {"error": "body must be {'specs': [spec, ...]} "
@@ -311,7 +273,7 @@ class GatewayCore:
         return 201, {"ids": [job.id for job in jobs], "count": len(jobs),
                      "state": "queued", "submitted_at": now}
 
-    def _list_jobs(self) -> tuple[int, dict]:
+    def _list_jobs(self, _, now: float) -> tuple[int, dict]:
         counts = self.work.counts()
         return 200, {
             "counts": counts,
@@ -319,7 +281,8 @@ class GatewayCore:
             "truncated": counts["total"] > MAX_LISTED_JOBS,
         }
 
-    def _get_job(self, job_id: str) -> tuple[int, Union[dict, bytes]]:
+    def _get_job(self, job_id: str,
+                 now: float) -> tuple[int, Union[dict, bytes]]:
         job = self.work.get(job_id)
         if job is None:
             return 404, {"error": f"no job {job_id!r}"}
@@ -336,88 +299,66 @@ class GatewayCore:
         return 200, {"id": job.id, "state": job.state,
                      "finished_at": job.finished_at}
 
-    def _events(self, query: str) -> tuple[int, Union[dict, str]]:
-        try:
-            since, limit, _ = _events_query(query)
-        except ValueError:
-            return 400, {"error": "since/limit must be integers, limit "
-                                  "and wait not negative, wait finite"}
+    def _events(self, query: tuple, now: float) -> tuple[int, str]:
+        since, limit, _ = query
         return 200, render_jsonl(self.events.since(since, limit=limit))
 
-    def _sites(self, body: bytes) -> tuple[int, dict]:
+    def _set_gauge(self, name: str, value, **labels) -> None:
+        """Set one pushed gauge; a value that is not a number leaves it as
+        it was."""
+        try:
+            self.telemetry.metrics.gauge(name, **labels).set(float(value))
+        except (TypeError, ValueError):
+            pass
+
+    #: Per-site fields accepted by ``POST /telemetry/sites``; each lands
+    #: as the gauge ``site.<field>``, labelled with its site.
+    SITE_FIELDS = ("delivered_ops", "available_ops", "utilisation",
+                   "clients")
+
+    def _sites(self, doc, now: float) -> tuple[int, dict]:
         """Collector-computed per-site utilisation, pushed by the serve
         harness (the process that owns the collector). Lands as labelled
         gauges so /metrics exposes delivered-vs-available per site."""
-        try:
-            doc = json.loads(body) if body else None
-        except (ValueError, UnicodeDecodeError):
-            return 400, {"error": "body is not valid JSON"}
-        sites = (doc or {}).get("sites") if isinstance(doc, dict) else None
+        sites = doc.get("sites") if isinstance(doc, dict) else None
         if not isinstance(sites, dict):
             return 400, {"error": "body must be {'sites': {...}}"}
-        metrics = self.telemetry.metrics
         for site in sorted(sites):
             row = sites[site]
             if not isinstance(row, dict):
                 continue
-            for field, gauge in (("delivered_ops", "site.delivered_ops"),
-                                 ("available_ops", "site.available_ops"),
-                                 ("utilisation", "site.utilisation"),
-                                 ("clients", "site.clients")):
+            for field in self.SITE_FIELDS:
                 if field in row:
-                    try:
-                        metrics.gauge(gauge, site=site).set(
-                            float(row[field]))
-                    except (TypeError, ValueError):
-                        pass
+                    self._set_gauge(f"site.{field}", row[field], site=site)
         return 200, {"ok": True, "sites": len(sites)}
 
-    #: Pool-wide GossipStats fields accepted by ``POST /telemetry/gossip``
-    #: and the gauge each lands as (DESIGN §15).
-    GOSSIP_FIELDS = (
-        ("digest_rounds", "gossip.digest_rounds"),
-        ("delta_records", "gossip.delta_records"),
-        ("bytes_sent", "gossip.bytes_sent"),
-        ("bytes_saved", "gossip.bytes_saved"),
-        ("members", "gossip.members"),
-        ("registered", "gossip.registered"),
-        ("tombstones_created", "gossip.tombstones_created"),
-        ("evictions", "gossip.evictions"),
-    )
+    #: Pool-wide GossipStats fields accepted by ``POST /telemetry/gossip``;
+    #: each lands as the gauge ``gossip.<field>`` (DESIGN §15).
+    GOSSIP_FIELDS = ("digest_rounds", "delta_records", "bytes_sent",
+                     "bytes_saved", "members", "registered",
+                     "tombstones_created", "evictions")
 
-    def _gossip(self, body: bytes) -> tuple[int, dict]:
+    def _gossip(self, doc, now: float) -> tuple[int, dict]:
         """Pool-wide gossip sync-plane rollup, pushed by whichever process
         owns the Gossip pool (e.g. :func:`repro.experiments.bigpool.
         gossip_rollup`). Lands as ``gossip.*`` gauges — digest rounds,
         delta records shipped, bytes saved vs full-sync — plus per-state
         suspicion transition counts, so /metrics exposes the anti-entropy
         plane's health."""
-        try:
-            doc = json.loads(body) if body else None
-        except (ValueError, UnicodeDecodeError):
-            return 400, {"error": "body is not valid JSON"}
-        pool = (doc or {}).get("gossip") if isinstance(doc, dict) else None
+        pool = doc.get("gossip") if isinstance(doc, dict) else None
         if not isinstance(pool, dict):
             return 400, {"error": "body must be {'gossip': {...}}"}
-        metrics = self.telemetry.metrics
-        for field, gauge in self.GOSSIP_FIELDS:
+        for field in self.GOSSIP_FIELDS:
             if field in pool:
-                try:
-                    metrics.gauge(gauge).set(float(pool[field]))
-                except (TypeError, ValueError):
-                    pass
+                self._set_gauge(f"gossip.{field}", pool[field])
         transitions = pool.get("suspicion")
         if isinstance(transitions, dict):
             for state in sorted(transitions):
-                try:
-                    metrics.gauge("gossip.suspicion_transitions",
-                                  to=str(state)).set(
-                                      float(transitions[state]))
-                except (TypeError, ValueError):
-                    pass
+                self._set_gauge("gossip.suspicion_transitions",
+                                transitions[state], to=str(state))
         return 200, {"ok": True}
 
-    def _metrics(self) -> tuple[int, str]:
+    def _metrics(self, _, now: float) -> tuple[int, str]:
         """The exposition, with the queue's size set at scrape time: jobs
         per state, and how many of them the process holds in memory (a
         finished job is a range of the journal)."""
@@ -428,10 +369,10 @@ class GatewayCore:
         metrics.gauge("workqueue.jobs_held").set(len(self.work.jobs))
         return 200, render_prometheus(metrics.snapshot())
 
-    def _queue(self) -> tuple[int, dict]:
+    def _queue(self, _, now: float) -> tuple[int, dict]:
         return 200, {"depth": len(self.work), **self.work.stats()}
 
-    def _health(self, now: float) -> tuple[int, dict]:
+    def _health(self, _, now: float) -> tuple[int, dict]:
         return 200, {
             "ok": True,
             "node": self.name,
@@ -442,21 +383,60 @@ class GatewayCore:
         }
 
 
+class _Route(NamedTuple):
+    """One row of :data:`_TABLE`: its telemetry label, which is its key
+    too; its handler, ``(core, arg, now) -> (status, payload)``; the
+    content type of its text payload (None: a JSON document); whether it
+    takes a JSON body; and whether it may park as a long-poll."""
+
+    label: str
+    handler: Callable
+    text: Optional[str] = None
+    body: bool = False
+    parks: bool = False
+
+
+#: The one route table, ``(method, path template)`` -> its row.
+_TABLE = {tuple(route.label.split(" ")): route for route in (
+    _Route("POST /jobs", GatewayCore._submit, body=True),
+    _Route("POST /jobs/batch", GatewayCore._submit_batch, body=True),
+    _Route("GET /jobs", GatewayCore._list_jobs),
+    _Route("GET /jobs/{id}", GatewayCore._get_job),
+    _Route("POST /jobs/{id}/cancel", GatewayCore._cancel),
+    _Route("GET /queue", GatewayCore._queue),
+    _Route("GET /health", GatewayCore._health),
+    _Route("GET /metrics", GatewayCore._metrics, text=PROM_CONTENT_TYPE),
+    _Route("GET /events", GatewayCore._events, text="application/x-ndjson",
+           parks=True),
+    _Route("POST /telemetry/sites", GatewayCore._sites, body=True),
+    _Route("POST /telemetry/gossip", GatewayCore._gossip, body=True),
+)}
+#: Every path template of the table, whatever its method.
+_TEMPLATES = {template for _, template in _TABLE}
+
+#: Route keys as they appear in telemetry labels.
+ROUTES = tuple(route.label for route in _TABLE.values())
+
+#: Routes whose payload is pre-rendered text, and the content type each
+#: is served under.
+TEXT_ROUTES = {route.label: route.text for route in _TABLE.values()
+               if route.text is not None}
+
+
 def http_app(core: GatewayCore, clock: Callable[[], float]) -> HttpApp:
     """The gateway's HTTP app, live and on the twin: ``core`` routes each
     request at ``clock``'s time, which also times it for the latency
     histograms. A ``GET /events?wait=`` long-poll with nothing new parks
     (returns ``None``) until the feed moves or its wait, capped at
-    :data:`MAX_EVENT_WAIT`, runs out; its connection re-offers it."""
+    :data:`MAX_EVENT_WAIT`, runs out; its connection re-offers it. The
+    app resolves a request on its first offer and keeps the result on
+    the request, so a re-offer parses nothing again."""
 
-    def parks(request, now: float) -> bool:
-        path, _, query = request.path.partition("?")
-        if request.method != "GET" or path.rstrip("/") != "/events":
+    def parks(request, call: tuple, now: float) -> bool:
+        _, route, arg = call
+        if route is None or not route.parks:
             return False
-        try:
-            since, _, wait = _events_query(query)
-        except ValueError:
-            return False  # the router answers 400
+        since, _, wait = arg
         if wait == 0 or core.events.since(since, limit=1):
             return False
         if request.deadline is None:
@@ -465,10 +445,13 @@ def http_app(core: GatewayCore, clock: Callable[[], float]) -> HttpApp:
 
     def app(request) -> Optional[bytes]:
         now = clock()
-        if parks(request, now):
+        call = request.parsed
+        if call is None:
+            call = request.parsed = core.resolve(
+                request.method, request.path, request.body)
+        if parks(request, call, now):
             return None
-        status, payload, route = core.handle(
-            request.method, request.path, request.body, now)
+        status, payload, route = core.dispatch(call, now)
         core.observe_latency(route, (clock() - now) * 1000.0)
         return render_payload(status, payload, route, close=request.close)
 

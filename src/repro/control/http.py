@@ -22,7 +22,6 @@ take the service down.
 
 from __future__ import annotations
 
-import json
 from typing import Callable, Optional
 
 from ..core.linguafranca.tcp import StreamServer, _Connection
@@ -75,7 +74,7 @@ class HttpRequest:
     one: ``error`` carries the status/reason to answer with)."""
 
     __slots__ = ("method", "path", "headers", "body", "error", "close",
-                 "deadline")
+                 "deadline", "parsed")
 
     def __init__(self, method: str = "", path: str = "",
                  headers: Optional[dict] = None, body: bytes = b"",
@@ -91,15 +90,9 @@ class HttpRequest:
         self.close = close
         #: When a parked long-poll stops waiting (the app sets it).
         self.deadline: Optional[float] = None
-
-    def json(self):
-        """The body as JSON, or None if it is not a valid JSON document."""
-        if not self.body:
-            return None
-        try:
-            return json.loads(self.body)
-        except (ValueError, UnicodeDecodeError):
-            return None
+        #: What the app parsed of the request on its first offer (the
+        #: app sets it), so a re-offer does not parse it again.
+        self.parsed = None
 
 
 class HttpDecoder:
@@ -274,7 +267,7 @@ def render_request(method: str, path: str, doc: Optional[dict],
     real sockets and simulated segments alike."""
     head = f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
     if doc is not None:
-        body = json.dumps(doc).encode("utf-8")
+        body = _encode(doc).encode("ascii")
         head += "Content-Type: application/json\r\n"
     else:
         body = b""

@@ -122,7 +122,7 @@ def test_unknown_routes_404_wrong_methods_405(core):
     assert core.handle("DELETE", "/jobs", b"", now=0.0)[0] == 405
     assert core.handle("POST", "/jobs/t-1", b"", now=0.0)[0] == 405
     assert core.handle("GET", "/jobs/t-1/cancel", b"", now=0.0)[0] == 405
-    assert core.handle("POST", "/health", b"", now=0.0)[0] == 404
+    assert core.handle("POST", "/health", b"", now=0.0)[0] == 405
 
 
 def test_path_normalisation(core):
@@ -232,3 +232,30 @@ def test_a_long_poll_keeps_its_deadline_on_the_request(core):
     core.handle("POST", "/jobs", _json({"kind": "noop"}), now=7.0)
     now[0] = 7.0
     assert b'"event":"submitted"' in app(second)     # the feed moved
+
+
+def test_a_request_is_parsed_once_however_often_it_is_offered(core,
+                                                              monkeypatch):
+    """The app resolves a request on its first offer and keeps the
+    result on it: a parked long-poll's query is not parsed again when it
+    is re-offered, and a POST body is parsed once."""
+    import repro.control.gateway as gateway
+
+    parsed = []
+
+    def counting(real):
+        return lambda text: parsed.append(text) or real(text)
+
+    monkeypatch.setattr(gateway, "_events_query",
+                        counting(gateway._events_query))
+    monkeypatch.setattr(gateway.json, "loads", counting(gateway.json.loads))
+    now = [0.0]
+    app = http_app(core, lambda: now[0])
+    poll = HttpRequest("GET", "/events?wait=5")
+    for now[0] in (0.0, 1.0, 2.0, 3.0):
+        assert app(poll) is None
+    now[0] = 6.0
+    assert app(poll).startswith(b"HTTP/1.1 200 ")
+    assert app(HttpRequest("POST", "/jobs", body=b"{}")).startswith(
+        b"HTTP/1.1 201 ")
+    assert parsed == ["wait=5", b"{}"]

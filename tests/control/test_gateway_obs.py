@@ -172,7 +172,7 @@ def test_feed_lines_are_the_dict_form_and_carry_the_journaled_result():
 
 
 def test_request_counters_are_cached_per_route_and_follow_the_registry():
-    """`_account` keeps each http.requests Counter instead of rebuilding
+    """`dispatch` keeps each http.requests Counter instead of rebuilding
     its key per request; /metrics must not be able to tell."""
     telemetry = Telemetry()
     core = _core(telemetry=telemetry)

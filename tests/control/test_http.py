@@ -69,7 +69,7 @@ def test_decoder_handles_pipelined_requests():
     first = decoder.next_request()
     second = decoder.next_request()
     assert (first.path, second.path) == ("/a", "/b")
-    assert second.json() == {"x": 1}
+    assert second.body == b'{"x":1}'
     assert decoder.next_request() is None
 
 
@@ -82,7 +82,7 @@ def test_decoder_survives_slowloris_byte_dribble():
     decoder.feed(wire[-1:])
     request = decoder.next_request()
     assert request.error is None
-    assert request.json() == {"kind": "noop"}
+    assert request.body == b'{"kind": "noop"}'
 
 
 def test_decoder_waits_for_split_body():
@@ -91,7 +91,7 @@ def test_decoder_waits_for_split_body():
     decoder.feed(wire[:-4])
     assert decoder.next_request() is None
     decoder.feed(wire[-4:])
-    assert decoder.next_request().json() == {"a": 1}
+    assert decoder.next_request().body == b'{"a": 1}'
 
 
 @pytest.mark.parametrize("wire, status", [

@@ -16,6 +16,7 @@ import pytest
 import repro.control.gateway as gateway
 from repro.control import (HttpDecoder, HttpResponseDecoder, HttpUser,
                            Scenario, run_scenario)
+from repro.control.component import GatewayComponent
 from repro.control.sim import TwinWorld
 from repro.core.component import Component, Send, SetTimer, segment
 
@@ -158,11 +159,23 @@ CI_CONFIGS = {
     "hill": dict(seed=7, algo="hill", clients=2, scale=0.5, duration=240.0,
                  fault_at=4.0, corrupt=1),
 }
+#: The ``hill`` configuration restarted while the pump's long-poll is
+#: parked, and how many parked requests each restart drops.
+ACCOUNTED = {**{name: (config, 0) for name, config in CI_CONFIGS.items()},
+             "hill-parked": ({**CI_CONFIGS["hill"], "fault_at": 3.0}, 1)}
 
 
-@pytest.mark.parametrize("name", sorted(CI_CONFIGS))
+@pytest.mark.parametrize("name", sorted(ACCOUNTED))
 def test_every_twin_request_rides_the_live_decoders(name, monkeypatch):
+    """Each decoded request is rendered and read back, except the parked
+    long-polls a restart drops: those die decoded but unanswered."""
     counts = {"decoded": 0, "rendered": 0, "read": 0}
+    dropped = []
+    restart = GatewayComponent._restart
+
+    def counting_restart(self, now):
+        dropped.append(len(self.parked))
+        return restart(self, now)
 
     def counting(fn, key):
         def wrapper(*args, **kwargs):
@@ -177,8 +190,11 @@ def test_every_twin_request_rides_the_live_decoders(name, monkeypatch):
                         counting(gateway.render_payload, "rendered"))
     monkeypatch.setattr(HttpResponseDecoder, "next_response",
                         counting(HttpResponseDecoder.next_response, "read"))
-    report = run_scenario(Scenario(**CI_CONFIGS[name]))
+    monkeypatch.setattr(GatewayComponent, "_restart", counting_restart)
+    config, parked = ACCOUNTED[name]
+    report = run_scenario(Scenario(**config))
     requests = report["gateway"]["requests"]
     assert requests > 0
-    assert counts == {"decoded": requests, "rendered": requests,
-                      "read": requests}
+    assert dropped == [parked] * report["gateway"]["restarts"]
+    assert counts == {"decoded": requests + sum(dropped),
+                      "rendered": requests, "read": requests}

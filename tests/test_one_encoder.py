@@ -25,6 +25,7 @@ def _dumps_calls(path):
             in ("dumps", "JSONEncoder")]
 
 
-@pytest.mark.parametrize("module", ["explore/evals.py", "control/client.py"])
+@pytest.mark.parametrize("module", ["explore/evals.py", "control/client.py",
+                                    "control/http.py"])
 def test_no_per_call_encoder_on_the_explore_round_trip(module):
     assert _dumps_calls(SRC / module) == []

@@ -24,10 +24,9 @@ SRC = ROOT / "src" / "repro"
 GONE = ("GW_REQ", "GW_RES", "SimJobUser", "MEDriverComponent",
         "poll_parked", "_attach_gateway", "decoder_factory")
 #: Who still builds the listener with a server of its own: the
-#: benchmarks' gateway children. ROADMAP items 1 and 2 move them onto
+#: end-to-end benchmark's gateway child. ROADMAP item 1 moves it onto
 #: the component, and then ``HttpServer`` goes.
-KEPT_FOR_BENCHMARKS = {"HttpServer": ("benchmarks/common.py",
-                                      "benchmarks/e2e/gateway_child.py")}
+KEPT_FOR_BENCHMARKS = {"HttpServer": ("benchmarks/e2e/gateway_child.py",)}
 
 
 def _sources():
@@ -47,8 +46,8 @@ def test_the_twin_only_clients_are_gone_from_the_api():
     assert not set(GONE) & set(api.surface()["names"])
 
 
-def _handle_callers(tree):
-    """Name of the function around each ``<x>.handle(...)`` call."""
+def _callers(tree, attr):
+    """Name of the function around each ``<x>.<attr>(...)`` call."""
     def walk(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -56,16 +55,24 @@ def _handle_callers(tree):
                 continue
             if (isinstance(child, ast.Call)
                     and isinstance(child.func, ast.Attribute)
-                    and child.func.attr == "handle"):
+                    and child.func.attr == attr):
                 yield owner
             yield from walk(child, owner)
     return walk(tree, None)
 
 
+def _all_callers(attr):
+    return sorted({f"{name}:{owner}" for name, text in _sources()
+                   for owner in _callers(ast.parse(text), attr)})
+
+
 def test_only_the_one_app_routes_a_request():
-    callers = sorted({f"{name}:{owner}" for name, text in _sources()
-                      for owner in _handle_callers(ast.parse(text))})
-    assert callers == ["control/gateway.py:http_app"]
+    """A request is answered by ``GatewayCore.dispatch``: through the one
+    app, or through ``handle`` (what benchmarks and tests call), and
+    nothing in ``src/`` calls ``handle``."""
+    assert _all_callers("handle") == []
+    assert _all_callers("dispatch") == ["control/gateway.py:handle",
+                                        "control/gateway.py:http_app"]
 
 
 def _constructs(tree, name):
@@ -137,3 +144,76 @@ def test_the_api_changed_only_as_listed():
     assert API_ADDED <= names and not API_REMOVED & names
     assert len(names) == 170 + len(API_ADDED) - len(API_REMOVED)
     assert "HttpClientConnection" in api.surface()["layers"]["control"]
+
+
+# -- one route table ----------------------------------------------------------
+#: Every method a client of the gateway sends, and one it never does.
+METHODS = ("GET", "POST", "PUT", "DELETE")
+
+
+def _core():
+    from repro.control import GatewayCore, WorkQueue
+
+    core = GatewayCore("gw-guard", WorkQueue(prefix="g"))
+    core.handle("POST", "/jobs", b"{}", now=0.0)  # job g-1, for {id}
+    return core
+
+
+def test_each_route_answers_under_its_own_label():
+    from repro.control.gateway import ROUTES
+
+    core = _core()
+    for label in ROUTES:
+        method, template = label.split(" ")
+        path = template.replace("{id}", "g-1")
+        body = b"{}" if method == "POST" else b""
+        status, _, route = core.handle(method, path, body, now=1.0)
+        assert status != 404 and route == label, label
+
+
+def test_a_known_path_asked_with_another_method_is_405():
+    from repro.control.gateway import ROUTES
+
+    core = _core()
+    allowed: dict = {}
+    for label in ROUTES:
+        method, template = label.split(" ")
+        allowed.setdefault(template, set()).add(method)
+    for template, methods in allowed.items():
+        path = template.replace("{id}", "g-1")
+        for method in set(METHODS) - methods:
+            status, _, route = core.handle(method, path, b"", now=1.0)
+            assert (status, route) == (405, template), (method, path)
+
+
+def _path_literals(node):
+    """The ``"/…"`` string constants in ``node``, nested ones included."""
+    return [sub.value for sub in ast.walk(node)
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+            and sub.value.startswith("/")]
+
+
+def test_the_table_is_the_only_place_a_route_is_named():
+    """No path is compared with a literal outside the route table: not
+    with ``==``/``in``, nor with ``startswith``/``endswith``."""
+    tree = ast.parse((SRC / "control/gateway.py").read_text(
+        encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            found += _path_literals(node)
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("startswith", "endswith")):
+            found += _path_literals(node)
+    assert found == []
+
+
+def test_the_module_docstring_lists_the_routes():
+    import re
+
+    import repro.control.gateway as gateway
+
+    listed = [f"{method} {path}" for method, path in re.findall(
+        r"^    (GET|POST|PUT|DELETE) +(/\S*)", gateway.__doc__, re.M)]
+    assert listed == list(gateway.ROUTES)
