@@ -8,8 +8,9 @@ clock access lives in a *driver*:
 
 * :class:`repro.core.simdriver.SimDriver` runs a component on a simulated
   host over the simulated network (the SC98-scale experiments), and
-* a thin loop over :class:`repro.core.linguafranca.tcp.TcpServer` can run
-  the same component on real sockets.
+* :class:`repro.core.netdriver.NetDriver` runs the same component on
+  real sockets (every live node, the live gateway and the live
+  harness's collector).
 
 Keeping the protocol logic free of I/O is what makes the paper's
 "embarrassingly portable" property concrete here: the same component code

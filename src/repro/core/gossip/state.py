@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Optional
 
+from ..linguafranca.messages import MALFORMED
+
 __all__ = [
     "StateRecord",
     "Comparator",
@@ -62,14 +64,6 @@ class StateRecord:
             raise TypeError("record tag and origin must be strings")
         return cls(mtype=mtype, data=body["d"], stamp=wire_stamp(body["ts"]),
                    origin=origin, seq=int(body["n"]))
-
-
-#: What parsing a malformed wire field raises: a missing key or index, a
-#: wrong type, a non-number string, or a number ``int()``/``float()``
-#: cannot take (JSON's ``Infinity``, ``NaN`` or ``1e999`` to ``int``, a
-#: 400-digit integer to ``float``). The gossip frame parsers skip an
-#: entry that raises one: robustness over strictness.
-MALFORMED = (LookupError, TypeError, ValueError, OverflowError)
 
 
 def wire_list(value: Any) -> list:

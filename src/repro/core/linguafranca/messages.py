@@ -67,6 +67,15 @@ class MessageError(Exception):
     """Malformed message content."""
 
 
+#: What parsing a malformed wire field raises: a missing key or index, a
+#: wrong type, a non-number string, or a number ``int()``/``float()``
+#: cannot take (JSON's ``Infinity``, ``NaN`` or ``1e999`` to ``int``, a
+#: 400-digit integer to ``float``). The gossip frame parsers skip an
+#: entry that raises one, and the live collector a heartbeat: robustness
+#: over strictness.
+MALFORMED = (LookupError, TypeError, ValueError, OverflowError)
+
+
 def _render(value: Any) -> str:
     try:
         return "".join(_iterencode(value, 0))

@@ -28,8 +28,7 @@ There is no blocking client. A request/response exchange is a server and
 a sender on one loop: the request leaves through the sender with the
 local server's contact as ``sender``, and the reply arrives at that
 server as a fresh inbound frame correlated by ``req_id`` (the pattern
-:class:`~repro.core.netdriver.NetDriver` and the live harness's probe
-use).
+:class:`~repro.core.netdriver.NetDriver` uses).
 
 Every socket the module creates — listening-side accepts and outbound
 connects — sets ``TCP_NODELAY``: the lingua franca is small-record

@@ -14,9 +14,10 @@ observes a complete EveryWare world on real sockets:
   :class:`~repro.core.netdriver.NetDriver`, send heartbeats and spool
   spans and logs to the flight recorder;
 * :mod:`.collector` — the heartbeat wire protocol (metrics snapshots,
-  stats) and the supervisor-side state that merges heartbeats and
-  recovered flight spools into the same Chrome-trace/metrics/report
-  formats the simulation already emits;
+  stats) and the supervisor-side :class:`Collector`, a component the
+  harness runs under :class:`~repro.core.netdriver.NetDriver`, that
+  merges heartbeats and recovered flight spools into the same
+  Chrome-trace/metrics/report formats the simulation already emits;
 * :mod:`.supervisor` — process spawning, forecast-driven health checks,
   restart policies with backoff, chaos kills, graceful drain;
 * :mod:`.harness` — ``run_live``: topology in, merged report out.

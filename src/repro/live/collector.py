@@ -1,7 +1,9 @@
 """The supervisor-side telemetry collector for live worlds.
 
 Every live node reports to the supervisor over the same lingua franca
-the application speaks:
+the application speaks, to a :class:`Collector` that is a
+:class:`~repro.core.component.Component` the harness runs under
+:class:`~repro.core.netdriver.NetDriver` like any other endpoint:
 
 * ``COL_HELLO`` — once per process incarnation: node name, pid and
   incarnation number;
@@ -33,18 +35,15 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..core.component import Component, Effect
 from ..core.forecasting.benchmarking import ForecastRegistry, event_tag
-from ..core.linguafranca.messages import Message
-from ..core.linguafranca.tcp import TcpServer
+from ..core.linguafranca.messages import MALFORMED, Message
 from ..core.telemetry import Span, Tracer, merge_snapshots
 
 __all__ = ["COL_HELLO", "COL_REPORT", "Collector", "NodeRecord"]
 
 COL_HELLO = "COL_HELLO"
 COL_REPORT = "COL_REPORT"
-
-#: Stream name for per-node report interarrival forecasting.
-HEARTBEAT = "COL_REPORT"
 
 
 @dataclass
@@ -84,32 +83,26 @@ class NodeRecord:
     duplicate_reports: int = 0
 
 
-class Collector:
+class Collector(Component):
     """Merges per-node telemetry shipments into world-level artifacts."""
 
-    def __init__(self, host: str = "127.0.0.1") -> None:
-        self.server = TcpServer(host, 0, self._handle)
+    def __init__(self) -> None:
+        super().__init__("collector")
         self.nodes: dict[str, NodeRecord] = {}
         self.forecasts = ForecastRegistry()
-        #: Wall epoch of the collector itself: the merged timeline's zero.
-        self.epoch = time.time()
-        self._t0 = time.monotonic()
         self.bad_messages = 0
+        #: Replies to the harness's requests by ``req_id``, None while
+        #: awaited; a reply whose key is gone (no one waits) is dropped.
+        self.replies: dict[int, Optional[Message]] = {}
 
-    @property
-    def contact(self) -> str:
-        return self.server.contact
+    def bind_runtime(self, runtime) -> None:
+        super().bind_runtime(runtime)
+        #: Wall time at the driver clock's zero: the merged timeline's zero.
+        self.epoch = time.time() - runtime.now()
 
     def now(self) -> float:
-        """Seconds since the collector started (the merged timeline)."""
-        return time.monotonic() - self._t0
-
-    def step(self, timeout: float = 0.05) -> None:
-        """Pump the collector's reactor once."""
-        self.server.step(timeout)
-
-    def close(self) -> None:
-        self.server.close()
+        """Seconds on the driver's clock (the merged timeline)."""
+        return self.runtime.now()
 
     # -- ingestion ------------------------------------------------------------
     def _record(self, name: str) -> NodeRecord:
@@ -118,29 +111,44 @@ class Collector:
             rec = self.nodes[name] = NodeRecord(name=name)
         return rec
 
-    def _handle(self, message: Message) -> Optional[Message]:
+    def on_message(self, message: Message, now: float) -> list[Effect]:
         body = message.body
-        name = body.get("node")
-        if not isinstance(name, str) or not name:
+        if message.reply_to is not None:
+            if message.reply_to in self.replies:
+                self.replies[message.reply_to] = message
+            return []
+        # Parse every field before the record moves (§2.3): a heartbeat
+        # that does not parse is counted and leaves no trace.
+        try:
+            name = body["node"]
+            if type(name) is not str or not name:
+                raise TypeError("node must be a non-empty string")
+            if message.mtype == COL_HELLO:
+                pid = int(body.get("pid", 0))
+                incarnation = int(body.get("incarnation", 0))
+            elif message.mtype == COL_REPORT:
+                known = self.nodes.get(name)
+                seq = int(body.get("seq", 0))
+                incarnation = int(body.get(
+                    "incarnation", known.incarnation if known else 0))
+            else:
+                raise LookupError(f"unknown message type {message.mtype}")
+        except MALFORMED:
             self.bad_messages += 1
-            return None
+            return []
+        rec = self._record(name)
         if message.mtype == COL_HELLO:
-            rec = self._record(name)
             rec.hellos += 1
             rec.contact = message.sender
-            rec.pid = int(body.get("pid", 0))
-            rec.incarnation = int(body.get("incarnation", 0))
+            rec.pid = pid
+            rec.incarnation = incarnation
             rec.stop_reason = None
-            return None
-        if message.mtype == COL_REPORT:
-            self._ingest_report(self._record(name), body)
-            return None
-        self.bad_messages += 1
-        return None
+        else:
+            self._ingest_report(rec, seq, incarnation, body, now)
+        return []
 
-    def _ingest_report(self, rec: NodeRecord, body: dict) -> None:
-        seq = int(body.get("seq", 0))
-        incarnation = int(body.get("incarnation", rec.incarnation))
+    def _ingest_report(self, rec: NodeRecord, seq: int, incarnation: int,
+                       body: dict, now: float) -> None:
         # Dedup is per-incarnation: restarts reset the node-side counter,
         # and a dead life's straggler (still in flight while the
         # successor says hello) must not be mistaken for a resend.
@@ -149,10 +157,9 @@ class Collector:
             return
         rec.last_seqs[incarnation] = seq
         rec.reports += 1
-        now = self.now()
         if rec.last_report is not None:
             # Forecast-driven liveness: learn this node's shipping cadence.
-            self.forecasts.record(event_tag(rec.name, HEARTBEAT),
+            self.forecasts.record(event_tag(rec.name, COL_REPORT),
                                   now - rec.last_report)
         rec.last_report = now
         metrics = body.get("metrics")
@@ -227,22 +234,19 @@ class Collector:
             if rec.last_report is None or rec.final_reports:
                 continue
             deadline = self.forecasts.timeout(
-                event_tag(name, HEARTBEAT), multiplier=multiplier,
+                event_tag(name, COL_REPORT), multiplier=multiplier,
                 default=default, floor=floor, ceiling=ceiling)
             if now - rec.last_report > deadline:
                 suspects.append(name)
         return suspects
 
     # -- merged artifacts -----------------------------------------------------
-    def node_order(self) -> list[str]:
-        return sorted(self.nodes)
-
     def merged_metrics(self) -> dict:
         """Every incarnation of every node merged into one snapshot
         (:func:`merge_snapshots` semantics: counters add, so a restarted
         node contributes each of its lives exactly once)."""
         snapshots = []
-        for name in self.node_order():
+        for name in sorted(self.nodes):
             rec = self.nodes[name]
             history = rec.metrics_history or {0: rec.metrics}
             snapshots.extend(history[i] for i in sorted(history))
@@ -273,7 +277,7 @@ class Collector:
         (start-time ordered), ready for the existing exporters."""
         tracer = Tracer(enabled=False)
         spans: list[Span] = []
-        for name in self.node_order():
+        for name in sorted(self.nodes):
             spans.extend(self.nodes[name].spans)
         spans.sort(key=lambda s: (s.start, s.trace_id, s.span_id))
         tracer.spans = spans
@@ -281,7 +285,7 @@ class Collector:
 
     def merged_logs(self) -> list[dict]:
         lines: list[dict] = []
-        for name in self.node_order():
+        for name in sorted(self.nodes):
             lines.extend(self.nodes[name].logs)
         lines.sort(key=lambda d: d["t"])
         return lines

@@ -13,8 +13,8 @@ it — the live twin of :func:`repro.experiments.sc98.run_sc98`:
    SIGKILLing one node mid-run — the chaos knob — to demonstrate
    restart-with-backoff plus scheduler-side work requeue on real
    sockets);
-4. while the world is still up, probe the persistent state service over
-   the wire and run every stored counter-example through
+4. while the world is still up, probe the persistent state service from
+   the collector's endpoint and run every stored counter-example through
    :func:`repro.ramsey.verify.verify_counter_example_object`;
 5. drain gracefully (SIGTERM → final telemetry flush → SIGKILL
    stragglers) and assemble a :class:`LiveReport` — merged Chrome trace,
@@ -28,78 +28,24 @@ import json
 import os
 import tempfile
 import time
-from contextlib import AbstractContextManager, closing
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 from ..core.linguafranca.messages import Message, fresh_req_id
-from ..core.linguafranca.tcp import AsyncSender, EventLoop, TcpServer
+from ..core.netdriver import NetDriver
 from ..core.services.persistent import PST_FETCH, PST_KEYS, PST_LIST, PST_VALUE
 from ..core.telemetry import write_trace_json
 from ..ramsey.verify import ValidationError, verify_counter_example_object
 from .collector import Collector
 from .ports import PortAllocator
 from .supervisor import RestartPolicy, Supervisor
-from .topology import Manifest, Topology, build_manifest
+from .topology import Topology, build_manifest
 
-__all__ = ["Probe", "LiveReport", "check_invariants", "LiveWorld",
-           "run_live"]
+__all__ = ["LiveReport", "check_invariants", "LiveWorld", "run_live"]
 
 #: Stored counter-examples fetched per persistent node when probing.
 MAX_PROBED_KEYS = 64
-
-
-class Probe:
-    """A one-shot lingua-franca endpoint for querying a live world.
-
-    NetDriver replies travel as fresh connections to ``message.sender``
-    (datagram-style), so the probe is built like a driver: its own
-    listening server and an :class:`AsyncSender` on one event loop, with
-    replies correlated by ``req_id`` — exactly like a real EveryWare peer.
-    """
-
-    def __init__(self, host: str = "127.0.0.1") -> None:
-        self.loop = EventLoop()
-        self.server = TcpServer(host, 0, self._handle, loop=self.loop)
-        self.sender = AsyncSender(self.loop, sender=self.server.contact)
-        self._replies: list[Message] = []
-
-    @property
-    def contact(self) -> str:
-        return self.server.contact
-
-    def _handle(self, message: Message) -> Optional[Message]:
-        self._replies.append(message)
-        return None
-
-    def request(self, contact: str, mtype: str, body: dict,
-                timeout: float = 5.0) -> Optional[Message]:
-        """Send a request to ``contact`` and wait for its correlated
-        reply; None on timeout or unreachable peer."""
-        host, _, port = contact.rpartition(":")
-        try:
-            port_no = int(port)
-        except ValueError:
-            return None
-        req_id = fresh_req_id()
-        errors = self.sender.errors
-        self.sender.post(host, port_no, Message(
-            mtype=mtype, sender=self.contact, body=body, req_id=req_id),
-            timeout=2.0)
-        end = time.monotonic() + timeout
-        while time.monotonic() < end and self.sender.errors == errors:
-            self.loop.step(0.05)
-            self.sender.service()
-            for message in self._replies:
-                if message.reply_to == req_id:
-                    self._replies.remove(message)
-                    return message
-        return None
-
-    def close(self) -> None:
-        self.sender.close()
-        self.server.close()
-        self.loop.close()
 
 
 @dataclass
@@ -189,21 +135,38 @@ def check_invariants(report: LiveReport) -> list[str]:
     return violations
 
 
+def _request(world: LiveWorld, contact: str, mtype: str, body: dict,
+             timeout: float = 5.0) -> Optional[Message]:
+    """Send a request from the collector's endpoint to ``contact`` and
+    step its driver until the collector holds the correlated reply;
+    None on timeout or unreachable peer."""
+    driver, replies = world.driver, world.collector.replies
+    req_id = fresh_req_id()
+    replies[req_id] = None
+    errors = driver.send_errors
+    driver.post(contact, Message(mtype=mtype, sender=driver.contact,
+                                 body=body, req_id=req_id), timeout=2.0)
+    end = time.monotonic() + timeout
+    while (replies[req_id] is None and time.monotonic() < end
+           and driver.send_errors == errors):
+        driver.step(0.05)
+    return replies.pop(req_id)  # a reply after this is dropped
+
+
 def _probe_counter_examples(
-    probe: Probe, manifest: Manifest
-) -> tuple[list[dict], list[str]]:
+        world: LiveWorld) -> tuple[list[dict], list[str]]:
     """LIST+FETCH every ``ramsey/`` key on every persistent node and
     verify the stored objects; returns (records, failure strings)."""
     found: list[dict] = []
     failures: list[str] = []
-    for contact in manifest.contacts_for("persistent"):
-        listing = probe.request(contact, PST_LIST, {"prefix": "ramsey/"})
+    for contact in world.manifest.contacts_for("persistent"):
+        listing = _request(world, contact, PST_LIST, {"prefix": "ramsey/"})
         if listing is None or listing.mtype != PST_KEYS:
             failures.append(f"{contact}: persistent LIST went unanswered")
             continue
         keys = [k for k in listing.body.get("keys", []) if isinstance(k, str)]
         for key in keys[:MAX_PROBED_KEYS]:
-            reply = probe.request(contact, PST_FETCH, {"key": key})
+            reply = _request(world, contact, PST_FETCH, {"key": key})
             if reply is None or reply.mtype != PST_VALUE:
                 failures.append(f"{key}: fetch went unanswered")
                 continue
@@ -265,7 +228,8 @@ class LiveWorld(AbstractContextManager):
         #: Chaos events injected (``{"t", "node", "pid"}``).
         self.chaos: list[dict] = []
         self._health_at = 1.0
-        self._tmp = self.collector = self.allocator = self.supervisor = None
+        self._tmp = self.collector = self.driver = None
+        self.allocator = self.supervisor = None
         try:
             if out is not None:
                 os.makedirs(out, exist_ok=True)
@@ -274,9 +238,10 @@ class LiveWorld(AbstractContextManager):
                 self._tmp = tempfile.TemporaryDirectory(prefix="repro-live-")
                 run_dir = self._tmp.name
             self.manifest_path = os.path.join(run_dir, "manifest.json")
-            self.collector = Collector(host=host)
+            self.collector = Collector()
+            self.driver = NetDriver(self.collector, host=host)
             self.allocator = PortAllocator(host)
-            self.manifest = build_manifest(topology, self.collector.contact,
+            self.manifest = build_manifest(topology, self.driver.contact,
                                            host=host, allocator=self.allocator)
             self.manifest.write(self.manifest_path)
             self.supervisor = Supervisor(
@@ -297,8 +262,8 @@ class LiveWorld(AbstractContextManager):
             self.supervisor.drain(grace=0.0)
         if self.allocator is not None:
             self.allocator.release()
-        if self.collector is not None:
-            self.collector.close()
+        if self.driver is not None:
+            self.driver.close()
         if self._tmp is not None:
             self._tmp.cleanup()
 
@@ -313,9 +278,9 @@ class LiveWorld(AbstractContextManager):
 
     # -- the loop body ------------------------------------------------------
     def pump(self, timeout: float = 0.005) -> None:
-        """One turn: collector I/O, reap/respawn, the 1 Hz health check
-        and — once — the scheduled kill."""
-        self.collector.step(timeout)
+        """One turn: a step of the collector's driver, reap/respawn, the
+        1 Hz health check and — once — the scheduled kill."""
+        self.driver.step(timeout)
         self.supervisor.poll()
         now = self.supervisor.now()
         if now >= self._health_at:
@@ -410,7 +375,7 @@ class LiveWorld(AbstractContextManager):
         supervisor.drain(pump=self.pump)
         # One final pump so last reports queued during drain all land.
         for _ in range(10):
-            self.collector.step(0.01)
+            self.driver.step(0.01)
         nodes: dict[str, dict] = {}
         statuses = supervisor.statuses()
         for spec in self.topology.nodes:
@@ -486,9 +451,7 @@ def run_live(
             world.pump(0.02)
 
         # Probe while the services are still alive, then drain.
-        with closing(Probe(host)) as probe:
-            counter_examples, verify_failures = _probe_counter_examples(
-                probe, world.manifest)
+        counter_examples, verify_failures = _probe_counter_examples(world)
         world.say(f"probed {len(counter_examples)} stored "
                   "counter-example(s); draining")
         nodes = world.drain()

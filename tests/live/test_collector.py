@@ -1,11 +1,16 @@
 """Collector ingestion: hello/report protocol, timeline merging of
 flight spools, forecast-driven liveness. Messages are injected straight
-into the handler — the wire path is covered by the end-to-end smoke
-test."""
+into the handler; one test sends hostile heartbeats over a socket to
+the collector under its driver, and the end-to-end smoke test covers
+the rest of the wire path."""
+
+import socket
+import time
 
 import pytest
 
 from repro.core.linguafranca.messages import Message
+from repro.core.netdriver import NetDriver
 from repro.core.telemetry import Telemetry
 from repro.live import Collector
 from repro.live.collector import COL_HELLO, COL_REPORT
@@ -15,8 +20,14 @@ from repro.obs.flight import FlightRecorder, flight_path, load_flight
 @pytest.fixture
 def collector():
     col = Collector()
+    driver = NetDriver(col)
     yield col
-    col.close()
+    driver.close()
+
+
+def _feed(collector, message):
+    """Hand ``message`` to the collector's handler at its driver's now."""
+    collector.on_message(message, collector.now())
 
 
 def _hello(name, incarnation=0, pid=42):
@@ -32,28 +43,28 @@ def _report(name, seq, **extra):
 
 
 def test_hello_then_reports_accumulate(collector):
-    collector._handle(_hello("n1"))
-    collector._handle(_report("n1", 1, stats={"records": 3}))
-    collector._handle(_report("n1", 2, stats={"records": 9}))
+    _feed(collector, _hello("n1"))
+    _feed(collector, _report("n1", 1, stats={"records": 3}))
+    _feed(collector, _report("n1", 2, stats={"records": 9}))
     rec = collector.nodes["n1"]
     assert rec.hellos == 1 and rec.reports == 2
     assert rec.stats == {"records": 9}  # latest wins
 
 
 def test_duplicate_and_stale_seq_dropped(collector):
-    collector._handle(_hello("n1"))
-    collector._handle(_report("n1", 1))
-    collector._handle(_report("n1", 1))
-    collector._handle(_report("n1", 0))
+    _feed(collector, _hello("n1"))
+    _feed(collector, _report("n1", 1))
+    _feed(collector, _report("n1", 1))
+    _feed(collector, _report("n1", 0))
     rec = collector.nodes["n1"]
     assert rec.reports == 1 and rec.duplicate_reports == 2
 
 
 def test_new_incarnation_resets_sequence_space(collector):
-    collector._handle(_hello("n1"))
-    collector._handle(_report("n1", 5))
-    collector._handle(_hello("n1", incarnation=1))
-    collector._handle(_report("n1", 1))  # fresh process starts at 1 again
+    _feed(collector, _hello("n1"))
+    _feed(collector, _report("n1", 5))
+    _feed(collector, _hello("n1", incarnation=1))
+    _feed(collector, _report("n1", 1))  # fresh process starts at 1 again
     rec = collector.nodes["n1"]
     assert rec.reports == 2 and rec.incarnation == 1
 
@@ -77,28 +88,29 @@ def test_spans_and_logs_shift_onto_collector_timeline(collector, tmp_path):
 
 
 def test_merged_metrics_add_counters_across_nodes(collector):
-    collector._handle(_hello("a"))
-    collector._handle(_hello("b"))
+    _feed(collector, _hello("a"))
+    _feed(collector, _hello("b"))
     snap = {"counters": {"msg.sent{mtype=X}": 2}, "gauges": {}, "histograms": {}}
-    collector._handle(_report("a", 1, metrics=snap))
-    collector._handle(_report("b", 1, metrics=snap))
+    _feed(collector, _report("a", 1, metrics=snap))
+    _feed(collector, _report("b", 1, metrics=snap))
     merged = collector.merged_metrics()
     assert merged["counters"]["msg.sent{mtype=X}"] == 4
 
 
 def test_final_report_records_stop_reason(collector):
-    collector._handle(_hello("n1"))
-    collector._handle(_report("n1", 1, final=True, stop_reason="signal:SIGTERM"))
+    _feed(collector, _hello("n1"))
+    _feed(collector, _report("n1", 1, final=True,
+                             stop_reason="signal:SIGTERM"))
     rec = collector.nodes["n1"]
     assert rec.final_reports == 1
     assert rec.stop_reason == "signal:SIGTERM"
 
 
 def test_silent_nodes_is_forecast_driven(collector):
-    collector._handle(_hello("chatty"))
+    _feed(collector, _hello("chatty"))
     # Teach the forecaster a ~0.1s cadence, then go quiet.
     for seq in range(1, 6):
-        collector._handle(_report("chatty", seq))
+        _feed(collector, _report("chatty", seq))
         collector.nodes["chatty"].last_report = seq * 0.1
         if seq > 1:
             from repro.core.forecasting.benchmarking import event_tag
@@ -113,11 +125,43 @@ def test_silent_nodes_is_forecast_driven(collector):
 
 
 def test_malformed_messages_counted_not_fatal(collector):
-    collector._handle(Message(mtype=COL_REPORT, sender="x", body={}))
-    collector._handle(Message(mtype="WHAT", sender="x", body={"node": "n"}))
-    collector._handle(_hello("n1"))
-    collector._handle(_report("n1", 1))
+    _feed(collector, Message(mtype=COL_REPORT, sender="x", body={}))
+    _feed(collector, Message(mtype="WHAT", sender="x", body={"node": "n"}))
+    _feed(collector, _hello("n1"))
+    _feed(collector, _report("n1", 1))
     collector.ingest_flight({"node": "n1", "epoch": collector.epoch,
                              "spans": [{"nonsense": True}], "logs": []})
     assert collector.bad_messages == 3
     assert collector.nodes["n1"].reports == 1
+
+
+def test_a_heartbeat_that_does_not_parse_moves_nothing(collector):
+    _feed(collector, _hello("n1", pid=[]))
+    _feed(collector, _report("n1", "x"))
+    _feed(collector, _report("n1", 1, incarnation="first"))
+    _feed(collector, Message(mtype=COL_HELLO, sender="x", body={"node": 7}))
+    assert collector.bad_messages == 4
+    assert "n1" not in collector.nodes  # not even a record was made
+    _feed(collector, _hello("n1"))
+    _feed(collector, _report("n1", 1))
+    rec = collector.nodes["n1"]
+    assert (rec.hellos, rec.reports, rec.pid) == (1, 1, 42)
+
+
+def test_hostile_heartbeats_over_a_socket_are_dropped_and_serving_goes_on():
+    collector = Collector()
+    driver = NetDriver(collector)
+    try:
+        host, _, port = driver.contact.rpartition(":")
+        frames = [_report("n1", "x"), _hello("n1", pid=[]), _report("n1", 1)]
+        with socket.create_connection((host, int(port))) as sock:
+            sock.sendall(b"".join(m.encode() for m in frames))
+            end = time.monotonic() + 5.0
+            while "n1" not in collector.nodes and time.monotonic() < end:
+                driver.step(0.05)
+        assert collector.bad_messages == 2
+        rec = collector.nodes["n1"]
+        assert (rec.hellos, rec.reports) == (0, 1)
+        assert driver.handler_errors == 0
+    finally:
+        driver.close()

@@ -14,6 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.linguafranca.messages import Message
+from repro.core.netdriver import NetDriver
 from repro.core.telemetry import Telemetry
 from repro.live import Collector
 from repro.live.collector import COL_HELLO, COL_REPORT
@@ -24,8 +25,14 @@ from repro.obs.flight import FlightRecorder, flight_path, load_flight
 @pytest.fixture
 def collector():
     col = Collector()
+    driver = NetDriver(col)
     yield col
-    col.close()
+    driver.close()
+
+
+def _feed(collector, message):
+    """Hand ``message`` to the collector's handler at its driver's now."""
+    collector.on_message(message, collector.now())
 
 
 def _hello(name, incarnation=0):
@@ -73,11 +80,11 @@ def test_straggler_from_dead_incarnation_uses_its_own_epoch(collector,
     # recovered only after inc1 said hello, and a heartbeat from inc0
     # still in flight lands after it too: the spans shift by inc0's
     # epoch — not the successor's — and the heartbeat still counts.
-    collector._handle(_hello("n1", incarnation=0))
-    collector._handle(_report("n1", 1, incarnation=0))
-    collector._handle(_hello("n1", incarnation=1))
-    collector._handle(_report("n1", 2, incarnation=0))
-    collector._handle(_report("n1", 1, incarnation=1))
+    _feed(collector, _hello("n1", incarnation=0))
+    _feed(collector, _report("n1", 1, incarnation=0))
+    _feed(collector, _hello("n1", incarnation=1))
+    _feed(collector, _report("n1", 2, incarnation=0))
+    _feed(collector, _report("n1", 1, incarnation=1))
     collector.ingest_flight(load_flight(_spool(
         tmp_path, 0, collector.epoch + 1.0, spans=[("a", 2.0, 2.5)],
         seal=False)))
@@ -91,13 +98,13 @@ def test_straggler_from_dead_incarnation_uses_its_own_epoch(collector,
 
 
 def test_duplicate_seq_after_reconnect_dropped_per_incarnation(collector):
-    collector._handle(_hello("n1", incarnation=0))
-    collector._handle(_report("n1", 3, incarnation=0))
+    _feed(collector, _hello("n1", incarnation=0))
+    _feed(collector, _report("n1", 3, incarnation=0))
     # Reconnect resend: same incarnation, same seq — a duplicate.
-    collector._handle(_report("n1", 3, incarnation=0))
+    _feed(collector, _report("n1", 3, incarnation=0))
     # But seq 3 from the NEXT incarnation is new data, not a duplicate.
-    collector._handle(_hello("n1", incarnation=1))
-    collector._handle(_report("n1", 3, incarnation=1))
+    _feed(collector, _hello("n1", incarnation=1))
+    _feed(collector, _report("n1", 3, incarnation=1))
     rec = collector.nodes["n1"]
     assert rec.duplicate_reports == 1
     assert rec.reports == 2 and sorted(rec.metrics_history) == [0, 1]
@@ -106,9 +113,9 @@ def test_duplicate_seq_after_reconnect_dropped_per_incarnation(collector):
 def test_span_dedup_is_by_id_even_across_paths(collector):
     # A report is a heartbeat, not a span path: spans a report still
     # carries are not merged, so the spool's copy is the only one.
-    collector._handle(_hello("n1", incarnation=0))
-    collector._handle(_report("n1", 1, incarnation=0,
-                              spans=[_span(5, 0.0, 0.5)]))
+    _feed(collector, _hello("n1", incarnation=0))
+    _feed(collector, _report("n1", 1, incarnation=0,
+                             spans=[_span(5, 0.0, 0.5)]))
     collector.ingest_flight({"node": "n1", "incarnation": 0,
                              "epoch": collector.epoch,
                              "spans": [_span(5, 0.0, 0.5),
@@ -123,10 +130,10 @@ def test_flight_dump_after_successor_hello_merges_idempotently(collector,
     # inc0 and recovers its spool: every span, on inc0's epoch. A second
     # recovery of the same incarnation offers nothing.
     epoch0 = collector.epoch + 2.0
-    collector._handle(_hello("n1", incarnation=0))
+    _feed(collector, _hello("n1", incarnation=0))
     _spool(tmp_path, 0, epoch0, seal=False, spans=[
         ("one", 0.1, 0.2), ("two", 0.3, 0.4), ("last gasp", 0.5, 0.6)])
-    collector._handle(_hello("n1", incarnation=1))
+    _feed(collector, _hello("n1", incarnation=1))
 
     manifest = SimpleNamespace(topology=SimpleNamespace(nodes=[]))
     sup = Supervisor(manifest, str(tmp_path / "manifest.json"),
@@ -161,9 +168,9 @@ def test_flight_dump_for_unknown_node_creates_record(collector):
 def test_log_dedup_between_shipment_and_flight_dump(collector, tmp_path):
     # Log lines travel in the spool alone: one a report still carries
     # is not merged, so the line appears once.
-    collector._handle(_hello("n1", incarnation=0))
+    _feed(collector, _hello("n1", incarnation=0))
     line = {"t": 1.0, "component": "n1", "level": "info", "text": "hi"}
-    collector._handle(_report("n1", 1, incarnation=0, logs=[line]))
+    _feed(collector, _report("n1", 1, incarnation=0, logs=[line]))
     collector.ingest_flight(load_flight(_spool(
         tmp_path, 0, collector.epoch, logs=[(1.0, "hi")])))
     assert [(d["t"], d["text"]) for d in collector.nodes["n1"].logs] == [

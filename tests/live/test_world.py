@@ -10,10 +10,12 @@ guarantees are each pinned in milliseconds.
 """
 
 import os
+import socket
 from types import SimpleNamespace
 
 import pytest
 
+from repro.core.component import Component
 from repro.live import harness
 from repro.live.harness import LiveWorld
 from repro.live.ports import PortAllocator
@@ -22,19 +24,13 @@ from repro.live.topology import serve_topology
 TICK = 0.25
 
 
-class StubCollector:
-    contact = "127.0.0.1:1"
+class StubCollector(Component):
+    """Hears nothing; the world runs it under a real driver."""
 
-    def __init__(self, host="127.0.0.1"):
+    def __init__(self):
+        super().__init__("collector")
         self.nodes = {}
-        self.closed = False
         made.append(self)
-
-    def step(self, timeout=0.0):
-        return 0
-
-    def close(self):
-        self.closed = True
 
 
 class StubSupervisor:
@@ -111,9 +107,13 @@ def _topology():
 
 
 def _released(stubs):
-    """Everything the world acquired has been given back."""
+    """Everything the world acquired has been given back: the
+    collector's endpoint refuses connections and no port is held."""
     collector, allocator = stubs[0], stubs[1]
-    return collector.closed and allocator._held == []
+    host, _, port = collector.contact.rpartition(":")
+    with socket.socket() as sock:
+        refused = sock.connect_ex((host, int(port))) != 0
+    return refused and allocator._held == []
 
 
 def _shipped(**stats):
