@@ -43,7 +43,6 @@ suspicion evicts.
 
 from __future__ import annotations
 
-import json
 import math
 import zlib
 from dataclasses import dataclass, field
@@ -52,7 +51,7 @@ from typing import Optional, Sequence
 from ..component import CancelTimer, Component, Effect, LogLine, Send, SetTimer, Stop
 from ..forecasting.benchmarking import ForecastRegistry, event_tag
 from ..policy import TimeoutPolicy
-from ..linguafranca.messages import Message
+from ..linguafranca.messages import Message, _json
 from .clique import CLIQUE_MTYPES, CliqueState, _in_view, _shared
 from .digest import StateDigest, plan_exchange
 from .state import (MALFORMED, ComparatorRegistry, StateRecord, wire_int,
@@ -486,7 +485,7 @@ class GossipServer(Component):
         body is sized as received, not as ``rec`` would re-render it."""
         self.freshest[rec.mtype] = rec
         self.stats.records_adopted += 1
-        self.digest.adopt(rec, len(json.dumps(body, separators=(",", ":"))))
+        self.digest.adopt(rec, len(_json(body)))
         self._rumors[rec.mtype] = self._rumor_budget()
 
     def seed_records(self, records: list[StateRecord],

@@ -16,13 +16,11 @@ are registered per message type.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Optional
 
-from ..linguafranca.messages import MALFORMED
+from ..linguafranca.messages import MALFORMED, _json, wire_stamp
 
 __all__ = [
     "StateRecord",
@@ -53,7 +51,7 @@ class StateRecord:
     @cached_property
     def body_size(self) -> int:
         """Serialized size of :meth:`to_body`, once per shared record."""
-        return len(json.dumps(self.to_body(), separators=(",", ":")))
+        return len(_json(self.to_body()))
 
     @classmethod
     def from_body(cls, body: dict) -> "StateRecord":
@@ -77,16 +75,6 @@ def wire_int(value: Any, default: int) -> int:
         return int(value)
     except MALFORMED:
         return default
-
-
-def wire_stamp(value: Any) -> float:
-    """A wire timestamp as a finite float; raises one of :data:`MALFORMED`
-    otherwise (an ``inf`` or NaN stamp would win, or tie, every
-    comparison it meets)."""
-    stamp = float(value)
-    if not math.isfinite(stamp):
-        raise ValueError(f"non-finite stamp {value!r}")
-    return stamp
 
 
 def default_comparator(a: StateRecord, b: StateRecord) -> int:

@@ -10,12 +10,21 @@ encoding serves the same role).
 EveryWare servers use: every request carries a fresh ``req_id``, the reply
 echoes it in ``reply_to``, and the response-time forecaster keys its event
 streams on ``(server address, message type)`` (§2.2 dynamic benchmarking).
+
+This module is the program's one JSON renderer: :func:`_compact_encoder`
+builds the two compact encoders, the wire's (keys in insertion order)
+and the record log's (keys sorted, :mod:`repro.obs.recordlog`), and
+every byte count of a JSON value renders through the first. A message
+renders its body when it is first sized or framed under a header, and
+again only when a header field changes; there is no cache of bodies by
+content (DESIGN §7 "Render a body once").
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Optional
@@ -32,35 +41,32 @@ def fresh_req_id() -> int:
     return next(_req_counter)
 
 
-#: Body text by content: a body built afresh each period (gossip digests
-#: and their acks, polls, heartbeats) renders once, whoever sends it and
-#: whatever header it carries — the header is spliced around the text.
-#: Only a string-keyed body whose values are all scalars of a
-#: ``_KEYABLE`` type is keyed, with those types in the key, so equal keys
-#: mean equal JSON (``True == 1 == 1.0`` render three ways); a float body
-#: holding a zero is not keyed, since ``0.0 == -0.0``. Deciding it raises
-#: nothing. Building the key costs about what rendering a flat body
-#: does: the cache saves renders, and sizing a send instead of framing
-#: it (:meth:`Message.wire_size`) is where the time goes.
-_body_cache: dict[tuple, str] = {}
-_BODY_CACHE_MAX = 2048
-_KEYABLE = frozenset((str, int, float, bool, type(None)))
-_STR = frozenset((str,))
 #: ``len('{"s":' ',"b":' '}')``: the record text around its parts.
 _RECORD_BRACES = 11
 
-#: The one compact JSON encoder every record goes through, built at
-#: import: ``json.dumps`` with ``separators=`` builds a ``JSONEncoder`` per
-#: call, and ``JSONEncoder.encode`` builds its C encoder per call.
-#: ``"".join(_iterencode(record, 0))`` is ``json.dumps(record,
-#: separators=(",", ":"))`` to the byte. Built without the per-call
-#: circular-reference markers, a circular body fails as a RecursionError
-#: instead of a ValueError. Without json's C accelerator the encoder's
-#: own pure-Python path serves.
-_iterencode = (json.JSONEncoder(separators=(",", ":")).iterencode
-               if c_make_encoder is None else c_make_encoder(
-                   None, json.JSONEncoder().default, encode_basestring_ascii,
-                   None, ":", ",", False, False, True))
+
+def _compact_encoder(sort_keys: bool):
+    """A compact JSON encoder, to be built once, at import:
+    ``json.dumps`` with ``separators=`` builds a ``JSONEncoder`` per
+    call, and ``JSONEncoder.encode`` builds its C encoder per call.
+    ``"".join(encoder(value, 0))`` is ``json.dumps(value,
+    sort_keys=sort_keys, separators=(",", ":"))`` to the byte. Built
+    without the per-call circular-reference markers, a circular value
+    fails as a RecursionError instead of a ValueError. Without json's C
+    accelerator the encoder's own pure-Python path serves."""
+    if c_make_encoder is None:
+        return json.JSONEncoder(sort_keys=sort_keys,
+                                separators=(",", ":")).iterencode
+    return c_make_encoder(None, json.JSONEncoder().default,
+                          encode_basestring_ascii, None, ":", ",",
+                          sort_keys, False, True)
+
+
+#: The wire's encoder, keys in insertion order: every record, and every
+#: byte count the program keeps of a JSON value (:func:`_json`).
+_wire_encoder = _compact_encoder(False)
+#: The record log's encoder, keys sorted (:func:`repro.obs.recordlog._encode`).
+_sorted_encoder = _compact_encoder(True)
 
 
 class MessageError(Exception):
@@ -76,33 +82,28 @@ class MessageError(Exception):
 MALFORMED = (LookupError, TypeError, ValueError, OverflowError)
 
 
+def wire_stamp(value: Any) -> float:
+    """A wire timestamp as a finite float; raises one of :data:`MALFORMED`
+    otherwise (an ``inf`` or NaN stamp would win, or tie, every
+    comparison it meets)."""
+    stamp = float(value)
+    if not math.isfinite(stamp):
+        raise ValueError(f"non-finite stamp {value!r}")
+    return stamp
+
+
+def _json(value: Any) -> str:
+    """``value`` as compact JSON, keys in insertion order: the text a
+    record carries and a sizer counts (``json.dumps(value,
+    separators=(",", ":"))``, raising what the encoder raises)."""
+    return "".join(_wire_encoder(value, 0))
+
+
 def _render(value: Any) -> str:
     try:
-        return "".join(_iterencode(value, 0))
+        return _json(value)
     except (TypeError, ValueError, RecursionError) as exc:
         raise MessageError(f"unserializable message body: {exc}") from exc
-
-
-def _body_text(body: dict) -> str:
-    """``body`` as JSON text, from :data:`_body_cache` when keyable."""
-    values = body.values()
-    if not _KEYABLE.issuperset(map(type, values)):
-        return _render(body)
-    types = tuple(map(type, values))
-    if float in types and 0.0 in values:
-        return _render(body)
-    key = (tuple(body.items()), types)
-    text = _body_cache.get(key)
-    if text is None:
-        text = _render(body)
-        # Only string-keyed bodies are stored, so a lookup under other
-        # keys always misses: 1, 1.0 and True are one dict key but three
-        # JSON keys.
-        if _STR.issuperset(map(type, body)):
-            if len(_body_cache) >= _BODY_CACHE_MAX:
-                _body_cache.clear()
-            _body_cache[key] = text
-    return text
 
 
 def _header_value(value: Any) -> str:
@@ -172,7 +173,7 @@ class Message(_Framed):
         optional fields (``,"q":…``, ``,"r":…``, ``,"t":[…]``) as text.
         The text is ASCII (the encoder escapes the rest), so its length
         is its byte count."""
-        body = _body_text(self.body)
+        body = _render(self.body)
         sender = self.sender
         sender = (encode_basestring_ascii(sender) if type(sender) is str
                   else _render(sender))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Protocol
 
 from ..component import Component, Effect, LogLine, Send
-from ..linguafranca.messages import Message
+from ..linguafranca.messages import Message, _json
 
 __all__ = [
     "PersistentStateServer",
@@ -80,10 +80,10 @@ class MemoryBackend:
         self._bytes = 0
 
     def put(self, key: str, obj: dict) -> None:
-        encoded = len(json.dumps(obj, separators=(",", ":")))
+        encoded = len(_json(obj))
         old = self._data.get(key)
         if old is not None:
-            self._bytes -= len(json.dumps(old, separators=(",", ":")))
+            self._bytes -= len(_json(old))
         self._data[key] = obj
         self._bytes += encoded
 

@@ -29,13 +29,13 @@ Scale choices worth knowing about:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
 from ..core.gossip.server import GossipServer
 from ..core.gossip.state import ComparatorRegistry, StateRecord
 from ..core.simdriver import SimDriver, SimWorld
+from ..obs.recordlog import _encode
 from ..simgrid.faults import FaultPlan
 from ..simgrid.load import ConstantLoad
 
@@ -190,8 +190,8 @@ _STAT_FIELDS = (
 def export_state(pool: BigPool) -> dict:
     """Deterministic snapshot of the pool: per-member digest identity and
     the aggregate protocol counters. Two same-seed runs of the same
-    scenario must serialize this identically (``json.dumps(...,
-    sort_keys=True)``) — the reproducibility gate."""
+    scenario must serialize this identically (:func:`export_json`,
+    sorted keys) — the reproducibility gate."""
     members = [
         {"contact": contact, "root": server.digest.root,
          "count": server.digest.count,
@@ -216,8 +216,7 @@ def export_state(pool: BigPool) -> dict:
 
 
 def export_json(pool: BigPool) -> str:
-    return json.dumps(export_state(pool), sort_keys=True,
-                      separators=(",", ":"))
+    return _encode(export_state(pool))
 
 
 def gossip_rollup(servers: list[GossipServer]) -> dict:

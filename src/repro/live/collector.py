@@ -37,7 +37,7 @@ from typing import Optional
 
 from ..core.component import Component, Effect
 from ..core.forecasting.benchmarking import ForecastRegistry, event_tag
-from ..core.linguafranca.messages import MALFORMED, Message
+from ..core.linguafranca.messages import MALFORMED, Message, wire_stamp
 from ..core.telemetry import Span, Tracer, merge_snapshots
 
 __all__ = ["COL_HELLO", "COL_REPORT", "Collector", "NodeRecord"]
@@ -179,14 +179,21 @@ class Collector(Component):
         a node's spans and log lines. Timestamps are relative to the
         epoch in the spool's header, so a life lands on the collector
         timeline by its own clock whenever it is recovered. The
-        supervisor offers each spool once. Returns the spans added."""
+        supervisor offers each spool once. Returns the spans added.
+
+        Nothing moves until the whole spool is parsed: one without a
+        node name or a finite epoch is refused whole, a span or log line
+        that does not parse is skipped, and each counts in
+        ``bad_messages``."""
         name = str(dump.get("node", "") or "")
-        if not name:
+        try:
+            shift = wire_stamp(dump.get("epoch", 0.0)) - self.epoch
+        except MALFORMED:
+            shift = None
+        if not name or shift is None:
             self.bad_messages += 1
             return 0
-        rec = self._record(name)
-        shift = float(dump.get("epoch", 0.0) or 0.0) - self.epoch
-        added = 0
+        spans = []
         for d in dump.get("spans", ()):
             try:
                 span = Span.from_dict(d)
@@ -196,20 +203,28 @@ class Collector(Component):
             span.start += shift
             if span.end is not None:
                 span.end += shift
-            rec.spans.append(span)
-            added += 1
+            spans.append(span)
+        logs = []
         for line in dump.get("logs", ()):
-            if isinstance(line, dict):
-                rec.logs.append({
-                    "t": float(line.get("t", 0.0)) + shift,
-                    "node": name,
-                    "component": str(line.get("component", name)),
-                    "level": str(line.get("level", "info")),
-                    "text": str(line.get("text", "")),
-                })
+            try:
+                t = wire_stamp(line.get("t", 0.0) if isinstance(line, dict)
+                               else None)
+            except MALFORMED:
+                self.bad_messages += 1
+                continue
+            logs.append({
+                "t": t + shift,
+                "node": name,
+                "component": str(line.get("component", name)),
+                "level": str(line.get("level", "info")),
+                "text": str(line.get("text", "")),
+            })
+        rec = self._record(name)
+        rec.spans.extend(spans)
+        rec.logs.extend(logs)
         rec.flight_dumps += 1
-        rec.flight_spans += added
-        return added
+        rec.flight_spans += len(spans)
+        return len(spans)
 
     # -- liveness ------------------------------------------------------------
     def silent_nodes(

@@ -9,9 +9,12 @@ newline-terminated line.
 The three decisions they share are made here and nowhere else:
 
 * **line format** — :func:`encode_line`: sorted keys, compact
-  separators, ``"\\n"``; byte-stable for equal records. A writer that
-  already rendered a record's values with the same encoder (the job
-  store splices its lines from them) appends the line itself.
+  separators, ``"\\n"``; byte-stable for equal records. The encoder is
+  the codec's sorted-keys one: :mod:`repro.core.linguafranca.messages`
+  builds both of the program's compact encoders, and this module builds
+  none. A writer that already rendered a record's values with the same
+  encoder (the job store splices its lines from them) appends the line
+  itself.
 * **durability point** — :class:`RecordLog` writes everything a call was
   given, then calls ``flush()`` once. No fsync: the threat model is the
   *process* dying (chaos SIGKILL, supervisor restart), and flushed bytes
@@ -33,30 +36,21 @@ from __future__ import annotations
 import io
 import json
 import os
-from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 from typing import Iterator, Optional, Union
+
+from ..core.linguafranca.messages import _sorted_encoder
 
 __all__ = ["RecordLog", "encode_line", "read_records"]
 
-#: The one sort-keys compact encoder, built at import and shared by the
-#: record log, the job store's rendered fragments and every JSON response
-#: (``json.dumps`` with non-default arguments builds a ``JSONEncoder`` per
-#: call, and ``JSONEncoder.encode`` a C encoder per call). ``"".join(
-#: _iterencode(value, 0))`` is ``json.dumps(value, sort_keys=True,
-#: separators=(",", ":"))`` to the byte. Built without the per-call
-#: circular-reference markers, a circular value fails as a RecursionError
-#: instead of a ValueError. Without json's C accelerator the encoder's
-#: own pure-Python path serves.
-_iterencode = (
-    json.JSONEncoder(sort_keys=True, separators=(",", ":")).iterencode
-    if c_make_encoder is None else c_make_encoder(
-        None, json.JSONEncoder().default, encode_basestring_ascii, None,
-        ":", ",", True, False, True))
-
 
 def _encode(value) -> str:
-    """``value`` as compact sort-keys JSON (ASCII: non-ASCII escaped)."""
-    return "".join(_iterencode(value, 0))
+    """``value`` as compact sort-keys JSON (ASCII: non-ASCII escaped):
+    ``json.dumps(value, sort_keys=True, separators=(",", ":"))`` to the
+    byte, through the sorted-keys encoder the codec builds at import.
+    The record log, the job store's rendered fragments and every JSON
+    response share it."""
+    return "".join(_sorted_encoder(value, 0))
 
 
 #: What :func:`_encode` writes for a ``str`` (the encoder is built with

@@ -1,7 +1,6 @@
 """Tests for typed messages."""
 
 import dataclasses
-from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -149,7 +148,7 @@ def test_the_kept_frame_is_invisible_to_fields_eq_repr_copy_and_pickle():
     assert Message.decode(clone.encode()).req_id == 5
 
 
-# -- the encode path: one encoder, no failed cache attempt -------------------
+# -- the encode path: one encoder ---------------------------------------------
 
 def _reference_frame(m):
     """What ``encode()`` must return, built from scratch with ``json.dumps``."""
@@ -187,7 +186,7 @@ _HEADERS = st.fixed_dictionaries({}, optional={
 def test_encode_equals_a_fresh_json_dumps_frame_in_any_order(sends):
     """One mtype, hashable and list-bearing bodies in any order, with and
     without correlation or trace headers: every frame is byte-equal to a
-    fresh ``json.dumps`` encode, whatever the module cache holds."""
+    fresh ``json.dumps`` encode, whatever was encoded before it."""
     for sender, body, headers in sends:
         m = Message(mtype="T", sender=sender, body=dict(body), **headers)
         assert m.encode() == _reference_frame(m)
@@ -200,35 +199,11 @@ def test_circular_body_rejected():
         Message(mtype="X", sender="a/b", body=body).encode()
 
 
-@pytest.mark.parametrize("body", [
-    {}, {"v": 7}, {"v": 1.5, "ok": True}, {"who": "a/b", "n": None, "x": -2.25},
-], ids=["empty", "int", "float-bool", "mixed"])
-def test_scalar_bodies_built_afresh_hit_the_module_cache(body):
-    """Every scalar body the cache keyed before still hits it: a message
-    rebuilt with an equal body splices the text the first one rendered,
-    from any sender and under any correlation or trace header."""
-    from repro.core.linguafranca import messages
-
-    messages._body_cache.clear()
-    with mock.patch.object(messages, "_iterencode",
-                           wraps=messages._iterencode) as renders:
-        first = Message(mtype="POLL", sender="a/b", body=dict(body)).encode()
-        again = Message(mtype="POLL", sender="a/b", body=dict(body)).encode()
-        correlated = Message(mtype="POLL", sender="c/d", body=dict(body),
-                             req_id=9, reply_to=4, trace=(1, 2))
-        assert correlated.wire_size() == len(correlated.encode())
-    assert again == first and len(messages._body_cache) == 1
-    assert renders.call_count == 1
-
-
 @pytest.mark.parametrize("first, second", [
     (0.0, -0.0), (-0.0, 0.0), (1, True), (True, 1), (1, 1.0), (0, False),
     (2**53, float(2**53)), ((1,), (1.0,)),
 ], ids=repr)
 def test_equal_values_that_encode_differently_never_share_a_frame(first, second):
-    from repro.core.linguafranca import messages
-
-    messages._body_cache.clear()
     for value in (first, second, first):
         for header in ({}, {"req_id": 3}):
             m = Message(mtype="POLL", sender="a/b", body={"v": value, "n": 2},
@@ -239,15 +214,10 @@ def test_equal_values_that_encode_differently_never_share_a_frame(first, second)
 
 def test_equal_keys_that_encode_differently_never_share_a_text():
     """JSON turns every key into a string: ``1``, ``1.0`` and ``True``
-    are one dict key but three object keys, so only string-keyed bodies
-    are cached."""
-    from repro.core.linguafranca import messages
-
-    messages._body_cache.clear()
+    are one dict key but three object keys."""
     for key in (1, 1.0, True, "1", 1):
         m = Message(mtype="POLL", sender="a/b", body={key: 5})
         assert m.encode() == _reference_frame(m)
-    assert len(messages._body_cache) == 1
 
 
 # -- the simulated network's size: len(encode()) without the frame ----------

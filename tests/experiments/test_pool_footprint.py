@@ -16,9 +16,8 @@ def retained_per_host(n_hosts):
     """Bytes still allocated per host after build + 30 simulated seconds,
     everything counted: the contact list included, which the whole pool
     shares."""
-    # Start from empty process-wide caches, so what earlier pools left in
-    # them is not credited to this one.
-    messages._body_cache.clear()
+    # Start from an empty process-wide view cache, so what earlier pools
+    # left in it is not credited to this one.
     clique._VIEWS.clear()
     gc.collect()
     tracemalloc.start()
@@ -47,8 +46,8 @@ def test_per_member_memory_is_flat_in_pool_size():
 
 
 def test_one_token_round_is_encoded_once_for_every_member():
-    with mock.patch.object(messages, "_iterencode",
-                           wraps=messages._iterencode) as rendered:
+    with mock.patch.object(messages, "_wire_encoder",
+                           wraps=messages._wire_encoder) as rendered:
         pool = build_pool(n_hosts=64, n_sites=4, n_records=8, seed=5)
         pool.run(until=30.0)
     sent = sum(d.telemetry.metrics.counter("msg.sent", mtype="CLQ_TOKEN").value

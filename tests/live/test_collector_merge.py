@@ -165,6 +165,43 @@ def test_flight_dump_for_unknown_node_creates_record(collector):
     assert collector.bad_messages == 1
 
 
+def test_a_spool_is_parsed_before_anything_is_merged(collector):
+    # A log line whose "t" is not a number is skipped and counted, as a
+    # malformed span is: the rest of the spool still merges, once.
+    added = collector.ingest_flight({
+        "node": "n1", "epoch": collector.epoch,
+        "spans": [_span(5, 0.0, 0.5)], "logs": [{"t": "x", "text": "hi"}]})
+    rec = collector.nodes["n1"]
+    assert added == 1
+    assert (len(rec.spans), len(rec.logs)) == (1, 0)
+    assert (rec.flight_dumps, collector.bad_messages) == (1, 1)
+
+
+@pytest.mark.parametrize("epoch", ["x", None, float("nan"), float("inf"),
+                                   10**400, [1.0]], ids=repr)
+def test_a_spool_whose_epoch_is_not_a_number_is_refused_whole(collector,
+                                                               epoch):
+    line = {"t": 1.0, "text": "hi"}
+    assert collector.ingest_flight({"node": "n1", "epoch": epoch,
+                                    "spans": [_span(5, 0.0, 0.5)],
+                                    "logs": [line]}) == 0
+    assert "n1" not in collector.nodes
+    assert collector.bad_messages == 1
+
+
+@pytest.mark.parametrize("t", ["x", None, float("nan"), float("-inf"),
+                               10**400, {}], ids=repr)
+def test_a_log_line_whose_time_is_not_a_finite_number_is_skipped(collector,
+                                                                   t):
+    collector.ingest_flight({"node": "n1", "epoch": collector.epoch,
+                             "logs": [{"t": t, "text": "bad"}, "not a line",
+                                      {"t": 2, "text": "good"}]})
+    rec = collector.nodes["n1"]
+    assert [(d["t"], d["text"]) for d in rec.logs] == [
+        (pytest.approx(2.0), "good")]
+    assert (rec.flight_dumps, collector.bad_messages) == (1, 2)
+
+
 def test_log_dedup_between_shipment_and_flight_dump(collector, tmp_path):
     # Log lines travel in the spool alone: one a report still carries
     # is not merged, so the line appears once.

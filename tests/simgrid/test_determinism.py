@@ -184,13 +184,25 @@ def test_ci_mini_sc98_is_pinned_byte_for_byte():
 
 
 def test_mini_sc98_makes_no_more_real_json_encodes():
-    """Every JSON render the body cache saves stays saved: the bodies
-    rendered from scratch in the reduced world, counted at the one
-    encoder (1,363 before the cache stopped trying unhashable bodies)."""
+    """A message renders its body when it is first sized or framed under
+    a header, and never again under that header: the reduced world's
+    renders, counted where a message renders (``messages._render``),
+    equal its distinct ``(message, header)`` pairs. Both read 2,146
+    since the content-keyed body cache went; the cache read 1,347
+    renders (bound 1,363) by sharing one text between equal bodies, but
+    built a key for every sizing and saved no time (DESIGN §7)."""
     from repro.core.linguafranca import messages
 
-    messages._body_cache.clear()  # what earlier tests cached is not ours
-    with mock.patch.object(messages, "_iterencode",
-                           wraps=messages._iterencode) as encoder:
+    parts, pairs, held = messages.Message._parts, set(), []
+
+    def rendered_parts(message):
+        held.append(message)  # held, so no id is reused during the run
+        pairs.add((id(message), message.sender, message.req_id,
+                   message.reply_to, message.trace))
+        return parts(message)
+
+    with mock.patch.object(messages.Message, "_parts", rendered_parts), \
+            mock.patch.object(messages, "_render",
+                              wraps=messages._render) as renders:
         _run_mini_sc98()
-    assert encoder.call_count <= 1363
+    assert renders.call_count == len(pairs) == 2146
