@@ -6,9 +6,10 @@ Usage (from the repository root)::
     python benchmarks/bench_explore.py --quick --check
 
 Benchmarks the EMEWS-style :class:`ExploreQueue` against a real gateway
-process (the same ``HttpServer`` + ``GatewayCore`` + journal-backed
-``WorkQueue`` stack ``repro explore`` deploys; the child also executes
-evaluation units in its step loop, so results flow back):
+process (the live gateway node's stack ``repro explore`` deploys:
+``GatewayComponent`` on a ``FileJournal`` under ``NetDriver``; see
+``common.py``; the child also executes evaluation units in its step
+loop, so results flow back):
 
 * a **push** cell — one ``POST /jobs`` per task versus one ``POST
   /jobs/batch`` for the whole generation, quantifying the journal-flush

@@ -5,10 +5,11 @@ Usage (from the repository root)::
     python benchmarks/bench_gateway.py
     python benchmarks/bench_gateway.py --quick --check
 
-Benchmarks the HTTP/JSON job gateway as its own OS process (the same
-``HttpServer`` + ``GatewayCore`` + journal-backed ``WorkQueue`` stack
-``repro serve`` deploys) under a :class:`GatewayStorm` of concurrent
-keep-alive HTTP users:
+Benchmarks the HTTP/JSON job gateway as its own OS process (the live
+gateway node's stack ``repro serve`` deploys: ``GatewayComponent`` on a
+``FileJournal`` under ``NetDriver``, its HTTP on the driver's stream
+listener; see ``common.py``) under a :class:`GatewayStorm` of
+concurrent keep-alive HTTP users:
 
 * **steady** cells — sustained submissions/s and query p50/p99 at each
   client count (the top cell is the 1,000-concurrent-user claim);

@@ -31,8 +31,9 @@ class GatewayComponent(SchedulerServer):
     ``journal``), serving HTTP upward: one
     :class:`~repro.control.http.HttpConnection` per peer, answered in
     order through :func:`~repro.control.gateway.http_app` on the
-    driver's clock. A parked long-poll is re-offered on every hook and
-    at its deadline; a peer's FIN drops its connection.
+    driver's clock. A parked long-poll is re-offered only when the feed
+    moved during the hook or the first deadline fired (``gw:parked``);
+    a peer's FIN drops its connection.
     ``restart_after`` schedules the twin's analogue of a SIGKILL +
     respawn: scheduler state and every connection die, and the store is
     rebuilt from the journal, accepted jobs requeued-not-dropped.
@@ -70,9 +71,10 @@ class GatewayComponent(SchedulerServer):
     def on_timer(self, key: str, now: float) -> list[Effect]:
         if key == T_RESTART:
             return self._restart(now)
-        if key == T_PARKED:
-            self._wake = None
-        return super().on_timer(key, now) + self._unpark(now)
+        seq = self.core.events.next_seq
+        if key == T_PARKED:  # the first deadline passed: re-offer them all
+            self._wake, seq = None, -1
+        return super().on_timer(key, now) + self._unpark(now, seq)
 
     def _restart(self, now: float) -> list[Effect]:
         self.restarts += 1
@@ -91,18 +93,19 @@ class GatewayComponent(SchedulerServer):
 
     # -- messages -------------------------------------------------------------
     def on_message(self, message: Message, now: float) -> list[Effect]:
+        seq = self.core.events.next_seq
         if message.mtype != SEGMENT:
-            return super().on_message(message, now) + self._unpark(now)
+            return super().on_message(message, now) + self._unpark(now, seq)
         peer, body = message.sender, message.body
         if body.get("fin"):  # the peer hung up
             self.conns.pop(peer, None)
             self.parked.pop(peer, None)
-            return self._unpark(now)
+            return self._unpark(now, seq)
         conn = self.conns.get(peer)
         if conn is None:  # a new connection
             conn = self.conns[peer] = HttpConnection()
-        conn.decoder.feed(body["d"].encode("latin-1"))
-        return self._serve(peer, conn) + self._unpark(now)
+        conn.decoder.feed(body["d"])
+        return self._serve(peer, conn) + self._unpark(now, seq)
 
     def _serve(self, peer: str, conn: HttpConnection) -> list[Effect]:
         """``conn``'s answers, in one segment as one flush sends them
@@ -119,14 +122,17 @@ class GatewayComponent(SchedulerServer):
         return [Send(peer, segment(self.contact, b"".join(frames),
                                    fin=conn.closed))]
 
-    def _unpark(self, now: float) -> list[Effect]:
-        """Re-offer each parked long-poll; wake at the first deadline
-        still to come, unless the wake-up is armed for it already."""
+    def _unpark(self, now: float, seq: int) -> list[Effect]:
+        """Re-offer each parked long-poll if the feed moved past ``seq``,
+        where it ended when the hook began: nothing else but a deadline
+        answers one. Then wake at the first deadline still to come,
+        unless the wake-up is armed for it already."""
         if not self.parked:
             return []
         effects: list[Effect] = []
-        for peer, conn in list(self.parked.items()):
-            effects += self._serve(peer, conn)
+        if seq != self.core.events.next_seq:
+            for peer, conn in list(self.parked.items()):
+                effects += self._serve(peer, conn)
         wake = min((conn.parked.deadline for conn in self.parked.values()),
                    default=None)
         if wake is not None and wake != self._wake:

@@ -63,8 +63,7 @@ class HttpUser(Component):
         return [Send(self.gateway, segment(self.contact, frame))]
 
     def on_message(self, message: Message, now: float) -> list[Effect]:
-        if self.http.receive(message.body["d"].encode("latin-1"),
-                             now) is None:
+        if self.http.receive(message.body["d"], now) is None:
             if not message.body.get("fin"):
                 return []
             self.http = HttpClientConnection(self.http.host)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Optional, Protocol, Union
 
 from .linguafranca.messages import Message
+from .linguafranca.packets import packet_size
 from .telemetry import Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard (policy imports forecasting,
@@ -100,17 +101,26 @@ class Stop:
 Effect = Union[Send, SetTimer, CancelTimer, LogLine, Stop]
 
 #: The message type of a byte-stream segment (the one protocol streams
-#: carry here; a simulated segment's size counts the string).
+#: carry here).
 SEGMENT = "HTTP"
 
 
-def segment(sender: str, data, fin: bool = False) -> Message:
-    """A segment of ``sender``'s byte stream carrying ``data`` (any
-    bytes-like); ``fin`` marks the stream's end."""
-    body = {"d": str(data, "latin-1")}
+class _Segment(Message):
+    __slots__ = ()
+
+    def wire_size(self) -> int:
+        # The frame's header and the sender's contact, then the bytes as
+        # they are: no JSON is rendered (a FIN is a flag, and is free).
+        return packet_size(SEGMENT, len(self.sender) + len(self.body["d"]))
+
+
+def segment(sender: str, data: bytes, fin: bool = False) -> Message:
+    """A segment of ``sender``'s byte stream carrying ``data``, bytes as
+    they are on both planes; ``fin`` marks the stream's end."""
+    body = {"d": data}
     if fin:
         body["fin"] = True
-    return Message(mtype=SEGMENT, sender=sender, body=body)
+    return _Segment(mtype=SEGMENT, sender=sender, body=body)
 
 
 class Runtime(Protocol):

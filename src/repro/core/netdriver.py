@@ -61,8 +61,8 @@ STREAM = "stream:"
 class _Streams(StreamServer):
     """The driver's byte-stream listener (module doc): ``deliver`` takes
     each segment; ``peers`` maps a contact to its connection while the
-    component may still write, and ``dropped`` counts writes that are
-    too late or not a segment."""
+    component may still write, and ``dropped`` counts writes that have
+    no connection (too late, or a world contact) or are not a segment."""
 
     def __init__(self, address: str, loop: EventLoop,
                  deliver: Callable[[Message], object]) -> None:
@@ -80,14 +80,14 @@ class _Streams(StreamServer):
 
     def _received(self, conn: _Connection, data: memoryview) -> None:
         if not conn.close_when_flushed:  # after a FIN, bytes reach no one
-            self._deliver(segment(conn.peer, data))
+            self._deliver(segment(conn.peer, bytes(data)))
 
     def write(self, contact: str, message: Message) -> None:
         conn = self.peers.get(contact)
         if conn is None or message.mtype != SEGMENT:
             self.dropped += 1
             return
-        data = message.body["d"].encode("latin-1")
+        data = message.body["d"]
         if data:
             conn.out.append(data)
         if message.body.get("fin"):
@@ -199,11 +199,13 @@ class NetDriver(ComponentDriver):
 
     def _transmit(self, route: Union[tuple[str, int], str],
                   eff: Send) -> None:
-        if route.__class__ is str:  # a stream peer
+        if route.__class__ is str or eff.message.mtype == SEGMENT:
+            # A stream peer's, or a segment, whose bytes ride no frame:
+            # the listener writes it down the connection or meters the drop.
             if self.streams is None:
                 self._address_errors += 1
             else:
-                self.streams.write(route, eff.message)
+                self.streams.write(eff.dst, eff.message)
             return
         tag = event_tag(eff.dst, eff.message.mtype)
         timeout = eff.timeout

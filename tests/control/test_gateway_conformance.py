@@ -71,7 +71,7 @@ class _Peer(Component):
                      segment(self.contact, self.script[int(key)][1]))]
 
     def on_message(self, message, now):
-        self.chunks.append(message.body["d"].encode("latin-1"))
+        self.chunks.append(message.body["d"])
         if message.body.get("fin"):
             self.chunks.append(CLOSED)
         return []

@@ -76,7 +76,17 @@ def _cli_sha(report):
 #: is reported), jobs per worker 43/50/45 -> 39/53/46, and
 #: ``forecast.abs_error.total`` 0.090255524 -> 0.08852326 follows the
 #: changed traffic.
-CI_SHA = "0cf7bbe1b453ff8eb666689909227d1f7b5e9b9bf9925662c265fa5166c258b1"
+#: Re-pinned when a segment became bytes, charged its header plus its
+#: length rather than the JSON escape of its text (``\r\n`` counted 4):
+#: every HTTP segment is fewer simulated bytes and lands sooner, so
+#: units go out in another order again — one more migration reclaims a
+#: unit in hand (``sch.migrations`` 13 -> 14, ``units_requeued`` and
+#: ``jobs.requeues`` 1 -> 2, ``units_assigned`` 139 -> 140, SCH_ACK
+#: 140 -> 141), one hello fewer is sent (SCH_HELLO and SCH_WORK 127 ->
+#: 126, ``net.delivered`` 1580 -> 1579), jobs per worker 39/53/46 ->
+#: 43/49/46, and ``forecast.abs_error.total`` 0.08852326 -> 0.091226749
+#: follows the changed traffic.
+CI_SHA = "13ecf7e90583bf152fd41a155616f624d1beb7bd4fe531fe089133e91357c265"
 
 
 def test_ci_twin_report_is_pinned_byte_for_byte():

@@ -19,6 +19,8 @@ from repro.control import (HttpDecoder, HttpResponseDecoder, HttpUser,
 from repro.control.component import GatewayComponent
 from repro.control.sim import TwinWorld
 from repro.core.component import Component, Send, SetTimer, segment
+from repro.core.linguafranca.messages import Message
+from repro.core.services.scheduler import SCH_HELLO, SCH_REPORT
 
 
 class _Peer(Component):
@@ -40,7 +42,7 @@ class _Peer(Component):
                      segment(self.contact, self.script[int(key)][1]))]
 
     def on_message(self, message, now):
-        self.decoder.feed(message.body["d"].encode("latin-1"))
+        self.decoder.feed(message.body["d"])
         while (response := self.decoder.next_response()) is not None:
             self.got.append((now, *response))
         return []
@@ -129,6 +131,73 @@ def test_a_long_poll_is_answered_as_soon_as_the_feed_moves():
     assert status == 200 and b'"event":"submitted"' in page
     assert 2.0 < t < 2.1
     assert user.got[0][1] == 201
+
+
+class _Chatter(Component):
+    """A worker that says hello, then reports: ``n`` scheduler messages,
+    ``period`` apart from ``start``. With no job queued, none of them
+    appends to the feed."""
+
+    def __init__(self, name, start, n, period=0.1):
+        super().__init__(name)
+        self.times = [start + i * period for i in range(n)]
+
+    def on_start(self, now):
+        return [SetTimer(str(i), t) for i, t in enumerate(self.times)]
+
+    def on_timer(self, key, now):
+        return [Send(TwinWorld.CONTACT, Message(
+            SCH_HELLO if key == "0" else SCH_REPORT, self.contact,
+            {"infra": "sim", "rate": 1.0}))]
+
+
+def test_a_parked_long_poll_wakes_only_when_the_feed_moves_or_its_deadline_passes():
+    """Twenty scheduler messages that append nothing leave a parked
+    long-poll alone; the submit that appends answers it in the hook that
+    takes the submit; a long-poll no append reaches is answered at its
+    deadline, not later."""
+    world = TwinWorld(seed=1, restart_after=None, telemetry=None)
+    gw = world.gateway
+    offers, app = [], gw.app
+
+    def offer(request):  # each time the app is offered a long-poll
+        response = app(request)
+        if request.path.startswith("/events"):
+            offers.append((request, world.env.now, response))
+        return response
+
+    hooks, on_message = [], gw.on_message
+
+    def hook(message, now):  # who each hook answered
+        effects = on_message(message, now)
+        hooks.append((message.sender, {eff.dst for eff in effects
+                                       if isinstance(eff, Send)}))
+        return effects
+
+    gw.app, gw.on_message = offer, hook
+    world.add("chat", "cli", _Chatter("chat", start=1.0, n=20))
+    submit = (b'POST /jobs HTTP/1.1\r\nContent-Length: 16\r\n\r\n'
+              b'{"kind": "noop"}')
+    _, (poll, user, late) = _run(
+        [(0.5, f"GET /events?since={gw.core.events.latest_seq}&wait=5 "
+               f"HTTP/1.1\r\n\r\n".encode())],
+        [(3.5, submit)],
+        [(4.0, b"GET /events?since=0&wait=2 HTTP/1.1\r\n\r\n")],
+        world=world)
+    assert (gw.stats.hellos, gw.stats.reports) == (1, 19)
+    first = offers[0][0]
+    assert [now < 3.5 for request, now, _ in offers
+            if request is first] == [True, False]  # parked once, then ...
+    ((_, status, _, page),) = poll.got
+    assert status == 200 and b'"event":"submitted"' in page
+    # ... answered by the hook that took the submit.
+    assert (user.contact, {user.contact, poll.contact}) in hooks
+    second = [offered for offered in offers if offered[0] is not first]
+    assert [response is None for _, _, response in second] == [True, False]
+    (request, _, _), (_, answered, _) = second
+    assert answered == pytest.approx(request.deadline, abs=1e-9)
+    ((t_late, status, _, page),) = late.got
+    assert (status, page) == (200, b"") and answered < t_late < answered + 0.1
 
 
 def test_a_restart_drops_every_connection_as_a_sigkill_does():

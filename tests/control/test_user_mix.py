@@ -159,7 +159,7 @@ def test_seeded_storm_and_sim_user_emit_the_same_requests():
     for n in range(n_requests):
         (send,) = user.on_timer("http:next", float(n))
         assert isinstance(send, Send) and send.message.mtype == "HTTP"
-        frames_sim.append(send.message.body["d"].encode("latin-1"))
+        frames_sim.append(send.message.body["d"])
         decoder = HttpDecoder()
         decoder.feed(frames_sim[-1])
         request = decoder.next_request()
@@ -256,7 +256,7 @@ def test_the_live_and_twin_me_pumps_write_the_same_requests():
         effects = user.on_timer("http:next", float(n))
         if not effects:
             break
-        frames_sim.append(effects[0].message.body["d"].encode("latin-1"))
+        frames_sim.append(effects[0].message.body["d"])
         user.on_message(segment("127.0.0.1/gw", _feed_answer(n)), n + 0.5)
 
     assert len(frames_http) == len(FEED)

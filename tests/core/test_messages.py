@@ -279,6 +279,22 @@ def test_wire_size_is_the_encoded_length_and_raises_what_encode_raises(
         assert kept == [size, data]
 
 
+@given(data=st.one_of(st.binary(max_size=64), st.lists(st.sampled_from(
+           [b"\r\n", b'"', b"\\", b"\x00", b"\x7f", bytes([0x80]),
+            bytes([0xe9]), bytes([0xff]), b"GET / HTTP/1.1"]),
+           max_size=12).map(b"".join)),
+       sender=st.sampled_from(["gw0/gw", "stream:7", "u/usr"]),
+       fin=st.booleans())
+def test_a_segment_is_charged_its_header_plus_its_length(data, sender, fin):
+    """Whatever the bytes (line ends, quotes, backslashes, bytes no text
+    encoding would keep as one byte), a segment costs the simulated wire
+    its length past the header an empty one costs."""
+    from repro.core.component import segment
+
+    header = segment(sender, b"", fin=fin).wire_size()
+    assert segment(sender, data, fin=fin).wire_size() == header + len(data)
+
+
 def test_an_oversized_payload_fails_both_calls_alike():
     from repro.core.linguafranca.packets import MAX_PAYLOAD_LEN
 

@@ -294,9 +294,9 @@ class ShoutComponent(Component):
         data = message.body["d"]
         if message.body.get("fin") or not data:
             return []
-        fin = "!" in data
+        fin = b"!" in data
         return [Send(message.sender, segment(
-            self.contact, data.upper().encode("latin-1") * (
+            self.contact, data.upper() * (
                 1_000_000 if fin else 1), fin=fin))]
 
 
@@ -335,10 +335,10 @@ def test_a_stream_peer_is_a_contact_its_reads_segments_its_sends_writes():
         _pump_until(driver, lambda: got.append(_recv(sock))
                     or b"".join(filter(None, got)) == b"HELLO")
         ((peer, body),) = component.segments
-        assert peer.startswith("stream:") and body == {"d": "hello"}
+        assert peer.startswith("stream:") and body == {"d": b"hello"}
         sock.close()                      # the peer hangs up: a FIN
         _pump_until(driver, lambda: len(component.segments) == 2)
-        assert component.segments[1] == (peer, {"d": "", "fin": True})
+        assert component.segments[1] == (peer, {"d": b"", "fin": True})
         # The connection is gone: a late send is a metered drop, never a
         # connect to somewhere.
         driver._apply([Send(peer, segment("x", b"late"))], driver.now())
@@ -368,6 +368,20 @@ def test_only_a_segment_is_written_down_a_stream():
         driver.close()
 
 
+def test_a_segment_sent_to_a_world_contact_is_a_metered_drop():
+    """A segment's bytes ride no lingua-franca frame: sent to a
+    ``host:port`` contact, with or without a stream listener, it is
+    dropped and counted, never raised and never connected anywhere."""
+    for stream in (None, "127.0.0.1:0"):
+        driver = NetDriver(ShoutComponent(), stream=stream)
+        try:
+            driver._apply([Send("127.0.0.1:9", segment(
+                "x", b"GET / HTTP/1.1\r\n\r\n\xff"))], driver.now())
+            assert driver.send_errors == 1 and driver.sender.pending() == 0
+        finally:
+            driver.close()
+
+
 def test_a_fin_on_a_sent_segment_closes_the_connection_once_flushed():
     component, driver, sock = _stream_driver()
     try:
@@ -383,7 +397,7 @@ def test_a_fin_on_a_sent_segment_closes_the_connection_once_flushed():
         # late bytes nor a FIN come back to it.
         for _ in range(10):
             driver.step(0.002)
-        assert [body for _, body in component.segments] == [{"d": "bye!"}]
+        assert [body for _, body in component.segments] == [{"d": b"bye!"}]
     finally:
         sock.close()
         driver.close()

@@ -175,7 +175,15 @@ SWEEP_ARGS = ["--algo", "sweep", "--scale", "0.4", "--duration", "120",
 #: is recorded) comes back sooner while results retire as before —
 #: ``me.pop_p50`` 3.999111 -> 3.999255 and ``me.pop_max`` 5.019789 ->
 #: 5.019933, nothing else.
-SWEEP_SHA = "e3c936cf57ddf2caeed772a69f4784b6685fb093e97c9181b2da3dc4b8689c69"
+#: Re-pinned when a segment became bytes, charged its header plus its
+#: length rather than the JSON escape of its text: every HTTP segment is
+#: fewer simulated bytes and lands sooner. The last result retires
+#: sooner (``me.finished_at`` 5.04255 -> 5.042379); a push's 201, which
+#: dates the push, gains more than its results do, so ``me.pop_p50``
+#: 3.999255 -> 3.999453 and ``me.pop_max`` 5.019933 -> 5.020045; and
+#: ``forecast.abs_error.total`` 0.085843129 -> 0.085442428 follows the
+#: changed traffic; nothing else.
+SWEEP_SHA = "e790f61c0bf91c9d9e85bb23c5f9177074d70f075e811815e0a8745be48f0e7f"
 #: ``... --algo hill --scale 0.5 --duration 240 --seed 7 --kill-at 4
 #: --corrupt-first 1``: a gateway restart and a corrupted result.
 HILL_ARGS = ["--algo", "hill", "--scale", "0.5", "--duration", "240",
@@ -186,7 +194,11 @@ HILL_ARGS = ["--algo", "hill", "--scale", "0.5", "--duration", "240",
 #: Re-pinned with SWEEP_SHA for compact request bodies, for the same
 #: reason: ``me.pop_p50`` 2.954424 -> 2.954512 and ``me.pop_max``
 #: 2.999739 -> 2.999804, nothing else.
-HILL_SHA = "75a4f89c1f8956c93f5dd9eac37c1e87d13a092b7c4cbc69788831d337278383"
+#: Re-pinned with SWEEP_SHA for byte segments, for the same reason:
+#: ``me.finished_at`` 9.04295 -> 9.042779, ``me.rounds`` [3.022046,
+#: 6.044028] -> [3.021974, 6.043857], ``me.pop_p50`` 2.954512 ->
+#: 2.954805 and ``me.pop_max`` 2.999804 -> 2.9999, nothing else.
+HILL_SHA = "8fc56c3148f8efdc494ecfa5eb55654645d0a045d04723b7bc05a2084f9ff2c6"
 
 
 def test_ci_sweep_twin_report_is_pinned_byte_for_byte():

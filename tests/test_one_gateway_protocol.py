@@ -217,3 +217,34 @@ def test_the_module_docstring_lists_the_routes():
     listed = [f"{method} {path}" for method, path in re.findall(
         r"^    (GET|POST|PUT|DELETE) +(/\S*)", gateway.__doc__, re.M)]
     assert listed == list(gateway.ROUTES)
+
+
+# -- a segment is bytes -------------------------------------------------------
+#: The modules a segment passes through on either plane.
+SEGMENT_PATH = ("core/component.py", "core/netdriver.py",
+                "control/component.py", "control/sim.py")
+
+
+def test_no_stream_byte_is_turned_into_text_on_either_plane():
+    left = [name for name in SEGMENT_PATH
+            if "latin-1" in (SRC / name).read_text(encoding="utf-8")]
+    assert left == []
+
+
+def test_sizing_a_segment_renders_no_json(monkeypatch):
+    import repro.core.linguafranca.messages as messages
+    from repro.core.component import segment
+
+    calls = []
+    render = messages._render
+
+    def counted(value):
+        calls.append(value)
+        return render(value)
+
+    monkeypatch.setattr(messages, "_render", counted)
+    data = bytes(range(256)) * 40   # 10 kB, escapes and all
+    for fin in (False, True):
+        size = segment("gw0/gw", data, fin=fin).wire_size()
+        assert size == segment("gw0/gw", b"", fin=fin).wire_size() + len(data)
+    assert calls == []
